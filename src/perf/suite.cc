@@ -31,7 +31,7 @@
 #include "sim/platform.h"
 #include "sim/scenario.h"
 #include "sim/worker_model.h"
-#include "svc/loop.h"
+#include "svc/frame.h"
 #include "svc/protocol.h"
 #include "svc/router.h"
 #include "svc/trace_log.h"
@@ -488,11 +488,11 @@ BenchmarkResult bench_svc_serve(bool quick, int repeats) {
        {"runs_horizon", static_cast<double>(config.scenario.runs)},
        {"seed", static_cast<double>(config.seed)}},
       [&] {
-        svc::AuctionService service(config);
-        svc::ServiceLoop loop(service, 256);
+        svc::ShardedService service(config);
         std::istringstream in(trace);
         std::ostringstream out;
-        const svc::StdioResult outcome = svc::run_stdio_session(loop, in, out);
+        const svc::FrameTally outcome =
+            svc::run_stdio_session(service, in, out);
         g_sink = g_sink + static_cast<double>(outcome.requests) +
                  static_cast<double>(out.str().size());
       },
@@ -519,13 +519,14 @@ BenchmarkResult bench_svc_serve_traced(bool quick, int repeats) {
     if (traced) {
       std::ostringstream trace_bytes;
       svc::TraceRecorder recorder(trace_bytes);
-      const svc::StdioResult outcome =
+      const svc::FrameTally outcome =
           svc::run_stdio_session(service, in, out, &recorder);
       recorder.finish();
       g_sink = g_sink + static_cast<double>(outcome.requests) +
                static_cast<double>(trace_bytes.str().size());
     } else {
-      const svc::StdioResult outcome = svc::run_stdio_session(service, in, out);
+      const svc::FrameTally outcome =
+          svc::run_stdio_session(service, in, out);
       g_sink = g_sink + static_cast<double>(outcome.requests);
     }
     g_sink = g_sink + static_cast<double>(out.str().size());

@@ -19,8 +19,9 @@
 //   platform_step        full simulation steps (auction -> scoring ->
 //                        estimator) on the Table-4 long-term scenario.
 //   svc_serve            end-to-end service pass: a deterministic request
-//                        trace driven through svc::run_stdio_session
-//                        (same queue/backpressure path as the TCP server).
+//                        trace driven through svc::run_stdio_session over
+//                        a K=1 ShardedService — what melody_serve --stdin
+//                        runs, on the line path the TCP server shares.
 //   svc_serve_traced     the same session with end-to-end tracing ON (span
 //                        minting + a live MLDYTRC recorder) paired against
 //                        tracing OFF; counters.tracing_overhead pins the

@@ -9,7 +9,6 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -265,7 +264,7 @@ void EventLoop::handle_readable(Connection* conn) {
       if (conn->inbuf.size() > options_.max_line) {
         // A line this large is a framing bug, not load: answer once and
         // drop the connection (there is no way to resynchronize).
-        ++stats_.parse_errors;
+        ++stats_.frames.parse_errors;
         conn->inbuf.clear();
         conn->read_eof = true;  // stop consuming the unframed stream
         ::shutdown(conn->fd, SHUT_RD);
@@ -288,15 +287,14 @@ void EventLoop::handle_readable(Connection* conn) {
     destroy(conn);
     return;
   }
-  // Split complete lines out of the framing buffer.
+  // Answer every complete line in the framing buffer.
   std::size_t start = 0;
   for (;;) {
     const std::size_t nl = conn->inbuf.find('\n', start);
     if (nl == std::string::npos) break;
-    std::string line = conn->inbuf.substr(start, nl - start);
-    if (!line.empty() && line.back() == '\r') line.pop_back();
+    const std::string_view line(conn->inbuf.data() + start, nl - start);
     start = nl + 1;
-    if (!line.empty()) handle_line(conn, std::move(line));
+    handle_line(conn, line);
     if (connections_.find(conn->id) == connections_.end()) return;
   }
   if (start > 0) conn->inbuf.erase(0, start);
@@ -309,102 +307,67 @@ void EventLoop::handle_readable(Connection* conn) {
   }
 }
 
-void EventLoop::handle_line(Connection* conn, std::string line) {
-  const std::uint64_t seq = conn->next_seq++;
-  Request request;
-  try {
-    request = parse_request(line);
-  } catch (const UnsupportedOpError& e) {
-    ++stats_.parse_errors;
-    if (options_.recorder != nullptr) {
-      options_.recorder->record_in(conn->id, seq, line, kShardNone, 0);
-    }
-    answer_inline(conn, seq,
-                  format_response(Response::unsupported_op(e.id(), e.op())));
-    return;
-  } catch (const WireError& e) {
-    ++stats_.parse_errors;
-    if (options_.recorder != nullptr) {
-      options_.recorder->record_in(conn->id, seq, line, kShardNone, 0);
-    }
-    answer_inline(conn, seq, format_response(Response::failure(0, e.what())));
-    return;
-  }
-  // Mint the frame's root trace context: the trace id is a deterministic
-  // function of (conn, seq), the span id the process-wide counter. The
-  // frame_in/frame_out pair brackets the frame's entire residence time.
-  obs::TraceContext trace;
-  if (obs::enabled()) {
-    trace = obs::TraceContext{obs::mint_trace_id(conn->id, seq),
-                              obs::next_span_id(), 0};
-    conn->inflight.emplace(
-        seq, FrameTrace{trace.trace_id, trace.span_id,
-                        std::chrono::steady_clock::now()});
-    obs::emit("svc/frame_in",
-              {{"conn", static_cast<std::int64_t>(conn->id)},
-               {"seq", static_cast<std::int64_t>(seq)},
-               {"trace", static_cast<std::int64_t>(trace.trace_id)},
-               {"span", static_cast<std::int64_t>(trace.span_id)}});
-  }
-  if (options_.recorder != nullptr) {
-    int proto = 0;
-    if (request.op == Op::kHello) {
-      proto = request.proto == 0 ? kProtoVersion
-                                 : std::min(kProtoVersion, request.proto);
-    }
-    options_.recorder->record_in(conn->id, seq, line,
-                                 service_.routing_decision(request),
-                                 trace.span_id, proto);
-  }
-  const bool close_after = request.op == Op::kShutdown;
-  const std::uint64_t conn_id = conn->id;
-  // stats replies get the loop's own tallies appended before they leave —
-  // the only live view of front-end state the wire offers. Snapshot here
-  // (the loop thread owns stats_); the completion may format on a shard
-  // thread. +1 counts this request, matching the service-side tally.
-  const bool augment_stats = request.op == Op::kStats;
-  EventLoopStats snapshot;
-  std::int64_t live_connections = 0;
-  if (augment_stats) {
-    snapshot = stats_;
-    snapshot.requests += 1;
-    live_connections = static_cast<std::int64_t>(connections_.size());
-  }
-  const PushResult submitted = service_.submit(
-      request,
-      [this, conn_id, seq, close_after, augment_stats, snapshot,
-       live_connections](const Response& response) {
-        if (!augment_stats || !response.ok) {
-          post_completion(
-              {conn_id, seq, format_response(response), close_after});
-          return;
+void EventLoop::handle_line(Connection* conn, std::string_view line) {
+  const std::uint64_t seq = conn->next_seq;
+  FrameResult frame = answer_frame(
+      service_, options_.recorder, stats_.frames, conn->id, seq, line,
+      [this, conn, seq](const Request& request,
+                        const obs::TraceContext& trace) {
+        // The frame_in/frame_out pair brackets the frame's entire
+        // residence time.
+        if (trace.active()) {
+          conn->inflight.emplace(
+              seq, FrameTrace{trace.trace_id, trace.span_id,
+                              std::chrono::steady_clock::now()});
+          obs::emit("svc/frame_in",
+                    {{"conn", static_cast<std::int64_t>(conn->id)},
+                     {"seq", static_cast<std::int64_t>(seq)},
+                     {"trace", static_cast<std::int64_t>(trace.trace_id)},
+                     {"span", static_cast<std::int64_t>(trace.span_id)}});
         }
-        Response annotated = response;
-        annotated.fields.set("connections",
-                             WireValue::of(live_connections));
-        annotated.fields.set(
-            "loop_accepted",
-            WireValue::of(static_cast<std::int64_t>(snapshot.accepted)));
-        annotated.fields.set(
-            "loop_requests",
-            WireValue::of(static_cast<std::int64_t>(snapshot.requests)));
-        annotated.fields.set(
-            "loop_parse_errors",
-            WireValue::of(static_cast<std::int64_t>(snapshot.parse_errors)));
-        annotated.fields.set(
-            "loop_rejected",
-            WireValue::of(static_cast<std::int64_t>(snapshot.rejected)));
-        post_completion(
-            {conn_id, seq, format_response(annotated), close_after});
-      },
-      trace);
-  if (submitted != PushResult::kOk) {
-    ++stats_.rejected;
-    answer_inline(conn, seq,
-                  format_response(service_.rejection(submitted, request)));
-    return;
+        const bool close_after = request.op == Op::kShutdown;
+        const std::uint64_t conn_id = conn->id;
+        // stats replies get the loop's own tallies appended before they
+        // leave — the only live view of front-end state the wire offers.
+        // Snapshot here (the loop thread owns stats_); the completion may
+        // format on a shard thread. +1 counts this request, matching the
+        // service-side tally.
+        const bool augment_stats = request.op == Op::kStats;
+        EventLoopStats snapshot;
+        std::int64_t live_connections = 0;
+        if (augment_stats) {
+          snapshot = stats_;
+          snapshot.frames.requests += 1;
+          live_connections = static_cast<std::int64_t>(connections_.size());
+        }
+        return [this, conn_id, seq, close_after, augment_stats, snapshot,
+                live_connections](const Response& response) {
+          if (!augment_stats || !response.ok) {
+            post_completion(
+                {conn_id, seq, format_response(response), close_after});
+            return;
+          }
+          const auto of = [](std::uint64_t n) {
+            return WireValue::of(static_cast<std::int64_t>(n));
+          };
+          Response annotated = response;
+          annotated.fields.set("connections",
+                               WireValue::of(live_connections));
+          annotated.fields.set("loop_accepted", of(snapshot.accepted));
+          annotated.fields.set("loop_requests", of(snapshot.frames.requests));
+          annotated.fields.set("loop_parse_errors",
+                               of(snapshot.frames.parse_errors));
+          annotated.fields.set("loop_rejected", of(snapshot.frames.rejected));
+          post_completion(
+              {conn_id, seq, format_response(annotated), close_after});
+        };
+      });
+  if (frame.kind == FrameResult::Kind::kSkipped) return;
+  ++conn->next_seq;
+  // May destroy the connection — touch nothing after this call.
+  if (frame.kind != FrameResult::Kind::kSubmitted) {
+    answer_inline(conn, seq, std::move(frame.reply));
   }
-  ++stats_.requests;
 }
 
 void EventLoop::answer_inline(Connection* conn, std::uint64_t seq,

@@ -6,7 +6,8 @@
 // descriptors and buffers, not stacks.
 //
 // Flow of one request line:
-//   read(2) → framing buffer → parse_request → ShardedService::submit
+//   read(2) → framing buffer → answer_frame (svc/frame.h: the parse /
+//     trace / record / submit path shared with stdio and replay)
 //     → shard consumer thread applies it → done callback posts a
 //       Completion (mutex + eventfd wakeup) → event loop reorders it into
 //       the connection's response sequence → write buffer → write(2)
@@ -14,7 +15,7 @@
 // Ordering: responses go out in request order per connection even though
 // shards complete out of order — each accepted line consumes a sequence
 // number (parse errors, unsupported ops and overload rejections too, since
-// they answer inline) and completions wait in a per-connection reorder map
+// they answer inline; blank lines consume none) and completions wait in a per-connection reorder map
 // until their turn. Backpressure is unchanged from the threaded server: a
 // full shard queue answers "overloaded" + retry_after_ms immediately.
 #pragma once
@@ -26,8 +27,10 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "svc/frame.h"
 #include "svc/router.h"
 
 namespace melody::svc {
@@ -56,10 +59,8 @@ struct EventLoopOptions {
 /// (the event loop augments stats replies with a snapshot of these before
 /// the response leaves).
 struct EventLoopStats {
-  std::uint64_t accepted = 0;      // connections accepted
-  std::uint64_t requests = 0;      // lines submitted to the service
-  std::uint64_t parse_errors = 0;  // lines answered with a protocol error
-  std::uint64_t rejected = 0;      // lines answered with backpressure
+  std::uint64_t accepted = 0;  // connections accepted
+  FrameTally frames;           // lines answered, over every connection
 };
 
 class EventLoop {
@@ -99,7 +100,7 @@ class EventLoop {
   void apply_completion(Completion& completion);
   void handle_readable(Connection* conn);
   void handle_writable(Connection* conn);
-  void handle_line(Connection* conn, std::string line);
+  void handle_line(Connection* conn, std::string_view line);
   void answer_inline(Connection* conn, std::uint64_t seq, std::string line,
                      bool close_after = false);
   void flush_ready(Connection* conn);

@@ -1,9 +1,6 @@
 #include "svc/loop.h"
 
 #include <algorithm>
-#include <istream>
-#include <ostream>
-#include <string>
 
 namespace melody::svc {
 
@@ -94,49 +91,6 @@ void ServiceLoop::process(Envelope& envelope) {
   obs::ScopedTraceContext install(envelope.trace);
   const Response response = service_.apply(envelope.request);
   if (envelope.done) envelope.done(response);
-}
-
-StdioResult run_stdio_session(ServiceLoop& loop, std::istream& in,
-                              std::ostream& out) {
-  StdioResult result;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    Request request;
-    try {
-      request = parse_request(line);
-    } catch (const UnsupportedOpError& e) {
-      ++result.parse_errors;
-      out << format_response(Response::unsupported_op(e.id(), e.op())) << '\n';
-      continue;
-    } catch (const WireError& e) {
-      ++result.parse_errors;
-      out << format_response(Response::failure(0, e.what())) << '\n';
-      continue;
-    }
-    const PushResult submitted = loop.try_submit(
-        request,
-        [&out](const Response& r) { out << format_response(r) << '\n'; });
-    if (submitted != PushResult::kOk) {
-      ++result.rejected;
-      out << format_response(loop.rejection(submitted, request)) << '\n';
-      continue;
-    }
-    // Single-threaded session: the submission is sitting in the queue;
-    // drain it (and any deadline batches) before reading the next line.
-    loop.poll_once(std::chrono::nanoseconds{0});
-    ++result.requests;
-    if (loop.service().shutdown_requested()) {
-      result.shutdown = true;
-      break;
-    }
-  }
-  // EOF without a shutdown op: fire remaining due batches and finish.
-  loop.close();
-  while (loop.poll_once(std::chrono::nanoseconds{0})) {
-  }
-  out.flush();
-  return result;
 }
 
 }  // namespace melody::svc

@@ -1,9 +1,9 @@
-// ServiceLoop: the single consumer thread behind the bounded request queue.
-// Producers (connection handlers, the stdio driver, tests) call try_submit
-// from any thread; it never blocks. When the queue is full the submission is
-// rejected immediately and the caller sends the client an "overloaded"
-// response carrying retry_after_ms — backpressure is explicit and visible
-// on the wire, never an unbounded buffer or a silent stall.
+// ServiceLoop: the single consumer thread behind one shard's bounded request
+// queue. Producers (the sharded router on behalf of every front end, tests)
+// call try_submit from any thread; it never blocks. When the queue is full
+// the submission is rejected immediately and the caller sends the client an
+// "overloaded" response carrying retry_after_ms — backpressure is explicit
+// and visible on the wire, never an unbounded buffer or a silent stall.
 //
 // The loop thread is the only thread that touches the AuctionService. In
 // real-clock mode it feeds the service clock from a steady_clock epoch and
@@ -84,20 +84,5 @@ class ServiceLoop {
   AuctionService& service_;
   BoundedQueue<Envelope> queue_;
 };
-
-/// Outcome tallies of one stdio session (melody_serve --stdin).
-struct StdioResult {
-  std::size_t requests = 0;      // lines parsed and applied
-  std::size_t parse_errors = 0;  // lines answered with a protocol error
-  std::size_t rejected = 0;      // lines rejected by backpressure
-  bool shutdown = false;         // session ended via a shutdown op
-};
-
-/// Drive a service from line-delimited requests on `in`, one response line
-/// on `out` per request, in order. Single-threaded: every line goes through
-/// try_submit + poll_once, exercising the same queue/backpressure path as
-/// the TCP server. Returns at EOF or after a shutdown op.
-StdioResult run_stdio_session(ServiceLoop& loop, std::istream& in,
-                              std::ostream& out);
 
 }  // namespace melody::svc

@@ -33,6 +33,7 @@
 // stays open, so a newer client degrades instead of being dropped.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -55,6 +56,13 @@ namespace melody::svc {
 /// not_owner rejections) that let a coordinator migrate live shards
 /// between processes.
 inline constexpr int kProtoVersion = 5;
+
+/// The version both sides speak after a hello carrying the client's
+/// `client_proto` (0: unset, i.e. this build's): the older of the two.
+constexpr int negotiate_proto(int client_proto) noexcept {
+  return client_proto == 0 ? kProtoVersion
+                           : std::min(kProtoVersion, client_proto);
+}
 
 enum class Op {
   kHello,

@@ -7,7 +7,7 @@
 #include <set>
 #include <utility>
 
-#include "svc/router.h"
+#include "svc/frame.h"
 
 namespace melody::svc {
 
@@ -156,6 +156,7 @@ ReplayResult replay_trace(const TraceFile& trace, ShardedService& service,
     if (!recorded_in.contains(key)) ++result.unmatched_out;
   }
 
+  FrameTally tally;
   bool full = false;
   const auto compare = [&](std::size_t index, const TraceFrame& in,
                            const std::string& expected,
@@ -206,41 +207,33 @@ ReplayResult replay_trace(const TraceFile& trace, ShardedService& service,
       ++result.skipped_rejections;
       continue;
     }
-    Request request;
-    try {
-      request = parse_request(frame.line);
-    } catch (const UnsupportedOpError& e) {
-      // The front ends answer parse errors locally; reproduce that.
-      const std::string local =
-          format_response(Response::unsupported_op(e.id(), e.op()));
-      if (expected != nullptr) compare(index, frame, *expected, local);
-      continue;
-    } catch (const WireError& e) {
-      const std::string local =
-          format_response(Response::failure(0, e.what()));
-      if (expected != nullptr) compare(index, frame, *expected, local);
-      continue;
-    }
     std::string actual;
     bool delivered = false;
-    const PushResult submitted = service.submit(
-        request, [&actual, &delivered](const Response& response) {
-          actual = format_response(response);
-          delivered = true;
+    const FrameResult answered = answer_frame(
+        service, nullptr, tally, frame.conn, frame.seq, frame.line,
+        [&actual, &delivered](const Request&, const obs::TraceContext&) {
+          return [&actual, &delivered](const Response& response) {
+            actual = format_response(response);
+            delivered = true;
+          };
         });
-    if (submitted != PushResult::kOk) {
-      ++result.skipped_after_shutdown;
+    if (answered.kind == FrameResult::Kind::kSkipped ||
+        answered.kind == FrameResult::Kind::kRejected) {
       continue;
     }
-    // Single-threaded drain: poll every shard until the (possibly merged)
-    // response lands — the stdio-session driving pattern.
-    while (!delivered) {
-      if (!service.poll_once(std::chrono::nanoseconds{0})) break;
+    if (answered.kind == FrameResult::Kind::kParseError) {
+      actual = answered.reply;
+    } else {
+      // Single-threaded drain, the stdio-session pattern: poll every shard
+      // until the (possibly merged) response lands.
+      while (!delivered && service.poll_once(std::chrono::nanoseconds{0})) {
+      }
+      if (!delivered) continue;  // should not happen; nothing to compare
+      ++result.applied;
     }
-    if (!delivered) continue;  // should not happen; nothing to compare
-    ++result.applied;
     if (expected != nullptr) compare(index, frame, *expected, actual);
   }
+  result.skipped_after_shutdown = tally.rejected;
   return result;
 }
 

@@ -770,91 +770,4 @@ void ShardedService::load_state(std::istream& in) {
   }
 }
 
-StdioResult run_stdio_session(ShardedService& service, std::istream& in,
-                              std::ostream& out, TraceRecorder* recorder) {
-  StdioResult result;
-  std::string line;
-  // Stdio sessions record as connection 1, frames numbered in line order —
-  // the same (conn, seq) keying the TCP front end uses.
-  std::uint64_t seq = 0;
-  if (recorder != nullptr) recorder->begin_session(service.config());
-  // Answer a line the router never routes (parse errors, rejections)
-  // directly, mirroring it into the trace as an unrouted frame pair.
-  const auto answer_inline = [&](std::uint64_t frame_seq,
-                                 const std::string& request_line,
-                                 const Response& response) {
-    const std::string reply = format_response(response);
-    if (recorder != nullptr) {
-      recorder->record_in(1, frame_seq, request_line, kShardNone, 0);
-      recorder->record_out(1, frame_seq, reply);
-    }
-    out << reply << '\n';
-  };
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    const std::uint64_t frame_seq = seq++;
-    Request request;
-    try {
-      request = parse_request(line);
-    } catch (const UnsupportedOpError& e) {
-      ++result.parse_errors;
-      answer_inline(frame_seq, line, Response::unsupported_op(e.id(), e.op()));
-      continue;
-    } catch (const WireError& e) {
-      ++result.parse_errors;
-      answer_inline(frame_seq, line, Response::failure(0, e.what()));
-      continue;
-    }
-    obs::TraceContext trace;
-    if (obs::enabled()) {
-      trace = obs::TraceContext{obs::mint_trace_id(1, frame_seq),
-                                obs::next_span_id(), 0};
-    }
-    if (recorder != nullptr) {
-      int proto = 0;
-      if (request.op == Op::kHello) {
-        proto = request.proto == 0 ? kProtoVersion
-                                   : std::min(kProtoVersion, request.proto);
-      }
-      recorder->record_in(1, frame_seq, line,
-                          service.routing_decision(request), trace.span_id,
-                          proto);
-    }
-    auto delivered = std::make_shared<bool>(false);
-    const PushResult submitted = service.submit(
-        request,
-        [&out, delivered, recorder, frame_seq](const Response& r) {
-          const std::string reply = format_response(r);
-          if (recorder != nullptr) recorder->record_out(1, frame_seq, reply);
-          out << reply << '\n';
-          *delivered = true;
-        },
-        trace);
-    if (submitted != PushResult::kOk) {
-      ++result.rejected;
-      const std::string reply =
-          format_response(service.rejection(submitted, request));
-      if (recorder != nullptr) recorder->record_out(1, frame_seq, reply);
-      out << reply << '\n';
-      continue;
-    }
-    // Single-threaded session: drain every shard until the (possibly
-    // merged) response has been written, then read the next line.
-    while (!*delivered) {
-      if (!service.poll_once(std::chrono::nanoseconds{0})) break;
-    }
-    ++result.requests;
-    if (service.shutdown_requested()) {
-      result.shutdown = true;
-      break;
-    }
-  }
-  // EOF without a shutdown op: fire remaining due batches and finish.
-  service.begin_shutdown();
-  while (service.poll_once(std::chrono::nanoseconds{0})) {
-  }
-  out.flush();
-  return result;
-}
-
 }  // namespace melody::svc

@@ -215,18 +215,4 @@ Response merge_shard_parts(Op op, std::int64_t id,
                            const std::vector<int>& shard_indices,
                            int global_shards, bool rehome_all = false);
 
-class TraceRecorder;
-
-/// Drive a sharded service from line-delimited requests on `in`, one
-/// response line on `out` per request, in order. Single-threaded: every
-/// line is submitted and then all shards are polled until the merged
-/// response has been delivered. At K=1 the output is bit-identical to the
-/// ServiceLoop overload. When `recorder` is given every frame is recorded
-/// as connection 1 (stdio sessions have exactly one client) with the
-/// router's routing decision; when tracing is enabled each line also mints
-/// a root trace context, exactly like the TCP front end.
-StdioResult run_stdio_session(ShardedService& service, std::istream& in,
-                              std::ostream& out,
-                              TraceRecorder* recorder = nullptr);
-
 }  // namespace melody::svc

@@ -12,8 +12,7 @@
 // plan, protocol version). Frames carry the connection id, the
 // per-connection sequence number (the event loop's response-ordering key),
 // the shard routing decision for inbound frames (-1: broadcast fan-out,
-// -2: never routed — parse errors and overload rejections answered
-// inline), the root span id when tracing was enabled, and the raw frame
+// -2: never routed — parse errors answered inline), the root span id when tracing was enabled, and the raw frame
 // bytes. Outbound frames are recorded in flush order, which is per-
 // connection sequence order — exactly what the client saw.
 //

@@ -143,7 +143,12 @@ TEST(ClusterE2E, LiveMigrationAndPublishOverTcp) {
   ASSERT_TRUE(table.boolean_or("ok", false));
   const std::vector<double>& owner = table.number_list("owner");
   ASSERT_EQ(owner.size(), 8u);
-  EXPECT_EQ(static_cast<int>(owner[2]), 1) << "shard 2 must now live on m1";
+  // owner[] holds member indices in join order, and the two members race to
+  // join — compare the owner's name, not its index.
+  EXPECT_EQ(table.text("member" + std::to_string(static_cast<int>(owner[2])) +
+                       "_name"),
+            "m1")
+      << "shard 2 must now live on m1";
 
   EXPECT_TRUE(
       control(client, "127.0.0.1", port, cmd("shutdown")).boolean_or("ok",

@@ -13,14 +13,17 @@
 
 #include <atomic>
 #include <chrono>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "svc/config.h"
 #include "svc/event_loop.h"
+#include "svc/frame.h"
 #include "svc/protocol.h"
 #include "svc/router.h"
+#include "svc/trace_log.h"
 
 namespace melody::svc {
 namespace {
@@ -41,11 +44,12 @@ ServiceConfig serve_config(int shards) {
 /// loop running on its own thread until stop() (or a shutdown op).
 struct Server {
   explicit Server(ServiceConfig config, std::size_t max_line = 1 << 20,
-                  bool start_shards = true)
+                  bool start_shards = true, TraceRecorder* recorder = nullptr)
       : service(std::move(config)) {
     EventLoopOptions options;
     options.port = 0;
     options.max_line = max_line;
+    options.recorder = recorder;
     options.should_stop = [this] { return stop_flag.load(); };
     front = std::make_unique<EventLoop>(service, options);
     front->listen();
@@ -141,7 +145,7 @@ TEST(EventLoopE2E, Serves256ConcurrentConnectionsOnOneThread) {
   server.stop();
   server.thread.join();
   EXPECT_GE(server.stats.accepted, static_cast<std::uint64_t>(kClients));
-  EXPECT_GE(server.stats.requests, static_cast<std::uint64_t>(kClients));
+  EXPECT_GE(server.stats.frames.requests, static_cast<std::uint64_t>(kClients));
 }
 
 TEST(EventLoopE2E, PipelinedRequestsAnswerInRequestOrder) {
@@ -257,6 +261,90 @@ TEST(EventLoopE2E, ShutdownOpDrainsAndStopsTheLoop) {
   EXPECT_TRUE(server.service.shutdown_requested());
   EXPECT_TRUE(read_line(fd).empty());
   ::close(fd);
+}
+
+std::vector<TraceFrame> in_frames(const std::string& trace_bytes) {
+  std::istringstream in(trace_bytes);
+  std::vector<TraceFrame> frames;
+  for (TraceFrame& frame : parse_trace(in).frames) {
+    if (frame.dir == TraceFrame::Dir::kIn) frames.push_back(std::move(frame));
+  }
+  return frames;
+}
+
+// Stdio and TCP answer a request line through the same frame path: one
+// script — CRLF framing with a blank line, a malformed line, an unknown op,
+// a hello negotiating proto 2, a round of bids and a tick — gets
+// byte-identical replies and the same MLDYTRC in-frames from both. (No
+// stats op: the event loop appends its own loop_* tallies to that reply.)
+TEST(EventLoopE2E, StdioAndTcpAnswerAScriptIdentically) {
+  std::string script = R"({"op":"hello","id":1,"proto":2})" "\r\n"
+                       "\r\n"
+                       "this is not json\n"
+                       R"({"op":"frobnicate","id":3})" "\r\n";
+  std::int64_t id = 4;
+  for (int w = 0; w < 42; ++w) {  // one full round: every shard runs once
+    Request bid;
+    bid.op = Op::kSubmitBid;
+    bid.id = id++;
+    bid.worker = "w" + std::to_string(w);
+    script += format_request(bid) + "\n";
+  }
+  Request tick;
+  tick.op = Op::kTick;
+  tick.id = id++;
+  tick.seconds = 0.5;
+  script += format_request(tick) + "\n";
+  const std::size_t replies = 3 + 42 + 1;  // the blank line gets none
+
+  std::vector<std::string> stdio_lines;
+  std::ostringstream stdio_trace;
+  {
+    ShardedService service(serve_config(2));
+    TraceRecorder recorder(stdio_trace);
+    std::istringstream in(script);
+    std::ostringstream out;
+    run_stdio_session(service, in, out, &recorder);
+    recorder.finish();
+    std::istringstream lines(out.str());
+    for (std::string line; std::getline(lines, line);) {
+      stdio_lines.push_back(line);
+    }
+  }
+
+  std::vector<std::string> tcp_lines;
+  std::ostringstream tcp_trace;
+  {
+    TraceRecorder recorder(tcp_trace);
+    Server server(serve_config(2), 1 << 20, true, &recorder);
+    const int fd = connect_client(server.port());
+    send_all(fd, script);
+    for (std::size_t k = 0; k < replies; ++k) {
+      tcp_lines.push_back(read_line(fd));
+    }
+    ::close(fd);
+    server.stop();
+    server.thread.join();
+    recorder.finish();
+  }
+
+  ASSERT_EQ(stdio_lines.size(), replies);
+  EXPECT_EQ(tcp_lines, stdio_lines);
+  EXPECT_EQ(parse_response(stdio_lines[0]).fields.number("proto_version"),
+            static_cast<double>(kProtoVersion));
+
+  const std::vector<TraceFrame> stdio_in = in_frames(stdio_trace.str());
+  const std::vector<TraceFrame> tcp_in = in_frames(tcp_trace.str());
+  ASSERT_EQ(stdio_in.size(), replies);
+  ASSERT_EQ(tcp_in.size(), replies);
+  for (std::size_t k = 0; k < replies; ++k) {
+    EXPECT_EQ(tcp_in[k].seq, stdio_in[k].seq) << "frame " << k;
+    EXPECT_EQ(tcp_in[k].line, stdio_in[k].line) << "frame " << k;
+    EXPECT_EQ(tcp_in[k].shard, stdio_in[k].shard) << "frame " << k;
+    EXPECT_EQ(tcp_in[k].proto, stdio_in[k].proto) << "frame " << k;
+  }
+  EXPECT_EQ(stdio_in[0].proto, 2);
+  EXPECT_EQ(stdio_in[1].shard, kShardNone);
 }
 
 }  // namespace

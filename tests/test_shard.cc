@@ -15,7 +15,7 @@
 
 #include "estimators/factory.h"
 #include "svc/config.h"
-#include "svc/loop.h"
+#include "svc/frame.h"
 #include "svc/protocol.h"
 #include "svc/router.h"
 #include "svc/service.h"
@@ -73,6 +73,21 @@ std::vector<Response> parse_lines(const std::string& text) {
     if (!line.empty()) parsed.push_back(parse_response(line));
   }
   return parsed;
+}
+
+/// The plain single-platform reference: one AuctionService answering each
+/// line directly (parse -> apply -> format), due batches fired at EOF. A
+/// K=1 deployment must reproduce it byte for byte.
+std::string serve_plain(AuctionService& service, std::istream& in) {
+  std::string out;
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.empty()) continue;
+    out += format_response(service.apply(parse_request(line)));
+    out += '\n';
+  }
+  service.poll_batches();
+  return out;
 }
 
 // ----------------------------------------------------------- plan_shards --
@@ -226,12 +241,11 @@ TEST(ShardedStdio, SingleShardByteIdenticalToPlainServiceLoop) {
   trace << format_request(stats) << "\n";
   const std::string input = trace.str();
 
-  std::ostringstream plain_out;
+  std::string plain_out;
   {
     AuctionService service(shard_config(1));
-    ServiceLoop loop(service, 64);
     std::istringstream in(input);
-    run_stdio_session(loop, in, plain_out);
+    plain_out = serve_plain(service, in);
   }
   std::ostringstream sharded_out;
   ShardedService service(shard_config(1));
@@ -242,7 +256,7 @@ TEST(ShardedStdio, SingleShardByteIdenticalToPlainServiceLoop) {
   // Byte identity, not just record identity: every response line — hello
   // (shards advertised in the same position), bids, merged stats — matches
   // the unsharded service exactly.
-  EXPECT_EQ(sharded_out.str(), plain_out.str());
+  EXPECT_EQ(sharded_out.str(), plain_out);
   EXPECT_EQ(service.shard(0).service().records().size(), 6u);
 }
 
@@ -255,7 +269,7 @@ TEST(ShardedStdio, FourShardTrajectoriesMatchStandalonePlans) {
   std::int64_t next_id = 1;
   for (int round = 0; round < 16; ++round) append_round(trace, 42, &next_id);
   std::ostringstream out;
-  const StdioResult result = run_stdio_session(service, trace, out);
+  const FrameTally result = run_stdio_session(service, trace, out);
   EXPECT_EQ(result.parse_errors, 0u);
   EXPECT_EQ(result.rejected, 0u);
   EXPECT_EQ(service.total_runs(), 64u);  // 16 rounds x 4 shards
@@ -267,7 +281,6 @@ TEST(ShardedStdio, FourShardTrajectoriesMatchStandalonePlans) {
   for (int s = 0; s < 4; ++s) {
     const ShardPlan& plan = plans[static_cast<std::size_t>(s)];
     AuctionService standalone(plan.config);
-    ServiceLoop loop(standalone, 64);
     std::stringstream shard_trace;
     std::int64_t id = 1;
     for (int round = 0; round < 16; ++round) {
@@ -276,8 +289,7 @@ TEST(ShardedStdio, FourShardTrajectoriesMatchStandalonePlans) {
                     << "\n";
       }
     }
-    std::ostringstream shard_out;
-    run_stdio_session(loop, shard_trace, shard_out);
+    serve_plain(standalone, shard_trace);
     const auto& expected = standalone.records();
     const auto& actual = service.shard(s).service().records();
     ASSERT_EQ(actual.size(), expected.size()) << "shard " << s;
@@ -386,17 +398,14 @@ TEST(ShardedCheckpoint, PlainV1FileRestoresIntoSingleShardOnly) {
   std::vector<sim::RunRecord> expected;
   {
     AuctionService reference(config);
-    ServiceLoop loop(reference, 64);
     std::stringstream trace;
     std::int64_t next_id = 1;
     for (int round = 0; round < 16; ++round) append_round(trace, 42, &next_id);
-    std::ostringstream out;
-    run_stdio_session(loop, trace, out);
+    serve_plain(reference, trace);
     expected = reference.records();
   }
   {
     AuctionService service(config);
-    ServiceLoop loop(service, 64);
     std::stringstream trace;
     std::int64_t next_id = 1;
     for (int round = 0; round < 8; ++round) append_round(trace, 42, &next_id);
@@ -405,8 +414,7 @@ TEST(ShardedCheckpoint, PlainV1FileRestoresIntoSingleShardOnly) {
     checkpoint.id = next_id++;
     checkpoint.path = path;
     trace << format_request(checkpoint) << "\n";
-    std::ostringstream out;
-    run_stdio_session(loop, trace, out);
+    serve_plain(service, trace);
     prefix = service.records();
   }
 
@@ -520,7 +528,7 @@ TEST(ShardedStdio, UnsupportedOpAnswersStructurallyAndKeepsTheSession) {
   stats.id = 6;
   trace << format_request(stats) << "\n";
   std::ostringstream out;
-  const StdioResult result = run_stdio_session(service, trace, out);
+  const FrameTally result = run_stdio_session(service, trace, out);
   EXPECT_EQ(result.parse_errors, 1u);
   EXPECT_EQ(result.requests, 1u);
   const std::vector<Response> responses = parse_lines(out.str());

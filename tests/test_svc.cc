@@ -15,6 +15,7 @@
 #include "estimators/factory.h"
 #include "sim/platform.h"
 #include "svc/batcher.h"
+#include "svc/frame.h"
 #include "svc/loop.h"
 #include "svc/protocol.h"
 #include "svc/queue.h"
@@ -658,8 +659,8 @@ TEST(StdioSession, BitIdenticalToBatchRun) {
   const std::vector<sim::RunRecord> expected =
       batch_records(scenario, sim::FaultPlan{});
 
-  AuctionService service(e2e_config());
-  ServiceLoop loop(service, 64);
+  ShardedService service(e2e_config());
+  const AuctionService& shard = service.shard(0).service();
   std::stringstream trace;
   std::int64_t next_id = 1;
   for (int round = 0; round < scenario.runs; ++round) {
@@ -673,14 +674,14 @@ TEST(StdioSession, BitIdenticalToBatchRun) {
   trace << format_request(query) << "\n";
 
   std::ostringstream responses;
-  const StdioResult result = run_stdio_session(loop, trace, responses);
+  const FrameTally result = run_stdio_session(service, trace, responses);
   EXPECT_EQ(result.parse_errors, 0u);
   EXPECT_EQ(result.rejected, 0u);
-  EXPECT_FALSE(result.shutdown);
+  EXPECT_FALSE(service.shutdown_requested());
 
-  ASSERT_EQ(service.records().size(), expected.size());
+  ASSERT_EQ(shard.records().size(), expected.size());
   for (std::size_t k = 0; k < expected.size(); ++k) {
-    EXPECT_EQ(service.records()[k], expected[k]) << "run " << k + 1;
+    EXPECT_EQ(shard.records()[k], expected[k]) << "run " << k + 1;
   }
   // The wire answer for the final run carries the exact record values.
   std::string line;
@@ -706,22 +707,22 @@ TEST(StdioSession, IncrementalServiceStaysBitIdenticalToBatch) {
 
   ServiceConfig config = e2e_config();
   config.incremental = true;
-  AuctionService service(config);
-  ASSERT_TRUE(service.platform().bid_book_enabled());
-  ServiceLoop loop(service, 64);
+  ShardedService service(config);
+  const AuctionService& shard = service.shard(0).service();
+  ASSERT_TRUE(shard.platform().bid_book_enabled());
   std::stringstream trace;
   std::int64_t next_id = 1;
   for (int round = 0; round < scenario.runs; ++round) {
     append_round(trace, scenario.num_workers, &next_id);
   }
   std::ostringstream responses;
-  run_stdio_session(loop, trace, responses);
+  run_stdio_session(service, trace, responses);
 
-  ASSERT_EQ(service.records().size(), expected.size());
+  ASSERT_EQ(shard.records().size(), expected.size());
   for (std::size_t k = 0; k < expected.size(); ++k) {
-    EXPECT_EQ(service.records()[k], expected[k]) << "run " << k + 1;
+    EXPECT_EQ(shard.records()[k], expected[k]) << "run " << k + 1;
   }
-  EXPECT_EQ(service.platform().bid_book().check_links(), "");
+  EXPECT_EQ(shard.platform().bid_book().check_links(), "");
 }
 
 TEST(StdioSession, BitIdenticalWithFaultPlanAttached) {
@@ -737,19 +738,19 @@ TEST(StdioSession, BitIdenticalWithFaultPlanAttached) {
 
   ServiceConfig config = e2e_config();
   config.faults = plan;
-  AuctionService service(config);
-  ServiceLoop loop(service, 64);
+  ShardedService service(config);
+  const AuctionService& shard = service.shard(0).service();
   std::stringstream trace;
   std::int64_t next_id = 1;
   for (int round = 0; round < scenario.runs; ++round) {
     append_round(trace, scenario.num_workers, &next_id);
   }
   std::ostringstream responses;
-  run_stdio_session(loop, trace, responses);
+  run_stdio_session(service, trace, responses);
 
-  ASSERT_EQ(service.records().size(), expected.size());
+  ASSERT_EQ(shard.records().size(), expected.size());
   for (std::size_t k = 0; k < expected.size(); ++k) {
-    EXPECT_EQ(service.records()[k], expected[k]) << "run " << k + 1;
+    EXPECT_EQ(shard.records()[k], expected[k]) << "run " << k + 1;
   }
 }
 
@@ -763,8 +764,8 @@ TEST(StdioSession, CheckpointKillResumeStaysBitIdentical) {
 
   std::vector<sim::RunRecord> prefix;
   {
-    AuctionService service(e2e_config());
-    ServiceLoop loop(service, 64);
+    ShardedService service(e2e_config());
+    const AuctionService& shard = service.shard(0).service();
     std::stringstream trace;
     std::int64_t next_id = 1;
     for (int round = 0; round < interrupt_after; ++round) {
@@ -776,16 +777,16 @@ TEST(StdioSession, CheckpointKillResumeStaysBitIdentical) {
     checkpoint.path = path;
     trace << format_request(checkpoint) << "\n";
     std::ostringstream responses;
-    const StdioResult result = run_stdio_session(loop, trace, responses);
+    const FrameTally result = run_stdio_session(service, trace, responses);
     EXPECT_EQ(result.parse_errors, 0u);
-    prefix = service.records();
+    prefix = shard.records();
     ASSERT_EQ(static_cast<int>(prefix.size()), interrupt_after);
   }  // the "killed" service is gone; only the checkpoint file survives
 
-  AuctionService service(e2e_config());
+  ShardedService service(e2e_config());
+  const AuctionService& shard = service.shard(0).service();
   service.restore(path);
-  EXPECT_EQ(service.platform().current_run(), interrupt_after + 1);
-  ServiceLoop loop(service, 64);
+  EXPECT_EQ(shard.platform().current_run(), interrupt_after + 1);
   std::stringstream trace;
   std::int64_t next_id = 100000;
   for (int round = interrupt_after; round < scenario.runs; ++round) {
@@ -803,11 +804,11 @@ TEST(StdioSession, CheckpointKillResumeStaysBitIdentical) {
   trace << format_request(shutdown) << "\n";
 
   std::ostringstream responses;
-  const StdioResult result = run_stdio_session(loop, trace, responses);
-  EXPECT_TRUE(result.shutdown);
+  run_stdio_session(service, trace, responses);
+  EXPECT_TRUE(service.shutdown_requested());
 
   std::vector<sim::RunRecord> all = prefix;
-  all.insert(all.end(), service.records().begin(), service.records().end());
+  all.insert(all.end(), shard.records().begin(), shard.records().end());
   ASSERT_EQ(all.size(), expected.size());
   for (std::size_t k = 0; k < expected.size(); ++k) {
     EXPECT_EQ(all[k], expected[k]) << "run " << k + 1;
@@ -828,13 +829,12 @@ TEST(StdioSession, CheckpointKillResumeStaysBitIdentical) {
 }
 
 TEST(StdioSession, ParseErrorsAnswerWithoutKillingTheSession) {
-  AuctionService service(tiny_config());
-  ServiceLoop loop(service, 8);
+  ShardedService service(tiny_config());
   std::stringstream trace;
   trace << "this is not a request\n";
   trace << format_request(bid_for(0, 2)) << "\n";
   std::ostringstream responses;
-  const StdioResult result = run_stdio_session(loop, trace, responses);
+  const FrameTally result = run_stdio_session(service, trace, responses);
   EXPECT_EQ(result.parse_errors, 1u);
   EXPECT_EQ(result.requests, 1u);
 
@@ -850,17 +850,17 @@ TEST(StdioSession, ParseErrorsAnswerWithoutKillingTheSession) {
 TEST(StdioSession, ExitAfterRunsRequestsShutdown) {
   ServiceConfig config = tiny_config();
   config.exit_after_runs = 1;
-  AuctionService service(config);
-  ServiceLoop loop(service, 64);
+  ShardedService service(config);
+  const AuctionService& shard = service.shard(0).service();
   std::stringstream trace;
   std::int64_t next_id = 1;
   // Two full rounds queued, but the session must stop after round one.
   append_round(trace, config.scenario.num_workers, &next_id);
   append_round(trace, config.scenario.num_workers, &next_id);
   std::ostringstream responses;
-  const StdioResult result = run_stdio_session(loop, trace, responses);
-  EXPECT_TRUE(result.shutdown);
-  EXPECT_EQ(service.records().size(), 1u);
+  run_stdio_session(service, trace, responses);
+  EXPECT_TRUE(service.shutdown_requested());
+  EXPECT_EQ(shard.records().size(), 1u);
 }
 
 }  // namespace

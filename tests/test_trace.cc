@@ -20,6 +20,7 @@
 #include "obs/trace.h"
 #include "sim/fault.h"
 #include "svc/config.h"
+#include "svc/frame.h"
 #include "svc/protocol.h"
 #include "svc/replay.h"
 #include "svc/router.h"

@@ -26,6 +26,7 @@
 #include <chrono>
 #include <cstdio>
 #include <deque>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -141,8 +142,9 @@ int usage(const char* error) {
 /// The protocol version the stream may assume: what a hello handshake with
 /// this build would negotiate (both sides speak the older version).
 int negotiated_proto(const Options& options) {
-  return static_cast<int>(
-      std::min<std::int64_t>(options.proto, svc::kProtoVersion));
+  // --proto is validated >= 1; past int range it is just "newer".
+  return svc::negotiate_proto(static_cast<int>(std::min<std::int64_t>(
+      options.proto, std::numeric_limits<int>::max())));
 }
 
 svc::loadgen::StreamConfig stream_config(const Options& options) {

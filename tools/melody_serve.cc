@@ -47,6 +47,7 @@
 #include "obs/sink.h"
 #include "svc/config.h"
 #include "svc/event_loop.h"
+#include "svc/frame.h"
 #include "svc/router.h"
 #include "svc/trace_log.h"
 #include "util/build_info.h"
@@ -238,7 +239,7 @@ int main(int argc, char** argv) {
     std::signal(SIGPIPE, SIG_IGN);
 
     if (options.stdin_mode) {
-      const svc::StdioResult result =
+      const svc::FrameTally result =
           svc::run_stdio_session(service, std::cin, std::cout, recorder.get());
       service.finalize();
       if (recorder != nullptr) recorder->finish();
@@ -249,11 +250,13 @@ int main(int argc, char** argv) {
                 : " (trace " + options.trace_path + ", " +
                       std::to_string(recorder->frames()) + " frames)";
         std::fprintf(stderr,
-                     "melody_serve: %zu requests, %zu parse errors, %zu "
+                     "melody_serve: %llu requests, %llu parse errors, %llu "
                      "rejected, %zu runs this session across %d shard(s)%s%s\n",
-                     result.requests, result.parse_errors, result.rejected,
+                     static_cast<unsigned long long>(result.requests),
+                     static_cast<unsigned long long>(result.parse_errors),
+                     static_cast<unsigned long long>(result.rejected),
                      total_session_runs(service), service.shard_count(),
-                     result.shutdown ? " (shutdown op)" : "",
+                     service.shutdown_requested() ? " (shutdown op)" : "",
                      trace_note.c_str());
       }
     } else {
@@ -363,9 +366,9 @@ int main(int argc, char** argv) {
                      "requests, %llu parse errors, %llu rejected, %zu "
                      "runs%s\n",
                      static_cast<unsigned long long>(stats.accepted),
-                     static_cast<unsigned long long>(stats.requests),
-                     static_cast<unsigned long long>(stats.parse_errors),
-                     static_cast<unsigned long long>(stats.rejected),
+                     static_cast<unsigned long long>(stats.frames.requests),
+                     static_cast<unsigned long long>(stats.frames.parse_errors),
+                     static_cast<unsigned long long>(stats.frames.rejected),
                      total_session_runs(service), note.c_str());
       }
     }
