@@ -4,6 +4,8 @@
 #include <cmath>
 #include <ostream>
 
+#include "util/json.h"
+
 namespace melody::obs {
 
 void Summary::record(double x) noexcept {
@@ -132,89 +134,45 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
   return snap;
 }
 
-namespace {
-
-void write_json_string(std::ostream& out, std::string_view s) {
-  out << '"';
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out << "\\\"";
-        break;
-      case '\\':
-        out << "\\\\";
-        break;
-      case '\n':
-        out << "\\n";
-        break;
-      case '\t':
-        out << "\\t";
-        break;
-      case '\r':
-        out << "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          const char* hex = "0123456789abcdef";
-          out << "\\u00" << hex[(c >> 4) & 0xF] << hex[c & 0xF];
-        } else {
-          out << c;
-        }
-    }
-  }
-  out << '"';
-}
-
-// JSON has no Inf/NaN literals; clamp degenerate values to null.
-void write_json_number(std::ostream& out, double v) {
-  if (std::isfinite(v)) {
-    out << v;
-  } else {
-    out << "null";
-  }
-}
-
-}  // namespace
-
 void MetricsRegistry::write_json(std::ostream& out) const {
   const MetricsSnapshot snap = snapshot();
-  const auto precision = out.precision(17);
+  std::string text;
+  const auto line = [&text](std::string_view type, std::string_view name) {
+    text += "{\"type\":\"";
+    text += type;
+    text += "\",\"name\":";
+    util::json::write_string(text, name);
+  };
+  const auto number = [&text](std::string_view key, double v) {
+    text += ",\"";
+    text += key;
+    text += "\":";
+    util::json::write_number(text, v);
+  };
   for (const auto& c : snap.counters) {
-    out << "{\"type\":\"counter\",\"name\":";
-    write_json_string(out, c.name);
-    out << ",\"value\":" << c.value << "}\n";
+    line("counter", c.name);
+    text += ",\"value\":" + std::to_string(c.value) + "}\n";
   }
   for (const auto& g : snap.gauges) {
-    out << "{\"type\":\"gauge\",\"name\":";
-    write_json_string(out, g.name);
-    out << ",\"value\":";
-    write_json_number(out, g.value);
-    out << "}\n";
+    line("gauge", g.name);
+    number("value", g.value);
+    text += "}\n";
   }
   for (const auto& s : snap.summaries) {
-    out << "{\"type\":\"" << (s.is_timer ? "timer" : "summary")
-        << "\",\"name\":";
-    write_json_string(out, s.name);
-    if (s.is_timer) out << ",\"unit\":\"seconds\"";
-    out << ",\"count\":" << s.stats.count << ",\"mean\":";
-    write_json_number(out, s.stats.mean);
-    out << ",\"stddev\":";
-    write_json_number(out, s.stats.stddev);
-    out << ",\"min\":";
-    write_json_number(out, s.stats.min);
-    out << ",\"max\":";
-    write_json_number(out, s.stats.max);
-    out << ",\"sum\":";
-    write_json_number(out, s.stats.sum);
-    out << ",\"p50\":";
-    write_json_number(out, s.stats.p50);
-    out << ",\"p90\":";
-    write_json_number(out, s.stats.p90);
-    out << ",\"p99\":";
-    write_json_number(out, s.stats.p99);
-    out << "}\n";
+    line(s.is_timer ? "timer" : "summary", s.name);
+    if (s.is_timer) text += ",\"unit\":\"seconds\"";
+    text += ",\"count\":" + std::to_string(s.stats.count);
+    number("mean", s.stats.mean);
+    number("stddev", s.stats.stddev);
+    number("min", s.stats.min);
+    number("max", s.stats.max);
+    number("sum", s.stats.sum);
+    number("p50", s.stats.p50);
+    number("p90", s.stats.p90);
+    number("p99", s.stats.p99);
+    text += "}\n";
   }
-  out.precision(precision);
+  out << text;
 }
 
 namespace {

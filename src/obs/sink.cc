@@ -1,48 +1,13 @@
 #include "obs/sink.h"
 
 #include <atomic>
-#include <cmath>
 #include <sstream>
 #include <stdexcept>
 
 #include "obs/metrics.h"
+#include "util/json.h"
 
 namespace melody::obs {
-
-namespace {
-
-void write_json_string(std::ostream& out, std::string_view s) {
-  out << '"';
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out << "\\\"";
-        break;
-      case '\\':
-        out << "\\\\";
-        break;
-      case '\n':
-        out << "\\n";
-        break;
-      case '\t':
-        out << "\\t";
-        break;
-      case '\r':
-        out << "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          const char* hex = "0123456789abcdef";
-          out << "\\u00" << hex[(c >> 4) & 0xF] << hex[c & 0xF];
-        } else {
-          out << c;
-        }
-    }
-  }
-  out << '"';
-}
-
-}  // namespace
 
 JsonLinesSink::JsonLinesSink(const std::string& path)
     : owned_(path, std::ios::out | std::ios::trunc), out_(&owned_) {
@@ -57,34 +22,28 @@ void JsonLinesSink::event(std::string_view name,
                           std::span<const Field> fields) {
   // Format into a local buffer first so one event is always one contiguous
   // line even under concurrent emitters.
-  std::ostringstream line;
-  line.precision(17);
-  line << "{\"type\":\"event\",\"name\":";
-  write_json_string(line, name);
+  std::string line = "{\"type\":\"event\",\"name\":";
+  util::json::write_string(line, name);
   for (const Field& f : fields) {
-    line << ',';
-    write_json_string(line, f.key);
-    line << ':';
+    line.push_back(',');
+    util::json::write_string(line, f.key);
+    line.push_back(':');
     switch (f.kind) {
       case Field::Kind::kDouble:
-        if (std::isfinite(f.num)) {
-          line << f.num;
-        } else {
-          line << "null";
-        }
+        util::json::write_number(line, f.num);
         break;
       case Field::Kind::kInt:
-        line << f.integer;
+        line += std::to_string(f.integer);
         break;
       case Field::Kind::kString:
-        write_json_string(line, f.text);
+        util::json::write_string(line, f.text);
         break;
     }
   }
-  line << "}\n";
+  line += "}\n";
 
   std::lock_guard<std::mutex> lock(mutex_);
-  *out_ << line.str();
+  *out_ << line;
   ++lines_;
 }
 

@@ -9,6 +9,8 @@
 
 namespace melody::perf {
 
+using util::json::Value;
+
 namespace {
 
 [[noreturn]] void schema_error(const std::string& path,
@@ -16,45 +18,45 @@ namespace {
   throw std::runtime_error("perf artifact: " + path + ": " + what);
 }
 
-double require_number(const JsonValue& obj, const std::string& path,
+double require_number(const Value& obj, const std::string& path,
                       const std::string& key) {
-  const JsonValue* v = obj.find(key);
+  const Value* v = obj.find(key);
   if (v == nullptr) schema_error(path, "missing key '" + key + "'");
   if (!v->is_number()) schema_error(path + "." + key, "expected a number");
   return v->as_number();
 }
 
-std::string require_string(const JsonValue& obj, const std::string& path,
+std::string require_string(const Value& obj, const std::string& path,
                            const std::string& key) {
-  const JsonValue* v = obj.find(key);
+  const Value* v = obj.find(key);
   if (v == nullptr) schema_error(path, "missing key '" + key + "'");
   if (!v->is_string()) schema_error(path + "." + key, "expected a string");
   return v->as_string();
 }
 
-bool require_bool(const JsonValue& obj, const std::string& path,
+bool require_bool(const Value& obj, const std::string& path,
                   const std::string& key) {
-  const JsonValue* v = obj.find(key);
+  const Value* v = obj.find(key);
   if (v == nullptr) schema_error(path, "missing key '" + key + "'");
   if (!v->is_bool()) schema_error(path + "." + key, "expected a bool");
   return v->as_bool();
 }
 
-const JsonValue& require_array(const JsonValue& obj, const std::string& path,
-                               const std::string& key) {
-  const JsonValue* v = obj.find(key);
+const Value& require_array(const Value& obj, const std::string& path,
+                           const std::string& key) {
+  const Value* v = obj.find(key);
   if (v == nullptr) schema_error(path, "missing key '" + key + "'");
   if (!v->is_array()) schema_error(path + "." + key, "expected an array");
   return *v;
 }
 
-std::vector<double> number_array(const JsonValue& obj, const std::string& path,
+std::vector<double> number_array(const Value& obj, const std::string& path,
                                  const std::string& key) {
-  const JsonValue& arr = require_array(obj, path, key);
+  const Value& arr = require_array(obj, path, key);
   std::vector<double> out;
   out.reserve(arr.items().size());
   for (std::size_t i = 0; i < arr.items().size(); ++i) {
-    const JsonValue& v = arr.items()[i];
+    const Value& v = arr.items()[i];
     if (!v.is_number()) {
       schema_error(path + "." + key + "[" + std::to_string(i) + "]",
                    "expected a number");
@@ -65,8 +67,8 @@ std::vector<double> number_array(const JsonValue& obj, const std::string& path,
 }
 
 std::vector<std::pair<std::string, double>> number_map(
-    const JsonValue& obj, const std::string& path, const std::string& key) {
-  const JsonValue* v = obj.find(key);
+    const Value& obj, const std::string& path, const std::string& key) {
+  const Value* v = obj.find(key);
   if (v == nullptr) schema_error(path, "missing key '" + key + "'");
   if (!v->is_object()) schema_error(path + "." + key, "expected an object");
   std::vector<std::pair<std::string, double>> out;
@@ -80,7 +82,7 @@ std::vector<std::pair<std::string, double>> number_map(
   return out;
 }
 
-int require_int(const JsonValue& obj, const std::string& path,
+int require_int(const Value& obj, const std::string& path,
                 const std::string& key) {
   const double v = require_number(obj, path, key);
   if (v != std::floor(v)) {
@@ -89,9 +91,16 @@ int require_int(const JsonValue& obj, const std::string& path,
   return static_cast<int>(v);
 }
 
-JsonValue map_to_json(const std::vector<std::pair<std::string, double>>& map) {
-  JsonValue obj = JsonValue::object();
-  for (const auto& [k, v] : map) obj.set(k, JsonValue::number(v));
+Value number(double v) {
+  if (!std::isfinite(v)) {
+    throw std::runtime_error("perf artifact: non-finite number");
+  }
+  return Value::of(v);
+}
+
+Value map_to_json(const std::vector<std::pair<std::string, double>>& map) {
+  Value obj = Value::object();
+  for (const auto& [k, v] : map) obj.set(k, number(v));
   return obj;
 }
 
@@ -122,43 +131,40 @@ double median(std::vector<double> values) {
   return 0.5 * (values[mid - 1] + values[mid]);
 }
 
-JsonValue to_json(const PerfArtifact& artifact) {
-  JsonValue root = JsonValue::object();
+Value to_json(const PerfArtifact& artifact) {
+  Value root = Value::object();
   root.set("schema_version",
-           JsonValue::number(static_cast<double>(artifact.schema_version)));
-  root.set("date", JsonValue::string(artifact.date));
-  root.set("git_sha", JsonValue::string(artifact.git_sha));
-  root.set("quick", JsonValue::boolean(artifact.quick));
-  root.set("threads",
-           JsonValue::number(static_cast<double>(artifact.threads)));
-  root.set("repeats",
-           JsonValue::number(static_cast<double>(artifact.repeats)));
-  JsonValue benches = JsonValue::array();
+           number(static_cast<double>(artifact.schema_version)));
+  root.set("date", Value::of(artifact.date));
+  root.set("git_sha", Value::of(artifact.git_sha));
+  root.set("quick", Value::of(artifact.quick));
+  root.set("threads", number(static_cast<double>(artifact.threads)));
+  root.set("repeats", number(static_cast<double>(artifact.repeats)));
+  Value benches = Value::array();
   for (const BenchmarkResult& b : artifact.benchmarks) {
-    JsonValue obj = JsonValue::object();
-    obj.set("name", JsonValue::string(b.name));
-    obj.set("repeats", JsonValue::number(static_cast<double>(b.repeats)));
-    JsonValue wall = JsonValue::array();
-    for (double v : b.wall_ms) wall.push_back(JsonValue::number(v));
+    Value obj = Value::object();
+    obj.set("name", Value::of(b.name));
+    obj.set("repeats", number(static_cast<double>(b.repeats)));
+    Value wall = Value::array();
+    for (double v : b.wall_ms) wall.push_back(number(v));
     obj.set("wall_ms", std::move(wall));
-    JsonValue cpu = JsonValue::array();
-    for (double v : b.cpu_ms) cpu.push_back(JsonValue::number(v));
+    Value cpu = Value::array();
+    for (double v : b.cpu_ms) cpu.push_back(number(v));
     obj.set("cpu_ms", std::move(cpu));
-    obj.set("median_wall_ms", JsonValue::number(b.median_wall_ms));
-    obj.set("median_cpu_ms", JsonValue::number(b.median_cpu_ms));
-    obj.set("peak_rss_kb",
-            JsonValue::number(static_cast<double>(b.peak_rss_kb)));
+    obj.set("median_wall_ms", number(b.median_wall_ms));
+    obj.set("median_cpu_ms", number(b.median_cpu_ms));
+    obj.set("peak_rss_kb", number(static_cast<double>(b.peak_rss_kb)));
     obj.set("config", map_to_json(b.config));
     obj.set("counters", map_to_json(b.counters));
-    JsonValue phases = JsonValue::array();
+    Value phases = Value::array();
     for (const PhaseStats& p : b.phases) {
-      JsonValue pj = JsonValue::object();
-      pj.set("name", JsonValue::string(p.name));
-      pj.set("count", JsonValue::number(static_cast<double>(p.count)));
-      pj.set("sum_ms", JsonValue::number(p.sum_ms));
-      pj.set("p50_ms", JsonValue::number(p.p50_ms));
-      pj.set("p90_ms", JsonValue::number(p.p90_ms));
-      pj.set("p99_ms", JsonValue::number(p.p99_ms));
+      Value pj = Value::object();
+      pj.set("name", Value::of(p.name));
+      pj.set("count", number(static_cast<double>(p.count)));
+      pj.set("sum_ms", number(p.sum_ms));
+      pj.set("p50_ms", number(p.p50_ms));
+      pj.set("p90_ms", number(p.p90_ms));
+      pj.set("p99_ms", number(p.p99_ms));
       phases.push_back(std::move(pj));
     }
     obj.set("phases", std::move(phases));
@@ -168,7 +174,7 @@ JsonValue to_json(const PerfArtifact& artifact) {
   return root;
 }
 
-PerfArtifact artifact_from_json(const JsonValue& json) {
+PerfArtifact artifact_from_json(const Value& json) {
   if (!json.is_object()) schema_error("$", "top level must be an object");
   PerfArtifact artifact;
   artifact.schema_version = require_int(json, "$", "schema_version");
@@ -177,10 +183,10 @@ PerfArtifact artifact_from_json(const JsonValue& json) {
   artifact.quick = require_bool(json, "$", "quick");
   artifact.threads = require_int(json, "$", "threads");
   artifact.repeats = require_int(json, "$", "repeats");
-  const JsonValue& benches = require_array(json, "$", "benchmarks");
+  const Value& benches = require_array(json, "$", "benchmarks");
   for (std::size_t i = 0; i < benches.items().size(); ++i) {
     const std::string path = "$.benchmarks[" + std::to_string(i) + "]";
-    const JsonValue& obj = benches.items()[i];
+    const Value& obj = benches.items()[i];
     if (!obj.is_object()) schema_error(path, "expected an object");
     BenchmarkResult b;
     b.name = require_string(obj, path, "name");
@@ -193,10 +199,10 @@ PerfArtifact artifact_from_json(const JsonValue& json) {
         static_cast<std::int64_t>(require_number(obj, path, "peak_rss_kb"));
     b.config = number_map(obj, path, "config");
     b.counters = number_map(obj, path, "counters");
-    const JsonValue& phases = require_array(obj, path, "phases");
+    const Value& phases = require_array(obj, path, "phases");
     for (std::size_t j = 0; j < phases.items().size(); ++j) {
       const std::string ppath = path + ".phases[" + std::to_string(j) + "]";
-      const JsonValue& pj = phases.items()[j];
+      const Value& pj = phases.items()[j];
       if (!pj.is_object()) schema_error(ppath, "expected an object");
       PhaseStats p;
       p.name = require_string(pj, ppath, "name");
@@ -215,10 +221,12 @@ PerfArtifact artifact_from_json(const JsonValue& json) {
 }
 
 PerfArtifact parse_artifact(const std::string& text) {
-  std::string error;
-  JsonValue json = parse_json(text, &error);
-  if (!error.empty()) {
-    throw std::runtime_error("perf artifact: JSON parse error: " + error);
+  Value json;
+  try {
+    json = util::json::parse(text);
+  } catch (const util::json::ParseError& e) {
+    throw std::runtime_error(std::string("perf artifact: JSON parse error: ") +
+                             e.what());
   }
   return artifact_from_json(json);
 }
@@ -320,7 +328,7 @@ void write_artifact(const PerfArtifact& artifact, const std::string& path) {
   if (!out) {
     throw std::runtime_error("perf artifact: cannot write '" + path + "'");
   }
-  out << to_json(artifact).dump();
+  out << util::json::write_pretty(to_json(artifact));
   out.flush();
   if (!out) {
     throw std::runtime_error("perf artifact: write failed for '" + path +

@@ -45,7 +45,7 @@
 #include <utility>
 #include <vector>
 
-#include "perf/json.h"
+#include "util/json.h"
 
 namespace melody::perf {
 
@@ -92,11 +92,13 @@ struct PerfArtifact {
 /// throws std::invalid_argument on an empty sample.
 double median(std::vector<double> values);
 
-JsonValue to_json(const PerfArtifact& artifact);
+/// Throws std::runtime_error on a non-finite number: a NaN timing is a
+/// harness bug, not something to publish as null.
+util::json::Value to_json(const PerfArtifact& artifact);
 
 /// Parse + validate. Throws std::runtime_error with a path-qualified
 /// message on malformed JSON or any schema violation.
-PerfArtifact artifact_from_json(const JsonValue& json);
+PerfArtifact artifact_from_json(const util::json::Value& json);
 PerfArtifact parse_artifact(const std::string& text);
 
 /// Schema checks beyond shape (see header comment). Throws

@@ -1,13 +1,13 @@
 #include "svc/replay.h"
 
 #include <chrono>
-#include <cstdio>
 #include <fstream>
 #include <map>
 #include <set>
 #include <utility>
 
 #include "svc/frame.h"
+#include "util/json.h"
 
 namespace melody::svc {
 
@@ -29,38 +29,7 @@ bool pattern_matches(std::string_view pattern, std::string_view key) {
 }
 
 std::string value_repr(const WireValue* value) {
-  if (value == nullptr) return "<absent>";
-  switch (value->kind) {
-    case WireValue::Kind::kNull:
-      return "null";
-    case WireValue::Kind::kBool:
-      return value->boolean ? "true" : "false";
-    case WireValue::Kind::kNumber: {
-      char buffer[32];
-      std::snprintf(buffer, sizeof buffer, "%.17g", value->number);
-      return buffer;
-    }
-    case WireValue::Kind::kString:
-      return "\"" + value->text + "\"";
-    case WireValue::Kind::kNumberList: {
-      std::string out = "[";
-      for (std::size_t i = 0; i < value->numbers.size(); ++i) {
-        if (i > 0) out += ",";
-        char buffer[32];
-        std::snprintf(buffer, sizeof buffer, "%.17g", value->numbers[i]);
-        out += buffer;
-      }
-      return out + "]";
-    }
-  }
-  return "<?>";
-}
-
-const WireValue* find_value(const WireObject& object, std::string_view key) {
-  for (const auto& [k, v] : object.entries()) {
-    if (k == key) return &v;
-  }
-  return nullptr;
+  return value == nullptr ? "<absent>" : util::json::write(*value);
 }
 
 // True when the recorded response is a front-end rejection: the live
@@ -182,14 +151,14 @@ ReplayResult replay_trace(const TraceFile& trace, ShardedService& service,
     // Field-by-field over the union of keys, recorded order first.
     for (const auto& [key, value] : recorded.entries()) {
       if (mask_matches(options.mask, key)) continue;
-      const WireValue* other = find_value(replayed, key);
+      const WireValue* other = replayed.find(key);
       if (other == nullptr || !(*other == value)) {
         push(key, value_repr(&value), value_repr(other));
       }
     }
     for (const auto& [key, value] : replayed.entries()) {
       if (mask_matches(options.mask, key)) continue;
-      if (find_value(recorded, key) == nullptr) {
+      if (!recorded.has(key)) {
         push(key, value_repr(nullptr), value_repr(&value));
       }
     }

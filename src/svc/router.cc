@@ -623,19 +623,19 @@ Response merge_shard_parts(Op op, std::int64_t id,
         continue;
       }
     }
-    if (value.kind == WireValue::Kind::kNumber && additive_field(key)) {
+    if (value.is_number() && additive_field(key)) {
       double sum = 0.0;
       for (const Response& part : parts) {
         if (part.fields.has(key)) sum += part.fields.number(key);
       }
       merged.fields.set(key, WireValue::of(sum));
-    } else if (value.kind == WireValue::Kind::kNumber && maximal_field(key)) {
-      double top = value.number;
+    } else if (value.is_number() && maximal_field(key)) {
+      double top = value.as_number();
       for (const Response& part : parts) {
         if (part.fields.has(key)) top = std::max(top, part.fields.number(key));
       }
       merged.fields.set(key, WireValue::of(top));
-    } else if (value.kind == WireValue::Kind::kBool && key == "finished") {
+    } else if (value.is_bool() && key == "finished") {
       bool all = true;
       for (const Response& part : parts) {
         all = all && part.fields.boolean_or(key, true);

@@ -1,333 +1,110 @@
 #include "svc/wire.h"
 
-#include <cctype>
-#include <charconv>
-#include <cmath>
-#include <cstdio>
-
 namespace melody::svc {
 
 namespace {
 
-[[noreturn]] void fail(std::string_view what, std::size_t pos) {
-  throw WireError("wire: " + std::string(what) + " at offset " +
-                  std::to_string(pos));
+[[noreturn]] void field_error(std::string_view key, std::string_view what) {
+  throw WireError("wire: field " + std::string(key) + " " + std::string(what));
 }
 
-class Parser {
- public:
-  explicit Parser(std::string_view text) : text_(text) {}
-
-  WireObject parse() {
-    skip_ws();
-    WireObject object = parse_object();
-    skip_ws();
-    if (pos_ != text_.size()) fail("trailing characters", pos_);
-    return object;
-  }
-
- private:
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t' || text_[pos_] == '\r' ||
-            text_[pos_] == '\n')) {
-      ++pos_;
-    }
-  }
-
-  char peek() const { return pos_ < text_.size() ? text_[pos_] : '\0'; }
-
-  void expect(char c) {
-    if (peek() != c) fail(std::string("expected '") + c + "'", pos_);
-    ++pos_;
-  }
-
-  bool consume(char c) {
-    if (peek() != c) return false;
-    ++pos_;
-    return true;
-  }
-
-  WireObject parse_object() {
-    expect('{');
-    WireObject object;
-    skip_ws();
-    if (consume('}')) return object;
-    while (true) {
-      skip_ws();
-      std::string key = parse_string();
-      skip_ws();
-      expect(':');
-      skip_ws();
-      object.set(std::move(key), parse_value());
-      skip_ws();
-      if (consume('}')) return object;
-      expect(',');
-    }
-  }
-
-  WireValue parse_value() {
-    const char c = peek();
-    if (c == '"') return WireValue::of(parse_string());
-    if (c == '[') return parse_number_list();
-    if (c == 't' || c == 'f') return WireValue::of(parse_keyword_bool());
-    if (text_.compare(pos_, 4, "null") == 0) {
-      pos_ += 4;
-      return WireValue::null();
-    }
-    return WireValue::of(parse_number());
-  }
-
-  bool parse_keyword_bool() {
-    if (text_.compare(pos_, 4, "true") == 0) {
-      pos_ += 4;
-      return true;
-    }
-    if (text_.compare(pos_, 5, "false") == 0) {
-      pos_ += 5;
-      return false;
-    }
-    fail("bad keyword", pos_);
-  }
-
-  WireValue parse_number_list() {
-    expect('[');
-    std::vector<double> numbers;
-    skip_ws();
-    if (consume(']')) return WireValue::of(std::move(numbers));
-    while (true) {
-      skip_ws();
-      numbers.push_back(parse_number());
-      skip_ws();
-      if (consume(']')) return WireValue::of(std::move(numbers));
-      expect(',');
-    }
-  }
-
-  double parse_number() {
-    const std::size_t start = pos_;
-    if (peek() == '-') ++pos_;
-    while (std::isdigit(static_cast<unsigned char>(peek()))) ++pos_;
-    if (consume('.')) {
-      while (std::isdigit(static_cast<unsigned char>(peek()))) ++pos_;
-    }
-    if (peek() == 'e' || peek() == 'E') {
-      ++pos_;
-      if (peek() == '+' || peek() == '-') ++pos_;
-      while (std::isdigit(static_cast<unsigned char>(peek()))) ++pos_;
-    }
-    const std::string_view token = text_.substr(start, pos_ - start);
-    double value = 0.0;
-    const auto [end, ec] =
-        std::from_chars(token.data(), token.data() + token.size(), value);
-    if (ec != std::errc{} || end != token.data() + token.size() ||
-        token.empty()) {
-      fail("bad number", start);
-    }
-    return value;
-  }
-
-  std::string parse_string() {
-    expect('"');
-    std::string out;
-    while (true) {
-      if (pos_ >= text_.size()) fail("unterminated string", pos_);
-      const char c = text_[pos_++];
-      if (c == '"') return out;
-      if (c != '\\') {
-        out.push_back(c);
-        continue;
-      }
-      if (pos_ >= text_.size()) fail("dangling escape", pos_);
-      const char esc = text_[pos_++];
-      switch (esc) {
-        case '"': out.push_back('"'); break;
-        case '\\': out.push_back('\\'); break;
-        case '/': out.push_back('/'); break;
-        case 'n': out.push_back('\n'); break;
-        case 't': out.push_back('\t'); break;
-        case 'r': out.push_back('\r'); break;
-        case 'b': out.push_back('\b'); break;
-        case 'f': out.push_back('\f'); break;
-        case 'u': {
-          // Accept \uXXXX but only map the ASCII plane; the protocol never
-          // emits non-ASCII escapes, and rejecting keeps the codec honest.
-          if (pos_ + 4 > text_.size()) fail("bad unicode escape", pos_);
-          unsigned code = 0;
-          for (int k = 0; k < 4; ++k) {
-            const char h = text_[pos_++];
-            code <<= 4;
-            if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
-            else if (h >= 'a' && h <= 'f') code |= static_cast<unsigned>(h - 'a' + 10);
-            else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
-            else fail("bad unicode escape", pos_ - 1);
-          }
-          if (code > 0x7f) fail("non-ASCII unicode escape unsupported", pos_);
-          out.push_back(static_cast<char>(code));
-          break;
-        }
-        default:
-          fail("unknown escape", pos_ - 1);
-      }
-    }
-  }
-
-  std::string_view text_;
-  std::size_t pos_ = 0;
-};
-
-void append_escaped(std::string& out, std::string_view text) {
-  out.push_back('"');
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  out.push_back('"');
+// The typed getters' shared lookup: the value of `kind` under `key`, or
+// nullptr when absent; a present value of another kind is a client error.
+const WireValue* typed(const WireObject& object, std::string_view key,
+                       WireValue::Kind kind, std::string_view mismatch) {
+  const WireValue* v = object.find(key);
+  if (v != nullptr && v->kind() != kind) field_error(key, mismatch);
+  return v;
 }
 
-void append_number(std::string& out, double value) {
-  if (std::isfinite(value) && value == std::floor(value) &&
-      std::abs(value) < 9.007199254740992e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%lld",
-                  static_cast<long long>(value));
-    out += buf;
-  } else {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%.17g", value);
-    out += buf;
-  }
+const WireValue& required(const WireObject& object, std::string_view key,
+                          WireValue::Kind kind, std::string_view mismatch) {
+  const WireValue* v = typed(object, key, kind, mismatch);
+  if (v == nullptr) throw WireError("wire: missing field " + std::string(key));
+  return *v;
 }
 
 }  // namespace
 
 void WireObject::set(std::string key, WireValue value) {
-  for (auto& [k, v] : entries_) {
-    if (k == key) {
-      v = std::move(value);
-      return;
-    }
-  }
-  entries_.emplace_back(std::move(key), std::move(value));
+  object_.set(std::move(key), std::move(value));
 }
 
 const WireValue* WireObject::find(std::string_view key) const noexcept {
-  for (const auto& [k, v] : entries_) {
-    if (k == key) return &v;
-  }
-  return nullptr;
+  return object_.find(key);
 }
 
 bool WireObject::has(std::string_view key) const noexcept {
   return find(key) != nullptr;
 }
 
+const WireValue::Members& WireObject::entries() const noexcept {
+  return object_.members();
+}
+
 double WireObject::number(std::string_view key) const {
-  const WireValue* v = find(key);
-  if (v == nullptr) throw WireError("wire: missing field " + std::string(key));
-  if (v->kind != WireValue::Kind::kNumber) {
-    throw WireError("wire: field " + std::string(key) + " is not a number");
-  }
-  return v->number;
+  return required(*this, key, WireValue::Kind::kNumber, "is not a number")
+      .as_number();
 }
 
 double WireObject::number_or(std::string_view key, double fallback) const {
-  const WireValue* v = find(key);
-  if (v == nullptr) return fallback;
-  if (v->kind != WireValue::Kind::kNumber) {
-    throw WireError("wire: field " + std::string(key) + " is not a number");
-  }
-  return v->number;
+  const WireValue* v =
+      typed(*this, key, WireValue::Kind::kNumber, "is not a number");
+  return v == nullptr ? fallback : v->as_number();
 }
 
 bool WireObject::boolean_or(std::string_view key, bool fallback) const {
-  const WireValue* v = find(key);
-  if (v == nullptr) return fallback;
-  if (v->kind != WireValue::Kind::kBool) {
-    throw WireError("wire: field " + std::string(key) + " is not a boolean");
-  }
-  return v->boolean;
+  const WireValue* v =
+      typed(*this, key, WireValue::Kind::kBool, "is not a boolean");
+  return v == nullptr ? fallback : v->as_bool();
 }
 
 const std::string& WireObject::text(std::string_view key) const {
-  const WireValue* v = find(key);
-  if (v == nullptr) throw WireError("wire: missing field " + std::string(key));
-  if (v->kind != WireValue::Kind::kString) {
-    throw WireError("wire: field " + std::string(key) + " is not a string");
-  }
-  return v->text;
+  return required(*this, key, WireValue::Kind::kString, "is not a string")
+      .as_string();
 }
 
 std::string WireObject::text_or(std::string_view key,
                                 std::string fallback) const {
-  const WireValue* v = find(key);
-  if (v == nullptr) return fallback;
-  if (v->kind != WireValue::Kind::kString) {
-    throw WireError("wire: field " + std::string(key) + " is not a string");
-  }
-  return v->text;
+  const WireValue* v =
+      typed(*this, key, WireValue::Kind::kString, "is not a string");
+  return v == nullptr ? fallback : v->as_string();
 }
 
-const std::vector<double>& WireObject::number_list(
-    std::string_view key) const {
-  const WireValue* v = find(key);
-  if (v == nullptr) throw WireError("wire: missing field " + std::string(key));
-  if (v->kind != WireValue::Kind::kNumberList) {
-    throw WireError("wire: field " + std::string(key) +
-                    " is not a number array");
+std::vector<double> WireObject::number_list(std::string_view key) const {
+  const WireValue& list = required(*this, key, WireValue::Kind::kArray,
+                                   "is not a number array");
+  std::vector<double> numbers;
+  numbers.reserve(list.items().size());
+  for (const WireValue& item : list.items()) {
+    numbers.push_back(item.as_number());
   }
-  return v->numbers;
+  return numbers;
 }
 
-WireObject parse_wire(std::string_view line) { return Parser(line).parse(); }
-
-std::string format_wire(const WireObject& object) {
-  std::string out = "{";
-  bool first = true;
-  for (const auto& [key, value] : object.entries()) {
-    if (!first) out.push_back(',');
-    first = false;
-    append_escaped(out, key);
-    out.push_back(':');
-    switch (value.kind) {
-      case WireValue::Kind::kNull:
-        out += "null";
-        break;
-      case WireValue::Kind::kBool:
-        out += value.boolean ? "true" : "false";
-        break;
-      case WireValue::Kind::kNumber:
-        append_number(out, value.number);
-        break;
-      case WireValue::Kind::kString:
-        append_escaped(out, value.text);
-        break;
-      case WireValue::Kind::kNumberList: {
-        out.push_back('[');
-        for (std::size_t i = 0; i < value.numbers.size(); ++i) {
-          if (i > 0) out.push_back(',');
-          append_number(out, value.numbers[i]);
-        }
-        out.push_back(']');
-        break;
+WireObject parse_wire(std::string_view line) {
+  WireObject object;
+  try {
+    object.object_ = util::json::parse(line);
+  } catch (const util::json::ParseError& e) {
+    throw WireError(std::string("wire: ") + e.what());
+  }
+  if (!object.object_.is_object()) {
+    throw WireError("wire: expected a flat object");
+  }
+  for (const auto& [key, value] : object.object_.members()) {
+    if (value.is_object()) field_error(key, "is a nested object");
+    if (value.is_array()) {
+      for (const WireValue& item : value.items()) {
+        if (!item.is_number()) field_error(key, "is not a number array");
       }
     }
   }
-  out.push_back('}');
-  return out;
+  return object;
+}
+
+std::string format_wire(const WireObject& object) {
+  return util::json::write(object.object_);
 }
 
 }  // namespace melody::svc

@@ -1,20 +1,20 @@
-// Minimal JSON wire format for the service protocol: one flat object per
-// line. Values are strings, numbers, booleans, null, or arrays of numbers —
-// exactly what the request/response schema needs, and nothing the codec
-// would have to guess about (no nested objects, no mixed arrays).
+// The service's line format: one flat JSON object per line, on top of the
+// util/json codec. Values are strings, numbers, booleans, null, or arrays
+// of numbers — exactly what the request/response schema needs, and
+// nothing the protocol would have to guess about (no nested objects, no
+// mixed arrays).
 //
-// The parser is strict where it matters (quoting, escapes, commas, UTF-8
-// passthrough) and rejects everything outside the subset with a
-// WireError carrying the offending position, so a malformed client line
+// A line outside that subset becomes a WireError carrying the reason (and
+// the byte offset, for a JSON syntax error), so a malformed client line
 // becomes a clean protocol error instead of a half-parsed request.
 #pragma once
 
-#include <cstdint>
 #include <stdexcept>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
+
+#include "util/json.h"
 
 namespace melody::svc {
 
@@ -24,48 +24,7 @@ class WireError : public std::runtime_error {
 };
 
 /// One value of the wire subset.
-struct WireValue {
-  enum class Kind { kNull, kBool, kNumber, kString, kNumberList };
-
-  Kind kind = Kind::kNull;
-  bool boolean = false;
-  double number = 0.0;
-  std::string text;
-  std::vector<double> numbers;
-
-  static WireValue null() { return {}; }
-  static WireValue of(bool b) {
-    WireValue v;
-    v.kind = Kind::kBool;
-    v.boolean = b;
-    return v;
-  }
-  static WireValue of(double d) {
-    WireValue v;
-    v.kind = Kind::kNumber;
-    v.number = d;
-    return v;
-  }
-  static WireValue of(std::int64_t i) {
-    return of(static_cast<double>(i));
-  }
-  static WireValue of(std::string s) {
-    WireValue v;
-    v.kind = Kind::kString;
-    v.text = std::move(s);
-    return v;
-  }
-  /// Without this overload a string literal would convert to bool.
-  static WireValue of(const char* s) { return of(std::string(s)); }
-  static WireValue of(std::vector<double> list) {
-    WireValue v;
-    v.kind = Kind::kNumberList;
-    v.numbers = std::move(list);
-    return v;
-  }
-
-  bool operator==(const WireValue&) const = default;
-};
+using WireValue = util::json::Value;
 
 /// An ordered flat object: insertion order is preserved so formatted lines
 /// are deterministic and human-diffable.
@@ -73,6 +32,8 @@ class WireObject {
  public:
   void set(std::string key, WireValue value);
   bool has(std::string_view key) const noexcept;
+  /// The value under `key`, or nullptr when absent.
+  const WireValue* find(std::string_view key) const noexcept;
 
   /// Typed getters throw WireError on a missing key or a kind mismatch;
   /// the *_or forms return the fallback on a missing key but still throw
@@ -82,28 +43,26 @@ class WireObject {
   bool boolean_or(std::string_view key, bool fallback) const;
   const std::string& text(std::string_view key) const;
   std::string text_or(std::string_view key, std::string fallback) const;
-  const std::vector<double>& number_list(std::string_view key) const;
+  std::vector<double> number_list(std::string_view key) const;
 
-  const std::vector<std::pair<std::string, WireValue>>& entries()
-      const noexcept {
-    return entries_;
-  }
+  const WireValue::Members& entries() const noexcept;
 
   bool operator==(const WireObject&) const = default;
 
  private:
-  const WireValue* find(std::string_view key) const noexcept;
+  friend WireObject parse_wire(std::string_view line);
+  friend std::string format_wire(const WireObject& object);
 
-  std::vector<std::pair<std::string, WireValue>> entries_;
+  WireValue object_ = WireValue::object();
 };
 
 /// Parse one line holding exactly one flat JSON object (surrounding
 /// whitespace allowed, trailing garbage rejected). Throws WireError.
 WireObject parse_wire(std::string_view line);
 
-/// Format as a single JSON line (no trailing newline). Numbers that hold
-/// integral values print without a decimal point so ids and counts stay
-/// exact and readable.
+/// Format as a single JSON line (no trailing newline) under the codec's
+/// number rule: integral values print without a decimal point so ids and
+/// counts stay exact and readable, and a non-finite value prints as null.
 std::string format_wire(const WireObject& object);
 
 }  // namespace melody::svc

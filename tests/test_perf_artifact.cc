@@ -51,7 +51,8 @@ TEST(PerfArtifact, ValidArtifactPassesValidation) {
 
 TEST(PerfArtifact, JsonRoundTripPreservesEverything) {
   const PerfArtifact artifact = valid_artifact();
-  const PerfArtifact parsed = parse_artifact(to_json(artifact).dump());
+  const PerfArtifact parsed =
+      parse_artifact(util::json::write_pretty(to_json(artifact)));
 
   EXPECT_EQ(parsed.schema_version, kArtifactSchemaVersion);
   EXPECT_EQ(parsed.date, "2026-08-07");
@@ -153,9 +154,8 @@ TEST(PerfArtifactValidation, RejectsNegativeTimes) {
 }
 
 TEST(PerfArtifactValidation, ParseRejectsMissingRequiredKey) {
-  JsonValue json = to_json(valid_artifact());
   // Drop "benchmarks" wholesale: still syntactically valid JSON.
-  std::string text = json.dump();
+  std::string text = util::json::write_pretty(to_json(valid_artifact()));
   const auto at = text.find("\"benchmarks\"");
   ASSERT_NE(at, std::string::npos);
   text = text.substr(0, at) + "\"other\"" +
