@@ -10,26 +10,17 @@
 #include <sstream>
 
 #include "auction/mechanism.h"
+#include "util/binio.h"
 
 namespace melody::auction {
 
 namespace {
 
-constexpr std::uint32_t kBookMagic = 0x4D4C4442u;  // "MLDB"
+// The bytes of the little-endian u32 0x4D4C4442 ("MLDB").
+constexpr std::string_view kBookMagic = "BDLM";
 constexpr std::uint32_t kBookVersion = 1;
 
-template <typename T>
-void write_pod(std::ostream& out, const T& value) {
-  out.write(reinterpret_cast<const char*>(&value), sizeof(T));
-}
-
-template <typename T>
-T read_pod(std::istream& in) {
-  T value{};
-  in.read(reinterpret_cast<char*>(&value), sizeof(T));
-  if (!in) throw std::runtime_error("bid book blob truncated");
-  return value;
-}
+namespace binio = util::binio;
 
 std::uint64_t bits_of(double d) noexcept {
   return std::bit_cast<std::uint64_t>(d);
@@ -462,36 +453,30 @@ std::uint64_t BidBook::content_digest() const {
 }
 
 void BidBook::save(std::ostream& out) const {
-  write_pod(out, kBookMagic);
-  write_pod(out, kBookVersion);
-  write_pod(out, static_cast<std::uint64_t>(size()));
+  binio::write_header(out, kBookMagic, kBookVersion);
+  binio::write_u64(out, static_cast<std::uint64_t>(size()));
   const LadderView view = materialized();
   for (std::size_t p = 0; p < view.size(); ++p) {
-    write_pod(out, view.ids[p]);
-    write_pod(out, view.quality[p]);
-    write_pod(out, view.cost[p]);
-    write_pod(out, view.frequency[p]);
+    binio::write_i32(out, view.ids[p]);
+    binio::write_f64(out, view.quality[p]);
+    binio::write_f64(out, view.cost[p]);
+    binio::write_i32(out, view.frequency[p]);
   }
 }
 
 void BidBook::load(std::istream& in) {
-  if (read_pod<std::uint32_t>(in) != kBookMagic) {
-    throw std::runtime_error("bid book blob: bad magic");
-  }
-  if (read_pod<std::uint32_t>(in) != kBookVersion) {
-    throw std::runtime_error("bid book blob: unsupported version");
-  }
-  const auto count = read_pod<std::uint64_t>(in);
+  binio::read_header(in, kBookMagic, kBookVersion);
+  const std::uint64_t count = binio::read_u64(in, "bid book count");
   clear();
   const KeyLess less;
   bool have_last = false;
   Key last_key{};
   for (std::uint64_t k = 0; k < count; ++k) {
     WorkerProfile p;
-    p.id = read_pod<WorkerId>(in);
-    p.estimated_quality = read_pod<double>(in);
-    p.bid.cost = read_pod<double>(in);
-    p.bid.frequency = read_pod<int>(in);
+    p.id = binio::read_i32(in, "bid book entry");
+    p.estimated_quality = binio::read_f64(in, "bid book entry");
+    p.bid.cost = binio::read_f64(in, "bid book entry");
+    p.bid.frequency = binio::read_i32(in, "bid book entry");
     const Key key{ladder_ratio(p.estimated_quality, p.bid.cost), p.id};
     if (have_last && !less(last_key, key)) {
       throw std::runtime_error("bid book blob: ladder out of order");

@@ -44,8 +44,9 @@ class QualityEstimator {
 
   virtual std::string name() const = 0;
 
-  /// Persist all learned per-worker state as a versioned text snapshot
-  /// (each implementation writes its own magic+version header line), so a
+  /// Persist all learned per-worker state as a versioned util/binio blob
+  /// (each implementation writes its own magic + version header and one
+  /// fixed little-endian record per worker, in id order), so a
   /// restarted platform resumes exactly where the old one stopped —
   /// estimates after load() are bit-identical to the saved instance's.
   /// Configuration is never part of a snapshot: construct the new estimator

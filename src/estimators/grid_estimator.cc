@@ -7,6 +7,8 @@
 #include <string>
 #include <vector>
 
+#include "util/binio.h"
+
 namespace melody::estimators {
 
 GridEstimator::GridEstimator(GridEstimatorConfig config)
@@ -57,8 +59,12 @@ double GridEstimator::posterior_variance(auction::WorkerId id) const {
 }
 
 namespace {
-constexpr char kGridHeader[] = "MELODY_GRID v1";
-}
+namespace binio = util::binio;
+// Binary layout: u64 worker count, then per worker in id order
+// i32 id | u32 grid size | f64 density weight per grid point.
+constexpr std::string_view kMagic = "MLDYGRID";
+constexpr std::uint32_t kVersion = 2;  // v1 was text
+}  // namespace
 
 void GridEstimator::save(std::ostream& out) const {
   std::vector<auction::WorkerId> ids;
@@ -66,54 +72,42 @@ void GridEstimator::save(std::ostream& out) const {
   for (const auto& [id, filter] : filters_) ids.push_back(id);
   std::sort(ids.begin(), ids.end());
 
-  out << kGridHeader << '\n' << ids.size() << '\n';
-  // precision 17 round-trips every finite double exactly, so the restored
-  // density is bit-identical to the saved one.
-  out.precision(17);
+  binio::write_header(out, kMagic, kVersion);
+  binio::write_u64(out, ids.size());
   for (auction::WorkerId id : ids) {
     const auto weights = filters_.at(id)->posterior().weights();
-    out << id << ' ' << weights.size();
-    for (double w : weights) out << ' ' << w;
-    out << '\n';
+    binio::write_i32(out, id);
+    binio::write_u32(out, static_cast<std::uint32_t>(weights.size()));
+    for (double w : weights) binio::write_f64(out, w);
   }
   if (!out) throw std::runtime_error("GridEstimator::save: write failed");
 }
 
 void GridEstimator::load(std::istream& in) {
-  std::string header;
-  std::getline(in, header);
-  if (header != kGridHeader) {
-    throw std::runtime_error("GridEstimator::load: bad snapshot header");
-  }
-  std::size_t worker_count = 0;
-  if (!(in >> worker_count)) {
-    throw std::runtime_error("GridEstimator::load: missing worker count");
-  }
+  binio::read_header(in, kMagic, kVersion);
+  const std::uint64_t worker_count =
+      binio::read_u64(in, "GridEstimator worker count");
   std::unordered_map<auction::WorkerId, std::unique_ptr<lds::GridFilter>>
       loaded;
-  loaded.reserve(worker_count);
-  for (std::size_t w = 0; w < worker_count; ++w) {
-    auction::WorkerId id = -1;
-    std::size_t grid_size = 0;
-    if (!(in >> id >> grid_size)) {
-      throw std::runtime_error("GridEstimator::load: truncated record");
-    }
-    if (grid_size != config_.grid_points) {
+  for (std::uint64_t w = 0; w < worker_count; ++w) {
+    const auction::WorkerId id = binio::read_i32(in, "GridEstimator record");
+    // The grid size must match the configuration before it sizes anything.
+    if (binio::read_u32(in, "GridEstimator record") != config_.grid_points) {
       throw std::runtime_error(
           "GridEstimator::load: grid size does not match the configuration");
     }
-    std::vector<double> weights(grid_size);
+    std::vector<double> weights(config_.grid_points);
     for (double& weight : weights) {
-      if (!(in >> weight)) {
-        throw std::runtime_error("GridEstimator::load: truncated density");
-      }
+      weight = binio::read_f64(in, "GridEstimator density");
     }
     auto filter = std::make_unique<lds::GridFilter>(
         lds::GridDensity(config_.quality_min, config_.quality_max,
                          config_.grid_points),
         config_.initial_posterior, config_.params, config_.emission);
     filter->restore_posterior(weights);
-    loaded.emplace(id, std::move(filter));
+    if (!loaded.emplace(id, std::move(filter)).second) {
+      throw std::runtime_error("GridEstimator::load: duplicate worker id");
+    }
   }
   filters_ = std::move(loaded);
 }

@@ -58,7 +58,7 @@ class GridEstimator final : public QualityEstimator {
   double posterior_mean(auction::WorkerId id) const;
   double posterior_variance(auction::WorkerId id) const;
 
-  /// Versioned text snapshot of every worker's posterior grid density.
+  /// Versioned binary snapshot of every worker's posterior grid density.
   /// The config (grid support, params, emission callback) is not saved:
   /// construct the new estimator with the same config before load().
   void save(std::ostream& out) const override;

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "obs/metrics.h"
+#include "util/binio.h"
 #include "util/parallel_for.h"
 
 namespace melody::estimators {
@@ -16,6 +17,7 @@ namespace melody::estimators {
 namespace {
 /// Null link / "no arena entry" marker for the arena history chains.
 constexpr std::uint32_t kNoHistory = 0xffffffffu;
+namespace binio = util::binio;
 }  // namespace
 
 void MelodyEstimator::register_worker(auction::WorkerId id) {
@@ -309,18 +311,14 @@ int MelodyEstimator::reestimation_count(auction::WorkerId id) const {
   return em_count_[index_.at(id)];
 }
 
-namespace {
-constexpr char kSnapshotHeader[] = "MELODY_TRACKER v2";
-}
-
 void MelodyEstimator::save(std::ostream& out) const {
   // Sort by id so snapshots are byte-identical across runs (and across
   // state layouts: this is the same record order the AoS code emitted).
   std::vector<auction::WorkerId> ids = ids_;
   std::sort(ids.begin(), ids.end());
 
-  out << kSnapshotHeader << '\n' << ids.size() << '\n';
-  out.precision(17);
+  binio::write_header(out, kBlobMagic, kBlobVersion);
+  binio::write_u64(out, ids.size());
   for (auction::WorkerId id : ids) {
     const std::size_t s = index_.at(id);
     // Arena mode gathers the slot's chain into the same oldest-first
@@ -328,56 +326,49 @@ void MelodyEstimator::save(std::ostream& out) const {
     // are identical across storage modes.
     const lds::ScoreHistory& history =
         arena_history() ? gathered_history(s) : history_[s];
-    out << id << ' ' << mean_[s] << ' ' << var_[s] << ' ' << anchor_mean_[s]
-        << ' ' << anchor_var_[s] << ' ' << a_[s] << ' ' << gamma_[s] << ' '
-        << eta_[s] << ' ' << runs_since_em_[s] << ' ' << runs_seen_[s] << ' '
-        << observed_runs_[s] << ' ' << em_count_[s] << ' ' << history.size()
-        << '\n';
+    binio::write_i32(out, id);
+    for (const double v : {mean_[s], var_[s], anchor_mean_[s], anchor_var_[s],
+                           a_[s], gamma_[s], eta_[s]}) {
+      binio::write_f64(out, v);
+    }
+    for (const int v : {runs_since_em_[s], runs_seen_[s], observed_runs_[s],
+                        em_count_[s]}) {
+      binio::write_i32(out, v);
+    }
+    binio::write_u32(out, static_cast<std::uint32_t>(history.size()));
     for (const lds::ScoreSet& set : history) {
-      out << set.count << ' ' << set.sum << ' ' << set.sum_squares << '\n';
+      binio::write_i32(out, set.count);
+      binio::write_f64(out, set.sum);
+      binio::write_f64(out, set.sum_squares);
     }
   }
   if (!out) throw std::runtime_error("MelodyEstimator::save: write failed");
 }
 
 void MelodyEstimator::load(std::istream& in) {
-  std::string header;
-  std::getline(in, header);
-  if (header != kSnapshotHeader) {
-    throw std::runtime_error("MelodyEstimator::load: bad snapshot header");
-  }
-  std::size_t worker_count = 0;
-  if (!(in >> worker_count)) {
-    throw std::runtime_error("MelodyEstimator::load: missing worker count");
-  }
+  binio::read_header(in, kBlobMagic, kBlobVersion);
+  const std::uint64_t worker_count =
+      binio::read_u64(in, "MelodyEstimator worker count");
   MelodyEstimator loaded(config_);
-  loaded.ids_.reserve(worker_count);
-  for (std::size_t w = 0; w < worker_count; ++w) {
-    auction::WorkerId id = -1;
+  binio::reserve_bounded(loaded.ids_, worker_count);
+  for (std::uint64_t w = 0; w < worker_count; ++w) {
+    const auction::WorkerId id = binio::read_i32(in, "MelodyEstimator record");
     lds::Gaussian posterior;
     lds::Gaussian anchor;
     lds::LdsParams params;
-    int runs_since_em = 0;
-    int runs_seen = 0;
-    int observed_runs = 0;
-    int em_count = 0;
-    std::size_t history_size = 0;
-    if (!(in >> id >> posterior.mean >> posterior.var >> anchor.mean >>
-          anchor.var >> params.a >> params.gamma >> params.eta >>
-          runs_since_em >> runs_seen >> observed_runs >> em_count >>
-          history_size)) {
-      throw std::runtime_error(
-          "MelodyEstimator::load: truncated worker record");
+    for (double* v : {&posterior.mean, &posterior.var, &anchor.mean,
+                      &anchor.var, &params.a, &params.gamma, &params.eta}) {
+      *v = binio::read_f64(in, "MelodyEstimator record");
     }
+    const int runs_since_em = binio::read_i32(in, "MelodyEstimator record");
+    const int runs_seen = binio::read_i32(in, "MelodyEstimator record");
+    const int observed_runs = binio::read_i32(in, "MelodyEstimator record");
+    const int em_count = binio::read_i32(in, "MelodyEstimator record");
+    const std::uint32_t history_size =
+        binio::read_u32(in, "MelodyEstimator record");
     params.validate();
     if (posterior.var <= 0.0 || anchor.var <= 0.0) {
       throw std::runtime_error("MelodyEstimator::load: invalid posterior");
-    }
-    lds::ScoreHistory history(history_size);
-    for (lds::ScoreSet& set : history) {
-      if (!(in >> set.count >> set.sum >> set.sum_squares)) {
-        throw std::runtime_error("MelodyEstimator::load: truncated history");
-      }
     }
     if (loaded.index_.contains(id)) {
       throw std::runtime_error("MelodyEstimator::load: duplicate worker id");
@@ -395,17 +386,28 @@ void MelodyEstimator::load(std::istream& in) {
     loaded.runs_seen_.push_back(runs_seen);
     loaded.observed_runs_.push_back(observed_runs);
     loaded.em_count_.push_back(em_count);
-    if (loaded.arena_history()) {
-      std::uint32_t head = kNoHistory;
-      for (const lds::ScoreSet& set : history) {
+    // Arena mode chains each entry straight into the shared arena; window
+    // mode collects the worker's own vector.
+    std::uint32_t head = kNoHistory;
+    lds::ScoreHistory history;
+    if (!loaded.arena_history()) binio::reserve_bounded(history, history_size);
+    for (std::uint32_t k = 0; k < history_size; ++k) {
+      lds::ScoreSet set;
+      set.count = binio::read_i32(in, "MelodyEstimator history");
+      set.sum = binio::read_f64(in, "MelodyEstimator history");
+      set.sum_squares = binio::read_f64(in, "MelodyEstimator history");
+      if (loaded.arena_history()) {
         const auto node =
             static_cast<std::uint32_t>(loaded.history_arena_.size());
         loaded.history_arena_.push_back({set, head});
         head = node;
+      } else {
+        history.push_back(set);
       }
+    }
+    if (loaded.arena_history()) {
       loaded.history_head_.push_back(head);
-      loaded.history_len_.push_back(
-          static_cast<std::uint32_t>(history.size()));
+      loaded.history_len_.push_back(history_size);
     } else {
       loaded.history_.push_back(std::move(history));
     }

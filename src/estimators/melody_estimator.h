@@ -27,6 +27,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -117,13 +118,22 @@ class MelodyEstimator final : public QualityEstimator {
   /// Number of EM re-estimations performed for a worker so far.
   int reestimation_count(auction::WorkerId id) const;
 
+  /// Snapshot format: magic "MLDYTRKR", u32 version, u64 worker count,
+  /// then one fixed little-endian record per worker in id order —
+  ///   i32 id | f64 mean, var, anchor mean, anchor var, a, gamma, eta
+  ///   | i32 runs_since_em, runs_seen, observed_runs, em_count
+  ///   | u32 history length, then per run: i32 count | f64 sum
+  ///   | f64 sum_squares
+  /// (80 bytes per worker plus 20 per stored run; versions 1 and 2 were
+  /// text).
+  static constexpr std::string_view kBlobMagic = "MLDYTRKR";
+  static constexpr std::uint32_t kBlobVersion = 3;
+
   /// Persist all per-worker state (posteriors, hyper-parameters, score
-  /// histories, counters) as a versioned text snapshot, so a platform can
-  /// restart without losing what it learned. The configuration itself is
-  /// not saved — construct the estimator with the same config before
-  /// load(). Throws std::runtime_error on I/O failure or malformed input.
-  /// These implement the QualityEstimator persistence interface, so callers
-  /// that only hold the base class can snapshot without downcasting.
+  /// histories, counters) so a platform can restart without losing what it
+  /// learned. The configuration itself is not saved — construct the
+  /// estimator with the same config before load(). Throws
+  /// std::runtime_error on I/O failure or malformed input.
   void save(std::ostream& out) const override;
   void load(std::istream& in) override;
 
@@ -212,18 +222,5 @@ class MelodyEstimator final : public QualityEstimator {
   std::vector<std::uint32_t> run_positions_;
   std::vector<std::uint32_t> run_slots_;
 };
-
-/// Deprecated MELODY-only persistence entry points, kept as thin wrappers
-/// for one release. Persistence is now part of the QualityEstimator
-/// interface itself: call estimator.save(out) / estimator.load(in) through
-/// the base class instead — no concrete tracker type needed.
-[[deprecated("use QualityEstimator::save")]] inline void save_tracker(
-    const MelodyEstimator& tracker, std::ostream& out) {
-  tracker.save(out);
-}
-[[deprecated("use QualityEstimator::load")]] inline void load_tracker(
-    MelodyEstimator& tracker, std::istream& in) {
-  tracker.load(in);
-}
 
 }  // namespace melody::estimators

@@ -7,6 +7,8 @@
 #include <string>
 #include <vector>
 
+#include "util/binio.h"
+
 namespace melody::estimators {
 
 void MlAllRunsEstimator::register_worker(auction::WorkerId id) {
@@ -27,8 +29,12 @@ double MlAllRunsEstimator::estimate(auction::WorkerId id) const {
 }
 
 namespace {
-constexpr char kMlArHeader[] = "MELODY_ML_AR v1";
-}
+namespace binio = util::binio;
+// Binary layout: u64 worker count, then per worker in id order
+// i32 id | f64 score_sum | i32 score_count.
+constexpr std::string_view kMagic = "MLDYMLAR";
+constexpr std::uint32_t kVersion = 2;  // v1 was text
+}  // namespace
 
 void MlAllRunsEstimator::save(std::ostream& out) const {
   std::vector<auction::WorkerId> ids;
@@ -36,34 +42,31 @@ void MlAllRunsEstimator::save(std::ostream& out) const {
   for (const auto& [id, state] : states_) ids.push_back(id);
   std::sort(ids.begin(), ids.end());
 
-  out << kMlArHeader << '\n' << ids.size() << '\n';
-  out.precision(17);
+  binio::write_header(out, kMagic, kVersion);
+  binio::write_u64(out, ids.size());
   for (auction::WorkerId id : ids) {
     const State& s = states_.at(id);
-    out << id << ' ' << s.score_sum << ' ' << s.score_count << '\n';
+    binio::write_i32(out, id);
+    binio::write_f64(out, s.score_sum);
+    binio::write_i32(out, s.score_count);
   }
   if (!out) throw std::runtime_error("MlAllRunsEstimator::save: write failed");
 }
 
 void MlAllRunsEstimator::load(std::istream& in) {
-  std::string header;
-  std::getline(in, header);
-  if (header != kMlArHeader) {
-    throw std::runtime_error("MlAllRunsEstimator::load: bad snapshot header");
-  }
-  std::size_t worker_count = 0;
-  if (!(in >> worker_count)) {
-    throw std::runtime_error("MlAllRunsEstimator::load: missing worker count");
-  }
+  binio::read_header(in, kMagic, kVersion);
+  const std::uint64_t worker_count =
+      binio::read_u64(in, "MlAllRunsEstimator worker count");
   std::unordered_map<auction::WorkerId, State> loaded;
-  loaded.reserve(worker_count);
-  for (std::size_t w = 0; w < worker_count; ++w) {
-    auction::WorkerId id = -1;
+  for (std::uint64_t w = 0; w < worker_count; ++w) {
+    const auction::WorkerId id =
+        binio::read_i32(in, "MlAllRunsEstimator record");
     State s;
-    if (!(in >> id >> s.score_sum >> s.score_count)) {
-      throw std::runtime_error("MlAllRunsEstimator::load: truncated record");
+    s.score_sum = binio::read_f64(in, "MlAllRunsEstimator record");
+    s.score_count = binio::read_i32(in, "MlAllRunsEstimator record");
+    if (!loaded.emplace(id, s).second) {
+      throw std::runtime_error("MlAllRunsEstimator::load: duplicate worker id");
     }
-    loaded.emplace(id, s);
   }
   states_ = std::move(loaded);
 }

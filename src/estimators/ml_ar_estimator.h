@@ -19,7 +19,7 @@ class MlAllRunsEstimator final : public QualityEstimator {
   double estimate(auction::WorkerId id) const override;
   std::string name() const override { return "ML-AR"; }
 
-  /// Versioned text snapshot of the running sums (initial_estimate is
+  /// Versioned binary snapshot of the running sums (initial_estimate is
   /// config and is not saved).
   void save(std::ostream& out) const override;
   void load(std::istream& in) override;

@@ -7,6 +7,8 @@
 #include <string>
 #include <vector>
 
+#include "util/binio.h"
+
 namespace melody::estimators {
 
 void MlCurrentRunEstimator::register_worker(auction::WorkerId id) {
@@ -24,8 +26,12 @@ double MlCurrentRunEstimator::estimate(auction::WorkerId id) const {
 }
 
 namespace {
-constexpr char kMlCrHeader[] = "MELODY_ML_CR v1";
-}
+namespace binio = util::binio;
+// Binary layout: u64 worker count, then per worker in id order
+// i32 id | f64 estimate.
+constexpr std::string_view kMagic = "MLDYMLCR";
+constexpr std::uint32_t kVersion = 2;  // v1 was text
+}  // namespace
 
 void MlCurrentRunEstimator::save(std::ostream& out) const {
   std::vector<auction::WorkerId> ids;
@@ -33,10 +39,11 @@ void MlCurrentRunEstimator::save(std::ostream& out) const {
   for (const auto& [id, estimate] : estimates_) ids.push_back(id);
   std::sort(ids.begin(), ids.end());
 
-  out << kMlCrHeader << '\n' << ids.size() << '\n';
-  out.precision(17);
+  binio::write_header(out, kMagic, kVersion);
+  binio::write_u64(out, ids.size());
   for (auction::WorkerId id : ids) {
-    out << id << ' ' << estimates_.at(id) << '\n';
+    binio::write_i32(out, id);
+    binio::write_f64(out, estimates_.at(id));
   }
   if (!out) {
     throw std::runtime_error("MlCurrentRunEstimator::save: write failed");
@@ -44,27 +51,18 @@ void MlCurrentRunEstimator::save(std::ostream& out) const {
 }
 
 void MlCurrentRunEstimator::load(std::istream& in) {
-  std::string header;
-  std::getline(in, header);
-  if (header != kMlCrHeader) {
-    throw std::runtime_error(
-        "MlCurrentRunEstimator::load: bad snapshot header");
-  }
-  std::size_t worker_count = 0;
-  if (!(in >> worker_count)) {
-    throw std::runtime_error(
-        "MlCurrentRunEstimator::load: missing worker count");
-  }
+  binio::read_header(in, kMagic, kVersion);
+  const std::uint64_t worker_count =
+      binio::read_u64(in, "MlCurrentRunEstimator worker count");
   std::unordered_map<auction::WorkerId, double> loaded;
-  loaded.reserve(worker_count);
-  for (std::size_t w = 0; w < worker_count; ++w) {
-    auction::WorkerId id = -1;
-    double estimate = 0.0;
-    if (!(in >> id >> estimate)) {
+  for (std::uint64_t w = 0; w < worker_count; ++w) {
+    const auction::WorkerId id =
+        binio::read_i32(in, "MlCurrentRunEstimator record");
+    const double estimate = binio::read_f64(in, "MlCurrentRunEstimator record");
+    if (!loaded.emplace(id, estimate).second) {
       throw std::runtime_error(
-          "MlCurrentRunEstimator::load: truncated record");
+          "MlCurrentRunEstimator::load: duplicate worker id");
     }
-    loaded.emplace(id, estimate);
   }
   estimates_ = std::move(loaded);
 }

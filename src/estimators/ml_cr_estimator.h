@@ -19,7 +19,7 @@ class MlCurrentRunEstimator final : public QualityEstimator {
   double estimate(auction::WorkerId id) const override;
   std::string name() const override { return "ML-CR"; }
 
-  /// Versioned text snapshot of the per-worker estimates (initial_estimate
+  /// Versioned binary snapshot of the per-worker estimates (initial_estimate
   /// is config and is not saved).
   void save(std::ostream& out) const override;
   void load(std::istream& in) override;

@@ -7,6 +7,8 @@
 #include <string>
 #include <vector>
 
+#include "util/binio.h"
+
 namespace melody::estimators {
 
 void StaticEstimator::register_worker(auction::WorkerId id) {
@@ -28,8 +30,12 @@ double StaticEstimator::estimate(auction::WorkerId id) const {
 }
 
 namespace {
-constexpr char kStaticHeader[] = "MELODY_STATIC v1";
-}
+namespace binio = util::binio;
+// Binary layout: u64 worker count, then per worker in id order
+// i32 id | i32 runs_seen | f64 score_sum | i32 score_count.
+constexpr std::string_view kMagic = "MLDYSTAT";
+constexpr std::uint32_t kVersion = 2;  // v1 was text
+}  // namespace
 
 void StaticEstimator::save(std::ostream& out) const {
   // Sorted by id so snapshots are byte-identical across runs.
@@ -38,35 +44,32 @@ void StaticEstimator::save(std::ostream& out) const {
   for (const auto& [id, state] : states_) ids.push_back(id);
   std::sort(ids.begin(), ids.end());
 
-  out << kStaticHeader << '\n' << ids.size() << '\n';
-  out.precision(17);
+  binio::write_header(out, kMagic, kVersion);
+  binio::write_u64(out, ids.size());
   for (auction::WorkerId id : ids) {
     const State& s = states_.at(id);
-    out << id << ' ' << s.runs_seen << ' ' << s.score_sum << ' '
-        << s.score_count << '\n';
+    binio::write_i32(out, id);
+    binio::write_i32(out, s.runs_seen);
+    binio::write_f64(out, s.score_sum);
+    binio::write_i32(out, s.score_count);
   }
   if (!out) throw std::runtime_error("StaticEstimator::save: write failed");
 }
 
 void StaticEstimator::load(std::istream& in) {
-  std::string header;
-  std::getline(in, header);
-  if (header != kStaticHeader) {
-    throw std::runtime_error("StaticEstimator::load: bad snapshot header");
-  }
-  std::size_t worker_count = 0;
-  if (!(in >> worker_count)) {
-    throw std::runtime_error("StaticEstimator::load: missing worker count");
-  }
+  binio::read_header(in, kMagic, kVersion);
+  const std::uint64_t worker_count =
+      binio::read_u64(in, "StaticEstimator worker count");
   std::unordered_map<auction::WorkerId, State> loaded;
-  loaded.reserve(worker_count);
-  for (std::size_t w = 0; w < worker_count; ++w) {
-    auction::WorkerId id = -1;
+  for (std::uint64_t w = 0; w < worker_count; ++w) {
+    const auction::WorkerId id = binio::read_i32(in, "StaticEstimator record");
     State s;
-    if (!(in >> id >> s.runs_seen >> s.score_sum >> s.score_count)) {
-      throw std::runtime_error("StaticEstimator::load: truncated record");
+    s.runs_seen = binio::read_i32(in, "StaticEstimator record");
+    s.score_sum = binio::read_f64(in, "StaticEstimator record");
+    s.score_count = binio::read_i32(in, "StaticEstimator record");
+    if (!loaded.emplace(id, s).second) {
+      throw std::runtime_error("StaticEstimator::load: duplicate worker id");
     }
-    loaded.emplace(id, s);
   }
   states_ = std::move(loaded);
 }

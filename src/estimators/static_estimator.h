@@ -21,7 +21,7 @@ class StaticEstimator final : public QualityEstimator {
   double estimate(auction::WorkerId id) const override;
   std::string name() const override { return "STATIC"; }
 
-  /// Versioned text snapshot of the warm-up accumulators (the constructor
+  /// Versioned binary snapshot of the warm-up accumulators (the constructor
   /// arguments are config and are not saved).
   void save(std::ostream& out) const override;
   void load(std::istream& in) override;

@@ -5,6 +5,8 @@
 #include <numeric>
 #include <ostream>
 
+#include "util/binio.h"
+
 namespace melody::perf::reference {
 
 std::vector<const auction::WorkerProfile*> build_ranking_queue(
@@ -192,22 +194,32 @@ double AosKalmanChain::estimate(auction::WorkerId id) const {
 }
 
 void AosKalmanChain::save(std::ostream& out) const {
+  namespace binio = util::binio;
   std::vector<auction::WorkerId> ids;
   ids.reserve(states_.size());
   for (const auto& [id, state] : states_) ids.push_back(id);
   std::sort(ids.begin(), ids.end());
 
-  out << "MELODY_TRACKER v2" << '\n' << ids.size() << '\n';
-  out.precision(17);
+  binio::write_header(out, estimators::MelodyEstimator::kBlobMagic,
+                      estimators::MelodyEstimator::kBlobVersion);
+  binio::write_u64(out, ids.size());
   for (auction::WorkerId id : ids) {
     const State& s = states_.at(id);
-    out << id << ' ' << s.posterior.mean << ' ' << s.posterior.var << ' '
-        << s.window_anchor.mean << ' ' << s.window_anchor.var << ' '
-        << s.params.a << ' ' << s.params.gamma << ' ' << s.params.eta << ' '
-        << s.runs_since_em << ' ' << s.runs_seen << ' ' << s.observed_runs
-        << ' ' << s.em_count << ' ' << s.history.size() << '\n';
+    binio::write_i32(out, id);
+    for (const double v :
+         {s.posterior.mean, s.posterior.var, s.window_anchor.mean,
+          s.window_anchor.var, s.params.a, s.params.gamma, s.params.eta}) {
+      binio::write_f64(out, v);
+    }
+    for (const int v :
+         {s.runs_since_em, s.runs_seen, s.observed_runs, s.em_count}) {
+      binio::write_i32(out, v);
+    }
+    binio::write_u32(out, static_cast<std::uint32_t>(s.history.size()));
     for (const lds::ScoreSet& set : s.history) {
-      out << set.count << ' ' << set.sum << ' ' << set.sum_squares << '\n';
+      binio::write_i32(out, set.count);
+      binio::write_f64(out, set.sum);
+      binio::write_f64(out, set.sum_squares);
     }
   }
 }

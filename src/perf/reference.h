@@ -60,8 +60,8 @@ auction::AllocationResult run_greedy(
 /// AoS twin of estimators::MelodyEstimator: identical update semantics
 /// (Theorem 3 filter step, periodic EM, window sliding, clamps) but the
 /// per-worker state lives in one unordered_map node per worker — the layout
-/// the SoA refactor replaced. save() emits the same "MELODY_TRACKER v2"
-/// text snapshot, so a full snapshot string can be compared against the
+/// the SoA refactor replaced. save() emits the same MLDYTRKR binary
+/// snapshot, so a full snapshot string can be compared against the
 /// production estimator's for bit-identity.
 class AosKalmanChain {
  public:

@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <sstream>
 #include <stdexcept>
+#include <string>
+
+#include "util/json.h"
 
 namespace melody::sim {
 
@@ -99,13 +102,20 @@ FaultPlan FaultPlan::parse(const std::string& spec) {
 }
 
 std::string FaultPlan::describe() const {
-  std::ostringstream out;
-  out.precision(17);
-  out << "no-show=" << no_show_rate << ",drop=" << score_drop_rate
-      << ",corrupt=" << score_corrupt_rate << ",churn=" << churn_rate
-      << ",churn-min=" << churn_min_absence
-      << ",churn-max=" << churn_max_absence << ",salt=" << salt;
-  return out.str();
+  // Rates through the JSON number writer: 17 significant digits, so
+  // parse(describe()) round-trips every rate exactly.
+  std::string out = "no-show=";
+  util::json::write_number(out, no_show_rate);
+  out += ",drop=";
+  util::json::write_number(out, score_drop_rate);
+  out += ",corrupt=";
+  util::json::write_number(out, score_corrupt_rate);
+  out += ",churn=";
+  util::json::write_number(out, churn_rate);
+  out += ",churn-min=" + std::to_string(churn_min_absence) +
+         ",churn-max=" + std::to_string(churn_max_absence) +
+         ",salt=" + std::to_string(salt);
+  return out;
 }
 
 Absence absence_for(const FaultPlan& plan, std::uint64_t master_seed,

@@ -3,6 +3,7 @@
 // update, repeated over runs.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <iosfwd>
 #include <memory>
@@ -21,6 +22,10 @@
 #include "util/rng.h"
 
 namespace melody::sim {
+
+/// The MLDYCKPT snapshot version Platform::save writes and load reads (see
+/// snapshot.cc for the layout).
+inline constexpr std::uint32_t kCheckpointVersion = 3;
 
 /// Orchestrates one population + one mechanism + one quality estimator over
 /// many runs, generating tasks and scores from ground truth and feeding the
@@ -51,9 +56,8 @@ class Platform {
   /// collected bids against the book, applies the deltas (O(log N) per
   /// changed bid), and hands the mechanism a context carrying the book so
   /// incremental mechanisms rank from the ladder instead of re-sorting.
-  /// Allocation stays bit-identical to the rebuild path; snapshots of a
-  /// book-enabled platform use format v2 (v1 stays byte-identical for
-  /// platforms that never opt in). Irreversible for this platform.
+  /// Allocation stays bit-identical to the rebuild path; a snapshot records
+  /// the flag and, when set, the book and the withdrawn set.
   void enable_bid_book() noexcept { bid_book_enabled_ = true; }
   bool bid_book_enabled() const noexcept { return bid_book_enabled_; }
   const auction::BidBook& bid_book() const noexcept { return bid_book_; }
@@ -137,7 +141,7 @@ class Platform {
   const std::vector<SimWorker>& workers() const noexcept { return workers_; }
 
   /// Persist the complete platform state as a versioned binary snapshot
-  /// (magic "MLDYCKPT" + format version): run index, workers (including
+  /// (magic "MLDYCKPT" + kCheckpointVersion): run index, workers (including
   /// their latent trajectories), bid policies, cumulative utilities, the
   /// sequential RNG position, the fault plan, and the estimator state via
   /// QualityEstimator::save. Resuming from a snapshot is bit-identical to
@@ -181,10 +185,10 @@ class Platform {
   std::vector<double> utility_scratch_;
 };
 
-/// Crash-safe checkpoint files: save() writes to `path + ".tmp"` and
-/// renames over `path`, so a crash mid-write never destroys the previous
-/// checkpoint. load_checkpoint restores a platform from such a file.
-/// Both throw std::runtime_error on I/O failure.
+/// Crash-safe checkpoint files through util::write_file_atomically: a
+/// failed or interrupted save never destroys the previous checkpoint.
+/// load_checkpoint restores a platform from such a file. Both throw
+/// std::runtime_error on I/O failure.
 void save_checkpoint(const Platform& platform, const std::string& path);
 void load_checkpoint(Platform& platform, const std::string& path);
 

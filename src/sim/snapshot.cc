@@ -1,7 +1,7 @@
 // Versioned binary snapshots of the Platform (checkpoint/resume support).
 //
 // Layout (all integers little-endian, see util/binio.h):
-//   magic "MLDYCKPT" (8 bytes) | u32 version
+//   magic "MLDYCKPT" (8 bytes) | u32 version (kCheckpointVersion)
 //   u64 master_seed | i32 run
 //   sequential RNG: 4 x u64 words | f64 cached_normal | u8 cached_valid
 //   fault plan: f64 no_show | f64 drop | f64 corrupt | f64 churn
@@ -16,41 +16,32 @@
 //             | u8 cheat_freq | f64 cost_mag | i32 freq_mag
 //   utilities: u64 count, sorted by id: i32 id | f64 total
 //   estimator: length-prefixed blob produced by QualityEstimator::save
-//   [v2 only — written iff the bid book is enabled:]
-//   withdrawn: u64 count, sorted by id: i32 id
-//   bid book: BidBook::save blob (own magic + ladder-ordered entries)
+//   u8 bid-book flag; when set:
+//     withdrawn: u64 count, sorted by id: i32 id
+//     bid book: BidBook::save blob (own magic + ladder-ordered entries)
 //
-// Version policy: bump kVersion on any layout change; load() rejects
-// versions it does not understand rather than guessing. A platform that
-// never opts into the bid book keeps writing byte-identical v1 snapshots
-// (the golden-digest lattice pins those bytes); enable_bid_book() switches
-// its snapshots to v2. load() accepts both: a v1 blob restores a
-// book-enabled platform with an empty book, which the next step()'s diff
-// repopulates — allocation is unaffected because the ladder is a canonical
-// function of the live bids.
+// Version policy: one layout per version; load() reads exactly
+// kCheckpointVersion and bumps with any layout change.
 #include <algorithm>
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 
 #include "sim/platform.h"
+#include "util/atomic_file.h"
 #include "util/binio.h"
 
 namespace melody::sim {
 
 namespace {
 
-constexpr char kMagic[8] = {'M', 'L', 'D', 'Y', 'C', 'K', 'P', 'T'};
-constexpr std::uint32_t kVersion = 1;
-constexpr std::uint32_t kVersionBidBook = 2;
+constexpr std::string_view kMagic = "MLDYCKPT";
 
 namespace binio = util::binio;
 
 }  // namespace
 
 void Platform::save(std::ostream& out) const {
-  out.write(kMagic, sizeof kMagic);
-  binio::write_u32(out, bid_book_enabled_ ? kVersionBidBook : kVersion);
+  binio::write_header(out, kMagic, kCheckpointVersion);
   binio::write_u64(out, master_seed_);
   binio::write_i32(out, run_);
 
@@ -108,6 +99,7 @@ void Platform::save(std::ostream& out) const {
   estimator_.save(blob);
   binio::write_bytes(out, blob.str());
 
+  binio::write_u8(out, bid_book_enabled_ ? 1 : 0);
   if (bid_book_enabled_) {
     std::vector<auction::WorkerId> withdrawn(withdrawn_.begin(),
                                              withdrawn_.end());
@@ -121,16 +113,7 @@ void Platform::save(std::ostream& out) const {
 }
 
 void Platform::load(std::istream& in) {
-  char magic[8];
-  if (!in.read(magic, sizeof magic) ||
-      !std::equal(magic, magic + sizeof magic, kMagic)) {
-    throw std::runtime_error("platform snapshot: bad magic");
-  }
-  const std::uint32_t version = binio::read_u32(in, "snapshot version");
-  if (version != kVersion && version != kVersionBidBook) {
-    throw std::runtime_error("platform snapshot: unsupported version " +
-                             std::to_string(version));
-  }
+  binio::read_header(in, kMagic, kCheckpointVersion);
 
   const std::uint64_t master_seed = binio::read_u64(in, "master seed");
   const std::int32_t run = binio::read_i32(in, "run index");
@@ -154,22 +137,19 @@ void Platform::load(std::istream& in) {
   plan.validate();
 
   const std::uint64_t worker_count = binio::read_u64(in, "worker count");
-  if (worker_count > (1ull << 32)) {
-    throw std::runtime_error("platform snapshot: implausible worker count");
-  }
   std::vector<SimWorker> workers;
-  workers.reserve(static_cast<std::size_t>(worker_count));
+  binio::reserve_bounded(workers, worker_count);
   for (std::uint64_t k = 0; k < worker_count; ++k) {
     const auction::WorkerId id = binio::read_i32(in, "worker id");
     auction::Bid bid;
     bid.cost = binio::read_f64(in, "worker cost");
     bid.frequency = binio::read_i32(in, "worker frequency");
     const std::uint64_t len = binio::read_u64(in, "trajectory length");
-    if (len > (1ull << 32)) {
-      throw std::runtime_error("platform snapshot: implausible trajectory");
+    std::vector<double> latent;
+    binio::reserve_bounded(latent, len);
+    for (std::uint64_t r = 0; r < len; ++r) {
+      latent.push_back(binio::read_f64(in, "latent quality"));
     }
-    std::vector<double> latent(static_cast<std::size_t>(len));
-    for (double& q : latent) q = binio::read_f64(in, "latent quality");
     workers.emplace_back(id, bid, std::move(latent));
   }
 
@@ -200,9 +180,14 @@ void Platform::load(std::istream& in) {
 
   const std::string blob = binio::read_bytes(in, "estimator blob");
 
+  const std::uint8_t book_flag = binio::read_u8(in, "bid book flag");
+  if (book_flag > 1) {
+    throw std::runtime_error("platform snapshot: bad bid book flag");
+  }
+  const bool book_enabled = book_flag == 1;
   std::unordered_set<auction::WorkerId> withdrawn;
   auction::BidBook book;
-  if (version >= kVersionBidBook) {
+  if (book_enabled) {
     const std::uint64_t withdrawn_count =
         binio::read_u64(in, "withdrawn count");
     if (withdrawn_count > worker_count) {
@@ -228,28 +213,14 @@ void Platform::load(std::istream& in) {
   policies_ = std::move(policies);
   total_utility_ = std::move(utilities);
   last_result_ = auction::AllocationResult{};
-  // v2 snapshots only come from book-enabled platforms; a v1 blob loaded
-  // into an enabled platform starts with an empty book, repopulated by the
-  // next step()'s diff (the ladder is canonical, so outcomes are unchanged).
+  bid_book_enabled_ = book_enabled;
   withdrawn_ = std::move(withdrawn);
   bid_book_ = std::move(book);
-  if (version >= kVersionBidBook) bid_book_enabled_ = true;
 }
 
 void save_checkpoint(const Platform& platform, const std::string& path) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      throw std::runtime_error("checkpoint: cannot open " + tmp);
-    }
-    platform.save(out);
-    out.flush();
-    if (!out) throw std::runtime_error("checkpoint: write failed: " + tmp);
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    throw std::runtime_error("checkpoint: rename failed: " + path);
-  }
+  util::write_file_atomically(
+      path, [&platform](std::ostream& out) { platform.save(out); });
 }
 
 void load_checkpoint(Platform& platform, const std::string& path) {

@@ -38,8 +38,10 @@ struct ServiceConfig {
   /// only meaningful against a standing book.
   bool incremental = false;
   sim::FaultPlan faults;
-  /// Checkpoint file; empty disables automatic and shutdown checkpoints
-  /// (explicit checkpoint requests with a path still work).
+  /// Checkpoint file of a ShardedService deployment; empty disables
+  /// automatic and shutdown checkpoints (explicit checkpoint requests with
+  /// a path still work). A standalone AuctionService writes no files and
+  /// ignores both checkpoint fields.
   std::string checkpoint_path;
   /// Also checkpoint after every N-th run (0: only on shutdown/request).
   int checkpoint_every = 0;

@@ -1,7 +1,6 @@
 #include "svc/router.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <fstream>
 #include <istream>
 #include <mutex>
@@ -14,6 +13,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "svc/trace_log.h"
+#include "util/atomic_file.h"
 #include "util/binio.h"
 
 namespace melody::svc {
@@ -22,8 +22,7 @@ namespace binio = util::binio;
 
 namespace {
 
-constexpr char kMagic[8] = {'M', 'L', 'D', 'Y', 'S', 'V', 'C', 'K'};
-constexpr std::uint32_t kComposedVersion = 2;
+constexpr std::string_view kMagic = "MLDYSVCK";
 
 // Response fields that sum across shards in a merged broadcast reply
 // (counts and budgets of independent sub-markets).
@@ -285,8 +284,8 @@ PushResult ShardedService::broadcast(
     };
   } else if (request.op == Op::kShutdown &&
              !config_.checkpoint_path.empty()) {
-    // The composed v2 file is written by finalize() once the shards have
-    // drained; the reply advertises it like the unsharded service does.
+    // The composed file is written by finalize() once the shards have
+    // drained; the reply advertises it.
     fan->post = [path = config_.checkpoint_path](Response& merged) {
       merged.fields.set("checkpoint", WireValue::of(path));
     };
@@ -395,26 +394,13 @@ void ShardedService::complete_checkpoint(
     response = Response::failure(job->id, "checkpoint: service shutting down");
   } else {
     try {
-      const std::string tmp = job->path + ".tmp";
-      {
-        std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-        if (!out) {
-          throw std::runtime_error("svc: cannot write checkpoint: " + tmp);
-        }
-        out.write(kMagic, sizeof kMagic);
-        binio::write_u32(out, kComposedVersion);
+      util::write_file_atomically(job->path, [&job](std::ostream& out) {
+        binio::write_header(out, kMagic, kComposedCheckpointVersion);
         binio::write_u32(out, static_cast<std::uint32_t>(job->blobs.size()));
         for (const std::string& blob : job->blobs) {
           binio::write_bytes(out, blob);
         }
-        if (!out) {
-          throw std::runtime_error("svc: short write on checkpoint: " + tmp);
-        }
-      }
-      if (std::rename(tmp.c_str(), job->path.c_str()) != 0) {
-        throw std::runtime_error("svc: cannot rename checkpoint into place: " +
-                                 job->path);
-      }
+      });
       response.fields.set("path", WireValue::of(job->path));
       response.fields.set(
           "run", WireValue::of(static_cast<std::int64_t>(
@@ -472,24 +458,9 @@ PushResult ShardedService::submit_shard_export(
         span.annotate("detach", request.detach ? 1 : 0);
         Response response = Response::success(request.id);
         try {
-          const std::string tmp = request.path + ".tmp";
-          {
-            std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-            if (!out) {
-              throw std::runtime_error("cluster: cannot write envelope: " +
-                                       tmp);
-            }
-            service.save_migration(out);
-            out.flush();
-            if (!out) {
-              throw std::runtime_error("cluster: short write on envelope: " +
-                                       tmp);
-            }
-          }
-          if (std::rename(tmp.c_str(), request.path.c_str()) != 0) {
-            throw std::runtime_error(
-                "cluster: cannot rename envelope into place: " + request.path);
-          }
+          util::write_file_atomically(
+              request.path,
+              [&service](std::ostream& out) { service.save_migration(out); });
           response.fields.set(
               "shard", WireValue::of(static_cast<std::int64_t>(request.shard)));
           response.fields.set("path", WireValue::of(request.path));
@@ -690,21 +661,9 @@ void ShardedService::finalize() {
   if (finalized_) return;
   finalized_ = true;
   if (config_.checkpoint_path.empty()) return;
-  const std::string tmp = config_.checkpoint_path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      throw std::runtime_error("svc: cannot write checkpoint: " + tmp);
-    }
-    save_state(out);
-    if (!out) {
-      throw std::runtime_error("svc: short write on checkpoint: " + tmp);
-    }
-  }
-  if (std::rename(tmp.c_str(), config_.checkpoint_path.c_str()) != 0) {
-    throw std::runtime_error("svc: cannot rename checkpoint into place: " +
-                             config_.checkpoint_path);
-  }
+  util::write_file_atomically(
+      config_.checkpoint_path,
+      [this](std::ostream& out) { save_state(out); });
 }
 
 std::vector<sim::RunRecord> ShardedService::aggregated_records() const {
@@ -717,8 +676,7 @@ std::vector<sim::RunRecord> ShardedService::aggregated_records() const {
 }
 
 void ShardedService::save_state(std::ostream& out) const {
-  out.write(kMagic, sizeof kMagic);
-  binio::write_u32(out, kComposedVersion);
+  binio::write_header(out, kMagic, kComposedCheckpointVersion);
   binio::write_u32(out, static_cast<std::uint32_t>(shards_.size()));
   for (const auto& shard : shards_) {
     std::ostringstream blob;
@@ -728,34 +686,9 @@ void ShardedService::save_state(std::ostream& out) const {
 }
 
 void ShardedService::load_state(std::istream& in) {
-  char magic[8];
-  in.read(magic, sizeof magic);
-  if (in.gcount() != sizeof magic ||
-      !std::equal(magic, magic + sizeof magic, kMagic)) {
-    throw std::runtime_error("svc: bad checkpoint magic");
-  }
-  const std::uint32_t version = binio::read_u32(in, "svc checkpoint version");
-  if (version == 1 || version == 3) {
-    // A plain single-platform snapshot (v1, or v3 with pending task
-    // arrivals): only a K=1 deployment can adopt it (a composed deployment
-    // cannot split one platform after the fact).
-    if (shard_count() != 1) {
-      throw std::runtime_error(
-          "svc: v1 checkpoint requires a single-shard deployment");
-    }
-    // Re-feed the already-consumed header to the shard's own loader.
-    std::ostringstream rest;
-    rest.write(kMagic, sizeof kMagic);
-    binio::write_u32(rest, version);
-    rest << in.rdbuf();
-    std::istringstream replay(rest.str());
-    shards_.front()->service().load_state(replay);
-    return;
-  }
-  if (version != kComposedVersion) {
-    throw std::runtime_error("svc: unsupported checkpoint version " +
-                             std::to_string(version));
-  }
+  // Only the composed container: a plain service body (MLDYSVCK at
+  // kServiceCheckpointVersion) fails here with its version named.
+  binio::read_header(in, kMagic, kComposedCheckpointVersion);
   const std::uint32_t k = binio::read_u32(in, "svc checkpoint shards");
   if (k != static_cast<std::uint32_t>(shard_count())) {
     throw std::runtime_error(
@@ -763,9 +696,8 @@ void ShardedService::load_state(std::istream& in) {
         " does not match the deployment's " + std::to_string(shard_count()));
   }
   for (auto& shard : shards_) {
-    const std::string blob =
-        binio::read_bytes(in, "svc checkpoint shard snapshot");
-    std::istringstream replay(blob);
+    std::istringstream replay(
+        binio::read_bytes(in, "svc checkpoint shard snapshot"));
     shard->service().load_state(replay);
   }
 }

@@ -10,15 +10,17 @@
 // ANDs, run cursors take the max — so a K-shard deployment answers with
 // union-platform numbers.
 //
-// Checkpoints compose: the router writes MLDYSVCK v2 — a header plus K
-// length-prefixed v1 sub-snapshots — coordinated by force-pushed tasks
-// through each shard's own queue, so every sub-snapshot is taken on its
-// consumer thread between requests (per-shard consistency, no locks). v1
-// files restore directly when K == 1.
+// Checkpoints compose: the router is the only writer and reader of
+// checkpoint files. It writes MLDYSVCK at kComposedCheckpointVersion — a
+// header plus K length-prefixed AuctionService::save_state bodies —
+// coordinated by force-pushed tasks through each shard's own queue, so
+// every body is taken on its consumer thread between requests (per-shard
+// consistency, no locks). Every file goes through
+// util::write_file_atomically.
 //
 // At K=1 every path degenerates to the plain single-platform service:
 // identical responses, identical trajectories, identical checkpoint
-// payloads (wrapped in the v2 header) — the bit-identity contract the
+// payloads (wrapped in the composed header) — the bit-identity contract the
 // shard tests pin.
 //
 // Cluster mode (configure_cluster) turns one instance into one member of
@@ -50,6 +52,9 @@
 
 namespace melody::svc {
 
+/// MLDYSVCK version of the composed checkpoint container (save_state).
+inline constexpr std::uint32_t kComposedCheckpointVersion = 2;
+
 class ShardedService {
  public:
   /// Plans the shards and constructs every platform eagerly; throws
@@ -60,8 +65,9 @@ class ShardedService {
   ShardedService(const ShardedService&) = delete;
   ShardedService& operator=(const ShardedService&) = delete;
 
-  /// Load a composed checkpoint (v2; plain v1 accepted when K == 1).
-  /// Call before start(). Throws std::runtime_error on mismatch.
+  /// Load a composed checkpoint file. Call before start(). Throws
+  /// std::runtime_error on any other format or version (a plain service
+  /// body included) and on a shard-count mismatch.
   void restore(const std::string& path);
 
   /// Spawn the K consumer threads (TCP deployments). Sync drivers (the
@@ -146,7 +152,7 @@ class ShardedService {
   /// shards' records). Requires quiescence.
   std::vector<sim::RunRecord> aggregated_records() const;
 
-  /// Composed v2 snapshot of every shard, taken directly (requires
+  /// Composed snapshot of every shard, taken directly (requires
   /// quiescence). The async checkpoint op uses per-shard tasks instead.
   void save_state(std::ostream& out) const;
   void load_state(std::istream& in);

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <fstream>
 #include <sstream>
 #include <stdexcept>
 
@@ -19,16 +17,13 @@ namespace melody::svc {
 
 namespace {
 
-constexpr char kMagic[8] = {'M', 'L', 'D', 'Y', 'S', 'V', 'C', 'K'};
-// Live-migration envelope: the MLDYSVCK body plus the session tail a
-// checkpoint deliberately omits (request tally, run records). Version 1.
-constexpr char kMigrationMagic[8] = {'M', 'L', 'D', 'Y', 'M', 'I', 'G', 'R'};
-constexpr std::uint32_t kMigrationVersion = 1;
 // The MLDYSVCK version namespace is shared with the sharded router's
-// composed format, which owns version 2 — the plain service format jumps
-// from 1 to 3. v3 appends the rolling trigger's queued task arrivals after
-// the accrued budget; v1 checkpoints restore with zero pending arrivals.
-constexpr std::uint32_t kVersion = 3;
+// composed format, which owns version 2 — the plain service body is
+// version 3 (kServiceCheckpointVersion).
+constexpr std::string_view kMagic = "MLDYSVCK";
+// Live-migration envelope: the MLDYSVCK body plus the session tail a
+// checkpoint deliberately omits (request tally, run records).
+constexpr std::string_view kMigrationMagic = "MLDYMIGR";
 // Sub-stream salt for newcomer trajectories: outside the per-(worker, run)
 // key space Platform::step() uses (runs are small positive integers), so a
 // newcomer's curve never aliases a score stream.
@@ -78,12 +73,6 @@ AuctionService::AuctionService(ServiceConfig config)
         "w" + std::to_string(config_.worker_name_offset + w.id()), w.id());
   }
   first_session_run_ = platform_->current_run();
-}
-
-void AuctionService::restore(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("svc: cannot open checkpoint: " + path);
-  load_state(in);
 }
 
 obs::Counter& AuctionService::metric_counter(obs::Counter*& slot,
@@ -177,17 +166,15 @@ Response AuctionService::dispatch(const Request& request) {
     case Op::kTraceStatus:
       handle_trace_status(response);
       break;
-    case Op::kCheckpoint:
-      handle_checkpoint(request, response);
-      break;
     case Op::kShutdown:
       request_shutdown();
-      finalize();
       response.fields.set("runs_total", of_int(platform_->current_run() - 1));
-      if (!config_.checkpoint_path.empty()) {
-        response.fields.set("checkpoint",
-                            WireValue::of(config_.checkpoint_path));
-      }
+      break;
+    case Op::kCheckpoint:
+      // Checkpoint files are written by the sharded router, which
+      // intercepts this op before apply() and composes save_state bodies.
+      response = Response::failure(
+          request.id, "checkpoint: sharded deployments only");
       break;
     case Op::kShardExport:
     case Op::kShardImport:
@@ -491,21 +478,6 @@ void AuctionService::handle_trace_status(Response& response) {
   add_timer("run_time", "svc/run_time");
 }
 
-void AuctionService::handle_checkpoint(const Request& request,
-                                       Response& response) {
-  const std::string& path =
-      request.path.empty() ? config_.checkpoint_path : request.path;
-  if (path.empty()) {
-    response = Response::failure(
-        request.id,
-        "checkpoint: no path in the request and none configured");
-    return;
-  }
-  write_checkpoint(path);
-  response.fields.set("path", WireValue::of(path));
-  response.fields.set("run", of_int(platform_->current_run() - 1));
-}
-
 int AuctionService::execute_due_runs(Response* response) {
   int executed = 0;
   while (batcher_.should_fire(now_)) {
@@ -536,10 +508,6 @@ void AuctionService::execute_one_run(int batch_bids) {
           &obs::registry().summary(config_.obs_prefix + "svc/batch_size");
     }
     batch_summary_->record(batch_bids);
-  }
-  const int run = records_.back().run;
-  if (config_.checkpoint_every > 0 && run % config_.checkpoint_every == 0) {
-    write_checkpoint(config_.checkpoint_path);
   }
   if (config_.exit_after_runs > 0 &&
       static_cast<int>(records_.size()) >= config_.exit_after_runs) {
@@ -588,19 +556,10 @@ void AuctionService::note_overload_reject() {
   }
 }
 
-void AuctionService::finalize() {
-  if (finalized_) return;
-  if (!config_.checkpoint_path.empty()) {
-    write_checkpoint(config_.checkpoint_path);
-  }
-  finalized_ = true;
-}
-
 void AuctionService::save_state(std::ostream& out) const {
   obs::ScopedSpan span("svc/checkpoint_save");
   span.annotate("run", platform_->current_run() - 1);
-  out.write(kMagic, sizeof kMagic);
-  binio::write_u32(out, kVersion);
+  binio::write_header(out, kMagic, kServiceCheckpointVersion);
   binio::write_f64(out, now_);
   binio::write_i32(out, batcher_.pending_bids());
   binio::write_f64(out, batcher_.oldest_bid_time());
@@ -613,38 +572,24 @@ void AuctionService::save_state(std::ostream& out) const {
 
 void AuctionService::load_state(std::istream& in) {
   obs::ScopedSpan span("svc/checkpoint_load");
-  char magic[8];
-  if (!in.read(magic, sizeof magic) ||
-      !std::equal(magic, magic + sizeof magic, kMagic)) {
-    throw std::runtime_error("svc: bad checkpoint magic");
-  }
-  const std::uint32_t version = binio::read_u32(in, "svc version");
-  if (version != 1 && version != kVersion) {
-    // Version 2 is the sharded router's composed container, not a plain
-    // service snapshot — it cannot be adopted here.
-    throw std::runtime_error("svc: unsupported checkpoint version " +
-                             std::to_string(version));
-  }
+  binio::read_header(in, kMagic, kServiceCheckpointVersion);
   const double now = binio::read_f64(in, "svc clock");
   const int pending = binio::read_i32(in, "svc pending bids");
   const double oldest = binio::read_f64(in, "svc oldest bid time");
   const double accrued = binio::read_f64(in, "svc accrued budget");
-  const int arrivals =
-      version >= 3 ? binio::read_i32(in, "svc pending arrivals") : 0;
+  const int arrivals = binio::read_i32(in, "svc pending arrivals");
   registry_.load(in);
   platform_->load(in);
   now_ = now;
   batcher_.restore(pending, oldest, accrued, arrivals);
   first_session_run_ = platform_->current_run();
   records_.clear();
-  finalized_ = false;
 }
 
 void AuctionService::save_migration(std::ostream& out) const {
   obs::ScopedSpan span("svc/migration_save");
   span.annotate("run", platform_->current_run() - 1);
-  out.write(kMigrationMagic, sizeof kMigrationMagic);
-  binio::write_u32(out, kMigrationVersion);
+  binio::write_header(out, kMigrationMagic, kMigrationVersion);
   // The checkpoint body rides as one length-prefixed blob so the envelope
   // can evolve its tail without touching the MLDYSVCK layout.
   std::ostringstream blob;
@@ -672,16 +617,7 @@ void AuctionService::save_migration(std::ostream& out) const {
 
 void AuctionService::load_migration(std::istream& in) {
   obs::ScopedSpan span("svc/migration_load");
-  char magic[8];
-  if (!in.read(magic, sizeof magic) ||
-      !std::equal(magic, magic + sizeof magic, kMigrationMagic)) {
-    throw std::runtime_error("svc: bad migration magic");
-  }
-  const std::uint32_t version = binio::read_u32(in, "migration version");
-  if (version != kMigrationVersion) {
-    throw std::runtime_error("svc: unsupported migration version " +
-                             std::to_string(version));
-  }
+  binio::read_header(in, kMigrationMagic, kMigrationVersion);
   {
     std::istringstream blob(binio::read_bytes(in, "migration checkpoint"));
     load_state(blob);  // resets records_ / first_session_run_; tail follows
@@ -691,7 +627,7 @@ void AuctionService::load_migration(std::istream& in) {
   first_session_run_ = binio::read_i32(in, "migration first run");
   const std::uint64_t count = binio::read_u64(in, "migration record count");
   records_.clear();
-  records_.reserve(count);
+  binio::reserve_bounded(records_, count);
   for (std::uint64_t k = 0; k < count; ++k) {
     sim::RunRecord r;
     r.run = binio::read_i32(in, "migration record run");
@@ -714,20 +650,6 @@ void AuctionService::load_migration(std::istream& in) {
     r.scores_corrupted = static_cast<std::size_t>(
         binio::read_u64(in, "migration scores corrupted"));
     records_.push_back(r);
-  }
-}
-
-void AuctionService::write_checkpoint(const std::string& path) const {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) throw std::runtime_error("svc: cannot open " + tmp);
-    save_state(out);
-    out.flush();
-    if (!out) throw std::runtime_error("svc: write failure on " + tmp);
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    throw std::runtime_error("svc: cannot rename " + tmp + " to " + path);
   }
 }
 

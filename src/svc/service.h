@@ -12,10 +12,14 @@
 // (--stdin traces, tests) every run outcome is a pure function of the
 // request trace, bit-identical to the equivalent melody_sim batch run.
 //
-// Checkpoints wrap the PR-3 platform snapshot with the service-level state
-// (logical clock, batcher accumulation, session registry) under the magic
-// "MLDYSVCK"; writes are atomic (tmp + rename). Run records are not part of
-// a checkpoint — query_run over pre-resume runs reports them unavailable.
+// save_state wraps the MLDYCKPT platform snapshot with the service-level
+// state (logical clock, batcher accumulation, session registry) under the
+// magic "MLDYSVCK". The service does no file I/O: checkpoint files belong
+// to ShardedService (svc/router.h), which composes these bodies, so a
+// standalone service answers the checkpoint op with a structured failure
+// and ignores the config's checkpoint_path / checkpoint_every. Run records
+// are not part of a checkpoint — query_run over pre-resume runs reports
+// them unavailable.
 #pragma once
 
 #include <cstdint>
@@ -43,6 +47,12 @@ class Summary;
 
 namespace melody::svc {
 
+/// MLDYSVCK version of a plain service body (save_state / load_state). The
+/// composed router container shares the magic at its own version.
+inline constexpr std::uint32_t kServiceCheckpointVersion = 3;
+/// MLDYMIGR live-migration envelope version (save_migration).
+inline constexpr std::uint32_t kMigrationVersion = 1;
+
 class AuctionService {
  public:
   /// Builds mechanism + estimator + platform exactly as melody_sim does
@@ -54,16 +64,8 @@ class AuctionService {
   AuctionService(const AuctionService&) = delete;
   AuctionService& operator=(const AuctionService&) = delete;
 
-  /// Resume from a service checkpoint written by this class. Replaces the
-  /// registry, platform state, clock, and batcher accumulation wholesale;
-  /// must be called before any request is applied. Throws
-  /// std::runtime_error on I/O failure or malformed input.
-  void restore(const std::string& path);
-
   /// Process one request. Must only be called from one thread (the event
-  /// loop). Never throws for client errors — they become ok:false
-  /// responses; only I/O failures during checkpointing propagate as an
-  /// error response too (the service stays usable).
+  /// loop). Never throws: client errors become ok:false responses.
   Response apply(const Request& request);
 
   /// Fire any due batches without an attached request (deadline trigger
@@ -97,10 +99,6 @@ class AuctionService {
   void request_shutdown() noexcept { shutdown_requested_ = true; }
   bool shutdown_requested() const noexcept { return shutdown_requested_; }
 
-  /// Final checkpoint if one is configured (idempotent; also invoked by
-  /// the shutdown op). Throws std::runtime_error on I/O failure.
-  void finalize();
-
   bool manual_clock() const noexcept { return config_.manual_clock; }
   const ServiceConfig& config() const noexcept { return config_; }
   const sim::Platform& platform() const noexcept { return *platform_; }
@@ -112,6 +110,9 @@ class AuctionService {
   }
 
   /// Serialize / deserialize the full service state (checkpoint body).
+  /// load_state replaces the registry, platform state, clock and batcher
+  /// accumulation wholesale; call it before any request is applied. Throws
+  /// std::runtime_error on malformed input.
   void save_state(std::ostream& out) const;
   void load_state(std::istream& in);
 
@@ -119,7 +120,7 @@ class AuctionService {
   /// MLDYSVCK checkpoint body plus the session state a checkpoint
   /// deliberately drops (request tallies, this session's run records). A
   /// migrated shard must answer every subsequent frame byte-identically to
-  /// one that never moved, so the handoff carries what restore() does not.
+  /// one that never moved, so the handoff carries what load_state does not.
   void save_migration(std::ostream& out) const;
   void load_migration(std::istream& in);
 
@@ -134,14 +135,12 @@ class AuctionService {
   void handle_query_run(const Request& request, Response& response);
   void handle_stats(Response& response);
   void handle_trace_status(Response& response);
-  void handle_checkpoint(const Request& request, Response& response);
   void handle_hello(Response& response);
 
   /// Execute platform runs while the batch policy fires; annotate the
   /// response (if any) with runs_executed / last run index.
   int execute_due_runs(Response* response);
   void execute_one_run(int batch_bids);
-  void write_checkpoint(const std::string& path) const;
   /// &registry().counter(obs_prefix + name), resolved once and cached in
   /// `slot`. Shard-local services register under their plan's "shard<k>/"
   /// prefix; standalone (K=1) services keep the un-prefixed names.
@@ -162,7 +161,6 @@ class AuctionService {
   std::uint64_t overload_rejects_ = 0;
   std::size_t last_queue_depth_ = 0;
   bool shutdown_requested_ = false;
-  bool finalized_ = false;
   // Lazily-resolved obs handles under config_.obs_prefix (stable for the
   // registry's lifetime; null until the first enabled use). Per-instance
   // instead of static locals so each shard records under its own names.

@@ -8,7 +8,7 @@
 namespace melody::svc {
 
 namespace {
-constexpr char kMagic[8] = {'M', 'L', 'D', 'Y', 'S', 'E', 'S', 'S'};
+constexpr std::string_view kMagic = "MLDYSESS";
 constexpr std::uint32_t kVersion = 1;
 namespace binio = util::binio;
 }  // namespace
@@ -64,8 +64,7 @@ std::uint64_t SessionRegistry::bids_submitted(auction::WorkerId id) const {
 }
 
 void SessionRegistry::save(std::ostream& out) const {
-  out.write(kMagic, sizeof kMagic);
-  binio::write_u32(out, kVersion);
+  binio::write_header(out, kMagic, kVersion);
   binio::write_u64(out, order_.size());
   for (const Entry& entry : order_) {
     binio::write_bytes(out, entry.name);
@@ -77,22 +76,10 @@ void SessionRegistry::save(std::ostream& out) const {
 }
 
 void SessionRegistry::load(std::istream& in) {
-  char magic[8];
-  if (!in.read(magic, sizeof magic) ||
-      !std::equal(magic, magic + sizeof magic, kMagic)) {
-    throw std::runtime_error("session registry: bad magic");
-  }
-  const std::uint32_t version = binio::read_u32(in, "session version");
-  if (version != kVersion) {
-    throw std::runtime_error("session registry: unsupported version " +
-                             std::to_string(version));
-  }
+  binio::read_header(in, kMagic, kVersion);
   const std::uint64_t count = binio::read_u64(in, "session count");
-  if (count > (1ull << 32)) {
-    throw std::runtime_error("session registry: implausible entry count");
-  }
   std::vector<Entry> order;
-  order.reserve(static_cast<std::size_t>(count));
+  binio::reserve_bounded(order, count);
   std::unordered_map<std::string, std::size_t> by_name;
   std::unordered_map<auction::WorkerId, std::size_t> by_id;
   for (std::uint64_t k = 0; k < count; ++k) {

@@ -34,8 +34,7 @@ std::vector<ShardPlan> plan_shards(const ServiceConfig& config) {
     plan.config = config;
     plan.config.shards = 1;
     plan.config.worker_name_offset = worker_offset;
-    // The router owns the composed checkpoint file and its cadence; a
-    // shard must never race it with a partial single-shard snapshot.
+    // Checkpoint files and their cadence belong to the router alone.
     plan.config.checkpoint_path.clear();
     plan.config.checkpoint_every = 0;
     if (k > 1) {

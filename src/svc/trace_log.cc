@@ -12,8 +12,6 @@ namespace melody::svc {
 
 namespace {
 
-constexpr std::int64_t kTraceVersion = 1;
-
 WireValue of_int(std::int64_t v) { return WireValue::of(v); }
 
 }  // namespace

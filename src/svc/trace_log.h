@@ -34,6 +34,9 @@
 
 namespace melody::svc {
 
+/// The MLDYTRC header "version" this build writes and reads.
+inline constexpr std::int64_t kTraceVersion = 1;
+
 /// Routing decision markers for inbound frames.
 inline constexpr int kShardBroadcast = -1;  // fanned out to every shard
 inline constexpr int kShardNone = -2;       // answered inline, never routed

@@ -1,19 +1,21 @@
 #include "util/build_info.h"
 
+#include "sim/platform.h"
 #include "svc/protocol.h"
+#include "svc/router.h"
+#include "svc/service.h"
+#include "svc/trace_log.h"
 
 namespace melody::util {
 
 FormatVersions format_versions() noexcept {
-  // The checkpoint/trace/migration constants live as file-local details of
-  // their writers; test_svc_formats pins these mirrors against the actual
-  // byte streams so a version bump cannot drift silently.
   return FormatVersions{
       .proto = svc::kProtoVersion,
-      .service_checkpoint = 3,
-      .composed_checkpoint = 2,
-      .trace = 1,
-      .migration = 1,
+      .platform_checkpoint = static_cast<int>(sim::kCheckpointVersion),
+      .service_checkpoint = static_cast<int>(svc::kServiceCheckpointVersion),
+      .composed_checkpoint = static_cast<int>(svc::kComposedCheckpointVersion),
+      .trace = static_cast<int>(svc::kTraceVersion),
+      .migration = static_cast<int>(svc::kMigrationVersion),
   };
 }
 
@@ -28,6 +30,7 @@ std::string build_git_sha() {
 std::string build_info_line(const std::string& tool) {
   const FormatVersions v = format_versions();
   return tool + " " + build_git_sha() + " proto=" + std::to_string(v.proto) +
+         " platform=" + std::to_string(v.platform_checkpoint) +
          " checkpoint=" + std::to_string(v.service_checkpoint) +
          " composed=" + std::to_string(v.composed_checkpoint) +
          " trace=" + std::to_string(v.trace) +

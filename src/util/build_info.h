@@ -7,13 +7,15 @@
 
 namespace melody::util {
 
-/// The format versions this build reads and writes, gathered in one place.
+/// The format versions this build reads and writes, gathered in one place
+/// from the constants their writers export.
 struct FormatVersions {
-  int proto;                // svc wire protocol (svc/protocol.h)
-  int service_checkpoint;   // MLDYSVCK plain service body (svc/service.cc)
-  int composed_checkpoint;  // MLDYSVCK composed router container (router.cc)
-  int trace;                // MLDYTRC wire trace (svc/trace_log.cc)
-  int migration;            // MLDYMIGR live-migration envelope (service.cc)
+  int proto;                 // svc wire protocol (svc/protocol.h)
+  int platform_checkpoint;   // MLDYCKPT platform snapshot (sim/platform.h)
+  int service_checkpoint;    // MLDYSVCK plain service body (svc/service.h)
+  int composed_checkpoint;   // MLDYSVCK composed container (svc/router.h)
+  int trace;                 // MLDYTRC wire trace (svc/trace_log.h)
+  int migration;             // MLDYMIGR live-migration envelope (service.h)
 };
 
 FormatVersions format_versions() noexcept;
@@ -22,7 +24,8 @@ FormatVersions format_versions() noexcept;
 std::string build_git_sha();
 
 /// The one-line --version output, e.g.
-///   melody_serve 1a2b3c4 proto=5 checkpoint=3 composed=2 trace=1 migration=1
+///   melody_serve 1a2b3c4 proto=5 platform=3 checkpoint=3 composed=2 trace=1
+///   migration=1 (one line)
 std::string build_info_line(const std::string& tool);
 
 }  // namespace melody::util

@@ -1,18 +1,41 @@
 // Edge cases of the little-endian checkpoint primitives: zero-length
-// payloads, the max_size guard on length-prefixed reads, truncation error
-// paths for every reader, and exact round-trips of extreme values (the
+// payloads, the max_size guard on length-prefixed reads, hostile lengths
+// that must not size an allocation, format headers, truncation error paths
+// for every reader, and exact round-trips of extreme values (the
 // checkpoint formats depend on every one of these behaviors).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <limits>
+#include <new>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "util/binio.h"
+
+namespace {
+// The largest single allocation since the last reset: the hostile-length
+// cases assert that a length or count read from a stream never sizes an
+// allocation ahead of the bytes behind it.
+std::atomic<std::size_t> g_largest_allocation{0};
+}  // namespace
+
+void* operator new(std::size_t size) {
+  std::size_t seen = g_largest_allocation.load(std::memory_order_relaxed);
+  while (size > seen &&
+         !g_largest_allocation.compare_exchange_weak(seen, size)) {
+  }
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace melody::util::binio {
 namespace {
@@ -109,6 +132,60 @@ TEST(BinIo, MaxSizeGuardRejectsImplausibleLengths) {
   std::stringstream corrupt;
   write_u64(corrupt, std::numeric_limits<std::uint64_t>::max());
   EXPECT_THROW(read_bytes(corrupt, "corrupt"), std::runtime_error);
+}
+
+TEST(BinIo, HostileLengthAllocatesOnlyAsBytesArrive) {
+  // 2 GiB promised (under the default max_size), three bytes present: the
+  // read fails as truncated after at most one 1 MiB chunk.
+  std::stringstream hostile;
+  write_u64(hostile, 1ull << 31);
+  hostile << "abc";
+  g_largest_allocation = 0;
+  EXPECT_THROW(read_bytes(hostile, "hostile"), std::runtime_error);
+  EXPECT_LE(g_largest_allocation.load(), std::size_t{2} << 20);
+
+  // A payload longer than one chunk still round-trips exactly.
+  std::string big((3u << 20) + 5, 'x');
+  big[1u << 20] = 'y';
+  std::stringstream buffer;
+  write_bytes(buffer, big);
+  EXPECT_EQ(read_bytes(buffer, "big"), big);
+
+  // reserve_bounded caps what a claimed count may reserve.
+  std::vector<double> records;
+  g_largest_allocation = 0;
+  reserve_bounded(records, 100'000'000'000'000ull);
+  EXPECT_LE(g_largest_allocation.load(), 4096 * sizeof(double));
+  reserve_bounded(records, 3);
+  EXPECT_GE(records.capacity(), 3u);
+}
+
+TEST(BinIo, ReadHeaderNamesFormatAndVersion) {
+  std::stringstream good;
+  write_header(good, "MLDYTEST", 3);
+  EXPECT_EQ(good.str().size(), 12u);
+  read_header(good, "MLDYTEST", 3);  // consumes exactly the header
+  EXPECT_THROW(read_u8(good, "eof"), std::runtime_error);
+
+  const auto message = [](const std::string& bytes) {
+    std::istringstream in(bytes);
+    try {
+      read_header(in, "MLDYTEST", 3);
+    } catch (const std::runtime_error& e) {
+      return std::string(e.what());
+    }
+    return std::string("no throw");
+  };
+  std::stringstream older;
+  write_header(older, "MLDYTEST", 2);
+  EXPECT_EQ(message(older.str()),
+            "MLDYTEST: unsupported version 2 (this build reads 3)");
+  EXPECT_EQ(message("MLDYXXXX\x03\0\0\0"),
+            "MLDYTEST: bad magic (expected MLDYTEST version 3)");
+  EXPECT_EQ(message("MLDY"),
+            "MLDYTEST: bad magic (expected MLDYTEST version 3)");
+  const std::string truncated = message("MLDYTEST\x03");
+  EXPECT_NE(truncated.find("truncated"), std::string::npos) << truncated;
 }
 
 TEST(BinIo, TruncatedInputThrowsWithContextForEveryReader) {

@@ -4,16 +4,25 @@
 // with and without an active fault plan.
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
+#include <csignal>
 #include <cstdio>
 #include <fstream>
+#include <functional>
+#include <iterator>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "auction/melody_auction.h"
 #include "estimators/melody_estimator.h"
 #include "sim/platform.h"
+#include "util/atomic_file.h"
 #include "util/binio.h"
 #include "util/thread_pool.h"
 
@@ -251,6 +260,58 @@ TEST(Checkpoint, FileHelpersRoundTripAtomically) {
   load_checkpoint(restored.platform, path);
   EXPECT_EQ(restored.platform.current_run(), rig.platform.current_run());
   expect_identical(finish(rig, {}), finish(restored, {}));
+  std::remove(path.c_str());
+}
+
+/// Runs `write` in a forked child whose files may not grow past
+/// `max_bytes` (SIGXFSZ ignored, so the write fails with EFBIG instead of
+/// killing it). True when the child saw std::runtime_error.
+bool throws_under_file_size_limit(rlim_t max_bytes,
+                                  const std::function<void()>& write) {
+  const pid_t child = ::fork();
+  if (child == 0) {
+    std::signal(SIGXFSZ, SIG_IGN);
+    const rlimit limit{max_bytes, max_bytes};
+    ::setrlimit(RLIMIT_FSIZE, &limit);
+    try {
+      write();
+    } catch (const std::runtime_error&) {
+      ::_exit(0);
+    }
+    ::_exit(1);
+  }
+  int status = 0;
+  EXPECT_EQ(::waitpid(child, &status, 0), child);
+  return WIFEXITED(status) && WEXITSTATUS(status) == 0;
+}
+
+TEST(Checkpoint, FailedFinalFlushKeepsThePreviousFile) {
+  const std::string path = ::testing::TempDir() + "melody_checkpoint_fsz.bin";
+  const auto previous_content = [&path] {
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+  };
+  std::ofstream(path, std::ios::binary) << "previous checkpoint";
+
+  // 1000 bytes fit the stream buffer, so every write succeeds and only the
+  // flush at close hits the 16-byte limit.
+  EXPECT_TRUE(throws_under_file_size_limit(16, [&path] {
+    util::write_file_atomically(
+        path, [](std::ostream& out) { out << std::string(1000, 'x'); });
+  })) << "a failed final flush went unnoticed";
+  EXPECT_EQ(previous_content(), "previous checkpoint");
+  EXPECT_FALSE(std::ifstream(path + ".tmp").good());
+
+  // A platform checkpoint larger than the limit fails the same way.
+  Rig rig(small_scenario(), population(small_scenario()));
+  rig.platform.step();
+  std::ostringstream blob;
+  rig.platform.save(blob);
+  EXPECT_TRUE(throws_under_file_size_limit(blob.str().size() - 1, [&] {
+    save_checkpoint(rig.platform, path);
+  }));
+  EXPECT_TRUE(previous_content() == "previous checkpoint");
+  EXPECT_FALSE(std::ifstream(path + ".tmp").good());
   std::remove(path.c_str());
 }
 

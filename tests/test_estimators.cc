@@ -14,6 +14,7 @@
 #include "estimators/ml_ar_estimator.h"
 #include "estimators/ml_cr_estimator.h"
 #include "estimators/static_estimator.h"
+#include "util/binio.h"
 #include "util/rng.h"
 
 namespace melody::estimators {
@@ -397,6 +398,16 @@ TEST(QualityEstimatorTest, PolymorphicSaveLoadRoundTripsAllEstimators) {
     std::stringstream again;
     restored.save(again);
     EXPECT_EQ(again.str(), snapshot.str()) << original.name();
+
+    // A hostile blob: this estimator's own 12-byte header, then a worker
+    // count of 10^14 with no records behind it. It must fail as malformed
+    // input (runtime_error), never by sizing an allocation from the count
+    // (bad_alloc / length_error).
+    std::stringstream hostile;
+    hostile << snapshot.str().substr(0, 12);
+    util::binio::write_u64(hostile, 100'000'000'000'000ull);
+    EXPECT_THROW(make_all()[e]->load(hostile), std::runtime_error)
+        << original.name();
   }
 }
 

@@ -3,11 +3,12 @@
 // plain rebuild-every-run platform bit for bit over a 200-run Fig-9
 // trajectory — at 1/2/8 threads, with and without an active fault plan,
 // and across a mid-sequence checkpoint/kill/resume of the incremental
-// platform (the book and the withdrawn set travel in the MLDYCKPT v2
-// sections).
+// platform (the book and the withdrawn set travel in the MLDYCKPT
+// bid-book section).
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "auction/melody_auction.h"
@@ -154,39 +155,13 @@ TEST(IncrementalAuction, BookSurvivesCheckpointWithDigestIntact) {
   EXPECT_EQ(restored.platform.bid_book().content_digest(), digest);
 }
 
-TEST(IncrementalAuction, V1SnapshotLoadsIntoEnabledPlatform) {
-  // A checkpoint written by a plain platform (MLDYCKPT v1, no book
-  // section) must restore into a book-enabled platform and continue
-  // bit-identically: the ladder starts empty and the first diff
-  // repopulates it before the next auction.
-  auto scenario = fig9_scenario();
-  scenario.runs = 30;
-  const auto straight = run_plain(scenario, FaultPlan{});
-
-  std::string v1_checkpoint;
-  std::vector<RunRecord> records;
-  {
-    Rig rig(scenario, population(scenario));
-    for (int r = 0; r < 12; ++r) records.push_back(rig.platform.step());
-    std::ostringstream snap;
-    rig.platform.save(snap);
-    v1_checkpoint = snap.str();
-  }
-  Rig rig(scenario, {});
-  rig.platform.enable_bid_book();
-  std::istringstream snap(v1_checkpoint);
-  rig.platform.load(snap);
-  EXPECT_TRUE(rig.platform.bid_book().empty());
-  auto rest = rig.platform.run_all();
-  records.insert(records.end(), rest.begin(), rest.end());
-  expect_records_identical(straight, records);
-  EXPECT_FALSE(rig.platform.bid_book().empty());
-}
-
 TEST(IncrementalAuction, PlainSnapshotBytesUnchangedByTheFeature) {
-  // A platform that never enables the book writes byte-identical v1
-  // snapshots — the golden-digest lattice in test_soa_equivalence depends
-  // on this, and it is what keeps old tooling readable.
+  // The book changes nothing but the snapshot's tail: a plain platform and
+  // a book-enabled twin write the same bytes up to the bid-book flag (same
+  // version, same state — the golden-digest lattice in
+  // test_soa_equivalence pins the plain bytes), then the plain snapshot
+  // ends with flag 0 while the enabled one sets it and appends the
+  // withdrawn set and the book.
   auto scenario = fig9_scenario();
   scenario.runs = 10;
   Rig plain(scenario, population(scenario));
@@ -199,11 +174,13 @@ TEST(IncrementalAuction, PlainSnapshotBytesUnchangedByTheFeature) {
   std::ostringstream plain_snap, enabled_snap;
   plain.platform.save(plain_snap);
   enabled.platform.save(enabled_snap);
-  // Same prefix stream, different container version: the enabled platform
-  // writes strictly more bytes (withdrawn set + book blob), the plain one
-  // stays v1.
-  EXPECT_NE(plain_snap.str(), enabled_snap.str());
-  EXPECT_GT(enabled_snap.str().size(), plain_snap.str().size());
+  const std::string plain_bytes = plain_snap.str();
+  const std::string enabled_bytes = enabled_snap.str();
+  ASSERT_GT(enabled_bytes.size(), plain_bytes.size());
+  const std::size_t flag = plain_bytes.size() - 1;
+  EXPECT_EQ(plain_bytes.substr(0, flag), enabled_bytes.substr(0, flag));
+  EXPECT_EQ(plain_bytes[flag], '\0');
+  EXPECT_EQ(enabled_bytes[flag], '\1');
 }
 
 TEST(IncrementalAuction, WithdrawnWorkersSitOutAndSurviveResume) {

@@ -4,8 +4,10 @@
 
 #include <sstream>
 #include <stdexcept>
+#include <string>
 
 #include "estimators/melody_estimator.h"
+#include "util/binio.h"
 #include "util/rng.h"
 
 namespace melody::estimators {
@@ -101,17 +103,50 @@ TEST(Serialization, TruncatedInputRejected) {
 }
 
 TEST(Serialization, CorruptParamsRejected) {
-  std::stringstream bad(
-      "MELODY_TRACKER v2\n1\n0 5.5 2.25 5.5 2.25 1.0 -1.0 9.0 0 0 0 0 0\n");
+  // One well-formed record whose gamma is negative.
+  namespace binio = util::binio;
+  std::stringstream bad;
+  binio::write_header(bad, MelodyEstimator::kBlobMagic,
+                      MelodyEstimator::kBlobVersion);
+  binio::write_u64(bad, 1);
+  binio::write_i32(bad, 0);
+  for (const double v : {5.5, 2.25, 5.5, 2.25, 1.0, -1.0, 9.0}) {
+    binio::write_f64(bad, v);
+  }
+  for (int k = 0; k < 4; ++k) binio::write_i32(bad, 0);
+  binio::write_u32(bad, 0);
+  ASSERT_EQ(bad.str().size(), 20u + 80u);  // header + count, one record
   MelodyEstimator e;
   // Invalid hyper-parameters surface as the validator's domain_error.
   EXPECT_THROW(e.load(bad), std::domain_error);
 }
 
 TEST(Serialization, OldFormatVersionRejected) {
-  std::stringstream old_version("MELODY_TRACKER v1\n0\n");
+  // The text snapshot of the previous format version: refused, and the
+  // error names the format and version this build reads.
+  std::stringstream text(
+      "MELODY_TRACKER v2\n1\n0 5.5 2.25 5.5 2.25 1 1 9 0 0 0 0 0\n");
   MelodyEstimator e;
-  EXPECT_THROW(e.load(old_version), std::runtime_error);
+  try {
+    e.load(text);
+    FAIL() << "a text snapshot must not load";
+  } catch (const std::runtime_error& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find("MLDYTRKR"), std::string::npos) << what;
+    EXPECT_NE(what.find("version 3"), std::string::npos) << what;
+  }
+  // A binary header at another version is refused with that version named.
+  std::stringstream old_version;
+  util::binio::write_header(old_version, MelodyEstimator::kBlobMagic, 2);
+  util::binio::write_u64(old_version, 0);
+  try {
+    e.load(old_version);
+    FAIL() << "version 2 must not load";
+  } catch (const std::runtime_error& error) {
+    EXPECT_NE(std::string(error.what()).find("unsupported version 2"),
+              std::string::npos)
+        << error.what();
+  }
 }
 
 TEST(Serialization, WindowedTrackerRoundTrips) {

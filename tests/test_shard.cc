@@ -8,8 +8,10 @@
 
 #include <chrono>
 #include <cstdio>
+#include <fstream>
 #include <iterator>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -389,55 +391,27 @@ TEST(ShardedCheckpoint, ComposedKillResumeMidTraceStaysBitIdentical) {
   std::remove(path.c_str());
 }
 
-TEST(ShardedCheckpoint, PlainV1FileRestoresIntoSingleShardOnly) {
+TEST(ShardedCheckpoint, RestoreRejectsAPlainShardBodyNamingItsVersion) {
+  // Checkpoint files are composed containers only: the plain body of one
+  // service (MLDYSVCK at the service version) is refused, even by a K=1
+  // deployment, and the error names the format and the version found.
   const ServiceConfig config = shard_config(1);
-  const std::string path = ::testing::TempDir() + "/melody_shard_v1.ckpt";
-
-  // The unsharded service writes a v1 snapshot mid-trace.
-  std::vector<sim::RunRecord> prefix;
-  std::vector<sim::RunRecord> expected;
-  {
-    AuctionService reference(config);
-    std::stringstream trace;
-    std::int64_t next_id = 1;
-    for (int round = 0; round < 16; ++round) append_round(trace, 42, &next_id);
-    serve_plain(reference, trace);
-    expected = reference.records();
-  }
+  const std::string path = ::testing::TempDir() + "/melody_shard_plain.ckpt";
   {
     AuctionService service(config);
-    std::stringstream trace;
-    std::int64_t next_id = 1;
-    for (int round = 0; round < 8; ++round) append_round(trace, 42, &next_id);
-    Request checkpoint;
-    checkpoint.op = Op::kCheckpoint;
-    checkpoint.id = next_id++;
-    checkpoint.path = path;
-    trace << format_request(checkpoint) << "\n";
-    serve_plain(service, trace);
-    prefix = service.records();
+    std::ofstream out(path, std::ios::binary);
+    service.save_state(out);
   }
-
-  // A 4-shard deployment cannot adopt one platform's snapshot.
-  {
-    ShardedService wrong(shard_config(4));
-    EXPECT_THROW(wrong.restore(path), std::runtime_error);
-  }
-
-  // The K=1 sharded deployment continues it bit-identically.
   ShardedService service(config);
-  service.restore(path);
-  std::stringstream trace;
-  std::int64_t next_id = 100000;
-  for (int round = 8; round < 16; ++round) append_round(trace, 42, &next_id);
-  std::ostringstream out;
-  run_stdio_session(service, trace, out);
-  std::vector<sim::RunRecord> all = prefix;
-  const auto& tail = service.shard(0).service().records();
-  all.insert(all.end(), tail.begin(), tail.end());
-  ASSERT_EQ(all.size(), expected.size());
-  for (std::size_t k = 0; k < all.size(); ++k) {
-    EXPECT_EQ(all[k], expected[k]) << "run " << k + 1;
+  try {
+    service.restore(path);
+    FAIL() << "a plain service body must not restore";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("MLDYSVCK"), std::string::npos) << what;
+    EXPECT_NE(what.find("version " + std::to_string(kServiceCheckpointVersion)),
+              std::string::npos)
+        << what;
   }
   std::remove(path.c_str());
 }

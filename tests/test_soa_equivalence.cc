@@ -6,11 +6,11 @@
 //   1. Golden digests. The fig9-style long-term pipeline (reduced Table-4
 //      scale) is run at 1/2/8 threads, with and without a FaultPlan, and
 //      FNV-1a digests of (a) every RunRecord field, (b) the fig9 CSV rows
-//      exactly as bench_fig9 formats them, (c) the estimator's text
+//      exactly as bench_fig9 formats them, (c) the estimator's binary
 //      snapshot, and (d) the raw MLDYCKPT checkpoint bytes taken mid-run
 //      are compared against constants captured from the pre-refactor
 //      scalar build. Any layout change that perturbs a single bit of
-//      output — records, CSV, snapshot text, or checkpoint encoding —
+//      output — records, CSV, snapshot bytes, or checkpoint encoding —
 //      fails here with the digest that moved.
 //
 //   2. Scalar reference properties. 1000 randomized markets are auctioned
@@ -136,7 +136,7 @@ estimators::MelodyEstimatorConfig tracker_config(const LongTermScenario& s) {
 struct LatticeDigest {
   std::uint64_t records = 0;     // all RunRecord fields, runs 1..40
   std::uint64_t csv = 0;         // fig9-format CSV rows, runs 1..40
-  std::uint64_t estimator = 0;   // MELODY_TRACKER snapshot after run 40
+  std::uint64_t estimator = 0;   // MLDYTRKR snapshot after run 40
   std::uint64_t checkpoint = 0;  // raw MLDYCKPT bytes after run 20
   std::uint64_t tail = 0;        // records of runs 21..40 alone
 
@@ -199,18 +199,22 @@ LatticeDigest run_lattice(int threads, bool with_faults) {
 // at every thread count. If you change ANY output format or simulation
 // semantics on purpose, re-capture these from a build whose equivalence to
 // the previous trajectory is otherwise established, and say so in the PR.
+// The estimator and checkpoint digests were re-captured once, when the
+// estimator snapshot moved from text to the binary MLDYTRKR v3 record and
+// MLDYCKPT to v3 (book flag); records, CSV and tail stayed unchanged, so
+// the resumed trajectories are the same.
 constexpr LatticeDigest kGoldenCleanRun = {
     13627756688790278940ull,  // records
     2721147335882908296ull,   // csv
-    8034518372207253827ull,   // estimator
-    5763989433480082567ull,   // checkpoint
+    2916462072097001604ull,   // estimator
+    8508018174744065424ull,   // checkpoint
     13954106222003339031ull,  // tail
 };
 constexpr LatticeDigest kGoldenFaultedRun = {
     9614558965146038773ull,   // records
     6997543824992877856ull,   // csv
-    5585579271030418187ull,   // estimator
-    14975863693022318303ull,  // checkpoint
+    2067544210953300906ull,   // estimator
+    13993556849638205231ull,  // checkpoint
     2827185478779235160ull,   // tail
 };
 
@@ -335,9 +339,9 @@ TEST(SoaGreedyProperty, ParallelPathMatchesScalarReferenceOnLargeMarket) {
 
 // ---------------------------------------------------------------------------
 // Kalman/EM chain: production estimator vs the AoS reference over
-// randomized score streams, compared through full snapshot strings (17
-// significant digits per field — any bit difference in any posterior,
-// parameter, anchor, or counter shows up).
+// randomized score streams, compared through full binary snapshots (every
+// field at full width — any bit difference in any posterior, parameter,
+// anchor, or counter shows up).
 // ---------------------------------------------------------------------------
 
 lds::ScoreSet random_scores(util::Rng& rng, double latent) {

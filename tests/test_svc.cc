@@ -7,6 +7,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -526,6 +527,21 @@ TEST(AuctionService, QueryRunBoundsAndStats) {
   ASSERT_TRUE(r.ok);
   EXPECT_EQ(r.fields.number("runs_this_session"), 1.0);
   EXPECT_EQ(r.fields.number("next_run"), 2.0);
+}
+
+TEST(AuctionService, CheckpointOpIsAStructuredFailure) {
+  // Checkpoint files belong to the sharded router; a standalone service
+  // refuses the op without touching the file system.
+  AuctionService service(tiny_config());
+  Request checkpoint;
+  checkpoint.op = Op::kCheckpoint;
+  checkpoint.id = 7;
+  checkpoint.path = ::testing::TempDir() + "/melody_standalone.ckpt";
+  const Response r = service.apply(checkpoint);
+  EXPECT_FALSE(r.ok);
+  EXPECT_EQ(r.id, 7);
+  EXPECT_NE(r.error.find("checkpoint"), std::string::npos) << r.error;
+  EXPECT_FALSE(std::ifstream(checkpoint.path).good());
 }
 
 // ------------------------------------------- stdio e2e and bit-identity --

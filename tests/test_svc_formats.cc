@@ -3,13 +3,14 @@
 // hostile header fields must throw, never misconfigure), malformed
 // MLDYSVCK / MLDYMIGR inputs (bad magic, alien version, truncation at
 // every prefix), the structured missing-resume-checkpoint error, and the
-// build-info pinning of every format version a binary speaks.
+// build-info report of every format version, read back out of real blobs.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "svc/config.h"
@@ -18,7 +19,9 @@
 #include "svc/service.h"
 #include "svc/trace_log.h"
 #include "svc/wire.h"
+#include "util/binio.h"
 #include "util/build_info.h"
+#include "util/json.h"
 
 namespace melody::svc {
 namespace {
@@ -256,18 +259,43 @@ TEST(ResumeCheckpoint, TraceHeaderPinsTheResumePath) {
 
 // ------------------------------------------------------- build info --
 
+/// The u32 version field behind an 8-byte magic, read from a real blob.
+int blob_version(const std::string& bytes, std::string_view magic) {
+  EXPECT_EQ(bytes.substr(0, 8), magic);
+  std::istringstream in(bytes.substr(8, 4));
+  return static_cast<int>(util::binio::read_u32(in, "version"));
+}
+
 TEST(BuildInfo, PinsEveryFormatVersion) {
+  // Every version build_info reports must be the one its writer actually
+  // puts into a blob of that format.
   const util::FormatVersions v = util::format_versions();
   EXPECT_EQ(v.proto, kProtoVersion);
-  EXPECT_EQ(v.service_checkpoint, 3);
-  EXPECT_EQ(v.composed_checkpoint, 2);
-  EXPECT_EQ(v.trace, 1);
-  EXPECT_EQ(v.migration, 1);
+
+  auto service = warm_service();
+  std::ostringstream platform, plain, migration, composed, trace;
+  service->platform().save(platform);
+  service->save_state(plain);
+  service->save_migration(migration);
+  ShardedService(small_config()).save_state(composed);
+  {
+    TraceRecorder recorder(trace);
+    recorder.begin_session(small_config());
+    recorder.finish();
+  }
+  EXPECT_EQ(v.platform_checkpoint, blob_version(platform.str(), "MLDYCKPT"));
+  EXPECT_EQ(v.service_checkpoint, blob_version(plain.str(), "MLDYSVCK"));
+  EXPECT_EQ(v.composed_checkpoint, blob_version(composed.str(), "MLDYSVCK"));
+  EXPECT_EQ(v.migration, blob_version(migration.str(), "MLDYMIGR"));
+  const std::string header = trace.str().substr(0, trace.str().find('\n'));
+  const util::json::Value parsed = util::json::parse(header);
+  ASSERT_NE(parsed.find("version"), nullptr) << header;
+  EXPECT_EQ(v.trace, static_cast<int>(parsed.find("version")->as_number()));
 
   const std::string line = util::build_info_line("melody_test");
   EXPECT_EQ(line.find("melody_test "), 0u);
-  for (const char* tag : {"proto=", "checkpoint=", "composed=", "trace=",
-                          "migration="}) {
+  for (const char* tag : {"proto=", "platform=", "checkpoint=", "composed=",
+                          "trace=", "migration="}) {
     EXPECT_NE(line.find(tag), std::string::npos) << tag;
   }
   EXPECT_FALSE(util::build_git_sha().empty());
