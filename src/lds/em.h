@@ -7,10 +7,17 @@
 //   a*     = sum_t E[q^t q^{t-1}] / sum_t E[(q^{t-1})^2]
 //   gamma* = (1/r) sum_t E[(q^t - a* q^{t-1})^2]
 //   eta*   = (1/sum_t N_t) sum_t E[sum_j (s_j - q^t)^2]
+//
+// One kernel does all of it: it fits up to kEmLanes independent histories
+// of equal length at once, one lane each, over per-thread scratch arrays
+// that are reused from fit to fit (no allocation once warm, no
+// log-likelihood inside the loop). Every lane runs exactly the operation
+// sequence of a lone fit, so a lane's result never depends on which other
+// histories share its group. fit_lds and smooth are its 1-lane case.
 #pragma once
 
+#include <cstddef>
 #include <span>
-#include <vector>
 
 #include "lds/gaussian.h"
 #include "lds/kalman.h"
@@ -32,10 +39,28 @@ struct EmOptions {
 struct EmResult {
   LdsParams params;
   int iterations = 0;
-  /// Filter log-likelihood after each iteration (monotone non-decreasing
-  /// up to floor/clamp effects); the last entry is the final fit quality.
-  std::vector<double> log_likelihood_trace;
+  /// True when the relative-change stop fired; false when the fit ran to
+  /// max_iterations (or had no history to fit).
+  bool converged = false;
 };
+
+/// Number of independent histories the batched kernel interleaves. The
+/// forward and RTS passes are serial chains through a division, so one
+/// fit is latency-bound; four chains in flight hide most of that latency.
+inline constexpr std::size_t kEmLanes = 4;
+
+/// One independent fit of the batched kernel.
+struct EmLane {
+  Gaussian initial_posterior;
+  std::span<const ScoreSet> history;
+  LdsParams initial_params;
+};
+
+/// Fit 1..kEmLanes lanes whose histories all have the same length; lane k
+/// writes results[k], bit-identical to fit_lds on that lane alone. Throws
+/// std::invalid_argument on a bad lane count or unequal lengths.
+void fit_lds_lanes(std::span<const EmLane> lanes, std::span<EmResult> results,
+                   const EmOptions& options = {});
 
 /// Fit theta to one worker's score history by EM, starting from
 /// initial_params. The platform-preset initial posterior alpha-hat(q^0)

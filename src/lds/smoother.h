@@ -36,7 +36,8 @@ struct SmootherResult {
   }
 };
 
-/// Full forward-backward smoothing pass over a worker's history.
+/// Full forward-backward smoothing pass over a worker's history: the
+/// E-step of the EM lane kernel (lds/em.cc) run on one lane.
 SmootherResult smooth(const Gaussian& initial_posterior,
                       std::span<const ScoreSet> history,
                       const LdsParams& params);

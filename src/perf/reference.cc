@@ -5,9 +5,127 @@
 #include <numeric>
 #include <ostream>
 
+#include "lds/em.h"
 #include "util/binio.h"
 
 namespace melody::perf::reference {
+
+namespace {
+
+// The EM learner as it stood before the batched lane kernel: one
+// allocating RTS smoother pass, a closed-form M-step through accessor
+// calls, and a full forward filter per iteration for the log-likelihood
+// trace. Frozen here so the production kernel is compared against
+// different code, bit for bit, and timed against the real old cost.
+
+struct FrozenMoments {
+  std::vector<lds::Gaussian> smoothed;
+  std::vector<double> cross_covariance;
+
+  double mean(std::size_t t) const { return smoothed.at(t).mean; }
+  double second_moment(std::size_t t) const {
+    const lds::Gaussian& g = smoothed.at(t);
+    return g.var + g.mean * g.mean;
+  }
+  double cross_moment(std::size_t t) const {
+    return cross_covariance.at(t) +
+           smoothed.at(t - 1).mean * smoothed.at(t).mean;
+  }
+};
+
+FrozenMoments frozen_smooth(const lds::Gaussian& initial_posterior,
+                            std::span<const lds::ScoreSet> history,
+                            const lds::LdsParams& params) {
+  params.validate();
+  const std::size_t r = history.size();
+  std::vector<lds::Gaussian> filtered(r + 1);
+  std::vector<lds::Gaussian> predicted(r + 1);
+  filtered[0] = initial_posterior;
+  predicted[0] = initial_posterior;
+  for (std::size_t t = 1; t <= r; ++t) {
+    predicted[t] = lds::predict(filtered[t - 1], params);
+    filtered[t] = lds::correct(predicted[t], history[t - 1], params);
+  }
+  FrozenMoments result;
+  result.smoothed.assign(r + 1, lds::Gaussian{});
+  result.cross_covariance.assign(r + 1, 0.0);
+  result.smoothed[r] = filtered[r];
+  for (std::size_t t = r; t > 0; --t) {
+    const lds::Gaussian& f = filtered[t - 1];
+    const double p_next = predicted[t].var;
+    const double gain = params.a * f.var / p_next;
+    const lds::Gaussian& next = result.smoothed[t];
+    result.smoothed[t - 1] = {f.mean + gain * (next.mean - params.a * f.mean),
+                              f.var + gain * gain * (next.var - p_next)};
+    result.cross_covariance[t] = gain * next.var;
+  }
+  return result;
+}
+
+lds::LdsParams frozen_m_step(std::span<const lds::ScoreSet> history,
+                             const FrozenMoments& moments,
+                             const lds::EmOptions& options) {
+  const std::size_t r = history.size();
+  lds::LdsParams out;
+  double cross_sum = 0.0;
+  double prev_sq_sum = 0.0;
+  for (std::size_t t = 1; t <= r; ++t) {
+    cross_sum += moments.cross_moment(t);
+    prev_sq_sum += moments.second_moment(t - 1);
+  }
+  out.a = prev_sq_sum > 0.0 ? cross_sum / prev_sq_sum : 1.0;
+  out.a = std::clamp(out.a, -options.max_abs_a, options.max_abs_a);
+  double gamma_sum = 0.0;
+  for (std::size_t t = 1; t <= r; ++t) {
+    gamma_sum += moments.second_moment(t) -
+                 2.0 * out.a * moments.cross_moment(t) +
+                 out.a * out.a * moments.second_moment(t - 1);
+  }
+  out.gamma = r > 0 ? gamma_sum / static_cast<double>(r) : 1.0;
+  out.gamma = std::max(out.gamma, options.min_variance);
+  double eta_sum = 0.0;
+  double observations = 0.0;
+  for (std::size_t t = 1; t <= r; ++t) {
+    const lds::ScoreSet& s = history[t - 1];
+    if (s.empty()) continue;
+    eta_sum += s.sum_squares - 2.0 * s.sum * moments.mean(t) +
+               s.count * moments.second_moment(t);
+    observations += s.count;
+  }
+  out.eta = observations > 0.0 ? eta_sum / observations : 1.0;
+  out.eta = std::max(out.eta, options.min_variance);
+  return out;
+}
+
+lds::LdsParams frozen_fit_lds(const lds::Gaussian& initial_posterior,
+                              std::span<const lds::ScoreSet> history,
+                              const lds::LdsParams& initial_params,
+                              const lds::EmOptions& options) {
+  lds::LdsParams params = initial_params;
+  params.gamma = std::max(params.gamma, options.min_variance);
+  params.eta = std::max(params.eta, options.min_variance);
+  if (history.empty()) return params;
+  auto relative_change = [](double a, double b) {
+    return std::abs(a - b) / std::max({std::abs(a), std::abs(b), 1e-12});
+  };
+  std::vector<double> log_likelihood_trace;
+  for (int iter = 0; iter < options.max_iterations; ++iter) {
+    const FrozenMoments moments =
+        frozen_smooth(initial_posterior, history, params);
+    const lds::LdsParams updated = frozen_m_step(history, moments, options);
+    log_likelihood_trace.push_back(
+        lds::log_likelihood(initial_posterior, history, updated));
+    const bool converged =
+        relative_change(updated.a, params.a) < options.tolerance &&
+        relative_change(updated.gamma, params.gamma) < options.tolerance &&
+        relative_change(updated.eta, params.eta) < options.tolerance;
+    params = updated;
+    if (converged) break;
+  }
+  return params;
+}
+
+}  // namespace
 
 std::vector<const auction::WorkerProfile*> build_ranking_queue(
     std::span<const auction::WorkerProfile> workers,
@@ -167,9 +285,8 @@ void AosKalmanChain::observe(auction::WorkerId id,
   if (config_.reestimation_period > 0 &&
       state.runs_since_em >= config_.reestimation_period &&
       state.observed_runs >= config_.min_history_for_em) {
-    const lds::EmResult em = lds::fit_lds(state.window_anchor, state.history,
-                                          state.params, config_.em_options);
-    state.params = em.params;
+    state.params = frozen_fit_lds(state.window_anchor, state.history,
+                                  state.params, config_.em_options);
     state.runs_since_em = 0;
     ++state.em_count;
     if (config_.refilter_after_em) {

@@ -115,7 +115,8 @@ TEST(Numerics, EmOnLongHistoryStaysFinite) {
   EXPECT_TRUE(std::isfinite(result.params.a));
   EXPECT_TRUE(std::isfinite(result.params.gamma));
   EXPECT_TRUE(std::isfinite(result.params.eta));
-  EXPECT_TRUE(std::isfinite(result.log_likelihood_trace.back()));
+  EXPECT_TRUE(
+      std::isfinite(log_likelihood({5.5, 2.25}, history, result.params)));
 }
 
 TEST(Numerics, NegativeQualityScaleWorksThroughout) {
