@@ -1,7 +1,8 @@
 // Scalar (pre-SoA) reference implementations of the two hot paths the SoA
 // refactor rewrites: Algorithm 1's greedy ranking / pre-allocation /
 // pricing over pointer-chasing AoS state, and the MELODY Kalman/EM chain
-// stored as one hash-map node per worker.
+// stored as one hash-map node per worker, fitting EM one worker at a time
+// with its own frozen copy of the pre-lane-kernel fit.
 //
 // They are the refactor's ground truth twice over:
 //   * tests/test_soa_equivalence.cc and test_mechanism_properties.cc assert

@@ -14,6 +14,7 @@
 #include "estimators/ml_ar_estimator.h"
 #include "estimators/ml_cr_estimator.h"
 #include "estimators/static_estimator.h"
+#include "obs/metrics.h"
 #include "util/binio.h"
 #include "util/rng.h"
 
@@ -340,6 +341,53 @@ TEST(MelodyEstimatorTest, WindowedHistoryStillRunsEm) {
   EXPECT_GE(e.reestimation_count(1), 4);
   // The windowed fit still converges near the data.
   EXPECT_NEAR(e.estimate(1), 6.0, 1.0);
+}
+
+TEST(MelodyEstimatorTest, EmCapHitsCountFitsTheCapStopped) {
+  // 8 dense workers, T = 5, 10 runs: 16 fits. A one-iteration cap with a
+  // zero tolerance stops every fit at the cap; an unreachable-to-miss
+  // tolerance converges every fit on its only iteration instead.
+  auto run = [](double tolerance) {
+    MelodyEstimatorConfig config;
+    config.reestimation_period = 5;
+    config.em_options.max_iterations = 1;
+    config.em_options.tolerance = tolerance;
+    MelodyEstimator estimator(config);
+    std::vector<auction::WorkerId> ids;
+    for (int w = 0; w < 8; ++w) {
+      estimator.register_worker(w);
+      ids.push_back(w);
+    }
+    for (int r = 0; r < 10; ++r) {
+      std::vector<lds::ScoreSet> scores(ids.size());
+      for (std::size_t w = 0; w < ids.size(); ++w) {
+        scores[w].add(3.0 + static_cast<double>((w + r) % 5));
+      }
+      estimator.observe_run(ids, scores);
+    }
+  };
+  obs::Counter& runs = obs::registry().counter("estimator/em_runs");
+  obs::Counter& cap_hits = obs::registry().counter("estimator/em_cap_hits");
+  obs::ScopedEnable on(true);
+  std::uint64_t runs_before = runs.value();
+  std::uint64_t caps_before = cap_hits.value();
+  run(0.0);
+  EXPECT_EQ(runs.value() - runs_before, 16u);
+  EXPECT_EQ(cap_hits.value() - caps_before, 16u);
+
+  runs_before = runs.value();
+  caps_before = cap_hits.value();
+  run(1e300);
+  EXPECT_EQ(runs.value() - runs_before, 16u);
+  EXPECT_EQ(cap_hits.value() - caps_before, 0u);
+
+  // Collection off: nothing moves.
+  obs::ScopedEnable off(false);
+  runs_before = runs.value();
+  caps_before = cap_hits.value();
+  run(0.0);
+  EXPECT_EQ(runs.value(), runs_before);
+  EXPECT_EQ(cap_hits.value(), caps_before);
 }
 
 TEST(MelodyEstimatorTest, InvalidInitialParamsThrow) {
