@@ -10,8 +10,7 @@
 //   2. parses it, answering UnsupportedOpError / WireError inline;
 //   3. mints the frame's root trace context from (conn, seq) when tracing
 //      is on, so recorded and replayed runs share trace ids;
-//   4. records the in-frame with the router's routing decision and, for
-//      hello, the negotiated protocol version;
+//   4. records the in-frame with the router's routing decision;
 //   5. submits it to the sharded service, or returns the backpressure
 //      rejection as the inline reply.
 // What stays with the caller is what its transport owns: the sequence
@@ -87,9 +86,8 @@ FrameResult answer_frame(ShardedService& service, TraceRecorder* recorder,
                               obs::next_span_id(), 0};
   }
   if (recorder != nullptr) {
-    recorder->record_in(
-        conn, seq, line, service.routing_decision(request), trace.span_id,
-        request.op == Op::kHello ? negotiate_proto(request.proto) : 0);
+    recorder->record_in(conn, seq, line, service.routing_decision(request),
+                        trace.span_id);
   }
   const PushResult pushed =
       service.submit(request, make_done(request, trace), trace);

@@ -1,5 +1,6 @@
 #include "svc/loadgen.h"
 
+#include <stdexcept>
 #include <string>
 
 #include "util/rng.h"
@@ -7,20 +8,22 @@
 namespace melody::svc::loadgen {
 
 Request make_request(const StreamConfig& config, int client, int index) {
+  if (config.proto != kProtoVersion) {
+    throw std::invalid_argument(
+        "loadgen: proto " + std::to_string(config.proto) +
+        " is not the protocol version " + std::to_string(kProtoVersion));
+  }
   util::Rng rng(util::derive_stream(config.seed,
                                     static_cast<std::uint64_t>(client),
                                     static_cast<std::uint64_t>(index)));
   Request request;
   request.id = static_cast<std::int64_t>(client) * 1000000 + index + 1;
   const double pick = rng.uniform01();
-  // The v3 mix carves update_bid/withdraw_bid out of the v2 submit_bid
-  // share; every threshold from submit_tasks on is identical in both mixes.
-  const bool v3 = config.proto >= 3;
-  if (pick < (v3 ? 0.62 : 0.70)) {
+  if (pick < 0.62) {
     request.op = Op::kSubmitBid;
     request.worker =
         "w" + std::to_string(rng.uniform_int(0, config.workers - 1));
-  } else if (pick < (v3 ? 0.64 : 0.72)) {
+  } else if (pick < 0.64) {
     // Newcomer registration: a fresh name carrying a bid.
     request.op = Op::kSubmitBid;
     request.worker =
@@ -28,7 +31,7 @@ Request make_request(const StreamConfig& config, int client, int index) {
     request.has_bid = true;
     request.cost = rng.uniform(1.0, 2.0);
     request.frequency = static_cast<int>(rng.uniform_int(1, 5));
-  } else if (v3 && pick < 0.70) {
+  } else if (pick < 0.70) {
     // Re-bid on a standing scenario worker.
     request.op = Op::kUpdateBid;
     request.worker =
@@ -36,7 +39,7 @@ Request make_request(const StreamConfig& config, int client, int index) {
     request.has_bid = true;
     request.cost = rng.uniform(1.0, 2.0);
     request.frequency = static_cast<int>(rng.uniform_int(1, 5));
-  } else if (v3 && pick < 0.72) {
+  } else if (pick < 0.72) {
     request.op = Op::kWithdrawBid;
     request.worker =
         "w" + std::to_string(rng.uniform_int(0, config.workers - 1));

@@ -30,23 +30,17 @@ struct StreamConfig {
   std::int64_t workers = 300;
   /// Budget scale carried by generated submit_tasks requests.
   double task_budget = 800.0;
-  /// Negotiated protocol version the stream may assume. Streams at
-  /// proto < 3 never emit update_bid / withdraw_bid (the v2 mix).
+  /// Must be kProtoVersion, the one protocol version; make_request throws
+  /// std::invalid_argument for any other value.
   int proto = kProtoVersion;
 };
 
 /// The deterministic request stream: request `index` of client `client` is
 /// a pure function of (config.seed, client, index).
 ///
-/// Mix at proto <= 2: 70% submit_bid, 2% newcomer registration
-/// ("lg<c>_<k>"), 10% submit_tasks, 10% query_worker, 5% query_run,
-/// 3% stats.
-///
-/// Mix at proto >= 3 carves the continuous-auction ops out of the
-/// submit_bid share (everything from submit_tasks on keeps its v2
-/// thresholds): 62% submit_bid, 2% newcomer, 6% update_bid, 2%
-/// withdraw_bid, 10% submit_tasks, 10% query_worker, 5% query_run,
-/// 3% stats.
+/// Mix: 62% submit_bid, 2% newcomer registration ("lg<c>_<k>"),
+/// 6% update_bid, 2% withdraw_bid, 10% submit_tasks, 10% query_worker,
+/// 5% query_run, 3% stats.
 Request make_request(const StreamConfig& config, int client, int index);
 
 /// Open-loop pacing with deterministic retry. Time is "seconds since the

@@ -29,9 +29,7 @@ constexpr struct {
 };
 
 Op op_from(const std::string& name, std::int64_t id) {
-  for (const auto& entry : kOps) {
-    if (entry.name == name) return entry.op;
-  }
+  if (const auto op = op_named(name)) return *op;
   throw UnsupportedOpError(name, id);
 }
 
@@ -53,19 +51,11 @@ std::string_view to_string(Op op) noexcept {
   return "?";
 }
 
-int min_proto(Op op) noexcept {
-  switch (op) {
-    case Op::kUpdateBid:
-    case Op::kWithdrawBid:
-      return 3;
-    case Op::kTraceStatus:
-      return 4;
-    case Op::kShardExport:
-    case Op::kShardImport:
-      return 5;
-    default:
-      return 1;
+std::optional<Op> op_named(std::string_view name) noexcept {
+  for (const auto& entry : kOps) {
+    if (entry.name == name) return entry.op;
   }
+  return std::nullopt;
 }
 
 Request parse_request(std::string_view line) {

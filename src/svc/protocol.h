@@ -5,8 +5,8 @@
 // Request lines:
 //   {"op":"hello","id":1}
 //   {"op":"submit_bid","id":2,"worker":"w17","cost":1.4,"frequency":3}
-//   {"op":"update_bid","id":2,"worker":"w17","cost":1.2,"frequency":4}   (v3)
-//   {"op":"withdraw_bid","id":2,"worker":"w17"}                          (v3)
+//   {"op":"update_bid","id":2,"worker":"w17","cost":1.2,"frequency":4}
+//   {"op":"withdraw_bid","id":2,"worker":"w17"}
 //   {"op":"submit_tasks","id":3,"count":500,"budget":800}
 //   {"op":"post_scores","id":4,"worker":"w17","scores":[6.5,7.1]}
 //   {"op":"query_worker","id":5,"worker":"w17"}
@@ -14,27 +14,27 @@
 //   {"op":"run_now","id":7}
 //   {"op":"tick","id":8,"seconds":0.25}
 //   {"op":"stats","id":9}
-//   {"op":"trace_status","id":9}                                        (v4)
+//   {"op":"trace_status","id":9}
 //   {"op":"checkpoint","id":10,"path":"svc.ckpt"}
 //   {"op":"shutdown","id":11}
 //   {"op":"shard_export","id":12,"shard":3,"path":"s3.migr",
-//    "detach":true,"epoch":2}                                          (v5)
-//   {"op":"shard_import","id":13,"shard":3,"path":"s3.migr","epoch":2} (v5)
+//    "detach":true,"epoch":2}
+//   {"op":"shard_import","id":13,"shard":3,"path":"s3.migr","epoch":2}
 //
 // Response lines always carry "ok" plus the echoed "id" (when the request
 // had one). Failures carry "error"; overload rejections additionally carry
 // "retry_after_ms" — the client-visible half of the backpressure contract.
 //
-// Version negotiation: "hello" may carry the client's "proto" version; the
-// server's reply advertises its own "proto_version" (kProtoVersion) plus
-// the shard count, and both sides speak the older of the two. A request
-// whose op the server does not know is answered with a structured
-// {"ok":false,"error":"unsupported_op","op":...} line — the connection
-// stays open, so a newer client degrades instead of being dropped.
+// There is one protocol version, kProtoVersion. A "hello" may carry the
+// client's "proto"; the server ignores it and its reply advertises
+// "proto_version" plus the shard count. A request whose op the server does
+// not know is answered with a structured
+// {"ok":false,"error":"unsupported_op","op":...} line and the connection
+// stays open.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -43,26 +43,8 @@
 
 namespace melody::svc {
 
-/// Wire protocol version this build speaks. v2 added hello negotiation
-/// (proto_version + shards in the hello reply), structured unsupported_op
-/// replies, and the optional "shard" routing field on query_run. v3 added
-/// the continuous-auction ops update_bid / withdraw_bid (re-bid between
-/// runs, withdraw until the next submit/update) with structured
-/// unknown_worker errors; v2 clients simply never send them. v4 added the
-/// trace_status introspection op (tracing state + per-shard phase-latency
-/// percentiles merged from the shard-namespaced obs registries). v5 added
-/// the cluster shard-handoff ops shard_export / shard_import plus the
-/// routing-epoch fields ("epoch" in cluster hello replies, structured
-/// not_owner rejections) that let a coordinator migrate live shards
-/// between processes.
+/// The wire protocol version, advertised in hello replies and trace headers.
 inline constexpr int kProtoVersion = 5;
-
-/// The version both sides speak after a hello carrying the client's
-/// `client_proto` (0: unset, i.e. this build's): the older of the two.
-constexpr int negotiate_proto(int client_proto) noexcept {
-  return client_proto == 0 ? kProtoVersion
-                           : std::min(kProtoVersion, client_proto);
-}
 
 enum class Op {
   kHello,
@@ -85,10 +67,8 @@ enum class Op {
 
 std::string_view to_string(Op op) noexcept;
 
-/// The oldest protocol version that includes `op`. Clients negotiate down
-/// through hello; an op whose min_proto exceeds the negotiated version must
-/// not be sent (melody_loadgen --dry-run enforces this).
-int min_proto(Op op) noexcept;
+/// The op whose wire name is `name`; nullopt when there is none.
+std::optional<Op> op_named(std::string_view name) noexcept;
 
 /// parse_request's error for a well-formed line naming an op this build
 /// does not implement. Derives from WireError (callers that only know
@@ -125,7 +105,8 @@ struct Request {
   int shard = 0;            // query_run / shard_export / shard_import
   double seconds = 0.0;     // tick
   std::string path;         // checkpoint / shard_export / shard_import
-  int proto = 0;            // hello (client's protocol version; 0 = unset)
+  int proto = 0;            // hello (client's protocol version; 0 = unset;
+                            // the server ignores it)
   bool detach = false;      // shard_export: deactivate the shard (migration)
   std::int64_t epoch = 0;   // shard_export / shard_import: new routing epoch
 
@@ -160,8 +141,8 @@ struct Response {
     return r;
   }
   /// The structured reply for an op this build does not implement: the
-  /// offending op plus the server's protocol version, so a newer client
-  /// can detect the downgrade instead of losing the connection.
+  /// offending op plus the server's protocol version, so the client learns
+  /// which request was refused without losing the connection.
   static Response unsupported_op(std::int64_t id, const std::string& op) {
     Response r = failure(id, "unsupported_op");
     r.fields.set("op", WireValue::of(op));

@@ -69,14 +69,13 @@ void TraceRecorder::begin_session(const ServiceConfig& config,
 
 void TraceRecorder::record_in(std::uint64_t conn, std::uint64_t seq,
                               std::string_view line, int shard,
-                              std::uint64_t span, int proto) {
+                              std::uint64_t span) {
   WireObject frame;
   frame.set("dir", WireValue::of("in"));
   frame.set("conn", of_int(static_cast<std::int64_t>(conn)));
   frame.set("seq", of_int(static_cast<std::int64_t>(seq)));
   frame.set("shard", of_int(shard));
   if (span != 0) frame.set("span", of_int(static_cast<std::int64_t>(span)));
-  if (proto != 0) frame.set("proto", of_int(proto));
   frame.set("frame", WireValue::of(std::string(line)));
   write_line(frame);
 }
@@ -152,7 +151,6 @@ TraceFile parse_trace(std::istream& in) {
     frame.seq = static_cast<std::uint64_t>(object.number("seq"));
     frame.shard = static_cast<int>(object.number_or("shard", kShardNone));
     frame.span = static_cast<std::uint64_t>(object.number_or("span", 0));
-    frame.proto = static_cast<int>(object.number_or("proto", 0));
     frame.line = object.text("frame");
     trace.frames.push_back(std::move(frame));
   }

@@ -3,7 +3,7 @@
 // the same wire codec the protocol itself uses (svc/wire.h), so a trace is
 // greppable, diffable, and parses with zero new escaping rules:
 //
-//   {"magic":"MLDYTRC","version":1,"proto":4,"shards":8,"workers":1000,...}
+//   {"magic":"MLDYTRC","version":1,"proto":5,"shards":8,"workers":1000,...}
 //   {"dir":"in","conn":2,"seq":0,"shard":3,"span":17,"frame":"{\"op\":...}"}
 //   {"dir":"out","conn":2,"seq":0,"frame":"{\"ok\":true,...}"}
 //
@@ -50,7 +50,6 @@ struct TraceFrame {
   std::uint64_t seq = 0;
   int shard = kShardNone;    // in frames: the routing decision
   std::uint64_t span = 0;    // in frames: root span id (0: tracing off)
-  int proto = 0;             // in frames: negotiated proto (hello only)
   std::string line;          // raw frame bytes
 };
 
@@ -95,9 +94,9 @@ class TraceRecorder {
 
   /// One inbound frame: `shard` is the routing decision (>= 0, or
   /// kShardBroadcast / kShardNone), `span` the root span id (0 when
-  /// tracing is off), `proto` the negotiated version (hello frames only).
+  /// tracing is off).
   void record_in(std::uint64_t conn, std::uint64_t seq, std::string_view line,
-                 int shard, std::uint64_t span, int proto = 0);
+                 int shard, std::uint64_t span);
 
   /// One outbound frame, in flush (per-connection sequence) order.
   void record_out(std::uint64_t conn, std::uint64_t seq,

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -39,9 +40,8 @@ TEST(LoadgenStream, RequestsArePureFunctionsOfSeedClientIndex) {
   EXPECT_GT(differing, 0);
 }
 
-TEST(LoadgenStream, MixMatchesTheDocumentedDistribution) {
-  StreamConfig config;
-  config.proto = 2;  // the pre-continuous-auction mix
+TEST(LoadgenStream, ProtoThreeMixCarvesOutTheContinuousAuctionOps) {
+  const StreamConfig config;  // default: the one protocol version
   std::map<Op, int> counts;
   int newcomers = 0;
   const int n = 20000;
@@ -54,29 +54,6 @@ TEST(LoadgenStream, MixMatchesTheDocumentedDistribution) {
       EXPECT_LE(r.task_count, 500);
       EXPECT_GT(r.budget, 0.0);
     }
-  }
-  // 72% submit_bid (2% of which are newcomer registrations), 10%
-  // submit_tasks, 10% query_worker, 5% query_run, 3% stats — each within a
-  // generous tolerance of the nominal rate.
-  EXPECT_NEAR(counts[Op::kSubmitBid] / double(n), 0.72, 0.02);
-  EXPECT_NEAR(newcomers / double(n), 0.02, 0.01);
-  EXPECT_NEAR(counts[Op::kSubmitTasks] / double(n), 0.10, 0.02);
-  EXPECT_NEAR(counts[Op::kQueryWorker] / double(n), 0.10, 0.02);
-  EXPECT_NEAR(counts[Op::kQueryRun] / double(n), 0.05, 0.015);
-  EXPECT_NEAR(counts[Op::kStats] / double(n), 0.03, 0.015);
-  // A proto-2 stream never emits ops the peer would not understand.
-  EXPECT_EQ(counts[Op::kUpdateBid], 0);
-  EXPECT_EQ(counts[Op::kWithdrawBid], 0);
-}
-
-TEST(LoadgenStream, ProtoThreeMixCarvesOutTheContinuousAuctionOps) {
-  const StreamConfig config;  // default: the build's own protocol version
-  ASSERT_GE(config.proto, 3);
-  std::map<Op, int> counts;
-  const int n = 20000;
-  for (int index = 0; index < n; ++index) {
-    const Request r = make_request(config, 0, index);
-    ++counts[r.op];
     if (r.op == Op::kUpdateBid) {
       EXPECT_TRUE(r.has_bid);
       EXPECT_GT(r.cost, 0.0);
@@ -84,16 +61,20 @@ TEST(LoadgenStream, ProtoThreeMixCarvesOutTheContinuousAuctionOps) {
     }
     if (r.op == Op::kWithdrawBid) EXPECT_FALSE(r.worker.empty());
   }
-  // The v3 mix carves update_bid (6%) and withdraw_bid (2%) out of the
-  // submit_bid share; everything from submit_tasks on is unchanged, so a
-  // v3 stream stresses the new ops without perturbing the task/query load.
+  // 64% submit_bid (2% of which are newcomer registrations), 6%
+  // update_bid, 2% withdraw_bid, 10% submit_tasks, 10% query_worker, 5%
+  // query_run, 3% stats — each within a generous tolerance.
   EXPECT_NEAR(counts[Op::kSubmitBid] / double(n), 0.64, 0.02);
+  EXPECT_NEAR(newcomers / double(n), 0.02, 0.01);
   EXPECT_NEAR(counts[Op::kUpdateBid] / double(n), 0.06, 0.015);
   EXPECT_NEAR(counts[Op::kWithdrawBid] / double(n), 0.02, 0.01);
   EXPECT_NEAR(counts[Op::kSubmitTasks] / double(n), 0.10, 0.02);
   EXPECT_NEAR(counts[Op::kQueryWorker] / double(n), 0.10, 0.02);
   EXPECT_NEAR(counts[Op::kQueryRun] / double(n), 0.05, 0.015);
   EXPECT_NEAR(counts[Op::kStats] / double(n), 0.03, 0.015);
+  // There is one protocol version; a stream for any other is refused.
+  EXPECT_THROW(make_request(StreamConfig{.proto = 2}, 0, 0),
+               std::invalid_argument);
 }
 
 using Kind = OpenLoopSchedule::Action::Kind;

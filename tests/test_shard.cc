@@ -418,15 +418,20 @@ TEST(ShardedCheckpoint, RestoreRejectsAPlainShardBodyNamingItsVersion) {
 
 // ------------------------------------------------------- broadcast merge --
 
-TEST(ShardedBroadcast, HelloNegotiatesAndStatsSumAcrossShards) {
+// There is one protocol version: whatever "proto" a hello carries (or none),
+// the reply bytes are the same.
+TEST(ShardedBroadcast, HelloIgnoresProtoAndStatsSumAcrossShards) {
   ShardedService service(shard_config(4));
   std::stringstream trace;
-  std::int64_t next_id = 1;
-  Request hello;
-  hello.op = Op::kHello;
-  hello.id = next_id++;
-  hello.proto = 1;
-  trace << format_request(hello) << "\n";
+  const int kProtos[] = {0, 1, 2, kProtoVersion, 99};  // 0: field absent
+  for (const int proto : kProtos) {
+    Request hello;
+    hello.op = Op::kHello;
+    hello.id = 1;
+    hello.proto = proto;
+    trace << format_request(hello) << "\n";
+  }
+  std::int64_t next_id = 2;
   for (int round = 0; round < 3; ++round) append_round(trace, 42, &next_id);
   Request tasks;
   tasks.op = Op::kSubmitTasks;
@@ -440,8 +445,16 @@ TEST(ShardedBroadcast, HelloNegotiatesAndStatsSumAcrossShards) {
   trace << format_request(stats) << "\n";
   std::ostringstream out;
   run_stdio_session(service, trace, out);
+  std::istringstream reply_lines(out.str());
+  std::string first_hello;
+  std::getline(reply_lines, first_hello);
+  for (std::size_t k = 1; k < std::size(kProtos); ++k) {
+    std::string hello_line;
+    std::getline(reply_lines, hello_line);
+    EXPECT_EQ(hello_line, first_hello) << "proto " << kProtos[k];
+  }
   const std::vector<Response> responses = parse_lines(out.str());
-  ASSERT_GE(responses.size(), 2u);
+  ASSERT_GE(responses.size(), std::size(kProtos) + 1);
 
   const Response& hello_reply = responses.front();
   ASSERT_TRUE(hello_reply.ok) << hello_reply.error;

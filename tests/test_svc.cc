@@ -8,6 +8,7 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -263,12 +264,14 @@ TEST(ProtocolCodec, RejectsMalformedLines) {
       WireError);
 }
 
-TEST(ProtocolCodec, MinProtoGatesTheContinuousAuctionOps) {
-  EXPECT_GE(kProtoVersion, 3);
-  EXPECT_EQ(min_proto(Op::kUpdateBid), 3);
-  EXPECT_EQ(min_proto(Op::kWithdrawBid), 3);
-  EXPECT_EQ(min_proto(Op::kSubmitBid), 1);
-  EXPECT_EQ(min_proto(Op::kHello), 1);
+TEST(ProtocolCodec, EveryOpNameRoundTripsThroughOpNamed) {
+  // kShardImport is the last enumerator.
+  for (int i = 0; i <= static_cast<int>(Op::kShardImport); ++i) {
+    const Op op = static_cast<Op>(i);
+    EXPECT_EQ(op_named(to_string(op)), op) << to_string(op);
+  }
+  EXPECT_EQ(op_named("warp_core_breach"), std::nullopt);
+  EXPECT_EQ(op_named(""), std::nullopt);
 }
 
 // ----------------------------------------------------- loop backpressure --

@@ -283,8 +283,7 @@ TEST(TraceRecorder, RoundTripsHeaderAndFramesThroughTheWireCodec) {
   ServiceConfig config = trace_config(2);
   config.faults = sim::FaultPlan::parse("no-show=0.05,drop=0.1");
   recorder.begin_session(config);
-  recorder.record_in(1, 0, R"({"op":"hello","id":1})", kShardBroadcast, 17,
-                     kProtoVersion);
+  recorder.record_in(1, 0, R"({"op":"hello","id":1})", kShardBroadcast, 17);
   recorder.record_out(1, 0, R"({"ok":true,"id":1})");
   recorder.record_in(1, 1, "not json at all", kShardNone, 0);
   EXPECT_EQ(recorder.frames(), 3u);
@@ -307,7 +306,6 @@ TEST(TraceRecorder, RoundTripsHeaderAndFramesThroughTheWireCodec) {
   EXPECT_EQ(trace.frames[0].seq, 0u);
   EXPECT_EQ(trace.frames[0].shard, kShardBroadcast);
   EXPECT_EQ(trace.frames[0].span, 17u);
-  EXPECT_EQ(trace.frames[0].proto, kProtoVersion);
   EXPECT_EQ(trace.frames[0].line, R"({"op":"hello","id":1})");
   EXPECT_EQ(trace.frames[1].dir, TraceFrame::Dir::kOut);
   EXPECT_EQ(trace.frames[1].line, R"({"ok":true,"id":1})");

@@ -26,9 +26,9 @@
 #include <chrono>
 #include <cstdio>
 #include <deque>
-#include <limits>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -48,6 +48,7 @@
 #include "svc/protocol.h"
 #include "util/build_info.h"
 #include "util/flags.h"
+#include "util/stats.h"
 
 namespace {
 
@@ -65,7 +66,6 @@ struct Options {
   double think_ms = 0.0;
   double task_budget = 800.0;
   std::int64_t seed = 1;
-  std::int64_t proto = svc::kProtoVersion;
   std::string ops;
   std::string csv;
   std::string metrics_json;
@@ -97,14 +97,10 @@ Options read_options(const util::Flags& flags) {
                                    "budget carried by submit_tasks requests");
   o.seed = flags.get_int("seed", o.seed, "S",
                          "master seed for the per-client request streams");
-  o.proto = flags.get_int(
-      "proto", o.proto, "V",
-      "client protocol version; the stream speaks min(V, build version) — "
-      "below 3 it never emits update_bid/withdraw_bid");
   o.ops = flags.get_string(
       "ops", "", "LIST",
       "dry-run only: restrict the printed stream to these comma-separated "
-      "op names; names the negotiated proto does not support are rejected");
+      "op names");
   o.csv = flags.get_string("csv", "loadgen_latency.csv", "NAME",
                            "latency summary CSV (written under out/)");
   o.metrics_json = flags.get_string(
@@ -137,38 +133,17 @@ int usage(const char* error) {
   return error != nullptr ? 1 : 0;
 }
 
-/// The shared deterministic stream (svc/loadgen.h): request k of client c
-/// is a pure function of (seed, c, k).
-/// The protocol version the stream may assume: what a hello handshake with
-/// this build would negotiate (both sides speak the older version).
-int negotiated_proto(const Options& options) {
-  // --proto is validated >= 1; past int range it is just "newer".
-  return svc::negotiate_proto(static_cast<int>(std::min<std::int64_t>(
-      options.proto, std::numeric_limits<int>::max())));
-}
-
 svc::loadgen::StreamConfig stream_config(const Options& options) {
   svc::loadgen::StreamConfig config;
   config.seed = static_cast<std::uint64_t>(options.seed);
   config.workers = options.workers;
   config.task_budget = options.task_budget;
-  config.proto = negotiated_proto(options);
   return config;
 }
 
-/// Every op the build knows, for --ops name resolution.
-constexpr svc::Op kAllOps[] = {
-    svc::Op::kHello,      svc::Op::kSubmitBid,   svc::Op::kUpdateBid,
-    svc::Op::kWithdrawBid, svc::Op::kSubmitTasks, svc::Op::kPostScores,
-    svc::Op::kQueryWorker, svc::Op::kQueryRun,    svc::Op::kRunNow,
-    svc::Op::kTick,        svc::Op::kStats,       svc::Op::kCheckpoint,
-    svc::Op::kShutdown,
-};
-
 /// Parse the --ops filter. Throws std::invalid_argument on an op name the
-/// build does not know or one the negotiated protocol version cannot carry.
-std::vector<svc::Op> parse_ops_filter(const std::string& list,
-                                      int negotiated) {
+/// protocol does not know.
+std::vector<svc::Op> parse_ops_filter(const std::string& list) {
   std::vector<svc::Op> allowed;
   std::size_t start = 0;
   while (start <= list.size()) {
@@ -177,29 +152,15 @@ std::vector<svc::Op> parse_ops_filter(const std::string& list,
     const std::string name = list.substr(start, comma - start);
     start = comma + 1;
     if (name.empty()) continue;
-    bool found = false;
-    svc::Op match = svc::Op::kHello;
-    for (const svc::Op op : kAllOps) {
-      if (svc::to_string(op) == name) {
-        found = true;
-        match = op;
-        break;
-      }
-    }
-    if (!found) {
-      throw std::invalid_argument("--ops: unknown op '" + name + "'");
-    }
-    if (svc::min_proto(match) > negotiated) {
-      throw std::invalid_argument(
-          "--ops: op '" + name + "' requires proto >= " +
-          std::to_string(svc::min_proto(match)) + " (negotiated " +
-          std::to_string(negotiated) + ")");
-    }
-    allowed.push_back(match);
+    const std::optional<svc::Op> op = svc::op_named(name);
+    if (!op) throw std::invalid_argument("--ops: unknown op '" + name + "'");
+    allowed.push_back(*op);
   }
   return allowed;
 }
 
+/// The shared deterministic stream (svc/loadgen.h): request k of client c
+/// is a pure function of (seed, c, k).
 svc::Request make_request(const Options& options, int client, int index) {
   return svc::loadgen::make_request(stream_config(options), client, index);
 }
@@ -491,15 +452,6 @@ ClientResult run_cluster_client(const Options& options, int client) {
   return result;
 }
 
-double percentile(const std::vector<double>& sorted, double p) {
-  if (sorted.empty()) return 0.0;
-  const double rank = p * static_cast<double>(sorted.size() - 1);
-  const std::size_t lo = static_cast<std::size_t>(rank);
-  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
-  const double frac = rank - static_cast<double>(lo);
-  return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -543,9 +495,6 @@ int main(int argc, char** argv) {
   if (options.clients < 1 || options.requests < 1 || options.workers < 1) {
     return usage("--clients/--requests/--workers must be positive");
   }
-  if (options.proto < 1) {
-    return usage("--proto must be at least 1");
-  }
   if (!options.ops.empty() && !options.dry_run) {
     return usage("--ops only applies to --dry-run streams");
   }
@@ -560,24 +509,17 @@ int main(int argc, char** argv) {
     obs::set_enabled(true);
   }
 
-  const int negotiated = negotiated_proto(options);
   std::vector<svc::Op> allowed;
   if (!options.ops.empty()) {
     try {
-      allowed = parse_ops_filter(options.ops, negotiated);
+      allowed = parse_ops_filter(options.ops);
     } catch (const std::exception& e) {
       return usage(e.what());
     }
   }
 
   if (options.dry_run) {
-    // The stream a hello handshake with this build would produce; stdout
-    // stays pure request lines for piping into melody_serve --stdin.
-    std::fprintf(stderr,
-                 "melody_loadgen: negotiated proto %d (requested %d, build "
-                 "speaks %d)\n",
-                 negotiated, static_cast<int>(options.proto),
-                 svc::kProtoVersion);
+    // stdout stays pure request lines for piping into melody_serve --stdin.
     for (int c = 0; c < options.clients; ++c) {
       for (int k = 0; k < options.requests; ++k) {
         const svc::Request request = make_request(options, c, k);
@@ -632,15 +574,10 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::sort(total.latencies_ms.begin(), total.latencies_ms.end());
-  double sum = 0.0;
-  for (const double v : total.latencies_ms) sum += v;
-  const double mean =
-      total.latencies_ms.empty()
-          ? 0.0
-          : sum / static_cast<double>(total.latencies_ms.size());
-  const double p50 = percentile(total.latencies_ms, 0.50);
-  const double p90 = percentile(total.latencies_ms, 0.90);
-  const double p99 = percentile(total.latencies_ms, 0.99);
+  const double mean = util::mean(total.latencies_ms);
+  const double p50 = util::quantile(total.latencies_ms, 0.50);
+  const double p90 = util::quantile(total.latencies_ms, 0.90);
+  const double p99 = util::quantile(total.latencies_ms, 0.99);
   const double max =
       total.latencies_ms.empty() ? 0.0 : total.latencies_ms.back();
 
