@@ -3,24 +3,16 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <cstring>
-#include <istream>
 #include <limits>
-#include <ostream>
+#include <ranges>
 #include <sstream>
+#include <stdexcept>
 
 #include "auction/mechanism.h"
-#include "util/binio.h"
 
 namespace melody::auction {
 
 namespace {
-
-// The bytes of the little-endian u32 0x4D4C4442 ("MLDB").
-constexpr std::string_view kBookMagic = "BDLM";
-constexpr std::uint32_t kBookVersion = 1;
-
-namespace binio = util::binio;
 
 std::uint64_t bits_of(double d) noexcept {
   return std::bit_cast<std::uint64_t>(d);
@@ -46,21 +38,6 @@ BidBook::Slot BidBook::slot_of(WorkerId id) const {
   return it == index_.end() ? kNone : it->second;
 }
 
-std::size_t BidBook::rank_of(WorkerId id) const {
-  const Slot slot = slot_of(id);
-  if (slot == kNone) throw std::out_of_range("rank_of: unknown worker");
-  if (!rank_valid_) {
-    materialized();
-    rank_.resize(id_.size());
-    for (std::size_t p = 0; p < mat_.slots.size(); ++p) {
-      rank_[static_cast<std::size_t>(mat_.slots[p])] =
-          static_cast<std::uint32_t>(p);
-    }
-    rank_valid_ = true;
-  }
-  return rank_[static_cast<std::size_t>(slot)];
-}
-
 BidBook::Slot BidBook::allocate_slot() {
   if (!free_.empty()) {
     const Slot slot = free_.back();
@@ -73,8 +50,6 @@ BidBook::Slot BidBook::allocate_slot() {
   cost_.push_back(0.0);
   frequency_.push_back(0);
   ratio_.push_back(0.0);
-  prev_.push_back(kNone);
-  next_.push_back(kNone);
   return slot;
 }
 
@@ -85,24 +60,13 @@ bool BidBook::upsert(const WorkerProfile& profile) {
   if (existing != index_.end()) {
     const Slot slot = existing->second;
     const auto i = static_cast<std::size_t>(slot);
-    if (bits_of(ratio_[i]) == bits_of(ratio)) {
-      // Sort key unchanged: update values in place, ladder order (links,
-      // cached ranks) stays valid. The materialized image still holds the
-      // old values, so the slot is dirty regardless.
-      quality_[i] = profile.estimated_quality;
-      cost_[i] = profile.bid.cost;
-      frequency_[i] = profile.bid.frequency;
-      mark_dirty(slot);
-      return false;
-    }
-    // Key changed: O(1) — write the slot, mark it dirty, and let the next
-    // ordered read repair the image (merge), links, and ranks lazily.
+    // O(1): write the slot, mark it dirty, and let the next ordered read
+    // repair the image by merge. The image holds the old values even when
+    // the sort key is unchanged, so the slot is dirty regardless.
     quality_[i] = profile.estimated_quality;
     cost_[i] = profile.bid.cost;
     frequency_[i] = profile.bid.frequency;
     ratio_[i] = ratio;
-    links_valid_ = false;
-    rank_valid_ = false;
     mark_dirty(slot);
     return false;
   }
@@ -115,8 +79,6 @@ bool BidBook::upsert(const WorkerProfile& profile) {
   frequency_[i] = profile.bid.frequency;
   ratio_[i] = ratio;
   index_.emplace(profile.id, slot);
-  links_valid_ = false;
-  rank_valid_ = false;
   mark_dirty(slot);
   return true;
 }
@@ -130,14 +92,12 @@ bool BidBook::erase(WorkerId id) {
   index_.erase(it);
   id_[i] = -1;
   free_.push_back(slot);
-  links_valid_ = false;
-  rank_valid_ = false;
   return true;
 }
 
 void BidBook::mark_dirty(Slot slot) {
   // Without a live image there is nothing to repair: the next
-  // materialization walks the ladder from scratch.
+  // materialization sorts the live slots from scratch.
   if (!mat_valid_) return;
   const auto i = static_cast<std::size_t>(slot);
   if (mat_dirty_mark_.size() < id_.size()) {
@@ -148,23 +108,33 @@ void BidBook::mark_dirty(Slot slot) {
   mat_dirty_.push_back(slot);
 }
 
-void BidBook::materialize_full() const {
-  // From-scratch rebuild: gather the live slots and sort them by the
-  // ladder key. (ratio desc, id asc) is a total order over unique ids, so
-  // the result is the exact ladder permutation regardless of history.
-  const std::size_t n = size();
-  std::vector<Slot> slots;
-  slots.reserve(n);
-  for (std::size_t i = 0; i < id_.size(); ++i) {
-    if (id_[i] != -1) slots.push_back(static_cast<Slot>(i));
+template <class Slots>
+std::vector<BidBook::KeyedSlot> BidBook::sorted_live(
+    const Slots& slots) const {
+  std::vector<KeyedSlot> live;
+  live.reserve(slots.size());
+  for (const Slot s : slots) {
+    const auto i = static_cast<std::size_t>(s);
+    if (id_[i] != -1) live.push_back({Key{ratio_[i], id_[i]}, s});
   }
   const KeyLess less;
-  std::sort(slots.begin(), slots.end(), [&](Slot a, Slot b) {
-    return less(key_at(a), key_at(b));
-  });
+  std::sort(live.begin(), live.end(),
+            [&](const KeyedSlot& a, const KeyedSlot& b) {
+              return less(a.key, b.key);
+            });
+  return live;
+}
+
+void BidBook::materialize_full() const {
+  // From-scratch rebuild: sort every live slot by the ladder key.
+  // (ratio desc, id asc) is a total order over unique ids, so the result
+  // is the exact ladder permutation regardless of history.
+  const std::size_t n = size();
+  const std::vector<KeyedSlot> live =
+      sorted_live(std::views::iota(Slot{0}, static_cast<Slot>(id_.size())));
   mat_.resize(n);
   for (std::size_t w = 0; w < n; ++w) {
-    const Slot s = slots[w];
+    const Slot s = live[w].slot;
     const auto i = static_cast<std::size_t>(s);
     mat_.slots[w] = s;
     mat_.ids[w] = id_[i];
@@ -185,20 +155,8 @@ void BidBook::materialize_merge() const {
   // The slots dirtied since the image was taken, keyed by their *current*
   // ladder position; a dirty slot on the free list (erased, not reused)
   // simply drops out.
-  struct Pending {
-    Key key;
-    Slot slot;
-  };
-  std::vector<Pending> live;
-  live.reserve(mat_dirty_.size());
-  for (const Slot s : mat_dirty_) {
-    const auto i = static_cast<std::size_t>(s);
-    if (id_[i] != -1) live.push_back({Key{ratio_[i], id_[i]}, s});
-  }
+  const std::vector<KeyedSlot> live = sorted_live(mat_dirty_);
   const KeyLess less;
-  std::sort(live.begin(), live.end(), [&](const Pending& a, const Pending& b) {
-    return less(a.key, b.key);
-  });
 
   // One streaming pass: the old image minus its dirty slots, merged with
   // the re-keyed dirty slots. Keys are unique (ids are), and a kept old
@@ -208,7 +166,7 @@ void BidBook::materialize_merge() const {
   LadderImage& out = mat_scratch_;
   out.resize(n);
   std::size_t w = 0;
-  const auto emit_live = [&](const Pending& p) {
+  const auto emit_live = [&](const KeyedSlot& p) {
     const auto i = static_cast<std::size_t>(p.slot);
     out.slots[w] = p.slot;
     out.ids[w] = id_[i];
@@ -252,26 +210,6 @@ BidBook::LadderView BidBook::materialized() const {
   return {mat_.ids, mat_.quality, mat_.cost, mat_.frequency, mat_.ratio};
 }
 
-void BidBook::ensure_links() const {
-  if (links_valid_) return;
-  materialized();  // repair the image; the links are derived from it
-  prev_.resize(id_.size(), kNone);
-  next_.resize(id_.size(), kNone);
-  const std::size_t n = mat_.slots.size();
-  Slot last = kNone;
-  for (std::size_t p = 0; p < n; ++p) {
-    const Slot s = mat_.slots[p];
-    const auto i = static_cast<std::size_t>(s);
-    prev_[i] = last;
-    if (last != kNone) next_[static_cast<std::size_t>(last)] = s;
-    last = s;
-  }
-  if (last != kNone) next_[static_cast<std::size_t>(last)] = kNone;
-  head_ = n == 0 ? kNone : mat_.slots.front();
-  tail_ = last;
-  links_valid_ = true;
-}
-
 void BidBook::apply(std::span<const BidDelta> deltas) {
   for (const BidDelta& delta : deltas) {
     if (delta.kind == BidDelta::Kind::kUpsert) {
@@ -288,15 +226,8 @@ void BidBook::clear() {
   cost_.clear();
   frequency_.clear();
   ratio_.clear();
-  prev_.clear();
-  next_.clear();
   free_.clear();
-  head_ = kNone;
-  tail_ = kNone;
-  links_valid_ = true;  // trivially: the empty ladder has no links
   index_.clear();
-  rank_.clear();
-  rank_valid_ = false;
   seen_.clear();
   seen_epoch_ = 0;
   mat_ = {};
@@ -352,7 +283,8 @@ std::vector<WorkerProfile> BidBook::snapshot_by_id() const {
   profiles.reserve(size());
   materialized();
   for (const Slot s : mat_.slots) {
-    profiles.push_back(profile_at(s));
+    const auto i = static_cast<std::size_t>(s);
+    profiles.push_back({id_[i], {cost_[i], frequency_[i]}, quality_[i]});
   }
   std::sort(profiles.begin(), profiles.end(),
             [](const WorkerProfile& a, const WorkerProfile& b) {
@@ -364,130 +296,50 @@ std::vector<WorkerProfile> BidBook::snapshot_by_id() const {
 std::string BidBook::check_links() const {
   std::ostringstream bad;
   const std::size_t n = size();
-  ensure_links();  // the sweep validates the repaired structures
-  if ((head_ == kNone) != (n == 0) || (tail_ == kNone) != (n == 0)) {
-    bad << "head/tail emptiness disagrees with size " << n;
+  // The sweep validates the repaired image: it must be the exact ladder
+  // sequence, the contract build_ranking_queue relies on.
+  const LadderView view = materialized();
+  if (view.size() != n || mat_.slots.size() != n) {
+    bad << "materialized image size " << view.size() << " != book size "
+        << n;
     return bad.str();
   }
-  std::size_t walked = 0;
-  Slot last = kNone;
   const KeyLess less;
-  for (Slot s = head_; s != kNone; s = next(s)) {
-    if (++walked > n) {
-      bad << "ladder walk exceeded size " << n << ": cycle";
+  for (std::size_t p = 0; p < n; ++p) {
+    const Slot s = mat_.slots[p];
+    if (s < 0 || static_cast<std::size_t>(s) >= id_.size()) {
+      bad << "image position " << p << " names slot " << s
+          << " outside the arena";
       return bad.str();
     }
     const auto i = static_cast<std::size_t>(s);
-    if (prev_[i] != last) {
-      bad << "slot " << s << " prev link " << prev_[i] << " != " << last;
-      return bad.str();
-    }
-    if (last != kNone && !less(key_at(last), key_at(s))) {
-      bad << "ladder order violated between slots " << last << " and " << s;
-      return bad.str();
-    }
-    const auto idx = index_.find(id_[i]);
+    const auto idx = index_.find(view.ids[p]);
     if (idx == index_.end() || idx->second != s) {
-      bad << "index disagrees for worker " << id_[i] << " at slot " << s;
+      bad << "index disagrees for worker " << view.ids[p] << " at image "
+          << "position " << p;
       return bad.str();
     }
-    if (rank_valid_ && rank_[i] != walked - 1) {
-      bad << "stale rank cache for worker " << id_[i] << ": " << rank_[i]
-          << " != " << walked - 1;
+    if (view.ids[p] != id_[i] ||
+        bits_of(view.quality[p]) != bits_of(quality_[i]) ||
+        bits_of(view.cost[p]) != bits_of(cost_[i]) ||
+        view.frequency[p] != frequency_[i] ||
+        bits_of(view.ratio[p]) != bits_of(ratio_[i])) {
+      bad << "image position " << p << " disagrees with slot " << s;
       return bad.str();
     }
-    last = s;
-  }
-  if (walked != n) {
-    bad << "ladder walk covered " << walked << " of " << n << " entries";
-    return bad.str();
-  }
-  if (tail_ != last) {
-    bad << "tail " << tail_ << " != last walked slot " << last;
-    return bad.str();
+    if (p > 0 && !less({view.ratio[p - 1], view.ids[p - 1]},
+                       {view.ratio[p], view.ids[p]})) {
+      bad << "ladder order violated between positions " << p - 1 << " and "
+          << p;
+      return bad.str();
+    }
   }
   if (free_.size() + n != id_.size()) {
     bad << "free list size " << free_.size() << " + live " << n
         << " != arena " << id_.size();
     return bad.str();
   }
-  // The materialized image (repaired by merge if dirty) must be the exact
-  // ladder sequence — this is the contract build_ranking_queue relies on.
-  const LadderView view = materialized();
-  if (view.size() != n) {
-    bad << "materialized view size " << view.size() << " != book size " << n;
-    return bad.str();
-  }
-  std::size_t p = 0;
-  for (Slot s = head_; s != kNone; s = next(s), ++p) {
-    const auto i = static_cast<std::size_t>(s);
-    if (mat_.slots[p] != s || view.ids[p] != id_[i] ||
-        bits_of(view.quality[p]) != bits_of(quality_[i]) ||
-        bits_of(view.cost[p]) != bits_of(cost_[i]) ||
-        view.frequency[p] != frequency_[i] ||
-        bits_of(view.ratio[p]) != bits_of(ratio_[i])) {
-      bad << "materialized view disagrees with the ladder at position " << p;
-      return bad.str();
-    }
-  }
   return {};
-}
-
-std::uint64_t BidBook::content_digest() const {
-  std::uint64_t h = 1469598103934665603ull;  // FNV-1a offset basis
-  const auto mix = [&h](std::uint64_t v) {
-    for (int b = 0; b < 8; ++b) {
-      h ^= (v >> (8 * b)) & 0xffu;
-      h *= 1099511628211ull;
-    }
-  };
-  const LadderView view = materialized();
-  for (std::size_t p = 0; p < view.size(); ++p) {
-    mix(static_cast<std::uint64_t>(static_cast<std::uint32_t>(view.ids[p])));
-    mix(bits_of(view.quality[p]));
-    mix(bits_of(view.cost[p]));
-    mix(static_cast<std::uint64_t>(
-        static_cast<std::uint32_t>(view.frequency[p])));
-  }
-  return h;
-}
-
-void BidBook::save(std::ostream& out) const {
-  binio::write_header(out, kBookMagic, kBookVersion);
-  binio::write_u64(out, static_cast<std::uint64_t>(size()));
-  const LadderView view = materialized();
-  for (std::size_t p = 0; p < view.size(); ++p) {
-    binio::write_i32(out, view.ids[p]);
-    binio::write_f64(out, view.quality[p]);
-    binio::write_f64(out, view.cost[p]);
-    binio::write_i32(out, view.frequency[p]);
-  }
-}
-
-void BidBook::load(std::istream& in) {
-  binio::read_header(in, kBookMagic, kBookVersion);
-  const std::uint64_t count = binio::read_u64(in, "bid book count");
-  clear();
-  const KeyLess less;
-  bool have_last = false;
-  Key last_key{};
-  for (std::uint64_t k = 0; k < count; ++k) {
-    WorkerProfile p;
-    p.id = binio::read_i32(in, "bid book entry");
-    p.estimated_quality = binio::read_f64(in, "bid book entry");
-    p.bid.cost = binio::read_f64(in, "bid book entry");
-    p.bid.frequency = binio::read_i32(in, "bid book entry");
-    const Key key{ladder_ratio(p.estimated_quality, p.bid.cost), p.id};
-    if (have_last && !less(last_key, key)) {
-      throw std::runtime_error("bid book blob: ladder out of order");
-    }
-    if (index_.contains(p.id)) {
-      throw std::runtime_error("bid book blob: duplicate worker id");
-    }
-    last_key = key;
-    have_last = true;
-    upsert(p);
-  }
 }
 
 std::span<const WorkerProfile> resolve_workers(

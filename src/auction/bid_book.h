@@ -1,28 +1,26 @@
-// Persistent price-ladder bid book for continuous auctions.
+// Persistent price-ladder bid book: the platform's rank cache.
 //
-// The book keeps every live bid on an ordered ladder keyed by the greedy
-// score ratio mu_i / c_i — descending, ties broken by ascending worker id,
-// which is exactly the total order the ranking-queue rank sort produces.
-// Because the order is total, a ladder maintained incrementally (insert /
-// remove / update one bid at a time, O(log N) each) is guaranteed to hold
-// the same permutation a full rebuild-and-sort would compute, so the greedy
-// mechanism can materialize its ranking queue from the ladder in O(N) with
-// bit-identical allocation (locked by test_bid_book / test_incremental_auction).
+// The book keeps every live bid in a slot arena (parallel arrays, stable
+// per-worker slots, free-list reuse) and serves it as a ladder ordered by
+// the greedy score ratio mu_i / c_i — descending, ties broken by ascending
+// worker id, which is exactly the total order the ranking-queue rank sort
+// produces. Because the order is total, a ladder maintained incrementally
+// is guaranteed to hold the same permutation a full rebuild-and-sort would
+// compute, so the greedy mechanism can materialize its ranking queue from
+// the ladder in O(N) with bit-identical allocation (locked by
+// test_bid_book / test_incremental_auction).
 //
-// Layout follows wzli/DecentralizedPathAuction's linked price ladder: a
-// slot arena of parallel arrays with prev/next links for O(1) neighbor
-// queries, and cheap check_auction_links-style invariant checks for
-// property tests. Order maintenance is LAZY: a mutation is O(1) — write
-// the slot arrays, mark the slot dirty — and the ordered structures (the
-// contiguous materialized image, the prev/next links derived from it, and
-// the rank cache) are repaired on first read by a sorted merge of the
-// dirty slots into the previous image. That keeps the per-run cost of the
-// incremental auction at ~one streaming pass instead of D tree operations,
-// which is where the low-churn re-run speedup actually comes from.
+// The book carries no state of its own: Platform::step diffs it against
+// the collected bids and applies the deltas every run, so an empty book
+// converges in one step and checkpoints never store it. Order maintenance
+// is LAZY: a mutation is O(1) — write the slot arrays, mark the slot
+// dirty — and the contiguous materialized image is repaired on first read
+// by a sorted merge of the dirty slots into the previous image. That keeps
+// the per-run ranking cost at ~one streaming pass instead of a sort, which
+// is where the low-churn re-run speedup comes from.
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -54,54 +52,13 @@ class BidBook {
   bool empty() const noexcept { return index_.empty(); }
   bool contains(WorkerId id) const { return index_.contains(id); }
 
-  // --- Ladder navigation (slots are stable across updates of the same
-  // worker; kNone terminates both directions). head() is the best ratio.
-  // Links are repaired lazily from the materialized image on first read
-  // after churn: O(N) once, then O(1) until the next reorder.
-  Slot head() const {
-    ensure_links();
-    return head_;
-  }
-  Slot tail() const {
-    ensure_links();
-    return tail_;
-  }
-  Slot next(Slot s) const {
-    ensure_links();
-    return next_[static_cast<std::size_t>(s)];
-  }
-  Slot prev(Slot s) const {
-    ensure_links();
-    return prev_[static_cast<std::size_t>(s)];
-  }
+  /// The arena slot holding a worker's bid, or kNone. A worker keeps its
+  /// slot across updates; an erased worker's slot is reused.
   Slot slot_of(WorkerId id) const;
-
-  WorkerId id_at(Slot s) const { return id_[static_cast<std::size_t>(s)]; }
-  double quality_at(Slot s) const {
-    return quality_[static_cast<std::size_t>(s)];
-  }
-  double cost_at(Slot s) const { return cost_[static_cast<std::size_t>(s)]; }
-  int frequency_at(Slot s) const {
-    return frequency_[static_cast<std::size_t>(s)];
-  }
-  /// The ladder sort ratio: quality / cost, or -inf for bids that can never
-  /// qualify (non-positive or non-finite quality or cost), which sink to
-  /// the tail without breaking the strict weak order.
-  double ratio_at(Slot s) const { return ratio_[static_cast<std::size_t>(s)]; }
-  WorkerProfile profile_at(Slot s) const {
-    const auto i = static_cast<std::size_t>(s);
-    return {id_[i], {cost_[i], frequency_[i]}, quality_[i]};
-  }
-
-  /// 0-based ladder position (0 == best ratio). Lazily reindexed after
-  /// structural churn: O(N) once, then O(1) until the next reorder.
-  std::size_t rank_of(WorkerId id) const;
 
   // --- Mutation. All maintain the ladder invariants incrementally.
 
   /// Insert or update one bid. Returns true when the worker was new.
-  /// An update whose sort key is unchanged (same ratio) keeps the slot's
-  /// ladder position and rank cache; otherwise the slot is relinked.
   bool upsert(const WorkerProfile& profile);
 
   /// Remove one bid. Returns false when the worker was not in the book.
@@ -150,20 +107,12 @@ class BidBook {
   /// (asserted by check_links).
   LadderView materialized() const;
 
-  /// check_auction_links-style invariant sweep: mutual prev/next links,
-  /// strict (ratio desc, id asc) ordering, no cycles, index agreement,
-  /// rank-cache consistency, and materialized-view agreement. Returns ""
-  /// when healthy, else a description.
+  /// check_auction_links-style invariant sweep over the (repaired)
+  /// materialized image: strict (ratio desc, id asc) order, every entry
+  /// found at its slot through the index and equal to that slot's
+  /// contents, one entry per live bid, and free list + live = arena.
+  /// Returns "" when healthy, else a description.
   std::string check_links() const;
-
-  /// FNV-1a digest of the ladder content in ladder order.
-  std::uint64_t content_digest() const;
-
-  // --- Serialization (embedded in the MLDYCKPT / MLDYSVCK checkpoints).
-  void save(std::ostream& out) const;
-  /// Replaces the book; throws std::runtime_error on a malformed blob
-  /// (bad magic, unsorted ladder, duplicate ids, truncation).
-  void load(std::istream& in);
 
  private:
   struct Key {
@@ -176,13 +125,19 @@ class BidBook {
       return a.id < b.id;
     }
   };
+  /// A slot with its ladder key copied beside it, so sorts compare
+  /// contiguous keys instead of chasing slots into the arena.
+  struct KeyedSlot {
+    Key key;
+    Slot slot;
+  };
+  /// The given slots' live entries (erased slots drop out), sorted in
+  /// ladder order.
+  template <class Slots>
+  std::vector<KeyedSlot> sorted_live(const Slots& slots) const;
 
   static double ladder_ratio(double quality, double cost) noexcept;
 
-  Key key_at(Slot s) const {
-    const auto i = static_cast<std::size_t>(s);
-    return {ratio_[i], id_[i]};
-  }
   Slot allocate_slot();
 
   /// Record `slot` as changed since the last materialization (no-op while
@@ -190,8 +145,6 @@ class BidBook {
   void mark_dirty(Slot slot);
   void materialize_full() const;
   void materialize_merge() const;
-  /// Rebuild prev/next/head/tail from the (repaired) materialized image.
-  void ensure_links() const;
 
   // Slot arena: parallel arrays, stable per-worker slots, free-list reuse.
   std::vector<WorkerId> id_;
@@ -201,19 +154,7 @@ class BidBook {
   std::vector<double> ratio_;
   std::vector<Slot> free_;
 
-  // Navigation links, derived lazily from the materialized image (see
-  // ensure_links); mutable because const reads repair them.
-  mutable std::vector<Slot> prev_;
-  mutable std::vector<Slot> next_;
-  mutable Slot head_ = kNone;
-  mutable Slot tail_ = kNone;
-  mutable bool links_valid_ = true;
-
   std::unordered_map<WorkerId, Slot> index_;    // id -> slot
-
-  // Lazy rank cache (mutable: reads reindex on demand).
-  mutable std::vector<std::uint32_t> rank_;
-  mutable bool rank_valid_ = false;
 
   // Epoch-marked scratch for diff(): seen_[slot] == seen_epoch_ means the
   // slot appeared in the current diff's target (avoids a per-call set).

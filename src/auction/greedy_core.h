@@ -52,11 +52,11 @@ struct PreAllocation {
 RankingQueue build_ranking_queue(std::span<const WorkerProfile> workers,
                                  const AuctionConfig& config);
 
-/// Incremental form of lines 1-2: materialize the ranking queue by walking
-/// the persistent bid-book ladder, applying the same qualification filter.
-/// The ladder's (ratio desc, id asc) order is the rank sort's total order,
-/// so the resulting queue is bit-identical to the rebuild path's — in O(N)
-/// with no sort, since every insert/update already re-ranked its entry.
+/// Incremental form of lines 1-2: one pass over the bid book's materialized
+/// ladder image, applying the same qualification filter. The ladder's
+/// (ratio desc, id asc) order is the rank sort's total order, so the
+/// resulting queue is bit-identical to the rebuild path's — in O(N) with
+/// no sort, since the image is merge-repaired from the changed bids only.
 RankingQueue build_ranking_queue(const BidBook& book,
                                  const AuctionConfig& config);
 

@@ -55,7 +55,7 @@ struct AuctionConfig {
   }
 
   /// Value-form qualification filter for callers that hold quality/cost in
-  /// structure-of-arrays form (e.g. the bid-book ladder walk) — exactly the
+  /// structure-of-arrays form (e.g. the bid-book ladder image) — exactly the
   /// same comparisons as the profile overload.
   bool qualifies(double estimated_quality, double cost) const noexcept {
     return estimated_quality >= theta_min && estimated_quality <= theta_max &&

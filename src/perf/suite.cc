@@ -236,7 +236,7 @@ BenchmarkResult bench_greedy_incremental(bool quick, int repeats) {
   // Low-churn re-run regime: a standing market where ~2% of the bids move
   // between consecutive auctions (rolling / continuous operation). The
   // production side keeps the persistent price-ladder bid book and ranks
-  // the greedy queue from the ladder walk; the scalar reference applies the
+  // the greedy queue from the ladder image; the scalar reference applies the
   // identical churn to a plain profile vector and re-sorts from scratch
   // every round — the pre-PR-8 full-rebuild path. Allocation is
   // bit-identical by construction (the ladder holds the exact permutation

@@ -133,14 +133,12 @@ RunRecord Platform::step() {
                                     run_,
                                     faults_active ? &fault_plan_ : nullptr};
     context.trace = obs::current_trace();
-    if (bid_book_enabled_) {
-      // Fold this run's bid changes into the persistent ladder and hand the
-      // mechanism the book (already current) plus the delta provenance.
-      bid_book_.diff(profiles, delta_scratch_);
-      bid_book_.apply(delta_scratch_);
-      context.book = &bid_book_;
-      context.deltas = delta_scratch_;
-    }
+    // Fold this run's bid changes into the ladder and hand the mechanism
+    // the book (already current) plus the delta provenance.
+    bid_book_.diff(profiles, delta_scratch_);
+    bid_book_.apply(delta_scratch_);
+    context.book = &bid_book_;
+    context.deltas = delta_scratch_;
     last_result_ = mechanism_.run(context);
   }
   record.estimated_utility = last_result_.requester_utility();
@@ -267,13 +265,6 @@ std::vector<RunRecord> Platform::run_all() {
   records.reserve(static_cast<std::size_t>(scenario_.runs));
   while (run_ < scenario_.runs) records.push_back(step());
   return records;
-}
-
-const SimWorker* Platform::find_worker(auction::WorkerId id) const noexcept {
-  for (const SimWorker& w : workers_) {
-    if (w.id() == id) return &w;
-  }
-  return nullptr;
 }
 
 double Platform::worker_total_utility(auction::WorkerId id) const {

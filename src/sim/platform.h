@@ -25,7 +25,7 @@ namespace melody::sim {
 
 /// The MLDYCKPT snapshot version Platform::save writes and load reads (see
 /// snapshot.cc for the layout).
-inline constexpr std::uint32_t kCheckpointVersion = 3;
+inline constexpr std::uint32_t kCheckpointVersion = 4;
 
 /// Orchestrates one population + one mechanism + one quality estimator over
 /// many runs, generating tasks and scores from ground truth and feeding the
@@ -52,14 +52,12 @@ class Platform {
   /// Add a newcomer mid-simulation (registered with the estimator).
   void add_worker(SimWorker worker);
 
-  /// Opt in to the persistent price-ladder bid book: every step() diffs the
-  /// collected bids against the book, applies the deltas (O(log N) per
-  /// changed bid), and hands the mechanism a context carrying the book so
-  /// incremental mechanisms rank from the ladder instead of re-sorting.
-  /// Allocation stays bit-identical to the rebuild path; a snapshot records
-  /// the flag and, when set, the book and the withdrawn set.
-  void enable_bid_book() noexcept { bid_book_enabled_ = true; }
-  bool bid_book_enabled() const noexcept { return bid_book_enabled_; }
+  /// The price-ladder bid book, the platform's rank cache: every step()
+  /// diffs the collected bids against it, applies the deltas, and hands
+  /// the mechanism a context carrying the book, so incremental mechanisms
+  /// rank from the ladder instead of re-sorting (bit-identical
+  /// allocation). It is derived state: snapshots do not store it, and a
+  /// loaded platform starts empty and converges in its next step().
   const auction::BidBook& bid_book() const noexcept { return bid_book_; }
 
   /// Re-bid: replace a worker's true (cost, frequency) between runs and
@@ -69,7 +67,7 @@ class Platform {
   /// Withdraw (or reinstate) a worker: while withdrawn he submits no bids —
   /// skipped in bid collection like an absent worker, and dropped from the
   /// bid book by the next diff. Part of the deterministic platform state
-  /// (snapshotted in v2). Returns false for an unknown id.
+  /// (every snapshot carries it). Returns false for an unknown id.
   bool set_withdrawn(auction::WorkerId id, bool withdrawn);
   bool is_withdrawn(auction::WorkerId id) const {
     return withdrawn_.contains(id);
@@ -120,10 +118,6 @@ class Platform {
   /// trajectories) in the same key space as the simulation itself.
   std::uint64_t master_seed() const noexcept { return master_seed_; }
 
-  /// The worker with the given id, or nullptr (linear scan — registration
-  /// and queries, not hot paths).
-  const SimWorker* find_worker(auction::WorkerId id) const noexcept;
-
   /// Cumulative true utility a worker has accrued so far (Definition 1).
   /// An id the platform has never seen — unregistered, or registered but
   /// never stepped — returns 0.0: a worker who never participated earned
@@ -143,14 +137,16 @@ class Platform {
   /// Persist the complete platform state as a versioned binary snapshot
   /// (magic "MLDYCKPT" + kCheckpointVersion): run index, workers (including
   /// their latent trajectories), bid policies, cumulative utilities, the
-  /// sequential RNG position, the fault plan, and the estimator state via
-  /// QualityEstimator::save. Resuming from a snapshot is bit-identical to
-  /// never having stopped, at any thread count. The scenario and the
-  /// mechanism are NOT saved: construct the new platform with the same
-  /// scenario and a stateless mechanism (MelodyAuction is; RandomAuction's
-  /// internal RNG position is not restored) plus a same-config estimator
-  /// before load(). The last_result() of the interrupted step is not part
-  /// of a snapshot — it is re-established by the next step().
+  /// sequential RNG position, the fault plan, the estimator state via
+  /// QualityEstimator::save, and the withdrawn set. Resuming from a
+  /// snapshot is bit-identical to never having stopped, at any thread
+  /// count. The scenario and the mechanism are NOT saved: construct the
+  /// new platform with the same scenario and a stateless mechanism
+  /// (MelodyAuction is; RandomAuction's internal RNG position is not
+  /// restored) plus a same-config estimator before load(). Neither are the
+  /// bid book (a loaded platform starts with an empty one) and the
+  /// last_result() of the interrupted step: the next step() re-establishes
+  /// both.
   /// Both throw std::runtime_error on I/O failure or malformed input.
   void save(std::ostream& out) const;
   void load(std::istream& in);
@@ -171,10 +167,8 @@ class Platform {
   std::uint64_t master_seed_ = 0;
   int run_ = 0;
   FaultPlan fault_plan_;
-  /// Persistent price-ladder bid book (see enable_bid_book); empty and
-  /// inert unless enabled. delta_scratch_ is the per-step diff reused
-  /// across runs.
-  bool bid_book_enabled_ = false;
+  /// The rank cache (see bid_book()); delta_scratch_ is the per-step diff
+  /// reused across runs.
   auction::BidBook bid_book_;
   std::unordered_set<auction::WorkerId> withdrawn_;
   std::vector<auction::BidDelta> delta_scratch_;

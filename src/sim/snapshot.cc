@@ -16,15 +16,18 @@
 //             | u8 cheat_freq | f64 cost_mag | i32 freq_mag
 //   utilities: u64 count, sorted by id: i32 id | f64 total
 //   estimator: length-prefixed blob produced by QualityEstimator::save
-//   u8 bid-book flag; when set:
-//     withdrawn: u64 count, sorted by id: i32 id
-//     bid book: BidBook::save blob (own magic + ladder-ordered entries)
+//   withdrawn: u64 count, sorted by id: i32 id
+//
+// The bid book is not stored: it is a rank cache the next step() rebuilds
+// from the collected bids, so a loaded platform starts with an empty book.
 //
 // Version policy: one layout per version; load() reads exactly
 // kCheckpointVersion and bumps with any layout change.
 #include <algorithm>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "sim/platform.h"
 #include "util/atomic_file.h"
@@ -99,20 +102,16 @@ void Platform::save(std::ostream& out) const {
   estimator_.save(blob);
   binio::write_bytes(out, blob.str());
 
-  binio::write_u8(out, bid_book_enabled_ ? 1 : 0);
-  if (bid_book_enabled_) {
-    std::vector<auction::WorkerId> withdrawn(withdrawn_.begin(),
-                                             withdrawn_.end());
-    std::sort(withdrawn.begin(), withdrawn.end());
-    binio::write_u64(out, withdrawn.size());
-    for (const auction::WorkerId id : withdrawn) binio::write_i32(out, id);
-    bid_book_.save(out);
-  }
+  std::vector<auction::WorkerId> withdrawn(withdrawn_.begin(),
+                                           withdrawn_.end());
+  std::sort(withdrawn.begin(), withdrawn.end());
+  binio::write_u64(out, withdrawn.size());
+  for (const auction::WorkerId id : withdrawn) binio::write_i32(out, id);
 
   if (!out) throw std::runtime_error("platform snapshot: write failure");
 }
 
-void Platform::load(std::istream& in) {
+void Platform::load(std::istream& in) try {
   binio::read_header(in, kMagic, kCheckpointVersion);
 
   const std::uint64_t master_seed = binio::read_u64(in, "master seed");
@@ -180,23 +179,13 @@ void Platform::load(std::istream& in) {
 
   const std::string blob = binio::read_bytes(in, "estimator blob");
 
-  const std::uint8_t book_flag = binio::read_u8(in, "bid book flag");
-  if (book_flag > 1) {
-    throw std::runtime_error("platform snapshot: bad bid book flag");
+  const std::uint64_t withdrawn_count = binio::read_u64(in, "withdrawn count");
+  if (withdrawn_count > worker_count) {
+    throw std::runtime_error("platform snapshot: implausible withdrawals");
   }
-  const bool book_enabled = book_flag == 1;
   std::unordered_set<auction::WorkerId> withdrawn;
-  auction::BidBook book;
-  if (book_enabled) {
-    const std::uint64_t withdrawn_count =
-        binio::read_u64(in, "withdrawn count");
-    if (withdrawn_count > worker_count) {
-      throw std::runtime_error("platform snapshot: implausible withdrawals");
-    }
-    for (std::uint64_t k = 0; k < withdrawn_count; ++k) {
-      withdrawn.insert(binio::read_i32(in, "withdrawn id"));
-    }
-    book.load(in);
+  for (std::uint64_t k = 0; k < withdrawn_count; ++k) {
+    withdrawn.insert(binio::read_i32(in, "withdrawn id"));
   }
 
   // Everything parsed: commit wholesale. The estimator's own load replaces
@@ -204,6 +193,10 @@ void Platform::load(std::istream& in) {
   // at construction do not linger as stale entries.
   std::istringstream blob_stream(blob);
   estimator_.load(blob_stream);
+  // Every worker must be registered with the estimator, or the next step
+  // would fail: estimate() throws std::out_of_range for an unknown id (the
+  // estimator already holds the snapshot's state by then).
+  for (const SimWorker& w : workers) estimator_.estimate(w.id());
   master_seed_ = master_seed;
   run_ = run;
   rng_.restore(rng);
@@ -213,9 +206,13 @@ void Platform::load(std::istream& in) {
   policies_ = std::move(policies);
   total_utility_ = std::move(utilities);
   last_result_ = auction::AllocationResult{};
-  bid_book_enabled_ = book_enabled;
   withdrawn_ = std::move(withdrawn);
-  bid_book_ = std::move(book);
+  bid_book_.clear();
+} catch (const std::logic_error& e) {
+  // The validators of a fault plan or estimator hyper-parameters and an
+  // unknown-worker estimate throw logic_error subclasses; inside a
+  // snapshot each means malformed input.
+  throw std::runtime_error(std::string("platform snapshot: ") + e.what());
 }
 
 void save_checkpoint(const Platform& platform, const std::string& path) {

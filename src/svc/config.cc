@@ -79,10 +79,6 @@ ServiceConfig ServiceConfig::from_flags(const util::Flags& flags,
       "shutdown");
   c.checkpoint_every = static_cast<int>(flags.get_int(
       "checkpoint-every", 0, "N", "also checkpoint after every N-th run"));
-  c.incremental = flags.has_switch(
-      "incremental",
-      "keep bids on the persistent price-ladder bid book across runs and "
-      "rank the greedy auction from it (bit-identical allocation)");
   if (!serve_flags) return c;
 
   c.batch.min_bids = static_cast<int>(flags.get_int(
@@ -98,8 +94,7 @@ ServiceConfig ServiceConfig::from_flags(const util::Flags& flags,
   c.batch.per_task_arrival = flags.has_switch(
       "rolling",
       "rolling auction: every submit_tasks queues one run against the "
-      "standing bid book (implies --incremental)");
-  if (c.batch.per_task_arrival) c.incremental = true;
+      "standing bid book");
   c.manual_clock = flags.has_switch(
       "manual-clock",
       "drive the service clock with tick ops instead of the wall clock "

@@ -31,12 +31,6 @@ struct ServiceConfig {
   /// Batch triggers; an inactive policy defaults to
   /// min_bids = scenario.num_workers (a run per full participation round).
   BatchPolicy batch;
-  /// Persistent price-ladder bid book: the platform keeps bids on an
-  /// incrementally-maintained ladder across runs and the greedy mechanism
-  /// ranks from it instead of re-sorting (bit-identical allocation).
-  /// Implied by batch.per_task_arrival (--rolling): a rolling auction is
-  /// only meaningful against a standing book.
-  bool incremental = false;
   sim::FaultPlan faults;
   /// Checkpoint file of a ShardedService deployment; empty disables
   /// automatic and shutdown checkpoints (explicit checkpoint requests with

@@ -93,7 +93,6 @@ ServiceConfig config_from_trace(const TraceFile& trace) {
       header.number_or("seed", static_cast<double>(config.seed)));
   config.estimator = header.text_or("estimator", config.estimator);
   config.manual_clock = header.boolean_or("manual_clock", false);
-  config.incremental = header.boolean_or("incremental", false);
   config.batch.per_task_arrival = header.boolean_or("rolling", false);
   config.batch.min_bids = static_cast<int>(header.number_or("min_bids", 0));
   config.batch.budget_target = header.number_or("budget_target", 0.0);

@@ -63,11 +63,6 @@ AuctionService::AuctionService(ServiceConfig config)
                              population_rng),
       config_.seed + 1);
   if (config_.faults.active()) platform_->set_fault_plan(config_.faults);
-  // Rolling / incremental mode: the platform keeps the persistent
-  // price-ladder bid book and the greedy mechanism ranks from it.
-  if (config_.incremental || config_.batch.per_task_arrival) {
-    platform_->enable_bid_book();
-  }
   for (const sim::SimWorker& w : platform_->workers()) {
     registry_.bind(
         "w" + std::to_string(config_.worker_name_offset + w.id()), w.id());
@@ -205,7 +200,6 @@ void AuctionService::handle_hello(Response& response) {
   response.fields.set("max_delay", WireValue::of(config_.batch.max_delay));
   response.fields.set("budget_target",
                       WireValue::of(config_.batch.budget_target));
-  response.fields.set("incremental", WireValue::of(config_.incremental));
   response.fields.set("rolling",
                       WireValue::of(config_.batch.per_task_arrival));
 }

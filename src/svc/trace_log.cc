@@ -48,7 +48,6 @@ void TraceRecorder::begin_session(const ServiceConfig& config,
   header.set("seed", of_int(static_cast<std::int64_t>(config.seed)));
   header.set("estimator", WireValue::of(config.estimator));
   header.set("manual_clock", WireValue::of(config.manual_clock));
-  header.set("incremental", WireValue::of(config.incremental));
   header.set("rolling", WireValue::of(config.batch.per_task_arrival));
   header.set("min_bids", of_int(config.batch.min_bids));
   header.set("budget_target", WireValue::of(config.batch.budget_target));

@@ -1,17 +1,17 @@
 // Property tests of the persistent price-ladder bid book and the
-// incremental ranking path it feeds: ladder link invariants under
-// randomized churn (including on 1/2/8 concurrent threads), diff/apply
-// convergence, serialization round-trips, and the bit-identity contract —
-// a queue ranked from the ladder walk equals a full rebuild-and-sort,
-// entry for entry, bit for bit.
+// incremental ranking path it feeds: ladder invariants under randomized
+// churn (including on 1/2/8 concurrent threads), diff/apply convergence,
+// and the bit-identity contract — a queue ranked from the materialized
+// ladder equals a full rebuild-and-sort, entry for entry, bit for bit.
 #include "auction/bid_book.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <map>
-#include <sstream>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "auction/greedy_core.h"
@@ -29,11 +29,28 @@ WorkerProfile profile(WorkerId id, double cost, int frequency,
 
 /// The ladder contents in ladder order.
 std::vector<WorkerId> ladder_ids(const BidBook& book) {
-  std::vector<WorkerId> ids;
-  for (BidBook::Slot s = book.head(); s != BidBook::kNone; s = book.next(s)) {
-    ids.push_back(book.id_at(s));
+  const BidBook::LadderView view = book.materialized();
+  return {view.ids.begin(), view.ids.end()};
+}
+
+/// 0-based ladder position of a worker in the book (0 == best ratio).
+std::size_t position_of(const BidBook& book, WorkerId id) {
+  const std::vector<WorkerId> ids = ladder_ids(book);
+  const auto it = std::find(ids.begin(), ids.end(), id);
+  EXPECT_NE(it, ids.end()) << "worker " << id << " not on the ladder";
+  return static_cast<std::size_t>(it - ids.begin());
+}
+
+/// The whole ladder image in ladder order (id, quality, cost, frequency).
+std::vector<std::tuple<WorkerId, double, double, int>> ladder_image(
+    const BidBook& book) {
+  const BidBook::LadderView view = book.materialized();
+  std::vector<std::tuple<WorkerId, double, double, int>> image;
+  for (std::size_t p = 0; p < view.size(); ++p) {
+    image.emplace_back(view.ids[p], view.quality[p], view.cost[p],
+                       view.frequency[p]);
   }
-  return ids;
+  return image;
 }
 
 TEST(BidBook, LadderOrdersByRatioDescendingTiesById) {
@@ -44,23 +61,9 @@ TEST(BidBook, LadderOrdersByRatioDescendingTiesById) {
   book.upsert(profile(7, 1.0, 1, 4.0));  // ratio 4, tie -> after id 1
   EXPECT_EQ(book.check_links(), "");
   EXPECT_EQ(ladder_ids(book), (std::vector<WorkerId>{1, 7, 2, 0}));
-  EXPECT_EQ(book.rank_of(1), 0u);
-  EXPECT_EQ(book.rank_of(7), 1u);
-  EXPECT_EQ(book.rank_of(0), 3u);
-}
-
-TEST(BidBook, NeighborLinksAreMutual) {
-  BidBook book;
-  for (int i = 0; i < 10; ++i) {
-    book.upsert(profile(i, 1.0 + 0.1 * i, 1, 3.0));
-  }
-  EXPECT_EQ(book.prev(book.head()), BidBook::kNone);
-  EXPECT_EQ(book.next(book.tail()), BidBook::kNone);
-  for (BidBook::Slot s = book.head(); s != BidBook::kNone; s = book.next(s)) {
-    if (book.next(s) != BidBook::kNone) {
-      EXPECT_EQ(book.prev(book.next(s)), s);
-    }
-  }
+  EXPECT_EQ(position_of(book, 1), 0u);
+  EXPECT_EQ(position_of(book, 7), 1u);
+  EXPECT_EQ(position_of(book, 0), 3u);
 }
 
 TEST(BidBook, UpsertKeepsSlotStableAndRelinksOnKeyChange) {
@@ -71,12 +74,12 @@ TEST(BidBook, UpsertKeepsSlotStableAndRelinksOnKeyChange) {
   // Key-preserving update: same ratio, new frequency.
   EXPECT_FALSE(book.upsert(profile(1, 1.0, 4, 3.0)));
   EXPECT_EQ(book.slot_of(1), slot);
-  EXPECT_EQ(book.frequency_at(slot), 4);
-  EXPECT_EQ(book.rank_of(1), 1u);
+  EXPECT_EQ(position_of(book, 1), 1u);
+  EXPECT_EQ(book.materialized().frequency[1], 4);
   // Key-changing update: worker 1 overtakes worker 0.
   EXPECT_FALSE(book.upsert(profile(1, 1.0, 4, 9.0)));
   EXPECT_EQ(book.slot_of(1), slot);
-  EXPECT_EQ(book.rank_of(1), 0u);
+  EXPECT_EQ(position_of(book, 1), 0u);
   EXPECT_EQ(book.check_links(), "");
 }
 
@@ -103,14 +106,17 @@ TEST(BidBook, UnqualifiableBidsSinkToTheTail) {
   EXPECT_EQ(ladder_ids(book), (std::vector<WorkerId>{0, 1, 2}));
 }
 
-TEST(BidBook, RankOfUnknownWorkerThrows) {
+TEST(BidBook, UnknownWorkerHasNoSlot) {
   BidBook book;
   book.upsert(profile(0, 1.0, 1, 4.0));
-  EXPECT_THROW(book.rank_of(99), std::out_of_range);
+  EXPECT_EQ(book.slot_of(99), BidBook::kNone);
+  EXPECT_FALSE(book.contains(99));
+  EXPECT_FALSE(book.erase(99));
+  EXPECT_EQ(ladder_ids(book), (std::vector<WorkerId>{0}));
 }
 
 // Randomized churn against a std::map reference model: after every
-// mutation the ladder's link invariants hold and its order matches the
+// mutation the ladder's invariants hold and its order matches the
 // reference exactly.
 void churn_against_reference(std::uint64_t seed, int ops) {
   util::Rng rng(seed);
@@ -162,8 +168,8 @@ TEST(BidBookProperty, RandomChurnKeepsLinkInvariants) {
 TEST(BidBookProperty, ConcurrentIndependentBooksAgree) {
   // The book is single-writer by design; the thread matrix checks that
   // independent instances churned identically on 1, 2, and 8 concurrent
-  // threads all land on the same digest (no hidden global state).
-  const auto digest_after_churn = [] {
+  // threads all land on the same ladder (no hidden global state).
+  const auto image_after_churn = [] {
     BidBook book;
     util::Rng rng(0xC0FFEE);
     for (int k = 0; k < 600; ++k) {
@@ -176,19 +182,20 @@ TEST(BidBookProperty, ConcurrentIndependentBooksAgree) {
       }
     }
     EXPECT_EQ(book.check_links(), "");
-    return book.content_digest();
+    return ladder_image(book);
   };
-  const std::uint64_t serial = digest_after_churn();
+  const auto serial = image_after_churn();
   for (const int threads : {1, 2, 8}) {
-    std::vector<std::uint64_t> digests(static_cast<std::size_t>(threads));
+    std::vector<decltype(image_after_churn())> images(
+        static_cast<std::size_t>(threads));
     std::vector<std::thread> pool;
     for (int t = 0; t < threads; ++t) {
-      pool.emplace_back([&digests, t, &digest_after_churn] {
-        digests[static_cast<std::size_t>(t)] = digest_after_churn();
+      pool.emplace_back([&images, t, &image_after_churn] {
+        images[static_cast<std::size_t>(t)] = image_after_churn();
       });
     }
     for (auto& thread : pool) thread.join();
-    for (const std::uint64_t digest : digests) EXPECT_EQ(digest, serial);
+    for (const auto& image : images) EXPECT_EQ(image, serial);
   }
 }
 
@@ -217,51 +224,11 @@ TEST(BidBook, DiffApplyConvergesAndIsIdempotent) {
     EXPECT_EQ(got[i].estimated_quality, target[i].estimated_quality);
   }
   // Replaying the batch must be a no-op, and a fresh diff must be empty.
-  const std::uint64_t digest = book.content_digest();
+  const auto image = ladder_image(book);
   book.apply(deltas);
-  EXPECT_EQ(book.content_digest(), digest);
+  EXPECT_EQ(ladder_image(book), image);
   book.diff(target, deltas);
   EXPECT_TRUE(deltas.empty());
-}
-
-TEST(BidBook, SaveLoadRoundTripsContent) {
-  util::Rng rng(0x5A7E);
-  BidBook book;
-  for (int i = 0; i < 50; ++i) {
-    book.upsert(profile(i, rng.uniform(1.0, 2.0),
-                        static_cast<int>(rng.uniform_int(1, 5)),
-                        rng.uniform(2.0, 4.0)));
-  }
-  book.erase(7);
-  book.erase(21);
-  std::ostringstream out;
-  book.save(out);
-  BidBook restored;
-  std::istringstream in(out.str());
-  restored.load(in);
-  EXPECT_EQ(restored.check_links(), "");
-  EXPECT_EQ(restored.size(), book.size());
-  EXPECT_EQ(restored.content_digest(), book.content_digest());
-  EXPECT_EQ(ladder_ids(restored), ladder_ids(book));
-}
-
-TEST(BidBook, LoadRejectsMalformedBlobs) {
-  BidBook book;
-  book.upsert(profile(0, 1.0, 1, 4.0));
-  book.upsert(profile(1, 1.5, 2, 3.0));
-  std::ostringstream out;
-  book.save(out);
-  const std::string blob = out.str();
-  {
-    std::istringstream bad_magic("XXXXXXXXXXXXXXXX");
-    BidBook b;
-    EXPECT_THROW(b.load(bad_magic), std::runtime_error);
-  }
-  {
-    std::istringstream truncated(blob.substr(0, blob.size() - 4));
-    BidBook b;
-    EXPECT_THROW(b.load(truncated), std::runtime_error);
-  }
 }
 
 // --- Bit-identity of the incremental ranking path -------------------------

@@ -1,10 +1,11 @@
-// Long-horizon contract of the persistent bid book: a platform that keeps
-// the price ladder across runs (incremental ranking) must reproduce the
-// plain rebuild-every-run platform bit for bit over a 200-run Fig-9
-// trajectory — at 1/2/8 threads, with and without an active fault plan,
-// and across a mid-sequence checkpoint/kill/resume of the incremental
-// platform (the book and the withdrawn set travel in the MLDYCKPT
-// bid-book section).
+// Long-horizon contract of the bid book: a platform that ranks from the
+// price ladder it keeps across runs (incremental ranking) must reproduce a
+// platform whose mechanism ignores the book and re-sorts every run, bit
+// for bit over a 200-run Fig-9 trajectory — at 1/2/8 threads, with and
+// without an active fault plan, and across a mid-sequence
+// checkpoint/kill/resume (MLDYCKPT carries the withdrawn set but not the
+// book: the resumed platform starts with an empty book and rebuilds it in
+// its first step).
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -49,17 +50,37 @@ FaultPlan test_plan() {
 constexpr std::uint64_t kPopulationSeed = 3;
 constexpr std::uint64_t kPlatformSeed = 44;
 
+/// MelodyAuction ranked by rebuild: drops the platform's book from the
+/// context, so greedy_core filters and sorts the worker span every run.
+class RebuildAuction final : public auction::Mechanism {
+ public:
+  auction::AllocationResult run(
+      const auction::AuctionContext& context) override {
+    auction::AuctionContext rebuild = context;
+    rebuild.book = nullptr;
+    return inner_.run(rebuild);
+  }
+  std::string name() const override { return inner_.name(); }
+
+ private:
+  auction::MelodyAuction inner_;
+};
+
 struct Rig {
   LongTermScenario scenario;
   auction::MelodyAuction mechanism;
+  RebuildAuction rebuild_mechanism;
   estimators::MelodyEstimator estimator;
   Platform platform;
 
-  Rig(const LongTermScenario& s, std::vector<SimWorker> workers)
+  Rig(const LongTermScenario& s, std::vector<SimWorker> workers,
+      bool rebuild = false)
       : scenario(s),
         estimator(tracker_config(s)),
-        platform(scenario, mechanism, estimator, std::move(workers),
-                 kPlatformSeed) {}
+        platform(scenario,
+                 rebuild ? static_cast<auction::Mechanism&>(rebuild_mechanism)
+                         : mechanism,
+                 estimator, std::move(workers), kPlatformSeed) {}
 };
 
 std::vector<SimWorker> population(const LongTermScenario& s) {
@@ -77,14 +98,14 @@ void expect_records_identical(const std::vector<RunRecord>& a,
 
 std::vector<RunRecord> run_plain(const LongTermScenario& s,
                                  const FaultPlan& plan) {
-  Rig rig(s, population(s));
+  Rig rig(s, population(s), /*rebuild=*/true);
   if (plan.active()) rig.platform.set_fault_plan(plan);
   return rig.platform.run_all();
 }
 
 /// The incremental platform with a kill/resume in the middle: step to
 /// `interrupt_after`, snapshot, destroy the rig, reconstruct from an empty
-/// population with the book enabled, load, and finish.
+/// population, load, and finish.
 std::vector<RunRecord> run_incremental_resumed(const LongTermScenario& s,
                                                const FaultPlan& plan,
                                                int interrupt_after) {
@@ -92,7 +113,6 @@ std::vector<RunRecord> run_incremental_resumed(const LongTermScenario& s,
   std::vector<RunRecord> records;
   {
     Rig rig(s, population(s));
-    rig.platform.enable_bid_book();
     if (plan.active()) rig.platform.set_fault_plan(plan);
     for (int r = 0; r < interrupt_after; ++r) {
       records.push_back(rig.platform.step());
@@ -103,13 +123,12 @@ std::vector<RunRecord> run_incremental_resumed(const LongTermScenario& s,
     checkpoint = snap.str();
   }
   Rig rig(s, {});
-  rig.platform.enable_bid_book();
   std::istringstream snap(checkpoint);
   rig.platform.load(snap);
-  EXPECT_TRUE(rig.platform.bid_book_enabled());
-  EXPECT_EQ(rig.platform.bid_book().check_links(), "");
+  EXPECT_TRUE(rig.platform.bid_book().empty());
   EXPECT_EQ(rig.platform.current_run(), interrupt_after + 1);
   auto rest = rig.platform.run_all();
+  EXPECT_EQ(rig.platform.bid_book().check_links(), "");
   records.insert(records.end(), rest.begin(), rest.end());
   return records;
 }
@@ -137,52 +156,6 @@ TEST_P(IncrementalMatrix, TrajectoryBitIdenticalWithFaults) {
 INSTANTIATE_TEST_SUITE_P(Threads, IncrementalMatrix,
                          ::testing::Values(1, 2, 8));
 
-TEST(IncrementalAuction, BookSurvivesCheckpointWithDigestIntact) {
-  auto scenario = fig9_scenario();
-  scenario.runs = 20;
-  Rig rig(scenario, population(scenario));
-  rig.platform.enable_bid_book();
-  for (int r = 0; r < 10; ++r) rig.platform.step();
-  const std::uint64_t digest = rig.platform.bid_book().content_digest();
-  ASSERT_NE(rig.platform.bid_book().size(), 0u);
-
-  std::ostringstream snap;
-  rig.platform.save(snap);
-  Rig restored(scenario, {});
-  restored.platform.enable_bid_book();
-  std::istringstream in(snap.str());
-  restored.platform.load(in);
-  EXPECT_EQ(restored.platform.bid_book().content_digest(), digest);
-}
-
-TEST(IncrementalAuction, PlainSnapshotBytesUnchangedByTheFeature) {
-  // The book changes nothing but the snapshot's tail: a plain platform and
-  // a book-enabled twin write the same bytes up to the bid-book flag (same
-  // version, same state — the golden-digest lattice in
-  // test_soa_equivalence pins the plain bytes), then the plain snapshot
-  // ends with flag 0 while the enabled one sets it and appends the
-  // withdrawn set and the book.
-  auto scenario = fig9_scenario();
-  scenario.runs = 10;
-  Rig plain(scenario, population(scenario));
-  Rig enabled(scenario, population(scenario));
-  enabled.platform.enable_bid_book();
-  for (int r = 0; r < 5; ++r) {
-    plain.platform.step();
-    enabled.platform.step();
-  }
-  std::ostringstream plain_snap, enabled_snap;
-  plain.platform.save(plain_snap);
-  enabled.platform.save(enabled_snap);
-  const std::string plain_bytes = plain_snap.str();
-  const std::string enabled_bytes = enabled_snap.str();
-  ASSERT_GT(enabled_bytes.size(), plain_bytes.size());
-  const std::size_t flag = plain_bytes.size() - 1;
-  EXPECT_EQ(plain_bytes.substr(0, flag), enabled_bytes.substr(0, flag));
-  EXPECT_EQ(plain_bytes[flag], '\0');
-  EXPECT_EQ(enabled_bytes[flag], '\1');
-}
-
 TEST(IncrementalAuction, WithdrawnWorkersSitOutAndSurviveResume) {
   auto scenario = fig9_scenario();
   scenario.runs = 20;
@@ -192,7 +165,6 @@ TEST(IncrementalAuction, WithdrawnWorkersSitOutAndSurviveResume) {
   // flag must survive a checkpoint round trip.
   const auto run_with_withdrawal = [&](bool through_snapshot) {
     Rig rig(scenario, population(scenario));
-    rig.platform.enable_bid_book();
     const auction::WorkerId victim = rig.platform.workers().front().id();
     for (int r = 0; r < 5; ++r) rig.platform.step();
     EXPECT_TRUE(rig.platform.set_withdrawn(victim, true));
@@ -202,7 +174,6 @@ TEST(IncrementalAuction, WithdrawnWorkersSitOutAndSurviveResume) {
       std::ostringstream snap;
       rig.platform.save(snap);
       Rig restored(scenario, {});
-      restored.platform.enable_bid_book();
       std::istringstream in(snap.str());
       restored.platform.load(in);
       EXPECT_TRUE(restored.platform.is_withdrawn(victim));
@@ -219,7 +190,6 @@ TEST(IncrementalAuction, UpdateBidTakesEffectDeterministically) {
   scenario.runs = 20;
   const auto run_with_rebid = [&] {
     Rig rig(scenario, population(scenario));
-    rig.platform.enable_bid_book();
     const auction::WorkerId worker = rig.platform.workers().front().id();
     std::vector<RunRecord> records;
     for (int r = 0; r < 5; ++r) records.push_back(rig.platform.step());

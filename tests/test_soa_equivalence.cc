@@ -202,19 +202,22 @@ LatticeDigest run_lattice(int threads, bool with_faults) {
 // The estimator and checkpoint digests were re-captured once, when the
 // estimator snapshot moved from text to the binary MLDYTRKR v3 record and
 // MLDYCKPT to v3 (book flag); records, CSV and tail stayed unchanged, so
-// the resumed trajectories are the same.
+// the resumed trajectories are the same. The checkpoint digest alone was
+// re-captured once more for MLDYCKPT v4, which replaces v3's trailing u8
+// book flag (0 here) with the always-written u64 withdrawn count (0 here);
+// every other byte is the v3 encoding.
 constexpr LatticeDigest kGoldenCleanRun = {
     13627756688790278940ull,  // records
     2721147335882908296ull,   // csv
     2916462072097001604ull,   // estimator
-    8508018174744065424ull,   // checkpoint
+    13711781219647230501ull,  // checkpoint
     13954106222003339031ull,  // tail
 };
 constexpr LatticeDigest kGoldenFaultedRun = {
     9614558965146038773ull,   // records
     6997543824992877856ull,   // csv
     2067544210953300906ull,   // estimator
-    13993556849638205231ull,  // checkpoint
+    14823576890697093892ull,  // checkpoint
     2827185478779235160ull,   // tail
 };
 

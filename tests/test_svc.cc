@@ -470,8 +470,6 @@ TEST(AuctionService, RollingModeRunsOncePerTaskBatch) {
   ServiceConfig config = tiny_config();
   config.batch.per_task_arrival = true;
   AuctionService service(config);
-  // Rolling mode implies the persistent bid book.
-  EXPECT_TRUE(service.platform().bid_book_enabled());
 
   Request tasks;
   tasks.op = Op::kSubmitTasks;
@@ -495,7 +493,6 @@ TEST(AuctionService, RollingModeRunsOncePerTaskBatch) {
 TEST(AuctionService, HelloAdvertisesProtocolAndRollingMode) {
   ServiceConfig config = tiny_config();
   config.batch.per_task_arrival = true;
-  config.incremental = true;
   AuctionService service(config);
   Request hello;
   hello.op = Op::kHello;
@@ -504,8 +501,51 @@ TEST(AuctionService, HelloAdvertisesProtocolAndRollingMode) {
   ASSERT_TRUE(r.ok);
   EXPECT_EQ(r.fields.number("proto_version"),
             static_cast<double>(kProtoVersion));
-  EXPECT_TRUE(r.fields.boolean_or("incremental", false));
   EXPECT_TRUE(r.fields.boolean_or("rolling", false));
+  // Every platform ranks from its bid book: no mode to advertise.
+  EXPECT_FALSE(r.fields.has("incremental"));
+}
+
+TEST(AuctionService, WithdrawalSurvivesSaveAndLoadWithoutRolling) {
+  // A default-config service (no --rolling) checkpoints while a worker is
+  // withdrawn: the restored service must keep that worker out of the next
+  // run's bids, and update_bid must still reinstate the worker.
+  AuctionService service(tiny_config());
+  Request withdraw;
+  withdraw.op = Op::kWithdrawBid;
+  withdraw.id = 1;
+  withdraw.worker = "w2";
+  ASSERT_TRUE(service.apply(withdraw).ok);
+  std::ostringstream saved;
+  service.save_state(saved);
+
+  AuctionService restored(tiny_config());
+  std::istringstream in(saved.str());
+  restored.load_state(in);
+  EXPECT_TRUE(restored.platform().is_withdrawn(2));
+
+  Request run_now;
+  run_now.op = Op::kRunNow;
+  run_now.id = 2;
+  ASSERT_TRUE(restored.apply(run_now).ok);
+  // The book holds exactly the bids collected for the run.
+  const auction::BidBook& book = restored.platform().bid_book();
+  EXPECT_FALSE(book.contains(2));
+  EXPECT_EQ(book.size(), 7u);
+
+  Request update;
+  update.op = Op::kUpdateBid;
+  update.id = 3;
+  update.worker = "w2";
+  update.cost = 1.5;
+  update.frequency = 2;
+  update.has_bid = true;
+  ASSERT_TRUE(restored.apply(update).ok);
+  EXPECT_FALSE(restored.platform().is_withdrawn(2));
+  run_now.id = 4;
+  ASSERT_TRUE(restored.apply(run_now).ok);
+  EXPECT_TRUE(book.contains(2));
+  EXPECT_EQ(book.size(), 8u);
 }
 
 TEST(AuctionService, QueryRunBoundsAndStats) {
@@ -640,17 +680,15 @@ TEST(StdioSession, BitIdenticalToBatchRun) {
 }
 
 TEST(StdioSession, IncrementalServiceStaysBitIdenticalToBatch) {
-  // --incremental keeps the price ladder across runs instead of rebuilding
+  // The service keeps the price ladder across runs instead of rebuilding
   // it; the allocation (and hence every record) must not move.
   const sim::LongTermScenario scenario = e2e_scenario();
   const std::vector<sim::RunRecord> expected =
       batch_records(scenario, sim::FaultPlan{});
 
   ServiceConfig config = e2e_config();
-  config.incremental = true;
   ShardedService service(config);
   const AuctionService& shard = service.shard(0).service();
-  ASSERT_TRUE(shard.platform().bid_book_enabled());
   std::stringstream trace;
   std::int64_t next_id = 1;
   for (int round = 0; round < scenario.runs; ++round) {
@@ -663,6 +701,8 @@ TEST(StdioSession, IncrementalServiceStaysBitIdenticalToBatch) {
   for (std::size_t k = 0; k < expected.size(); ++k) {
     EXPECT_EQ(shard.records()[k], expected[k]) << "run " << k + 1;
   }
+  EXPECT_EQ(shard.platform().bid_book().size(),
+            static_cast<std::size_t>(scenario.num_workers));
   EXPECT_EQ(shard.platform().bid_book().check_links(), "");
 }
 

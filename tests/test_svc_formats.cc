@@ -78,7 +78,6 @@ TEST(ConfigFromTrace, MistypedFieldsThrowInsteadOfMisconfiguring) {
       {"budget_target", WireValue::of(std::vector<double>{1.0, 2.0})},
       {"queue_capacity", WireValue::of("deep")},
       {"rolling", WireValue::of(std::int64_t{1})},
-      {"incremental", WireValue::of("on")},
   };
   for (const auto& c : cases) {
     WireObject header = valid_header();

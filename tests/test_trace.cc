@@ -369,6 +369,23 @@ TEST(Replay, StdioSessionReplaysWithZeroDiffs) {
   EXPECT_EQ(result.unmatched_out, 0u);
 }
 
+TEST(Replay, RetiredIncrementalHeaderKeyReplaysWithZeroDiffs) {
+  // Older traces carry an "incremental" header key from when the bid book
+  // was a switch. Nothing reads it any more: such a trace builds the same
+  // deployment and replays clean.
+  TraceFile trace = record_session(session_stream(2, Op::kStats), 2);
+  trace.header.set("incremental", WireValue::of(true));
+  ShardedService service(config_from_trace(trace));
+  const ReplayResult result = replay_trace(trace, service);
+  for (const FrameDiff& diff : result.diffs) {
+    ADD_FAILURE() << format_diff(diff);
+  }
+  EXPECT_TRUE(result.clean());
+  // hello + 2 * 42 bids + stats, every one compared byte for byte.
+  EXPECT_EQ(result.applied, 86u);
+  EXPECT_EQ(result.compared, 86u);
+}
+
 TEST(Replay, ConfigFromTraceReconstructsTheDeployment) {
   const TraceFile trace = record_session(session_stream(1, Op::kStats), 4);
   const ServiceConfig config = config_from_trace(trace);

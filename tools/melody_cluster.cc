@@ -122,9 +122,6 @@ std::vector<std::string> member_spawn_args(const Options& o) {
                                                                  : "critical");
   flag("--seed", std::to_string(c.seed));
   if (c.faults.active()) flag("--faults", c.faults.describe());
-  if (c.incremental && !c.batch.per_task_arrival) {
-    args.push_back("--incremental");
-  }
   if (c.batch.min_bids > 0) {
     flag("--batch-min-bids", std::to_string(c.batch.min_bids));
   }

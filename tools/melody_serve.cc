@@ -18,10 +18,9 @@
 // (MLDYSVCK v2: one sub-snapshot per shard), and exits cleanly.
 //
 // --rolling turns the service into a continuous auction: every submit_tasks
-// queues exactly one run against the standing price-ladder bid book (implies
-// --incremental — bids persist across runs and can be revised with the v3
-// update_bid / withdraw_bid ops; allocation stays bit-identical to a full
-// re-sort).
+// queues exactly one run against the standing bids (revised with the
+// update_bid / withdraw_bid ops). Every service ranks from the platform's
+// price-ladder bid book, bit-identical to a full re-sort.
 //
 // Cluster membership (--cluster-member): the process keeps the full
 // global-K deployment config but only *activates* the shards named by

@@ -168,7 +168,6 @@ int main(int argc, char** argv) {
       scenario, mechanism, *estimator,
       sim::sample_population(scenario.population_config(), population_rng),
       seed + 1);
-  if (config.incremental) platform.enable_bid_book();
   try {
     if (!resume_path.empty()) sim::load_checkpoint(platform, resume_path);
     if (faults_given) platform.set_fault_plan(config.faults);
