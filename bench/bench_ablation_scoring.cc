@@ -46,13 +46,14 @@ Outcome run(bool oracle_scores) {
   estimators::MelodyEstimator estimator(config);
   auction::MelodyAuction mechanism;
   util::Rng rng(71);  // identical population + task stream for both modes
-  const auto workers = sim::sample_population(scenario.population_config(), rng);
+  auto workers = sim::sample_population(scenario.population_config(), rng);
   for (const auto& w : workers) estimator.register_worker(w.id());
 
   const sim::LabelingModel labeling;
   util::RunningStats error;
   int batches = 0, correct = 0;
   for (int run = 1; run <= kRuns; ++run) {
+    for (auto& w : workers) w.advance_to(run);
     std::vector<auction::WorkerProfile> profiles;
     for (const auto& w : workers) {
       profiles.push_back({w.id(), w.true_bid(), estimator.estimate(w.id())});
@@ -69,7 +70,7 @@ Outcome run(bool oracle_scores) {
                               static_cast<int>(rng.uniform_int(0, kClasses - 1))};
       std::vector<double> skills, weights;
       for (auction::WorkerId w : crowd) {
-        skills.push_back(workers[static_cast<std::size_t>(w)].latent_quality(run));
+        skills.push_back(workers[static_cast<std::size_t>(w)].latent_quality());
         weights.push_back(estimator.estimate(w));
       }
       const auto outcome =
@@ -81,7 +82,7 @@ Outcome run(bool oracle_scores) {
         if (oracle_scores) {
           collected[w].add(sim::generate_score(
               scenario.score_model,
-              workers[static_cast<std::size_t>(w)].latent_quality(run), rng));
+              workers[static_cast<std::size_t>(w)].latent_quality(), rng));
         } else {
           collected[w].add(outcome.scores[l]);
         }
@@ -92,7 +93,7 @@ Outcome run(bool oracle_scores) {
       estimator.observe(w.id(),
                         it == collected.end() ? lds::ScoreSet{} : it->second);
       if (run > kRuns / 2) {
-        error.add(std::abs(w.latent_quality(run) - estimator.estimate(w.id())));
+        error.add(std::abs(w.latent_quality() - estimator.estimate(w.id())));
       }
     }
   }

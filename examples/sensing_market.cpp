@@ -9,8 +9,10 @@
 // Fig. 9 experiment with churn added.
 //
 //   ./sensing_market
+#include <cstdint>
 #include <cstdio>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "auction/melody_auction.h"
@@ -55,11 +57,11 @@ Outcome run_market(estimators::QualityEstimator& estimator) {
       const auto kind = sim::sample_kind(scenario.mix, churn_rng);
       const auto trajectory =
           sim::sample_config(kind, scenario.runs, churn_rng);
-      platform.add_worker(sim::SimWorker(
-          next_id++,
-          {churn_rng.uniform(1.0, 2.0),
-           static_cast<int>(churn_rng.uniform_int(1, 5))},
-          sim::generate_trajectory(trajectory, scenario.runs, churn_rng)));
+      sim::TrajectoryStream stream(trajectory, scenario.runs, churn_rng);
+      churn_rng.discard_normals(static_cast<std::uint64_t>(scenario.runs));
+      const auction::Bid bid{churn_rng.uniform(1.0, 2.0),
+                             static_cast<int>(churn_rng.uniform_int(1, 5))};
+      platform.add_worker(sim::SimWorker(next_id++, bid, std::move(stream)));
     }
     records.push_back(platform.step());
   }

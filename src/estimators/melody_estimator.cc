@@ -442,7 +442,13 @@ void MelodyEstimator::load(std::istream& in) {
     const int em_count = binio::read_i32(in, "MelodyEstimator record");
     const std::uint32_t history_size =
         binio::read_u32(in, "MelodyEstimator record");
-    params.validate();
+    try {
+      params.validate();
+    } catch (const std::domain_error& e) {
+      // Out-of-range parameters in a blob are malformed input.
+      throw std::runtime_error(std::string("MelodyEstimator::load: ") +
+                               e.what());
+    }
     if (posterior.var <= 0.0 || anchor.var <= 0.0) {
       throw std::runtime_error("MelodyEstimator::load: invalid posterior");
     }

@@ -31,8 +31,11 @@ void Platform::set_policy(auction::WorkerId id, BidPolicy policy) {
 
 void Platform::add_worker(SimWorker worker) {
   estimator_.register_worker(worker.id());
+  // q^r is indexed by absolute run: a newcomer's trajectory has been
+  // running since run 1, so it joins at the platform's current run.
+  worker.advance_to(run_);
+  soa_.append(worker);
   workers_.push_back(std::move(worker));
-  soa_.rebuild(workers_);
 }
 
 void Platform::set_fault_plan(FaultPlan plan) {
@@ -145,14 +148,24 @@ RunRecord Platform::step() {
   record.total_payment = last_result_.total_payment();
   record.assignments = last_result_.assignments.size();
 
-  // 3) Ground-truth bookkeeping: true utility and estimation error.
+  // 3) Ground-truth bookkeeping: true utility and estimation error. Every
+  //    worker's latent quality first steps to this run (one draw each from
+  //    his own trajectory stream, so any thread count gives the same bits);
+  //    nothing before this point reads it.
+  util::parallel_for(
+      util::shared_pool(), workers_.size(),
+      [this](std::size_t i) {
+        workers_[i].advance_to(run_);
+        soa_.set_latent_quality(i, workers_[i].latent_quality());
+      },
+      /*min_grain=*/1024);
   assigned_scratch_.assign(workers_.size(), 0);
   {
     obs::ScopedTimer timer(obs::timer_if_enabled("platform/bookkeeping"));
     std::unordered_map<auction::TaskId, double> latent_received;
     for (const auto& a : last_result_.assignments) {
       const std::size_t slot = soa_.slot_of(a.worker);
-      latent_received[a.task] += soa_.latent_quality(slot, run_);
+      latent_received[a.task] += soa_.latent_quality(slot);
       ++assigned_scratch_[slot];
     }
     for (const auto& t : tasks) {
@@ -166,7 +179,7 @@ RunRecord Platform::step() {
     for (std::size_t k = 0; k < profiles.size(); ++k) {
       if (!config.qualifies(profiles[k])) continue;
       ++qualified;
-      error_sum += std::abs(soa_.latent_quality(bidder_slots[k], run_) -
+      error_sum += std::abs(soa_.latent_quality(bidder_slots[k]) -
                             profiles[k].estimated_quality);
     }
     record.qualified_workers = qualified;
@@ -190,7 +203,7 @@ RunRecord Platform::step() {
         [&](std::size_t i) {
           const auction::WorkerId id = worker_ids[i];
           const int count = assigned_scratch_[i];
-          const double latent = soa_.latent_quality(i, run_);
+          const double latent = soa_.latent_quality(i);
           util::Rng stream(util::derive_stream(
               master_seed_, static_cast<std::uint64_t>(id),
               static_cast<std::uint64_t>(run_)));

@@ -25,7 +25,7 @@ namespace melody::sim {
 
 /// The MLDYCKPT snapshot version Platform::save writes and load reads (see
 /// snapshot.cc for the layout).
-inline constexpr std::uint32_t kCheckpointVersion = 4;
+inline constexpr std::uint32_t kCheckpointVersion = 5;
 
 /// Orchestrates one population + one mechanism + one quality estimator over
 /// many runs, generating tasks and scores from ground truth and feeding the
@@ -49,7 +49,9 @@ class Platform {
   /// experiments). All other workers bid truthfully.
   void set_policy(auction::WorkerId id, BidPolicy policy);
 
-  /// Add a newcomer mid-simulation (registered with the estimator).
+  /// Add a newcomer mid-simulation (registered with the estimator). His
+  /// trajectory is advanced to the current run, as if it had been running
+  /// since run 1. O(1) amortized: one SoA slot is appended.
   void add_worker(SimWorker worker);
 
   /// The price-ladder bid book, the platform's rank cache: every step()
@@ -134,9 +136,14 @@ class Platform {
 
   const std::vector<SimWorker>& workers() const noexcept { return workers_; }
 
+  /// The derived SoA the per-run loops read: slot i describes workers()[i],
+  /// and it always equals a fresh WorkerStateSoA::rebuild(workers()).
+  const WorkerStateSoA& worker_state() const noexcept { return soa_; }
+
   /// Persist the complete platform state as a versioned binary snapshot
-  /// (magic "MLDYCKPT" + kCheckpointVersion): run index, workers (including
-  /// their latent trajectories), bid policies, cumulative utilities, the
+  /// (magic "MLDYCKPT" + kCheckpointVersion): run index, workers (bid plus
+  /// trajectory stream state — config, length, run, drift and generator,
+  /// O(1) in the horizon), bid policies, cumulative utilities, the
   /// sequential RNG position, the fault plan, the estimator state via
   /// QualityEstimator::save, and the withdrawn set. Resuming from a
   /// snapshot is bit-identical to never having stopped, at any thread
@@ -156,9 +163,9 @@ class Platform {
   auction::Mechanism& mechanism_;
   estimators::QualityEstimator& estimator_;
   std::vector<SimWorker> workers_;
-  /// Derived SoA view over workers_ for the per-run hot loops; rebuilt on
-  /// every population change (construction, add_worker, load). Not part of
-  /// the snapshot — it is a pure function of workers_.
+  /// Derived SoA view over workers_ for the per-run hot loops; rebuilt at
+  /// construction and load, appended to by add_worker. Not part of the
+  /// snapshot — it is a pure function of workers_.
   WorkerStateSoA soa_;
   std::unordered_map<auction::WorkerId, BidPolicy> policies_;
   std::unordered_map<auction::WorkerId, double> total_utility_;

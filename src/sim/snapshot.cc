@@ -9,7 +9,14 @@
 //   workers: u64 count, then per worker (in platform order — bid collection
 //            iterates this order against the sequential RNG, so it is part
 //            of the deterministic state, NOT sorted):
-//            i32 id | f64 cost | i32 frequency | u64 len | f64 latent...
+//            i32 id | f64 cost | i32 frequency | trajectory stream:
+//            u8 kind | f64 start_level | f64 swing | f64 period | f64 phase
+//            | f64 noise_stddev | f64 min_quality | f64 max_quality
+//            | i32 horizon | i32 length | i32 run | f64 drift
+//            | RNG as above (4 x u64 | f64 | u8)
+//            118 bytes of stream whatever the horizon; load validates it
+//            (TrajectoryStream's constructor) and requires its run to be
+//            min(run index, length), as stepping leaves it.
 //   policies: u64 count, sorted by id (map iteration order is not
 //             deterministic; sorting keeps snapshot bytes reproducible):
 //             i32 id | f64 cheat_p | u8 direction | u8 cheat_cost
@@ -41,6 +48,55 @@ constexpr std::string_view kMagic = "MLDYCKPT";
 
 namespace binio = util::binio;
 
+void write_rng(std::ostream& out, const util::Rng::State& rng) {
+  for (int i = 0; i < 4; ++i) binio::write_u64(out, rng.words[i]);
+  binio::write_f64(out, rng.cached_normal);
+  binio::write_u8(out, rng.cached_normal_valid ? 1 : 0);
+}
+
+util::Rng::State read_rng(std::istream& in) {
+  util::Rng::State rng;
+  for (int i = 0; i < 4; ++i) {
+    rng.words[i] = binio::read_u64(in, "rng words");
+  }
+  rng.cached_normal = binio::read_f64(in, "rng cached normal");
+  rng.cached_normal_valid = binio::read_u8(in, "rng cached flag") != 0;
+  return rng;
+}
+
+void write_trajectory(std::ostream& out, const TrajectoryStream& stream) {
+  const TrajectoryStream::State s = stream.state();
+  binio::write_u8(out, static_cast<std::uint8_t>(s.config.kind));
+  for (const double x : {s.config.start_level, s.config.swing,
+                         s.config.period, s.config.phase,
+                         s.config.noise_stddev, s.config.min_quality,
+                         s.config.max_quality}) {
+    binio::write_f64(out, x);
+  }
+  binio::write_i32(out, s.config.horizon);
+  binio::write_i32(out, s.length);
+  binio::write_i32(out, s.run);
+  binio::write_f64(out, s.drift);
+  write_rng(out, s.rng);
+}
+
+TrajectoryStream read_trajectory(std::istream& in) {
+  TrajectoryStream::State s;
+  s.config.kind =
+      static_cast<TrajectoryKind>(binio::read_u8(in, "trajectory kind"));
+  for (double* x : {&s.config.start_level, &s.config.swing, &s.config.period,
+                    &s.config.phase, &s.config.noise_stddev,
+                    &s.config.min_quality, &s.config.max_quality}) {
+    *x = binio::read_f64(in, "trajectory config");
+  }
+  s.config.horizon = binio::read_i32(in, "trajectory horizon");
+  s.length = binio::read_i32(in, "trajectory length");
+  s.run = binio::read_i32(in, "trajectory run");
+  s.drift = binio::read_f64(in, "trajectory drift");
+  s.rng = read_rng(in);
+  return TrajectoryStream(s);  // validates
+}
+
 }  // namespace
 
 void Platform::save(std::ostream& out) const {
@@ -48,10 +104,7 @@ void Platform::save(std::ostream& out) const {
   binio::write_u64(out, master_seed_);
   binio::write_i32(out, run_);
 
-  const util::Rng::State rng = rng_.state();
-  for (int i = 0; i < 4; ++i) binio::write_u64(out, rng.words[i]);
-  binio::write_f64(out, rng.cached_normal);
-  binio::write_u8(out, rng.cached_normal_valid ? 1 : 0);
+  write_rng(out, rng_.state());
 
   binio::write_f64(out, fault_plan_.no_show_rate);
   binio::write_f64(out, fault_plan_.score_drop_rate);
@@ -66,11 +119,7 @@ void Platform::save(std::ostream& out) const {
     binio::write_i32(out, w.id());
     binio::write_f64(out, w.true_bid().cost);
     binio::write_i32(out, w.true_bid().frequency);
-    const int horizon = w.horizon();
-    binio::write_u64(out, static_cast<std::uint64_t>(horizon));
-    for (int r = 1; r <= horizon; ++r) {
-      binio::write_f64(out, w.latent_quality(r));
-    }
+    write_trajectory(out, w.trajectory());
   }
 
   std::vector<std::pair<auction::WorkerId, BidPolicy>> policies(
@@ -118,12 +167,7 @@ void Platform::load(std::istream& in) try {
   const std::int32_t run = binio::read_i32(in, "run index");
   if (run < 0) throw std::runtime_error("platform snapshot: negative run");
 
-  util::Rng::State rng;
-  for (int i = 0; i < 4; ++i) {
-    rng.words[i] = binio::read_u64(in, "rng words");
-  }
-  rng.cached_normal = binio::read_f64(in, "rng cached normal");
-  rng.cached_normal_valid = binio::read_u8(in, "rng cached flag") != 0;
+  const util::Rng::State rng = read_rng(in);
 
   FaultPlan plan;
   plan.no_show_rate = binio::read_f64(in, "fault no-show rate");
@@ -143,13 +187,12 @@ void Platform::load(std::istream& in) try {
     auction::Bid bid;
     bid.cost = binio::read_f64(in, "worker cost");
     bid.frequency = binio::read_i32(in, "worker frequency");
-    const std::uint64_t len = binio::read_u64(in, "trajectory length");
-    std::vector<double> latent;
-    binio::reserve_bounded(latent, len);
-    for (std::uint64_t r = 0; r < len; ++r) {
-      latent.push_back(binio::read_f64(in, "latent quality"));
+    TrajectoryStream trajectory = read_trajectory(in);
+    if (trajectory.run() != std::min(run, trajectory.length())) {
+      throw std::runtime_error(
+          "platform snapshot: trajectory out of step with the run");
     }
-    workers.emplace_back(id, bid, std::move(latent));
+    workers.emplace_back(id, bid, std::move(trajectory));
   }
 
   const std::uint64_t policy_count = binio::read_u64(in, "policy count");
@@ -209,9 +252,9 @@ void Platform::load(std::istream& in) try {
   withdrawn_ = std::move(withdrawn);
   bid_book_.clear();
 } catch (const std::logic_error& e) {
-  // The validators of a fault plan or estimator hyper-parameters and an
-  // unknown-worker estimate throw logic_error subclasses; inside a
-  // snapshot each means malformed input.
+  // The validators of a fault plan, a trajectory stream or estimator
+  // hyper-parameters and an unknown-worker estimate throw logic_error
+  // subclasses; inside a snapshot each means malformed input.
   throw std::runtime_error(std::string("platform snapshot: ") + e.what());
 }
 

@@ -5,13 +5,6 @@
 
 namespace melody::sim {
 
-double SimWorker::latent_quality(int run) const {
-  if (latent_.empty()) return 0.0;
-  const auto index = static_cast<std::size_t>(
-      std::clamp(run - 1, 0, static_cast<int>(latent_.size()) - 1));
-  return latent_[index];
-}
-
 auction::Bid SimWorker::submitted_bid(const BidPolicy& policy,
                                       util::Rng& rng) const {
   auction::Bid bid = true_bid_;
@@ -60,6 +53,7 @@ std::vector<SimWorker> sample_population(const WorkerPopulationConfig& config,
                                          util::Rng& rng) {
   std::vector<SimWorker> workers;
   workers.reserve(static_cast<std::size_t>(config.count));
+  const int length = std::max(config.horizon, 0);
   for (int i = 0; i < config.count; ++i) {
     const auction::Bid bid{
         rng.uniform(config.cost_min, config.cost_max),
@@ -68,7 +62,8 @@ std::vector<SimWorker> sample_population(const WorkerPopulationConfig& config,
     const TrajectoryKind kind = sample_kind(config.mix, rng);
     const TrajectoryConfig traj = sample_config(kind, config.horizon, rng);
     workers.emplace_back(static_cast<auction::WorkerId>(i), bid,
-                         generate_trajectory(traj, config.horizon, rng));
+                         TrajectoryStream(traj, length, rng));
+    rng.discard_normals(static_cast<std::uint64_t>(length));
   }
   return workers;
 }

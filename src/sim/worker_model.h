@@ -3,7 +3,7 @@
 // truthfulness experiments (Figs. 6-7).
 #pragma once
 
-#include <span>
+#include <utility>
 #include <vector>
 
 #include "auction/types.h"
@@ -35,8 +35,8 @@ struct BidPolicy {
 class SimWorker {
  public:
   SimWorker(auction::WorkerId id, auction::Bid true_bid,
-            std::vector<double> latent_quality)
-      : id_(id), true_bid_(true_bid), latent_(std::move(latent_quality)) {}
+            TrajectoryStream trajectory)
+      : id_(id), true_bid_(true_bid), trajectory_(std::move(trajectory)) {}
 
   auction::WorkerId id() const noexcept { return id_; }
   const auction::Bid& true_bid() const noexcept { return true_bid_; }
@@ -46,17 +46,14 @@ class SimWorker {
   /// what truthful bidding and utility accounting use from now on.
   void set_true_bid(const auction::Bid& bid) noexcept { true_bid_ = bid; }
 
-  /// Latent quality q^r for 1-based run r; the last value is held if the
-  /// simulation outlives the generated trajectory.
-  double latent_quality(int run) const;
+  /// Latent quality q^r at the trajectory's current run r (see
+  /// TrajectoryStream::value; the last value is held past its length).
+  double latent_quality() const noexcept { return trajectory_.value(); }
 
-  int horizon() const noexcept { return static_cast<int>(latent_.size()); }
+  /// Step the latent quality forward to 1-based run `run`.
+  void advance_to(int run) noexcept { trajectory_.advance_to(run); }
 
-  /// Read-only view of the full latent trajectory (WorkerStateSoA derives
-  /// its per-slot views from this; sample r of the view is q^{r+1}).
-  std::span<const double> latent_trajectory() const noexcept {
-    return latent_;
-  }
+  const TrajectoryStream& trajectory() const noexcept { return trajectory_; }
 
   /// The bid submitted in a run under the given policy.
   auction::Bid submitted_bid(const BidPolicy& policy, util::Rng& rng) const;
@@ -68,7 +65,7 @@ class SimWorker {
  private:
   auction::WorkerId id_;
   auction::Bid true_bid_;
-  std::vector<double> latent_;
+  TrajectoryStream trajectory_;
 };
 
 /// Parameter ranges for sampling a ground-truth population.
@@ -82,7 +79,10 @@ struct WorkerPopulationConfig {
   int horizon = 1000;  // trajectory length in runs
 };
 
-/// Sample a full population with per-worker trajectories.
+/// Sample a full population with per-worker trajectories. Each worker's
+/// stream starts from a copy of `rng` where his trajectory begins, and
+/// `rng` then skips that trajectory's draws, so it ends where generating
+/// every trajectory in full would leave it.
 std::vector<SimWorker> sample_population(const WorkerPopulationConfig& config,
                                          util::Rng& rng);
 

@@ -3,24 +3,17 @@
 namespace melody::sim {
 
 void WorkerStateSoA::rebuild(std::span<const SimWorker> workers) {
-  const std::size_t n = workers.size();
-  ids_.resize(n);
-  cost_.resize(n);
-  frequency_.resize(n);
-  latent_data_.resize(n);
-  latent_len_.resize(n);
-  index_.clear();
-  index_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const SimWorker& w = workers[i];
-    ids_[i] = w.id();
-    cost_[i] = w.true_bid().cost;
-    frequency_[i] = w.true_bid().frequency;
-    const std::span<const double> trajectory = w.latent_trajectory();
-    latent_len_[i] = static_cast<int>(trajectory.size());
-    latent_data_[i] = trajectory.empty() ? nullptr : trajectory.data();
-    index_.emplace(w.id(), i);
-  }
+  *this = WorkerStateSoA();
+  index_.reserve(workers.size());
+  for (const SimWorker& w : workers) append(w);
+}
+
+void WorkerStateSoA::append(const SimWorker& worker) {
+  index_.emplace(worker.id(), ids_.size());
+  ids_.push_back(worker.id());
+  cost_.push_back(worker.true_bid().cost);
+  frequency_.push_back(worker.true_bid().frequency);
+  current_quality_.push_back(worker.latent_quality());
 }
 
 void WorkerStateSoA::utilities(const auction::AllocationResult& result,

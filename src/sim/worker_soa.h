@@ -1,15 +1,15 @@
 // Structure-of-arrays view over the platform's worker population for the
-// per-run hot loops: contiguous id/cost/frequency arrays plus per-worker
-// latent-trajectory views, with an id -> slot index replacing the
-// per-step `by_id` hash map the platform used to rebuild every run.
+// per-run hot loops: contiguous id/cost/frequency arrays plus each worker's
+// latent quality at the current run, with an id -> slot index replacing
+// the per-step `by_id` hash map the platform used to rebuild every run.
 //
 // This is a *facade*: SimWorker remains the owner of all ground-truth
-// state (and the checkpoint format still serializes SimWorkers in platform
-// order, unchanged). The SoA arrays are derived views, rebuilt whenever
-// the population changes (construction, add_worker, snapshot load) —
-// slot i always describes workers[i]. The trajectory views stay valid
-// across vector reallocation of the owning SimWorkers because moving a
-// SimWorker moves its latent vector's heap buffer, not the samples.
+// state (including the trajectory stream; the checkpoint format
+// serializes SimWorkers in platform order). The SoA arrays are derived
+// views — slot i always describes workers[i]. They are built in full at
+// construction and snapshot load; a join appends one slot, a re-bid
+// rewrites one, and the platform refreshes the latent column once per run
+// after advancing every stream.
 #pragma once
 
 #include <cstddef>
@@ -24,9 +24,12 @@ namespace melody::sim {
 
 class WorkerStateSoA {
  public:
-  /// Derive the arrays from `workers` (slot i <- workers[i]). Called on
-  /// every population change; O(N).
+  /// Derive the arrays from `workers` (slot i <- workers[i]); O(N).
   void rebuild(std::span<const SimWorker> workers);
+
+  /// Describe one more worker in a new last slot; O(1) amortized. An id
+  /// already present keeps its first slot in the index, as in rebuild.
+  void append(const SimWorker& worker);
 
   std::size_t size() const noexcept { return ids_.size(); }
   const std::vector<auction::WorkerId>& ids() const noexcept { return ids_; }
@@ -46,16 +49,12 @@ class WorkerStateSoA {
     frequency_[slot] = bid.frequency;
   }
 
-  /// Latent quality q^r for 1-based run r — identical semantics to
-  /// SimWorker::latent_quality (empty trajectory reads 0, the last value
-  /// is held past the horizon).
-  double latent_quality(std::size_t slot, int run) const noexcept {
-    const int len = latent_len_[slot];
-    if (len == 0) return 0.0;
-    int index = run - 1;
-    if (index < 0) index = 0;
-    if (index >= len) index = len - 1;
-    return latent_data_[slot][index];
+  /// Latent quality of the worker in `slot` at the current run.
+  double latent_quality(std::size_t slot) const noexcept {
+    return current_quality_[slot];
+  }
+  void set_latent_quality(std::size_t slot, double quality) noexcept {
+    current_quality_[slot] = quality;
   }
 
   /// Per-worker true utilities for one auction outcome, written into
@@ -71,8 +70,7 @@ class WorkerStateSoA {
   std::vector<auction::WorkerId> ids_;
   std::vector<double> cost_;       // true cost c_i
   std::vector<int> frequency_;     // true frequency n_i
-  std::vector<const double*> latent_data_;
-  std::vector<int> latent_len_;
+  std::vector<double> current_quality_;  // latent quality q^r per slot
   std::unordered_map<auction::WorkerId, std::size_t> index_;
   mutable std::vector<int> remaining_scratch_;  // utilities() frequency caps
 };

@@ -244,7 +244,7 @@ void AuctionService::handle_submit_bid(const Request& request,
         sim::sample_config(kind, config_.scenario.runs, stream);
     platform_->add_worker(sim::SimWorker(
         id, auction::Bid{request.cost, request.frequency},
-        sim::generate_trajectory(trajectory, config_.scenario.runs, stream)));
+        sim::TrajectoryStream(trajectory, config_.scenario.runs, stream)));
   }
   registry_.count_bid(id);
   batcher_.note_bid(now_);

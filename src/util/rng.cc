@@ -21,6 +21,22 @@ double Rng::normal() noexcept {
   return radius * std::cos(angle);
 }
 
+void Rng::discard_normals(std::uint64_t n) noexcept {
+  if (n > 0 && cached_normal_valid_) {
+    cached_normal_valid_ = false;
+    --n;
+  }
+  // Every pair but the last draws its two uniforms only (with normal()'s
+  // log(0) guard); the last goes through normal(), so the cached deviate,
+  // spent or not, is the one n draws would leave.
+  for (; n > 2; n -= 2) {
+    while (uniform01() <= 0.0) {
+    }
+    uniform01();
+  }
+  for (; n > 0; --n) normal();
+}
+
 std::uint64_t Rng::bounded(std::uint64_t bound) noexcept {
   if (bound <= 1) return 0;
   // Lemire's multiply-shift rejection method.

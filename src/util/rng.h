@@ -95,6 +95,11 @@ class Rng {
     return mean + stddev * normal();
   }
 
+  /// Advance the stream exactly as `n` calls of normal() would, leaving
+  /// an identical State, without the transcendental work of the pairs
+  /// whose deviates nobody reads.
+  void discard_normals(std::uint64_t n) noexcept;
+
   /// Bernoulli trial with success probability p.
   bool bernoulli(double p) noexcept { return uniform01() < p; }
 

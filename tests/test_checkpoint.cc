@@ -391,7 +391,7 @@ TEST(Checkpoint, NewcomerAfterResumeIsRegisteredExactlyOnce) {
   traj.start_level = 9.0;
   util::Rng rng(8);
   SimWorker newcomer(newcomer_id, {1.0, 5},
-                     generate_trajectory(traj, scenario.runs, rng));
+                     TrajectoryStream(traj, scenario.runs, rng));
   platform.add_worker(std::move(newcomer));
   EXPECT_EQ(estimator.registrations(newcomer_id), 1);
 

@@ -1,16 +1,20 @@
 // Deterministic mutation fuzzing of the MLDYCKPT platform snapshot.
 //
-// The corpus is one v4 blob that carries every section with content: a
+// The corpus is one v5 blob that carries every section with content: a
 // withdrawn worker, a bidding policy, an active fault plan, utilities and
 // a MELODY estimator with history. Mutants come from util::Rng-seeded byte
-// flips, truncations and rewritten u64 counts, within a fixed budget. Each
-// one goes to Platform::load, which must either accept it (the platform
-// then steps once) or throw std::runtime_error. Run under ASan+UBSan
-// (`ctest -L state`), a crash, an out-of-bounds read or any other
-// exception fails the suite.
+// flips, truncations and rewritten u64 counts, within a fixed budget, plus
+// targeted rewrites of every trajectory-stream field. Each one goes to
+// Platform::load, which must either accept it (the platform then steps
+// once, and every latent quality it scores from is finite) or throw
+// std::runtime_error. Run under ASan+UBSan (`ctest -L state`), a crash, an
+// out-of-bounds read or any other exception fails the suite.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
@@ -79,17 +83,40 @@ std::string corpus_blob() {
   return out.str();
 }
 
-/// Offsets of every u64 count in a well-formed blob: the worker count,
-/// each trajectory length, the policy and utility counts, the estimator
-/// blob length and the withdrawn count. Walks the layout in snapshot.cc.
-std::vector<std::size_t> count_offsets(const std::string& blob) {
+// Byte offsets of the fields inside one worker's trajectory-stream record
+// (see the layout in snapshot.cc).
+constexpr std::size_t kKind = 0;
+constexpr std::size_t kStartLevel = 1;
+constexpr std::size_t kSwing = 9;
+constexpr std::size_t kPeriod = 17;
+constexpr std::size_t kPhase = 25;
+constexpr std::size_t kNoise = 33;
+constexpr std::size_t kMinQuality = 41;
+constexpr std::size_t kMaxQuality = 49;
+constexpr std::size_t kHorizon = 57;
+constexpr std::size_t kLength = 61;
+constexpr std::size_t kRun = 65;
+constexpr std::size_t kDrift = 69;
+constexpr std::size_t kCachedNormal = 109;
+constexpr std::size_t kStreamBytes = 118;
+
+/// Offsets of every u64 count in a well-formed blob (the worker count, the
+/// policy and utility counts, the estimator blob length and the withdrawn
+/// count) and of each worker's trajectory-stream record. Walks the layout
+/// in snapshot.cc.
+struct Layout {
+  std::vector<std::size_t> counts;
+  std::vector<std::size_t> streams;
+};
+
+Layout walk(const std::string& blob) {
   std::istringstream in(blob);
-  std::vector<std::size_t> offsets;
+  Layout layout;
   const auto skip = [&in](std::streamoff bytes) {
     in.seekg(bytes, std::ios::cur);
   };
   const auto count_here = [&]() {
-    offsets.push_back(static_cast<std::size_t>(in.tellg()));
+    layout.counts.push_back(static_cast<std::size_t>(in.tellg()));
     return binio::read_u64(in, "count");
   };
   skip(8 + 4 + 8 + 4);           // magic, version, master seed, run
@@ -98,8 +125,8 @@ std::vector<std::size_t> count_offsets(const std::string& blob) {
   const std::uint64_t workers = count_here();
   for (std::uint64_t k = 0; k < workers; ++k) {
     skip(4 + 8 + 4);             // id, cost, frequency
-    const std::uint64_t len = count_here();
-    skip(static_cast<std::streamoff>(8 * len));
+    layout.streams.push_back(static_cast<std::size_t>(in.tellg()));
+    skip(kStreamBytes);
   }
   skip(static_cast<std::streamoff>(count_here() * (4 + 8 + 3 + 8 + 4)));
   skip(static_cast<std::streamoff>(count_here() * (4 + 8)));
@@ -107,7 +134,7 @@ std::vector<std::size_t> count_offsets(const std::string& blob) {
   const std::uint64_t withdrawn = count_here();
   skip(static_cast<std::streamoff>(4 * withdrawn));
   EXPECT_EQ(static_cast<std::size_t>(in.tellg()), blob.size());
-  return offsets;
+  return layout;
 }
 
 void put_u64(std::string& blob, std::size_t at, std::uint64_t value) {
@@ -115,6 +142,17 @@ void put_u64(std::string& blob, std::size_t at, std::uint64_t value) {
     blob[at + static_cast<std::size_t>(b)] =
         static_cast<char>((value >> (8 * b)) & 0xffu);
   }
+}
+
+void put_u32(std::string& blob, std::size_t at, std::uint32_t value) {
+  for (int b = 0; b < 4; ++b) {
+    blob[at + static_cast<std::size_t>(b)] =
+        static_cast<char>((value >> (8 * b)) & 0xffu);
+  }
+}
+
+void put_f64(std::string& blob, std::size_t at, double value) {
+  put_u64(blob, at, std::bit_cast<std::uint64_t>(value));
 }
 
 std::uint64_t get_u64(const std::string& blob, std::size_t at) {
@@ -162,9 +200,23 @@ std::string mutate(const std::string& corpus,
   return blob;
 }
 
+/// An accepted snapshot must step, and score from finite latent qualities.
+void expect_steps_on_finite_latents(Platform& platform,
+                                    const std::string& what) {
+  EXPECT_NO_THROW(platform.step()) << what;
+  const WorkerStateSoA& soa = platform.worker_state();
+  for (std::size_t slot = 0; slot < soa.size(); ++slot) {
+    EXPECT_TRUE(std::isfinite(soa.latent_quality(slot)))
+        << what << " slot " << slot;
+  }
+}
+
 TEST(CheckpointFuzz, CorpusWalksAndRoundTrips) {
   const std::string corpus = corpus_blob();
-  EXPECT_EQ(count_offsets(corpus).size(), 5u + fuzz_scenario().num_workers);
+  const Layout layout = walk(corpus);
+  EXPECT_EQ(layout.counts.size(), 5u);
+  EXPECT_EQ(layout.streams.size(),
+            static_cast<std::size_t>(fuzz_scenario().num_workers));
   Rig rig(fuzz_scenario(), {});
   std::istringstream in(corpus);
   rig.platform.load(in);
@@ -176,7 +228,7 @@ TEST(CheckpointFuzz, CorpusWalksAndRoundTrips) {
 
 TEST(CheckpointFuzz, MutantsLoadAndStepOrThrowRuntimeError) {
   const std::string corpus = corpus_blob();
-  const std::vector<std::size_t> counts = count_offsets(corpus);
+  const std::vector<std::size_t> counts = walk(corpus).counts;
   util::Rng rng(0xC4EC'F022);
   constexpr int kBudget = 4000;
   int accepted = 0;
@@ -194,12 +246,99 @@ TEST(CheckpointFuzz, MutantsLoadAndStepOrThrowRuntimeError) {
       continue;
     }
     ++accepted;
-    EXPECT_NO_THROW(rig.platform.step()) << "mutant " << k;
+    expect_steps_on_finite_latents(rig.platform, "mutant " + std::to_string(k));
   }
-  // Flips inside latent qualities, utilities and the RNG state are
+  // Flips inside stream generators, utilities and the RNG state are
   // well-formed snapshots of a different platform: some mutants load.
   EXPECT_GT(accepted, 0);
   EXPECT_LT(accepted, kBudget);
+}
+
+TEST(CheckpointFuzz, TrajectoryFieldRewritesLoadAndStepOrThrow) {
+  const std::string corpus = corpus_blob();
+  const std::vector<std::size_t> streams = walk(corpus).streams;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  constexpr auto kIntMax = std::numeric_limits<std::int32_t>::max();
+  constexpr auto kIntMin = std::numeric_limits<std::int32_t>::min();
+  using Edit = std::function<void(std::string&, std::size_t)>;
+  const auto f64 = [](std::size_t field, double value) -> Edit {
+    return [=](std::string& blob, std::size_t at) {
+      put_f64(blob, at + field, value);
+    };
+  };
+  const auto i32 = [](std::size_t field, std::int32_t value) -> Edit {
+    return [=](std::string& blob, std::size_t at) {
+      put_u32(blob, at + field, static_cast<std::uint32_t>(value));
+    };
+  };
+  // Rewrites every well-formed loader must refuse.
+  std::vector<std::pair<std::string, Edit>> rejected;
+  for (const int kind : {4, 5, 128, 255}) {
+    rejected.emplace_back("kind " + std::to_string(kind),
+                          [kind](std::string& blob, std::size_t at) {
+                            blob[at + kKind] = static_cast<char>(kind);
+                          });
+  }
+  for (const auto& [name, field] :
+       std::vector<std::pair<std::string, std::size_t>>{
+           {"start_level", kStartLevel}, {"swing", kSwing},
+           {"period", kPeriod},          {"phase", kPhase},
+           {"noise", kNoise},            {"min", kMinQuality},
+           {"max", kMaxQuality},         {"drift", kDrift},
+           {"cached normal", kCachedNormal}}) {
+    rejected.emplace_back(name + " NaN", f64(field, nan));
+    rejected.emplace_back(name + " +Inf", f64(field, inf));
+    rejected.emplace_back(name + " -Inf", f64(field, -inf));
+  }
+  rejected.emplace_back("min above max", f64(kMinQuality, 10.5));
+  rejected.emplace_back("zero period", [&](std::string& blob, std::size_t at) {
+    blob[at + kKind] = static_cast<char>(TrajectoryKind::kFluctuating);
+    put_f64(blob, at + kPeriod, 0.0);
+  });
+  rejected.emplace_back("run past length", i32(kRun, fuzz_scenario().runs + 1));
+  rejected.emplace_back("run out of step", i32(kRun, 2));
+  rejected.emplace_back("negative run", i32(kRun, -1));
+  rejected.emplace_back("negative length", i32(kLength, -1));
+  rejected.emplace_back("length INT_MIN", i32(kLength, kIntMin));
+  rejected.emplace_back("zero length", i32(kLength, 0));  // run 3 > 0
+  // Rewrites that describe a different but well-formed platform.
+  std::vector<std::pair<std::string, Edit>> accepted{
+      {"huge length", i32(kLength, kIntMax)},
+      {"horizon 0", i32(kHorizon, 0)},
+      {"negative horizon", i32(kHorizon, -5)},
+      {"horizon INT_MIN", i32(kHorizon, kIntMin)},
+      {"horizon INT_MAX", i32(kHorizon, kIntMax)},
+      {"fluctuating", [](std::string& blob, std::size_t at) {
+         blob[at + kKind] = static_cast<char>(TrajectoryKind::kFluctuating);
+       }}};
+
+  const auto load = [](const std::string& blob, Rig& rig) {
+    std::istringstream in(blob);
+    rig.platform.load(in);
+  };
+  for (const std::size_t at : {streams.front(), streams.back()}) {
+    for (const auto& [name, edit] : rejected) {
+      std::string mutant = corpus;
+      edit(mutant, at);
+      Rig rig(fuzz_scenario(), {});
+      EXPECT_THROW(load(mutant, rig), std::runtime_error) << name;
+    }
+    for (const auto& [name, edit] : accepted) {
+      std::string mutant = corpus;
+      edit(mutant, at);
+      Rig rig(fuzz_scenario(), {});
+      try {
+        load(mutant, rig);
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << name << " was refused: " << e.what();
+        continue;
+      }
+      for (int r = 0; r < 10; ++r) {  // past the scenario's horizon too
+        expect_steps_on_finite_latents(rig.platform, name);
+      }
+    }
+  }
 }
 
 }  // namespace

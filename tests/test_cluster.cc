@@ -485,7 +485,10 @@ TEST_P(MigrationBitIdentity, EightShardsTwoLiveMigrations) {
     }
   }
 
-  const std::string dir = "cluster_bitident_tmp";
+  // One publish dir per thread count: ctest runs the instances in
+  // parallel, and each coordinator publishes its envelopes there.
+  const std::string dir =
+      "cluster_bitident_tmp_t" + std::to_string(GetParam());
   std::filesystem::create_directories(dir);
   InProcessCluster cluster(cluster_config(kShards, kWorkers));
   cluster.add_member("a", {0, 1, 2, 3});

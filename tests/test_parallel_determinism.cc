@@ -87,6 +87,45 @@ TEST(ParallelDeterminism, PlatformBitIdenticalAcross1And2And8Threads) {
   }
 }
 
+// A population above the per-run trajectory advance's grain, so the pool
+// steps the workers' streams in parallel; the checkpoint bytes carry every
+// stream's drift and generator, so any cross-thread slip shows.
+TEST(ParallelDeterminism, TrajectoryAdvanceBitIdenticalAcrossThreads) {
+  LongTermScenario scenario = fig9_scenario();
+  scenario.num_workers = 3000;
+  scenario.num_tasks = 200;
+  scenario.runs = 4;
+  scenario.budget = 600.0;
+  const auto run = [&scenario](int threads) {
+    util::set_shared_thread_count(threads);
+    auction::MelodyAuction mechanism;
+    estimators::MelodyEstimator estimator(tracker_config(scenario));
+    util::Rng population_rng(99);
+    Platform platform(scenario, mechanism, estimator,
+                      sample_population(scenario.population_config(),
+                                        population_rng),
+                      100);
+    PipelineOutput out;
+    out.records = platform.run_all();
+    std::ostringstream checkpoint;
+    platform.save(checkpoint);
+    out.estimator_snapshot = checkpoint.str();
+    util::set_shared_thread_count(1);
+    return out;
+  };
+  const PipelineOutput serial = run(1);
+  for (int threads : {2, 8}) {
+    const PipelineOutput parallel = run(threads);
+    ASSERT_EQ(parallel.records.size(), serial.records.size());
+    for (std::size_t r = 0; r < serial.records.size(); ++r) {
+      expect_identical(serial.records[r], parallel.records[r],
+                       static_cast<int>(r + 1));
+    }
+    EXPECT_EQ(parallel.estimator_snapshot, serial.estimator_snapshot)
+        << "checkpoint diverged at " << threads << " threads";
+  }
+}
+
 TEST(ParallelDeterminism, RepeatedParallelRunsAgreeWithThemselves) {
   const auto first = run_pipeline(8, 99);
   const auto second = run_pipeline(8, 99);

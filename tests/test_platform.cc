@@ -150,7 +150,7 @@ TEST(Platform, NewcomerIsRegisteredAndParticipates) {
   traj.kind = TrajectoryKind::kStable;
   traj.start_level = 9.0;
   SimWorker newcomer(1000, {1.0, 5},
-                     generate_trajectory(traj, scenario.runs, rng));
+                     TrajectoryStream(traj, scenario.runs, rng));
   platform.add_worker(std::move(newcomer));
   EXPECT_NO_THROW(platform.step());
   EXPECT_EQ(platform.workers().size(), 41u);
@@ -171,7 +171,7 @@ TEST(Platform, PolicyOverrideChangesBids) {
   traj.kind = TrajectoryKind::kStable;
   traj.start_level = 8.0;
   SimWorker overbidder(500, {2.0, 3},
-                       generate_trajectory(traj, scenario.runs, rng));
+                       TrajectoryStream(traj, scenario.runs, rng));
   platform.add_worker(overbidder);
 
   BidPolicy always_overbid;

@@ -117,8 +117,9 @@ TEST(Serialization, CorruptParamsRejected) {
   binio::write_u32(bad, 0);
   ASSERT_EQ(bad.str().size(), 20u + 80u);  // header + count, one record
   MelodyEstimator e;
-  // Invalid hyper-parameters surface as the validator's domain_error.
-  EXPECT_THROW(e.load(bad), std::domain_error);
+  // Invalid hyper-parameters in a blob are malformed input: runtime_error,
+  // per QualityEstimator::load's contract.
+  EXPECT_THROW(e.load(bad), std::runtime_error);
 }
 
 TEST(Serialization, OldFormatVersionRejected) {

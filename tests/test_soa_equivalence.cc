@@ -205,19 +205,22 @@ LatticeDigest run_lattice(int threads, bool with_faults) {
 // the resumed trajectories are the same. The checkpoint digest alone was
 // re-captured once more for MLDYCKPT v4, which replaces v3's trailing u8
 // book flag (0 here) with the always-written u64 withdrawn count (0 here);
-// every other byte is the v3 encoding.
+// every other byte is the v3 encoding. It was re-captured once more for
+// MLDYCKPT v5, which stores each worker's trajectory stream state (config,
+// length, run, drift, generator) in place of his latent array; every
+// other section is the v4 encoding.
 constexpr LatticeDigest kGoldenCleanRun = {
     13627756688790278940ull,  // records
     2721147335882908296ull,   // csv
     2916462072097001604ull,   // estimator
-    13711781219647230501ull,  // checkpoint
+    15118743719744497926ull,  // checkpoint
     13954106222003339031ull,  // tail
 };
 constexpr LatticeDigest kGoldenFaultedRun = {
     9614558965146038773ull,   // records
     6997543824992877856ull,   // csv
     2067544210953300906ull,   // estimator
-    14823576890697093892ull,  // checkpoint
+    15200751324897483791ull,  // checkpoint
     2827185478779235160ull,   // tail
 };
 
@@ -246,6 +249,79 @@ INSTANTIATE_TEST_SUITE_P(Threads, SoaGoldenLattice,
                          [](const ::testing::TestParamInfo<int>& info) {
                            return "t" + std::to_string(info.param);
                          });
+
+// ---------------------------------------------------------------------------
+// Incremental maintenance: a join appends one slot and a re-bid rewrites
+// one, so after any interleaving of joins, re-bids, withdrawals and runs
+// the platform's SoA must equal a fresh rebuild over its workers.
+// ---------------------------------------------------------------------------
+
+void expect_same_soa(const WorkerStateSoA& kept, const WorkerStateSoA& fresh,
+                     const std::string& when) {
+  ASSERT_EQ(kept.size(), fresh.size()) << when;
+  EXPECT_EQ(kept.ids(), fresh.ids()) << when;
+  EXPECT_EQ(kept.costs(), fresh.costs()) << when;
+  EXPECT_EQ(kept.frequencies(), fresh.frequencies()) << when;
+  for (std::size_t slot = 0; slot < fresh.size(); ++slot) {
+    const auction::WorkerId id = fresh.ids()[slot];
+    EXPECT_EQ(kept.slot_of(id), fresh.slot_of(id)) << when << " id " << id;
+    EXPECT_EQ(kept.latent_quality(slot), fresh.latent_quality(slot))
+        << when << " slot " << slot;
+  }
+}
+
+TEST(SoaIncremental, InterleavedJoinsRebidsAndRunsMatchAFreshRebuild) {
+  LongTermScenario scenario = lattice_scenario();
+  scenario.num_workers = 30;
+  scenario.runs = 25;
+  auction::MelodyAuction mechanism;
+  estimators::MelodyEstimator estimator(tracker_config(scenario));
+  util::Rng population_rng(41);
+  Platform platform(scenario, mechanism, estimator,
+                    sample_population(scenario.population_config(),
+                                      population_rng),
+                    42);
+  util::Rng ops(43);
+  auction::WorkerId next_id = 1000;
+  for (int op = 0; op < 200; ++op) {
+    const auto& workers = platform.workers();
+    const auction::WorkerId someone =
+        workers[static_cast<std::size_t>(ops.uniform_int(
+                    0, static_cast<std::int64_t>(workers.size()) - 1))]
+            .id();
+    std::string when = "op " + std::to_string(op);
+    switch (ops.uniform_int(0, 3)) {
+      case 0: {
+        util::Rng stream(util::derive_stream(42, 7, next_id));
+        const TrajectoryConfig config = sample_config(
+            sample_kind(scenario.mix, stream), scenario.runs, stream);
+        platform.add_worker(SimWorker(
+            next_id++, {ops.uniform(1.0, 2.0), 1 + op % 5},
+            TrajectoryStream(config, scenario.runs, stream)));
+        when += " join";
+        break;
+      }
+      case 1:
+        ASSERT_TRUE(platform.update_bid(
+            someone, {ops.uniform(1.0, 2.0), 1 + op % 4}));
+        when += " rebid";
+        break;
+      case 2:
+        ASSERT_TRUE(platform.set_withdrawn(someone, ops.bernoulli(0.7)));
+        when += " withdraw";
+        break;
+      default:
+        platform.step();
+        when += " run";
+        break;
+    }
+    WorkerStateSoA fresh;
+    fresh.rebuild(platform.workers());
+    expect_same_soa(platform.worker_state(), fresh, when);
+    if (HasFatalFailure()) return;
+  }
+  EXPECT_GT(platform.current_run(), scenario.runs);  // past the horizon too
+}
 
 // ---------------------------------------------------------------------------
 // Property layer: 1000 randomized markets, production greedy vs the frozen

@@ -4,6 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <limits>
+#include <stdexcept>
 #include <vector>
 
 #include "util/stats.h"
@@ -79,6 +83,153 @@ TEST(Trajectory, StableStaysNearStartLevel) {
   const auto q = generate_trajectory(config, 500, rng);
   EXPECT_NEAR(util::mean(q), 6.0, 0.5);
   EXPECT_LT(util::variance(q), 1.0);
+}
+
+// The stream is the trajectory's one implementation; these pin it to the
+// array generate_trajectory returns, bit for bit, for every kind.
+constexpr TrajectoryKind kKinds[] = {
+    TrajectoryKind::kRising, TrajectoryKind::kDeclining,
+    TrajectoryKind::kFluctuating, TrajectoryKind::kStable};
+constexpr std::uint64_t kSeeds[] = {1, 2, 17, 0xDEADBEEF};
+constexpr int kLength = 57;  // odd: the last pair leaves a cached deviate
+
+/// A generator with a half-used Box-Muller pair on odd seeds, so streams
+/// also start from a valid cache.
+util::Rng shared_rng(std::uint64_t seed) {
+  util::Rng rng(seed);
+  if (seed % 2 == 1) rng.normal();
+  return rng;
+}
+
+TEST(TrajectoryStream, StepsTheBitsOfTheArrayAndTheSharedRngAgrees) {
+  for (const TrajectoryKind kind : kKinds) {
+    for (const std::uint64_t seed : kSeeds) {
+      util::Rng array_rng = shared_rng(seed);
+      const TrajectoryConfig config = sample_config(kind, 40, array_rng);
+      util::Rng stream_rng = array_rng;
+      const std::vector<double> q =
+          generate_trajectory(config, kLength, array_rng);
+
+      TrajectoryStream stream(config, kLength, stream_rng);
+      for (int r = 1; r <= kLength; ++r) {
+        stream.advance();
+        ASSERT_EQ(stream.run(), r);
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(stream.value()),
+                  std::bit_cast<std::uint64_t>(q[static_cast<std::size_t>(r - 1)]))
+            << to_string(kind) << " seed " << seed << " run " << r;
+      }
+      // The stream's generator, and the shared one after skipping the
+      // trajectory's draws, end where generating the array left it.
+      EXPECT_EQ(stream.rng().state(), array_rng.state());
+      stream_rng.discard_normals(kLength);
+      EXPECT_EQ(stream_rng.state(), array_rng.state());
+    }
+  }
+}
+
+TEST(TrajectoryStream, HoldsTheLastValuePastItsLengthAndDrawsNothing) {
+  for (const TrajectoryKind kind : kKinds) {
+    for (const std::uint64_t seed : kSeeds) {
+      util::Rng rng = shared_rng(seed);
+      TrajectoryStream stream(sample_config(kind, 40, rng), kLength, rng);
+      stream.advance_to(kLength);
+      const double last = stream.value();
+      const util::Rng::State at_end = stream.rng().state();
+      for (int r = 0; r < 20; ++r) stream.advance();
+      stream.advance_to(kLength + 1000);
+      EXPECT_EQ(stream.run(), kLength);
+      EXPECT_EQ(stream.value(), last);
+      EXPECT_EQ(stream.rng().state(), at_end);
+    }
+  }
+  TrajectoryStream empty;
+  empty.advance_to(10);
+  EXPECT_EQ(empty.run(), 0);
+  EXPECT_EQ(empty.value(), 0.0);
+}
+
+TEST(TrajectoryStream, SavedMidTrajectoryResumesIdentically) {
+  for (const TrajectoryKind kind : kKinds) {
+    for (const std::uint64_t seed : kSeeds) {
+      util::Rng rng = shared_rng(seed);
+      TrajectoryStream original(sample_config(kind, 40, rng), kLength, rng);
+      original.advance_to(static_cast<int>(seed % 30) + 1);
+      TrajectoryStream resumed(original.state());
+      EXPECT_EQ(resumed.state(), original.state());
+      EXPECT_EQ(resumed.value(), original.value());
+      for (int r = 0; r < kLength; ++r) {
+        original.advance();
+        resumed.advance();
+        ASSERT_EQ(resumed.value(), original.value());
+      }
+      EXPECT_EQ(resumed.state(), original.state());
+    }
+  }
+}
+
+TEST(TrajectoryStream, FastForwardToRunKReadsTheArrayAtRunK) {
+  for (const TrajectoryKind kind : kKinds) {
+    for (const std::uint64_t seed : kSeeds) {
+      util::Rng rng = shared_rng(seed);
+      const TrajectoryConfig config = sample_config(kind, 40, rng);
+      util::Rng array_rng = rng;
+      const std::vector<double> q = generate_trajectory(config, kLength, array_rng);
+      for (const int k : {1, 2, 9, 30, kLength - 1, kLength, kLength + 5}) {
+        TrajectoryStream newcomer(config, kLength, rng);
+        newcomer.advance_to(k);
+        const std::size_t index =
+            static_cast<std::size_t>(std::min(k, kLength) - 1);
+        EXPECT_EQ(newcomer.value(), q[index]) << "k " << k;
+      }
+    }
+  }
+}
+
+TEST(TrajectoryStream, RejectsImplausibleStates) {
+  util::Rng rng(11);
+  const TrajectoryStream good(sample_config(TrajectoryKind::kFluctuating, 40, rng),
+                              kLength, rng);
+  const auto rejects = [&good](auto&& edit) {
+    TrajectoryStream::State s = good.state();
+    edit(s);
+    EXPECT_THROW(TrajectoryStream{s}, std::invalid_argument);
+  };
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  rejects([](auto& s) { s.config.kind = static_cast<TrajectoryKind>(4); });
+  rejects([&](auto& s) { s.config.start_level = nan; });
+  rejects([&](auto& s) { s.config.swing = inf; });
+  rejects([&](auto& s) { s.config.phase = -inf; });
+  rejects([&](auto& s) { s.config.noise_stddev = nan; });
+  rejects([](auto& s) { s.config.noise_stddev = -1.0; });
+  rejects([](auto& s) { s.config.period = 0.0; });
+  rejects([&](auto& s) { s.config.min_quality = nan; });
+  rejects([](auto& s) { s.config.min_quality = 11.0; });
+  rejects([&](auto& s) { s.drift = inf; });
+  rejects([](auto& s) { s.drift = 1e300; });
+  rejects([&](auto& s) { s.rng.cached_normal = nan; });
+  rejects([](auto& s) { s.length = -1; });
+  rejects([](auto& s) { s.run = -1; });
+  rejects([](auto& s) { s.run = s.length + 1; });
+  rejects([](auto& s) {
+    for (auto& w : s.rng.words) w = 0;
+  });
+  EXPECT_THROW(TrajectoryStream(TrajectoryConfig{}, -3, rng),
+               std::invalid_argument);
+  EXPECT_NO_THROW(TrajectoryStream{good.state()});
+}
+
+TEST(RngDiscard, LeavesTheStateNormalDrawsLeave) {
+  for (const std::uint64_t seed : kSeeds) {
+    for (std::uint64_t n = 0; n < 9; ++n) {
+      util::Rng drawn = shared_rng(seed);
+      util::Rng skipped = drawn;
+      for (std::uint64_t k = 0; k < n; ++k) drawn.normal();
+      skipped.discard_normals(n);
+      EXPECT_EQ(skipped.state(), drawn.state()) << "seed " << seed << " n " << n;
+      EXPECT_EQ(skipped.normal(), drawn.normal());
+    }
+  }
 }
 
 TEST(Stability, ClassifierOnSyntheticCurves) {

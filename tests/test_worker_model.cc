@@ -7,24 +7,38 @@
 namespace melody::sim {
 namespace {
 
-SimWorker make_worker() {
-  return SimWorker(7, {1.5, 3}, {4.0, 5.0, 6.0});
+TrajectoryStream stable_stream(int length) {
+  TrajectoryConfig config;
+  config.kind = TrajectoryKind::kStable;
+  config.start_level = 5.0;
+  return TrajectoryStream(config, length, util::Rng(3));
 }
 
+SimWorker make_worker() { return SimWorker(7, {1.5, 3}, stable_stream(3)); }
+
 TEST(SimWorkerTest, LatentQualityIndexingAndClamping) {
-  const SimWorker w = make_worker();
-  EXPECT_DOUBLE_EQ(w.latent_quality(1), 4.0);
-  EXPECT_DOUBLE_EQ(w.latent_quality(3), 6.0);
-  // Out-of-range runs clamp to the ends.
-  EXPECT_DOUBLE_EQ(w.latent_quality(0), 4.0);
-  EXPECT_DOUBLE_EQ(w.latent_quality(99), 6.0);
-  EXPECT_EQ(w.horizon(), 3);
+  TrajectoryConfig config;
+  config.kind = TrajectoryKind::kStable;
+  config.start_level = 5.0;
+  util::Rng rng(3);
+  const std::vector<double> expected = generate_trajectory(config, 3, rng);
+  SimWorker w = make_worker();
+  EXPECT_EQ(w.trajectory().length(), 3);
+  for (int run = 1; run <= 3; ++run) {
+    w.advance_to(run);
+    EXPECT_EQ(w.latent_quality(), expected[static_cast<std::size_t>(run - 1)]);
+  }
+  // Past the length the last value is held.
+  w.advance_to(99);
+  EXPECT_EQ(w.latent_quality(), expected.back());
+  EXPECT_EQ(w.trajectory().run(), 3);
 }
 
 TEST(SimWorkerTest, EmptyTrajectory) {
-  const SimWorker w(1, {1.0, 1}, {});
-  EXPECT_EQ(w.latent_quality(1), 0.0);
-  EXPECT_EQ(w.horizon(), 0);
+  SimWorker w(1, {1.0, 1}, TrajectoryStream());
+  w.advance_to(5);
+  EXPECT_EQ(w.latent_quality(), 0.0);
+  EXPECT_EQ(w.trajectory().length(), 0);
 }
 
 TEST(SimWorkerTest, TruthfulPolicyReturnsTrueBid) {
@@ -52,7 +66,7 @@ TEST(SimWorkerTest, AlwaysHigherCostPolicy) {
 
 TEST(SimWorkerTest, AlwaysLowerCostPolicyStaysPositive) {
   util::Rng rng(3);
-  const SimWorker w(1, {0.02, 1}, {5.0});
+  const SimWorker w(1, {0.02, 1}, stable_stream(1));
   BidPolicy policy;
   policy.cheat_probability = 1.0;
   policy.direction = MisreportDirection::kLower;
@@ -137,10 +151,12 @@ TEST(Population, SampleRespectsRangesAndCount) {
     EXPECT_LE(workers[i].true_bid().cost, 2.0);
     EXPECT_GE(workers[i].true_bid().frequency, 1);
     EXPECT_LE(workers[i].true_bid().frequency, 5);
-    EXPECT_EQ(workers[i].horizon(), 50);
+    EXPECT_EQ(workers[i].trajectory().length(), 50);
+    TrajectoryStream stream = workers[i].trajectory();
     for (int r = 1; r <= 50; ++r) {
-      EXPECT_GE(workers[i].latent_quality(r), 1.0);
-      EXPECT_LE(workers[i].latent_quality(r), 10.0);
+      stream.advance();
+      EXPECT_GE(stream.value(), 1.0);
+      EXPECT_LE(stream.value(), 10.0);
     }
   }
 }
@@ -154,8 +170,9 @@ TEST(Population, DeterministicForSeed) {
   const auto pb = sample_population(config, b);
   for (std::size_t i = 0; i < pa.size(); ++i) {
     EXPECT_EQ(pa[i].true_bid(), pb[i].true_bid());
-    EXPECT_EQ(pa[i].latent_quality(5), pb[i].latent_quality(5));
+    EXPECT_EQ(pa[i].trajectory().state(), pb[i].trajectory().state());
   }
+  EXPECT_EQ(a.state(), b.state());
 }
 
 }  // namespace
