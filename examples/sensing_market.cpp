@@ -65,7 +65,7 @@ Outcome run_market(estimators::QualityEstimator& estimator) {
     }
     records.push_back(platform.step());
   }
-  return {sim::summarize_after(records, 40), platform.workers().size()};
+  return {sim::summarize_after(records, 40), platform.worker_state().size()};
 }
 
 }  // namespace

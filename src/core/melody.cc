@@ -63,11 +63,14 @@ void Melody::submit_scores(auction::WorkerId id, const lds::ScoreSet& scores) {
 }
 
 int Melody::end_run() {
-  for (auction::WorkerId id : registered_) {
-    const auto it = pending_scores_.find(id);
-    tracker_.observe(id, it == pending_scores_.end() ? lds::ScoreSet{}
-                                                     : it->second);
+  // One observe_run over the whole registry, so workers that come due for
+  // EM together refit in shared lanes.
+  std::vector<lds::ScoreSet> scores(registered_.size());
+  for (std::size_t i = 0; i < registered_.size(); ++i) {
+    const auto it = pending_scores_.find(registered_[i]);
+    if (it != pending_scores_.end()) scores[i] = it->second;
   }
+  tracker_.observe_run(registered_, scores);
   pending_scores_.clear();
   return ++completed_runs_;
 }

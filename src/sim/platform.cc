@@ -18,11 +18,11 @@ Platform::Platform(const LongTermScenario& scenario,
     : scenario_(scenario),
       mechanism_(mechanism),
       estimator_(estimator),
-      workers_(std::move(workers)),
       rng_(seed),
       master_seed_(seed) {
-  for (const SimWorker& w : workers_) estimator_.register_worker(w.id());
-  soa_.rebuild(workers_);
+  soa_.reserve(workers.size());
+  for (SimWorker& w : workers) soa_.append(std::move(w));
+  for (const auction::WorkerId id : soa_.ids()) estimator_.register_worker(id);
 }
 
 void Platform::set_policy(auction::WorkerId id, BidPolicy policy) {
@@ -30,12 +30,12 @@ void Platform::set_policy(auction::WorkerId id, BidPolicy policy) {
 }
 
 void Platform::add_worker(SimWorker worker) {
-  estimator_.register_worker(worker.id());
+  const auction::WorkerId id = worker.id();
   // q^r is indexed by absolute run: a newcomer's trajectory has been
   // running since run 1, so it joins at the platform's current run.
   worker.advance_to(run_);
-  soa_.append(worker);
-  workers_.push_back(std::move(worker));
+  soa_.append(std::move(worker));
+  estimator_.register_worker(id);
 }
 
 void Platform::set_fault_plan(FaultPlan plan) {
@@ -45,9 +45,7 @@ void Platform::set_fault_plan(FaultPlan plan) {
 
 bool Platform::update_bid(auction::WorkerId id, const auction::Bid& bid) {
   if (!soa_.contains(id)) return false;
-  const std::size_t slot = soa_.slot_of(id);
-  workers_[slot].set_true_bid(bid);
-  soa_.set_bid(slot, bid);
+  soa_.set_bid(soa_.slot_of(id), bid);
   withdrawn_.erase(id);
   return true;
 }
@@ -78,13 +76,14 @@ RunRecord Platform::step() {
   // 0) Fault layer, part one: absence decisions. Each worker's absence is a
   //    pure function of (seed, plan, worker, run), so this stage is
   //    deterministic regardless of when the plan was installed or resumed.
-  //    `present[i]` parallels workers_[i]; an absent worker submits no bid,
+  //    `present[i]` parallels slot i; an absent worker submits no bid,
   //    wins nothing, and is scored as an empty set (the estimator's
   //    missing-observation path).
+  const std::size_t n = soa_.size();
   const std::vector<auction::WorkerId>& worker_ids = soa_.ids();
-  std::vector<char> present(workers_.size(), 1);
+  std::vector<char> present(n, 1);
   if (faults_active) {
-    for (std::size_t i = 0; i < workers_.size(); ++i) {
+    for (std::size_t i = 0; i < n; ++i) {
       switch (absence_for(fault_plan_, master_seed_, worker_ids[i], run_,
                           scenario_.runs)) {
         case Absence::kPresent:
@@ -102,24 +101,25 @@ RunRecord Platform::step() {
   }
 
   // 1) Collect bids and the platform's quality estimates from the workers
-  //    who showed up. `bidders[k]` is the SimWorker behind profiles[k].
+  //    who showed up. `bidder_slots[k]` is the slot behind profiles[k].
   std::vector<auction::WorkerProfile> profiles;
   std::vector<std::size_t> bidder_slots;
   {
     obs::ScopedTimer timer(obs::timer_if_enabled("platform/bid_collection"));
-    profiles.reserve(workers_.size());
-    bidder_slots.reserve(workers_.size());
+    profiles.reserve(n);
+    bidder_slots.reserve(n);
     const std::vector<double>& costs = soa_.costs();
     const std::vector<int>& frequencies = soa_.frequencies();
-    for (std::size_t i = 0; i < workers_.size(); ++i) {
+    for (std::size_t i = 0; i < n; ++i) {
       if (!present[i]) continue;
       if (!withdrawn_.empty() && withdrawn_.contains(worker_ids[i])) continue;
       auction::WorkerProfile p;
       p.id = worker_ids[i];
       const auto policy = policies_.find(p.id);
+      const auction::Bid true_bid{costs[i], frequencies[i]};
       p.bid = policy == policies_.end()
-                  ? auction::Bid{costs[i], frequencies[i]}
-                  : workers_[i].submitted_bid(policy->second, rng_);
+                  ? true_bid
+                  : submitted_bid(true_bid, policy->second, rng_);
       p.estimated_quality = estimator_.estimate(p.id);
       profiles.push_back(p);
       bidder_slots.push_back(i);
@@ -149,17 +149,10 @@ RunRecord Platform::step() {
   record.assignments = last_result_.assignments.size();
 
   // 3) Ground-truth bookkeeping: true utility and estimation error. Every
-  //    worker's latent quality first steps to this run (one draw each from
-  //    his own trajectory stream, so any thread count gives the same bits);
-  //    nothing before this point reads it.
-  util::parallel_for(
-      util::shared_pool(), workers_.size(),
-      [this](std::size_t i) {
-        workers_[i].advance_to(run_);
-        soa_.set_latent_quality(i, workers_[i].latent_quality());
-      },
-      /*min_grain=*/1024);
-  assigned_scratch_.assign(workers_.size(), 0);
+  //    worker's latent quality first steps to this run; nothing before this
+  //    point reads it.
+  soa_.advance_to(run_);
+  assigned_scratch_.assign(n, 0);
   {
     obs::ScopedTimer timer(obs::timer_if_enabled("platform/bookkeeping"));
     std::unordered_map<auction::TaskId, double> latent_received;
@@ -192,14 +185,13 @@ RunRecord Platform::step() {
   //    stream — and fault decisions from a separate per-(worker, run)
   //    fault stream — so this stage shards across the pool without
   //    changing a single bit of output relative to the serial loop.
-  std::vector<auction::WorkerId> ids(workers_.size());
-  std::vector<lds::ScoreSet> scores(workers_.size());
-  std::vector<ScoreFaultCounts> fault_counts(
-      faults_active ? workers_.size() : 0);
+  std::vector<auction::WorkerId> ids(n);
+  std::vector<lds::ScoreSet> scores(n);
+  std::vector<ScoreFaultCounts> fault_counts(faults_active ? n : 0);
   {
     obs::ScopedTimer timer(obs::timer_if_enabled("platform/score_gen"));
     util::parallel_for(
-        util::shared_pool(), workers_.size(),
+        util::shared_pool(), n,
         [&](std::size_t i) {
           const auction::WorkerId id = worker_ids[i];
           const int count = assigned_scratch_[i];
@@ -223,7 +215,7 @@ RunRecord Platform::step() {
     estimator_.observe_run(ids, scores);
   }
   soa_.utilities(last_result_, utility_scratch_);
-  for (std::size_t i = 0; i < workers_.size(); ++i) {
+  for (std::size_t i = 0; i < n; ++i) {
     total_utility_[worker_ids[i]] += utility_scratch_[i];
   }
 

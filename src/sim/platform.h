@@ -40,7 +40,9 @@ inline constexpr std::uint32_t kCheckpointVersion = 5;
 class Platform {
  public:
   /// The mechanism and estimator are borrowed and must outlive the
-  /// platform. Workers are copied in; all randomness derives from `seed`.
+  /// platform. Workers are moved into the store in the given order (slot
+  /// order); all randomness derives from `seed`. Throws
+  /// std::invalid_argument if an id appears twice.
   Platform(const LongTermScenario& scenario, auction::Mechanism& mechanism,
            estimators::QualityEstimator& estimator,
            std::vector<SimWorker> workers, std::uint64_t seed);
@@ -51,7 +53,8 @@ class Platform {
 
   /// Add a newcomer mid-simulation (registered with the estimator). His
   /// trajectory is advanced to the current run, as if it had been running
-  /// since run 1. O(1) amortized: one SoA slot is appended.
+  /// since run 1. O(1) amortized: one store slot is appended. Throws
+  /// std::invalid_argument, changing nothing, if his id already has one.
   void add_worker(SimWorker worker);
 
   /// The price-ladder bid book, the platform's rank cache: every step()
@@ -134,10 +137,8 @@ class Platform {
     return last_result_;
   }
 
-  const std::vector<SimWorker>& workers() const noexcept { return workers_; }
-
-  /// The derived SoA the per-run loops read: slot i describes workers()[i],
-  /// and it always equals a fresh WorkerStateSoA::rebuild(workers()).
+  /// The worker store: every worker's id, true bid, trajectory stream and
+  /// current latent quality, in slot (join) order.
   const WorkerStateSoA& worker_state() const noexcept { return soa_; }
 
   /// Persist the complete platform state as a versioned binary snapshot
@@ -154,7 +155,8 @@ class Platform {
   /// bid book (a loaded platform starts with an empty one) and the
   /// last_result() of the interrupted step: the next step() re-establishes
   /// both.
-  /// Both throw std::runtime_error on I/O failure or malformed input.
+  /// Both throw std::runtime_error on I/O failure or malformed input,
+  /// which includes two workers with one id.
   void save(std::ostream& out) const;
   void load(std::istream& in);
 
@@ -162,10 +164,8 @@ class Platform {
   LongTermScenario scenario_;
   auction::Mechanism& mechanism_;
   estimators::QualityEstimator& estimator_;
-  std::vector<SimWorker> workers_;
-  /// Derived SoA view over workers_ for the per-run hot loops; rebuilt at
-  /// construction and load, appended to by add_worker. Not part of the
-  /// snapshot — it is a pure function of workers_.
+  /// The one owner of per-worker ground truth (see worker_state()); the
+  /// snapshot writes it column by column in slot order.
   WorkerStateSoA soa_;
   std::unordered_map<auction::WorkerId, BidPolicy> policies_;
   std::unordered_map<auction::WorkerId, double> total_utility_;

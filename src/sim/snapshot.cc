@@ -6,9 +6,9 @@
 //   sequential RNG: 4 x u64 words | f64 cached_normal | u8 cached_valid
 //   fault plan: f64 no_show | f64 drop | f64 corrupt | f64 churn
 //               | i32 churn_min | i32 churn_max | u64 salt
-//   workers: u64 count, then per worker (in platform order — bid collection
-//            iterates this order against the sequential RNG, so it is part
-//            of the deterministic state, NOT sorted):
+//   workers: u64 count, then per worker in slot order (bid collection
+//            iterates it against the sequential RNG, so it is part of the
+//            deterministic state, NOT sorted; ids are unique):
 //            i32 id | f64 cost | i32 frequency | trajectory stream:
 //            u8 kind | f64 start_level | f64 swing | f64 period | f64 phase
 //            | f64 noise_stddev | f64 min_quality | f64 max_quality
@@ -114,12 +114,12 @@ void Platform::save(std::ostream& out) const {
   binio::write_i32(out, fault_plan_.churn_max_absence);
   binio::write_u64(out, fault_plan_.salt);
 
-  binio::write_u64(out, workers_.size());
-  for (const SimWorker& w : workers_) {
-    binio::write_i32(out, w.id());
-    binio::write_f64(out, w.true_bid().cost);
-    binio::write_i32(out, w.true_bid().frequency);
-    write_trajectory(out, w.trajectory());
+  binio::write_u64(out, soa_.size());
+  for (std::size_t slot = 0; slot < soa_.size(); ++slot) {
+    binio::write_i32(out, soa_.ids()[slot]);
+    binio::write_f64(out, soa_.costs()[slot]);
+    binio::write_i32(out, soa_.frequencies()[slot]);
+    write_trajectory(out, soa_.trajectories()[slot]);
   }
 
   std::vector<std::pair<auction::WorkerId, BidPolicy>> policies(
@@ -180,7 +180,7 @@ void Platform::load(std::istream& in) try {
   plan.validate();
 
   const std::uint64_t worker_count = binio::read_u64(in, "worker count");
-  std::vector<SimWorker> workers;
+  WorkerStateSoA workers;
   binio::reserve_bounded(workers, worker_count);
   for (std::uint64_t k = 0; k < worker_count; ++k) {
     const auction::WorkerId id = binio::read_i32(in, "worker id");
@@ -192,7 +192,7 @@ void Platform::load(std::istream& in) try {
       throw std::runtime_error(
           "platform snapshot: trajectory out of step with the run");
     }
-    workers.emplace_back(id, bid, std::move(trajectory));
+    workers.append(SimWorker(id, bid, std::move(trajectory)));
   }
 
   const std::uint64_t policy_count = binio::read_u64(in, "policy count");
@@ -239,13 +239,12 @@ void Platform::load(std::istream& in) try {
   // Every worker must be registered with the estimator, or the next step
   // would fail: estimate() throws std::out_of_range for an unknown id (the
   // estimator already holds the snapshot's state by then).
-  for (const SimWorker& w : workers) estimator_.estimate(w.id());
+  for (const auction::WorkerId id : workers.ids()) estimator_.estimate(id);
   master_seed_ = master_seed;
   run_ = run;
   rng_.restore(rng);
   fault_plan_ = plan;
-  workers_ = std::move(workers);
-  soa_.rebuild(workers_);
+  soa_ = std::move(workers);
   policies_ = std::move(policies);
   total_utility_ = std::move(utilities);
   last_result_ = auction::AllocationResult{};
@@ -253,8 +252,9 @@ void Platform::load(std::istream& in) try {
   bid_book_.clear();
 } catch (const std::logic_error& e) {
   // The validators of a fault plan, a trajectory stream or estimator
-  // hyper-parameters and an unknown-worker estimate throw logic_error
-  // subclasses; inside a snapshot each means malformed input.
+  // hyper-parameters, a repeated worker id and an unknown-worker estimate
+  // throw logic_error subclasses; inside a snapshot each means malformed
+  // input.
   throw std::runtime_error(std::string("platform snapshot: ") + e.what());
 }
 

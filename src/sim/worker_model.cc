@@ -5,9 +5,9 @@
 
 namespace melody::sim {
 
-auction::Bid SimWorker::submitted_bid(const BidPolicy& policy,
-                                      util::Rng& rng) const {
-  auction::Bid bid = true_bid_;
+auction::Bid submitted_bid(const auction::Bid& true_bid,
+                           const BidPolicy& policy, util::Rng& rng) {
+  auction::Bid bid = true_bid;
   if (policy.cheat_probability <= 0.0 || !rng.bernoulli(policy.cheat_probability)) {
     return bid;
   }
@@ -32,21 +32,6 @@ auction::Bid SimWorker::submitted_bid(const BidPolicy& policy,
         1, bid.frequency + static_cast<int>(std::lround(delta)));
   }
   return bid;
-}
-
-double SimWorker::utility(const auction::AllocationResult& result) const {
-  // A worker can complete at most his true frequency of tasks; payments for
-  // assignments beyond it are forfeited (Section 7.5: an overbid frequency
-  // cannot raise utility because "the worker's true frequency value remains
-  // unchanged").
-  int remaining = true_bid_.frequency;
-  double utility = 0.0;
-  for (const auto& a : result.assignments) {
-    if (a.worker != id_ || remaining == 0) continue;
-    --remaining;
-    utility += a.payment - true_bid_.cost;
-  }
-  return utility;
 }
 
 std::vector<SimWorker> sample_population(const WorkerPopulationConfig& config,

@@ -31,7 +31,14 @@ struct BidPolicy {
   static BidPolicy truthful() { return {}; }
 };
 
-/// One simulated worker: ground truth the platform never sees.
+/// The bid submitted in a run by a worker with true bid `true_bid` under
+/// the given policy.
+auction::Bid submitted_bid(const auction::Bid& true_bid,
+                           const BidPolicy& policy, util::Rng& rng);
+
+/// One simulated worker: ground truth the platform never sees. This is the
+/// input value a population is sampled as and a platform is built or
+/// joined from; the platform's WorkerStateSoA takes it apart into columns.
 class SimWorker {
  public:
   SimWorker(auction::WorkerId id, auction::Bid true_bid,
@@ -41,11 +48,6 @@ class SimWorker {
   auction::WorkerId id() const noexcept { return id_; }
   const auction::Bid& true_bid() const noexcept { return true_bid_; }
 
-  /// Re-bid: replace the worker's true (cost, frequency). Online platforms
-  /// accept bid updates between runs (svc `update_bid`); the new bid is
-  /// what truthful bidding and utility accounting use from now on.
-  void set_true_bid(const auction::Bid& bid) noexcept { true_bid_ = bid; }
-
   /// Latent quality q^r at the trajectory's current run r (see
   /// TrajectoryStream::value; the last value is held past its length).
   double latent_quality() const noexcept { return trajectory_.value(); }
@@ -53,14 +55,9 @@ class SimWorker {
   /// Step the latent quality forward to 1-based run `run`.
   void advance_to(int run) noexcept { trajectory_.advance_to(run); }
 
-  const TrajectoryStream& trajectory() const noexcept { return trajectory_; }
-
-  /// The bid submitted in a run under the given policy.
-  auction::Bid submitted_bid(const BidPolicy& policy, util::Rng& rng) const;
-
-  /// Worker's true utility for an auction outcome: payments received minus
-  /// true cost per assigned task (Definition 1).
-  double utility(const auction::AllocationResult& result) const;
+  const TrajectoryStream& trajectory() const& noexcept { return trajectory_; }
+  /// Moves the stream out (WorkerStateSoA::append takes it this way).
+  TrajectoryStream&& trajectory() && noexcept { return std::move(trajectory_); }
 
  private:
   auction::WorkerId id_;

@@ -1,29 +1,47 @@
 #include "sim/worker_soa.h"
 
+#include <stdexcept>
+#include <string>
+
+#include "util/parallel_for.h"
+
 namespace melody::sim {
 
-void WorkerStateSoA::rebuild(std::span<const SimWorker> workers) {
-  *this = WorkerStateSoA();
-  index_.reserve(workers.size());
-  for (const SimWorker& w : workers) append(w);
+void WorkerStateSoA::reserve(std::size_t count) {
+  ids_.reserve(count);
+  cost_.reserve(count);
+  frequency_.reserve(count);
+  trajectory_.reserve(count);
+  current_quality_.reserve(count);
+  index_.reserve(count);
 }
 
-void WorkerStateSoA::append(const SimWorker& worker) {
-  index_.emplace(worker.id(), ids_.size());
+void WorkerStateSoA::append(SimWorker&& worker) {
+  if (!index_.emplace(worker.id(), ids_.size()).second) {
+    throw std::invalid_argument("worker id " + std::to_string(worker.id()) +
+                                " already has a slot");
+  }
   ids_.push_back(worker.id());
   cost_.push_back(worker.true_bid().cost);
   frequency_.push_back(worker.true_bid().frequency);
   current_quality_.push_back(worker.latent_quality());
+  trajectory_.push_back(std::move(worker).trajectory());
+}
+
+void WorkerStateSoA::advance_to(int run) {
+  util::parallel_for(
+      util::shared_pool(), trajectory_.size(),
+      [this, run](std::size_t i) {
+        trajectory_[i].advance_to(run);
+        current_quality_[i] = trajectory_[i].value();
+      },
+      /*min_grain=*/1024);
 }
 
 void WorkerStateSoA::utilities(const auction::AllocationResult& result,
                                std::vector<double>& out) const {
   out.assign(ids_.size(), 0.0);
   remaining_scratch_.assign(frequency_.begin(), frequency_.end());
-  // A worker can complete at most his true frequency of tasks; payments
-  // for assignments beyond it are forfeited (Section 7.5). Assignments are
-  // visited in result order, so each worker's partial sums accumulate in
-  // the same order SimWorker::utility produced them.
   for (const auto& a : result.assignments) {
     const auto it = index_.find(a.worker);
     if (it == index_.end()) continue;

@@ -1,19 +1,14 @@
-// Structure-of-arrays view over the platform's worker population for the
-// per-run hot loops: contiguous id/cost/frequency arrays plus each worker's
-// latent quality at the current run, with an id -> slot index replacing
-// the per-step `by_id` hash map the platform used to rebuild every run.
-//
-// This is a *facade*: SimWorker remains the owner of all ground-truth
-// state (including the trajectory stream; the checkpoint format
-// serializes SimWorkers in platform order). The SoA arrays are derived
-// views — slot i always describes workers[i]. They are built in full at
-// construction and snapshot load; a join appends one slot, a re-bid
-// rewrites one, and the platform refreshes the latent column once per run
-// after advancing every stream.
+// The platform's worker store: the one owner of every worker's ground
+// truth, laid out as a structure of arrays for the per-run hot loops. Slot
+// i holds a worker's id, true cost and frequency, trajectory stream and
+// latent quality at the current run; an id -> slot index finds a worker.
+// Slot order is join order, and it is state: bid collection walks it
+// against the sequential RNG and the checkpoint writes workers in it. A
+// join appends one slot, a re-bid rewrites one, and the platform advances
+// every stream once per run.
 #pragma once
 
 #include <cstddef>
-#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -24,26 +19,28 @@ namespace melody::sim {
 
 class WorkerStateSoA {
  public:
-  /// Derive the arrays from `workers` (slot i <- workers[i]); O(N).
-  void rebuild(std::span<const SimWorker> workers);
+  /// Capacity for `count` slots in every column and the index.
+  void reserve(std::size_t count);
 
-  /// Describe one more worker in a new last slot; O(1) amortized. An id
-  /// already present keeps its first slot in the index, as in rebuild.
-  void append(const SimWorker& worker);
+  /// Take a worker into a new last slot, moving his stream in; O(1)
+  /// amortized. Throws std::invalid_argument, leaving the store unchanged,
+  /// if his id already has a slot.
+  void append(SimWorker&& worker);
 
   std::size_t size() const noexcept { return ids_.size(); }
   const std::vector<auction::WorkerId>& ids() const noexcept { return ids_; }
   const std::vector<double>& costs() const noexcept { return cost_; }
   const std::vector<int>& frequencies() const noexcept { return frequency_; }
+  const std::vector<TrajectoryStream>& trajectories() const noexcept {
+    return trajectory_;
+  }
 
-  /// Dense slot of a worker id. Throws std::out_of_range for unknown ids
-  /// (same contract the platform's old by_id map lookup had).
+  /// Dense slot of a worker id. Throws std::out_of_range for unknown ids.
   std::size_t slot_of(auction::WorkerId id) const { return index_.at(id); }
 
   bool contains(auction::WorkerId id) const { return index_.contains(id); }
 
-  /// Targeted bid update mirroring SimWorker::set_true_bid — keeps the
-  /// derived arrays in sync without an O(N) rebuild.
+  /// Re-bid: replace the true (cost, frequency) of the worker in `slot`.
   void set_bid(std::size_t slot, const auction::Bid& bid) noexcept {
     cost_[slot] = bid.cost;
     frequency_[slot] = bid.frequency;
@@ -53,16 +50,18 @@ class WorkerStateSoA {
   double latent_quality(std::size_t slot) const noexcept {
     return current_quality_[slot];
   }
-  void set_latent_quality(std::size_t slot, double quality) noexcept {
-    current_quality_[slot] = quality;
-  }
+
+  /// Step every stream to 1-based run `run` and refresh the latent quality
+  /// column, sharded over util::shared_pool(). Each stream draws only from
+  /// its own generator, so any thread count gives the same bits.
+  void advance_to(int run);
 
   /// Per-worker true utilities for one auction outcome, written into
-  /// `out[slot]` (resized to size()). Single pass over the assignments in
-  /// result order with the same per-worker frequency cap and accumulation
-  /// order as SimWorker::utility — each worker's sum is the bit-identical
-  /// double — replacing the platform's old O(workers x assignments)
-  /// per-worker scans with O(workers + assignments).
+  /// `out[slot]` (resized to size()): payments received minus true cost per
+  /// assigned task (Definition 1). A worker completes at most his true
+  /// frequency of tasks; payments for assignments beyond it are forfeited
+  /// (Section 7.5). One pass over the assignments in result order, so each
+  /// worker's sum accumulates in that order; O(workers + assignments).
   void utilities(const auction::AllocationResult& result,
                  std::vector<double>& out) const;
 
@@ -70,6 +69,7 @@ class WorkerStateSoA {
   std::vector<auction::WorkerId> ids_;
   std::vector<double> cost_;       // true cost c_i
   std::vector<int> frequency_;     // true frequency n_i
+  std::vector<TrajectoryStream> trajectory_;
   std::vector<double> current_quality_;  // latent quality q^r per slot
   std::unordered_map<auction::WorkerId, std::size_t> index_;
   mutable std::vector<int> remaining_scratch_;  // utilities() frequency caps

@@ -63,9 +63,8 @@ AuctionService::AuctionService(ServiceConfig config)
                              population_rng),
       config_.seed + 1);
   if (config_.faults.active()) platform_->set_fault_plan(config_.faults);
-  for (const sim::SimWorker& w : platform_->workers()) {
-    registry_.bind(
-        "w" + std::to_string(config_.worker_name_offset + w.id()), w.id());
+  for (const auction::WorkerId id : platform_->worker_state().ids()) {
+    registry_.bind("w" + std::to_string(config_.worker_name_offset + id), id);
   }
   first_session_run_ = platform_->current_run();
 }
@@ -194,7 +193,7 @@ void AuctionService::handle_hello(Response& response) {
   response.fields.set("next_run", of_int(platform_->current_run()));
   response.fields.set("scenario_runs", of_int(config_.scenario.runs));
   response.fields.set("workers", of_int(static_cast<std::int64_t>(
-                                     platform_->workers().size())));
+                                     platform_->worker_state().size())));
   response.fields.set("manual_clock", WireValue::of(config_.manual_clock));
   response.fields.set("min_bids", of_int(config_.batch.min_bids));
   response.fields.set("max_delay", WireValue::of(config_.batch.max_delay));
@@ -431,7 +430,7 @@ void AuctionService::handle_stats(Response& response) {
   response.fields.set("accrued_budget",
                       WireValue::of(batcher_.accrued_budget()));
   response.fields.set("workers", of_int(static_cast<std::int64_t>(
-                                     platform_->workers().size())));
+                                     platform_->worker_state().size())));
   response.fields.set("sessions",
                       of_int(static_cast<std::int64_t>(registry_.size())));
   response.fields.set("requests",

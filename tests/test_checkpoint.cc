@@ -91,8 +91,8 @@ Outcome finish(Rig& rig, std::vector<RunRecord> prefix) {
   std::ostringstream snap;
   rig.platform.save(snap);
   Outcome outcome{std::move(prefix), snap.str(), {}};
-  for (const auto& w : rig.platform.workers()) {
-    outcome.estimates[w.id()] = rig.estimator.estimate(w.id());
+  for (const auction::WorkerId id : rig.platform.worker_state().ids()) {
+    outcome.estimates[id] = rig.estimator.estimate(id);
   }
   return outcome;
 }
@@ -198,7 +198,7 @@ TEST(Checkpoint, PoliciesSurviveResume) {
 
   auto with_policy = [&](bool through_snapshot) {
     Rig rig(scenario, population(scenario));
-    rig.platform.set_policy(rig.platform.workers().front().id(), overbid);
+    rig.platform.set_policy(rig.platform.worker_state().ids().front(), overbid);
     if (through_snapshot) {
       std::stringstream snap;
       rig.platform.save(snap);

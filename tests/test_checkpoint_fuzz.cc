@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -74,14 +75,17 @@ std::string corpus_blob() {
   BidPolicy cheat;
   cheat.cheat_probability = 0.5;
   cheat.cheat_frequency = true;
-  rig.platform.set_policy(rig.platform.workers()[1].id(), cheat);
+  rig.platform.set_policy(rig.platform.worker_state().ids()[1], cheat);
   for (int r = 0; r < 3; ++r) rig.platform.step();
-  const auction::WorkerId withdrawn = rig.platform.workers()[4].id();
+  const auction::WorkerId withdrawn = rig.platform.worker_state().ids()[4];
   EXPECT_TRUE(rig.platform.set_withdrawn(withdrawn, true));
   std::ostringstream out;
   rig.platform.save(out);
   return out.str();
 }
+
+// A worker record is i32 id | f64 cost | i32 frequency, then the stream.
+constexpr std::size_t kIdBeforeStream = 4 + 8 + 4;
 
 // Byte offsets of the fields inside one worker's trajectory-stream record
 // (see the layout in snapshot.cc).
@@ -124,7 +128,7 @@ Layout walk(const std::string& blob) {
   skip(4 * 8 + 2 * 4 + 8);       // fault plan
   const std::uint64_t workers = count_here();
   for (std::uint64_t k = 0; k < workers; ++k) {
-    skip(4 + 8 + 4);             // id, cost, frequency
+    skip(kIdBeforeStream);       // id, cost, frequency
     layout.streams.push_back(static_cast<std::size_t>(in.tellg()));
     skip(kStreamBytes);
   }
@@ -200,11 +204,14 @@ std::string mutate(const std::string& corpus,
   return blob;
 }
 
-/// An accepted snapshot must step, and score from finite latent qualities.
+/// An accepted snapshot must hold each worker id once, step, and score
+/// from finite latent qualities.
 void expect_steps_on_finite_latents(Platform& platform,
                                     const std::string& what) {
-  EXPECT_NO_THROW(platform.step()) << what;
   const WorkerStateSoA& soa = platform.worker_state();
+  std::set<auction::WorkerId> ids(soa.ids().begin(), soa.ids().end());
+  EXPECT_EQ(ids.size(), soa.size()) << what;
+  EXPECT_NO_THROW(platform.step()) << what;
   for (std::size_t slot = 0; slot < soa.size(); ++slot) {
     EXPECT_TRUE(std::isfinite(soa.latent_quality(slot)))
         << what << " slot " << slot;
@@ -220,7 +227,7 @@ TEST(CheckpointFuzz, CorpusWalksAndRoundTrips) {
   Rig rig(fuzz_scenario(), {});
   std::istringstream in(corpus);
   rig.platform.load(in);
-  EXPECT_TRUE(rig.platform.is_withdrawn(rig.platform.workers()[4].id()));
+  EXPECT_TRUE(rig.platform.is_withdrawn(rig.platform.worker_state().ids()[4]));
   std::ostringstream again;
   rig.platform.save(again);
   EXPECT_EQ(again.str(), corpus);
@@ -338,6 +345,24 @@ TEST(CheckpointFuzz, TrajectoryFieldRewritesLoadAndStepOrThrow) {
         expect_steps_on_finite_latents(rig.platform, name);
       }
     }
+  }
+}
+
+TEST(CheckpointFuzz, RepeatedWorkerIdIsRefused) {
+  const std::string corpus = corpus_blob();
+  const std::vector<std::size_t> streams = walk(corpus).streams;
+  const auto id_at = [&](std::size_t k) {
+    return streams[k] - kIdBeforeStream;
+  };
+  for (const auto& [k, j] : std::vector<std::pair<std::size_t, std::size_t>>{
+           {1, 0}, {0, 1}, {streams.size() - 1, 4}}) {
+    std::string mutant = corpus;
+    mutant.replace(id_at(k), 4, corpus, id_at(j), 4);
+    Rig rig(fuzz_scenario(), {});
+    std::istringstream in(mutant);
+    EXPECT_THROW(rig.platform.load(in), std::runtime_error)
+        << "worker " << k << " given worker " << j << "'s id";
+    EXPECT_EQ(rig.platform.worker_state().size(), 0u);
   }
 }
 

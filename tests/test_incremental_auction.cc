@@ -165,7 +165,7 @@ TEST(IncrementalAuction, WithdrawnWorkersSitOutAndSurviveResume) {
   // flag must survive a checkpoint round trip.
   const auto run_with_withdrawal = [&](bool through_snapshot) {
     Rig rig(scenario, population(scenario));
-    const auction::WorkerId victim = rig.platform.workers().front().id();
+    const auction::WorkerId victim = rig.platform.worker_state().ids().front();
     for (int r = 0; r < 5; ++r) rig.platform.step();
     EXPECT_TRUE(rig.platform.set_withdrawn(victim, true));
     EXPECT_TRUE(rig.platform.is_withdrawn(victim));
@@ -190,7 +190,7 @@ TEST(IncrementalAuction, UpdateBidTakesEffectDeterministically) {
   scenario.runs = 20;
   const auto run_with_rebid = [&] {
     Rig rig(scenario, population(scenario));
-    const auction::WorkerId worker = rig.platform.workers().front().id();
+    const auction::WorkerId worker = rig.platform.worker_state().ids().front();
     std::vector<RunRecord> records;
     for (int r = 0; r < 5; ++r) records.push_back(rig.platform.step());
     EXPECT_TRUE(rig.platform.update_bid(worker, {1.05, 5}));

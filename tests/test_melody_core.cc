@@ -7,6 +7,8 @@
 #include <stdexcept>
 #include <vector>
 
+#include "util/rng.h"
+
 namespace melody::core {
 namespace {
 
@@ -118,6 +120,38 @@ TEST(MelodyFacade, MultipleRunsTrackImprovingWorker) {
   }
   EXPECT_NEAR(platform.estimated_quality(1), level, 1.0);
   EXPECT_EQ(platform.completed_runs(), 50);
+}
+
+TEST(MelodyFacade, EndRunMatchesPerWorkerObserve) {
+  // Seven workers over three EM periods: six are scored every run, so they
+  // come due together with equal histories and refit in 4-lane groups;
+  // worker 7 is scored every other run and idles in between.
+  const MelodyOptions options = open_options();
+  Melody platform(options);
+  estimators::MelodyEstimator reference(options.tracker);
+  const std::vector<auction::WorkerId> ids{3, 1, 4, 5, 9, 2, 7};
+  for (const auction::WorkerId id : ids) {
+    platform.register_worker(id);
+    reference.register_worker(id);
+  }
+  util::Rng rng(17);
+  const int runs = 3 * options.tracker.reestimation_period;
+  for (int r = 0; r < runs; ++r) {
+    for (const auction::WorkerId id : ids) {
+      lds::ScoreSet set;
+      if (id != 7 || r % 2 == 0) {
+        for (int k = 0; k < 3; ++k) set.add(rng.uniform(1.0, 10.0));
+        platform.submit_scores(id, set);
+      }
+      reference.observe(id, set);
+    }
+    platform.end_run();
+  }
+  std::ostringstream facade_bytes;
+  std::ostringstream reference_bytes;
+  platform.tracker().save(facade_bytes);
+  reference.save(reference_bytes);
+  EXPECT_EQ(facade_bytes.str(), reference_bytes.str());
 }
 
 TEST(MelodyFacade, SnapshotRoundTripResumesPlatform) {

@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <stdexcept>
+#include <vector>
+
 #include "auction/melody_auction.h"
 #include "auction/random_auction.h"
 #include "estimators/melody_estimator.h"
@@ -153,7 +157,43 @@ TEST(Platform, NewcomerIsRegisteredAndParticipates) {
                      TrajectoryStream(traj, scenario.runs, rng));
   platform.add_worker(std::move(newcomer));
   EXPECT_NO_THROW(platform.step());
-  EXPECT_EQ(platform.workers().size(), 41u);
+  EXPECT_EQ(platform.worker_state().size(), 41u);
+}
+
+TEST(Platform, AddWorkerWithAKnownIdThrows) {
+  auto scenario = small_scenario();
+  scenario.runs = 10;
+  auction::MelodyAuction mechanism;
+  estimators::MelodyEstimator estimator(tracker_config(scenario));
+  util::Rng rng(6);
+  Platform platform(scenario, mechanism, estimator,
+                    sample_population(scenario.population_config(), rng), 23);
+  platform.step();
+  std::ostringstream before;
+  platform.save(before);
+
+  // Worker 2 already bids; a second profile under his id must not join.
+  SimWorker twin(2, {1.0, 5}, TrajectoryStream(TrajectoryConfig{},
+                                               scenario.runs, rng));
+  EXPECT_THROW(platform.add_worker(std::move(twin)), std::invalid_argument);
+  EXPECT_EQ(platform.worker_state().size(), 40u);
+  EXPECT_EQ(platform.worker_state().slot_of(2), 2u);
+  std::ostringstream after;
+  platform.save(after);
+  EXPECT_EQ(after.str(), before.str());
+  EXPECT_NO_THROW(platform.step());
+}
+
+TEST(Platform, ConstructorRefusesARepeatedId) {
+  const auto scenario = small_scenario();
+  auction::MelodyAuction mechanism;
+  estimators::MelodyEstimator estimator(tracker_config(scenario));
+  util::Rng rng(6);
+  std::vector<SimWorker> workers =
+      sample_population(scenario.population_config(), rng);
+  workers.push_back(workers[2]);
+  EXPECT_THROW(Platform(scenario, mechanism, estimator, std::move(workers), 23),
+               std::invalid_argument);
 }
 
 TEST(Platform, PolicyOverrideChangesBids) {

@@ -251,26 +251,31 @@ INSTANTIATE_TEST_SUITE_P(Threads, SoaGoldenLattice,
                          });
 
 // ---------------------------------------------------------------------------
-// Incremental maintenance: a join appends one slot and a re-bid rewrites
-// one, so after any interleaving of joins, re-bids, withdrawals and runs
-// the platform's SoA must equal a fresh rebuild over its workers.
+// Incremental maintenance: a join appends one store slot and a re-bid
+// rewrites one, so after any interleaving of joins, re-bids, withdrawals
+// and runs the platform's store must equal the store a snapshot round trip
+// builds from scratch.
 // ---------------------------------------------------------------------------
 
-void expect_same_soa(const WorkerStateSoA& kept, const WorkerStateSoA& fresh,
-                     const std::string& when) {
+void expect_same_store(const WorkerStateSoA& kept, const WorkerStateSoA& fresh,
+                       const std::string& when) {
   ASSERT_EQ(kept.size(), fresh.size()) << when;
   EXPECT_EQ(kept.ids(), fresh.ids()) << when;
   EXPECT_EQ(kept.costs(), fresh.costs()) << when;
   EXPECT_EQ(kept.frequencies(), fresh.frequencies()) << when;
   for (std::size_t slot = 0; slot < fresh.size(); ++slot) {
     const auction::WorkerId id = fresh.ids()[slot];
-    EXPECT_EQ(kept.slot_of(id), fresh.slot_of(id)) << when << " id " << id;
+    EXPECT_EQ(kept.slot_of(id), slot) << when << " id " << id;
+    EXPECT_EQ(fresh.slot_of(id), slot) << when << " id " << id;
     EXPECT_EQ(kept.latent_quality(slot), fresh.latent_quality(slot))
+        << when << " slot " << slot;
+    EXPECT_TRUE(kept.trajectories()[slot].state() ==
+                fresh.trajectories()[slot].state())
         << when << " slot " << slot;
   }
 }
 
-TEST(SoaIncremental, InterleavedJoinsRebidsAndRunsMatchAFreshRebuild) {
+TEST(SoaIncremental, InterleavedJoinsRebidsAndRunsMatchASnapshotRoundTrip) {
   LongTermScenario scenario = lattice_scenario();
   scenario.num_workers = 30;
   scenario.runs = 25;
@@ -284,11 +289,9 @@ TEST(SoaIncremental, InterleavedJoinsRebidsAndRunsMatchAFreshRebuild) {
   util::Rng ops(43);
   auction::WorkerId next_id = 1000;
   for (int op = 0; op < 200; ++op) {
-    const auto& workers = platform.workers();
-    const auction::WorkerId someone =
-        workers[static_cast<std::size_t>(ops.uniform_int(
-                    0, static_cast<std::int64_t>(workers.size()) - 1))]
-            .id();
+    const std::vector<auction::WorkerId>& ids = platform.worker_state().ids();
+    const auction::WorkerId someone = ids[static_cast<std::size_t>(
+        ops.uniform_int(0, static_cast<std::int64_t>(ids.size()) - 1))];
     std::string when = "op " + std::to_string(op);
     switch (ops.uniform_int(0, 3)) {
       case 0: {
@@ -315,9 +318,13 @@ TEST(SoaIncremental, InterleavedJoinsRebidsAndRunsMatchAFreshRebuild) {
         when += " run";
         break;
     }
-    WorkerStateSoA fresh;
-    fresh.rebuild(platform.workers());
-    expect_same_soa(platform.worker_state(), fresh, when);
+    std::stringstream snapshot;
+    platform.save(snapshot);
+    auction::MelodyAuction fresh_mechanism;
+    estimators::MelodyEstimator fresh_estimator(tracker_config(scenario));
+    Platform fresh(scenario, fresh_mechanism, fresh_estimator, {}, 42);
+    fresh.load(snapshot);
+    expect_same_store(platform.worker_state(), fresh.worker_state(), when);
     if (HasFatalFailure()) return;
   }
   EXPECT_GT(platform.current_run(), scenario.runs);  // past the horizon too

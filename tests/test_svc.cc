@@ -379,7 +379,7 @@ TEST(AuctionService, DeadlineTriggerFiresOnManualClock) {
 
 TEST(AuctionService, NewcomerRegistration) {
   AuctionService service(tiny_config());
-  const std::size_t base = service.platform().workers().size();
+  const std::size_t base = service.platform().worker_state().size();
 
   Request unknown = bid_for(0, 1);
   unknown.worker = "alice";
@@ -395,7 +395,7 @@ TEST(AuctionService, NewcomerRegistration) {
   ASSERT_TRUE(r.ok) << r.error;
   EXPECT_TRUE(r.fields.boolean_or("registered", false));
   EXPECT_EQ(r.fields.number("internal_id"), static_cast<double>(base));
-  EXPECT_EQ(service.platform().workers().size(), base + 1);
+  EXPECT_EQ(service.platform().worker_state().size(), base + 1);
 
   // Re-bidding under the same name reuses the registration.
   r = service.apply(unknown);
@@ -430,7 +430,7 @@ TEST(AuctionService, UpdateBidRebidsAndCountsTowardTheBatch) {
   EXPECT_FALSE(r.ok);
   EXPECT_EQ(r.error, "unknown_worker");
   EXPECT_EQ(r.fields.text("worker"), "ghost");
-  EXPECT_EQ(service.platform().workers().size(), 8u);
+  EXPECT_EQ(service.platform().worker_state().size(), 8u);
 
   // The replacement bid must be a valid bid.
   update.worker = "w3";

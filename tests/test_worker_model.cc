@@ -4,6 +4,8 @@
 
 #include <vector>
 
+#include "sim/worker_soa.h"
+
 namespace melody::sim {
 namespace {
 
@@ -41,44 +43,42 @@ TEST(SimWorkerTest, EmptyTrajectory) {
   EXPECT_EQ(w.trajectory().length(), 0);
 }
 
+constexpr auction::Bid kTrueBid{1.5, 3};
+
 TEST(SimWorkerTest, TruthfulPolicyReturnsTrueBid) {
   util::Rng rng(1);
-  const SimWorker w = make_worker();
   for (int i = 0; i < 50; ++i) {
-    EXPECT_EQ(w.submitted_bid(BidPolicy::truthful(), rng), w.true_bid());
+    EXPECT_EQ(submitted_bid(kTrueBid, BidPolicy::truthful(), rng), kTrueBid);
   }
 }
 
 TEST(SimWorkerTest, AlwaysHigherCostPolicy) {
   util::Rng rng(2);
-  const SimWorker w = make_worker();
   BidPolicy policy;
   policy.cheat_probability = 1.0;
   policy.direction = MisreportDirection::kHigher;
   policy.cheat_cost = true;
   for (int i = 0; i < 100; ++i) {
-    const auto bid = w.submitted_bid(policy, rng);
-    EXPECT_GE(bid.cost, w.true_bid().cost);
-    EXPECT_LE(bid.cost, w.true_bid().cost * 1.5 + 1e-12);
-    EXPECT_EQ(bid.frequency, w.true_bid().frequency);
+    const auto bid = submitted_bid(kTrueBid, policy, rng);
+    EXPECT_GE(bid.cost, kTrueBid.cost);
+    EXPECT_LE(bid.cost, kTrueBid.cost * 1.5 + 1e-12);
+    EXPECT_EQ(bid.frequency, kTrueBid.frequency);
   }
 }
 
 TEST(SimWorkerTest, AlwaysLowerCostPolicyStaysPositive) {
   util::Rng rng(3);
-  const SimWorker w(1, {0.02, 1}, stable_stream(1));
   BidPolicy policy;
   policy.cheat_probability = 1.0;
   policy.direction = MisreportDirection::kLower;
   policy.cost_magnitude = 1.0;
   for (int i = 0; i < 100; ++i) {
-    EXPECT_GE(w.submitted_bid(policy, rng).cost, 0.01);
+    EXPECT_GE(submitted_bid({0.02, 1}, policy, rng).cost, 0.01);
   }
 }
 
 TEST(SimWorkerTest, FrequencyCheatingBounds) {
   util::Rng rng(4);
-  const SimWorker w = make_worker();
   BidPolicy policy;
   policy.cheat_probability = 1.0;
   policy.cheat_cost = false;
@@ -87,51 +87,66 @@ TEST(SimWorkerTest, FrequencyCheatingBounds) {
   policy.frequency_magnitude = 2;
   bool saw_change = false;
   for (int i = 0; i < 200; ++i) {
-    const auto bid = w.submitted_bid(policy, rng);
+    const auto bid = submitted_bid(kTrueBid, policy, rng);
     EXPECT_GE(bid.frequency, 1);
     EXPECT_LE(bid.frequency, 5);
-    EXPECT_EQ(bid.cost, w.true_bid().cost);
-    if (bid.frequency != w.true_bid().frequency) saw_change = true;
+    EXPECT_EQ(bid.cost, kTrueBid.cost);
+    if (bid.frequency != kTrueBid.frequency) saw_change = true;
   }
   EXPECT_TRUE(saw_change);
 }
 
 TEST(SimWorkerTest, CheatProbabilityRespected) {
   util::Rng rng(5);
-  const SimWorker w = make_worker();
   BidPolicy policy;
   policy.cheat_probability = 0.25;
   policy.direction = MisreportDirection::kHigher;
   int cheated = 0;
   const int n = 10000;
   for (int i = 0; i < n; ++i) {
-    if (w.submitted_bid(policy, rng).cost != w.true_bid().cost) ++cheated;
+    if (submitted_bid(kTrueBid, policy, rng).cost != kTrueBid.cost) ++cheated;
   }
   EXPECT_NEAR(cheated / static_cast<double>(n), 0.25, 0.02);
 }
 
+/// Utilities of an outcome for the store {worker 7: make_worker(), worker
+/// 9: true cost 2.5, frequency 1}; slot 0 is worker 7, slot 1 worker 9.
+std::vector<double> store_utilities(const auction::AllocationResult& result) {
+  WorkerStateSoA store;
+  store.append(make_worker());  // true cost 1.5, frequency 3
+  store.append(SimWorker(9, {2.5, 1}, stable_stream(3)));
+  std::vector<double> out;
+  store.utilities(result, out);
+  return out;
+}
+
 TEST(SimWorkerTest, UtilityFromAllocation) {
-  const SimWorker w = make_worker();  // true cost 1.5
   auction::AllocationResult result;
   result.assignments = {{7, 0, 2.0}, {7, 1, 1.8}, {9, 0, 3.0}};
-  // Two tasks at payment 3.8 total, cost 2 * 1.5 = 3.
-  EXPECT_NEAR(w.utility(result), 0.8, 1e-12);
+  const std::vector<double> u = store_utilities(result);
+  // Worker 7: two tasks at payment 3.8 total, cost 2 * 1.5 = 3.
+  EXPECT_NEAR(u[0], 0.8, 1e-12);
+  EXPECT_NEAR(u[1], 3.0 - 2.5, 1e-12);
 }
 
 TEST(SimWorkerTest, UtilityCapsAtTrueFrequency) {
   // True frequency 3: a fourth assignment earns nothing (the worker cannot
   // complete it), matching the paper's Fig. 7b semantics.
-  const SimWorker w = make_worker();  // true cost 1.5, frequency 3
   auction::AllocationResult result;
-  result.assignments = {{7, 0, 2.0}, {7, 1, 2.0}, {7, 2, 2.0}, {7, 3, 9.0}};
-  EXPECT_NEAR(w.utility(result), 3 * (2.0 - 1.5), 1e-12);
+  result.assignments = {{7, 0, 2.0}, {7, 1, 2.0}, {7, 2, 2.0}, {7, 3, 9.0},
+                        {9, 0, 3.0}, {9, 1, 9.0}};
+  const std::vector<double> u = store_utilities(result);
+  EXPECT_NEAR(u[0], 3 * (2.0 - 1.5), 1e-12);
+  EXPECT_NEAR(u[1], 3.0 - 2.5, 1e-12);
 }
 
 TEST(SimWorkerTest, UtilityZeroWhenUnassigned) {
-  const SimWorker w = make_worker();
+  // Another worker's assignment, and one for an id the store does not hold.
   auction::AllocationResult result;
-  result.assignments = {{9, 0, 3.0}};
-  EXPECT_EQ(w.utility(result), 0.0);
+  result.assignments = {{9, 0, 3.0}, {42, 1, 5.0}};
+  const std::vector<double> u = store_utilities(result);
+  EXPECT_EQ(u[0], 0.0);
+  EXPECT_NEAR(u[1], 0.5, 1e-12);
 }
 
 TEST(Population, SampleRespectsRangesAndCount) {
