@@ -1,7 +1,6 @@
 #include "auction/greedy_core.h"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <cstdint>
 #include <numeric>
@@ -13,10 +12,9 @@ namespace melody::auction::internal {
 
 namespace {
 
-// Below these sizes the fork-join overhead exceeds the loop body; the
-// serial path is also the reference the determinism tests compare against.
+// Below this size the fork-join overhead exceeds the sort; the serial path
+// is also the reference the determinism tests compare against.
 constexpr std::size_t kParallelSortThreshold = 4096;
-constexpr std::size_t kParallelPricingWork = std::size_t{1} << 17;
 // Below this the counting passes cost more than comparison sorting.
 constexpr std::size_t kRadixSortThreshold = 2048;
 
@@ -52,6 +50,9 @@ struct GreedyArena {
   std::vector<RankKey> rank_scratch;    // radix ping-pong buffer
   std::vector<std::size_t> task_order;  // pre_allocate
   std::vector<int> available;           // pre_allocate
+  std::vector<std::uint32_t> next;      // pre_allocate live list
+  std::vector<std::uint32_t> prev;
+  std::vector<double> covered_before;   // pre_allocate
 };
 
 GreedyArena& arena() {
@@ -215,9 +216,10 @@ std::vector<PreAllocation> pre_allocate(const RankingQueue& queue,
   const double* const quality = queue.quality.data();
   const double* const density = queue.density.data();
   const std::size_t queue_size = queue.size();
+  GreedyArena& scratch = arena();
 
   // Line 3: tasks in ascending order of quality threshold.
-  std::vector<std::size_t>& task_order = arena().task_order;
+  std::vector<std::size_t>& task_order = scratch.task_order;
   task_order.resize(tasks.size());
   std::iota(task_order.begin(), task_order.end(), std::size_t{0});
   std::sort(task_order.begin(), task_order.end(),
@@ -228,8 +230,29 @@ std::vector<PreAllocation> pre_allocate(const RankingQueue& queue,
               return tasks[a].id < tasks[b].id;
             });
 
-  std::vector<int>& available = arena().available;
+  // The live list: the queue positions with frequency left, in queue order,
+  // linked circularly through the sentinel `end`. Every scan below walks it
+  // instead of the queue, so a used-up worker costs nothing after the task
+  // that used him up; the sums it forms are the ones a scan of the whole
+  // queue forms, since that scan adds exactly the live positions, in order.
+  std::vector<int>& available = scratch.available;
   available.assign(queue.frequency.begin(), queue.frequency.end());
+  const auto end = static_cast<std::uint32_t>(queue_size);
+  std::vector<std::uint32_t>& next = scratch.next;
+  std::vector<std::uint32_t>& prev = scratch.prev;
+  next.resize(queue_size + 1);
+  prev.resize(queue_size + 1);
+  std::uint32_t tail = end;
+  for (std::uint32_t pos = 0; pos < end; ++pos) {
+    if (available[pos] > 0) {
+      next[tail] = pos;
+      prev[pos] = tail;
+      tail = pos;
+    }
+  }
+  next[tail] = end;
+  prev[end] = tail;
+  std::vector<double>& covered_before = scratch.covered_before;
 
   // Lines 5-14: pre-allocation.
   std::vector<PreAllocation> pre;
@@ -237,34 +260,49 @@ std::vector<PreAllocation> pre_allocate(const RankingQueue& queue,
   std::size_t uncoverable = 0;
   std::size_t unpriceable = 0;
   std::size_t winners_priced = 0;
+  // The smallest threshold the live set failed to cover. The live set only
+  // shrinks, and dropping a positive term never raises a floating-point sum
+  // of positives (rounding is monotone), so every threshold at or above it
+  // stays uncoverable: with tasks in ascending order, the loop stops
+  // scanning at the first uncoverable task.
+  bool any_uncoverable = false;
+  double min_uncoverable = 0.0;
   for (std::size_t task_index : task_order) {
     const double required = tasks[task_index].quality_threshold;
+    if (any_uncoverable && required >= min_uncoverable) {
+      ++uncoverable;
+      continue;
+    }
 
     // Line 6: smallest k such that available workers in the queue prefix
-    // [0, k) have total estimated quality >= Q_j. Contiguous scan over the
-    // quality/available arrays.
+    // [0, k) have total estimated quality >= Q_j. Every live position
+    // scanned is a winner; covered_before[w] is the running sum before
+    // winner w joined.
     PreAllocation p;
     p.task_index = task_index;
+    covered_before.clear();
     double covered = 0.0;
-    std::size_t k = 0;  // one past the last prefix position scanned
-    while (k < queue_size && covered < required) {
-      if (available[k] > 0) {
-        covered += quality[k];
-        p.winners.push_back(k);
-      }
-      ++k;
+    for (std::uint32_t pos = next[end]; pos != end && covered < required;
+         pos = next[pos]) {
+      covered_before.push_back(covered);
+      covered += quality[pos];
+      p.winners.push_back(pos);
     }
     if (covered < required) {  // no k exists: task cannot be covered
       ++uncoverable;
+      any_uncoverable = true;
+      min_uncoverable = required;
       continue;
     }
 
     // Lines 9-11: critical-value payments.
     obs::ScopedTimer pricing_timer(pricing_summary);
-    bool priceable = true;
-    p.payments.reserve(p.winners.size());
+    const std::size_t m = p.winners.size();
+    p.payments.reserve(m);
     if (rule == PaymentRule::kPaperNextInQueue) {
-      // Paper-literal: every winner priced from the (k+1)-th queue worker.
+      // Paper-literal: every winner priced from the (k+1)-th queue worker,
+      // the position just past the last winner, live or not.
+      const std::size_t k = m == 0 ? 0 : p.winners.back() + 1;
       if (k >= queue_size) {  // no reference worker
         ++unpriceable;
         continue;
@@ -274,52 +312,46 @@ std::vector<PreAllocation> pre_allocate(const RankingQueue& queue,
         p.payments.push_back(ratio * quality[widx]);
       }
     } else {
-      // Critical value: winner i stays a winner of this task exactly while
+      // Critical value: winner w stays a winner of this task exactly while
       // his ratio exceeds that of the worker at which coverage of Q_j
-      // completes in the queue *without* i (under the current availability
-      // state). Walk the queue skipping i to find that completion worker;
-      // its cost density is i's payment ratio. The per-winner walks only
-      // read the quality/available arrays and write disjoint payment
-      // slots, so for large instances they shard across the pool with
-      // bit-identical results.
-      p.payments.assign(p.winners.size(), 0.0);
-      std::atomic<bool> all_priced{true};
-      auto price_winner = [&](std::size_t w) {
-        const std::size_t widx = p.winners[w];
-        double cumulative = 0.0;
-        std::size_t pos = 0;
-        while (pos < queue_size) {
-          if (pos != widx && available[pos] > 0) {
-            cumulative += quality[pos];
-            if (cumulative >= required) break;
+      // completes in the queue *without* w (under the current availability
+      // state); its cost density is w's payment ratio. Every live position
+      // before w is an earlier winner, and their running sums all stayed
+      // below Q_j, so the walk without w resumes from covered_before[w]:
+      // it adds the later winners, then the live positions past the last
+      // winner — the additions, in order, of a walk from position 0.
+      for (std::size_t w = 0; w < m; ++w) {
+        double cumulative = covered_before[w];
+        std::uint32_t critical = end;
+        for (std::size_t later = w + 1; later < m; ++later) {
+          cumulative += quality[p.winners[later]];
+          if (cumulative >= required) {
+            critical = static_cast<std::uint32_t>(p.winners[later]);
+            break;
           }
-          ++pos;
         }
-        if (pos >= queue_size) {
-          // No critical worker exists for this winner.
-          all_priced.store(false, std::memory_order_relaxed);
-          return;
+        for (std::uint32_t pos = next[p.winners.back()];
+             critical == end && pos != end; pos = next[pos]) {
+          cumulative += quality[pos];
+          if (cumulative >= required) critical = pos;
         }
-        p.payments[w] = density[pos] * quality[widx];
-      };
-      if (p.winners.size() > 1 &&
-          p.winners.size() * queue_size >= kParallelPricingWork) {
-        util::parallel_for(util::shared_pool(), p.winners.size(),
-                           price_winner);
-      } else {
-        for (std::size_t w = 0; w < p.winners.size(); ++w) price_winner(w);
+        if (critical == end) break;  // no critical worker exists for w
+        p.payments.push_back(density[critical] * quality[p.winners[w]]);
       }
-      priceable = all_priced.load(std::memory_order_relaxed);
-    }
-    if (!priceable) {  // drop the task; frequencies untouched
-      ++unpriceable;
-      continue;
+      if (p.payments.size() < m) {  // drop the task; frequencies untouched
+        ++unpriceable;
+        continue;
+      }
     }
 
-    winners_priced += p.winners.size();
-    for (std::size_t w = 0; w < p.winners.size(); ++w) {
+    winners_priced += m;
+    for (std::size_t w = 0; w < m; ++w) {
       p.total_payment += p.payments[w];
-      --available[p.winners[w]];
+      const std::size_t widx = p.winners[w];
+      if (--available[widx] == 0) {  // used up: unlink from the live list
+        next[prev[widx]] = next[widx];
+        prev[next[widx]] = prev[widx];
+      }
     }
     pre.push_back(std::move(p));
   }

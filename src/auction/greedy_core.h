@@ -4,7 +4,7 @@
 // minimize-budget-for-target-utility form (dual_sra, paper footnote 6).
 //
 // The ranking queue is structure-of-arrays: the coverage scans and pricing
-// walks (the O(N M) inner loops) read one contiguous double array each
+// walks (Algorithm 1's inner loops) read one contiguous double array each
 // instead of chasing WorkerProfile pointers, and the rank sort compares
 // precomputed ratios instead of dividing twice per comparison. The
 // arithmetic is unchanged — ratio = quality / cost and
@@ -63,7 +63,11 @@ RankingQueue build_ranking_queue(const BidBook& book,
 /// Algorithm 1 lines 3-14: pre-allocate every task over the ranking queue,
 /// consuming worker frequency, pricing winners per the payment rule, and
 /// dropping unpriceable tasks. The result is sorted by ascending P_j
-/// (ties by task id), ready for stage-2 commitment.
+/// (ties by task id), ready for stage-2 commitment. Scans walk only the
+/// workers with frequency left, each winner's pricing walk resumes from the
+/// coverage prefix, and scanning stops at the first uncoverable task, so
+/// the cost tracks the winners, not tasks times queue length: Theorem 8's
+/// O(NM) is a bound the loop runs well under.
 std::vector<PreAllocation> pre_allocate(const RankingQueue& queue,
                                         std::span<const Task> tasks,
                                         PaymentRule rule);

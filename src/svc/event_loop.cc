@@ -1,7 +1,6 @@
 #include "svc/event_loop.h"
 
 #include <arpa/inet.h>
-#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/epoll.h>
@@ -26,13 +25,6 @@ namespace {
 
 constexpr int kEpollTimeoutMs = 50;
 constexpr std::size_t kReadChunk = 64 * 1024;
-
-void set_nonblocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  if (flags < 0 || ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) < 0) {
-    throw std::runtime_error("event_loop: cannot set O_NONBLOCK");
-  }
-}
 
 }  // namespace
 

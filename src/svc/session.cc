@@ -94,6 +94,12 @@ void SessionRegistry::load(std::istream& in) {
     order.push_back(std::move(entry));
   }
   const auction::WorkerId next_id = binio::read_i32(in, "session next id");
+  for (const Entry& entry : order) {
+    if (entry.id >= next_id) {  // intern would hand out a bound id
+      throw std::runtime_error(
+          "session registry: next id not above every bound id");
+    }
+  }
   order_ = std::move(order);
   by_name_ = std::move(by_name);
   by_id_ = std::move(by_id);

@@ -6,6 +6,10 @@
 
 #include <vector>
 
+#include "obs/metrics.h"
+#include "perf/reference.h"
+#include "util/rng.h"
+
 namespace melody::auction::internal {
 namespace {
 
@@ -114,6 +118,143 @@ TEST(PreAllocate, PaperRuleUsesSingleReference) {
   const double ratio1 =
       paper[0].payments[1] / queue.quality[paper[0].winners[1]];
   EXPECT_NEAR(ratio0, ratio1, 1e-12);
+}
+
+
+// ---------------------------------------------------------------------------
+// Depletion sweep: markets with far more tasks than worker slots, so most
+// workers are used up part-way and most tasks end uncoverable — the regime
+// where the live list, the prefix pricing and the early stop do their work.
+// Quantized qualities, costs and thresholds make ratio and threshold ties
+// common; some thresholds are zero; a monopolist (quality above the rest of
+// the market combined) makes every task that needs him unpriceable.
+// ---------------------------------------------------------------------------
+
+struct DepletionMarket {
+  std::vector<WorkerProfile> workers;
+  std::vector<Task> tasks;
+  AuctionConfig config;
+};
+
+DepletionMarket sample_depletion_market(util::Rng& rng) {
+  DepletionMarket market;
+  const int n = static_cast<int>(rng.uniform_int(2, 24));
+  double total_quality = 0.0;
+  for (int i = 0; i < n; ++i) {
+    const double cost = 0.5 * static_cast<double>(rng.uniform_int(1, 6));
+    const double quality = 0.5 * static_cast<double>(rng.uniform_int(1, 10));
+    const int frequency = static_cast<int>(rng.uniform_int(1, 2));
+    market.workers.push_back({i, {cost, frequency}, quality});
+    total_quality += quality;
+  }
+  if (rng.bernoulli(0.5)) {
+    const double cost = 0.5 * static_cast<double>(rng.uniform_int(1, 6));
+    market.workers.push_back({n, {cost, 2}, total_quality + 0.5});
+    total_quality += total_quality + 0.5;
+  }
+  const auto half_units = static_cast<std::int64_t>(2.0 * total_quality);
+  const int m = n * static_cast<int>(rng.uniform_int(5, 20));
+  for (int j = 0; j < m; ++j) {
+    const double threshold =
+        rng.bernoulli(0.1)
+            ? 0.0
+            : 0.5 * static_cast<double>(rng.uniform_int(1, half_units));
+    market.tasks.push_back({j, threshold});
+  }
+  market.config.budget =
+      rng.bernoulli(0.5) ? 1e12 : rng.uniform(1.0, 20.0 * total_quality);
+  return market;
+}
+
+void expect_same_pre_allocation(
+    const std::vector<PreAllocation>& soa,
+    const std::vector<perf::reference::PreAllocation>& scalar, int market) {
+  ASSERT_EQ(soa.size(), scalar.size()) << "market " << market;
+  for (std::size_t t = 0; t < scalar.size(); ++t) {
+    EXPECT_EQ(soa[t].task_index, scalar[t].task_index) << "market " << market;
+    EXPECT_EQ(soa[t].winners, scalar[t].winners) << "market " << market;
+    EXPECT_EQ(soa[t].payments, scalar[t].payments) << "market " << market;
+    EXPECT_EQ(soa[t].total_payment, scalar[t].total_payment)
+        << "market " << market;
+  }
+}
+
+void expect_same_allocation(const AllocationResult& soa,
+                            const AllocationResult& scalar, int market) {
+  ASSERT_EQ(soa.selected_tasks, scalar.selected_tasks) << "market " << market;
+  ASSERT_EQ(soa.assignments.size(), scalar.assignments.size())
+      << "market " << market;
+  for (std::size_t a = 0; a < scalar.assignments.size(); ++a) {
+    EXPECT_EQ(soa.assignments[a].worker, scalar.assignments[a].worker)
+        << "market " << market << " assignment " << a;
+    EXPECT_EQ(soa.assignments[a].task, scalar.assignments[a].task)
+        << "market " << market << " assignment " << a;
+    EXPECT_EQ(soa.assignments[a].payment, scalar.assignments[a].payment)
+        << "market " << market << " assignment " << a;
+  }
+}
+
+void run_depletion_sweep(PaymentRule rule, std::uint64_t seed) {
+  obs::ScopedEnable on(true);
+  obs::Counter& uncoverable =
+      obs::registry().counter("auction/tasks_uncoverable");
+  obs::Counter& unpriceable =
+      obs::registry().counter("auction/tasks_unpriceable");
+  util::Rng rng(seed);
+  MelodyAuction mechanism(rule);
+  std::uint64_t total_tasks = 0;
+  std::uint64_t total_uncoverable = 0;
+  std::uint64_t total_unpriceable = 0;
+  std::uint64_t zero_threshold_priced = 0;
+  for (int i = 0; i < 400; ++i) {
+    const DepletionMarket market = sample_depletion_market(rng);
+
+    const auto queue = build_ranking_queue(market.workers, market.config);
+    const auto scalar_queue =
+        perf::reference::build_ranking_queue(market.workers, market.config);
+    const auto pre = pre_allocate(queue, market.tasks, rule);
+    expect_same_pre_allocation(
+        pre, perf::reference::pre_allocate(scalar_queue, market.tasks, rule),
+        i);
+
+    const std::uint64_t uncoverable_before = uncoverable.value();
+    const std::uint64_t unpriceable_before = unpriceable.value();
+    const auto soa =
+        mechanism.run({market.workers, market.tasks, market.config});
+    const std::uint64_t run_uncoverable =
+        uncoverable.value() - uncoverable_before;
+    const std::uint64_t run_unpriceable =
+        unpriceable.value() - unpriceable_before;
+    EXPECT_EQ(run_uncoverable + run_unpriceable + pre.size(),
+              market.tasks.size())
+        << "market " << i;
+    expect_same_allocation(
+        soa,
+        perf::reference::run_greedy(market.workers, market.tasks,
+                                    market.config, rule),
+        i);
+
+    total_tasks += market.tasks.size();
+    total_uncoverable += run_uncoverable;
+    total_unpriceable += run_unpriceable;
+    for (const PreAllocation& p : pre) {
+      if (market.tasks[p.task_index].quality_threshold == 0.0) {
+        ++zero_threshold_priced;
+      }
+    }
+  }
+  // The sweep reaches the regimes it is for.
+  EXPECT_GT(2 * total_uncoverable, total_tasks);
+  EXPECT_GT(total_unpriceable, 0u);
+  EXPECT_GT(zero_threshold_priced, 0u);
+}
+
+TEST(PreAllocateDepletion, MatchesScalarReferenceCriticalValue) {
+  run_depletion_sweep(PaymentRule::kCriticalValue, 0xDE9137);
+}
+
+TEST(PreAllocateDepletion, MatchesScalarReferencePaperRule) {
+  run_depletion_sweep(PaymentRule::kPaperNextInQueue, 0xDE9138);
 }
 
 }  // namespace

@@ -210,14 +210,13 @@ TEST(ParallelDeterminism, MetricsSinkOnVersusOffBitIdentical) {
 }
 
 TEST(ParallelDeterminism, LargeAuctionRankingAndPricingMatchSerial) {
-  // Drives the greedy core over its parallel-sort and parallel-pricing
-  // thresholds (N >= 4096) and compares every assignment and payment.
+  // Drives the greedy core over its parallel-sort threshold (N >= 4096)
+  // and compares every assignment and payment.
   SraScenario scenario;
   scenario.num_workers = 6000;
   scenario.num_tasks = 120;
   scenario.budget = 3000.0;
-  // High thresholds -> ~30 winners per task, pushing winners x queue over
-  // the parallel-pricing threshold as well.
+  // High thresholds -> ~30 winners per task.
   scenario.threshold = {80.0, 120.0};
   util::Rng rng(31);
   const auto workers = scenario.sample_workers(rng);

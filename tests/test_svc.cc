@@ -212,6 +212,22 @@ TEST(SessionRegistry, SaveLoadRoundTripPreservesOrderAndBids) {
   EXPECT_FALSE(loaded.find("stale").has_value());
 }
 
+TEST(SessionRegistry, LoadRejectsNextIdNotAboveEveryBoundId) {
+  SessionRegistry registry;
+  registry.bind("w0", 0);
+  registry.bind("w1", 1);
+  registry.bind("w2", 2);
+  std::stringstream buffer;
+  registry.save(buffer);
+  std::string blob = buffer.str();
+  // The blob ends with the next id as a little-endian i32: 3 -> 1.
+  ASSERT_EQ(blob.substr(blob.size() - 4), std::string("\x03\0\0\0", 4));
+  blob.replace(blob.size() - 4, 4, std::string("\x01\0\0\0", 4));
+  std::istringstream corrupt(blob);
+  SessionRegistry loaded;
+  EXPECT_THROW(loaded.load(corrupt), std::runtime_error);
+}
+
 TEST(SessionRegistry, LoadRejectsGarbage) {
   SessionRegistry registry;
   std::istringstream garbage("definitely not a registry blob");
