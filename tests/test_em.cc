@@ -242,6 +242,36 @@ TEST(MStep, ClosedFormOnDeterministicMoments) {
   EXPECT_NEAR(params.eta, 1.0, 1e-12);
 }
 
+// Parameter-recovery oracle: histories drawn from a known theta, fitted
+// from the estimator's starting point {1, 1, 9}. The fit must explain the
+// data at least as well as the truth does (EM climbs the likelihood; the
+// MLE beats the truth on its own sample), and the recovered theta must
+// close on the truth as the history grows: the bounds are several
+// standard errors wide at 100 runs and shrink like 1/sqrt(length).
+TEST(EmOracle, RecoversKnownParametersAsHistoryGrows) {
+  const LdsParams truth{0.97, 0.3, 2.0};
+  const Gaussian init{5.5, 2.25};
+  const LdsParams start{1.0, 1.0, 9.0};
+  for (const int length : {100, 400, 1600}) {
+    const double scale = std::sqrt(100.0 / length);
+    for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+      util::Rng rng(util::derive_stream(0x0AC1E, seed,
+                                        static_cast<std::uint64_t>(length)));
+      const ScoreHistory history = synthesize(truth, init, length, 3, rng);
+      const EmResult fit = fit_lds(init, history, start);
+      const double fitted = log_likelihood(init, history, fit.params);
+      const double oracle = log_likelihood(init, history, truth);
+      SCOPED_TRACE(::testing::Message() << "length " << length << " seed "
+                                        << seed << " iterations "
+                                        << fit.iterations);
+      EXPECT_GE(fitted, oracle - 1.0);
+      EXPECT_NEAR(fit.params.a, truth.a, 0.1 * scale);
+      EXPECT_NEAR(fit.params.gamma, truth.gamma, 0.25 * scale);
+      EXPECT_NEAR(fit.params.eta, truth.eta, 0.8 * scale);
+    }
+  }
+}
+
 // Parameterized recovery sweep over ground-truth regimes.
 struct EmCase {
   double a, gamma, eta;

@@ -213,6 +213,56 @@ TEST(Filter, UnobservedRunsGrowVariance) {
   EXPECT_NEAR(result.posteriors.back().var, 1.0 + 5 * 0.5, 1e-12);
 }
 
+/// Sum of the per-run log marginals along the filter, by the textbook
+/// formula, independently of filter().
+double sum_of_log_marginals(const Gaussian& init, const ScoreHistory& history,
+                            const LdsParams& params) {
+  double total = 0.0;
+  Gaussian posterior = init;
+  for (const ScoreSet& scores : history) {
+    const Gaussian prior = predict(posterior, params);
+    total += log_marginal(prior, scores, params);
+    posterior = correct(prior, scores, params);
+  }
+  return total;
+}
+
+TEST(Filter, LogLikelihoodIsTheSumOfLogMarginals) {
+  // Mixed histories (empty runs, single scores, several scores) at 20 and
+  // 1000 runs. At 1000 runs the product of the per-run innovation
+  // variances n*K + eta leaves the double range in both directions: above
+  // 1e300 with eta = 400, below 1e-300 with eta = 1e-3.
+  struct Case {
+    LdsParams params;
+    int runs;
+    int max_scores;
+  };
+  for (const Case& c : {Case{{0.98, 0.2, 2.0}, 20, 4},
+                        Case{{1.0, 0.05, 400.0}, 1000, 6},
+                        Case{{1.0, 1e-4, 1e-3}, 1000, 3},
+                        Case{{0.95, 0.5, 4.0}, 1000, 1}}) {
+    util::Rng rng(static_cast<std::uint64_t>(c.runs) + c.max_scores);
+    ScoreHistory history;
+    double q = 5.5;
+    for (int r = 0; r < c.runs; ++r) {
+      q = c.params.a * q + rng.normal(0.0, std::sqrt(c.params.gamma));
+      ScoreSet set;
+      const int n = static_cast<int>(rng.uniform_int(0, c.max_scores));
+      for (int i = 0; i < n; ++i) {
+        set.add(q + rng.normal(0.0, std::sqrt(c.params.eta)));
+      }
+      history.push_back(set);
+    }
+    const Gaussian init{5.5, 2.25};
+    const double expected = sum_of_log_marginals(init, history, c.params);
+    const double got = filter(init, history, c.params).log_likelihood;
+    ASSERT_TRUE(std::isfinite(got)) << "eta " << c.params.eta;
+    EXPECT_NEAR(got, expected, 1e-12 * std::abs(expected))
+        << "eta " << c.params.eta << " runs " << c.runs;
+    EXPECT_EQ(log_likelihood(init, history, c.params), got);
+  }
+}
+
 TEST(Params, ValidationRejectsNonPositiveVariances) {
   EXPECT_THROW((LdsParams{1.0, 0.0, 1.0}).validate(), std::domain_error);
   EXPECT_THROW((LdsParams{1.0, 1.0, -2.0}).validate(), std::domain_error);
