@@ -207,11 +207,10 @@ RankingQueue build_ranking_queue(const BidBook& book,
 std::vector<PreAllocation> pre_allocate(const RankingQueue& queue,
                                         std::span<const Task> tasks,
                                         PaymentRule rule) {
-  // The allocation-loop timer covers the whole stage-1 pass; the pricing
-  // timer isolates the per-task critical-value walks inside it (null
-  // pointers when collection is off — no clock reads on the hot path).
+  // One timer covers the whole stage-1 pass, pricing included (a null
+  // pointer when collection is off — no clock reads on the hot path);
+  // auction/winners_priced counts the pricing work.
   obs::ScopedTimer alloc_timer(obs::timer_if_enabled("auction/pre_allocate"));
-  obs::Summary* pricing_summary = obs::timer_if_enabled("auction/pricing");
 
   const double* const quality = queue.quality.data();
   const double* const density = queue.density.data();
@@ -296,7 +295,6 @@ std::vector<PreAllocation> pre_allocate(const RankingQueue& queue,
     }
 
     // Lines 9-11: critical-value payments.
-    obs::ScopedTimer pricing_timer(pricing_summary);
     const std::size_t m = p.winners.size();
     p.payments.reserve(m);
     if (rule == PaymentRule::kPaperNextInQueue) {

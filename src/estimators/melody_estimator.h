@@ -54,8 +54,7 @@ struct MelodyEstimatorConfig {
   /// generic lds::EmOptions default: worker quality evolves slowly, and on
   /// sparse histories an unconstrained |a| makes the idle-worker predict
   /// chain (mu <- a * mu every run) diverge.
-  lds::EmOptions em_options{/*max_iterations=*/50, /*tolerance=*/1e-6,
-                            /*min_variance=*/1e-6, /*max_abs_a=*/1.25};
+  lds::EmOptions em_options{.max_abs_a = 1.25};
   /// After EM updates theta, re-run the filter over the stored history so
   /// the posterior is consistent with the new parameters. Algorithm 3 as
   /// written keeps the stale posterior; re-filtering is a strict refinement

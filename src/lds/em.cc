@@ -38,16 +38,9 @@ Workspace& workspace() {
   return ws;
 }
 
-double observations_of(const ScoreSet* history, std::size_t r) {
-  double observations = 0.0;
-  for (std::size_t t = 0; t < r; ++t) {
-    if (!history[t].empty()) observations += history[t].count;
-  }
-  return observations;
-}
-
 /// E-step for L lanes: Kalman forward pass over q^0..q^r through the
-/// shared predict/correct, then the RTS backward pass. With smoothing gain
+/// shared predict/correct, accumulating each lane's log-likelihood under
+/// its current theta, then the RTS backward pass. With smoothing gain
 ///   J_t = a * Var(q^t | S^1..t) / Var(q^{t+1} | S^1..t):
 ///   mean:  m~_t = m_t + J_t (m~_{t+1} - a m_t)
 ///   var:   v~_t = v_t + J_t^2 (v~_{t+1} - P_{t+1})
@@ -55,7 +48,8 @@ double observations_of(const ScoreSet* history, std::size_t r) {
 /// q^0 carries no observation: its filtered posterior is the preset one.
 template <std::size_t L>
 void e_step(const Gaussian* initial, const ScoreSet* const* history,
-            const LdsParams* params, std::size_t r, Workspace& ws) {
+            const LdsParams* params, std::size_t r, Workspace& ws,
+            LogLikelihoodAccumulator* log_likelihood) {
   double* fm = ws.filtered_mean.data();
   double* fv = ws.filtered_var.data();
   double* pv = ws.predicted_var.data();
@@ -72,7 +66,9 @@ void e_step(const Gaussian* initial, const ScoreSet* const* history,
   for (std::size_t t = 1; t <= r; ++t) {
     for (std::size_t l = 0; l < L; ++l) {
       const Gaussian prior = predict({mean[l], var[l]}, params[l]);
-      const Gaussian post = correct(prior, history[l][t - 1], params[l]);
+      const ScoreSet& scores = history[l][t - 1];
+      log_likelihood[l].add(prior, scores, params[l]);
+      const Gaussian post = correct(prior, scores, params[l]);
       pv[t * L + l] = prior.var;
       mean[l] = fm[t * L + l] = post.mean;
       var[l] = fv[t * L + l] = post.var;
@@ -106,7 +102,7 @@ void e_step(const Gaussian* initial, const ScoreSet* const* history,
 ///   E[q^{t-1} q^t] = Cov(q^{t-1}, q^t) + m~_{t-1} m~_t
 template <std::size_t L>
 void m_step_lanes(const ScoreSet* const* history, std::size_t r,
-                  const Workspace& ws, const double* observations,
+                  const Workspace& ws, const HistoryTotals* totals,
                   const EmOptions& options, LdsParams* out) {
   const double* sm = ws.smoothed_mean.data();
   const double* sv = ws.smoothed_var.data();
@@ -151,18 +147,22 @@ void m_step_lanes(const ScoreSet* const* history, std::size_t r,
     out[l].gamma = r > 0 ? gamma_sum[l] / static_cast<double>(r) : 1.0;
     out[l].gamma = std::max(out[l].gamma, options.min_variance);
     out[l].eta =
-        observations[l] > 0.0 ? eta_sum[l] / observations[l] : 1.0;
+        totals[l].observations > 0.0 ? eta_sum[l] / totals[l].observations
+                                     : 1.0;
     out[l].eta = std::max(out[l].eta, options.min_variance);
   }
 }
 
-double relative_change(double a, double b) {
-  return std::abs(a - b) / std::max({std::abs(a), std::abs(b), 1e-12});
-}
-
-/// The EM loop over L lanes. A lane whose parameters stop moving is
-/// masked: it still rides through the arithmetic (so the group needs no
-/// branch per lane), but its parameters and iteration count are frozen.
+/// The EM loop over L lanes. Pass j filters under theta_j, which yields
+/// LL(theta_j) from the forward pass; a lane stops at pass j >= 2 when
+///   |LL(theta_j) - LL(theta_{j-1})| < tolerance
+/// and keeps theta_j, so a stopped fit has run j M-steps. (From pass 2 on,
+/// so the earliest stop compares the likelihoods of two EM updates, not
+/// of an update against the starting guess.) A lane that does not stop
+/// within max_iterations M-steps keeps theta_{max_iterations}. A stopped
+/// lane is masked: it still rides through the arithmetic (so the group
+/// needs no branch per lane), but its parameters and iteration count are
+/// frozen.
 template <std::size_t L>
 void fit_lanes(const EmLane* lanes, EmResult* results,
                const EmOptions& options) {
@@ -170,7 +170,8 @@ void fit_lanes(const EmLane* lanes, EmResult* results,
   Gaussian initial[L];
   const ScoreSet* history[L];
   LdsParams params[L];
-  double observations[L];
+  HistoryTotals totals[L];
+  double previous_ll[L];
   bool active[L];
   for (std::size_t l = 0; l < L; ++l) {
     initial[l] = lanes[l].initial_posterior;
@@ -178,7 +179,8 @@ void fit_lanes(const EmLane* lanes, EmResult* results,
     params[l] = lanes[l].initial_params;
     params[l].gamma = std::max(params[l].gamma, options.min_variance);
     params[l].eta = std::max(params[l].eta, options.min_variance);
-    observations[l] = observations_of(history[l], r);
+    totals[l] = HistoryTotals::of(lanes[l].history);
+    previous_ll[l] = 0.0;
     active[l] = true;
     results[l] = {params[l], 0, false};
   }
@@ -191,23 +193,26 @@ void fit_lanes(const EmLane* lanes, EmResult* results,
     for (std::size_t l = 0; l < L; ++l) {
       if (active[l]) params[l].validate();
     }
-    e_step<L>(initial, history, params, r, ws);
-    LdsParams updated[L];
-    m_step_lanes<L>(history, r, ws, observations, options, updated);
+    LogLikelihoodAccumulator log_likelihood[L];
+    e_step<L>(initial, history, params, r, ws, log_likelihood);
     for (std::size_t l = 0; l < L; ++l) {
       if (!active[l]) continue;
-      ++results[l].iterations;
-      const bool converged =
-          relative_change(updated[l].a, params[l].a) < options.tolerance &&
-          relative_change(updated[l].gamma, params[l].gamma) <
-              options.tolerance &&
-          relative_change(updated[l].eta, params[l].eta) < options.tolerance;
-      params[l] = updated[l];
-      if (converged) {
+      const double ll = log_likelihood[l].total(totals[l], params[l]);
+      if (iter >= 2 &&
+          std::abs(ll - previous_ll[l]) < options.tolerance) {
         active[l] = false;
         results[l].converged = true;
         --remaining;
       }
+      previous_ll[l] = ll;
+    }
+    if (remaining == 0) break;
+    LdsParams updated[L];
+    m_step_lanes<L>(history, r, ws, totals, options, updated);
+    for (std::size_t l = 0; l < L; ++l) {
+      if (!active[l]) continue;
+      ++results[l].iterations;
+      params[l] = updated[l];
     }
   }
   for (std::size_t l = 0; l < L; ++l) results[l].params = params[l];
@@ -257,9 +262,9 @@ LdsParams m_step(const Gaussian& initial_posterior,
     if (t > 0) ws.cross_cov[t] = moments.cross_covariance.at(t);
   }
   const ScoreSet* data = history.data();
-  const double observations = observations_of(data, r);
+  const HistoryTotals totals = HistoryTotals::of(history);
   LdsParams out;
-  m_step_lanes<1>(&data, r, ws, &observations, options, &out);
+  m_step_lanes<1>(&data, r, ws, &totals, options, &out);
   return out;
 }
 
@@ -271,7 +276,8 @@ SmootherResult smooth(const Gaussian& initial_posterior,
   Workspace& ws = workspace();
   ws.fit(r + 1);
   const ScoreSet* data = history.data();
-  e_step<1>(&initial_posterior, &data, &params, r, ws);
+  LogLikelihoodAccumulator log_likelihood;
+  e_step<1>(&initial_posterior, &data, &params, r, ws, &log_likelihood);
   SmootherResult result;
   result.smoothed.resize(r + 1);
   result.cross_covariance.assign(r + 1, 0.0);

@@ -10,8 +10,9 @@
 //
 // One kernel does all of it: it fits up to kEmLanes independent histories
 // of equal length at once, one lane each, over per-thread scratch arrays
-// that are reused from fit to fit (no allocation once warm, no
-// log-likelihood inside the loop). Every lane runs exactly the operation
+// that are reused from fit to fit (no allocation once warm; the stop's
+// log-likelihood comes from the forward pass the E-step already makes,
+// see LogLikelihoodAccumulator). Every lane runs exactly the operation
 // sequence of a lone fit, so a lane's result never depends on which other
 // histories share its group. fit_lds and smooth are its 1-lane case.
 #pragma once
@@ -26,8 +27,14 @@ namespace melody::lds {
 
 struct EmOptions {
   int max_iterations = 50;
-  /// Stop when every parameter's relative change falls below this.
-  double tolerance = 1e-6;
+  /// Stop when an iteration changes the log-likelihood by less than this
+  /// many nats, |LL(theta_j) - LL(theta_{j-1})| < tolerance, read off the
+  /// E-step's forward pass. A step in nats, unlike one relative to |LL|,
+  /// does not loosen as |LL| grows with the history, so a long fit stops
+  /// as close to the maximum as a short one; nor does it depend on the
+  /// score scale, which shifts LL but not its differences. Zero runs every
+  /// fit to max_iterations.
+  double tolerance = 0.015;
   /// Floors keep the model proper when the data is degenerate (constant
   /// scores, single run).
   double min_variance = 1e-6;
@@ -39,7 +46,7 @@ struct EmOptions {
 struct EmResult {
   LdsParams params;
   int iterations = 0;
-  /// True when the relative-change stop fired; false when the fit ran to
+  /// True when the log-likelihood stop fired; false when the fit ran to
   /// max_iterations (or had no history to fit).
   bool converged = false;
 };

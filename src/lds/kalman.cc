@@ -38,13 +38,16 @@ FilterResult filter(const Gaussian& initial_posterior,
   result.priors.reserve(history.size());
   result.posteriors.reserve(history.size());
   Gaussian posterior = initial_posterior;
+  LogLikelihoodAccumulator log_likelihood;
   for (const ScoreSet& scores : history) {
     const Gaussian prior = predict(posterior, params);
-    result.log_likelihood += log_marginal(prior, scores, params);
+    log_likelihood.add(prior, scores, params);
     posterior = correct(prior, scores, params);
     result.priors.push_back(prior);
     result.posteriors.push_back(posterior);
   }
+  result.log_likelihood =
+      log_likelihood.total(HistoryTotals::of(history), params);
   return result;
 }
 

@@ -15,8 +15,9 @@ namespace {
 // The EM learner as it stood before the batched lane kernel: one
 // allocating RTS smoother pass, a closed-form M-step through accessor
 // calls, and a full forward filter per iteration for the log-likelihood
-// trace. Frozen here so the production kernel is compared against
-// different code, bit for bit, and timed against the real old cost.
+// trace, whose step is the stop. Frozen here so the production kernel is
+// compared against different code, bit for bit, and timed against the
+// real old cost.
 
 struct FrozenMoments {
   std::vector<lds::Gaussian> smoothed;
@@ -105,9 +106,6 @@ lds::LdsParams frozen_fit_lds(const lds::Gaussian& initial_posterior,
   params.gamma = std::max(params.gamma, options.min_variance);
   params.eta = std::max(params.eta, options.min_variance);
   if (history.empty()) return params;
-  auto relative_change = [](double a, double b) {
-    return std::abs(a - b) / std::max({std::abs(a), std::abs(b), 1e-12});
-  };
   std::vector<double> log_likelihood_trace;
   for (int iter = 0; iter < options.max_iterations; ++iter) {
     const FrozenMoments moments =
@@ -115,10 +113,10 @@ lds::LdsParams frozen_fit_lds(const lds::Gaussian& initial_posterior,
     const lds::LdsParams updated = frozen_m_step(history, moments, options);
     log_likelihood_trace.push_back(
         lds::log_likelihood(initial_posterior, history, updated));
+    const double ll = log_likelihood_trace.back();
     const bool converged =
-        relative_change(updated.a, params.a) < options.tolerance &&
-        relative_change(updated.gamma, params.gamma) < options.tolerance &&
-        relative_change(updated.eta, params.eta) < options.tolerance;
+        iter >= 1 &&
+        std::abs(ll - log_likelihood_trace[iter - 1]) < options.tolerance;
     params = updated;
     if (converged) break;
   }

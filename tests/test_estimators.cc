@@ -344,13 +344,14 @@ TEST(MelodyEstimatorTest, WindowedHistoryStillRunsEm) {
 }
 
 TEST(MelodyEstimatorTest, EmCapHitsCountFitsTheCapStopped) {
-  // 8 dense workers, T = 5, 10 runs: 16 fits. A one-iteration cap with a
+  // 8 dense workers, T = 5, 10 runs: 16 fits. A three-iteration cap with a
   // zero tolerance stops every fit at the cap; an unreachable-to-miss
-  // tolerance converges every fit on its only iteration instead.
+  // tolerance converges every fit at the earliest stop instead, after two
+  // iterations (the first log-likelihood step it can test).
   auto run = [](double tolerance) {
     MelodyEstimatorConfig config;
     config.reestimation_period = 5;
-    config.em_options.max_iterations = 1;
+    config.em_options.max_iterations = 3;
     config.em_options.tolerance = tolerance;
     MelodyEstimator estimator(config);
     std::vector<auction::WorkerId> ids;
