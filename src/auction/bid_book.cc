@@ -4,18 +4,26 @@
 #include <bit>
 #include <cmath>
 #include <limits>
-#include <ranges>
 #include <sstream>
 #include <stdexcept>
 
+#include "auction/greedy_core.h"
 #include "auction/mechanism.h"
 
 namespace melody::auction {
 
 namespace {
 
+using internal::RankSortEntry;
+
 std::uint64_t bits_of(double d) noexcept {
   return std::bit_cast<std::uint64_t>(d);
+}
+
+/// A ladder position's rank-sort entry: the complemented key sorts the
+/// ratio descending, as build_ranking_queue's entries do.
+RankSortEntry ladder_entry(double ratio, WorkerId id, BidBook::Slot slot) {
+  return {~internal::rank_key(ratio), id, static_cast<std::uint32_t>(slot)};
 }
 
 }  // namespace
@@ -108,33 +116,21 @@ void BidBook::mark_dirty(Slot slot) {
   mat_dirty_.push_back(slot);
 }
 
-template <class Slots>
-std::vector<BidBook::KeyedSlot> BidBook::sorted_live(
-    const Slots& slots) const {
-  std::vector<KeyedSlot> live;
-  live.reserve(slots.size());
-  for (const Slot s : slots) {
-    const auto i = static_cast<std::size_t>(s);
-    if (id_[i] != -1) live.push_back({Key{ratio_[i], id_[i]}, s});
-  }
-  const KeyLess less;
-  std::sort(live.begin(), live.end(),
-            [&](const KeyedSlot& a, const KeyedSlot& b) {
-              return less(a.key, b.key);
-            });
-  return live;
-}
-
 void BidBook::materialize_full() const {
-  // From-scratch rebuild: sort every live slot by the ladder key.
+  // From-scratch rebuild: rank-sort every live slot by the ladder key.
   // (ratio desc, id asc) is a total order over unique ids, so the result
   // is the exact ladder permutation regardless of history.
+  std::vector<RankSortEntry> live;
+  live.reserve(size());
+  for (Slot s = 0; s < static_cast<Slot>(id_.size()); ++s) {
+    const auto i = static_cast<std::size_t>(s);
+    if (id_[i] != -1) live.push_back(ladder_entry(ratio_[i], id_[i], s));
+  }
+  internal::rank_sort(live);
   const std::size_t n = size();
-  const std::vector<KeyedSlot> live =
-      sorted_live(std::views::iota(Slot{0}, static_cast<Slot>(id_.size())));
   mat_.resize(n);
   for (std::size_t w = 0; w < n; ++w) {
-    const Slot s = live[w].slot;
+    const auto s = static_cast<Slot>(live[w].src);
     const auto i = static_cast<std::size_t>(s);
     mat_.slots[w] = s;
     mat_.ids[w] = id_[i];
@@ -152,11 +148,16 @@ void BidBook::materialize_full() const {
 }
 
 void BidBook::materialize_merge() const {
-  // The slots dirtied since the image was taken, keyed by their *current*
-  // ladder position; a dirty slot on the free list (erased, not reused)
-  // simply drops out.
-  const std::vector<KeyedSlot> live = sorted_live(mat_dirty_);
-  const KeyLess less;
+  // The slots dirtied since the image was taken, rank-sorted by their
+  // *current* ladder key; a dirty slot on the free list (erased, not
+  // reused) simply drops out.
+  std::vector<RankSortEntry> live;
+  live.reserve(mat_dirty_.size());
+  for (const Slot s : mat_dirty_) {
+    const auto i = static_cast<std::size_t>(s);
+    if (id_[i] != -1) live.push_back(ladder_entry(ratio_[i], id_[i], s));
+  }
+  internal::rank_sort(live);
 
   // One streaming pass: the old image minus its dirty slots, merged with
   // the re-keyed dirty slots. Keys are unique (ids are), and a kept old
@@ -166,9 +167,10 @@ void BidBook::materialize_merge() const {
   LadderImage& out = mat_scratch_;
   out.resize(n);
   std::size_t w = 0;
-  const auto emit_live = [&](const KeyedSlot& p) {
-    const auto i = static_cast<std::size_t>(p.slot);
-    out.slots[w] = p.slot;
+  const auto emit_live = [&](const RankSortEntry& e) {
+    const auto s = static_cast<Slot>(e.src);
+    const auto i = static_cast<std::size_t>(s);
+    out.slots[w] = s;
     out.ids[w] = id_[i];
     out.quality[w] = quality_[i];
     out.cost[w] = cost_[i];
@@ -181,8 +183,8 @@ void BidBook::materialize_merge() const {
   for (std::size_t a = 0; a < old_n; ++a) {
     const Slot s = mat_.slots[a];
     if (mat_dirty_mark_[static_cast<std::size_t>(s)]) continue;  // stale
-    const Key old_key{mat_.ratio[a], mat_.ids[a]};
-    while (b < live.size() && less(live[b].key, old_key)) emit_live(live[b++]);
+    const RankSortEntry old = ladder_entry(mat_.ratio[a], mat_.ids[a], s);
+    while (b < live.size() && live[b] < old) emit_live(live[b++]);
     out.slots[w] = s;
     out.ids[w] = mat_.ids[a];
     out.quality[w] = mat_.quality[a];
@@ -202,7 +204,7 @@ void BidBook::materialize_merge() const {
 BidBook::LadderView BidBook::materialized() const {
   if (!mat_valid_ || mat_dirty_.size() * 4 >= size() + 4) {
     // No image yet, or so much churn that merging would touch most of the
-    // book anyway: one from-scratch sort.
+    // book anyway: one from-scratch rank sort.
     materialize_full();
   } else if (!mat_dirty_.empty()) {
     materialize_merge();
@@ -304,7 +306,6 @@ std::string BidBook::check_links() const {
         << n;
     return bad.str();
   }
-  const KeyLess less;
   for (std::size_t p = 0; p < n; ++p) {
     const Slot s = mat_.slots[p];
     if (s < 0 || static_cast<std::size_t>(s) >= id_.size()) {
@@ -327,8 +328,11 @@ std::string BidBook::check_links() const {
       bad << "image position " << p << " disagrees with slot " << s;
       return bad.str();
     }
-    if (p > 0 && !less({view.ratio[p - 1], view.ids[p - 1]},
-                       {view.ratio[p], view.ids[p]})) {
+    // The order checked on the doubles themselves, not on the sort keys.
+    const bool descends =
+        p == 0 || view.ratio[p - 1] > view.ratio[p] ||
+        (view.ratio[p - 1] == view.ratio[p] && view.ids[p - 1] < view.ids[p]);
+    if (!descends) {
       bad << "ladder order violated between positions " << p - 1 << " and "
           << p;
       return bad.str();

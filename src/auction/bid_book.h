@@ -4,9 +4,10 @@
 // per-worker slots, free-list reuse) and serves it as a ladder ordered by
 // the greedy score ratio mu_i / c_i — descending, ties broken by ascending
 // worker id, which is exactly the total order the ranking-queue rank sort
-// produces. Because the order is total, a ladder maintained incrementally
-// is guaranteed to hold the same permutation a full rebuild-and-sort would
-// compute, so the greedy mechanism can materialize its ranking queue from
+// produces. The book orders its bids with that same routine
+// (internal::rank_sort, greedy_core.h) on the same keys, so the ladder
+// holds the permutation a full rebuild-and-sort would compute, whatever its
+// history, and the greedy mechanism can materialize its ranking queue from
 // the ladder in O(N) with bit-identical allocation (locked by
 // test_bid_book / test_incremental_auction).
 //
@@ -15,9 +16,10 @@
 // converges in one step and checkpoints never store it. Order maintenance
 // is LAZY: a mutation is O(1) — write the slot arrays, mark the slot
 // dirty — and the contiguous materialized image is repaired on first read
-// by a sorted merge of the dirty slots into the previous image. That keeps
-// the per-run ranking cost at ~one streaming pass instead of a sort, which
-// is where the low-churn re-run speedup comes from.
+// by rank-sorting the dirty slots and merging them into the previous image.
+// That keeps the per-run ranking cost at ~one streaming pass instead of a
+// sort of the whole book, which is where the low-churn re-run speedup
+// comes from.
 #pragma once
 
 #include <cstdint>
@@ -97,14 +99,14 @@ class BidBook {
   };
 
   /// Materialize the ladder into contiguous arrays (cached). After churn
-  /// the cache is repaired by a sorted merge of the dirtied slots into the
-  /// previous image — O(N + D log D) streaming passes instead of a sort or
-  /// a pointer-chasing walk — which is what makes ranking from the book
-  /// cheaper than rebuild-and-radix-sort on low-churn re-runs. Falls back
-  /// to a full sort when most of the book changed (or no image exists
-  /// yet). The merge respects the same (ratio desc, id asc) total order
-  /// the ladder holds, so the view is always the exact ladder sequence
-  /// (asserted by check_links).
+  /// the cache is repaired by rank-sorting the dirtied slots and merging
+  /// them into the previous image — O(N) streaming passes plus a sort of
+  /// the dirty slots only — which is what makes ranking from the book
+  /// cheaper than rebuild-and-sort on low-churn re-runs. Falls back to
+  /// rank-sorting every live slot when most of the book changed (or no
+  /// image exists yet). Both paths order by the same (ratio desc, id asc)
+  /// total order the ladder holds, so the view is always the exact ladder
+  /// sequence (asserted by check_links).
   LadderView materialized() const;
 
   /// check_auction_links-style invariant sweep over the (repaired)
@@ -115,27 +117,6 @@ class BidBook {
   std::string check_links() const;
 
  private:
-  struct Key {
-    double ratio = 0.0;
-    WorkerId id = -1;
-  };
-  struct KeyLess {
-    bool operator()(const Key& a, const Key& b) const noexcept {
-      if (a.ratio != b.ratio) return a.ratio > b.ratio;
-      return a.id < b.id;
-    }
-  };
-  /// A slot with its ladder key copied beside it, so sorts compare
-  /// contiguous keys instead of chasing slots into the arena.
-  struct KeyedSlot {
-    Key key;
-    Slot slot;
-  };
-  /// The given slots' live entries (erased slots drop out), sorted in
-  /// ladder order.
-  template <class Slots>
-  std::vector<KeyedSlot> sorted_live(const Slots& slots) const;
-
   static double ladder_ratio(double quality, double cost) noexcept;
 
   Slot allocate_slot();

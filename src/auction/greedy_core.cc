@@ -1,42 +1,16 @@
 #include "auction/greedy_core.h"
 
 #include <algorithm>
-#include <bit>
 #include <cstdint>
-#include <numeric>
 
 #include "obs/metrics.h"
-#include "util/parallel_for.h"
 
 namespace melody::auction::internal {
 
 namespace {
 
-// Below this size the fork-join overhead exceeds the sort; the serial path
-// is also the reference the determinism tests compare against.
-constexpr std::size_t kParallelSortThreshold = 4096;
 // Below this the counting passes cost more than comparison sorting.
 constexpr std::size_t kRadixSortThreshold = 2048;
-
-/// Sort key for the ranking queue: the quality-per-cost ratio precomputed
-/// once per worker (the AoS comparator divided twice per comparison), plus
-/// the source position in the caller's worker span for the scatter.
-struct RankEntry {
-  double ratio = 0.0;  // mu-hat_i / c_i
-  WorkerId id = 0;
-  std::uint32_t src = 0;
-};
-
-/// Radix-sort element: the ratio mapped to a descending-order integer key
-/// plus the source position. Qualified ratios are positive (quality and
-/// cost are both > 0 after the filter), and for non-negative IEEE-754
-/// doubles the raw bit pattern is monotone in the value — so the
-/// complemented bits sort descending-by-ratio, bit-exactly the comparator
-/// order.
-struct RankKey {
-  std::uint64_t key = 0;
-  std::uint32_t src = 0;
-};
 
 /// Per-thread scratch reused across auction runs so the hot path performs
 /// no allocations once warm. Everything here is dead when its function
@@ -45,14 +19,13 @@ struct RankKey {
 /// pool threads (ParallelSweep), where each thread runs one auction at a
 /// time end to end.
 struct GreedyArena {
-  std::vector<RankEntry> entries;       // build_ranking_queue
-  std::vector<RankKey> rank_keys;       // radix rank sort
-  std::vector<RankKey> rank_scratch;    // radix ping-pong buffer
-  std::vector<std::size_t> task_order;  // pre_allocate
-  std::vector<int> available;           // pre_allocate
-  std::vector<std::uint32_t> next;      // pre_allocate live list
+  std::vector<RankSortEntry> entries;       // build_ranking_queue
+  std::vector<RankSortEntry> task_order;    // pre_allocate
+  std::vector<RankSortEntry> sort_scratch;  // rank_sort ping-pong buffer
+  std::vector<int> available;               // pre_allocate
+  std::vector<std::uint32_t> next;          // pre_allocate live list
   std::vector<std::uint32_t> prev;
-  std::vector<double> covered_before;   // pre_allocate
+  std::vector<double> covered_before;       // pre_allocate
 };
 
 GreedyArena& arena() {
@@ -60,111 +33,102 @@ GreedyArena& arena() {
   return scratch;
 }
 
-/// Stable LSD radix sort of `keys`, ascending by RankKey::key: six 11-bit
-/// counting passes ping-ponging through `scratch`, with passes whose digit
-/// is constant across the input skipped (for ratios from a narrow market
-/// range the sign/exponent passes collapse). Stability is what transports
-/// the tie-break: the caller only takes this path when the entries arrive
-/// in strictly ascending id order, so equal ratios keep ascending ids —
-/// exactly the comparator's (ratio desc, id asc) total order, and since
-/// that order is total (ids unique), the permutation is identical to the
-/// comparison sort's.
-void radix_rank_sort(std::vector<RankKey>& keys,
-                     std::vector<RankKey>& scratch) {
+}  // namespace
+
+void rank_sort(std::vector<RankSortEntry>& entries) {
+  const std::size_t n = entries.size();
+  if (n < kRadixSortThreshold) {
+    std::sort(entries.begin(), entries.end());
+    return;
+  }
+  // LSD radix: each stable pass sorts by one digit and keeps the order the
+  // earlier passes left, so passes over src, then id, then key leave the
+  // entries in (key, id, src) order. Input already in (id, src) order needs
+  // neither the src nor the id passes, and input in src order needs no src
+  // passes: stability carries that order through.
+  bool by_id = true;
+  bool by_src = true;
+  for (std::size_t i = 1; i < n; ++i) {
+    const RankSortEntry& a = entries[i - 1];
+    const RankSortEntry& b = entries[i];
+    by_src = by_src && a.src <= b.src;
+    by_id = by_id && (a.id < b.id || (a.id == b.id && a.src <= b.src));
+  }
+
   constexpr int kDigitBits = 11;
   constexpr std::uint32_t kDigits = 1u << kDigitBits;
-  scratch.resize(keys.size());
+  std::vector<RankSortEntry>& scratch = arena().sort_scratch;
+  scratch.resize(n);
   std::uint32_t count[kDigits];
-  for (int shift = 0; shift < 64; shift += kDigitBits) {
-    std::fill(std::begin(count), std::end(count), 0u);
-    for (const RankKey& e : keys) ++count[(e.key >> shift) & (kDigits - 1)];
-    if (count[(keys[0].key >> shift) & (kDigits - 1)] == keys.size()) {
-      continue;  // constant digit: the pass would be the identity
+  const auto passes = [&](int bits, auto field) {
+    for (int shift = 0; shift < bits; shift += kDigitBits) {
+      const auto digit = [&](const RankSortEntry& e) {
+        return static_cast<std::uint32_t>(field(e) >> shift) & (kDigits - 1);
+      };
+      std::fill(std::begin(count), std::end(count), 0u);
+      for (const RankSortEntry& e : entries) ++count[digit(e)];
+      if (count[digit(entries[0])] == n) continue;  // constant digit
+      std::uint32_t offset = 0;
+      for (std::uint32_t& c : count) {
+        const std::uint32_t bucket = c;
+        c = offset;
+        offset += bucket;
+      }
+      for (const RankSortEntry& e : entries) scratch[count[digit(e)]++] = e;
+      std::swap(entries, scratch);
     }
-    std::uint32_t offset = 0;
-    for (std::uint32_t& c : count) {
-      const std::uint32_t bucket = c;
-      c = offset;
-      offset += bucket;
+  };
+  if (!by_id) {
+    if (!by_src) {
+      passes(32, [](const RankSortEntry& e) { return std::uint64_t{e.src}; });
     }
-    for (const RankKey& e : keys) {
-      scratch[count[(e.key >> shift) & (kDigits - 1)]++] = e;
-    }
-    std::swap(keys, scratch);
+    // Flipping the sign bit makes the signed id's order the unsigned one.
+    passes(32, [](const RankSortEntry& e) {
+      return std::uint64_t{static_cast<std::uint32_t>(e.id) ^ 0x80000000u};
+    });
   }
+  passes(64, [](const RankSortEntry& e) { return e.key; });
 }
-
-}  // namespace
 
 RankingQueue build_ranking_queue(std::span<const WorkerProfile> workers,
                                  const AuctionConfig& config) {
   // Line 1: qualification filter W <- {i : Theta_m <= mu_i <= Theta_M,
   // C_m <= c_i <= C_M}. Workers with non-positive cost, quality, or
   // frequency can never participate meaningfully and are excluded.
-  std::vector<RankEntry>& entries = arena().entries;
+  std::vector<RankSortEntry>& entries = arena().entries;
   entries.clear();
   entries.reserve(workers.size());
   for (std::size_t i = 0; i < workers.size(); ++i) {
     const WorkerProfile& w = workers[i];
     if (w.bid.cost > 0.0 && w.bid.frequency > 0 && w.estimated_quality > 0.0 &&
         config.qualifies(w)) {
-      entries.push_back({w.estimated_quality / w.bid.cost, w.id,
+      entries.push_back({~rank_key(w.estimated_quality / w.bid.cost), w.id,
                          static_cast<std::uint32_t>(i)});
     }
   }
-  // Line 2: ranking queue, descending estimated quality per unit cost.
-  // Ties broken by worker id, which makes the order total — so every path
-  // below (serial comparison sort, block-sort-and-merge parallel sort,
-  // stable radix sort) produces the identical permutation, and the
-  // precomputed-ratio comparator yields the same order as dividing inside
-  // the comparison (same operands, same IEEE-754 quotient).
+  // Line 2: ranking queue, descending estimated quality per unit cost, ties
+  // by worker id: the complemented key sorts the ratio descending, and the
+  // ratio is computed once per worker with the comparator's operands.
   obs::ScopedTimer sort_timer(obs::timer_if_enabled("auction/rank_sort"));
   if (obs::enabled()) {
     obs::registry().counter("auction/qualified_workers").add(entries.size());
   }
-  const std::size_t n = entries.size();
+  rank_sort(entries);
 
-  // Large inputs in ascending id order (the common case: callers pass
-  // worker spans in id order) take the linear-time radix path — the rank
-  // sort is the O(N log N) term of the whole mechanism, and the radix
-  // passes stream contiguous 16-byte keys instead of comparison-shuffling.
-  bool radix = n >= kRadixSortThreshold;
-  for (std::size_t i = 1; radix && i < n; ++i) {
-    radix = entries[i - 1].id < entries[i].id;
-  }
+  // Scatter into the SoA arrays in rank order.
+  const std::size_t n = entries.size();
   RankingQueue queue;
   queue.ids.resize(n);
   queue.quality.resize(n);
   queue.density.resize(n);
   queue.frequency.resize(n);
-  const auto scatter = [&](auto src_of) {
-    // Scatter into the SoA arrays in rank order.
-    for (std::size_t p = 0; p < n; ++p) {
-      const WorkerProfile& w = workers[src_of(p)];
-      queue.ids[p] = w.id;
-      queue.quality[p] = w.estimated_quality;
-      queue.density[p] = w.bid.cost / w.estimated_quality;
-      queue.frequency[p] = w.bid.frequency;
-    }
-  };
-  if (radix) {
-    std::vector<RankKey>& keys = arena().rank_keys;
-    keys.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      keys[i] = {~std::bit_cast<std::uint64_t>(entries[i].ratio),
-                 entries[i].src};
-    }
-    radix_rank_sort(keys, arena().rank_scratch);
-    scatter([&](std::size_t p) { return keys[p].src; });
-    return queue;
+  for (std::size_t p = 0; p < n; ++p) {
+    const WorkerProfile& w = workers[entries[p].src];
+    queue.ids[p] = w.id;
+    queue.quality[p] = w.estimated_quality;
+    queue.density[p] = w.bid.cost / w.estimated_quality;
+    queue.frequency[p] = w.bid.frequency;
   }
-  util::parallel_sort(util::shared_pool(), entries.begin(), entries.end(),
-                      [](const RankEntry& a, const RankEntry& b) {
-                        if (a.ratio != b.ratio) return a.ratio > b.ratio;
-                        return a.id < b.id;
-                      },
-                      kParallelSortThreshold);
-  scatter([&](std::size_t p) { return entries[p].src; });
   return queue;
 }
 
@@ -173,11 +137,10 @@ RankingQueue build_ranking_queue(const BidBook& book,
   // The ladder is already the rank sort's total order (ratio desc, id asc)
   // over the whole population; one filtered pass over the materialized
   // image — contiguous arrays, merge-repaired from the bids that actually
-  // changed since the last run instead of pointer-chased or re-sorted —
-  // yields the qualified subsequence in exactly the permutation the sort
-  // paths produce. The density division uses the same operands
-  // (cost / quality) as the rebuild path's scatter, so every queue value
-  // is bit-identical.
+  // changed since the last run — yields the qualified subsequence in
+  // exactly the permutation the rebuild path produces. The density division
+  // uses the same operands (cost / quality) as the rebuild path's scatter,
+  // so every queue value is bit-identical.
   obs::ScopedTimer walk_timer(obs::timer_if_enabled("auction/rank_from_book"));
   const BidBook::LadderView ladder = book.materialized();
   RankingQueue queue;
@@ -217,17 +180,14 @@ std::vector<PreAllocation> pre_allocate(const RankingQueue& queue,
   const std::size_t queue_size = queue.size();
   GreedyArena& scratch = arena();
 
-  // Line 3: tasks in ascending order of quality threshold.
-  std::vector<std::size_t>& task_order = scratch.task_order;
-  task_order.resize(tasks.size());
-  std::iota(task_order.begin(), task_order.end(), std::size_t{0});
-  std::sort(task_order.begin(), task_order.end(),
-            [&](std::size_t a, std::size_t b) {
-              if (tasks[a].quality_threshold != tasks[b].quality_threshold) {
-                return tasks[a].quality_threshold < tasks[b].quality_threshold;
-              }
-              return tasks[a].id < tasks[b].id;
-            });
+  // Line 3: tasks in ascending order of quality threshold, ties by id.
+  std::vector<RankSortEntry>& task_order = scratch.task_order;
+  task_order.clear();
+  for (std::size_t j = 0; j < tasks.size(); ++j) {
+    task_order.push_back({rank_key(tasks[j].quality_threshold), tasks[j].id,
+                          static_cast<std::uint32_t>(j)});
+  }
+  rank_sort(task_order);
 
   // The live list: the queue positions with frequency left, in queue order,
   // linked circularly through the sentinel `end`. Every scan below walks it
@@ -266,7 +226,8 @@ std::vector<PreAllocation> pre_allocate(const RankingQueue& queue,
   // scanning at the first uncoverable task.
   bool any_uncoverable = false;
   double min_uncoverable = 0.0;
-  for (std::size_t task_index : task_order) {
+  for (const RankSortEntry& ordered : task_order) {
+    const std::size_t task_index = ordered.src;
     const double required = tasks[task_index].quality_threshold;
     if (any_uncoverable && required >= min_uncoverable) {
       ++uncoverable;

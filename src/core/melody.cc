@@ -7,6 +7,7 @@
 #include <ostream>
 #include <stdexcept>
 #include <string>
+#include <unordered_set>
 
 #include "obs/sink.h"
 
@@ -40,6 +41,15 @@ auction::AllocationResult Melody::run_auction(
   config.cost_min = options_.cost_min;
   config.cost_max = options_.cost_max;
 
+  // One bid per worker per run: a second bid would let the worker win a
+  // task twice and be priced off its own other bid.
+  std::unordered_set<auction::WorkerId> bidders;
+  for (const BidSubmission& b : bids) {
+    if (!bidders.insert(b.worker).second) {
+      throw std::invalid_argument("run_auction: worker " +
+                                  std::to_string(b.worker) + " bids twice");
+    }
+  }
   std::vector<auction::WorkerProfile> profiles;
   profiles.reserve(bids.size());
   for (const BidSubmission& b : bids) {

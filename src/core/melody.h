@@ -56,7 +56,9 @@ class Melody {
   double estimated_quality(auction::WorkerId id) const;
 
   /// Run the Algorithm-1 auction over the submitted bids. Unregistered
-  /// bidders are registered on the fly (newcomers).
+  /// bidders are registered on the fly (newcomers). A worker bids at most
+  /// once per run: a repeated worker id throws std::invalid_argument
+  /// before any bidder is registered.
   auction::AllocationResult run_auction(
       const std::vector<BidSubmission>& bids,
       const std::vector<auction::Task>& tasks, double budget);

@@ -23,7 +23,6 @@
 #include <exception>
 #include <memory>
 #include <mutex>
-#include <vector>
 
 #include "obs/metrics.h"
 #include "util/thread_pool.h"
@@ -111,47 +110,6 @@ void parallel_for(ThreadPool* pool, std::size_t n, Body&& body,
     return state->retired_chunks >= state->total_chunks;
   });
   if (state->error) std::rethrow_exception(state->error);
-}
-
-/// Deterministic parallel sort: the range is cut into one block per
-/// participant, blocks are sorted concurrently, then folded together with
-/// std::inplace_merge. `comp` must be a strict weak ordering that is total
-/// on the input (break ties explicitly) — the result is then the unique
-/// sorted order regardless of thread count.
-template <typename RandomIt, typename Compare>
-void parallel_sort(ThreadPool* pool, RandomIt first, RandomIt last,
-                   Compare comp, std::size_t min_parallel = 4096) {
-  const std::size_t n = static_cast<std::size_t>(last - first);
-  const std::size_t helpers = pool == nullptr ? 0 : pool->size();
-  if (helpers == 0 || n < std::max<std::size_t>(min_parallel, 2)) {
-    std::sort(first, last, comp);
-    return;
-  }
-  const std::size_t blocks = std::min(helpers + 1, n);
-  std::vector<std::size_t> runs(blocks + 1);
-  for (std::size_t b = 0; b <= blocks; ++b) runs[b] = b * n / blocks;
-
-  parallel_for(pool, blocks, [&](std::size_t b) {
-    std::sort(first + static_cast<std::ptrdiff_t>(runs[b]),
-              first + static_cast<std::ptrdiff_t>(runs[b + 1]), comp);
-  });
-
-  // Bottom-up pairwise merges; the merges of one pass touch disjoint
-  // ranges and run concurrently. Each pass halves the number of runs.
-  while (runs.size() > 2) {
-    const std::size_t pairs = (runs.size() - 1) / 2;
-    parallel_for(pool, pairs, [&](std::size_t p) {
-      std::inplace_merge(first + static_cast<std::ptrdiff_t>(runs[2 * p]),
-                         first + static_cast<std::ptrdiff_t>(runs[2 * p + 1]),
-                         first + static_cast<std::ptrdiff_t>(runs[2 * p + 2]),
-                         comp);
-    });
-    std::vector<std::size_t> next;
-    next.reserve(runs.size() / 2 + 2);
-    for (std::size_t r = 0; r < runs.size(); r += 2) next.push_back(runs[r]);
-    if (runs.size() % 2 == 0) next.push_back(runs.back());
-    runs = std::move(next);
-  }
 }
 
 }  // namespace melody::util

@@ -267,8 +267,8 @@ TEST(IncrementalRanking, QueueFromLadderMatchesRebuildOnRandomMarkets) {
 }
 
 TEST(IncrementalRanking, QueueMatchesRebuildOnRadixSortSizedMarket) {
-  // n >= 2048 with strictly ascending ids takes greedy_core's radix rank
-  // sort; the ladder walk must still match it bit for bit.
+  // n >= 2048 takes the radix path of greedy_core's rank sort on both
+  // sides; the ladder walk must still match the rebuild bit for bit.
   util::Rng rng(0x4AD1);
   const sim::SraScenario scenario = market(5000);
   const auto workers = scenario.sample_workers(rng);
@@ -299,6 +299,69 @@ TEST(IncrementalRanking, QueueMatchesRebuildAfterChurn) {
     ASSERT_EQ(book.check_links(), "");
     const auto rebuilt = internal::build_ranking_queue(workers, config);
     const auto from_book = internal::build_ranking_queue(book, config);
+    ASSERT_EQ(from_book.ids, rebuilt.ids) << "round " << round;
+    ASSERT_EQ(from_book.quality, rebuilt.quality) << "round " << round;
+    ASSERT_EQ(from_book.density, rebuilt.density) << "round " << round;
+    ASSERT_EQ(from_book.frequency, rebuilt.frequency) << "round " << round;
+  }
+}
+
+TEST(IncrementalRanking, LargeChurnRoundMergesLikeARebuild) {
+  // 10000 bids, 2400 dirty slots a round: past the rank sort's 2048-entry
+  // radix threshold, yet under the book's full-rebuild cut (dirty * 4 <
+  // size + 4), so every round repairs the image by merge with the dirty
+  // slots radix-sorted. Bids enter the book in shuffled id order and each
+  // round dirties slots in shuffled order, so the sort runs its src and id
+  // passes too. Quantized costs and qualities make ratio ties common.
+  constexpr int kBids = 10000;
+  constexpr int kUpserts = 2200;
+  constexpr int kSwaps = 100;  // withdrawals, each refilled by a newcomer
+  static_assert((kUpserts + kSwaps) * 4 < kBids + 4);
+  util::Rng rng(0xB16C);
+  const auto quantized_bid = [&](WorkerId id) {
+    return profile(id, 0.25 * static_cast<double>(rng.uniform_int(4, 8)),
+                   static_cast<int>(rng.uniform_int(1, 3)),
+                   0.5 * static_cast<double>(rng.uniform_int(4, 8)));
+  };
+  std::map<WorkerId, WorkerProfile> bids;
+  std::vector<WorkerId> live;
+  for (WorkerId id = 0; id < kBids; ++id) live.push_back(id);
+  rng.shuffle(live);
+  BidBook book;
+  for (const WorkerId id : live) {
+    bids[id] = quantized_bid(id);
+    book.upsert(bids[id]);
+  }
+  AuctionConfig config;
+  config.theta_min = 2.5;  // some bids fail the filter
+  WorkerId next_id = kBids;
+  for (int round = 0; round < 6; ++round) {
+    ASSERT_EQ(book.check_links(), "") << "round " << round;
+    rng.shuffle(live);
+    std::vector<BidDelta> deltas;
+    for (int d = 0; d < kUpserts; ++d) {
+      bids[live[d]] = quantized_bid(live[d]);
+      deltas.push_back({BidDelta::Kind::kUpsert, bids[live[d]]});
+    }
+    for (int d = kUpserts; d < kUpserts + kSwaps; ++d) {
+      deltas.push_back({BidDelta::Kind::kWithdraw, profile(live[d], 0, 0, 0)});
+      bids.erase(live[d]);
+      live[d] = next_id++;
+      bids[live[d]] = quantized_bid(live[d]);
+      deltas.push_back({BidDelta::Kind::kUpsert, bids[live[d]]});
+    }
+    book.apply(deltas);
+    ASSERT_EQ(book.check_links(), "") << "round " << round;
+
+    std::vector<WorkerProfile> flat;
+    for (const auto& [id, bid] : bids) flat.push_back(bid);
+    BidBook rebuilt_book;
+    rebuilt_book.bulk_load(flat);
+    ASSERT_EQ(ladder_image(book), ladder_image(rebuilt_book))
+        << "round " << round;
+    const auto rebuilt = internal::build_ranking_queue(flat, config);
+    const auto from_book = internal::build_ranking_queue(book, config);
+    ASSERT_GE(rebuilt.size(), 2048u);
     ASSERT_EQ(from_book.ids, rebuilt.ids) << "round " << round;
     ASSERT_EQ(from_book.quality, rebuilt.quality) << "round " << round;
     ASSERT_EQ(from_book.density, rebuilt.density) << "round " << round;

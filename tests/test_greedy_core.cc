@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -255,6 +257,148 @@ TEST(PreAllocateDepletion, MatchesScalarReferenceCriticalValue) {
 
 TEST(PreAllocateDepletion, MatchesScalarReferencePaperRule) {
   run_depletion_sweep(PaymentRule::kPaperNextInQueue, 0xDE9138);
+}
+
+// ---------------------------------------------------------------------------
+// The one rank sort: its key map and every path through it.
+// ---------------------------------------------------------------------------
+
+TEST(RankKey, PreservesTheDoubleOrderAndTiesSignedZeros) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kMax = std::numeric_limits<double>::max();
+  constexpr double kTiny = std::numeric_limits<double>::denorm_min();
+  const std::vector<double> values{-kInf, -kMax, -2.5, -1.0, -kTiny, -0.0,
+                                   0.0,   kTiny, 1e-300, 1.0, 2.5,  kMax,
+                                   kInf};
+  for (const double a : values) {
+    for (const double b : values) {
+      EXPECT_EQ(rank_key(a) < rank_key(b), a < b) << a << " vs " << b;
+      EXPECT_EQ(rank_key(a) == rank_key(b), a == b) << a << " vs " << b;
+    }
+  }
+}
+
+TEST(RankSort, MatchesTheComparisonSortOnEveryPath) {
+  util::Rng rng(0x5047);
+  for (const std::size_t n : {0u, 1u, 17u, 2047u, 2048u, 5000u}) {
+    for (int variant = 0; variant < 4; ++variant) {
+      std::vector<RankSortEntry> entries(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        RankSortEntry& e = entries[i];
+        // Variant 0: ids and src ascending (key passes only). 1: ids
+        // shuffled below, src ascending (id passes). 2: repeated ids and
+        // shuffled src (src passes too). 3: full-width random keys.
+        e.key = variant == 3 ? rng() : rank_key(static_cast<double>(
+                                           rng.uniform_int(-3, 3)));
+        e.id = variant == 2 ? static_cast<std::int32_t>(rng.uniform_int(-4, 4))
+                            : static_cast<std::int32_t>(i) - 1000;
+        e.src = static_cast<std::uint32_t>(i);
+      }
+      if (variant == 1 || variant == 3) {
+        std::vector<std::int32_t> ids;
+        for (const RankSortEntry& e : entries) ids.push_back(e.id);
+        rng.shuffle(ids);
+        for (std::size_t i = 0; i < n; ++i) entries[i].id = ids[i];
+      }
+      if (variant == 2) rng.shuffle(entries);
+      std::vector<RankSortEntry> expect = entries;
+      std::sort(expect.begin(), expect.end());
+      rank_sort(entries);
+      ASSERT_TRUE(entries == expect) << "n=" << n << " variant " << variant;
+    }
+  }
+}
+
+TEST(BuildRankingQueue, ShuffledIdsAtRadixScaleMatchScalarReference) {
+  // 3000 qualified workers in shuffled (and partly negative) id order with
+  // quantized bids: the rank sort takes its radix path with the id passes,
+  // and ratio ties are common, so the id tie-break is what is tested.
+  util::Rng rng(0x5A17);
+  std::vector<WorkerId> ids;
+  for (int i = 0; i < 3000; ++i) ids.push_back(7 * i - 5000);
+  rng.shuffle(ids);
+  std::vector<WorkerProfile> workers;
+  for (const WorkerId id : ids) {
+    workers.push_back({id,
+                       {0.25 * static_cast<double>(rng.uniform_int(4, 12)),
+                        static_cast<int>(rng.uniform_int(1, 3))},
+                       0.5 * static_cast<double>(rng.uniform_int(2, 10))});
+  }
+  std::vector<Task> tasks;
+  for (int j = 0; j < 60; ++j) {
+    tasks.push_back({j, 0.5 * static_cast<double>(rng.uniform_int(2, 40))});
+  }
+  AuctionConfig config;
+  config.budget = 400.0;
+
+  const auto queue = build_ranking_queue(workers, config);
+  const auto scalar = perf::reference::build_ranking_queue(workers, config);
+  ASSERT_EQ(queue.size(), workers.size());
+  ASSERT_EQ(scalar.size(), queue.size());
+  for (std::size_t p = 0; p < queue.size(); ++p) {
+    ASSERT_EQ(queue.ids[p], scalar[p]->id) << p;
+    ASSERT_EQ(queue.quality[p], scalar[p]->estimated_quality) << p;
+    ASSERT_EQ(queue.density[p],
+              scalar[p]->bid.cost / scalar[p]->estimated_quality)
+        << p;
+    ASSERT_EQ(queue.frequency[p], scalar[p]->bid.frequency) << p;
+  }
+  for (const PaymentRule rule :
+       {PaymentRule::kCriticalValue, PaymentRule::kPaperNextInQueue}) {
+    const auto soa = MelodyAuction(rule).run({workers, tasks, config});
+    ASSERT_FALSE(soa.assignments.empty());
+    expect_same_allocation(
+        soa, perf::reference::run_greedy(workers, tasks, config, rule), 0);
+  }
+}
+
+
+TEST(PreAllocateDepletion, TaskOrderTiesMatchScalarReference) {
+  // The task order (line 3) under ties: repeated thresholds, zero and
+  // negative thresholds, and -0.0 beside +0.0, which compare equal and
+  // must break by task id. 300 tasks take the comparison sort, 3000 the
+  // radix sort, with task ids ascending and shuffled.
+  util::Rng rng(0x7A5C);
+  const std::vector<double> thresholds{-0.0, 0.0, -1.0, 0.5, 1.0, 1.0,
+                                       2.5,  4.0, 4.0,  6.0, 9.5};
+  for (const int m : {300, 3000}) {
+    for (const bool shuffled : {false, true}) {
+      DepletionMarket market;
+      for (int i = 0; i < 40; ++i) {
+        market.workers.push_back(
+            {i,
+             {0.5 * static_cast<double>(rng.uniform_int(1, 6)),
+              static_cast<int>(rng.uniform_int(1, 3))},
+             0.5 * static_cast<double>(rng.uniform_int(1, 10))});
+      }
+      std::vector<TaskId> task_ids;
+      for (int j = 0; j < m; ++j) task_ids.push_back(j);
+      if (shuffled) rng.shuffle(task_ids);
+      for (const TaskId id : task_ids) {
+        const auto pick = static_cast<std::size_t>(rng.uniform_int(
+            0, static_cast<std::int64_t>(thresholds.size()) - 1));
+        market.tasks.push_back({id, thresholds[pick]});
+      }
+      market.config.budget = 1e12;
+      for (const PaymentRule rule :
+           {PaymentRule::kCriticalValue, PaymentRule::kPaperNextInQueue}) {
+        const auto queue = build_ranking_queue(market.workers, market.config);
+        const auto scalar_queue =
+            perf::reference::build_ranking_queue(market.workers, market.config);
+        const auto pre = pre_allocate(queue, market.tasks, rule);
+        ASSERT_GT(pre.size(), 0u);
+        expect_same_pre_allocation(
+            pre,
+            perf::reference::pre_allocate(scalar_queue, market.tasks, rule), m);
+        expect_same_allocation(
+            MelodyAuction(rule).run(
+                {market.workers, market.tasks, market.config}),
+            perf::reference::run_greedy(market.workers, market.tasks,
+                                        market.config, rule),
+            m);
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -258,7 +258,7 @@ TEST(MechanismProperties, SoaAndScalarTwinsBothIrAndFeasibleAndAgree) {
 }
 
 /// A market wide enough that the qualified set crosses the greedy core's
-/// radix rank-sort threshold (2048 entries in ascending id order).
+/// radix rank-sort threshold (2048 entries).
 Instance sample_radix_scale_instance(util::Rng& rng) {
   sim::SraScenario scenario;
   scenario.num_workers = 6000;
@@ -275,9 +275,10 @@ Instance sample_radix_scale_instance(util::Rng& rng) {
 TEST(MechanismProperties, RadixScaleMarketsIrFeasibleAndMatchScalar) {
   util::Rng rng(20170606);
   MelodyAuction auction(PaymentRule::kCriticalValue);
-  // The radix path requires qualified entries in strictly ascending id
-  // order; verify the generator supplies it, then prove via the obs
-  // counter that the markets really crossed the 2048-entry threshold.
+  // Ids arrive in ascending order, so the radix path sorts on the key
+  // alone (no id passes); verify the generator supplies that order, then
+  // prove via the obs counter that the markets really crossed the
+  // 2048-entry threshold.
   obs::ScopedEnable obs_on(true);
   obs::Counter& qualified =
       obs::registry().counter("auction/qualified_workers");

@@ -45,6 +45,24 @@ TEST(MelodyFacade, AuctionRegistersUnknownBidders) {
   EXPECT_TRUE(platform.is_registered(2));
 }
 
+TEST(MelodyFacade, RunAuctionRejectsTwoBidsFromOneWorker) {
+  // Worker 7's second bid would otherwise win it a second task and price
+  // its first win off its own bid.
+  Melody platform(open_options());
+  const std::vector<BidSubmission> bids{{7, {1.0, 1}},
+                                        {7, {1.1, 1}},
+                                        {1, {1.2, 1}},
+                                        {2, {1.3, 1}},
+                                        {3, {1.4, 1}}};
+  const std::vector<auction::Task> tasks{{0, 5.0}, {1, 5.0}};
+  EXPECT_THROW(platform.run_auction(bids, tasks, 100.0),
+               std::invalid_argument);
+  // Rejected before anything was registered.
+  for (const auction::WorkerId id : {7, 1, 2, 3}) {
+    EXPECT_FALSE(platform.is_registered(id)) << id;
+  }
+}
+
 TEST(MelodyFacade, FullRunWorkflow) {
   Melody platform(open_options());
   const std::vector<BidSubmission> bids{

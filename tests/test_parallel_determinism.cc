@@ -210,8 +210,9 @@ TEST(ParallelDeterminism, MetricsSinkOnVersusOffBitIdentical) {
 }
 
 TEST(ParallelDeterminism, LargeAuctionRankingAndPricingMatchSerial) {
-  // Drives the greedy core over its parallel-sort threshold (N >= 4096)
-  // and compares every assignment and payment.
+  // A 6000-worker market in ascending id order: the greedy core's rank
+  // sort takes its radix path (N >= 2048). Compares every assignment and
+  // payment across thread counts.
   SraScenario scenario;
   scenario.num_workers = 6000;
   scenario.num_tasks = 120;

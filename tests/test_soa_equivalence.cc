@@ -407,8 +407,9 @@ TEST(SoaGreedyProperty, MatchesScalarReferenceOn1kMarketsPaperRule) {
 }
 
 TEST(SoaGreedyProperty, ParallelPathMatchesScalarReferenceOnLargeMarket) {
-  // One market big enough to cross the greedy core's parallel sort
-  // threshold, compared against the serial AoS reference at 8 threads.
+  // One market big enough (N >= 2048) that the greedy core's rank sort
+  // takes its radix path, compared against the serial AoS reference at 8
+  // threads.
   SraScenario scenario;
   scenario.num_workers = 6000;
   scenario.num_tasks = 120;

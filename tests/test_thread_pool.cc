@@ -1,6 +1,6 @@
 // Unit tests for the parallel execution primitives: pool lifecycle,
-// exception propagation, nested submission, and parallel_for /
-// parallel_sort over awkward range shapes.
+// exception propagation, nested submission, and parallel_for over awkward
+// range shapes.
 #include "util/thread_pool.h"
 
 #include <gtest/gtest.h>
@@ -138,20 +138,6 @@ TEST(ParallelFor, NestedLoopsComplete) {
                  [&](std::size_t inner) { ++cell[outer * 40 + inner]; });
   });
   for (auto& c : cell) ASSERT_EQ(c.load(), 1);
-}
-
-TEST(ParallelSort, MatchesStdSortForTotalOrders) {
-  ThreadPool pool(4);
-  Rng rng(99);
-  for (std::size_t n : {0u, 1u, 2u, 17u, 4095u, 4096u, 20000u}) {
-    std::vector<std::uint64_t> expect(n);
-    for (auto& x : expect) x = rng();
-    std::vector<std::uint64_t> got = expect;
-    std::sort(expect.begin(), expect.end());
-    parallel_sort(&pool, got.begin(), got.end(),
-                  std::less<std::uint64_t>{}, /*min_parallel=*/2);
-    ASSERT_EQ(got, expect) << "n=" << n;
-  }
 }
 
 TEST(SharedPool, ThreadCountConfiguration) {
