@@ -29,7 +29,7 @@ RankSortEntry ladder_entry(double ratio, WorkerId id, BidBook::Slot slot) {
 }  // namespace
 
 double BidBook::ladder_ratio(double quality, double cost) noexcept {
-  // Bids that can never pass the qualification filter (non-positive or
+  // Bids that AuctionConfig::admits never admits (non-positive or
   // non-finite quality/cost) sink to the ladder tail under a well-defined
   // key instead of risking a NaN quotient breaking the strict weak order.
   if (!(quality > 0.0) || !(cost > 0.0) || !std::isfinite(quality) ||

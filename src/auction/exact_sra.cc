@@ -82,8 +82,7 @@ std::size_t exact_sra_optimum(std::span<const WorkerProfile> workers,
                               const AuctionConfig& config) {
   Instance inst;
   for (const auto& w : workers) {
-    if (w.bid.cost > 0.0 && w.bid.frequency > 0 && w.estimated_quality > 0.0 &&
-        config.qualifies(w)) {
+    if (config.admits(w)) {
       inst.quality.push_back(w.estimated_quality);
       inst.cost.push_back(w.bid.cost);
       inst.frequency.push_back(w.bid.frequency);

@@ -93,15 +93,15 @@ void rank_sort(std::vector<RankSortEntry>& entries) {
 RankingQueue build_ranking_queue(std::span<const WorkerProfile> workers,
                                  const AuctionConfig& config) {
   // Line 1: qualification filter W <- {i : Theta_m <= mu_i <= Theta_M,
-  // C_m <= c_i <= C_M}. Workers with non-positive cost, quality, or
-  // frequency can never participate meaningfully and are excluded.
+  // C_m <= c_i <= C_M}, through AuctionConfig::admits, which also drops
+  // non-positive or non-finite cost and quality and a non-positive
+  // frequency.
   std::vector<RankSortEntry>& entries = arena().entries;
   entries.clear();
   entries.reserve(workers.size());
   for (std::size_t i = 0; i < workers.size(); ++i) {
     const WorkerProfile& w = workers[i];
-    if (w.bid.cost > 0.0 && w.bid.frequency > 0 && w.estimated_quality > 0.0 &&
-        config.qualifies(w)) {
+    if (config.admits(w)) {
       entries.push_back({~rank_key(w.estimated_quality / w.bid.cost), w.id,
                          static_cast<std::uint32_t>(i)});
     }
@@ -153,8 +153,7 @@ RankingQueue build_ranking_queue(const BidBook& book,
     const double cost = ladder.cost[p];
     const double quality = ladder.quality[p];
     const int frequency = ladder.frequency[p];
-    if (cost > 0.0 && frequency > 0 && quality > 0.0 &&
-        config.qualifies(quality, cost)) {
+    if (config.admits(quality, cost, frequency)) {
       queue.ids.push_back(ladder.ids[p]);
       queue.quality.push_back(quality);
       queue.density.push_back(cost / quality);

@@ -16,8 +16,7 @@ std::size_t opt_upper_bound(std::span<const WorkerProfile> workers,
   std::vector<Supply> supply;
   supply.reserve(workers.size());
   for (const auto& w : workers) {
-    if (w.bid.cost > 0.0 && w.bid.frequency > 0 && w.estimated_quality > 0.0 &&
-        config.qualifies(w)) {
+    if (config.admits(w)) {
       supply.push_back({w.estimated_quality * w.bid.frequency,
                         w.bid.cost / w.estimated_quality});
     }

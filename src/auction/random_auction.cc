@@ -19,10 +19,7 @@ AllocationResult RandomAuction::run(const AuctionContext& context) {
 
   std::vector<const WorkerProfile*> qualified;
   for (const auto& w : workers) {
-    if (w.bid.cost > 0.0 && w.bid.frequency > 0 && w.estimated_quality > 0.0 &&
-        config.qualifies(w)) {
-      qualified.push_back(&w);
-    }
+    if (config.admits(w)) qualified.push_back(&w);
   }
 
   std::vector<int> available(qualified.size());

@@ -2,6 +2,7 @@
 // Definition 4 of the paper) shared by every mechanism implementation.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <span>
@@ -60,6 +61,22 @@ struct AuctionConfig {
   bool qualifies(double estimated_quality, double cost) const noexcept {
     return estimated_quality >= theta_min && estimated_quality <= theta_max &&
            cost >= cost_min && cost <= cost_max;
+  }
+
+  /// True iff a bid enters an auction run: it passes the qualification
+  /// filter, and its cost, quality and frequency are positive and finite.
+  /// The one admission check of every mechanism: a bid it admits has a
+  /// finite, positive density cost / quality, so no payment priced from
+  /// it can be NaN even under the default unbounded [C_m, C_M] and
+  /// [Theta_m, Theta_M].
+  bool admits(double estimated_quality, double cost,
+              int frequency) const noexcept {
+    return frequency > 0 && cost > 0.0 && estimated_quality > 0.0 &&
+           std::isfinite(cost) && std::isfinite(estimated_quality) &&
+           qualifies(estimated_quality, cost);
+  }
+  bool admits(const WorkerProfile& w) const noexcept {
+    return admits(w.estimated_quality, w.bid.cost, w.bid.frequency);
   }
 
   /// The theoretical approximation constant lambda of Lemma 3:

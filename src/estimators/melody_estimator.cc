@@ -17,8 +17,6 @@
 namespace melody::estimators {
 
 namespace {
-/// Null link / "no arena entry" marker for the arena history chains.
-constexpr std::uint32_t kNoHistory = 0xffffffffu;
 namespace binio = util::binio;
 }  // namespace
 
@@ -37,22 +35,7 @@ void MelodyEstimator::register_worker(auction::WorkerId id) {
   runs_seen_.push_back(0);
   observed_runs_.push_back(0);
   em_count_.push_back(0);
-  if (arena_history()) {
-    history_head_.push_back(kNoHistory);
-    history_len_.push_back(0);
-  } else {
-    history_.emplace_back();
-  }
-}
-
-void MelodyEstimator::gather_history(std::size_t slot,
-                                     lds::ScoreHistory& out) const {
-  out.resize(history_len_[slot]);
-  std::uint32_t node = history_head_[slot];
-  for (std::size_t k = out.size(); k-- > 0;) {
-    out[k] = history_arena_[node].scores;
-    node = history_arena_[node].prev;
-  }
+  history_.emplace_back();
 }
 
 bool MelodyEstimator::observe_slot(std::size_t slot,
@@ -61,34 +44,17 @@ bool MelodyEstimator::observe_slot(std::size_t slot,
   if (scores.empty() && !config_.advance_on_empty_runs) {
     return false;  // participation-indexed chain: idle runs change nothing
   }
-  std::uint32_t arena_pos = kNoHistory;
-  if (arena_history()) {
-    arena_pos = static_cast<std::uint32_t>(history_arena_.size());
-    history_arena_.emplace_back();
-  }
-  return observe_slot_at(slot, scores, arena_pos);
-}
-
-bool MelodyEstimator::observe_slot_at(std::size_t slot,
-                                      const lds::ScoreSet& scores,
-                                      std::uint32_t arena_pos) {
   const lds::LdsParams params{a_[slot], gamma_[slot], eta_[slot]};
-  if (arena_history()) {
-    history_arena_[arena_pos] = {scores, history_head_[slot]};
-    history_head_[slot] = arena_pos;
-    ++history_len_[slot];
-  } else {
-    lds::ScoreHistory& history = history_[slot];
-    history.push_back(scores);
-    if (config_.max_history > 0 &&
-        static_cast<int>(history.size()) > config_.max_history) {
-      // Slide the window: fold the oldest run into the anchor posterior.
-      const lds::Gaussian anchor = lds::filter_step(
-          {anchor_mean_[slot], anchor_var_[slot]}, history.front(), params);
-      anchor_mean_[slot] = anchor.mean;
-      anchor_var_[slot] = anchor.var;
-      history.erase(history.begin());
-    }
+  lds::ScoreHistory& history = history_[slot];
+  history.push_back(scores);
+  if (config_.max_history > 0 &&
+      static_cast<int>(history.size()) > config_.max_history) {
+    // Slide the window: fold the oldest run into the anchor posterior.
+    const lds::Gaussian anchor = lds::filter_step(
+        {anchor_mean_[slot], anchor_var_[slot]}, history.front(), params);
+    anchor_mean_[slot] = anchor.mean;
+    anchor_var_[slot] = anchor.var;
+    history.erase(history.begin());
   }
   if (!scores.empty()) ++observed_runs_[slot];
 
@@ -136,9 +102,7 @@ void MelodyEstimator::refit_due() {
   // cut runs of equal length into groups of at most kEmLanes. Every lane
   // computes exactly its lone fit, so the grouping (and the partition of
   // groups across threads) decides the speed, never a result bit.
-  auto length = [this](std::uint32_t slot) -> std::size_t {
-    return arena_history() ? history_len_[slot] : history_[slot].size();
-  };
+  auto length = [this](std::uint32_t slot) { return history_[slot].size(); };
   std::vector<std::uint32_t>& order = refit_due_;
   std::sort(order.begin(), order.end(),
             [&](std::uint32_t x, std::uint32_t y) {
@@ -173,21 +137,13 @@ void MelodyEstimator::fit_group(std::span<const std::uint32_t> slots,
   const auto started = collect ? std::chrono::steady_clock::now()
                                : std::chrono::steady_clock::time_point{};
   const std::size_t lanes_used = slots.size();
-  static thread_local std::array<lds::ScoreHistory, lds::kEmLanes> gathered;
   std::array<lds::EmLane, lds::kEmLanes> lanes;
   std::array<lds::EmResult, lds::kEmLanes> fits;
   for (std::size_t k = 0; k < lanes_used; ++k) {
     const std::size_t slot = slots[k];
-    std::span<const lds::ScoreSet> history;
-    if (arena_history()) {
-      gather_history(slot, gathered[k]);
-      history = gathered[k];
-    } else {
-      history = history_[slot];
-    }
     lds::EmLane& lane = lanes[k];
     lane.initial_posterior = {anchor_mean_[slot], anchor_var_[slot]};
-    lane.history = history;
+    lane.history = history_[slot];
     lane.initial_params = {a_[slot], gamma_[slot], eta_[slot]};
   }
   lds::fit_lds_lanes({lanes.data(), lanes_used}, {fits.data(), lanes_used},
@@ -237,54 +193,6 @@ void MelodyEstimator::fit_group(std::span<const std::uint32_t> slots,
   }
 }
 
-void MelodyEstimator::update_arena_range(std::size_t begin, std::size_t end,
-                                         std::span<const lds::ScoreSet> scores,
-                                         const std::uint32_t* pos,
-                                         const std::uint32_t* slots,
-                                         std::vector<std::uint32_t>& due) {
-  // Observability is sampled once per range, not once per worker: the
-  // whole range runs under one collection decision, and the disabled case
-  // (the production default, and what the perf suite times) pays no
-  // atomic load inside the loop.
-  const bool collect = obs::enabled();
-  obs::Summary* innovation = nullptr;
-  obs::Counter* updates = nullptr;
-  obs::Summary* posterior_var = nullptr;
-  if (collect) {
-    obs::MetricsRegistry& reg = obs::registry();
-    innovation = &reg.summary("estimator/innovation_abs");
-    updates = &reg.counter("estimator/kalman_updates");
-    posterior_var = &reg.summary("estimator/posterior_var");
-  }
-  const double estimate_min = config_.estimate_min;
-  const double estimate_max = config_.estimate_max;
-  for (std::size_t i = begin; i < end; ++i) {
-    const std::size_t slot = slots != nullptr ? slots[i] : i;
-    ++runs_seen_[slot];
-    const std::uint32_t arena_pos = pos[i];
-    if (arena_pos == kNoHistory) continue;  // idle, non-advancing run
-    const lds::ScoreSet& set = scores[i];
-    const lds::LdsParams params{a_[slot], gamma_[slot], eta_[slot]};
-    history_arena_[arena_pos] = {set, history_head_[slot]};
-    history_head_[slot] = arena_pos;
-    ++history_len_[slot];
-    if (!set.empty()) ++observed_runs_[slot];
-    if (collect && !set.empty()) {
-      innovation->record(std::abs(set.mean() - params.a * mean_[slot]));
-    }
-    const lds::Gaussian posterior =
-        lds::filter_step({mean_[slot], var_[slot]}, set, params);
-    if (collect) {
-      updates->add();
-      posterior_var->record(posterior.var);
-    }
-    mean_[slot] = std::clamp(posterior.mean, estimate_min, estimate_max);
-    var_[slot] = posterior.var;
-    ++runs_since_em_[slot];
-    if (due_for_em(slot)) due.push_back(static_cast<std::uint32_t>(slot));
-  }
-}
-
 void MelodyEstimator::observe(auction::WorkerId id,
                               const lds::ScoreSet& scores) {
   const auto slot = static_cast<std::uint32_t>(index_.at(id));
@@ -318,21 +226,6 @@ void MelodyEstimator::observe_run(std::span<const auction::WorkerId> ids,
     }
     slot_of = run_slots_.data();
   }
-
-  // Arena mode: the per-slot updates append to the shared arena, so a
-  // serial prefix pass assigns every appending slot its position (in the
-  // same order the serial loop would have appended) and sizes the arena
-  // once. The sharded bodies then write disjoint, pre-sized entries —
-  // same entries, same order, no race.
-  if (arena_history()) {
-    run_positions_.resize(n);
-    std::uint32_t next = static_cast<std::uint32_t>(history_arena_.size());
-    for (std::size_t i = 0; i < n; ++i) {
-      const bool appends = !scores[i].empty() || config_.advance_on_empty_runs;
-      run_positions_[i] = appends ? next++ : kNoHistory;
-    }
-    history_arena_.resize(next);
-  }
   const std::size_t chunks = (n + kFilterGrain - 1) / kFilterGrain;
   run_due_.resize(chunks);
   util::parallel_for(util::shared_pool(), chunks, [&](std::size_t c) {
@@ -340,11 +233,6 @@ void MelodyEstimator::observe_run(std::span<const auction::WorkerId> ids,
     const std::size_t end = std::min(n, begin + kFilterGrain);
     std::vector<std::uint32_t>& due = run_due_[c];
     due.clear();
-    if (arena_history()) {
-      update_arena_range(begin, end, scores, run_positions_.data(), slot_of,
-                         due);
-      return;
-    }
     for (std::size_t i = begin; i < end; ++i) {
       const std::size_t slot = slot_of != nullptr ? slot_of[i] : i;
       if (observe_slot(slot, scores[i])) {
@@ -393,15 +281,8 @@ void MelodyEstimator::save(std::ostream& out) const {
 
   binio::write_header(out, kBlobMagic, kBlobVersion);
   binio::write_u64(out, ids.size());
-  lds::ScoreHistory gathered;
   for (auction::WorkerId id : ids) {
     const std::size_t s = index_.at(id);
-    // Arena mode gathers the slot's chain into the same oldest-first
-    // per-worker sequence the window mode stores, so the snapshot bytes
-    // are identical across storage modes.
-    if (arena_history()) gather_history(s, gathered);
-    const lds::ScoreHistory& history =
-        arena_history() ? gathered : history_[s];
     binio::write_i32(out, id);
     for (const double v : {mean_[s], var_[s], anchor_mean_[s], anchor_var_[s],
                            a_[s], gamma_[s], eta_[s]}) {
@@ -411,8 +292,8 @@ void MelodyEstimator::save(std::ostream& out) const {
                         em_count_[s]}) {
       binio::write_i32(out, v);
     }
-    binio::write_u32(out, static_cast<std::uint32_t>(history.size()));
-    for (const lds::ScoreSet& set : history) {
+    binio::write_u32(out, static_cast<std::uint32_t>(history_[s].size()));
+    for (const lds::ScoreSet& set : history_[s]) {
       binio::write_i32(out, set.count);
       binio::write_f64(out, set.sum);
       binio::write_f64(out, set.sum_squares);
@@ -468,30 +349,14 @@ void MelodyEstimator::load(std::istream& in) {
     loaded.runs_seen_.push_back(runs_seen);
     loaded.observed_runs_.push_back(observed_runs);
     loaded.em_count_.push_back(em_count);
-    // Arena mode chains each entry straight into the shared arena; window
-    // mode collects the worker's own vector.
-    std::uint32_t head = kNoHistory;
-    lds::ScoreHistory history;
-    if (!loaded.arena_history()) binio::reserve_bounded(history, history_size);
+    lds::ScoreHistory& history = loaded.history_.emplace_back();
+    binio::reserve_bounded(history, history_size);
     for (std::uint32_t k = 0; k < history_size; ++k) {
       lds::ScoreSet set;
       set.count = binio::read_i32(in, "MelodyEstimator history");
       set.sum = binio::read_f64(in, "MelodyEstimator history");
       set.sum_squares = binio::read_f64(in, "MelodyEstimator history");
-      if (loaded.arena_history()) {
-        const auto node =
-            static_cast<std::uint32_t>(loaded.history_arena_.size());
-        loaded.history_arena_.push_back({set, head});
-        head = node;
-      } else {
-        history.push_back(set);
-      }
-    }
-    if (loaded.arena_history()) {
-      loaded.history_head_.push_back(head);
-      loaded.history_len_.push_back(history_size);
-    } else {
-      loaded.history_.push_back(std::move(history));
+      history.push_back(set);
     }
   }
   *this = std::move(loaded);

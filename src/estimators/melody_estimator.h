@@ -17,17 +17,12 @@
 // re-filters. Due workers arrive together (every T-th participation), so
 // the groups fill.
 //
-// Score histories have two storage modes. With a sliding window
-// (max_history > 0) each worker keeps a small vector, folded at the front
-// as it slides. Unbounded mode (max_history == 0, the paper's behaviour)
-// instead appends every run's ScoreSet to one shared arena in arrival
-// order, with an intrusive backward link per entry and a per-slot head:
-// the per-run ingest is then a append to one contiguous array
-// instead of a scattered push_back into N separate vectors — the dominant
-// cost of a filter-only run. EM, re-filtering, and save() gather a
-// worker's chain oldest-first by walking the links; the gathered sequence
-// is the exact per-worker vector the old layout held, so everything
-// downstream (and every snapshot byte) is unchanged.
+// Score histories live in one store: a contiguous ScoreHistory per dense
+// slot, oldest run first. Unbounded mode (max_history == 0, the paper's
+// behaviour) is the window that never slides; with a bound, the oldest run
+// is folded into the slot's anchor posterior and erased from the front. EM
+// lanes, the re-filter and save() read a slot's history in place, and it
+// is element-for-element the sequence the AoS reference keeps.
 #pragma once
 
 #include <cstddef>
@@ -78,11 +73,11 @@ struct MelodyEstimatorConfig {
   /// not a prediction (see DESIGN.md).
   bool advance_on_empty_runs = false;
   /// Bound on the stored per-worker history (0 = unbounded, the paper's
-  /// behaviour). When the history exceeds the bound, the oldest run is
-  /// folded into a per-worker anchor posterior by one exact filter step, so
-  /// EM and re-filtering operate on a sliding window with the correct
-  /// Bayesian prefix — memory and EM cost become O(window) per worker
-  /// instead of O(total runs).
+  /// behaviour: a window that never slides). When the history exceeds the
+  /// bound, the oldest run is folded into a per-worker anchor posterior by
+  /// one exact filter step, so EM and re-filtering operate on a sliding
+  /// window with the correct Bayesian prefix — memory and EM cost become
+  /// O(window) per worker instead of O(total runs).
   int max_history = 0;
   /// Exploration extension (beyond the paper; see DESIGN.md ablation A6).
   /// With beta > 0 the reported estimate carries a UCB-style bonus
@@ -146,43 +141,14 @@ class MelodyEstimator final : public QualityEstimator {
   std::size_t worker_count() const noexcept { return ids_.size(); }
 
  private:
-  /// One appended run in the shared history arena (unbounded mode): the
-  /// run's sufficient statistics plus a link to the same worker's previous
-  /// entry (kNoHistory when this is the worker's first).
-  struct HistoryNode {
-    lds::ScoreSet scores;
-    std::uint32_t prev = 0;
-  };
-
-  /// True when histories live in the shared arena (max_history == 0).
-  bool arena_history() const noexcept { return config_.max_history == 0; }
-
-  /// The Algorithm 3 filter update for the worker in dense slot `slot`.
-  /// Returns true when the slot came due for EM; the caller then fits it
-  /// (fit_group) once the filter pass is done.
+  /// The Algorithm 3 filter update for the worker in dense slot `slot`:
+  /// append the run to its history (sliding the window if bounded), then
+  /// one Theorem-3 step. Returns true when the slot came due for EM; the
+  /// caller then fits it (fit_group) once the filter pass is done.
   bool observe_slot(std::size_t slot, const lds::ScoreSet& scores);
-
-  /// The update body after the empty-run gate, with the arena position for
-  /// this run's history entry already reserved (ignored in window mode).
-  bool observe_slot_at(std::size_t slot, const lds::ScoreSet& scores,
-                       std::uint32_t arena_pos);
 
   /// Algorithm 3 line 6: T runs since the last fit, enough observed runs.
   bool due_for_em(std::size_t slot) const;
-
-  /// Arena-mode batch body: the observe_slot_at update fused into one
-  /// loop over [begin, end) of a run's rows, with the observability gate
-  /// hoisted and the filter step inlined — the per-(worker, run) cost is
-  /// the Theorem-3 arithmetic plus one contiguous arena write, instead of
-  /// a call chain per worker. `pos` holds each row's pre-assigned arena
-  /// position (kNoHistory for skipped rows); `slots` maps row -> dense
-  /// slot, or nullptr when the run is already in slot order. Slots that
-  /// come due for EM are appended to `due`.
-  void update_arena_range(std::size_t begin, std::size_t end,
-                          std::span<const lds::ScoreSet> scores,
-                          const std::uint32_t* pos,
-                          const std::uint32_t* slots,
-                          std::vector<std::uint32_t>& due);
 
   /// Algorithm 3 lines 6-8 for every slot in refit_due_: groups of up to
   /// lds::kEmLanes slots with equal history length, fitted together and
@@ -193,11 +159,6 @@ class MelodyEstimator final : public QualityEstimator {
   /// each fitted theta and the optional posterior re-filter.
   void fit_group(std::span<const std::uint32_t> slots, bool collect);
 
-  /// Arena mode: a worker's history gathered oldest-first into `out` —
-  /// element-for-element the per-worker vector the window mode (and the
-  /// old layout) stores directly.
-  void gather_history(std::size_t slot, lds::ScoreHistory& out) const;
-
   /// True when `ids` is exactly the dense slot order, making per-worker
   /// map lookups unnecessary.
   bool matches_slot_order(std::span<const auction::WorkerId> ids) const;
@@ -206,7 +167,8 @@ class MelodyEstimator final : public QualityEstimator {
 
   // Dense SoA state: slot s of every array belongs to worker ids_[s];
   // index_ maps id -> slot. Hot per-run fields are contiguous doubles/ints;
-  // the score histories (touched only on ingestion and EM) stay per-worker.
+  // the score histories (touched only on ingestion and EM) are one
+  // contiguous vector per slot.
   std::vector<auction::WorkerId> ids_;  // registration order
   std::unordered_map<auction::WorkerId, std::size_t> index_;
   std::vector<double> mean_;         // posterior mean
@@ -220,20 +182,11 @@ class MelodyEstimator final : public QualityEstimator {
   std::vector<int> runs_seen_;      // every observe() call, empty or not
   std::vector<int> observed_runs_;  // runs with at least one score
   std::vector<int> em_count_;
+  std::vector<lds::ScoreHistory> history_;  // oldest run first
 
-  // Window mode (max_history > 0): per-worker history vectors.
-  std::vector<lds::ScoreHistory> history_;
-
-  // Arena mode (max_history == 0): one append-only arena shared by all
-  // workers, chained per slot through HistoryNode::prev.
-  std::vector<HistoryNode> history_arena_;
-  std::vector<std::uint32_t> history_head_;  // kNoHistory when empty
-  std::vector<std::uint32_t> history_len_;
-
-  // observe_run scratch (prefix-pass arena positions, slot lookups, the
-  // slots each filter chunk found due, all of them in lane order, and the
-  // group bounds); never part of the logical state.
-  std::vector<std::uint32_t> run_positions_;
+  // observe_run scratch (slot lookups, the slots each filter chunk found
+  // due, all of them in lane order, and the group bounds); never part of
+  // the logical state.
   std::vector<std::uint32_t> run_slots_;
   std::vector<std::vector<std::uint32_t>> run_due_;
   std::vector<std::uint32_t> refit_due_;

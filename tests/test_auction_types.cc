@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 namespace melody::auction {
 namespace {
@@ -36,6 +37,25 @@ TEST(AuctionConfig, QualificationFilter) {
 TEST(AuctionConfig, DefaultAcceptsEverything) {
   const AuctionConfig config;
   EXPECT_TRUE(config.qualifies({1, {100.0, 1}, 0.5}));
+}
+
+TEST(AuctionConfig, AdmitsOnlyPositiveFiniteQualifiedBids) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  const AuctionConfig open;
+  EXPECT_TRUE(open.admits({1, {100.0, 1}, 0.5}));
+  EXPECT_FALSE(open.admits({1, {0.0, 1}, 0.5}));    // zero cost
+  EXPECT_FALSE(open.admits({1, {1.0, 0}, 0.5}));    // zero frequency
+  EXPECT_FALSE(open.admits({1, {1.0, 1}, -0.5}));   // negative quality
+  EXPECT_FALSE(open.admits({1, {kInf, 1}, 0.5}));   // range-qualified...
+  EXPECT_FALSE(open.admits({1, {1.0, 1}, kInf}));   // ...but not finite
+  EXPECT_FALSE(open.admits({1, {kInf, 1}, kInf}));
+  EXPECT_FALSE(open.admits({1, {kNaN, 1}, 0.5}));
+  EXPECT_FALSE(open.admits({1, {1.0, 1}, kNaN}));
+  AuctionConfig bounded;
+  bounded.cost_max = 2.0;
+  EXPECT_TRUE(bounded.admits(0.5, 2.0, 1));
+  EXPECT_FALSE(bounded.admits(0.5, 2.5, 1));  // the range filter still holds
 }
 
 TEST(AuctionConfig, LambdaMatchesLemma3) {

@@ -307,23 +307,34 @@ TEST(MelodyEstimatorTest, ExplorationBonusShrinksWithObservations) {
 
 TEST(MelodyEstimatorTest, WindowedHistoryMatchesUnboundedPosterior) {
   // Without EM, the filter is exactly sequential, so the window bound must
-  // not change the posterior at all.
-  MelodyEstimatorConfig unbounded;
-  unbounded.reestimation_period = 0;
-  MelodyEstimatorConfig windowed = unbounded;
-  windowed.max_history = 5;
-  MelodyEstimator a(unbounded), b(windowed);
-  a.register_worker(1);
-  b.register_worker(1);
-  util::Rng rng(19);
-  for (int r = 0; r < 40; ++r) {
-    lds::ScoreSet set;
-    set.add(rng.uniform(2.0, 9.0));
-    a.observe(1, set);
-    b.observe(1, set);
+  // not change the posterior at all. With EM on, a window as long as the
+  // horizon never slides, so it is the unbounded store: every fit and
+  // every snapshot byte agree.
+  constexpr int kRuns = 40;
+  for (const auto& [period, window] : {std::pair{0, 5}, std::pair{10, kRuns}}) {
+    MelodyEstimatorConfig unbounded;
+    unbounded.reestimation_period = period;
+    MelodyEstimatorConfig windowed = unbounded;
+    windowed.max_history = window;
+    MelodyEstimator a(unbounded), b(windowed);
+    a.register_worker(1);
+    b.register_worker(1);
+    util::Rng rng(19);
+    for (int r = 0; r < kRuns; ++r) {
+      lds::ScoreSet set;
+      set.add(rng.uniform(2.0, 9.0));
+      a.observe(1, set);
+      b.observe(1, set);
+    }
+    EXPECT_NEAR(a.posterior(1).mean, b.posterior(1).mean, 1e-12);
+    EXPECT_NEAR(a.posterior(1).var, b.posterior(1).var, 1e-12);
+    if (period == 0) continue;
+    EXPECT_EQ(b.reestimation_count(1), kRuns / period);
+    std::ostringstream a_snapshot, b_snapshot;
+    a.save(a_snapshot);
+    b.save(b_snapshot);
+    EXPECT_EQ(a_snapshot.str(), b_snapshot.str());
   }
-  EXPECT_NEAR(a.posterior(1).mean, b.posterior(1).mean, 1e-12);
-  EXPECT_NEAR(a.posterior(1).var, b.posterior(1).var, 1e-12);
 }
 
 TEST(MelodyEstimatorTest, WindowedHistoryStillRunsEm) {

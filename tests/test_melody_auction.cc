@@ -3,7 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
 #include <vector>
+
+#include "auction/bid_book.h"
 
 namespace melody::auction {
 namespace {
@@ -181,6 +186,53 @@ TEST(MelodyAuction, InvalidWorkersIgnored) {
   const auto result = auction.run({workers, tasks, open_config(100.0)});
   ASSERT_EQ(result.assignments.size(), 1u);
   EXPECT_EQ(result.assignments[0].worker, 3);
+}
+
+TEST(MelodyAuction, NonFiniteBidIsNotAdmittedOnSpanOrBookPath) {
+  // A bid of infinite cost and infinite quality has density inf/inf = NaN.
+  // Under the default unbounded [C_m, C_M] and [Theta_m, Theta_M] it must
+  // still not enter the queue: both ranking paths then give exactly the
+  // auction without it, and every payment is finite. The first market has
+  // no critical worker left after the winners (the task is dropped); the
+  // second adds one, so the winners are priced.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const WorkerProfile non_finite{1, {kInf, 1}, kInf};
+  const std::vector<Task> tasks{{0, 5.0}};
+  const AuctionConfig config = open_config(100.0);
+  MelodyAuction auction;
+  for (const std::vector<WorkerProfile>& finite :
+       {std::vector<WorkerProfile>{{0, {1.0, 1}, 4.0}, {2, {2.0, 1}, 3.0}},
+        std::vector<WorkerProfile>{
+            {0, {1.0, 1}, 4.0}, {2, {2.0, 1}, 3.0}, {3, {4.0, 1}, 2.0}}}) {
+    std::vector<WorkerProfile> workers = finite;
+    workers.insert(workers.begin() + 1, non_finite);
+    BidBook book;
+    for (const WorkerProfile& w : workers) book.upsert(w);
+    AuctionContext from_book{{}, tasks, config};
+    from_book.book = &book;
+
+    const AllocationResult expected = auction.run({finite, tasks, config});
+    const AllocationResult span = auction.run({workers, tasks, config});
+    const AllocationResult booked = auction.run(from_book);
+    for (const auto& [path, result] : {std::pair{"span", &span},
+                                       std::pair{"book", &booked}}) {
+      SCOPED_TRACE(testing::Message() << path << " path, "
+                                      << finite.size() << " finite bids");
+      EXPECT_EQ(result->selected_tasks, expected.selected_tasks);
+      EXPECT_EQ(result->assignments.size(), expected.assignments.size());
+      for (const Assignment& got : result->assignments) {
+        EXPECT_TRUE(std::isfinite(got.payment)) << "worker " << got.worker;
+      }
+      const std::size_t common =
+          std::min(result->assignments.size(), expected.assignments.size());
+      for (std::size_t i = 0; i < common; ++i) {
+        const Assignment& got = result->assignments[i];
+        EXPECT_EQ(got.worker, expected.assignments[i].worker);
+        EXPECT_EQ(got.task, expected.assignments[i].task);
+        EXPECT_EQ(got.payment, expected.assignments[i].payment);
+      }
+    }
+  }
 }
 
 TEST(MelodyAuction, EmptyInputs) {

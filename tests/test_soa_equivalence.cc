@@ -477,13 +477,17 @@ TEST(SoaKalmanProperty, ChainStateMatchesAosReferenceWithEmAndWindow) {
 }
 
 TEST(SoaKalmanProperty, ShardedObserveRunMatchesAosReferenceAt8Threads) {
+  // The filter pass leaves the calling thread only above its 16384-worker
+  // grain, so the population spans three chunks: pool threads append to
+  // per-slot histories concurrently. In twelve runs at T = 10 over half
+  // the workers come due for EM, so the refit pass shards lanes too.
   estimators::MelodyEstimatorConfig config;
   config.reestimation_period = 10;
   estimators::MelodyEstimator soa(config);
   perf::reference::AosKalmanChain scalar(config);
 
-  constexpr int kWorkers = 500;
-  constexpr int kRuns = 25;
+  constexpr int kWorkers = 2 * 16384 + 2000;
+  constexpr int kRuns = 12;
   std::vector<auction::WorkerId> ids(kWorkers);
   for (int w = 0; w < kWorkers; ++w) {
     ids[static_cast<std::size_t>(w)] = w;
