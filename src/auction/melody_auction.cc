@@ -1,5 +1,7 @@
 #include "auction/melody_auction.h"
 
+#include <stdexcept>
+
 #include "auction/greedy_core.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -7,6 +9,10 @@
 namespace melody::auction {
 
 AllocationResult MelodyAuction::run(const AuctionContext& context) {
+  if (!context.config.accepts(context.tasks)) {
+    throw std::invalid_argument(
+        "MelodyAuction: non-finite budget or task quality threshold");
+  }
   obs::ScopedTimer run_timer(obs::timer_if_enabled("auction/run"));
   // Parent on the context's trace explicitly: a mechanism may run on a
   // thread the platform never installed a slot on (standalone tools).

@@ -2,12 +2,17 @@
 
 #include <algorithm>
 #include <numeric>
+#include <stdexcept>
 
 #include "obs/metrics.h"
 
 namespace melody::auction {
 
 AllocationResult RandomAuction::run(const AuctionContext& context) {
+  if (!context.config.accepts(context.tasks)) {
+    throw std::invalid_argument(
+        "RandomAuction: non-finite budget or task quality threshold");
+  }
   obs::ScopedTimer run_timer(obs::timer_if_enabled("auction/run"));
   // Full-rebuild adapter: book-only contexts are materialized by id, which
   // is the span order platforms submit, so the draw sequence is unchanged.

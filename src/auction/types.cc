@@ -63,6 +63,7 @@ std::string format_violation(const char* fmt, double a, double b) {
 
 std::string check_budget_feasibility(const AllocationResult& result,
                                      const AuctionConfig& config) {
+  if (!std::isfinite(config.budget)) return "budget is not finite";
   const double paid = result.total_payment();
   // Tolerate accumulated floating-point rounding of per-assignment payments.
   if (paid > config.budget * (1.0 + 1e-9) + 1e-9) {

@@ -2,6 +2,7 @@
 // Definition 4 of the paper) shared by every mechanism implementation.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -77,6 +78,18 @@ struct AuctionConfig {
   }
   bool admits(const WorkerProfile& w) const noexcept {
     return admits(w.estimated_quality, w.bid.cost, w.bid.frequency);
+  }
+
+  /// True iff an auction run can be priced against this config and these
+  /// tasks: the budget and every task's quality threshold are finite. The
+  /// market-side twin of admits(), checked once where a mechanism's run
+  /// starts: a NaN or infinite budget never stops the commit stage, and a
+  /// NaN or -inf threshold counts a task as satisfied.
+  bool accepts(std::span<const Task> tasks) const noexcept {
+    return std::isfinite(budget) &&
+           std::all_of(tasks.begin(), tasks.end(), [](const Task& t) {
+             return std::isfinite(t.quality_threshold);
+           });
   }
 
   /// The theoretical approximation constant lambda of Lemma 3:

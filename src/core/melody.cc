@@ -1,6 +1,7 @@
 #include "core/melody.h"
 
 #include <algorithm>
+#include <cmath>
 #include <istream>
 #include <limits>
 #include <sstream>
@@ -67,9 +68,16 @@ void Melody::submit_scores(auction::WorkerId id, const lds::ScoreSet& scores) {
     throw std::invalid_argument("submit_scores: unregistered worker");
   }
   lds::ScoreSet& pending = pending_scores_[id];
-  pending.count += scores.count;
-  pending.sum += scores.sum;
-  pending.sum_squares += scores.sum_squares;
+  const lds::ScoreSet total{pending.count + scores.count,
+                            pending.sum + scores.sum,
+                            pending.sum_squares + scores.sum_squares};
+  // The tracker would store such a set, and its snapshot would not load.
+  if (scores.count < 0 || !std::isfinite(total.sum) ||
+      !std::isfinite(total.sum_squares)) {
+    throw std::invalid_argument(
+        "submit_scores: negative count or non-finite score sums");
+  }
+  pending = total;
 }
 
 int Melody::end_run() {

@@ -65,6 +65,8 @@ class Melody {
 
   /// Record the scores worker `id` earned in the current run. May be called
   /// at most once per worker per run; accumulates into the pending run.
+  /// Throws std::invalid_argument for a negative count, or for scores
+  /// whose running sums would overflow, which no snapshot could hold.
   void submit_scores(auction::WorkerId id, const lds::ScoreSet& scores);
 
   /// Close the current run: every registered worker's posterior is updated

@@ -14,6 +14,11 @@
 #include "auction/types.h"
 #include "lds/gaussian.h"
 
+namespace melody::util::binio {
+class Reader;
+class Writer;
+}  // namespace melody::util::binio
+
 namespace melody::estimators {
 
 class QualityEstimator {
@@ -48,14 +53,24 @@ class QualityEstimator {
   /// (each implementation writes its own magic + version header and one
   /// fixed little-endian record per worker, in id order), so a
   /// restarted platform resumes exactly where the old one stopped —
-  /// estimates after load() are bit-identical to the saved instance's.
+  /// estimates after load_from() are bit-identical to the saved instance's.
   /// Configuration is never part of a snapshot: construct the new estimator
-  /// with the same config before load(). load() replaces all existing state
-  /// wholesale. Both throw std::runtime_error on I/O failure or malformed
-  /// input. Callers hold these through the base class — no downcasting to a
-  /// concrete estimator is needed for persistence.
-  virtual void save(std::ostream& out) const = 0;
-  virtual void load(std::istream& in) = 0;
+  /// with the same config before loading. Loading replaces all existing
+  /// state wholesale. All four throw std::runtime_error on I/O failure or
+  /// malformed input. Callers hold these through the base class — no
+  /// downcasting to a concrete estimator is needed for persistence.
+  ///
+  /// Implementations override save_to/load_from, which the platform calls
+  /// on its own buffer. save/load are the stream boundary: by default each
+  /// makes one bulk copy and forwards to save_to/load_from. A wrapper that
+  /// overrides only save/load gets save_to/load_from forwarded to them
+  /// through one copy. A class must override one of the two pairs; one
+  /// that overrides neither throws std::logic_error on its first save or
+  /// load.
+  virtual void save_to(util::binio::Writer& out) const;
+  virtual void load_from(util::binio::Reader& in);
+  virtual void save(std::ostream& out) const;
+  virtual void load(std::istream& in);
 };
 
 }  // namespace melody::estimators

@@ -1,13 +1,10 @@
 #include "estimators/grid_estimator.h"
 
-#include <algorithm>
-#include <istream>
-#include <ostream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "util/binio.h"
+#include "estimators/id_map_blob.h"
 
 namespace melody::estimators {
 
@@ -66,50 +63,35 @@ constexpr std::string_view kMagic = "MLDYGRID";
 constexpr std::uint32_t kVersion = 2;  // v1 was text
 }  // namespace
 
-void GridEstimator::save(std::ostream& out) const {
-  std::vector<auction::WorkerId> ids;
-  ids.reserve(filters_.size());
-  for (const auto& [id, filter] : filters_) ids.push_back(id);
-  std::sort(ids.begin(), ids.end());
-
-  binio::write_header(out, kMagic, kVersion);
-  binio::write_u64(out, ids.size());
-  for (auction::WorkerId id : ids) {
-    const auto weights = filters_.at(id)->posterior().weights();
-    binio::write_i32(out, id);
-    binio::write_u32(out, static_cast<std::uint32_t>(weights.size()));
-    for (double w : weights) binio::write_f64(out, w);
-  }
-  if (!out) throw std::runtime_error("GridEstimator::save: write failed");
+void GridEstimator::save_to(binio::Writer& out) const {
+  save_id_map(out, kMagic, kVersion, filters_, [&out](const auto& filter) {
+    const auto weights = filter->posterior().weights();
+    out.write_u32(static_cast<std::uint32_t>(weights.size()));
+    for (double w : weights) out.write_f64(w);
+  });
 }
 
-void GridEstimator::load(std::istream& in) {
-  binio::read_header(in, kMagic, kVersion);
-  const std::uint64_t worker_count =
-      binio::read_u64(in, "GridEstimator worker count");
-  std::unordered_map<auction::WorkerId, std::unique_ptr<lds::GridFilter>>
-      loaded;
-  for (std::uint64_t w = 0; w < worker_count; ++w) {
-    const auction::WorkerId id = binio::read_i32(in, "GridEstimator record");
-    // The grid size must match the configuration before it sizes anything.
-    if (binio::read_u32(in, "GridEstimator record") != config_.grid_points) {
-      throw std::runtime_error(
-          "GridEstimator::load: grid size does not match the configuration");
-    }
-    std::vector<double> weights(config_.grid_points);
-    for (double& weight : weights) {
-      weight = binio::read_f64(in, "GridEstimator density");
-    }
-    auto filter = std::make_unique<lds::GridFilter>(
-        lds::GridDensity(config_.quality_min, config_.quality_max,
-                         config_.grid_points),
-        config_.initial_posterior, config_.params, config_.emission);
-    filter->restore_posterior(weights);
-    if (!loaded.emplace(id, std::move(filter)).second) {
-      throw std::runtime_error("GridEstimator::load: duplicate worker id");
-    }
-  }
-  filters_ = std::move(loaded);
+void GridEstimator::load_from(binio::Reader& in) {
+  filters_ = load_id_map<decltype(filters_)>(
+      in, kMagic, kVersion, "GridEstimator", [&](const char* what) {
+        // The grid size must match the configuration before it sizes
+        // anything.
+        if (in.read_u32(what) != config_.grid_points) {
+          throw std::runtime_error(
+              "GridEstimator::load: grid size does not match the "
+              "configuration");
+        }
+        std::vector<double> weights(config_.grid_points);
+        for (double& weight : weights) {
+          weight = in.read_f64("GridEstimator density");
+        }
+        auto filter = std::make_unique<lds::GridFilter>(
+            lds::GridDensity(config_.quality_min, config_.quality_max,
+                             config_.grid_points),
+            config_.initial_posterior, config_.params, config_.emission);
+        filter->restore_posterior(weights);
+        return filter;
+      });
 }
 
 }  // namespace melody::estimators

@@ -61,8 +61,8 @@ class GridEstimator final : public QualityEstimator {
   /// Versioned binary snapshot of every worker's posterior grid density.
   /// The config (grid support, params, emission callback) is not saved:
   /// construct the new estimator with the same config before load().
-  void save(std::ostream& out) const override;
-  void load(std::istream& in) override;
+  void save_to(util::binio::Writer& out) const override;
+  void load_from(util::binio::Reader& in) override;
 
  private:
   GridEstimatorConfig config_;

@@ -4,8 +4,6 @@
 #include <array>
 #include <chrono>
 #include <cmath>
-#include <istream>
-#include <ostream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -273,56 +271,67 @@ int MelodyEstimator::reestimation_count(auction::WorkerId id) const {
   return em_count_[index_.at(id)];
 }
 
-void MelodyEstimator::save(std::ostream& out) const {
+void MelodyEstimator::save_to(binio::Writer& out) const {
   // Sort by id so snapshots are byte-identical across runs (and across
   // state layouts: this is the same record order the AoS code emitted).
   std::vector<auction::WorkerId> ids = ids_;
   std::sort(ids.begin(), ids.end());
 
-  binio::write_header(out, kBlobMagic, kBlobVersion);
-  binio::write_u64(out, ids.size());
+  out.write_header(kBlobMagic, kBlobVersion);
+  out.write_u64(ids.size());
   for (auction::WorkerId id : ids) {
     const std::size_t s = index_.at(id);
-    binio::write_i32(out, id);
+    out.write_i32(id);
     for (const double v : {mean_[s], var_[s], anchor_mean_[s], anchor_var_[s],
                            a_[s], gamma_[s], eta_[s]}) {
-      binio::write_f64(out, v);
+      out.write_f64(v);
     }
     for (const int v : {runs_since_em_[s], runs_seen_[s], observed_runs_[s],
                         em_count_[s]}) {
-      binio::write_i32(out, v);
+      out.write_i32(v);
     }
-    binio::write_u32(out, static_cast<std::uint32_t>(history_[s].size()));
+    out.write_u32(static_cast<std::uint32_t>(history_[s].size()));
     for (const lds::ScoreSet& set : history_[s]) {
-      binio::write_i32(out, set.count);
-      binio::write_f64(out, set.sum);
-      binio::write_f64(out, set.sum_squares);
+      out.write_i32(set.count);
+      out.write_f64(set.sum);
+      out.write_f64(set.sum_squares);
     }
   }
-  if (!out) throw std::runtime_error("MelodyEstimator::save: write failed");
 }
 
-void MelodyEstimator::load(std::istream& in) {
-  binio::read_header(in, kBlobMagic, kBlobVersion);
+void MelodyEstimator::load_from(binio::Reader& in) {
+  // A worker record is i32 id | 7 x f64 | 4 x i32 | u32 history length,
+  // then one i32 count | f64 sum | f64 sum_squares per run.
+  constexpr std::size_t kRecordBytes = 4 + 7 * 8 + 4 * 4 + 4;
+  constexpr std::size_t kRunBytes = 4 + 8 + 8;
+  in.read_header(kBlobMagic, kBlobVersion);
   const std::uint64_t worker_count =
-      binio::read_u64(in, "MelodyEstimator worker count");
+      in.read_u64("MelodyEstimator worker count");
   MelodyEstimator loaded(config_);
-  binio::reserve_bounded(loaded.ids_, worker_count);
+  in.reserve(loaded.ids_, worker_count, kRecordBytes,
+             "MelodyEstimator worker count");
   for (std::uint64_t w = 0; w < worker_count; ++w) {
-    const auction::WorkerId id = binio::read_i32(in, "MelodyEstimator record");
+    const auction::WorkerId id = in.read_i32("MelodyEstimator record");
     lds::Gaussian posterior;
     lds::Gaussian anchor;
     lds::LdsParams params;
     for (double* v : {&posterior.mean, &posterior.var, &anchor.mean,
                       &anchor.var, &params.a, &params.gamma, &params.eta}) {
-      *v = binio::read_f64(in, "MelodyEstimator record");
+      *v = in.read_f64("MelodyEstimator record");
+      // A NaN passes every ordered comparison below; NaN or an infinity
+      // here would make estimate() NaN.
+      if (!std::isfinite(*v)) {
+        throw std::runtime_error("MelodyEstimator::load: non-finite field");
+      }
     }
-    const int runs_since_em = binio::read_i32(in, "MelodyEstimator record");
-    const int runs_seen = binio::read_i32(in, "MelodyEstimator record");
-    const int observed_runs = binio::read_i32(in, "MelodyEstimator record");
-    const int em_count = binio::read_i32(in, "MelodyEstimator record");
-    const std::uint32_t history_size =
-        binio::read_u32(in, "MelodyEstimator record");
+    const int runs_since_em = in.read_i32("MelodyEstimator record");
+    const int runs_seen = in.read_i32("MelodyEstimator record");
+    const int observed_runs = in.read_i32("MelodyEstimator record");
+    const int em_count = in.read_i32("MelodyEstimator record");
+    if (std::min({runs_since_em, runs_seen, observed_runs, em_count}) < 0) {
+      throw std::runtime_error("MelodyEstimator::load: negative run count");
+    }
+    const std::uint32_t history_size = in.read_u32("MelodyEstimator record");
     try {
       params.validate();
     } catch (const std::domain_error& e) {
@@ -350,12 +359,16 @@ void MelodyEstimator::load(std::istream& in) {
     loaded.observed_runs_.push_back(observed_runs);
     loaded.em_count_.push_back(em_count);
     lds::ScoreHistory& history = loaded.history_.emplace_back();
-    binio::reserve_bounded(history, history_size);
+    in.reserve(history, history_size, kRunBytes, "MelodyEstimator history");
     for (std::uint32_t k = 0; k < history_size; ++k) {
       lds::ScoreSet set;
-      set.count = binio::read_i32(in, "MelodyEstimator history");
-      set.sum = binio::read_f64(in, "MelodyEstimator history");
-      set.sum_squares = binio::read_f64(in, "MelodyEstimator history");
+      set.count = in.read_i32("MelodyEstimator history");
+      set.sum = in.read_f64("MelodyEstimator history");
+      set.sum_squares = in.read_f64("MelodyEstimator history");
+      if (set.count < 0 || !std::isfinite(set.sum) ||
+          !std::isfinite(set.sum_squares)) {
+        throw std::runtime_error("MelodyEstimator::load: invalid score set");
+      }
       history.push_back(set);
     }
   }

@@ -134,8 +134,8 @@ class MelodyEstimator final : public QualityEstimator {
   /// learned. The configuration itself is not saved — construct the
   /// estimator with the same config before load(). Throws
   /// std::runtime_error on I/O failure or malformed input.
-  void save(std::ostream& out) const override;
-  void load(std::istream& in) override;
+  void save_to(util::binio::Writer& out) const override;
+  void load_from(util::binio::Reader& in) override;
 
   /// Number of registered workers (inspection/tests).
   std::size_t worker_count() const noexcept { return ids_.size(); }

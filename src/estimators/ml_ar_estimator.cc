@@ -1,13 +1,8 @@
 #include "estimators/ml_ar_estimator.h"
 
-#include <algorithm>
-#include <istream>
-#include <ostream>
-#include <stdexcept>
-#include <string>
-#include <vector>
+#include <string_view>
 
-#include "util/binio.h"
+#include "estimators/id_map_blob.h"
 
 namespace melody::estimators {
 
@@ -36,39 +31,21 @@ constexpr std::string_view kMagic = "MLDYMLAR";
 constexpr std::uint32_t kVersion = 2;  // v1 was text
 }  // namespace
 
-void MlAllRunsEstimator::save(std::ostream& out) const {
-  std::vector<auction::WorkerId> ids;
-  ids.reserve(states_.size());
-  for (const auto& [id, state] : states_) ids.push_back(id);
-  std::sort(ids.begin(), ids.end());
-
-  binio::write_header(out, kMagic, kVersion);
-  binio::write_u64(out, ids.size());
-  for (auction::WorkerId id : ids) {
-    const State& s = states_.at(id);
-    binio::write_i32(out, id);
-    binio::write_f64(out, s.score_sum);
-    binio::write_i32(out, s.score_count);
-  }
-  if (!out) throw std::runtime_error("MlAllRunsEstimator::save: write failed");
+void MlAllRunsEstimator::save_to(binio::Writer& out) const {
+  save_id_map(out, kMagic, kVersion, states_, [&out](const State& s) {
+    out.write_f64(s.score_sum);
+    out.write_i32(s.score_count);
+  });
 }
 
-void MlAllRunsEstimator::load(std::istream& in) {
-  binio::read_header(in, kMagic, kVersion);
-  const std::uint64_t worker_count =
-      binio::read_u64(in, "MlAllRunsEstimator worker count");
-  std::unordered_map<auction::WorkerId, State> loaded;
-  for (std::uint64_t w = 0; w < worker_count; ++w) {
-    const auction::WorkerId id =
-        binio::read_i32(in, "MlAllRunsEstimator record");
-    State s;
-    s.score_sum = binio::read_f64(in, "MlAllRunsEstimator record");
-    s.score_count = binio::read_i32(in, "MlAllRunsEstimator record");
-    if (!loaded.emplace(id, s).second) {
-      throw std::runtime_error("MlAllRunsEstimator::load: duplicate worker id");
-    }
-  }
-  states_ = std::move(loaded);
+void MlAllRunsEstimator::load_from(binio::Reader& in) {
+  states_ = load_id_map<decltype(states_)>(
+      in, kMagic, kVersion, "MlAllRunsEstimator", [&in](const char* what) {
+        State s;
+        s.score_sum = in.read_f64(what);
+        s.score_count = in.read_i32(what);
+        return s;
+      });
 }
 
 }  // namespace melody::estimators

@@ -21,8 +21,8 @@ class MlAllRunsEstimator final : public QualityEstimator {
 
   /// Versioned binary snapshot of the running sums (initial_estimate is
   /// config and is not saved).
-  void save(std::ostream& out) const override;
-  void load(std::istream& in) override;
+  void save_to(util::binio::Writer& out) const override;
+  void load_from(util::binio::Reader& in) override;
 
  private:
   struct State {

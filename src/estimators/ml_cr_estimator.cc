@@ -1,13 +1,8 @@
 #include "estimators/ml_cr_estimator.h"
 
-#include <algorithm>
-#include <istream>
-#include <ostream>
-#include <stdexcept>
-#include <string>
-#include <vector>
+#include <string_view>
 
-#include "util/binio.h"
+#include "estimators/id_map_blob.h"
 
 namespace melody::estimators {
 
@@ -33,38 +28,15 @@ constexpr std::string_view kMagic = "MLDYMLCR";
 constexpr std::uint32_t kVersion = 2;  // v1 was text
 }  // namespace
 
-void MlCurrentRunEstimator::save(std::ostream& out) const {
-  std::vector<auction::WorkerId> ids;
-  ids.reserve(estimates_.size());
-  for (const auto& [id, estimate] : estimates_) ids.push_back(id);
-  std::sort(ids.begin(), ids.end());
-
-  binio::write_header(out, kMagic, kVersion);
-  binio::write_u64(out, ids.size());
-  for (auction::WorkerId id : ids) {
-    binio::write_i32(out, id);
-    binio::write_f64(out, estimates_.at(id));
-  }
-  if (!out) {
-    throw std::runtime_error("MlCurrentRunEstimator::save: write failed");
-  }
+void MlCurrentRunEstimator::save_to(binio::Writer& out) const {
+  save_id_map(out, kMagic, kVersion, estimates_,
+              [&out](double estimate) { out.write_f64(estimate); });
 }
 
-void MlCurrentRunEstimator::load(std::istream& in) {
-  binio::read_header(in, kMagic, kVersion);
-  const std::uint64_t worker_count =
-      binio::read_u64(in, "MlCurrentRunEstimator worker count");
-  std::unordered_map<auction::WorkerId, double> loaded;
-  for (std::uint64_t w = 0; w < worker_count; ++w) {
-    const auction::WorkerId id =
-        binio::read_i32(in, "MlCurrentRunEstimator record");
-    const double estimate = binio::read_f64(in, "MlCurrentRunEstimator record");
-    if (!loaded.emplace(id, estimate).second) {
-      throw std::runtime_error(
-          "MlCurrentRunEstimator::load: duplicate worker id");
-    }
-  }
-  estimates_ = std::move(loaded);
+void MlCurrentRunEstimator::load_from(binio::Reader& in) {
+  estimates_ = load_id_map<decltype(estimates_)>(
+      in, kMagic, kVersion, "MlCurrentRunEstimator",
+      [&in](const char* what) { return in.read_f64(what); });
 }
 
 }  // namespace melody::estimators

@@ -1,13 +1,8 @@
 #include "estimators/static_estimator.h"
 
-#include <algorithm>
-#include <istream>
-#include <ostream>
-#include <stdexcept>
-#include <string>
-#include <vector>
+#include <string_view>
 
-#include "util/binio.h"
+#include "estimators/id_map_blob.h"
 
 namespace melody::estimators {
 
@@ -37,41 +32,23 @@ constexpr std::string_view kMagic = "MLDYSTAT";
 constexpr std::uint32_t kVersion = 2;  // v1 was text
 }  // namespace
 
-void StaticEstimator::save(std::ostream& out) const {
-  // Sorted by id so snapshots are byte-identical across runs.
-  std::vector<auction::WorkerId> ids;
-  ids.reserve(states_.size());
-  for (const auto& [id, state] : states_) ids.push_back(id);
-  std::sort(ids.begin(), ids.end());
-
-  binio::write_header(out, kMagic, kVersion);
-  binio::write_u64(out, ids.size());
-  for (auction::WorkerId id : ids) {
-    const State& s = states_.at(id);
-    binio::write_i32(out, id);
-    binio::write_i32(out, s.runs_seen);
-    binio::write_f64(out, s.score_sum);
-    binio::write_i32(out, s.score_count);
-  }
-  if (!out) throw std::runtime_error("StaticEstimator::save: write failed");
+void StaticEstimator::save_to(binio::Writer& out) const {
+  save_id_map(out, kMagic, kVersion, states_, [&out](const State& s) {
+    out.write_i32(s.runs_seen);
+    out.write_f64(s.score_sum);
+    out.write_i32(s.score_count);
+  });
 }
 
-void StaticEstimator::load(std::istream& in) {
-  binio::read_header(in, kMagic, kVersion);
-  const std::uint64_t worker_count =
-      binio::read_u64(in, "StaticEstimator worker count");
-  std::unordered_map<auction::WorkerId, State> loaded;
-  for (std::uint64_t w = 0; w < worker_count; ++w) {
-    const auction::WorkerId id = binio::read_i32(in, "StaticEstimator record");
-    State s;
-    s.runs_seen = binio::read_i32(in, "StaticEstimator record");
-    s.score_sum = binio::read_f64(in, "StaticEstimator record");
-    s.score_count = binio::read_i32(in, "StaticEstimator record");
-    if (!loaded.emplace(id, s).second) {
-      throw std::runtime_error("StaticEstimator::load: duplicate worker id");
-    }
-  }
-  states_ = std::move(loaded);
+void StaticEstimator::load_from(binio::Reader& in) {
+  states_ = load_id_map<decltype(states_)>(
+      in, kMagic, kVersion, "StaticEstimator", [&in](const char* what) {
+        State s;
+        s.runs_seen = in.read_i32(what);
+        s.score_sum = in.read_f64(what);
+        s.score_count = in.read_i32(what);
+        return s;
+      });
 }
 
 }  // namespace melody::estimators

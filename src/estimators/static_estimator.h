@@ -23,8 +23,8 @@ class StaticEstimator final : public QualityEstimator {
 
   /// Versioned binary snapshot of the warm-up accumulators (the constructor
   /// arguments are config and are not saved).
-  void save(std::ostream& out) const override;
-  void load(std::istream& in) override;
+  void save_to(util::binio::Writer& out) const override;
+  void load_from(util::binio::Reader& in) override;
 
  private:
   struct State {

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
-#include <ostream>
 
 #include "lds/em.h"
 #include "util/binio.h"
@@ -308,33 +307,32 @@ double AosKalmanChain::estimate(auction::WorkerId id) const {
   return std::clamp(estimate, config_.estimate_min, config_.estimate_max);
 }
 
-void AosKalmanChain::save(std::ostream& out) const {
-  namespace binio = util::binio;
+void AosKalmanChain::save(util::binio::Writer& out) const {
   std::vector<auction::WorkerId> ids;
   ids.reserve(states_.size());
   for (const auto& [id, state] : states_) ids.push_back(id);
   std::sort(ids.begin(), ids.end());
 
-  binio::write_header(out, estimators::MelodyEstimator::kBlobMagic,
-                      estimators::MelodyEstimator::kBlobVersion);
-  binio::write_u64(out, ids.size());
+  out.write_header(estimators::MelodyEstimator::kBlobMagic,
+                   estimators::MelodyEstimator::kBlobVersion);
+  out.write_u64(ids.size());
   for (auction::WorkerId id : ids) {
     const State& s = states_.at(id);
-    binio::write_i32(out, id);
+    out.write_i32(id);
     for (const double v :
          {s.posterior.mean, s.posterior.var, s.window_anchor.mean,
           s.window_anchor.var, s.params.a, s.params.gamma, s.params.eta}) {
-      binio::write_f64(out, v);
+      out.write_f64(v);
     }
     for (const int v :
          {s.runs_since_em, s.runs_seen, s.observed_runs, s.em_count}) {
-      binio::write_i32(out, v);
+      out.write_i32(v);
     }
-    binio::write_u32(out, static_cast<std::uint32_t>(s.history.size()));
+    out.write_u32(static_cast<std::uint32_t>(s.history.size()));
     for (const lds::ScoreSet& set : s.history) {
-      binio::write_i32(out, set.count);
-      binio::write_f64(out, set.sum);
-      binio::write_f64(out, set.sum_squares);
+      out.write_i32(set.count);
+      out.write_f64(set.sum);
+      out.write_f64(set.sum_squares);
     }
   }
 }

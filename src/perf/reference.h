@@ -16,7 +16,6 @@
 // kept frozen while the production layout evolves. Do not "optimize" it.
 #pragma once
 
-#include <iosfwd>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -74,7 +73,7 @@ class AosKalmanChain {
   void register_worker(auction::WorkerId id);
   void observe(auction::WorkerId id, const lds::ScoreSet& scores);
   double estimate(auction::WorkerId id) const;
-  void save(std::ostream& out) const;
+  void save(util::binio::Writer& out) const;
 
   std::size_t worker_count() const noexcept { return states_.size(); }
 

@@ -146,7 +146,7 @@ class Platform {
   /// trajectory stream state — config, length, run, drift and generator,
   /// O(1) in the horizon), bid policies, cumulative utilities, the
   /// sequential RNG position, the fault plan, the estimator state via
-  /// QualityEstimator::save, and the withdrawn set. Resuming from a
+  /// QualityEstimator::save_to, and the withdrawn set. Resuming from a
   /// snapshot is bit-identical to never having stopped, at any thread
   /// count. The scenario and the mechanism are NOT saved: construct the
   /// new platform with the same scenario and a stateless mechanism
@@ -156,9 +156,11 @@ class Platform {
   /// last_result() of the interrupted step: the next step() re-establishes
   /// both.
   /// Both throw std::runtime_error on I/O failure or malformed input,
-  /// which includes two workers with one id.
+  /// which includes two workers with one id. The stream save is a boundary
+  /// adapter over the Writer one (see util/binio.h).
+  void save(util::binio::Writer& out) const;
   void save(std::ostream& out) const;
-  void load(std::istream& in);
+  void load(util::binio::Reader& in);
 
  private:
   LongTermScenario scenario_;

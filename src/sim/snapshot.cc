@@ -22,7 +22,7 @@
 //             i32 id | f64 cheat_p | u8 direction | u8 cheat_cost
 //             | u8 cheat_freq | f64 cost_mag | i32 freq_mag
 //   utilities: u64 count, sorted by id: i32 id | f64 total
-//   estimator: length-prefixed blob produced by QualityEstimator::save
+//   estimator: length-prefixed blob produced by QualityEstimator::save_to
 //   withdrawn: u64 count, sorted by id: i32 id
 //
 // The bid book is not stored: it is a rank cache the next step() rebuilds
@@ -31,8 +31,6 @@
 // Version policy: one layout per version; load() reads exactly
 // kCheckpointVersion and bumps with any layout change.
 #include <algorithm>
-#include <fstream>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 
@@ -46,79 +44,83 @@ namespace {
 
 constexpr std::string_view kMagic = "MLDYCKPT";
 
+// A worker record of the layout above (id, bid, trajectory with its rng):
+// the worker count is checked against it before anything is reserved.
+constexpr std::size_t kWorkerRecordBytes = 4 + 8 + 4 + 1 + 7 * 8 + 3 * 4 +
+                                           8 + (4 * 8 + 8 + 1);
+
 namespace binio = util::binio;
 
-void write_rng(std::ostream& out, const util::Rng::State& rng) {
-  for (int i = 0; i < 4; ++i) binio::write_u64(out, rng.words[i]);
-  binio::write_f64(out, rng.cached_normal);
-  binio::write_u8(out, rng.cached_normal_valid ? 1 : 0);
+void write_rng(binio::Writer& out, const util::Rng::State& rng) {
+  for (int i = 0; i < 4; ++i) out.write_u64(rng.words[i]);
+  out.write_f64(rng.cached_normal);
+  out.write_u8(rng.cached_normal_valid ? 1 : 0);
 }
 
-util::Rng::State read_rng(std::istream& in) {
+util::Rng::State read_rng(binio::Reader& in) {
   util::Rng::State rng;
   for (int i = 0; i < 4; ++i) {
-    rng.words[i] = binio::read_u64(in, "rng words");
+    rng.words[i] = in.read_u64("rng words");
   }
-  rng.cached_normal = binio::read_f64(in, "rng cached normal");
-  rng.cached_normal_valid = binio::read_u8(in, "rng cached flag") != 0;
+  rng.cached_normal = in.read_f64("rng cached normal");
+  rng.cached_normal_valid = in.read_u8("rng cached flag") != 0;
   return rng;
 }
 
-void write_trajectory(std::ostream& out, const TrajectoryStream& stream) {
+void write_trajectory(binio::Writer& out, const TrajectoryStream& stream) {
   const TrajectoryStream::State s = stream.state();
-  binio::write_u8(out, static_cast<std::uint8_t>(s.config.kind));
+  out.write_u8(static_cast<std::uint8_t>(s.config.kind));
   for (const double x : {s.config.start_level, s.config.swing,
                          s.config.period, s.config.phase,
                          s.config.noise_stddev, s.config.min_quality,
                          s.config.max_quality}) {
-    binio::write_f64(out, x);
+    out.write_f64(x);
   }
-  binio::write_i32(out, s.config.horizon);
-  binio::write_i32(out, s.length);
-  binio::write_i32(out, s.run);
-  binio::write_f64(out, s.drift);
+  out.write_i32(s.config.horizon);
+  out.write_i32(s.length);
+  out.write_i32(s.run);
+  out.write_f64(s.drift);
   write_rng(out, s.rng);
 }
 
-TrajectoryStream read_trajectory(std::istream& in) {
+TrajectoryStream read_trajectory(binio::Reader& in) {
   TrajectoryStream::State s;
-  s.config.kind =
-      static_cast<TrajectoryKind>(binio::read_u8(in, "trajectory kind"));
+  s.config.kind = static_cast<TrajectoryKind>(in.read_u8("trajectory kind"));
   for (double* x : {&s.config.start_level, &s.config.swing, &s.config.period,
                     &s.config.phase, &s.config.noise_stddev,
                     &s.config.min_quality, &s.config.max_quality}) {
-    *x = binio::read_f64(in, "trajectory config");
+    *x = in.read_f64("trajectory config");
   }
-  s.config.horizon = binio::read_i32(in, "trajectory horizon");
-  s.length = binio::read_i32(in, "trajectory length");
-  s.run = binio::read_i32(in, "trajectory run");
-  s.drift = binio::read_f64(in, "trajectory drift");
+  s.config.horizon = in.read_i32("trajectory horizon");
+  s.length = in.read_i32("trajectory length");
+  s.run = in.read_i32("trajectory run");
+  s.drift = in.read_f64("trajectory drift");
   s.rng = read_rng(in);
   return TrajectoryStream(s);  // validates
 }
 
 }  // namespace
 
-void Platform::save(std::ostream& out) const {
-  binio::write_header(out, kMagic, kCheckpointVersion);
-  binio::write_u64(out, master_seed_);
-  binio::write_i32(out, run_);
+void Platform::save(binio::Writer& out) const {
+  out.write_header(kMagic, kCheckpointVersion);
+  out.write_u64(master_seed_);
+  out.write_i32(run_);
 
   write_rng(out, rng_.state());
 
-  binio::write_f64(out, fault_plan_.no_show_rate);
-  binio::write_f64(out, fault_plan_.score_drop_rate);
-  binio::write_f64(out, fault_plan_.score_corrupt_rate);
-  binio::write_f64(out, fault_plan_.churn_rate);
-  binio::write_i32(out, fault_plan_.churn_min_absence);
-  binio::write_i32(out, fault_plan_.churn_max_absence);
-  binio::write_u64(out, fault_plan_.salt);
+  out.write_f64(fault_plan_.no_show_rate);
+  out.write_f64(fault_plan_.score_drop_rate);
+  out.write_f64(fault_plan_.score_corrupt_rate);
+  out.write_f64(fault_plan_.churn_rate);
+  out.write_i32(fault_plan_.churn_min_absence);
+  out.write_i32(fault_plan_.churn_max_absence);
+  out.write_u64(fault_plan_.salt);
 
-  binio::write_u64(out, soa_.size());
+  out.write_u64(soa_.size());
   for (std::size_t slot = 0; slot < soa_.size(); ++slot) {
-    binio::write_i32(out, soa_.ids()[slot]);
-    binio::write_f64(out, soa_.costs()[slot]);
-    binio::write_i32(out, soa_.frequencies()[slot]);
+    out.write_i32(soa_.ids()[slot]);
+    out.write_f64(soa_.costs()[slot]);
+    out.write_i32(soa_.frequencies()[slot]);
     write_trajectory(out, soa_.trajectories()[slot]);
   }
 
@@ -126,67 +128,68 @@ void Platform::save(std::ostream& out) const {
       policies_.begin(), policies_.end());
   std::sort(policies.begin(), policies.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
-  binio::write_u64(out, policies.size());
+  out.write_u64(policies.size());
   for (const auto& [id, p] : policies) {
-    binio::write_i32(out, id);
-    binio::write_f64(out, p.cheat_probability);
-    binio::write_u8(out, static_cast<std::uint8_t>(p.direction));
-    binio::write_u8(out, p.cheat_cost ? 1 : 0);
-    binio::write_u8(out, p.cheat_frequency ? 1 : 0);
-    binio::write_f64(out, p.cost_magnitude);
-    binio::write_i32(out, p.frequency_magnitude);
+    out.write_i32(id);
+    out.write_f64(p.cheat_probability);
+    out.write_u8(static_cast<std::uint8_t>(p.direction));
+    out.write_u8(p.cheat_cost ? 1 : 0);
+    out.write_u8(p.cheat_frequency ? 1 : 0);
+    out.write_f64(p.cost_magnitude);
+    out.write_i32(p.frequency_magnitude);
   }
 
   std::vector<std::pair<auction::WorkerId, double>> utilities(
       total_utility_.begin(), total_utility_.end());
   std::sort(utilities.begin(), utilities.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
-  binio::write_u64(out, utilities.size());
+  out.write_u64(utilities.size());
   for (const auto& [id, total] : utilities) {
-    binio::write_i32(out, id);
-    binio::write_f64(out, total);
+    out.write_i32(id);
+    out.write_f64(total);
   }
 
-  std::ostringstream blob;
-  estimator_.save(blob);
-  binio::write_bytes(out, blob.str());
+  out.write_blob([this](binio::Writer& blob) { estimator_.save_to(blob); });
 
   std::vector<auction::WorkerId> withdrawn(withdrawn_.begin(),
                                            withdrawn_.end());
   std::sort(withdrawn.begin(), withdrawn.end());
-  binio::write_u64(out, withdrawn.size());
-  for (const auction::WorkerId id : withdrawn) binio::write_i32(out, id);
-
-  if (!out) throw std::runtime_error("platform snapshot: write failure");
+  out.write_u64(withdrawn.size());
+  for (const auction::WorkerId id : withdrawn) out.write_i32(id);
 }
 
-void Platform::load(std::istream& in) try {
-  binio::read_header(in, kMagic, kCheckpointVersion);
+void Platform::save(std::ostream& out) const {
+  binio::write_stream(out, "platform snapshot",
+                      [this](binio::Writer& w) { save(w); });
+}
 
-  const std::uint64_t master_seed = binio::read_u64(in, "master seed");
-  const std::int32_t run = binio::read_i32(in, "run index");
+void Platform::load(binio::Reader& in) try {
+  in.read_header(kMagic, kCheckpointVersion);
+
+  const std::uint64_t master_seed = in.read_u64("master seed");
+  const std::int32_t run = in.read_i32("run index");
   if (run < 0) throw std::runtime_error("platform snapshot: negative run");
 
   const util::Rng::State rng = read_rng(in);
 
   FaultPlan plan;
-  plan.no_show_rate = binio::read_f64(in, "fault no-show rate");
-  plan.score_drop_rate = binio::read_f64(in, "fault drop rate");
-  plan.score_corrupt_rate = binio::read_f64(in, "fault corrupt rate");
-  plan.churn_rate = binio::read_f64(in, "fault churn rate");
-  plan.churn_min_absence = binio::read_i32(in, "fault churn min");
-  plan.churn_max_absence = binio::read_i32(in, "fault churn max");
-  plan.salt = binio::read_u64(in, "fault salt");
+  plan.no_show_rate = in.read_f64("fault no-show rate");
+  plan.score_drop_rate = in.read_f64("fault drop rate");
+  plan.score_corrupt_rate = in.read_f64("fault corrupt rate");
+  plan.churn_rate = in.read_f64("fault churn rate");
+  plan.churn_min_absence = in.read_i32("fault churn min");
+  plan.churn_max_absence = in.read_i32("fault churn max");
+  plan.salt = in.read_u64("fault salt");
   plan.validate();
 
-  const std::uint64_t worker_count = binio::read_u64(in, "worker count");
+  const std::uint64_t worker_count = in.read_u64("worker count");
   WorkerStateSoA workers;
-  binio::reserve_bounded(workers, worker_count);
+  in.reserve(workers, worker_count, kWorkerRecordBytes, "worker count");
   for (std::uint64_t k = 0; k < worker_count; ++k) {
-    const auction::WorkerId id = binio::read_i32(in, "worker id");
+    const auction::WorkerId id = in.read_i32("worker id");
     auction::Bid bid;
-    bid.cost = binio::read_f64(in, "worker cost");
-    bid.frequency = binio::read_i32(in, "worker frequency");
+    bid.cost = in.read_f64("worker cost");
+    bid.frequency = in.read_i32("worker frequency");
     TrajectoryStream trajectory = read_trajectory(in);
     if (trajectory.run() != std::min(run, trajectory.length())) {
       throw std::runtime_error(
@@ -195,47 +198,47 @@ void Platform::load(std::istream& in) try {
     workers.append(SimWorker(id, bid, std::move(trajectory)));
   }
 
-  const std::uint64_t policy_count = binio::read_u64(in, "policy count");
+  const std::uint64_t policy_count = in.read_u64("policy count");
   std::unordered_map<auction::WorkerId, BidPolicy> policies;
   for (std::uint64_t k = 0; k < policy_count; ++k) {
-    const auction::WorkerId id = binio::read_i32(in, "policy id");
+    const auction::WorkerId id = in.read_i32("policy id");
     BidPolicy p;
-    p.cheat_probability = binio::read_f64(in, "policy cheat probability");
-    const std::uint8_t direction = binio::read_u8(in, "policy direction");
+    p.cheat_probability = in.read_f64("policy cheat probability");
+    const std::uint8_t direction = in.read_u8("policy direction");
     if (direction > 2) {
       throw std::runtime_error("platform snapshot: bad misreport direction");
     }
     p.direction = static_cast<MisreportDirection>(direction);
-    p.cheat_cost = binio::read_u8(in, "policy cheat cost") != 0;
-    p.cheat_frequency = binio::read_u8(in, "policy cheat frequency") != 0;
-    p.cost_magnitude = binio::read_f64(in, "policy cost magnitude");
-    p.frequency_magnitude = binio::read_i32(in, "policy frequency magnitude");
+    p.cheat_cost = in.read_u8("policy cheat cost") != 0;
+    p.cheat_frequency = in.read_u8("policy cheat frequency") != 0;
+    p.cost_magnitude = in.read_f64("policy cost magnitude");
+    p.frequency_magnitude = in.read_i32("policy frequency magnitude");
     policies[id] = p;
   }
 
-  const std::uint64_t utility_count = binio::read_u64(in, "utility count");
+  const std::uint64_t utility_count = in.read_u64("utility count");
   std::unordered_map<auction::WorkerId, double> utilities;
   for (std::uint64_t k = 0; k < utility_count; ++k) {
-    const auction::WorkerId id = binio::read_i32(in, "utility id");
-    utilities[id] = binio::read_f64(in, "utility total");
+    const auction::WorkerId id = in.read_i32("utility id");
+    utilities[id] = in.read_f64("utility total");
   }
 
-  const std::string blob = binio::read_bytes(in, "estimator blob");
+  const std::string_view blob = in.read_bytes("estimator blob");
 
-  const std::uint64_t withdrawn_count = binio::read_u64(in, "withdrawn count");
+  const std::uint64_t withdrawn_count = in.read_u64("withdrawn count");
   if (withdrawn_count > worker_count) {
     throw std::runtime_error("platform snapshot: implausible withdrawals");
   }
   std::unordered_set<auction::WorkerId> withdrawn;
   for (std::uint64_t k = 0; k < withdrawn_count; ++k) {
-    withdrawn.insert(binio::read_i32(in, "withdrawn id"));
+    withdrawn.insert(in.read_i32("withdrawn id"));
   }
 
   // Everything parsed: commit wholesale. The estimator's own load replaces
   // its state (including the registered-worker set), so workers registered
   // at construction do not linger as stale entries.
-  std::istringstream blob_stream(blob);
-  estimator_.load(blob_stream);
+  binio::Reader blob_reader(blob);
+  estimator_.load_from(blob_reader);
   // Every worker must be registered with the estimator, or the next step
   // would fail: estimate() throws std::out_of_range for an unknown id (the
   // estimator already holds the snapshot's state by then).
@@ -259,13 +262,14 @@ void Platform::load(std::istream& in) try {
 }
 
 void save_checkpoint(const Platform& platform, const std::string& path) {
-  util::write_file_atomically(
-      path, [&platform](std::ostream& out) { platform.save(out); });
+  binio::Writer out;
+  platform.save(out);
+  util::write_file_atomically(path, out.bytes());
 }
 
 void load_checkpoint(Platform& platform, const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("checkpoint: cannot open " + path);
+  const std::string bytes = util::read_file(path, "checkpoint");
+  binio::Reader in(bytes);
   platform.load(in);
 }
 

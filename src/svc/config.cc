@@ -1,5 +1,6 @@
 #include "svc/config.h"
 
+#include <cmath>
 #include <stdexcept>
 
 #include "util/flags.h"
@@ -8,9 +9,11 @@ namespace melody::svc {
 
 void ServiceConfig::validate() const {
   if (scenario.num_workers <= 0 || scenario.num_tasks <= 0 ||
-      scenario.runs <= 0 || scenario.budget < 0.0) {
+      scenario.runs <= 0 || !std::isfinite(scenario.budget) ||
+      scenario.budget < 0.0) {
     throw std::invalid_argument(
-        "svc: workers/tasks/runs must be positive, budget non-negative");
+        "svc: workers/tasks/runs must be positive, budget finite and "
+        "non-negative");
   }
   if (!estimators::known(estimator)) {
     throw std::invalid_argument("svc: estimator must be one of " +

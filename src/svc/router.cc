@@ -1,11 +1,8 @@
 #include "svc/router.h"
 
 #include <algorithm>
-#include <fstream>
-#include <istream>
 #include <mutex>
 #include <ostream>
-#include <sstream>
 #include <stdexcept>
 #include <string_view>
 #include <utility>
@@ -124,8 +121,8 @@ ShardedService::~ShardedService() {
 }
 
 void ShardedService::restore(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("svc: cannot open checkpoint: " + path);
+  const std::string bytes = util::read_file(path, "svc checkpoint");
+  binio::Reader in(bytes);
   load_state(in);
 }
 
@@ -373,9 +370,9 @@ PushResult ShardedService::submit_checkpoint(
             [this, job, i, trace](AuctionService& service) {
               obs::ScopedTraceContext install(trace);
               service.note_control_request();
-              std::ostringstream blob;
+              binio::Writer blob;
               service.save_state(blob);
-              job->blobs[i] = blob.str();
+              job->blobs[i] = blob.take();
               job->runs[i] = service.platform().current_run() - 1;
               if (job->remaining.fetch_sub(1) == 1) complete_checkpoint(job);
             });
@@ -394,13 +391,19 @@ void ShardedService::complete_checkpoint(
     response = Response::failure(job->id, "checkpoint: service shutting down");
   } else {
     try {
-      util::write_file_atomically(job->path, [&job](std::ostream& out) {
-        binio::write_header(out, kMagic, kComposedCheckpointVersion);
-        binio::write_u32(out, static_cast<std::uint32_t>(job->blobs.size()));
-        for (const std::string& blob : job->blobs) {
-          binio::write_bytes(out, blob);
-        }
-      });
+      // Sized up front and each body freed once copied: composing 25 MB
+      // by doubling cost state_move about a seventh of its ops_per_s.
+      binio::Writer out;
+      std::size_t size = kMagic.size() + 4 + 4;
+      for (const std::string& blob : job->blobs) size += 8 + blob.size();
+      out.reserve(size);
+      out.write_header(kMagic, kComposedCheckpointVersion);
+      out.write_u32(static_cast<std::uint32_t>(job->blobs.size()));
+      for (std::string& blob : job->blobs) {
+        out.write_bytes(blob);
+        std::string().swap(blob);
+      }
+      util::write_file_atomically(job->path, out.bytes());
       response.fields.set("path", WireValue::of(job->path));
       response.fields.set(
           "run", WireValue::of(static_cast<std::int64_t>(
@@ -458,9 +461,9 @@ PushResult ShardedService::submit_shard_export(
         span.annotate("detach", request.detach ? 1 : 0);
         Response response = Response::success(request.id);
         try {
-          util::write_file_atomically(
-              request.path,
-              [&service](std::ostream& out) { service.save_migration(out); });
+          binio::Writer out;
+          service.save_migration(out);
+          util::write_file_atomically(request.path, out.bytes());
           response.fields.set(
               "shard", WireValue::of(static_cast<std::int64_t>(request.shard)));
           response.fields.set("path", WireValue::of(request.path));
@@ -514,11 +517,9 @@ PushResult ShardedService::submit_shard_import(
         span.annotate("shard", request.shard);
         Response response = Response::success(request.id);
         try {
-          std::ifstream in(request.path, std::ios::binary);
-          if (!in) {
-            throw std::runtime_error("cluster: cannot open envelope: " +
-                                     request.path);
-          }
+          const std::string bytes =
+              util::read_file(request.path, "cluster envelope");
+          binio::Reader in(bytes);
           service.load_migration(in);
           // Activate only after the state is fully loaded; a frame routed
           // here in between answers not_owner and the client retries.
@@ -661,9 +662,9 @@ void ShardedService::finalize() {
   if (finalized_) return;
   finalized_ = true;
   if (config_.checkpoint_path.empty()) return;
-  util::write_file_atomically(
-      config_.checkpoint_path,
-      [this](std::ostream& out) { save_state(out); });
+  binio::Writer out;
+  save_state(out);
+  util::write_file_atomically(config_.checkpoint_path, out.bytes());
 }
 
 std::vector<sim::RunRecord> ShardedService::aggregated_records() const {
@@ -675,30 +676,33 @@ std::vector<sim::RunRecord> ShardedService::aggregated_records() const {
   return sim::merge_run_records(parts);
 }
 
-void ShardedService::save_state(std::ostream& out) const {
-  binio::write_header(out, kMagic, kComposedCheckpointVersion);
-  binio::write_u32(out, static_cast<std::uint32_t>(shards_.size()));
+void ShardedService::save_state(binio::Writer& out) const {
+  out.write_header(kMagic, kComposedCheckpointVersion);
+  out.write_u32(static_cast<std::uint32_t>(shards_.size()));
   for (const auto& shard : shards_) {
-    std::ostringstream blob;
-    shard->service().save_state(blob);
-    binio::write_bytes(out, blob.str());
+    out.write_blob(
+        [&shard](binio::Writer& body) { shard->service().save_state(body); });
   }
 }
 
-void ShardedService::load_state(std::istream& in) {
+void ShardedService::save_state(std::ostream& out) const {
+  binio::write_stream(out, "svc checkpoint",
+                      [this](binio::Writer& w) { save_state(w); });
+}
+
+void ShardedService::load_state(binio::Reader& in) {
   // Only the composed container: a plain service body (MLDYSVCK at
   // kServiceCheckpointVersion) fails here with its version named.
-  binio::read_header(in, kMagic, kComposedCheckpointVersion);
-  const std::uint32_t k = binio::read_u32(in, "svc checkpoint shards");
+  in.read_header(kMagic, kComposedCheckpointVersion);
+  const std::uint32_t k = in.read_u32("svc checkpoint shards");
   if (k != static_cast<std::uint32_t>(shard_count())) {
     throw std::runtime_error(
         "svc: checkpoint shard count " + std::to_string(k) +
         " does not match the deployment's " + std::to_string(shard_count()));
   }
   for (auto& shard : shards_) {
-    std::istringstream replay(
-        binio::read_bytes(in, "svc checkpoint shard snapshot"));
-    shard->service().load_state(replay);
+    binio::Reader body(in.read_bytes("svc checkpoint shard snapshot"));
+    shard->service().load_state(body);
   }
 }
 

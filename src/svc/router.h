@@ -154,8 +154,9 @@ class ShardedService {
 
   /// Composed snapshot of every shard, taken directly (requires
   /// quiescence). The async checkpoint op uses per-shard tasks instead.
-  void save_state(std::ostream& out) const;
-  void load_state(std::istream& in);
+  void save_state(util::binio::Writer& out) const;
+  void save_state(std::ostream& out) const;  // boundary adapter
+  void load_state(util::binio::Reader& in);
 
  private:
   // One in-flight broadcast: collects the K per-shard responses and fires

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 #include <stdexcept>
 
 #include "estimators/factory.h"
@@ -24,6 +23,15 @@ constexpr std::string_view kMagic = "MLDYSVCK";
 // Live-migration envelope: the MLDYSVCK body plus the session tail a
 // checkpoint deliberately omits (request tally, run records).
 constexpr std::string_view kMigrationMagic = "MLDYMIGR";
+// The u64 fields of a migrated run record: two before its two f64 fields,
+// six after them.
+using RecordCount = std::size_t sim::RunRecord::*;
+constexpr RecordCount kRecordCounts[] = {&sim::RunRecord::estimated_utility,
+                                         &sim::RunRecord::true_utility};
+constexpr RecordCount kRecordTallies[] = {
+    &sim::RunRecord::assignments,    &sim::RunRecord::qualified_workers,
+    &sim::RunRecord::no_shows,       &sim::RunRecord::churned_out,
+    &sim::RunRecord::scores_dropped, &sim::RunRecord::scores_corrupted};
 // Sub-stream salt for newcomer trajectories: outside the per-(worker, run)
 // key space Platform::step() uses (runs are small positive integers), so a
 // newcomer's curve never aliases a score stream.
@@ -336,10 +344,14 @@ void AuctionService::handle_post_scores(const Request& request,
         Response::failure(request.id, "post_scores: scores must be non-empty");
     return;
   }
+  // Scores outside the platform's score range (a NaN included) are refused
+  // here: a huge one would overflow the sums the estimator stores, and a
+  // checkpoint holding them would not load.
+  const sim::ScoreModel& range = platform_->scenario().score_model;
   for (const double s : request.scores) {
-    if (!std::isfinite(s)) {
-      response =
-          Response::failure(request.id, "post_scores: scores must be finite");
+    if (!(s >= range.min_score && s <= range.max_score)) {
+      response = Response::failure(
+          request.id, "post_scores: scores must lie in the score range");
       return;
     }
   }
@@ -549,28 +561,27 @@ void AuctionService::note_overload_reject() {
   }
 }
 
-void AuctionService::save_state(std::ostream& out) const {
+void AuctionService::save_state(binio::Writer& out) const {
   obs::ScopedSpan span("svc/checkpoint_save");
   span.annotate("run", platform_->current_run() - 1);
-  binio::write_header(out, kMagic, kServiceCheckpointVersion);
-  binio::write_f64(out, now_);
-  binio::write_i32(out, batcher_.pending_bids());
-  binio::write_f64(out, batcher_.oldest_bid_time());
-  binio::write_f64(out, batcher_.accrued_budget());
-  binio::write_i32(out, batcher_.pending_arrivals());
+  out.write_header(kMagic, kServiceCheckpointVersion);
+  out.write_f64(now_);
+  out.write_i32(batcher_.pending_bids());
+  out.write_f64(batcher_.oldest_bid_time());
+  out.write_f64(batcher_.accrued_budget());
+  out.write_i32(batcher_.pending_arrivals());
   registry_.save(out);
   platform_->save(out);
-  if (!out) throw std::runtime_error("svc: checkpoint write failure");
 }
 
-void AuctionService::load_state(std::istream& in) {
+void AuctionService::load_state(binio::Reader& in) {
   obs::ScopedSpan span("svc/checkpoint_load");
-  binio::read_header(in, kMagic, kServiceCheckpointVersion);
-  const double now = binio::read_f64(in, "svc clock");
-  const int pending = binio::read_i32(in, "svc pending bids");
-  const double oldest = binio::read_f64(in, "svc oldest bid time");
-  const double accrued = binio::read_f64(in, "svc accrued budget");
-  const int arrivals = binio::read_i32(in, "svc pending arrivals");
+  in.read_header(kMagic, kServiceCheckpointVersion);
+  const double now = in.read_f64("svc clock");
+  const int pending = in.read_i32("svc pending bids");
+  const double oldest = in.read_f64("svc oldest bid time");
+  const double accrued = in.read_f64("svc accrued budget");
+  const int arrivals = in.read_i32("svc pending arrivals");
   registry_.load(in);
   platform_->load(in);
   now_ = now;
@@ -579,71 +590,72 @@ void AuctionService::load_state(std::istream& in) {
   records_.clear();
 }
 
-void AuctionService::save_migration(std::ostream& out) const {
+void AuctionService::save_migration(binio::Writer& out) const {
   obs::ScopedSpan span("svc/migration_save");
   span.annotate("run", platform_->current_run() - 1);
-  binio::write_header(out, kMigrationMagic, kMigrationVersion);
+  out.write_header(kMigrationMagic, kMigrationVersion);
   // The checkpoint body rides as one length-prefixed blob so the envelope
   // can evolve its tail without touching the MLDYSVCK layout.
-  std::ostringstream blob;
-  save_state(blob);
-  binio::write_bytes(out, blob.str());
-  binio::write_u64(out, requests_total_);
-  binio::write_u64(out, overload_rejects_);
-  binio::write_i32(out, first_session_run_);
-  binio::write_u64(out, static_cast<std::uint64_t>(records_.size()));
+  out.write_blob([this](binio::Writer& body) { save_state(body); });
+  out.write_u64(requests_total_);
+  out.write_u64(overload_rejects_);
+  out.write_i32(first_session_run_);
+  out.write_u64(static_cast<std::uint64_t>(records_.size()));
   for (const sim::RunRecord& r : records_) {
-    binio::write_i32(out, r.run);
-    binio::write_u64(out, static_cast<std::uint64_t>(r.estimated_utility));
-    binio::write_u64(out, static_cast<std::uint64_t>(r.true_utility));
-    binio::write_f64(out, r.estimation_error);
-    binio::write_f64(out, r.total_payment);
-    binio::write_u64(out, static_cast<std::uint64_t>(r.assignments));
-    binio::write_u64(out, static_cast<std::uint64_t>(r.qualified_workers));
-    binio::write_u64(out, static_cast<std::uint64_t>(r.no_shows));
-    binio::write_u64(out, static_cast<std::uint64_t>(r.churned_out));
-    binio::write_u64(out, static_cast<std::uint64_t>(r.scores_dropped));
-    binio::write_u64(out, static_cast<std::uint64_t>(r.scores_corrupted));
+    out.write_i32(r.run);
+    for (const RecordCount field : kRecordCounts) out.write_u64(r.*field);
+    out.write_f64(r.estimation_error);
+    out.write_f64(r.total_payment);
+    for (const RecordCount field : kRecordTallies) out.write_u64(r.*field);
   }
-  if (!out) throw std::runtime_error("svc: migration write failure");
+}
+
+void AuctionService::load_migration(binio::Reader& in) {
+  obs::ScopedSpan span("svc/migration_load");
+  in.read_header(kMigrationMagic, kMigrationVersion);
+  {
+    binio::Reader body(in.read_bytes("migration checkpoint"));
+    load_state(body);  // resets records_ / first_session_run_; tail follows
+  }
+  requests_total_ = in.read_u64("migration requests");
+  overload_rejects_ = in.read_u64("migration overload rejects");
+  first_session_run_ = in.read_i32("migration first run");
+  const std::uint64_t count = in.read_u64("migration record count");
+  records_.clear();
+  // A run record is i32 run | 10 x 8-byte fields.
+  in.reserve(records_, count, 4 + 10 * 8, "migration record count");
+  for (std::uint64_t k = 0; k < count; ++k) {
+    sim::RunRecord& r = records_.emplace_back();
+    r.run = in.read_i32("migration record");
+    for (const RecordCount field : kRecordCounts) {
+      r.*field = in.read_u64("migration record");
+    }
+    r.estimation_error = in.read_f64("migration record");
+    r.total_payment = in.read_f64("migration record");
+    for (const RecordCount field : kRecordTallies) {
+      r.*field = in.read_u64("migration record");
+    }
+  }
+}
+
+void AuctionService::save_state(std::ostream& out) const {
+  binio::write_stream(out, "svc: checkpoint",
+                      [this](binio::Writer& w) { save_state(w); });
+}
+
+void AuctionService::load_state(std::istream& in) {
+  binio::read_stream(in, "svc: checkpoint",
+                     [this](binio::Reader& r) { load_state(r); });
+}
+
+void AuctionService::save_migration(std::ostream& out) const {
+  binio::write_stream(out, "svc: migration",
+                      [this](binio::Writer& w) { save_migration(w); });
 }
 
 void AuctionService::load_migration(std::istream& in) {
-  obs::ScopedSpan span("svc/migration_load");
-  binio::read_header(in, kMigrationMagic, kMigrationVersion);
-  {
-    std::istringstream blob(binio::read_bytes(in, "migration checkpoint"));
-    load_state(blob);  // resets records_ / first_session_run_; tail follows
-  }
-  requests_total_ = binio::read_u64(in, "migration requests");
-  overload_rejects_ = binio::read_u64(in, "migration overload rejects");
-  first_session_run_ = binio::read_i32(in, "migration first run");
-  const std::uint64_t count = binio::read_u64(in, "migration record count");
-  records_.clear();
-  binio::reserve_bounded(records_, count);
-  for (std::uint64_t k = 0; k < count; ++k) {
-    sim::RunRecord r;
-    r.run = binio::read_i32(in, "migration record run");
-    r.estimated_utility = static_cast<std::size_t>(
-        binio::read_u64(in, "migration estimated utility"));
-    r.true_utility =
-        static_cast<std::size_t>(binio::read_u64(in, "migration true utility"));
-    r.estimation_error = binio::read_f64(in, "migration estimation error");
-    r.total_payment = binio::read_f64(in, "migration total payment");
-    r.assignments =
-        static_cast<std::size_t>(binio::read_u64(in, "migration assignments"));
-    r.qualified_workers = static_cast<std::size_t>(
-        binio::read_u64(in, "migration qualified workers"));
-    r.no_shows =
-        static_cast<std::size_t>(binio::read_u64(in, "migration no shows"));
-    r.churned_out =
-        static_cast<std::size_t>(binio::read_u64(in, "migration churned out"));
-    r.scores_dropped = static_cast<std::size_t>(
-        binio::read_u64(in, "migration scores dropped"));
-    r.scores_corrupted = static_cast<std::size_t>(
-        binio::read_u64(in, "migration scores corrupted"));
-    records_.push_back(r);
-  }
+  binio::read_stream(in, "svc: migration",
+                     [this](binio::Reader& r) { load_migration(r); });
 }
 
 }  // namespace melody::svc

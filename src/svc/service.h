@@ -112,7 +112,11 @@ class AuctionService {
   /// Serialize / deserialize the full service state (checkpoint body).
   /// load_state replaces the registry, platform state, clock and batcher
   /// accumulation wholesale; call it before any request is applied. Throws
-  /// std::runtime_error on malformed input.
+  /// std::runtime_error on malformed input. The stream overloads here and
+  /// below are boundary adapters over the Writer / Reader ones (see
+  /// util/binio.h).
+  void save_state(util::binio::Writer& out) const;
+  void load_state(util::binio::Reader& in);
   void save_state(std::ostream& out) const;
   void load_state(std::istream& in);
 
@@ -121,6 +125,8 @@ class AuctionService {
   /// deliberately drops (request tallies, this session's run records). A
   /// migrated shard must answer every subsequent frame byte-identically to
   /// one that never moved, so the handoff carries what load_state does not.
+  void save_migration(util::binio::Writer& out) const;
+  void load_migration(util::binio::Reader& in);
   void save_migration(std::ostream& out) const;
   void load_migration(std::istream& in);
 

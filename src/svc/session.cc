@@ -63,37 +63,37 @@ std::uint64_t SessionRegistry::bids_submitted(auction::WorkerId id) const {
   return it == by_id_.end() ? 0 : order_[it->second].bids;
 }
 
-void SessionRegistry::save(std::ostream& out) const {
-  binio::write_header(out, kMagic, kVersion);
-  binio::write_u64(out, order_.size());
+void SessionRegistry::save(binio::Writer& out) const {
+  out.write_header(kMagic, kVersion);
+  out.write_u64(order_.size());
   for (const Entry& entry : order_) {
-    binio::write_bytes(out, entry.name);
-    binio::write_i32(out, entry.id);
-    binio::write_u64(out, entry.bids);
+    out.write_bytes(entry.name);
+    out.write_i32(entry.id);
+    out.write_u64(entry.bids);
   }
-  binio::write_i32(out, next_id_);
-  if (!out) throw std::runtime_error("session registry: write failure");
+  out.write_i32(next_id_);
 }
 
-void SessionRegistry::load(std::istream& in) {
-  binio::read_header(in, kMagic, kVersion);
-  const std::uint64_t count = binio::read_u64(in, "session count");
+void SessionRegistry::load(binio::Reader& in) {
+  in.read_header(kMagic, kVersion);
+  const std::uint64_t count = in.read_u64("session count");
   std::vector<Entry> order;
-  binio::reserve_bounded(order, count);
+  // An entry is u64 name length | name | i32 id | u64 bids.
+  in.reserve(order, count, 8 + 4 + 8, "session count");
   std::unordered_map<std::string, std::size_t> by_name;
   std::unordered_map<auction::WorkerId, std::size_t> by_id;
   for (std::uint64_t k = 0; k < count; ++k) {
     Entry entry;
-    entry.name = binio::read_bytes(in, "session name", 1 << 16);
-    entry.id = binio::read_i32(in, "session id");
-    entry.bids = binio::read_u64(in, "session bids");
+    entry.name = std::string(in.read_bytes("session name", 1 << 16));
+    entry.id = in.read_i32("session id");
+    entry.bids = in.read_u64("session bids");
     if (!by_name.emplace(entry.name, order.size()).second ||
         !by_id.emplace(entry.id, order.size()).second) {
       throw std::runtime_error("session registry: duplicate entry");
     }
     order.push_back(std::move(entry));
   }
-  const auction::WorkerId next_id = binio::read_i32(in, "session next id");
+  const auction::WorkerId next_id = in.read_i32("session next id");
   for (const Entry& entry : order) {
     if (entry.id >= next_id) {  // intern would hand out a bound id
       throw std::runtime_error(

@@ -9,13 +9,17 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "auction/types.h"
+
+namespace melody::util::binio {
+class Reader;
+class Writer;
+}  // namespace melody::util::binio
 
 namespace melody::svc {
 
@@ -40,11 +44,11 @@ class SessionRegistry {
 
   std::size_t size() const noexcept { return order_.size(); }
 
-  /// Serialize in insertion order (magic "MLDYSESS" + version). Both throw
-  /// std::runtime_error on I/O failure or malformed input; load replaces
-  /// the registry wholesale.
-  void save(std::ostream& out) const;
-  void load(std::istream& in);
+  /// Serialize in insertion order (magic "MLDYSESS" + version). load
+  /// throws std::runtime_error on malformed input and replaces the registry
+  /// wholesale.
+  void save(util::binio::Writer& out) const;
+  void load(util::binio::Reader& in);
 
  private:
   struct Entry {

@@ -1,23 +1,17 @@
 #include "util/atomic_file.h"
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <stdexcept>
 
 namespace melody::util {
 
-void write_file_atomically(const std::string& path,
-                           const std::function<void(std::ostream&)>& write) {
+void write_file_atomically(const std::string& path, std::string_view bytes) {
   const std::string tmp = path + ".tmp";
   std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
   if (!out) throw std::runtime_error("cannot open " + tmp);
-  try {
-    write(out);
-  } catch (...) {
-    out.close();
-    std::remove(tmp.c_str());
-    throw;
-  }
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   // close() flushes the last buffered bytes and sets failbit when that
   // flush or the close itself fails — a check before close would miss it.
   out.close();
@@ -29,6 +23,23 @@ void write_file_atomically(const std::string& path,
     std::remove(tmp.c_str());
     throw std::runtime_error("cannot rename " + tmp + " to " + path);
   }
+}
+
+std::string read_file(const std::string& path, std::string_view what) {
+  // file_size refuses a directory or special file, whose seek end is no
+  // byte count.
+  std::error_code error;
+  const std::uintmax_t size = std::filesystem::file_size(path, error);
+  std::ifstream in(path, std::ios::binary);
+  std::string bytes;
+  if (!error && in) {
+    bytes.resize(static_cast<std::size_t>(size));
+    in.read(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+  if (error || !in) {
+    throw std::runtime_error(std::string(what) + ": cannot open " + path);
+  }
+  return bytes;
 }
 
 }  // namespace melody::util

@@ -1,21 +1,23 @@
-// One writer for every state file (platform checkpoints, composed service
-// checkpoints, shard-export envelopes): a reader of `path` sees either the
-// previous file or the complete new one, never a truncated mix.
+// The one writer and reader of every state file (platform checkpoints,
+// composed service checkpoints, shard-export envelopes). Each file is
+// written and read whole: a reader of `path` sees either the previous file
+// or the complete new one, never a truncated mix.
 #pragma once
 
-#include <functional>
-#include <iosfwd>
 #include <string>
+#include <string_view>
 
 namespace melody::util {
 
-/// Streams `write` into "<path>.tmp", then flushes and closes it, checks
-/// that every byte reached the file, and only then renames it over `path`.
-/// On any failure — open, write, the final flush, close or rename — the
+/// Writes `bytes` to "<path>.tmp", then flushes and closes it, checks that
+/// every byte reached the file, and only then renames it over `path`. On
+/// any failure — open, write, the final flush, close or rename — the
 /// temporary file is removed, `path` keeps its previous content, and
-/// std::runtime_error names the file (an exception thrown by `write`
-/// propagates unchanged).
-void write_file_atomically(const std::string& path,
-                           const std::function<void(std::ostream&)>& write);
+/// std::runtime_error names the file.
+void write_file_atomically(const std::string& path, std::string_view bytes);
+
+/// The whole content of `path` in one read. Throws std::runtime_error
+/// "<what>: cannot open <path>" when it cannot be opened or read.
+std::string read_file(const std::string& path, std::string_view what);
 
 }  // namespace melody::util

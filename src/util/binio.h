@@ -1,19 +1,24 @@
-// Little-endian binary (de)serialization primitives: the one codec behind
-// every saved-state format (MLDYCKPT platform snapshots, the MLDYSVCK and
-// MLDYMIGR service envelopes, the session registry, the bid book and every
-// estimator blob).
+// Little-endian binary (de)serialization: the one codec behind every
+// saved-state format (MLDYCKPT platform snapshots, the MLDYSVCK and
+// MLDYMIGR service envelopes, the session registry and every estimator
+// blob).
 //
-// Every writer is explicit about width and byte order, so snapshots are
-// portable across platforms; every reader validates stream state and throws
-// std::runtime_error with the caller-supplied context on truncation, so a
-// corrupt checkpoint fails loudly instead of resuming from garbage. No
-// reader lets a count or length from the stream size an allocation ahead
-// of the bytes that back it: read_bytes grows in bounded chunks, and
-// loaders of counted records reserve at most reserve_bounded's cap, then
-// append as records arrive.
+// Every state file is read and written whole, so a format body is built
+// and parsed in memory. A Writer appends fixed-width little-endian values
+// to one std::string; a Reader walks a std::string_view of bytes already
+// in memory, and a length-prefixed blob comes back as a sub-view of the
+// same buffer, never a copy. Every read checks its width against the bytes
+// left and throws std::runtime_error with the caller-supplied context on
+// truncation, so a corrupt checkpoint fails loudly instead of resuming
+// from garbage. No count or length read from the input sizes an
+// allocation ahead of the bytes that back it: Reader::reserve first checks
+// count × minimum record width against the bytes left.
+//
+// The std::istream / std::ostream signatures kept on the public API are
+// boundary adapters over these two types: read_stream makes one bulk copy
+// of a stream's remaining bytes, write_stream one bulk write.
 #pragma once
 
-#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <cstring>
@@ -25,140 +30,198 @@
 
 namespace melody::util::binio {
 
-inline void write_u8(std::ostream& out, std::uint8_t value) {
-  out.put(static_cast<char>(value));
-}
-
-inline void write_u32(std::ostream& out, std::uint32_t value) {
-  char bytes[4];
-  for (int i = 0; i < 4; ++i) {
-    bytes[i] = static_cast<char>((value >> (8 * i)) & 0xff);
-  }
-  out.write(bytes, sizeof bytes);
-}
-
-inline void write_u64(std::ostream& out, std::uint64_t value) {
-  char bytes[8];
-  for (int i = 0; i < 8; ++i) {
-    bytes[i] = static_cast<char>((value >> (8 * i)) & 0xff);
-  }
-  out.write(bytes, sizeof bytes);
-}
-
-inline void write_i32(std::ostream& out, std::int32_t value) {
-  write_u32(out, static_cast<std::uint32_t>(value));
-}
-
-inline void write_f64(std::ostream& out, double value) {
-  static_assert(sizeof(double) == sizeof(std::uint64_t));
-  write_u64(out, std::bit_cast<std::uint64_t>(value));
-}
-
-/// Length-prefixed byte string (u64 length + raw bytes).
-inline void write_bytes(std::ostream& out, const std::string& bytes) {
-  write_u64(out, bytes.size());
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-}
-
-inline std::uint8_t read_u8(std::istream& in, const char* what) {
-  const int c = in.get();
-  if (c == std::char_traits<char>::eof()) {
-    throw std::runtime_error(std::string(what) + ": truncated input");
-  }
-  return static_cast<std::uint8_t>(c);
-}
-
-inline std::uint32_t read_u32(std::istream& in, const char* what) {
-  char bytes[4];
-  if (!in.read(bytes, sizeof bytes)) {
-    throw std::runtime_error(std::string(what) + ": truncated input");
-  }
-  std::uint32_t value = 0;
-  for (int i = 0; i < 4; ++i) {
-    value |= static_cast<std::uint32_t>(static_cast<unsigned char>(bytes[i]))
-             << (8 * i);
+/// `value` with its bytes in little-endian order on this host; its own
+/// inverse, and a no-op on a little-endian host.
+template <typename T>
+T little_endian(T value) noexcept {
+  if constexpr (std::endian::native == std::endian::big) {
+    if constexpr (sizeof(T) == 4) return __builtin_bswap32(value);
+    if constexpr (sizeof(T) == 8) return __builtin_bswap64(value);
   }
   return value;
 }
 
-inline std::uint64_t read_u64(std::istream& in, const char* what) {
-  char bytes[8];
-  if (!in.read(bytes, sizeof bytes)) {
-    throw std::runtime_error(std::string(what) + ": truncated input");
+/// Appends values to one in-memory buffer.
+class Writer {
+ public:
+  void write_u8(std::uint8_t value) {
+    bytes_.push_back(static_cast<char>(value));
   }
-  std::uint64_t value = 0;
-  for (int i = 0; i < 8; ++i) {
-    value |= static_cast<std::uint64_t>(static_cast<unsigned char>(bytes[i]))
-             << (8 * i);
+
+  void write_u32(std::uint32_t value) { append_le(value); }
+  void write_u64(std::uint64_t value) { append_le(value); }
+  void write_i32(std::int32_t value) {
+    write_u32(static_cast<std::uint32_t>(value));
   }
-  return value;
-}
+  void write_f64(double value) {
+    static_assert(sizeof(double) == sizeof(std::uint64_t));
+    write_u64(std::bit_cast<std::uint64_t>(value));
+  }
 
-inline std::int32_t read_i32(std::istream& in, const char* what) {
-  return static_cast<std::int32_t>(read_u32(in, what));
-}
+  /// Length-prefixed byte string (u64 length + raw bytes).
+  void write_bytes(std::string_view bytes) {
+    write_u64(bytes.size());
+    bytes_.append(bytes);
+  }
 
-inline double read_f64(std::istream& in, const char* what) {
-  return std::bit_cast<double>(read_u64(in, what));
-}
+  /// A length-prefixed blob whose body `write(*this)` appends in place:
+  /// the same bytes as write_bytes of that body, without a second buffer.
+  template <typename Body>
+  void write_blob(Body&& write) {
+    const std::size_t prefix = bytes_.size();
+    write_u64(0);
+    write(*this);
+    const std::uint64_t size = little_endian<std::uint64_t>(
+        bytes_.size() - prefix - sizeof(std::uint64_t));
+    std::memcpy(bytes_.data() + prefix, &size, sizeof size);
+  }
 
-/// Reads a length-prefixed byte string written by write_bytes. `max_size`
-/// rejects an implausible length outright; below it the string grows in
-/// 1 MiB chunks as bytes arrive, so a corrupt length fails on the missing
-/// bytes instead of allocating what it claims.
-inline std::string read_bytes(std::istream& in, const char* what,
+  /// Format header: the format's magic bytes, then its u32 version.
+  void write_header(std::string_view magic, std::uint32_t version) {
+    bytes_.append(magic);
+    write_u32(version);
+  }
+
+  /// Raw bytes with no length prefix.
+  void write_raw(std::string_view bytes) { bytes_.append(bytes); }
+
+  void reserve(std::size_t size) { bytes_.reserve(size); }
+  const std::string& bytes() const noexcept { return bytes_; }
+  std::string take() noexcept { return std::move(bytes_); }
+
+ private:
+  template <typename T>
+  void append_le(T value) {
+    value = little_endian(value);
+    bytes_.append(reinterpret_cast<const char*>(&value), sizeof value);
+  }
+
+  std::string bytes_;
+};
+
+/// Parses values from a view of bytes that outlive the Reader.
+class Reader {
+ public:
+  explicit Reader(std::string_view bytes) noexcept : bytes_(bytes) {}
+  Reader(std::string&&) = delete;  // would view a destroyed temporary
+
+  std::uint8_t read_u8(const char* what) {
+    return static_cast<std::uint8_t>(*take(1, what));
+  }
+  std::uint32_t read_u32(const char* what) {
+    return load_le<std::uint32_t>(take(4, what));
+  }
+  std::uint64_t read_u64(const char* what) {
+    return load_le<std::uint64_t>(take(8, what));
+  }
+  std::int32_t read_i32(const char* what) {
+    return static_cast<std::int32_t>(read_u32(what));
+  }
+  double read_f64(const char* what) {
+    return std::bit_cast<double>(read_u64(what));
+  }
+
+  /// A length-prefixed byte string written by Writer::write_bytes or
+  /// write_blob, as a view into this Reader's bytes. `max_size` rejects an
+  /// implausible length outright; any length beyond the bytes left throws
+  /// as truncated.
+  std::string_view read_bytes(const char* what,
                               std::uint64_t max_size = (1ull << 32)) {
-  constexpr std::uint64_t kChunk = 1ull << 20;
-  const std::uint64_t size = read_u64(in, what);
-  if (size > max_size) {
-    throw std::runtime_error(std::string(what) + ": implausible length");
+    const std::uint64_t size = read_u64(what);
+    if (size > max_size) {
+      throw std::runtime_error(std::string(what) + ": implausible length");
+    }
+    return {take(size, what), static_cast<std::size_t>(size)};
   }
-  std::string bytes;
-  while (bytes.size() < size) {
-    const std::size_t have = bytes.size();
-    const auto step = static_cast<std::size_t>(std::min(size - have, kChunk));
-    bytes.resize(have + step);
-    if (!in.read(bytes.data() + have, static_cast<std::streamsize>(step))) {
-      throw std::runtime_error(std::string(what) + ": truncated input");
+
+  /// `size` raw bytes with no length prefix, as a view.
+  std::string_view read_raw(std::size_t size, const char* what) {
+    return {take(size, what), size};
+  }
+
+  /// Reads and checks a header written by Writer::write_header. Each
+  /// format reads exactly one version: a foreign magic or any other
+  /// version throws std::runtime_error naming the format and the version.
+  void read_header(std::string_view magic, std::uint32_t version) {
+    const std::string format(magic);
+    if (magic.size() > remaining() ||
+        bytes_.substr(position_, magic.size()) != magic) {
+      throw std::runtime_error(format + ": bad magic (expected " + format +
+                               " version " + std::to_string(version) + ")");
+    }
+    position_ += magic.size();
+    const std::uint32_t found = read_u32((format + " version").c_str());
+    if (found != version) {
+      throw std::runtime_error(format + ": unsupported version " +
+                               std::to_string(found) + " (this build reads " +
+                               std::to_string(version) + ")");
     }
   }
-  return bytes;
-}
 
-/// Reserve room for `count` records about to be read from a stream, capped
-/// at 4096: a corrupt count costs one bounded allocation before the reads
-/// fail, and past the cap the container grows as records arrive.
-template <typename Container>
-void reserve_bounded(Container& container, std::uint64_t count) {
-  container.reserve(
-      static_cast<std::size_t>(std::min<std::uint64_t>(count, 4096)));
-}
-
-/// Format header: the format's magic bytes, then its u32 version.
-inline void write_header(std::ostream& out, std::string_view magic,
-                         std::uint32_t version) {
-  out.write(magic.data(), static_cast<std::streamsize>(magic.size()));
-  write_u32(out, version);
-}
-
-/// Reads and checks a header written by write_header. Each format reads
-/// exactly one version: a foreign magic or any other version throws
-/// std::runtime_error naming the format and the version.
-inline void read_header(std::istream& in, std::string_view magic,
-                        std::uint32_t version) {
-  const std::string format(magic);
-  std::string got(magic.size(), '\0');
-  if (!in.read(got.data(), static_cast<std::streamsize>(got.size())) ||
-      got != magic) {
-    throw std::runtime_error(format + ": bad magic (expected " + format +
-                             " version " + std::to_string(version) + ")");
+  /// Reserve room for `count` records of at least `min_width` bytes each,
+  /// after checking that the bytes left can hold them: a corrupt count
+  /// throws as truncated instead of sizing an allocation.
+  template <typename Container>
+  void reserve(Container& container, std::uint64_t count,
+               std::size_t min_width, const char* what) const {
+    if (count > remaining() / min_width) {
+      throw std::runtime_error(std::string(what) + ": truncated input");
+    }
+    container.reserve(static_cast<std::size_t>(count));
   }
-  const std::uint32_t found = read_u32(in, (format + " version").c_str());
-  if (found != version) {
-    throw std::runtime_error(format + ": unsupported version " +
-                             std::to_string(found) + " (this build reads " +
-                             std::to_string(version) + ")");
+
+  std::size_t remaining() const noexcept { return bytes_.size() - position_; }
+  std::size_t position() const noexcept { return position_; }
+
+ private:
+  const char* take(std::uint64_t n, const char* what) {
+    if (n > remaining()) {
+      throw std::runtime_error(std::string(what) + ": truncated input");
+    }
+    const char* at = bytes_.data() + position_;
+    position_ += static_cast<std::size_t>(n);
+    return at;
   }
+
+  template <typename T>
+  static T load_le(const char* bytes) {
+    T value;
+    std::memcpy(&value, bytes, sizeof value);
+    return little_endian(value);
+  }
+
+  std::string_view bytes_;
+  std::size_t position_ = 0;
+};
+
+/// Stream boundary of a saver: `save(writer)` builds the bytes, then one
+/// bulk write hands them to `out`. Throws std::runtime_error naming `what`
+/// when the stream fails.
+template <typename Save>
+void write_stream(std::ostream& out, const char* what, Save&& save) {
+  Writer writer;
+  save(writer);
+  out.write(writer.bytes().data(),
+            static_cast<std::streamsize>(writer.bytes().size()));
+  if (!out) throw std::runtime_error(std::string(what) + ": write failure");
+}
+
+/// Stream boundary of a loader: one bulk copy of the bytes left in the
+/// (seekable) stream `in`, parsed by `load(reader)`; `in` is left just
+/// past the bytes parsed, as a value-by-value stream read would leave it.
+template <typename Load>
+void read_stream(std::istream& in, const char* what, Load&& load) {
+  const std::istream::pos_type start = in.tellg();
+  const std::streamoff size = in.seekg(0, std::ios::end).tellg() - start;
+  if (start == std::istream::pos_type(-1) || !in) {
+    throw std::runtime_error(std::string(what) + ": unreadable stream");
+  }
+  std::string bytes(static_cast<std::size_t>(size), '\0');
+  in.seekg(start).read(bytes.data(), size);
+  Reader reader(std::string_view(bytes).substr(
+      0, static_cast<std::size_t>(in.gcount())));
+  load(reader);
+  in.seekg(start + static_cast<std::streamoff>(reader.position()));
 }
 
 }  // namespace melody::util::binio

@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <limits>
+#include <vector>
 
 namespace melody::auction {
 namespace {
@@ -56,6 +57,24 @@ TEST(AuctionConfig, AdmitsOnlyPositiveFiniteQualifiedBids) {
   bounded.cost_max = 2.0;
   EXPECT_TRUE(bounded.admits(0.5, 2.0, 1));
   EXPECT_FALSE(bounded.admits(0.5, 2.5, 1));  // the range filter still holds
+}
+
+TEST(AuctionConfig, AcceptsOnlyFiniteBudgetsAndThresholds) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  AuctionConfig config;
+  config.budget = 10.0;
+  const std::vector<Task> tasks{{0, 5.0}, {1, 0.0}};
+  EXPECT_TRUE(config.accepts(tasks));
+  EXPECT_TRUE(config.accepts({}));
+  for (const double bad : {kNaN, kInf, -kInf}) {
+    std::vector<Task> with_bad = tasks;
+    with_bad.push_back({2, bad});
+    EXPECT_FALSE(config.accepts(with_bad)) << "threshold " << bad;
+    AuctionConfig bad_budget = config;
+    bad_budget.budget = bad;
+    EXPECT_FALSE(bad_budget.accepts(tasks)) << "budget " << bad;
+  }
 }
 
 TEST(AuctionConfig, LambdaMatchesLemma3) {
@@ -111,6 +130,12 @@ TEST(Checks, BudgetFeasibility) {
   EXPECT_EQ(check_budget_feasibility(r, config), "");
   config.budget = 4.9;
   EXPECT_NE(check_budget_feasibility(r, config), "");
+  // No payment is feasible against a budget that is not a number.
+  for (const double budget : {std::numeric_limits<double>::quiet_NaN(),
+                              std::numeric_limits<double>::infinity()}) {
+    config.budget = budget;
+    EXPECT_NE(check_budget_feasibility(r, config), "") << budget;
+  }
 }
 
 TEST(Checks, FrequencyFeasibility) {

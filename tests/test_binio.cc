@@ -1,8 +1,11 @@
-// Edge cases of the little-endian checkpoint primitives: zero-length
-// payloads, the max_size guard on length-prefixed reads, hostile lengths
-// that must not size an allocation, format headers, truncation error paths
-// for every reader, and exact round-trips of extreme values (the
-// checkpoint formats depend on every one of these behaviors).
+// Edge cases of the little-endian checkpoint codec (util::binio::Reader
+// and Writer): zero-length payloads, the max_size guard on length-prefixed
+// reads, hostile lengths and counts that must not size an allocation (in
+// the codec itself and inside the MLDYSVCK and MLDYCKPT bodies), format
+// headers, truncation error paths for every reader, exact round-trips of
+// extreme values, blobs written in place and read as sub-views, and the
+// one-copy stream adapters (the checkpoint formats depend on every one of
+// these behaviors).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -15,13 +18,19 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <vector>
 
+#include "auction/melody_auction.h"
+#include "estimators/melody_estimator.h"
+#include "sim/platform.h"
+#include "svc/router.h"
 #include "util/binio.h"
+#include "util/rng.h"
 
 namespace {
 // The largest single allocation since the last reset: the hostile-length
-// cases assert that a length or count read from a stream never sizes an
+// cases assert that a length or count read from the input never sizes an
 // allocation ahead of the bytes behind it.
 std::atomic<std::size_t> g_largest_allocation{0};
 }  // namespace
@@ -40,31 +49,37 @@ void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 namespace melody::util::binio {
 namespace {
 
-TEST(BinIo, ScalarRoundTripsAtExtremes) {
-  std::stringstream buffer;
-  write_u8(buffer, 0);
-  write_u8(buffer, 0xff);
-  write_u32(buffer, 0);
-  write_u32(buffer, std::numeric_limits<std::uint32_t>::max());
-  write_u64(buffer, 0);
-  write_u64(buffer, std::numeric_limits<std::uint64_t>::max());
-  write_i32(buffer, std::numeric_limits<std::int32_t>::min());
-  write_i32(buffer, -1);
+// A Reader views bytes it does not own: it cannot be built from a
+// temporary string.
+static_assert(!std::is_constructible_v<Reader, std::string>);
+static_assert(std::is_constructible_v<Reader, const std::string&>);
 
-  EXPECT_EQ(read_u8(buffer, "a"), 0);
-  EXPECT_EQ(read_u8(buffer, "b"), 0xff);
-  EXPECT_EQ(read_u32(buffer, "c"), 0u);
-  EXPECT_EQ(read_u32(buffer, "d"), std::numeric_limits<std::uint32_t>::max());
-  EXPECT_EQ(read_u64(buffer, "e"), 0u);
-  EXPECT_EQ(read_u64(buffer, "f"), std::numeric_limits<std::uint64_t>::max());
-  EXPECT_EQ(read_i32(buffer, "g"), std::numeric_limits<std::int32_t>::min());
-  EXPECT_EQ(read_i32(buffer, "h"), -1);
+TEST(BinIo, ScalarRoundTripsAtExtremes) {
+  Writer out;
+  out.write_u8(0);
+  out.write_u8(0xff);
+  out.write_u32(0);
+  out.write_u32(std::numeric_limits<std::uint32_t>::max());
+  out.write_u64(0);
+  out.write_u64(std::numeric_limits<std::uint64_t>::max());
+  out.write_i32(std::numeric_limits<std::int32_t>::min());
+  out.write_i32(-1);
+
+  Reader in(out.bytes());
+  EXPECT_EQ(in.read_u8("a"), 0);
+  EXPECT_EQ(in.read_u8("b"), 0xff);
+  EXPECT_EQ(in.read_u32("c"), 0u);
+  EXPECT_EQ(in.read_u32("d"), std::numeric_limits<std::uint32_t>::max());
+  EXPECT_EQ(in.read_u64("e"), 0u);
+  EXPECT_EQ(in.read_u64("f"), std::numeric_limits<std::uint64_t>::max());
+  EXPECT_EQ(in.read_i32("g"), std::numeric_limits<std::int32_t>::min());
+  EXPECT_EQ(in.read_i32("h"), -1);
 }
 
 TEST(BinIo, LittleEndianLayoutIsFixed) {
-  std::ostringstream buffer;
-  write_u32(buffer, 0x0a0b0c0d);
-  const std::string bytes = buffer.str();
+  Writer out;
+  out.write_u32(0x0a0b0c0d);
+  const std::string& bytes = out.bytes();
   ASSERT_EQ(bytes.size(), 4u);
   EXPECT_EQ(static_cast<unsigned char>(bytes[0]), 0x0d);
   EXPECT_EQ(static_cast<unsigned char>(bytes[1]), 0x0c);
@@ -83,104 +98,139 @@ TEST(BinIo, DoubleSpecialsRoundTripBitExactly) {
                            -std::numeric_limits<double>::min(),
                            1.8656653187601029};
   for (const double value : values) {
-    std::stringstream buffer;
-    write_f64(buffer, value);
-    const double back = read_f64(buffer, "f64");
+    Writer out;
+    out.write_f64(value);
+    Reader in(out.bytes());
+    const double back = in.read_f64("f64");
     EXPECT_EQ(std::bit_cast<std::uint64_t>(back),
               std::bit_cast<std::uint64_t>(value))
         << value;
   }
   // -0.0 keeps its sign (bit equality above already implies it, but the
   // signbit is what checkpoint consumers would actually observe).
-  std::stringstream buffer;
-  write_f64(buffer, -0.0);
-  EXPECT_TRUE(std::signbit(read_f64(buffer, "f64")));
+  Writer out;
+  out.write_f64(-0.0);
+  Reader in(out.bytes());
+  EXPECT_TRUE(std::signbit(in.read_f64("f64")));
 }
 
 TEST(BinIo, ZeroLengthBytesRoundTrip) {
-  std::stringstream buffer;
-  write_bytes(buffer, "");
-  write_u8(buffer, 0x5a);  // sentinel right behind the empty payload
-  EXPECT_EQ(buffer.str().size(), 9u);  // u64 length prefix + 1 sentinel
-  EXPECT_EQ(read_bytes(buffer, "empty"), "");
-  EXPECT_EQ(read_u8(buffer, "sentinel"), 0x5a);
+  Writer out;
+  out.write_bytes("");
+  out.write_u8(0x5a);  // sentinel right behind the empty payload
+  EXPECT_EQ(out.bytes().size(), 9u);  // u64 length prefix + 1 sentinel
+  Reader in(out.bytes());
+  EXPECT_EQ(in.read_bytes("empty"), "");
+  EXPECT_EQ(in.read_u8("sentinel"), 0x5a);
 }
 
 TEST(BinIo, BytesWithEmbeddedNulsRoundTrip) {
   const std::string payload("a\0b\0\0c", 6);
-  std::stringstream buffer;
-  write_bytes(buffer, payload);
-  EXPECT_EQ(read_bytes(buffer, "nuls"), payload);
+  Writer out;
+  out.write_bytes(payload);
+  Reader in(out.bytes());
+  EXPECT_EQ(in.read_bytes("nuls"), payload);
 }
 
 TEST(BinIo, MaxSizeGuardRejectsImplausibleLengths) {
-  std::stringstream at_limit;
-  write_bytes(at_limit, "12345");
-  EXPECT_EQ(read_bytes(at_limit, "limit", 5), "12345");  // boundary passes
+  Writer out;
+  out.write_bytes("12345");
+  Reader at_limit(out.bytes());
+  EXPECT_EQ(at_limit.read_bytes("limit", 5), "12345");  // boundary passes
 
-  std::stringstream over_limit;
-  write_bytes(over_limit, "12345");
+  Reader over_limit(out.bytes());
   try {
-    read_bytes(over_limit, "blob", 4);
+    over_limit.read_bytes("blob", 4);
     FAIL() << "length above max_size must throw";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("blob"), std::string::npos);
     EXPECT_NE(std::string(e.what()).find("implausible"), std::string::npos);
   }
 
-  // A corrupt length field must be rejected BEFORE any allocation happens.
-  std::stringstream corrupt;
-  write_u64(corrupt, std::numeric_limits<std::uint64_t>::max());
-  EXPECT_THROW(read_bytes(corrupt, "corrupt"), std::runtime_error);
+  // A corrupt length field must be rejected before any allocation happens.
+  Writer corrupt;
+  corrupt.write_u64(std::numeric_limits<std::uint64_t>::max());
+  Reader in(corrupt.bytes());
+  EXPECT_THROW(in.read_bytes("corrupt"), std::runtime_error);
 }
 
 TEST(BinIo, HostileLengthAllocatesOnlyAsBytesArrive) {
-  // 2 GiB promised (under the default max_size), three bytes present: the
-  // read fails as truncated after at most one 1 MiB chunk.
-  std::stringstream hostile;
-  write_u64(hostile, 1ull << 31);
-  hostile << "abc";
-  g_largest_allocation = 0;
-  EXPECT_THROW(read_bytes(hostile, "hostile"), std::runtime_error);
-  EXPECT_LE(g_largest_allocation.load(), std::size_t{2} << 20);
+  // 2 GiB promised (under the default max_size), three bytes present, and
+  // lengths that would wrap a position-plus-length sum: each read fails
+  // as truncated and allocates nothing for the payload.
+  for (const std::uint64_t claimed :
+       {std::uint64_t{1} << 31, std::uint64_t{4},
+        std::numeric_limits<std::uint64_t>::max() - 4}) {
+    Writer hostile;
+    hostile.write_u64(claimed);
+    hostile.write_raw("abc");
+    Reader in(hostile.bytes());
+    g_largest_allocation = 0;
+    try {
+      in.read_bytes("hostile", std::numeric_limits<std::uint64_t>::max());
+      ADD_FAILURE() << "length " << claimed << " over 3 bytes must throw";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("truncated"), std::string::npos);
+    }
+    EXPECT_LE(g_largest_allocation.load(), std::size_t{4096}) << claimed;
+  }
 
-  // A payload longer than one chunk still round-trips exactly.
+  // A payload of several MiB round-trips as a view into the buffer: no
+  // copy, whatever its size.
   std::string big((3u << 20) + 5, 'x');
   big[1u << 20] = 'y';
-  std::stringstream buffer;
-  write_bytes(buffer, big);
-  EXPECT_EQ(read_bytes(buffer, "big"), big);
-
-  // reserve_bounded caps what a claimed count may reserve.
-  std::vector<double> records;
+  Writer out;
+  out.write_bytes(big);
+  Reader in(out.bytes());
   g_largest_allocation = 0;
-  reserve_bounded(records, 100'000'000'000'000ull);
-  EXPECT_LE(g_largest_allocation.load(), 4096 * sizeof(double));
-  reserve_bounded(records, 3);
-  EXPECT_GE(records.capacity(), 3u);
+  const std::string_view view = in.read_bytes("big");
+  EXPECT_EQ(g_largest_allocation.load(), 0u);
+  EXPECT_EQ(view, big);
+  EXPECT_EQ(view.data(), out.bytes().data() + 8);
+
+  // A count reserves only once the bytes left can hold its records.
+  Writer records;
+  for (int k = 0; k < 3; ++k) records.write_f64(k);
+  Reader counted(records.bytes());
+  std::vector<double> fits;
+  counted.reserve(fits, 3, sizeof(double), "records");
+  EXPECT_GE(fits.capacity(), 3u);
+  std::vector<double> hostile_count;
+  g_largest_allocation = 0;
+  for (const std::uint64_t count :
+       {std::uint64_t{4}, std::uint64_t{100'000'000'000'000},
+        std::numeric_limits<std::uint64_t>::max()}) {
+    EXPECT_THROW(counted.reserve(hostile_count, count, sizeof(double), "n"),
+                 std::runtime_error)
+        << count;
+  }
+  EXPECT_LE(g_largest_allocation.load(), std::size_t{4096});
+  EXPECT_EQ(hostile_count.capacity(), 0u);
 }
 
 TEST(BinIo, ReadHeaderNamesFormatAndVersion) {
-  std::stringstream good;
-  write_header(good, "MLDYTEST", 3);
-  EXPECT_EQ(good.str().size(), 12u);
-  read_header(good, "MLDYTEST", 3);  // consumes exactly the header
-  EXPECT_THROW(read_u8(good, "eof"), std::runtime_error);
+  Writer good;
+  good.write_header("MLDYTEST", 3);
+  EXPECT_EQ(good.bytes().size(), 12u);
+  Reader in(good.bytes());
+  in.read_header("MLDYTEST", 3);  // consumes exactly the header
+  EXPECT_EQ(in.remaining(), 0u);
+  EXPECT_THROW(in.read_u8("eof"), std::runtime_error);
 
   const auto message = [](const std::string& bytes) {
-    std::istringstream in(bytes);
+    Reader reader(bytes);
     try {
-      read_header(in, "MLDYTEST", 3);
+      reader.read_header("MLDYTEST", 3);
     } catch (const std::runtime_error& e) {
       return std::string(e.what());
     }
     return std::string("no throw");
   };
-  std::stringstream older;
-  write_header(older, "MLDYTEST", 2);
-  EXPECT_EQ(message(older.str()),
+  Writer older;
+  older.write_header("MLDYTEST", 2);
+  EXPECT_EQ(message(older.bytes()),
             "MLDYTEST: unsupported version 2 (this build reads 3)");
-  EXPECT_EQ(message("MLDYXXXX\x03\0\0\0"),
+  EXPECT_EQ(message(std::string("MLDYXXXX\x03\0\0\0", 12)),
             "MLDYTEST: bad magic (expected MLDYTEST version 3)");
   EXPECT_EQ(message("MLDY"),
             "MLDYTEST: bad magic (expected MLDYTEST version 3)");
@@ -190,10 +240,10 @@ TEST(BinIo, ReadHeaderNamesFormatAndVersion) {
 
 TEST(BinIo, TruncatedInputThrowsWithContextForEveryReader) {
   {
-    std::istringstream empty;
+    Reader empty(std::string_view{});
     try {
-      read_u8(empty, "platform header");
-      FAIL() << "read_u8 of empty stream must throw";
+      empty.read_u8("platform header");
+      FAIL() << "read_u8 of empty input must throw";
     } catch (const std::runtime_error& e) {
       EXPECT_NE(std::string(e.what()).find("platform header"),
                 std::string::npos);
@@ -201,45 +251,187 @@ TEST(BinIo, TruncatedInputThrowsWithContextForEveryReader) {
     }
   }
   {
-    std::istringstream three_bytes("abc");
-    EXPECT_THROW(read_u32(three_bytes, "u32"), std::runtime_error);
+    Reader three_bytes(std::string_view("abc"));
+    EXPECT_THROW(three_bytes.read_u32("u32"), std::runtime_error);
   }
   {
-    std::istringstream seven_bytes("abcdefg");
-    EXPECT_THROW(read_u64(seven_bytes, "u64"), std::runtime_error);
-    std::istringstream again("abcdefg");
-    EXPECT_THROW(read_f64(again, "f64"), std::runtime_error);
+    Reader seven_bytes(std::string_view("abcdefg"));
+    EXPECT_THROW(seven_bytes.read_u64("u64"), std::runtime_error);
+    Reader again(std::string_view("abcdefg"));
+    EXPECT_THROW(again.read_f64("f64"), std::runtime_error);
   }
   {
-    std::istringstream empty;
-    EXPECT_THROW(read_i32(empty, "i32"), std::runtime_error);
+    Reader empty(std::string_view{});
+    EXPECT_THROW(empty.read_i32("i32"), std::runtime_error);
   }
   {
-    // Length prefix promises 8 bytes, stream carries 3.
-    std::stringstream short_payload;
-    write_u64(short_payload, 8);
-    short_payload << "abc";
-    EXPECT_THROW(read_bytes(short_payload, "payload"), std::runtime_error);
+    // Length prefix promises 8 bytes, the input carries 3.
+    Writer short_payload;
+    short_payload.write_u64(8);
+    short_payload.write_raw("abc");
+    Reader in(short_payload.bytes());
+    EXPECT_THROW(in.read_bytes("payload"), std::runtime_error);
   }
   {
     // Truncation inside the length prefix itself.
-    std::istringstream half_prefix("abcd");
-    EXPECT_THROW(read_bytes(half_prefix, "prefix"), std::runtime_error);
+    Reader half_prefix(std::string_view("abcd"));
+    EXPECT_THROW(half_prefix.read_bytes("prefix"), std::runtime_error);
+  }
+  {
+    Reader raw(std::string_view("ab"));
+    EXPECT_THROW(raw.read_raw(3, "raw"), std::runtime_error);
   }
 }
 
 TEST(BinIo, ReadersConsumeExactlyTheirWidth) {
-  std::stringstream buffer;
-  write_u32(buffer, 7);
-  write_u64(buffer, 9);
-  write_f64(buffer, 2.5);
-  write_bytes(buffer, "xy");
-  EXPECT_EQ(read_u32(buffer, "a"), 7u);
-  EXPECT_EQ(read_u64(buffer, "b"), 9u);
-  EXPECT_EQ(read_f64(buffer, "c"), 2.5);
-  EXPECT_EQ(read_bytes(buffer, "d"), "xy");
-  // Nothing left over: the next read hits clean EOF, not stale bytes.
-  EXPECT_THROW(read_u8(buffer, "eof"), std::runtime_error);
+  Writer out;
+  out.write_u32(7);
+  out.write_u64(9);
+  out.write_f64(2.5);
+  out.write_bytes("xy");
+  Reader in(out.bytes());
+  EXPECT_EQ(in.read_u32("a"), 7u);
+  EXPECT_EQ(in.position(), 4u);
+  EXPECT_EQ(in.read_u64("b"), 9u);
+  EXPECT_EQ(in.read_f64("c"), 2.5);
+  EXPECT_EQ(in.read_bytes("d"), "xy");
+  // Nothing left over: the next read hits the end, not stale bytes.
+  EXPECT_EQ(in.remaining(), 0u);
+  EXPECT_THROW(in.read_u8("eof"), std::runtime_error);
+}
+
+TEST(BinIo, BlobWrittenInPlaceMatchesWriteBytes) {
+  Writer body;
+  body.write_header("MLDYBODY", 1);
+  body.write_f64(0.25);
+  Writer copied;
+  copied.write_u8(1);
+  copied.write_bytes(body.bytes());
+  copied.write_u8(2);
+  Writer in_place;
+  in_place.write_u8(1);
+  in_place.write_blob([](Writer& blob) {
+    blob.write_header("MLDYBODY", 1);
+    blob.write_f64(0.25);
+  });
+  in_place.write_u8(2);
+  EXPECT_EQ(in_place.bytes(), copied.bytes());
+
+  Reader in(in_place.bytes());
+  EXPECT_EQ(in.read_u8("before"), 1);
+  Reader blob(in.read_bytes("blob"));
+  blob.read_header("MLDYBODY", 1);
+  EXPECT_EQ(blob.read_f64("body"), 0.25);
+  EXPECT_EQ(blob.remaining(), 0u);
+  EXPECT_EQ(in.read_u8("after"), 2);
+}
+
+TEST(BinIo, StreamAdaptersStopAtTheParsedBytes) {
+  std::stringstream stream;
+  write_stream(stream, "first", [](Writer& out) { out.write_u32(11); });
+  write_stream(stream, "second", [](Writer& out) { out.write_u64(12); });
+  EXPECT_EQ(stream.str().size(), 12u);
+  std::uint32_t first = 0;
+  std::uint64_t second = 0;
+  read_stream(stream, "first",
+              [&](Reader& in) { first = in.read_u32("first"); });
+  read_stream(stream, "second",
+              [&](Reader& in) { second = in.read_u64("second"); });
+  EXPECT_EQ(first, 11u);
+  EXPECT_EQ(second, 12u);
+  EXPECT_THROW(read_stream(stream, "third",
+                           [](Reader& in) { in.read_u8("third"); }),
+               std::runtime_error);
+}
+
+// ------------------------------------------ hostile lengths in bodies --
+
+void put_u64(std::string& bytes, std::size_t at, std::uint64_t value) {
+  for (std::size_t b = 0; b < 8; ++b, value >>= 8) {
+    bytes[at + b] = static_cast<char>(value & 0xff);
+  }
+}
+
+std::uint64_t get_u64(const std::string& bytes, std::size_t at) {
+  Reader in(std::string_view(bytes).substr(at, 8));
+  return in.read_u64("u64");
+}
+
+/// Rewrites the u64 length at `at` to 2^64 - 1 and to one more than the
+/// bytes left behind it; `load` must throw std::runtime_error on each
+/// without allocating the length it claims.
+template <typename Load>
+void expect_hostile_lengths_refused(const std::string& bytes, std::size_t at,
+                                    const char* what, Load load) {
+  for (const std::uint64_t claimed :
+       {std::numeric_limits<std::uint64_t>::max(),
+        std::uint64_t{bytes.size() - at - 8 + 1}}) {
+    std::string hostile = bytes;
+    put_u64(hostile, at, claimed);
+    g_largest_allocation = 0;
+    EXPECT_THROW(load(hostile), std::runtime_error) << what << " " << claimed;
+    EXPECT_LT(g_largest_allocation.load(), claimed) << what << " " << claimed;
+  }
+}
+
+TEST(BinIo, HostileShardBlobLengthInComposedCheckpointAllocatesNothing) {
+  svc::ServiceConfig config;
+  config.scenario.num_workers = 40;
+  config.scenario.num_tasks = 20;
+  config.scenario.runs = 6;
+  config.scenario.budget = 60.0;
+  config.shards = 2;
+  config.manual_clock = true;
+  Writer out;
+  svc::ShardedService(config).save_state(out);
+  const std::string bytes = out.take();
+  std::ostringstream streamed;  // the stream adapter writes the same bytes
+  svc::ShardedService(config).save_state(streamed);
+  ASSERT_EQ(streamed.str(), bytes);
+  // MLDYSVCK header (12 bytes) | u32 shard count | u64 length + body, x2.
+  const std::size_t first = 12 + 4;
+  const std::size_t second = first + 8 + get_u64(bytes, first);
+  ASSERT_LT(second + 8, bytes.size());
+  svc::ShardedService target(config);
+  for (const std::size_t at : {first, second}) {
+    expect_hostile_lengths_refused(
+        bytes, at, "shard blob", [&target](const std::string& hostile) {
+          Reader in(hostile);
+          target.load_state(in);
+        });
+  }
+}
+
+TEST(BinIo, HostileEstimatorBlobLengthInPlatformSnapshotAllocatesNothing) {
+  sim::LongTermScenario scenario;
+  scenario.num_workers = 12;
+  scenario.num_tasks = 8;
+  scenario.runs = 12;
+  scenario.budget = 40.0;
+  estimators::MelodyEstimatorConfig tracker;
+  tracker.reestimation_period = 100;  // history grows, no refit
+  auction::MelodyAuction mechanism;
+  estimators::MelodyEstimator estimator(tracker);
+  util::Rng population_rng(5);
+  sim::Platform platform(
+      scenario, mechanism, estimator,
+      sim::sample_population(scenario.population_config(), population_rng), 7);
+  for (int r = 0; r < 10; ++r) platform.step();
+  Writer out;
+  platform.save(out);
+  const std::string bytes = out.take();
+  Writer blob;
+  estimator.save_to(blob);
+  // The snapshot ends with the estimator blob, then an empty withdrawn set.
+  const std::size_t at = bytes.size() - 8 - blob.bytes().size() - 8;
+  ASSERT_EQ(get_u64(bytes, at), blob.bytes().size());
+  estimators::MelodyEstimator target_estimator(tracker);
+  sim::Platform target(scenario, mechanism, target_estimator, {}, 7);
+  expect_hostile_lengths_refused(
+      bytes, at, "estimator blob", [&target](const std::string& hostile) {
+        Reader in(hostile);
+        target.load(in);
+      });
 }
 
 }  // namespace

@@ -121,7 +121,7 @@ Outcome run_resumed(const LongTermScenario& s, const FaultPlan& plan,
   // needs — workers, trajectories, RNG position, fault plan, estimator
   // state — must come out of the snapshot.
   Rig rig(s, {});
-  std::istringstream snap(checkpoint);
+  util::binio::Reader snap(checkpoint);
   rig.platform.load(snap);
   EXPECT_EQ(rig.platform.fault_plan().active(), plan.active());
   EXPECT_EQ(rig.platform.current_run(), interrupt_after + 1);
@@ -200,9 +200,10 @@ TEST(Checkpoint, PoliciesSurviveResume) {
     Rig rig(scenario, population(scenario));
     rig.platform.set_policy(rig.platform.worker_state().ids().front(), overbid);
     if (through_snapshot) {
-      std::stringstream snap;
-      rig.platform.save(snap);
+      util::binio::Writer out;
+      rig.platform.save(out);
       Rig restored(scenario, {});
+      util::binio::Reader snap(out.bytes());
       restored.platform.load(snap);
       return finish(restored, {});
     }
@@ -212,16 +213,15 @@ TEST(Checkpoint, PoliciesSurviveResume) {
 }
 
 TEST(Checkpoint, BadMagicRejected) {
-  std::istringstream bad("NOTACKPT garbage");
+  util::binio::Reader bad(std::string_view("NOTACKPT garbage"));
   Rig rig(small_scenario(), {});
   EXPECT_THROW(rig.platform.load(bad), std::runtime_error);
 }
 
 TEST(Checkpoint, UnsupportedVersionRejected) {
-  std::ostringstream out;
-  out.write("MLDYCKPT", 8);
-  util::binio::write_u32(out, 999);
-  std::istringstream in(out.str());
+  util::binio::Writer out;
+  out.write_header("MLDYCKPT", 999);
+  util::binio::Reader in(out.bytes());
   Rig rig(small_scenario(), {});
   EXPECT_THROW(rig.platform.load(in), std::runtime_error);
 }
@@ -235,7 +235,7 @@ TEST(Checkpoint, TruncatedSnapshotRejected) {
   const std::string bytes = snap.str();
   for (const std::size_t cut :
        {bytes.size() / 4, bytes.size() / 2, bytes.size() - 1}) {
-    std::istringstream truncated(bytes.substr(0, cut));
+    util::binio::Reader truncated(std::string_view(bytes).substr(0, cut));
     Rig target(scenario, {});
     EXPECT_THROW(target.platform.load(truncated), std::runtime_error)
         << "cut at " << cut;
@@ -296,8 +296,7 @@ TEST(Checkpoint, FailedFinalFlushKeepsThePreviousFile) {
   // 1000 bytes fit the stream buffer, so every write succeeds and only the
   // flush at close hits the 16-byte limit.
   EXPECT_TRUE(throws_under_file_size_limit(16, [&path] {
-    util::write_file_atomically(
-        path, [](std::ostream& out) { out << std::string(1000, 'x'); });
+    util::write_file_atomically(path, std::string(1000, 'x'));
   })) << "a failed final flush went unnoticed";
   EXPECT_EQ(previous_content(), "previous checkpoint");
   EXPECT_FALSE(std::ifstream(path + ".tmp").good());
@@ -378,7 +377,7 @@ TEST(Checkpoint, NewcomerAfterResumeIsRegisteredExactlyOnce) {
   auction::MelodyAuction mechanism;
   CountingEstimator estimator(config);
   Platform platform(scenario, mechanism, estimator, {}, kPlatformSeed);
-  std::istringstream snap(checkpoint);
+  util::binio::Reader snap(checkpoint);
   platform.load(snap);
   // The restored estimator state covers the whole population even though
   // this platform was constructed with nobody to register.

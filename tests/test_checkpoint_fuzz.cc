@@ -5,8 +5,9 @@
 // a MELODY estimator with history. Mutants come from util::Rng-seeded byte
 // flips, truncations and rewritten u64 counts, within a fixed budget, plus
 // targeted rewrites of every trajectory-stream field. Each one goes to
-// Platform::load, which must either accept it (the platform then steps
-// once, and every latent quality it scores from is finite) or throw
+// Platform::load, which must either accept it (every worker's estimate is
+// finite, the platform then steps once, and every latent quality it scores
+// from and every estimate after the step is finite) or throw
 // std::runtime_error. Run under ASan+UBSan (`ctest -L state`), a crash, an
 // out-of-bounds read or any other exception fails the suite.
 #include <gtest/gtest.h>
@@ -114,14 +115,14 @@ struct Layout {
 };
 
 Layout walk(const std::string& blob) {
-  std::istringstream in(blob);
+  binio::Reader in(blob);
   Layout layout;
-  const auto skip = [&in](std::streamoff bytes) {
-    in.seekg(bytes, std::ios::cur);
+  const auto skip = [&in](std::uint64_t bytes) {
+    in.read_raw(static_cast<std::size_t>(bytes), "skip");
   };
   const auto count_here = [&]() {
-    layout.counts.push_back(static_cast<std::size_t>(in.tellg()));
-    return binio::read_u64(in, "count");
+    layout.counts.push_back(in.position());
+    return in.read_u64("count");
   };
   skip(8 + 4 + 8 + 4);           // magic, version, master seed, run
   skip(4 * 8 + 8 + 1);           // rng words, cached normal, flag
@@ -129,15 +130,15 @@ Layout walk(const std::string& blob) {
   const std::uint64_t workers = count_here();
   for (std::uint64_t k = 0; k < workers; ++k) {
     skip(kIdBeforeStream);       // id, cost, frequency
-    layout.streams.push_back(static_cast<std::size_t>(in.tellg()));
+    layout.streams.push_back(in.position());
     skip(kStreamBytes);
   }
-  skip(static_cast<std::streamoff>(count_here() * (4 + 8 + 3 + 8 + 4)));
-  skip(static_cast<std::streamoff>(count_here() * (4 + 8)));
-  skip(static_cast<std::streamoff>(count_here()));  // estimator blob
+  skip(count_here() * (4 + 8 + 3 + 8 + 4));
+  skip(count_here() * (4 + 8));
+  skip(count_here());  // estimator blob
   const std::uint64_t withdrawn = count_here();
-  skip(static_cast<std::streamoff>(4 * withdrawn));
-  EXPECT_EQ(static_cast<std::size_t>(in.tellg()), blob.size());
+  skip(4 * withdrawn);
+  EXPECT_EQ(in.remaining(), 0u);
   return layout;
 }
 
@@ -204,18 +205,26 @@ std::string mutate(const std::string& corpus,
   return blob;
 }
 
-/// An accepted snapshot must hold each worker id once, step, and score
-/// from finite latent qualities.
-void expect_steps_on_finite_latents(Platform& platform,
-                                    const std::string& what) {
+/// An accepted snapshot must hold each worker id once, step, score from
+/// finite latent qualities and estimate every worker's quality finitely.
+void expect_steps_on_finite_latents(Rig& rig, const std::string& what) {
+  Platform& platform = rig.platform;
   const WorkerStateSoA& soa = platform.worker_state();
   std::set<auction::WorkerId> ids(soa.ids().begin(), soa.ids().end());
   EXPECT_EQ(ids.size(), soa.size()) << what;
+  const auto expect_finite_estimates = [&](const char* when) {
+    for (const auction::WorkerId id : soa.ids()) {
+      EXPECT_TRUE(std::isfinite(rig.estimator.estimate(id)))
+          << what << " worker " << id << " " << when;
+    }
+  };
+  expect_finite_estimates("before the step");
   EXPECT_NO_THROW(platform.step()) << what;
   for (std::size_t slot = 0; slot < soa.size(); ++slot) {
     EXPECT_TRUE(std::isfinite(soa.latent_quality(slot)))
         << what << " slot " << slot;
   }
+  expect_finite_estimates("after the step");
 }
 
 TEST(CheckpointFuzz, CorpusWalksAndRoundTrips) {
@@ -225,7 +234,7 @@ TEST(CheckpointFuzz, CorpusWalksAndRoundTrips) {
   EXPECT_EQ(layout.streams.size(),
             static_cast<std::size_t>(fuzz_scenario().num_workers));
   Rig rig(fuzz_scenario(), {});
-  std::istringstream in(corpus);
+  binio::Reader in(corpus);
   rig.platform.load(in);
   EXPECT_TRUE(rig.platform.is_withdrawn(rig.platform.worker_state().ids()[4]));
   std::ostringstream again;
@@ -242,7 +251,7 @@ TEST(CheckpointFuzz, MutantsLoadAndStepOrThrowRuntimeError) {
   for (int k = 0; k < kBudget; ++k) {
     const std::string mutant = mutate(corpus, counts, rng);
     Rig rig(fuzz_scenario(), {});
-    std::istringstream in(mutant);
+    binio::Reader in(mutant);
     try {
       rig.platform.load(in);
     } catch (const std::runtime_error&) {
@@ -253,7 +262,7 @@ TEST(CheckpointFuzz, MutantsLoadAndStepOrThrowRuntimeError) {
       continue;
     }
     ++accepted;
-    expect_steps_on_finite_latents(rig.platform, "mutant " + std::to_string(k));
+    expect_steps_on_finite_latents(rig, "mutant " + std::to_string(k));
   }
   // Flips inside stream generators, utilities and the RNG state are
   // well-formed snapshots of a different platform: some mutants load.
@@ -321,7 +330,7 @@ TEST(CheckpointFuzz, TrajectoryFieldRewritesLoadAndStepOrThrow) {
        }}};
 
   const auto load = [](const std::string& blob, Rig& rig) {
-    std::istringstream in(blob);
+    binio::Reader in(blob);
     rig.platform.load(in);
   };
   for (const std::size_t at : {streams.front(), streams.back()}) {
@@ -342,7 +351,7 @@ TEST(CheckpointFuzz, TrajectoryFieldRewritesLoadAndStepOrThrow) {
         continue;
       }
       for (int r = 0; r < 10; ++r) {  // past the scenario's horizon too
-        expect_steps_on_finite_latents(rig.platform, name);
+        expect_steps_on_finite_latents(rig, name);
       }
     }
   }
@@ -359,7 +368,7 @@ TEST(CheckpointFuzz, RepeatedWorkerIdIsRefused) {
     std::string mutant = corpus;
     mutant.replace(id_at(k), 4, corpus, id_at(j), 4);
     Rig rig(fuzz_scenario(), {});
-    std::istringstream in(mutant);
+    binio::Reader in(mutant);
     EXPECT_THROW(rig.platform.load(in), std::runtime_error)
         << "worker " << k << " given worker " << j << "'s id";
     EXPECT_EQ(rig.platform.worker_state().size(), 0u);

@@ -18,6 +18,7 @@
 #include "estimators/melody_estimator.h"
 #include "obs/metrics.h"
 #include "perf/reference.h"
+#include "util/binio.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -69,9 +70,9 @@ std::string reference_snapshot(const MelodyEstimatorConfig& config) {
       if (join_run(w) <= run) chain.observe(w, scores_for(w, run));
     }
   }
-  std::ostringstream out;
+  util::binio::Writer out;
   chain.save(out);
-  return out.str();
+  return out.take();
 }
 
 /// The production estimator through observe_run, in registration order on

@@ -463,10 +463,11 @@ TEST(QualityEstimatorTest, PolymorphicSaveLoadRoundTripsAllEstimators) {
     // count of 10^14 with no records behind it. It must fail as malformed
     // input (runtime_error), never by sizing an allocation from the count
     // (bad_alloc / length_error).
-    std::stringstream hostile;
-    hostile << snapshot.str().substr(0, 12);
-    util::binio::write_u64(hostile, 100'000'000'000'000ull);
-    EXPECT_THROW(make_all()[e]->load(hostile), std::runtime_error)
+    util::binio::Writer hostile;
+    hostile.write_raw(snapshot.str().substr(0, 12));
+    hostile.write_u64(100'000'000'000'000ull);
+    util::binio::Reader in(hostile.bytes());
+    EXPECT_THROW(make_all()[e]->load_from(in), std::runtime_error)
         << original.name();
   }
 }
@@ -480,6 +481,69 @@ TEST(QualityEstimatorTest, SaveLoadRejectsForeignHeader) {
   source.save(snapshot);
   MlAllRunsEstimator wrong(5.5);
   EXPECT_THROW(wrong.load(snapshot), std::runtime_error);
+}
+
+// An estimator with only the pure virtuals: the base save/load and
+// save_to/load_from forward to each other.
+class BareEstimator final : public QualityEstimator {
+ public:
+  void register_worker(auction::WorkerId) override {}
+  void observe(auction::WorkerId, const lds::ScoreSet&) override {}
+  double estimate(auction::WorkerId) const override { return 0.0; }
+  std::string name() const override { return "bare"; }
+};
+
+// Overrides only the stream pair, as a decorating wrapper does.
+class StreamOnlyWrapper final : public QualityEstimator {
+ public:
+  explicit StreamOnlyWrapper(QualityEstimator& inner) : inner_(inner) {}
+  void register_worker(auction::WorkerId id) override {
+    inner_.register_worker(id);
+  }
+  void observe(auction::WorkerId id, const lds::ScoreSet& s) override {
+    inner_.observe(id, s);
+  }
+  double estimate(auction::WorkerId id) const override {
+    return inner_.estimate(id);
+  }
+  std::string name() const override { return inner_.name(); }
+  void save(std::ostream& out) const override { inner_.save(out); }
+  void load(std::istream& in) override { inner_.load(in); }
+
+ private:
+  QualityEstimator& inner_;
+};
+
+TEST(QualityEstimatorPersistence, OverridingNeitherPairThrowsLogicError) {
+  BareEstimator bare;
+  util::binio::Writer out;
+  EXPECT_THROW(bare.save_to(out), std::logic_error);
+  std::ostringstream stream;
+  EXPECT_THROW(bare.save(stream), std::logic_error);
+  const std::string bytes = "MLDYSTAT";
+  util::binio::Reader in(bytes);
+  EXPECT_THROW(bare.load_from(in), std::logic_error);
+  std::istringstream source(bytes);
+  EXPECT_THROW(bare.load(source), std::logic_error);
+}
+
+TEST(QualityEstimatorPersistence, StreamOnlyWrapperForwardsBothWays) {
+  MelodyEstimator inner;
+  for (auction::WorkerId id : {3, 1}) inner.register_worker(id);
+  inner.observe(3, lds::ScoreSet::from(std::vector<double>{6.0, 7.0}));
+  StreamOnlyWrapper wrapper(inner);
+  util::binio::Writer direct;
+  inner.save_to(direct);
+  util::binio::Writer forwarded;
+  wrapper.save_to(forwarded);
+  EXPECT_EQ(forwarded.bytes(), direct.bytes());
+
+  MelodyEstimator target;
+  StreamOnlyWrapper loader(target);
+  util::binio::Reader in(forwarded.bytes());
+  loader.load_from(in);
+  EXPECT_EQ(target.estimate(3), inner.estimate(3));
+  EXPECT_EQ(target.estimate(1), inner.estimate(1));
 }
 
 }  // namespace

@@ -15,6 +15,7 @@
 #include "auction/melody_auction.h"
 #include "estimators/melody_estimator.h"
 #include "sim/platform.h"
+#include "util/binio.h"
 #include "util/thread_pool.h"
 
 namespace melody::sim {
@@ -123,7 +124,7 @@ std::vector<RunRecord> run_incremental_resumed(const LongTermScenario& s,
     checkpoint = snap.str();
   }
   Rig rig(s, {});
-  std::istringstream snap(checkpoint);
+  util::binio::Reader snap(checkpoint);
   rig.platform.load(snap);
   EXPECT_TRUE(rig.platform.bid_book().empty());
   EXPECT_EQ(rig.platform.current_run(), interrupt_after + 1);
@@ -171,10 +172,10 @@ TEST(IncrementalAuction, WithdrawnWorkersSitOutAndSurviveResume) {
     EXPECT_TRUE(rig.platform.is_withdrawn(victim));
     std::vector<RunRecord> records;
     if (through_snapshot) {
-      std::ostringstream snap;
+      util::binio::Writer snap;
       rig.platform.save(snap);
       Rig restored(scenario, {});
-      std::istringstream in(snap.str());
+      util::binio::Reader in(snap.bytes());
       restored.platform.load(in);
       EXPECT_TRUE(restored.platform.is_withdrawn(victim));
       return restored.platform.run_all();

@@ -6,9 +6,11 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <stdexcept>
 #include <vector>
 
 #include "auction/bid_book.h"
+#include "auction/random_auction.h"
 
 namespace melody::auction {
 namespace {
@@ -186,6 +188,42 @@ TEST(MelodyAuction, InvalidWorkersIgnored) {
   const auto result = auction.run({workers, tasks, open_config(100.0)});
   ASSERT_EQ(result.assignments.size(), 1u);
   EXPECT_EQ(result.assignments[0].worker, 3);
+}
+
+TEST(MelodyAuction, NonFiniteBudgetOrThresholdIsRejectedByEveryMechanism) {
+  // A NaN or infinite budget never stops the commit stage (the auction
+  // would pay for every task it can cover), and a NaN or -inf threshold
+  // counts a task as satisfied: run() refuses both on the span and the
+  // book path, for every mechanism, before ranking anything.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  const auto workers = four_workers(1);
+  BidBook book;
+  for (const WorkerProfile& w : workers) book.upsert(w);
+  const std::vector<Task> finite_tasks{{0, 6.0}, {1, 4.0}};
+  MelodyAuction melody;
+  RandomAuction random(7);
+  for (Mechanism* mechanism : {static_cast<Mechanism*>(&melody),
+                               static_cast<Mechanism*>(&random)}) {
+    SCOPED_TRACE(mechanism->name());
+    EXPECT_NO_THROW(mechanism->run({workers, finite_tasks, open_config(10.0)}));
+    for (const double budget : {kNaN, kInf, -kInf}) {
+      EXPECT_THROW(
+          mechanism->run({workers, finite_tasks, open_config(budget)}),
+          std::invalid_argument)
+          << "budget " << budget;
+      AuctionContext from_book{{}, finite_tasks, open_config(budget)};
+      from_book.book = &book;
+      EXPECT_THROW(mechanism->run(from_book), std::invalid_argument)
+          << "budget " << budget << " from the book";
+    }
+    for (const double threshold : {kNaN, kInf, -kInf}) {
+      const std::vector<Task> tasks{{0, 6.0}, {1, threshold}};
+      EXPECT_THROW(mechanism->run({workers, tasks, open_config(10.0)}),
+                   std::invalid_argument)
+          << "threshold " << threshold;
+    }
+  }
 }
 
 TEST(MelodyAuction, NonFiniteBidIsNotAdmittedOnSpanOrBookPath) {

@@ -172,6 +172,28 @@ TEST(MelodyFacade, EndRunMatchesPerWorkerObserve) {
   EXPECT_EQ(facade_bytes.str(), reference_bytes.str());
 }
 
+TEST(MelodyFacade, SubmitScoresRefusesSumsNoSnapshotCouldHold) {
+  Melody platform(open_options());
+  platform.register_worker(1);
+  lds::ScoreSet huge;
+  huge.add(1e155);  // its square overflows
+  EXPECT_THROW(platform.submit_scores(1, huge), std::invalid_argument);
+  lds::ScoreSet large;
+  large.add(1e154);  // finite square, but two of them overflow
+  platform.submit_scores(1, large);
+  EXPECT_THROW(platform.submit_scores(1, large), std::invalid_argument);
+  EXPECT_THROW(platform.submit_scores(1, {-3, 0.0, 0.0}),
+               std::invalid_argument);
+
+  platform.end_run();
+  std::stringstream snapshot;
+  platform.save(snapshot);
+  Melody restored(open_options());
+  ASSERT_NO_THROW(restored.load(snapshot));
+  EXPECT_DOUBLE_EQ(restored.estimated_quality(1),
+                   platform.estimated_quality(1));
+}
+
 TEST(MelodyFacade, SnapshotRoundTripResumesPlatform) {
   Melody original(open_options());
   const std::vector<BidSubmission> bids{{1, {1.0, 3}}, {2, {1.2, 3}},

@@ -2,9 +2,12 @@
 // where the old one stopped.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "estimators/melody_estimator.h"
 #include "util/binio.h"
@@ -102,24 +105,83 @@ TEST(Serialization, TruncatedInputRejected) {
   EXPECT_THROW(e.load(truncated), std::runtime_error);
 }
 
+/// A one-worker MLDYTRKR blob: the seven f64 fields (posterior, anchor,
+/// a, gamma, eta), the four i32 run counters and the history's score sets.
+std::string one_record_blob(const std::array<double, 7>& fields,
+                            const std::array<int, 4>& counters = {},
+                            const std::vector<lds::ScoreSet>& history = {}) {
+  util::binio::Writer out;
+  out.write_header(MelodyEstimator::kBlobMagic, MelodyEstimator::kBlobVersion);
+  out.write_u64(1);
+  out.write_i32(0);
+  for (const double v : fields) out.write_f64(v);
+  for (const int v : counters) out.write_i32(v);
+  out.write_u32(static_cast<std::uint32_t>(history.size()));
+  for (const lds::ScoreSet& set : history) {
+    out.write_i32(set.count);
+    out.write_f64(set.sum);
+    out.write_f64(set.sum_squares);
+  }
+  return out.take();
+}
+
+constexpr std::array<double, 7> kValidFields = {5.5, 2.25, 5.5, 2.25,
+                                                1.0, 1.0,  9.0};
+
+void load_blob(MelodyEstimator& e, const std::string& blob) {
+  util::binio::Reader in(blob);
+  e.load_from(in);
+}
+
 TEST(Serialization, CorruptParamsRejected) {
   // One well-formed record whose gamma is negative.
-  namespace binio = util::binio;
-  std::stringstream bad;
-  binio::write_header(bad, MelodyEstimator::kBlobMagic,
-                      MelodyEstimator::kBlobVersion);
-  binio::write_u64(bad, 1);
-  binio::write_i32(bad, 0);
-  for (const double v : {5.5, 2.25, 5.5, 2.25, 1.0, -1.0, 9.0}) {
-    binio::write_f64(bad, v);
-  }
-  for (int k = 0; k < 4; ++k) binio::write_i32(bad, 0);
-  binio::write_u32(bad, 0);
-  ASSERT_EQ(bad.str().size(), 20u + 80u);  // header + count, one record
+  std::array<double, 7> fields = kValidFields;
+  fields[5] = -1.0;
+  const std::string bad = one_record_blob(fields);
+  ASSERT_EQ(bad.size(), 20u + 80u);  // header + count, one record
   MelodyEstimator e;
   // Invalid hyper-parameters in a blob are malformed input: runtime_error,
-  // per QualityEstimator::load's contract.
-  EXPECT_THROW(e.load(bad), std::runtime_error);
+  // per QualityEstimator's load contract.
+  EXPECT_THROW(load_blob(e, bad), std::runtime_error);
+  MelodyEstimator good;
+  load_blob(good, one_record_blob(kValidFields, {1, 2, 1, 0},
+                                  {{2, 11.0, 60.5}, {0, 0.0, 0.0}}));
+  EXPECT_EQ(good.estimate(0), 5.5);
+}
+
+TEST(Serialization, NonFiniteFieldsAndNegativeCountsRejected) {
+  // NaN passes every ordered comparison of the range checks; a NaN or
+  // infinite field, a negative count or a non-finite score sum would
+  // otherwise load and make estimate() NaN.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (std::size_t field = 0; field < kValidFields.size(); ++field) {
+    for (const double value : {nan, inf, -inf}) {
+      std::array<double, 7> fields = kValidFields;
+      fields[field] = value;
+      MelodyEstimator e;
+      EXPECT_THROW(load_blob(e, one_record_blob(fields)), std::runtime_error)
+          << "field " << field << " = " << value;
+    }
+  }
+  for (std::size_t counter = 0; counter < 4; ++counter) {
+    std::array<int, 4> counters = {1, 1, 1, 1};
+    counters[counter] = -1;
+    MelodyEstimator e;
+    EXPECT_THROW(load_blob(e, one_record_blob(kValidFields, counters)),
+                 std::runtime_error)
+        << "counter " << counter;
+  }
+  for (const lds::ScoreSet& set :
+       {lds::ScoreSet{-3, 12.0, 50.0}, lds::ScoreSet{2, nan, 50.0},
+        lds::ScoreSet{2, 11.0, inf}, lds::ScoreSet{1, -inf, 4.0}}) {
+    MelodyEstimator e;
+    EXPECT_THROW(load_blob(e, one_record_blob(kValidFields, {1, 1, 1, 0},
+                                              {{1, 5.0, 25.0}, set})),
+                 std::runtime_error)
+        << "score set " << set.count << " " << set.sum << " "
+        << set.sum_squares;
+  }
 }
 
 TEST(Serialization, OldFormatVersionRejected) {
@@ -137,11 +199,11 @@ TEST(Serialization, OldFormatVersionRejected) {
     EXPECT_NE(what.find("version 3"), std::string::npos) << what;
   }
   // A binary header at another version is refused with that version named.
-  std::stringstream old_version;
-  util::binio::write_header(old_version, MelodyEstimator::kBlobMagic, 2);
-  util::binio::write_u64(old_version, 0);
+  util::binio::Writer old_version;
+  old_version.write_header(MelodyEstimator::kBlobMagic, 2);
+  old_version.write_u64(0);
   try {
-    e.load(old_version);
+    load_blob(e, old_version.bytes());
     FAIL() << "version 2 must not load";
   } catch (const std::runtime_error& error) {
     EXPECT_NE(std::string(error.what()).find("unsupported version 2"),

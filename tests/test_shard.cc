@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -558,6 +559,22 @@ TEST(ServiceConfigFlags, ValidateRejectsUnusableShardCounts) {
   config = shard_config(1);
   config.estimator = "nonsense";
   EXPECT_THROW(config.validate(), std::invalid_argument);
+}
+
+TEST(ServiceConfigFlags, ValidateRejectsNonFiniteBudgets) {
+  for (const double budget : {std::numeric_limits<double>::quiet_NaN(),
+                              std::numeric_limits<double>::infinity(), -1.0}) {
+    ServiceConfig config = shard_config(1);
+    config.scenario.budget = budget;
+    EXPECT_THROW(config.validate(), std::invalid_argument) << budget;
+  }
+  for (const char* budget : {"nan", "inf"}) {
+    const char* argv[] = {"melody_serve", "--budget", budget};
+    const util::Flags flags(static_cast<int>(std::size(argv)), argv);
+    EXPECT_THROW(ServiceConfig::from_flags(flags).validate(),
+                 std::invalid_argument)
+        << budget;
+  }
 }
 
 TEST(EstimatorFactory, KnownKindsConstructUnknownIsNull) {

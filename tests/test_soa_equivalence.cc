@@ -32,6 +32,7 @@
 #include "perf/reference.h"
 #include "sim/platform.h"
 #include "sim/scenario.h"
+#include "util/binio.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -183,7 +184,7 @@ LatticeDigest run_lattice(int threads, bool with_faults) {
   estimators::MelodyEstimator resumed_estimator(tracker_config(scenario));
   auction::MelodyAuction resumed_mechanism;
   Platform resumed(scenario, resumed_mechanism, resumed_estimator, {}, 0);
-  std::istringstream in(checkpoint_bytes);
+  util::binio::Reader in(checkpoint_bytes);
   resumed.load(in);
   std::vector<RunRecord> tail;
   while (!resumed.finished()) tail.push_back(resumed.step());
@@ -323,12 +324,13 @@ TEST(SoaIncremental, InterleavedJoinsRebidsAndRunsMatchASnapshotRoundTrip) {
         when += " run";
         break;
     }
-    std::stringstream snapshot;
+    util::binio::Writer snapshot;
     platform.save(snapshot);
     auction::MelodyAuction fresh_mechanism;
     estimators::MelodyEstimator fresh_estimator(tracker_config(scenario));
     Platform fresh(scenario, fresh_mechanism, fresh_estimator, {}, 42);
-    fresh.load(snapshot);
+    util::binio::Reader in(snapshot.bytes());
+    fresh.load(in);
     expect_same_store(platform.worker_state(), fresh.worker_state(), when);
     if (HasFatalFailure()) return;
   }
@@ -469,11 +471,11 @@ TEST(SoaKalmanProperty, ChainStateMatchesAosReferenceWithEmAndWindow) {
   for (int w = 0; w < kWorkers; ++w) {
     EXPECT_EQ(soa.estimate(w), scalar.estimate(w)) << "worker " << w;
   }
-  std::ostringstream soa_snapshot;
-  std::ostringstream scalar_snapshot;
-  soa.save(soa_snapshot);
+  util::binio::Writer soa_snapshot;
+  util::binio::Writer scalar_snapshot;
+  soa.save_to(soa_snapshot);
   scalar.save(scalar_snapshot);
-  EXPECT_EQ(soa_snapshot.str(), scalar_snapshot.str());
+  EXPECT_EQ(soa_snapshot.bytes(), scalar_snapshot.bytes());
 }
 
 TEST(SoaKalmanProperty, ShardedObserveRunMatchesAosReferenceAt8Threads) {
@@ -508,11 +510,11 @@ TEST(SoaKalmanProperty, ShardedObserveRunMatchesAosReferenceAt8Threads) {
     }
   }
   util::set_shared_thread_count(1);
-  std::ostringstream soa_snapshot;
-  std::ostringstream scalar_snapshot;
-  soa.save(soa_snapshot);
+  util::binio::Writer soa_snapshot;
+  util::binio::Writer scalar_snapshot;
+  soa.save_to(soa_snapshot);
   scalar.save(scalar_snapshot);
-  EXPECT_EQ(soa_snapshot.str(), scalar_snapshot.str());
+  EXPECT_EQ(soa_snapshot.bytes(), scalar_snapshot.bytes());
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -24,6 +25,7 @@
 #include "svc/service.h"
 #include "svc/session.h"
 #include "svc/wire.h"
+#include "util/binio.h"
 #include "util/rng.h"
 #include "wire_corpus.h"
 
@@ -196,11 +198,12 @@ TEST(SessionRegistry, SaveLoadRoundTripPreservesOrderAndBids) {
   registry.count_bid(1);
   registry.count_bid(1);
 
-  std::stringstream buffer;
+  util::binio::Writer buffer;
   registry.save(buffer);
   SessionRegistry loaded;
   loaded.intern("stale");  // load must replace wholesale
-  loaded.load(buffer);
+  util::binio::Reader in(buffer.bytes());
+  loaded.load(in);
 
   EXPECT_EQ(loaded.size(), 3u);
   EXPECT_EQ(loaded.find("alice").value(), 1);
@@ -217,20 +220,21 @@ TEST(SessionRegistry, LoadRejectsNextIdNotAboveEveryBoundId) {
   registry.bind("w0", 0);
   registry.bind("w1", 1);
   registry.bind("w2", 2);
-  std::stringstream buffer;
+  util::binio::Writer buffer;
   registry.save(buffer);
-  std::string blob = buffer.str();
+  std::string blob = buffer.take();
   // The blob ends with the next id as a little-endian i32: 3 -> 1.
   ASSERT_EQ(blob.substr(blob.size() - 4), std::string("\x03\0\0\0", 4));
   blob.replace(blob.size() - 4, 4, std::string("\x01\0\0\0", 4));
-  std::istringstream corrupt(blob);
+  util::binio::Reader corrupt(blob);
   SessionRegistry loaded;
   EXPECT_THROW(loaded.load(corrupt), std::runtime_error);
 }
 
 TEST(SessionRegistry, LoadRejectsGarbage) {
   SessionRegistry registry;
-  std::istringstream garbage("definitely not a registry blob");
+  util::binio::Reader garbage(
+      std::string_view("definitely not a registry blob"));
   EXPECT_THROW(registry.load(garbage), std::runtime_error);
 }
 
@@ -562,6 +566,40 @@ TEST(AuctionService, WithdrawalSurvivesSaveAndLoadWithoutRolling) {
   ASSERT_TRUE(restored.apply(run_now).ok);
   EXPECT_TRUE(book.contains(2));
   EXPECT_EQ(book.size(), 8u);
+}
+
+TEST(AuctionService, PostScoresOutsideTheScoreRangeAreRefused) {
+  // A score the platform's range [1, 10] cannot produce is refused before
+  // it reaches the estimator: 1e155 squared, or two scores of 1e308
+  // summed, would store an infinite sum that no checkpoint could load.
+  AuctionService service(tiny_config());
+  Request post;
+  post.op = Op::kPostScores;
+  post.id = 1;
+  post.worker = "w2";
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const std::vector<double>& scores :
+       {std::vector<double>{1e155}, {1e308, 1e308}, {nan}, {0.5}, {10.5},
+        {5.0, -1.0}}) {
+    post.scores = scores;
+    const Response refused = service.apply(post);
+    EXPECT_FALSE(refused.ok) << scores.front();
+    EXPECT_NE(refused.error.find("score range"), std::string::npos);
+  }
+  post.scores = {1.0, 7.5, 10.0};
+  ASSERT_TRUE(service.apply(post).ok);
+
+  std::ostringstream saved;
+  service.save_state(saved);
+  AuctionService restored(tiny_config());
+  std::istringstream in(saved.str());
+  ASSERT_NO_THROW(restored.load_state(in));
+  Request query;
+  query.op = Op::kQueryWorker;
+  query.id = 2;
+  query.worker = "w2";
+  EXPECT_EQ(restored.apply(query).fields.number("estimate"),
+            service.apply(query).fields.number("estimate"));
 }
 
 TEST(AuctionService, QueryRunBoundsAndStats) {

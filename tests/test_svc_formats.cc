@@ -185,11 +185,9 @@ TEST(CheckpointFormat, RejectsBadMagicVersionAndTruncation) {
     AuctionService victim(small_config());
     EXPECT_THROW(victim.load_state(in), std::runtime_error);
   }
-  // Truncation at a sweep of prefixes must throw, never half-load.
-  for (const std::size_t keep :
-       {std::size_t{0}, std::size_t{4}, std::size_t{11}, bytes.size() / 4,
-        bytes.size() / 2, bytes.size() - 1}) {
-    std::istringstream in(bytes.substr(0, keep));
+  // Truncation at every prefix must throw.
+  for (std::size_t keep = 0; keep < bytes.size(); ++keep) {
+    util::binio::Reader in(std::string_view(bytes).substr(0, keep));
     AuctionService victim(small_config());
     EXPECT_THROW(victim.load_state(in), std::runtime_error)
         << "prefix " << keep << " of " << bytes.size();
@@ -224,9 +222,8 @@ TEST(MigrationFormat, RoundTripsAndRejectsCorruption) {
     AuctionService victim(small_config());
     EXPECT_THROW(victim.load_migration(in), std::runtime_error);
   }
-  for (const std::size_t keep :
-       {std::size_t{3}, std::size_t{10}, bytes.size() / 3, bytes.size() - 2}) {
-    std::istringstream in(bytes.substr(0, keep));
+  for (std::size_t keep = 0; keep < bytes.size(); ++keep) {
+    util::binio::Reader in(std::string_view(bytes).substr(0, keep));
     AuctionService victim(small_config());
     EXPECT_THROW(victim.load_migration(in), std::runtime_error)
         << "prefix " << keep << " of " << bytes.size();
@@ -261,8 +258,8 @@ TEST(ResumeCheckpoint, TraceHeaderPinsTheResumePath) {
 /// The u32 version field behind an 8-byte magic, read from a real blob.
 int blob_version(const std::string& bytes, std::string_view magic) {
   EXPECT_EQ(bytes.substr(0, 8), magic);
-  std::istringstream in(bytes.substr(8, 4));
-  return static_cast<int>(util::binio::read_u32(in, "version"));
+  util::binio::Reader in(std::string_view(bytes).substr(8, 4));
+  return static_cast<int>(in.read_u32("version"));
 }
 
 TEST(BuildInfo, PinsEveryFormatVersion) {
