@@ -2,17 +2,19 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <istream>
-#include <limits>
-#include <sstream>
 #include <ostream>
 #include <stdexcept>
 #include <string>
 #include <unordered_set>
 
 #include "obs/sink.h"
+#include "util/binio.h"
 
 namespace melody::core {
+
+namespace binio = util::binio;
 
 Melody::Melody(MelodyOptions options)
     : options_(std::move(options)), tracker_(options_.tracker) {}
@@ -93,48 +95,55 @@ int Melody::end_run() {
   return ++completed_runs_;
 }
 
-namespace {
-constexpr char kPlatformHeader[] = "MELODY_PLATFORM v1";
-}
-
 void Melody::save(std::ostream& out) const {
   if (!pending_scores_.empty()) {
     throw std::runtime_error(
         "Melody::save: scores pending in an open run; call end_run() first");
   }
-  out << kPlatformHeader << '\n'
-      << completed_runs_ << ' ' << registered_.size() << '\n';
-  for (auction::WorkerId id : registered_) out << id << ' ';
-  out << '\n';
-  tracker_.save(out);
-  if (!out) throw std::runtime_error("Melody::save: write failed");
+  binio::write_stream(out, "Melody::save", [this](binio::Writer& w) {
+    w.write_header(kSnapshotMagic, kSnapshotVersion);
+    w.write_i32(completed_runs_);
+    w.write_u64(registered_.size());
+    for (const auction::WorkerId id : registered_) w.write_i32(id);
+    w.write_blob([this](binio::Writer& body) { tracker_.save_to(body); });
+  });
 }
 
 void Melody::load(std::istream& in) {
-  std::string header;
-  std::getline(in, header);
-  if (header != kPlatformHeader) {
-    throw std::runtime_error("Melody::load: bad snapshot header");
-  }
-  int completed = 0;
-  std::size_t registered_count = 0;
-  if (!(in >> completed >> registered_count) || completed < 0) {
-    throw std::runtime_error("Melody::load: malformed counters");
-  }
-  in.ignore(std::numeric_limits<std::streamsize>::max(), '\n');
-  std::string registry_line;
-  std::getline(in, registry_line);
-  std::istringstream registry(registry_line);
-  std::vector<auction::WorkerId> registered(registered_count);
-  for (auction::WorkerId& id : registered) {
-    if (!(registry >> id)) {
-      throw std::runtime_error("Melody::load: truncated worker registry");
+  binio::read_stream(in, "Melody::load", [this](binio::Reader& r) {
+    r.read_header(kSnapshotMagic, kSnapshotVersion);
+    const std::int32_t completed = r.read_i32("Melody::load: run count");
+    if (completed < 0) {
+      throw std::runtime_error("Melody::load: negative run count");
     }
-  }
-  tracker_.load(in);
-  registered_ = std::move(registered);
-  completed_runs_ = completed;
-  pending_scores_.clear();
+    const std::uint64_t count = r.read_u64("Melody::load: registry size");
+    std::vector<auction::WorkerId> registered;
+    r.reserve(registered, count, sizeof(std::int32_t),
+              "Melody::load: registry size");
+    for (std::uint64_t i = 0; i < count; ++i) {
+      registered.push_back(r.read_i32("Melody::load: registry"));
+    }
+    binio::Reader blob(r.read_bytes("Melody::load: tracker"));
+    estimators::MelodyEstimator tracker(options_.tracker);
+    tracker.load_from(blob);
+    // end_run observes the registry against the tracker: each id once,
+    // and every id a worker the tracker holds.
+    std::unordered_set<auction::WorkerId> seen;
+    for (const auction::WorkerId id : registered) {
+      if (!seen.insert(id).second) {
+        throw std::runtime_error("Melody::load: worker " + std::to_string(id) +
+                                 " registered twice");
+      }
+      if (!tracker.contains(id)) {
+        throw std::runtime_error("Melody::load: worker " + std::to_string(id) +
+                                 " unknown to the tracker");
+      }
+    }
+    tracker_ = std::move(tracker);
+    registered_ = std::move(registered);
+    completed_runs_ = completed;
+    pending_scores_.clear();
+  });
 }
 
 }  // namespace melody::core

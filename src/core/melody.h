@@ -12,9 +12,11 @@
 //   platform.end_run();
 #pragma once
 
+#include <cstdint>
 #include <iosfwd>
 #include <memory>
 #include <optional>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -79,13 +81,22 @@ class Melody {
   /// Access the underlying tracker (posterior/params inspection).
   const estimators::MelodyEstimator& tracker() const noexcept { return tracker_; }
 
+  /// Snapshot format (util/binio): magic "MLDYFACD", u32 version, i32
+  /// completed runs, u64 registry size, one i32 id per registered worker in
+  /// registration order, then the tracker's MLDYTRKR blob, length-prefixed
+  /// (version 1 was text).
+  static constexpr std::string_view kSnapshotMagic = "MLDYFACD";
+  static constexpr std::uint32_t kSnapshotVersion = 2;
+
   /// Persist the platform's learned state — run counter, worker registry,
   /// and the full tracker snapshot — so a restarted process resumes where
   /// this one stopped. Options are not saved: construct the new platform
   /// with the same MelodyOptions before load(). Scores pending in an open
   /// run are not part of a snapshot; call end_run() first.
-  /// Throws std::runtime_error on I/O failure, malformed input, or a
-  /// snapshot taken mid-run.
+  /// Throws std::runtime_error on I/O failure, malformed input (a registry
+  /// that repeats an id or names a worker the tracker lacks included),
+  /// or a snapshot taken mid-run. A load that throws leaves the platform
+  /// as it was.
   void save(std::ostream& out) const;
   void load(std::istream& in);
 

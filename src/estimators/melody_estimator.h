@@ -139,6 +139,8 @@ class MelodyEstimator final : public QualityEstimator {
 
   /// Number of registered workers (inspection/tests).
   std::size_t worker_count() const noexcept { return ids_.size(); }
+  /// True once `id` is registered.
+  bool contains(auction::WorkerId id) const { return index_.contains(id); }
 
  private:
   /// The Algorithm 3 filter update for the worker in dense slot `slot`:

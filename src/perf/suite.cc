@@ -834,14 +834,6 @@ BenchmarkResult bench_svc_serve_cluster(bool quick, int repeats) {
 
 }  // namespace
 
-std::vector<std::string> suite_bench_names() {
-  return {"greedy_scoring_100k", "greedy_incremental_100k",
-          "auction_scale_1m",    "kalman_chain",
-          "kalman_em_chain",     "platform_step",
-          "svc_serve",           "svc_serve_traced",
-          "svc_serve_sharded",   "svc_serve_cluster"};
-}
-
 std::string detect_git_sha() {
   FILE* pipe = ::popen("git rev-parse --short HEAD 2>/dev/null", "r");
   if (pipe == nullptr) return "unknown";
@@ -865,12 +857,6 @@ std::string current_date() {
 }
 
 PerfArtifact run_suite(const SuiteOptions& options, std::ostream& log) {
-  const std::vector<std::string> names = suite_bench_names();
-  for (const std::string& name : options.only) {
-    if (std::find(names.begin(), names.end(), name) == names.end()) {
-      throw std::invalid_argument("unknown benchmark '" + name + "'");
-    }
-  }
   const auto selected = [&](const std::string& name) {
     return options.only.empty() ||
            std::find(options.only.begin(), options.only.end(), name) !=
@@ -911,6 +897,14 @@ PerfArtifact run_suite(const SuiteOptions& options, std::ostream& log) {
       {"svc_serve_cluster",
        [&] { return bench_svc_serve_cluster(quick, repeats); }},
   };
+  for (const std::string& name : options.only) {
+    const auto named = [&name](const auto& bench) {
+      return bench.first == name;
+    };
+    if (std::none_of(matrix.begin(), matrix.end(), named)) {
+      throw std::invalid_argument("unknown benchmark '" + name + "'");
+    }
+  }
   for (const auto& [name, bench] : matrix) {
     if (!selected(name)) continue;
     BenchmarkResult result = bench();

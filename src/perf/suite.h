@@ -73,9 +73,6 @@ struct SuiteOptions {
   std::string git_sha;
 };
 
-/// The bench names in matrix order (CLI validation, tests).
-std::vector<std::string> suite_bench_names();
-
 /// Run the (filtered) matrix, logging one line per bench to `log`.
 /// Throws std::invalid_argument for an unknown name in options.only.
 PerfArtifact run_suite(const SuiteOptions& options, std::ostream& log);

@@ -169,33 +169,6 @@ PushResult ShardedService::submit(const Request& request,
                                   std::function<void(const Response&)> done,
                                   const obs::TraceContext& trace) {
   switch (request.op) {
-    case Op::kSubmitBid:
-    case Op::kUpdateBid:
-    case Op::kWithdrawBid:
-    case Op::kPostScores:
-    case Op::kQueryWorker: {
-      const int s = route(request.worker);
-      if (cluster_mode_ && !shard_active(s)) {
-        if (obs::enabled()) obs::registry().counter("cluster/not_owner").add();
-        done(Response::not_owner(request.id, s, routing_epoch()));
-        return PushResult::kOk;
-      }
-      return shards_[static_cast<std::size_t>(s)]->submit(
-          request, std::move(done), trace);
-    }
-    case Op::kQueryRun: {
-      if (request.shard < 0 || request.shard >= shard_count()) {
-        done(Response::failure(request.id, "query_run: shard out of range"));
-        return PushResult::kOk;
-      }
-      if (cluster_mode_ && !shard_active(request.shard)) {
-        if (obs::enabled()) obs::registry().counter("cluster/not_owner").add();
-        done(Response::not_owner(request.id, request.shard, routing_epoch()));
-        return PushResult::kOk;
-      }
-      return shards_[static_cast<std::size_t>(request.shard)]->submit(
-          request, std::move(done), trace);
-    }
     case Op::kCheckpoint:
       return submit_checkpoint(request, std::move(done), trace);
     case Op::kShardExport:
@@ -204,10 +177,22 @@ PushResult ShardedService::submit(const Request& request,
       return submit_shard_import(request, std::move(done), trace);
     case Op::kShutdown:
       shutdown_.store(true, std::memory_order_relaxed);
-      return broadcast(request, std::move(done), trace);
+      break;
     default:
-      return broadcast(request, std::move(done), trace);
+      break;
   }
+  const int s = routing_decision(request);
+  if (s == kShardBroadcast) return broadcast(request, std::move(done), trace);
+  if (s == kShardNone) {  // only query_run reaches here unroutable
+    done(Response::failure(request.id, "query_run: shard out of range"));
+    return PushResult::kOk;
+  }
+  if (cluster_mode_ && !shard_active(s)) {
+    if (obs::enabled()) obs::registry().counter("cluster/not_owner").add();
+    done(Response::not_owner(request.id, s, routing_epoch()));
+    return PushResult::kOk;
+  }
+  return shard(s).try_submit(request, std::move(done), trace);
 }
 
 int ShardedService::routing_decision(const Request& request) const {
@@ -219,10 +204,6 @@ int ShardedService::routing_decision(const Request& request) const {
     case Op::kQueryWorker:
       return route(request.worker);
     case Op::kQueryRun:
-      if (request.shard < 0 || request.shard >= shard_count()) {
-        return kShardNone;  // answered inline by submit()
-      }
-      return request.shard;
     case Op::kShardExport:
     case Op::kShardImport:
       if (request.shard < 0 || request.shard >= shard_count()) {
@@ -252,12 +233,11 @@ PushResult ShardedService::broadcast(
   }
   // All-or-nothing admission. The front end is the single regular
   // producer, so a free slot observed on every queue cannot be taken
-  // before we enqueue; the parts then go in with push_force (checkpoint
-  // tasks forced in concurrently must not fail a pre-checked broadcast).
+  // before we enqueue; the parts then go in with force_submit.
   for (const int s : targets) {
-    const auto& shard = shards_[static_cast<std::size_t>(s)];
-    if (shard->loop().queue_depth() >= shard->loop().queue_capacity()) {
-      shard->service().note_overload_reject();
+    PlatformShard& target = shard(s);
+    if (target.full()) {
+      target.service().note_overload_reject();
       return PushResult::kFull;
     }
   }
@@ -315,18 +295,10 @@ PushResult ShardedService::broadcast(
       if (fan->post) fan->post(merged);
       if (fan->done) fan->done(merged);
     };
-    // Forced enqueue of the pre-checked part: a task that applies the
-    // request on the consumer thread (ServiceLoop has no forced request
-    // path, and push_force must not fail a broadcast the capacity check
-    // above already admitted).
+    // Forced past capacity: the check above already admitted the part,
+    // and checkpoint tasks forced in concurrently must not fail it.
     const PushResult pushed =
-        shards_[static_cast<std::size_t>(s)]->submit_task(
-            [part, deliver, trace](AuctionService& service) mutable {
-              // Install the frame's root context so every shard's apply
-              // span parents on the same inbound frame.
-              obs::ScopedTraceContext install(trace);
-              deliver(service.apply(part));
-            });
+        shard(s).force_submit(std::move(part), deliver, trace);
     if (pushed != PushResult::kOk) {
       deliver(Response::failure(request.id, "shutting down"));
     }
@@ -700,9 +672,16 @@ void ShardedService::load_state(binio::Reader& in) {
         "svc: checkpoint shard count " + std::to_string(k) +
         " does not match the deployment's " + std::to_string(shard_count()));
   }
-  for (auto& shard : shards_) {
-    binio::Reader body(in.read_bytes("svc checkpoint shard snapshot"));
-    shard->service().load_state(body);
+  // Frame every body before any shard loads: a container cut short then
+  // fails here and leaves every shard as it was.
+  std::vector<std::string_view> bodies;
+  bodies.reserve(shards_.size());
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    bodies.push_back(in.read_bytes("svc checkpoint shard snapshot"));
+  }
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    binio::Reader body(bodies[s]);
+    shards_[s]->service().load_state(body);
   }
 }
 

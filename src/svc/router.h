@@ -1,14 +1,16 @@
 // ShardedService: the request router in front of K platform shards.
 //
-// Single-worker ops (submit_bid, post_scores, query_worker) route by
-// affinity: scenario names "w<g>" map to the contiguous range owner,
-// everything else (newcomers, foreign names) hashes deterministically so a
-// worker always lands on the same shard. query_run addresses a shard
-// explicitly through the request's "shard" field. Broadcast ops (hello,
-// submit_tasks, tick, run_now, stats, shutdown) fan out to every shard and
-// merge the K responses into one line — counts and budgets sum, "finished"
-// ANDs, run cursors take the max — so a K-shard deployment answers with
-// union-platform numbers.
+// routing_decision is the one routing table. Single-worker ops
+// (submit_bid, post_scores, query_worker) route by affinity: scenario
+// names "w<g>" map to the contiguous range owner, everything else
+// (newcomers, foreign names) hashes deterministically so a worker always
+// lands on the same shard. query_run addresses a shard explicitly through
+// the request's "shard" field. Broadcast ops (hello, submit_tasks, tick,
+// run_now, stats, shutdown) put one request envelope on every shard,
+// admitted all-or-nothing, and merge the K responses into one line:
+// counts and budgets sum, "finished" ANDs, run cursors take the max, so a
+// K-shard deployment answers with union-platform numbers. Every request is
+// applied by its shard's consumer step (svc/shard.h).
 //
 // Checkpoints compose: the router is the only writer and reader of
 // checkpoint files. It writes MLDYSVCK at kComposedCheckpointVersion — a
@@ -79,8 +81,9 @@ class ShardedService {
   /// NOT accepted anywhere and `done` will never run — send rejection().
   /// `done` may run on any shard's consumer thread (or inline, for
   /// requests the router answers itself). `trace` (optional) is the
-  /// inbound frame's root trace context; it rides the envelope (or the
-  /// fan-out task closures) so every shard-side span parents on the frame.
+  /// inbound frame's root trace context; it rides every envelope the
+  /// request puts on a shard queue, so every shard-side span parents on
+  /// the frame.
   PushResult submit(const Request& request,
                     std::function<void(const Response&)> done,
                     const obs::TraceContext& trace = {});
@@ -89,7 +92,7 @@ class ShardedService {
   /// ops and an in-range query_run, kShardBroadcast (see svc/trace_log.h)
   /// for fan-out ops (including checkpoint), kShardNone for a request the
   /// router answers inline (query_run with the shard out of range). Pure —
-  /// the trace recorder's routing column.
+  /// submit() routes by it and the trace recorder records it.
   int routing_decision(const Request& request) const;
 
   Response rejection(PushResult result, const Request& request) const;

@@ -1,8 +1,8 @@
 // AuctionService: the online serving runtime around sim::Platform. One
 // instance owns the full mechanism/estimator/platform stack and is driven
-// by a single thread (the event loop in svc/loop.h, or a test calling
-// apply() directly); thread-safety lives in the queue in front of it, not
-// here.
+// by a single thread (its PlatformShard's consumer in svc/shard.h, or a
+// test calling apply() directly); thread-safety lives in the shard's queue
+// in front of it, not here.
 //
 // Execution model: requests mutate accumulation state (pending bids via the
 // session registry + RunBatcher, accrued budget), and whenever the batch
@@ -64,23 +64,23 @@ class AuctionService {
   AuctionService(const AuctionService&) = delete;
   AuctionService& operator=(const AuctionService&) = delete;
 
-  /// Process one request. Must only be called from one thread (the event
-  /// loop). Never throws: client errors become ok:false responses.
+  /// Process one request. Must only be called from one thread (the shard's
+  /// consumer). Never throws: client errors become ok:false responses.
   Response apply(const Request& request);
 
   /// Fire any due batches without an attached request (deadline trigger
   /// while idle). Returns the number of runs executed.
   int poll_batches();
 
-  /// Real-clock mode: the event loop feeds elapsed seconds; the clock never
+  /// Real-clock mode: the consumer feeds elapsed seconds; the clock never
   /// goes backwards. No-op in manual-clock mode.
   void advance_clock(double seconds_since_start);
 
   /// Seconds until the batcher's deadline trigger fires (negative: none
-  /// pending) — the event loop's poll timeout hint.
+  /// pending) — the consumer's poll timeout hint.
   double seconds_until_deadline() const noexcept;
 
-  /// Loop-side statistics hooks (queue depth gauge, overload tally).
+  /// Queue-side statistics hooks (queue depth gauge, overload tally).
   void note_queue_depth(std::size_t depth);
   void note_overload_reject();
 
@@ -91,8 +91,8 @@ class AuctionService {
 
   /// Observe every run the platform executes (forwarded to
   /// Platform::set_run_hook). Sharded deployments feed cross-shard run
-  /// totals and checkpoint cadence through this; the hook runs on the loop
-  /// thread at the end of each step and must not call back into the
+  /// totals and checkpoint cadence through this; the hook runs on the
+  /// consumer thread at the end of each step and must not call back into the
   /// service.
   void set_run_hook(std::function<void(const sim::RunRecord&)> hook);
 

@@ -1,5 +1,7 @@
 #include "svc/shard.h"
 
+#include <algorithm>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -16,6 +18,17 @@ namespace {
 // explicit min_bids trigger so every split telescopes exactly.
 int slice_size(int total, int shards, int index) {
   return total / shards + (index < total % shards ? 1 : 0);
+}
+
+// Poll timeout while idle: short enough that shutdown and real-clock
+// deadline checks stay responsive, long enough not to spin.
+constexpr std::chrono::milliseconds kIdleTick{50};
+
+void feed_clock(AuctionService& service,
+                std::chrono::steady_clock::time_point epoch) {
+  service.advance_clock(
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - epoch)
+          .count());
 }
 
 }  // namespace
@@ -72,18 +85,19 @@ PlatformShard::PlatformShard(const ShardPlan& plan)
     : index_(plan.index),
       worker_offset_(plan.worker_offset),
       service_(plan.config),
-      loop_(service_, static_cast<std::size_t>(plan.config.queue_capacity)) {}
+      queue_(static_cast<std::size_t>(plan.config.queue_capacity)) {}
 
 PlatformShard::~PlatformShard() {
-  loop_.close();
+  queue_.close();
   join();
 }
 
-PushResult PlatformShard::submit(Request request,
-                                 std::function<void(const Response&)> done,
-                                 const obs::TraceContext& trace) {
-  const PushResult result =
-      loop_.try_submit(std::move(request), std::move(done), trace);
+PushResult PlatformShard::try_submit(Request request,
+                                     std::function<void(const Response&)> done,
+                                     const obs::TraceContext& trace) {
+  const PushResult result = queue_.try_push(
+      Envelope{std::move(request), std::move(done), nullptr, trace});
+  if (result != PushResult::kOk) service_.note_overload_reject();
   if (obs::enabled()) {
     const std::string& prefix = service_.config().obs_prefix;
     if (result == PushResult::kOk) {
@@ -101,9 +115,28 @@ PushResult PlatformShard::submit(Request request,
   return result;
 }
 
+PushResult PlatformShard::force_submit(
+    Request request, std::function<void(const Response&)> done,
+    const obs::TraceContext& trace) {
+  return queue_.push_force(
+      Envelope{std::move(request), std::move(done), nullptr, trace});
+}
+
 PushResult PlatformShard::submit_task(
     std::function<void(AuctionService&)> task) {
-  return loop_.submit_task(std::move(task));
+  return queue_.push_force(Envelope{Request{}, nullptr, std::move(task), {}});
+}
+
+Response PlatformShard::rejection(PushResult result,
+                                  const Request& request) const {
+  if (result == PushResult::kClosed) {
+    return Response::failure(request.id, "shutting down");
+  }
+  // Retry hint proportional to the backlog: a queue of N requests at a
+  // conservative ~10 ms each. Clients treat it as a floor, not a promise.
+  const std::int64_t retry_ms = std::max<std::int64_t>(
+      10, static_cast<std::int64_t>(queue_.capacity()) * 10);
+  return Response::overloaded(request.id, retry_ms);
 }
 
 void PlatformShard::set_run_sink(
@@ -119,12 +152,57 @@ void PlatformShard::set_run_sink(
 void PlatformShard::start() {
   if (started_) return;
   started_ = true;
-  thread_ = std::thread([this] { loop_.run(); });
+  thread_ = std::thread([this] { run(); });
 }
 
 void PlatformShard::join() {
   if (thread_.joinable()) thread_.join();
   started_ = false;
+}
+
+void PlatformShard::run() {
+  const auto epoch = std::chrono::steady_clock::now();
+  for (;;) {
+    feed_clock(service_, epoch);
+    // Wake early for a pending deadline batch so max_delay is honored even
+    // with an empty queue.
+    std::chrono::nanoseconds timeout = kIdleTick;
+    const double until = service_.seconds_until_deadline();
+    if (until >= 0.0) {
+      timeout = std::min<std::chrono::nanoseconds>(
+          timeout, std::chrono::duration_cast<std::chrono::nanoseconds>(
+                       std::chrono::duration<double>(std::max(until, 0.0))));
+    }
+    step(timeout, &epoch);
+    if (service_.shutdown_requested()) {
+      queue_.close();
+      if (queue_.size() == 0) break;
+    } else if (queue_.closed() && queue_.size() == 0) {
+      // Externally closed (SIGINT path): drain finished, stop.
+      service_.request_shutdown();
+      break;
+    }
+  }
+}
+
+bool PlatformShard::step(std::chrono::nanoseconds timeout,
+                         const std::chrono::steady_clock::time_point* epoch) {
+  std::optional<Envelope> envelope = queue_.pop_for(timeout);
+  if (epoch != nullptr) feed_clock(service_, *epoch);
+  if (!envelope.has_value()) {
+    service_.poll_batches();
+    return false;
+  }
+  service_.note_queue_depth(queue_.size());
+  if (envelope->task) {
+    envelope->task(service_);
+    return true;
+  }
+  // Install the frame's root context for the apply; free when inactive.
+  obs::ScopedTraceContext install(envelope->trace);
+  const Response response = service_.apply(envelope->request);
+  if (envelope->done) envelope->done(response);
+  return true;
 }
 
 }  // namespace melody::svc

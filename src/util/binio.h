@@ -1,7 +1,7 @@
 // Little-endian binary (de)serialization: the one codec behind every
 // saved-state format (MLDYCKPT platform snapshots, the MLDYSVCK and
-// MLDYMIGR service envelopes, the session registry and every estimator
-// blob).
+// MLDYMIGR service envelopes, the session registry, every estimator blob
+// and the MLDYFACD facade snapshot).
 //
 // Every state file is read and written whole, so a format body is built
 // and parsed in memory. A Writer appends fixed-width little-endian values

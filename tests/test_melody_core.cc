@@ -3,10 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "util/binio.h"
 #include "util/rng.h"
 
 namespace melody::core {
@@ -242,6 +245,73 @@ TEST(MelodyFacade, LoadRejectsBadHeader) {
   Melody platform(open_options());
   std::stringstream bad("WRONG\n0 0\n\n");
   EXPECT_THROW(platform.load(bad), std::runtime_error);
+}
+
+/// A facade snapshot in the documented layout: `count` as the registry
+/// size, then `ids`, then the tracker blob of `source`.
+std::string facade_snapshot(const Melody& source, std::uint64_t count,
+                            const std::vector<auction::WorkerId>& ids) {
+  util::binio::Writer w;
+  w.write_header(Melody::kSnapshotMagic, Melody::kSnapshotVersion);
+  w.write_i32(source.completed_runs());
+  w.write_u64(count);
+  for (const auction::WorkerId id : ids) w.write_i32(id);
+  w.write_blob(
+      [&source](util::binio::Writer& body) { source.tracker().save_to(body); });
+  return w.take();
+}
+
+/// Loads `bytes` into a platform that already has state of its own and
+/// expects std::runtime_error with that state left as it was.
+void expect_load_refused(const std::string& bytes) {
+  Melody victim(open_options());
+  victim.register_worker(7);
+  victim.end_run();
+  std::stringstream before;
+  victim.save(before);
+  std::stringstream in(bytes);
+  EXPECT_THROW(victim.load(in), std::runtime_error);
+  std::stringstream after;
+  victim.save(after);
+  EXPECT_EQ(after.str(), before.str());
+}
+
+Melody two_worker_platform() {
+  Melody platform(open_options());
+  platform.register_worker(1);
+  platform.register_worker(2);
+  platform.end_run();
+  return platform;
+}
+
+TEST(MelodyFacade, LoadRefusesARegistrySizeTheBytesCannotHold) {
+  const Melody source = two_worker_platform();
+  std::stringstream saved;
+  source.save(saved);
+  ASSERT_EQ(saved.str(), facade_snapshot(source, 2, {1, 2}));
+  // Sizing the registry from this count used to throw std::bad_alloc.
+  expect_load_refused(facade_snapshot(source, 4'000'000'000'000ull, {}));
+}
+
+TEST(MelodyFacade, LoadRefusesARepeatedWorkerId) {
+  const Melody source = two_worker_platform();
+  std::stringstream good(facade_snapshot(source, 2, {1, 2}));
+  Melody restored(open_options());
+  restored.load(good);
+  EXPECT_TRUE(restored.is_registered(2));
+  // With worker 1 listed twice every end_run would observe it twice and
+  // worker 2 never.
+  expect_load_refused(facade_snapshot(source, 2, {1, 1}));
+}
+
+TEST(MelodyFacade, LoadRefusesAWorkerTheTrackerDoesNotKnow) {
+  const Melody source = two_worker_platform();
+  std::stringstream good(facade_snapshot(source, 2, {2, 1}));
+  Melody restored(open_options());
+  restored.load(good);
+  EXPECT_EQ(restored.completed_runs(), 1);
+  // The next end_run would throw std::out_of_range for worker 3.
+  expect_load_refused(facade_snapshot(source, 2, {1, 3}));
 }
 
 TEST(MelodyFacade, QualificationIntervalsApplied) {

@@ -23,6 +23,7 @@
 #include "svc/router.h"
 #include "svc/service.h"
 #include "svc/shard.h"
+#include "util/binio.h"
 #include "util/flags.h"
 #include "util/rng.h"
 
@@ -415,6 +416,49 @@ TEST(ShardedCheckpoint, RestoreRejectsAPlainShardBodyNamingItsVersion) {
         << what;
   }
   std::remove(path.c_str());
+}
+
+TEST(ShardedCheckpoint, TruncatedContainerLeavesEveryShardUntouched) {
+  const ServiceConfig config = shard_config(2);
+  ShardedService source(config);
+  // Seven pending bids per shard: w0..w18 live on shard 0, w21..w39 on 1.
+  for (int w = 0; w < 42; w += 3) {
+    ASSERT_EQ(source.submit(bid_for(w, w + 1), [](const Response&) {}),
+              PushResult::kOk);
+  }
+  while (source.poll_once(std::chrono::nanoseconds{0})) {
+  }
+  util::binio::Writer composed;
+  source.save_state(composed);
+  const std::string bytes = composed.take();
+  util::binio::Writer shard0;
+  source.shard(0).service().save_state(shard0);
+  // Magic, version and shard count, then shard 0's length prefix and body.
+  const std::size_t shard0_end = 8 + 4 + 4 + 8 + shard0.bytes().size();
+
+  ShardedService victim(config);
+  const auto shard_bytes = [&victim] {
+    std::vector<std::string> out;
+    for (int s = 0; s < victim.shard_count(); ++s) {
+      util::binio::Writer body;
+      victim.shard(s).service().save_state(body);
+      out.push_back(body.take());
+    }
+    return out;
+  };
+  const std::vector<std::string> before = shard_bytes();
+  // Inside shard 0's body, right after it, inside shard 1's length
+  // prefix, and three bytes short of the end.
+  for (const std::size_t length :
+       {shard0_end - 5, shard0_end, shard0_end + 4, bytes.size() - 3}) {
+    util::binio::Reader in(std::string_view(bytes).substr(0, length));
+    EXPECT_THROW(victim.load_state(in), std::runtime_error) << length;
+    EXPECT_EQ(shard_bytes(), before) << "cut at " << length;
+  }
+  util::binio::Reader whole(bytes);
+  victim.load_state(whole);
+  EXPECT_EQ(victim.shard(0).service().batcher().pending_bids(), 7);
+  EXPECT_EQ(victim.shard(1).service().batcher().pending_bids(), 7);
 }
 
 // ------------------------------------------------------- broadcast merge --

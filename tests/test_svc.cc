@@ -19,11 +19,11 @@
 #include "sim/platform.h"
 #include "svc/batcher.h"
 #include "svc/frame.h"
-#include "svc/loop.h"
 #include "svc/protocol.h"
 #include "svc/queue.h"
 #include "svc/service.h"
 #include "svc/session.h"
+#include "svc/shard.h"
 #include "svc/wire.h"
 #include "util/binio.h"
 #include "util/rng.h"
@@ -294,7 +294,7 @@ TEST(ProtocolCodec, EveryOpNameRoundTripsThroughOpNamed) {
   EXPECT_EQ(op_named(""), std::nullopt);
 }
 
-// ----------------------------------------------------- loop backpressure --
+// ---------------------------------------------------- shard backpressure --
 
 ServiceConfig tiny_config() {
   ServiceConfig config;
@@ -315,46 +315,52 @@ Request bid_for(int worker, std::int64_t id) {
   return r;
 }
 
-TEST(ServiceLoop, FullQueueRejectsWithRetryAfter) {
-  AuctionService service(tiny_config());
-  ServiceLoop loop(service, 2);
+ShardPlan tiny_plan(int queue_capacity) {
+  ShardPlan plan;
+  plan.config = tiny_config();
+  plan.config.queue_capacity = queue_capacity;
+  return plan;
+}
+
+TEST(PlatformShard, FullQueueRejectsWithRetryAfter) {
+  PlatformShard shard(tiny_plan(2));
   std::vector<Response> responses;
   const auto capture = [&responses](const Response& r) {
     responses.push_back(r);
   };
 
-  EXPECT_EQ(loop.try_submit(bid_for(0, 1), capture), PushResult::kOk);
-  EXPECT_EQ(loop.try_submit(bid_for(1, 2), capture), PushResult::kOk);
-  const PushResult full = loop.try_submit(bid_for(2, 3), capture);
+  EXPECT_EQ(shard.try_submit(bid_for(0, 1), capture), PushResult::kOk);
+  EXPECT_EQ(shard.try_submit(bid_for(1, 2), capture), PushResult::kOk);
+  const PushResult full = shard.try_submit(bid_for(2, 3), capture);
   EXPECT_EQ(full, PushResult::kFull);
 
-  const Response rejection = loop.rejection(full, bid_for(2, 3));
+  const Response rejection = shard.rejection(full, bid_for(2, 3));
   EXPECT_FALSE(rejection.ok);
   EXPECT_EQ(rejection.error, "overloaded");
   EXPECT_EQ(rejection.id, 3);
   EXPECT_GT(rejection.retry_after_ms, 0);
 
   // The two accepted envelopes drain in order; the rejected one never ran.
-  EXPECT_TRUE(loop.poll_once(0ns));
-  EXPECT_TRUE(loop.poll_once(0ns));
-  EXPECT_FALSE(loop.poll_once(0ns));
+  EXPECT_TRUE(shard.poll_once(0ns));
+  EXPECT_TRUE(shard.poll_once(0ns));
+  EXPECT_FALSE(shard.poll_once(0ns));
   ASSERT_EQ(responses.size(), 2u);
   EXPECT_EQ(responses[0].id, 1);
   EXPECT_EQ(responses[1].id, 2);
   EXPECT_TRUE(responses[0].ok);
   // The service saw exactly the accepted submissions.
-  EXPECT_EQ(loop.service().batcher().pending_bids(), 2);
+  EXPECT_EQ(shard.service().batcher().pending_bids(), 2);
 }
 
-TEST(ServiceLoop, ClosedQueueRejectsPermanently) {
-  AuctionService service(tiny_config());
-  ServiceLoop loop(service, 4);
-  loop.close();
-  const PushResult closed = loop.try_submit(bid_for(0, 9), [](const Response&) {
-    FAIL() << "callback must not run for a rejected submission";
-  });
+TEST(PlatformShard, ClosedQueueRejectsPermanently) {
+  PlatformShard shard(tiny_plan(4));
+  shard.close();
+  const PushResult closed =
+      shard.try_submit(bid_for(0, 9), [](const Response&) {
+        FAIL() << "callback must not run for a rejected submission";
+      });
   EXPECT_EQ(closed, PushResult::kClosed);
-  const Response rejection = loop.rejection(closed, bid_for(0, 9));
+  const Response rejection = shard.rejection(closed, bid_for(0, 9));
   EXPECT_FALSE(rejection.ok);
   EXPECT_EQ(rejection.retry_after_ms, 0);  // terminal, not retryable
 }
