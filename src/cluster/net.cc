@@ -6,12 +6,40 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <cstdio>
 #include <cstring>
+#include <string>
 #include <utility>
 
 #include "cluster/routing.h"
 
 namespace melody::cluster {
+
+bool parse_endpoint(const std::string& spec, std::string* host, int* port) {
+  const std::size_t colon = spec.rfind(':');
+  if (colon == std::string::npos || colon == 0) return false;
+  const std::string digits = spec.substr(colon + 1);
+  if (digits.empty() || digits.size() > 5 ||
+      digits.find_first_not_of("0123456789") != std::string::npos) {
+    return false;
+  }
+  *host = spec.substr(0, colon);
+  *port = std::stoi(digits);
+  return *port >= 1 && *port <= 65535;
+}
+
+pid_t spawn_member(const std::vector<std::string>& argv) {
+  const pid_t pid = ::fork();
+  if (pid != 0) return pid;
+  std::vector<char*> args;
+  for (const std::string& arg : argv) {
+    args.push_back(const_cast<char*>(arg.c_str()));
+  }
+  args.push_back(nullptr);
+  ::execv(args[0], args.data());
+  std::fprintf(stderr, "exec %s: %s\n", args[0], std::strerror(errno));
+  ::_exit(127);
+}
 
 LineClient::~LineClient() { close(); }
 

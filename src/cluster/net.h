@@ -1,4 +1,5 @@
-// Blocking line-oriented TCP plumbing for the cluster planes. Both the
+// Blocking line-oriented TCP plumbing for the cluster planes, plus the
+// endpoint parser and the member spawn the cluster tools share. Both the
 // coordinator's control protocol and the service data protocol are
 // newline-delimited JSON, so one small client covers them: connect to a
 // member or coordinator, write a line, read a line. The nonblocking epoll
@@ -8,14 +9,28 @@
 // correct shape.
 #pragma once
 
+#include <sys/types.h>
+
 #include <map>
 #include <string>
+#include <vector>
 
 #include "svc/protocol.h"
 
 namespace melody::cluster {
 
 struct ClusterMember;
+
+/// Split a "HOST:PORT" endpoint (the tools' --cluster, --cluster-ctl and
+/// --ctl flags). False unless HOST is non-empty and PORT is a whole
+/// decimal number in [1, 65535].
+bool parse_endpoint(const std::string& spec, std::string* host, int* port);
+
+/// fork + execv a member process from its argv (binary first: the
+/// coordinator's spawn_args plus the member identity flags). Returns the
+/// child pid, or -1 when fork fails; a child whose exec fails reports it
+/// on stderr and exits 127.
+pid_t spawn_member(const std::vector<std::string>& argv);
 
 /// One blocking TCP connection speaking newline-delimited lines. Movable
 /// so it can live in containers; a failed send/recv records last_error()

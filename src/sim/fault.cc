@@ -114,7 +114,7 @@ std::string FaultPlan::describe() const {
   util::json::write_number(out, churn_rate);
   out += ",churn-min=" + std::to_string(churn_min_absence) +
          ",churn-max=" + std::to_string(churn_max_absence) +
-         ",salt=" + std::to_string(salt);
+         ",salt=" + std::to_string(static_cast<std::int64_t>(salt));
   return out;
 }
 

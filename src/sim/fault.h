@@ -63,7 +63,8 @@ struct FaultPlan {
   /// unknown keys, malformed values, or out-of-range rates.
   static FaultPlan parse(const std::string& spec);
 
-  /// Canonical spec string (parse(describe()) round-trips the plan).
+  /// Canonical spec string (parse(describe()) round-trips the plan; the
+  /// salt is written as the signed value parse reads).
   std::string describe() const;
 
   bool operator==(const FaultPlan&) const = default;

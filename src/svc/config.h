@@ -4,11 +4,14 @@
 // the positional/setter construction that used to be duplicated (and to
 // drift) across those call sites; ServiceConfig::from_flags parses the
 // shared scenario/estimator/batching/sharding flag set so melody_serve and
-// melody_sim document and validate the same knobs the same way.
+// melody_sim document and validate the same knobs the same way, and
+// ServiceConfig::to_flags writes it back out (the MLDYTRC trace header, the
+// argv melody_cluster spawns its members with).
 #pragma once
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "auction/melody_auction.h"
 #include "estimators/factory.h"
@@ -82,6 +85,14 @@ struct ServiceConfig {
   /// bad value. Callers still run validate() after their own adjustments.
   static ServiceConfig from_flags(const util::Flags& flags,
                                   bool serve_flags = true);
+
+  /// The inverse of from_flags: "--name=value" for every flag-settable
+  /// field, in --help order, defaults included. Doubles carry 17
+  /// significant digits, switches are "true"/"false", an empty fault plan
+  /// is "". For a config that passes validate(), from_flags over this
+  /// argv rebuilds every flag-settable field exactly; the other fields keep
+  /// their defaults.
+  std::vector<std::string> to_flags() const;
 };
 
 }  // namespace melody::svc

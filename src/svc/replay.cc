@@ -4,9 +4,12 @@
 #include <fstream>
 #include <map>
 #include <set>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "svc/frame.h"
+#include "util/flags.h"
 #include "util/json.h"
 
 namespace melody::svc {
@@ -79,30 +82,24 @@ void require_resume_checkpoint(const std::string& path) {
 }
 
 ServiceConfig config_from_trace(const TraceFile& trace) {
-  const WireObject& header = trace.header;
-  ServiceConfig config;
-  config.shards = static_cast<int>(header.number_or("shards", 1));
-  config.scenario.num_workers = static_cast<int>(
-      header.number_or("workers", config.scenario.num_workers));
-  config.scenario.num_tasks =
-      static_cast<int>(header.number_or("tasks", config.scenario.num_tasks));
-  config.scenario.runs =
-      static_cast<int>(header.number_or("runs", config.scenario.runs));
-  config.scenario.budget = header.number_or("budget", config.scenario.budget);
-  config.seed = static_cast<std::uint64_t>(
-      header.number_or("seed", static_cast<double>(config.seed)));
-  config.estimator = header.text_or("estimator", config.estimator);
-  config.manual_clock = header.boolean_or("manual_clock", false);
-  config.batch.per_task_arrival = header.boolean_or("rolling", false);
-  config.batch.min_bids = static_cast<int>(header.number_or("min_bids", 0));
-  config.batch.budget_target = header.number_or("budget_target", 0.0);
-  config.queue_capacity = static_cast<std::int64_t>(
-      header.number_or("queue_capacity", config.queue_capacity));
-  if (header.has("faults")) {
-    config.faults = sim::FaultPlan::parse(header.text("faults"));
+  // Every key but the envelope is one ServiceConfig flag, as begin_session
+  // wrote it: rebuild the argv and parse it like the command line.
+  static const std::set<std::string> kEnvelope{"magic", "version", "proto",
+                                               "resume"};
+  std::vector<std::string> args{"trace"};
+  for (const auto& [key, value] : trace.header.entries()) {
+    if (kEnvelope.contains(key)) continue;
+    if (!value.is_string()) {
+      throw WireError("trace header: \"" + key + "\" must be a string");
+    }
+    args.push_back("--" + key + "=" + value.as_string());
   }
-  if (header.has("checkpoint")) {
-    config.checkpoint_path = header.text("checkpoint");
+  std::vector<const char*> argv;
+  for (const std::string& arg : args) argv.push_back(arg.c_str());
+  const util::Flags flags(static_cast<int>(argv.size()), argv.data());
+  ServiceConfig config = ServiceConfig::from_flags(flags);
+  if (const auto unknown = flags.unused(); !unknown.empty()) {
+    throw WireError("trace header: unknown key \"" + unknown.front() + "\"");
   }
   return config;
 }

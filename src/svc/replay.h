@@ -1,6 +1,11 @@
 // Wire-trace replay: re-drive a recorded MLDYTRC session (svc/trace_log.h)
 // against a fresh — or checkpoint-resumed — sharded service and assert the
-// responses are byte-identical to what the live session sent.
+// responses are byte-identical to what the live session sent. The
+// deployment is rebuilt from the trace header alone: config_from_trace
+// parses its flag keys with ServiceConfig::from_flags, the inverse of the
+// to_flags() list the recorder wrote, so every flag-settable knob the live
+// session ran with (payment rule, re-estimation period, exploration weight,
+// batch triggers, ...) comes back.
 //
 // Why this works: the event loop is the single thread that submits frames,
 // so each shard's apply order equals the submission order — the trace's
@@ -98,12 +103,11 @@ std::string resume_path_from_trace(const TraceFile& trace);
 /// Throw CheckpointMissingError unless `path` names a readable file.
 void require_resume_checkpoint(const std::string& path);
 
-/// The deployment config a trace header pins: shard count, population,
-/// seed, estimator, batch triggers, fault plan, clock mode, checkpoint
-/// path. Scenario knobs the header does not carry keep their defaults —
-/// record with the default scenario shape (tests do) or reconstruct the
-/// config out of band. Throws WireError / std::invalid_argument on a
-/// malformed header.
+/// The deployment config a trace header pins: every flag-settable
+/// ServiceConfig field, parsed from the header's flag keys with
+/// ServiceConfig::from_flags (a key the header lacks keeps its flag
+/// default). Throws WireError on a non-string value or an unknown key,
+/// std::invalid_argument on a value the flag refuses.
 ServiceConfig config_from_trace(const TraceFile& trace);
 
 /// Drive every in-frame of `trace` through `service` (fresh, or restore()d

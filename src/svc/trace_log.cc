@@ -40,23 +40,12 @@ void TraceRecorder::begin_session(const ServiceConfig& config,
   header.set("magic", WireValue::of("MLDYTRC"));
   header.set("version", of_int(kTraceVersion));
   header.set("proto", of_int(kProtoVersion));
-  header.set("shards", of_int(config.shards));
-  header.set("workers", of_int(config.scenario.num_workers));
-  header.set("tasks", of_int(config.scenario.num_tasks));
-  header.set("runs", of_int(config.scenario.runs));
-  header.set("budget", WireValue::of(config.scenario.budget));
-  header.set("seed", of_int(static_cast<std::int64_t>(config.seed)));
-  header.set("estimator", WireValue::of(config.estimator));
-  header.set("manual_clock", WireValue::of(config.manual_clock));
-  header.set("rolling", WireValue::of(config.batch.per_task_arrival));
-  header.set("min_bids", of_int(config.batch.min_bids));
-  header.set("budget_target", WireValue::of(config.batch.budget_target));
-  header.set("queue_capacity", of_int(config.queue_capacity));
-  if (config.faults.active()) {
-    header.set("faults", WireValue::of(config.faults.describe()));
-  }
-  if (!config.checkpoint_path.empty()) {
-    header.set("checkpoint", WireValue::of(config.checkpoint_path));
+  // One string per flag, keyed by flag name: config_from_trace feeds them
+  // back through ServiceConfig::from_flags.
+  for (const std::string& flag : config.to_flags()) {
+    const std::size_t equals = flag.find('=');
+    header.set(flag.substr(2, equals - 2),
+               WireValue::of(flag.substr(equals + 1)));
   }
   const std::string& resume =
       resume_path.empty() ? resume_path_ : resume_path;
@@ -130,8 +119,10 @@ TraceFile parse_trace(std::istream& in) {
       }
       const auto version = static_cast<int>(object.number_or("version", 0));
       if (version != kTraceVersion) {
-        throw std::runtime_error("trace: unsupported version " +
-                                 std::to_string(version));
+        throw std::runtime_error("MLDYTRC: unsupported version " +
+                                 std::to_string(version) +
+                                 " (this build reads " +
+                                 std::to_string(kTraceVersion) + ")");
       }
       trace.header = object;
       have_header = true;

@@ -3,17 +3,20 @@
 // the same wire codec the protocol itself uses (svc/wire.h), so a trace is
 // greppable, diffable, and parses with zero new escaping rules:
 //
-//   {"magic":"MLDYTRC","version":1,"proto":5,"shards":8,"workers":1000,...}
+//   {"magic":"MLDYTRC","version":2,"proto":5,"workers":"1000",...}
 //   {"dir":"in","conn":2,"seq":0,"shard":3,"span":17,"frame":"{\"op\":...}"}
 //   {"dir":"out","conn":2,"seq":0,"frame":"{\"ok\":true,...}"}
 //
 // The header pins everything a replayer must reconstruct the deployment
-// from (shard count, population, seed, estimator, batch triggers, fault
-// plan, protocol version). Frames carry the connection id, the
-// per-connection sequence number (the event loop's response-ordering key),
-// the shard routing decision for inbound frames (-1: broadcast fan-out,
-// -2: never routed — parse errors answered inline), the root span id when tracing was enabled, and the raw frame
-// bytes. Outbound frames are recorded in flush order, which is per-
+// from: besides magic, version, protocol version and the optional resume
+// checkpoint, one string per ServiceConfig::to_flags() entry, keyed by the
+// flag name ("workers":"1000", "payment-rule":"paper"), so every
+// flag-settable field is recorded and read back through from_flags.
+// Frames carry the connection id, the per-connection sequence number (the
+// event loop's response-ordering key), the shard routing decision for
+// inbound frames (-1: broadcast fan-out, -2: never routed — parse errors
+// answered inline), the root span id when tracing was enabled, and the raw
+// frame bytes. Outbound frames are recorded in flush order, which is per-
 // connection sequence order — exactly what the client saw.
 //
 // File writes are atomic: the recorder streams to "<path>.tmp" and
@@ -35,7 +38,7 @@
 namespace melody::svc {
 
 /// The MLDYTRC header "version" this build writes and reads.
-inline constexpr std::int64_t kTraceVersion = 1;
+inline constexpr std::int64_t kTraceVersion = 2;
 
 /// Routing decision markers for inbound frames.
 inline constexpr int kShardBroadcast = -1;  // fanned out to every shard
@@ -58,10 +61,6 @@ struct TraceFile {
   WireObject header;
   std::vector<TraceFrame> frames;
 
-  int shards() const { return static_cast<int>(header.number_or("shards", 1)); }
-  int version() const {
-    return static_cast<int>(header.number_or("version", 0));
-  }
 };
 
 /// Streams a serve session to an MLDYTRC file. record_* calls are

@@ -24,7 +24,7 @@ FormatVersions format_versions() noexcept;
 std::string build_git_sha();
 
 /// The one-line --version output, e.g.
-///   melody_serve 1a2b3c4 proto=5 platform=3 checkpoint=3 composed=2 trace=1
+///   melody_serve 1a2b3c4 proto=5 platform=5 checkpoint=3 composed=2 trace=2
 ///   migration=1 (one line)
 std::string build_info_line(const std::string& tool);
 

@@ -138,7 +138,7 @@ bool Flags::get_bool(const std::string& name, bool fallback,
 bool Flags::has_switch(const std::string& name,
                        const std::string& description) const {
   document(name, "", description, "");
-  return has(name);
+  return get_bool(name, false);
 }
 
 void Flags::document(const std::string& name, const std::string& hint,

@@ -54,7 +54,8 @@ class Flags {
   bool get_bool(const std::string& name, bool fallback,
                 const std::string& hint,
                 const std::string& description) const;
-  /// Documented bare switch (has() + registration, no default shown).
+  /// Documented switch (no default shown): a bare --name is true, and an
+  /// explicit value parses as get_bool does (--name=false is off).
   bool has_switch(const std::string& name,
                   const std::string& description) const;
 

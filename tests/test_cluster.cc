@@ -19,6 +19,7 @@
 
 #include "cluster/client_router.h"
 #include "cluster/coordinator.h"
+#include "cluster/net.h"
 #include "cluster/routing.h"
 #include "svc/config.h"
 #include "svc/protocol.h"
@@ -87,6 +88,21 @@ Response drive(ShardedService& service, const Request& request) {
 }
 
 // ------------------------------------------------------- routing table --
+
+TEST(Endpoint, ParsesHostPortAndRefusesMalformedEndpoints) {
+  std::string host;
+  int port = 0;
+  ASSERT_TRUE(parse_endpoint("127.0.0.1:7200", &host, &port));
+  EXPECT_EQ(host, "127.0.0.1");
+  EXPECT_EQ(port, 7200);
+  ASSERT_TRUE(parse_endpoint("localhost:65535", &host, &port));
+  EXPECT_EQ(port, 65535);
+  for (const char* bad :
+       {"", "7200", ":7200", "host:", "host:0", "host:65536", "host:99999",
+        "host:-1", "host:+80", "host: 80", "host:80x", "host:4294967297"}) {
+    EXPECT_FALSE(parse_endpoint(bad, &host, &port)) << bad;
+  }
+}
 
 TEST(WorkerOffsets, MatchesPlanShardsSplit) {
   const struct {

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
 #include <vector>
 
@@ -66,6 +67,13 @@ TEST(FaultPlan, ParseRoundTripsThroughDescribe) {
   EXPECT_EQ(plan.churn_min_absence, 5);
   EXPECT_EQ(plan.churn_max_absence, 50);
   EXPECT_EQ(plan.salt, 7u);
+  EXPECT_EQ(FaultPlan::parse(plan.describe()), plan);
+}
+
+TEST(FaultPlan, DescribeRoundTripsASaltWithTheHighBitSet) {
+  // parse reads the salt as a signed integer, so describe writes it so.
+  const FaultPlan plan = FaultPlan::parse("no-show=0.1,salt=-1");
+  EXPECT_EQ(plan.salt, ~std::uint64_t{0});
   EXPECT_EQ(FaultPlan::parse(plan.describe()), plan);
 }
 

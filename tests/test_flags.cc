@@ -59,6 +59,17 @@ TEST(Flags, BooleanSpellings) {
   EXPECT_FALSE(parse({"--a=false"}).get_bool("a", true));
 }
 
+TEST(Flags, SwitchValuesParseLikeBooleans) {
+  EXPECT_TRUE(parse({"--rolling"}).has_switch("rolling", "doc"));
+  EXPECT_FALSE(parse({}).has_switch("rolling", "doc"));
+  EXPECT_TRUE(parse({"--rolling=true"}).has_switch("rolling", "doc"));
+  for (const char* off : {"--rolling=false", "--rolling=0", "--rolling=no"}) {
+    EXPECT_FALSE(parse({off}).has_switch("rolling", "doc")) << off;
+  }
+  EXPECT_THROW(parse({"--rolling=maybe"}).has_switch("rolling", "doc"),
+               std::invalid_argument);
+}
+
 TEST(Flags, TypeErrorsThrow) {
   EXPECT_THROW(parse({"--n=abc"}).get_int("n", 0), std::invalid_argument);
   EXPECT_THROW(parse({"--n=12x"}).get_int("n", 0), std::invalid_argument);

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <iterator>
@@ -17,6 +18,7 @@
 #include <vector>
 
 #include "estimators/factory.h"
+#include "sim/fault.h"
 #include "svc/config.h"
 #include "svc/frame.h"
 #include "svc/protocol.h"
@@ -594,6 +596,85 @@ TEST(ServiceConfigFlags, ParsesTheSharedFlagSet) {
   EXPECT_TRUE(config.manual_clock);
   EXPECT_EQ(config.batch.min_bids, 12);
   EXPECT_NO_THROW(config.validate());
+}
+
+TEST(ServiceConfigFlags, IntFieldsRefuseValuesOutsideInt) {
+  // Narrowed unchecked, these would serve 300 workers and 2 shards.
+  for (const char* flag : {"--workers=4294967596", "--shards=4294967298",
+                           "--tasks=2147483648", "--runs=-2147483649"}) {
+    const char* argv[] = {"melody_serve", flag};
+    const util::Flags flags(static_cast<int>(std::size(argv)), argv);
+    EXPECT_THROW(ServiceConfig::from_flags(flags), std::invalid_argument)
+        << flag;
+  }
+  const char* argv[] = {"melody_serve", "--workers=2147483647"};
+  const util::Flags flags(static_cast<int>(std::size(argv)), argv);
+  EXPECT_EQ(ServiceConfig::from_flags(flags).scenario.num_workers,
+            std::numeric_limits<int>::max());
+}
+
+TEST(ServiceConfigFlags, ToFlagsIsTheExactInverseOfFromFlags) {
+  ServiceConfig c;
+  c.scenario.num_workers = 77;
+  c.scenario.num_tasks = 55;
+  c.scenario.runs = 123;
+  c.scenario.budget = 800.1234567;  // "%g" would write 800.123
+  c.scenario.reestimation_period = 3;
+  c.estimator = "ml-cr";
+  c.exploration_beta = 0.1 + 0.2;
+  c.payment_rule = auction::PaymentRule::kPaperNextInQueue;
+  c.seed = ~std::uint64_t{0} - 4;  // --seed parses it as -5
+  c.faults = sim::FaultPlan::parse(
+      "no-show=0.05,drop=0.1,corrupt=0.01,churn=0.02,churn-min=2,"
+      "churn-max=4,salt=-9");
+  c.checkpoint_path = "state dir/svc=1.ckpt";
+  c.checkpoint_every = 5;
+  c.batch.min_bids = 12;
+  c.batch.max_delay = 1.0 / 3.0;
+  c.batch.budget_target = 2.5e-7;
+  c.batch.per_task_arrival = true;
+  c.manual_clock = true;
+  c.exit_after_runs = 9;
+  c.shards = 4;
+  c.queue_capacity = std::int64_t{1} << 40;
+  ASSERT_NO_THROW(c.validate());
+
+  // Every flag-settable field is off its default, so a field added to the
+  // list without a line above fails here.
+  const std::vector<std::string> written = c.to_flags();
+  const std::vector<std::string> defaults = ServiceConfig{}.to_flags();
+  ASSERT_EQ(written.size(), defaults.size());
+  for (std::size_t i = 0; i < written.size(); ++i) {
+    EXPECT_NE(written[i], defaults[i]) << "left at its default: " << written[i];
+  }
+
+  std::vector<const char*> argv{"melody_serve"};
+  for (const std::string& flag : written) argv.push_back(flag.c_str());
+  const util::Flags flags(static_cast<int>(argv.size()), argv.data());
+  const ServiceConfig back = ServiceConfig::from_flags(flags);
+  EXPECT_TRUE(flags.unused().empty());
+  EXPECT_EQ(back.scenario.num_workers, c.scenario.num_workers);
+  EXPECT_EQ(back.scenario.num_tasks, c.scenario.num_tasks);
+  EXPECT_EQ(back.scenario.runs, c.scenario.runs);
+  EXPECT_EQ(back.scenario.budget, c.scenario.budget);
+  EXPECT_EQ(back.scenario.reestimation_period,
+            c.scenario.reestimation_period);
+  EXPECT_EQ(back.estimator, c.estimator);
+  EXPECT_EQ(back.exploration_beta, c.exploration_beta);
+  EXPECT_EQ(back.payment_rule, c.payment_rule);
+  EXPECT_EQ(back.seed, c.seed);
+  EXPECT_EQ(back.faults, c.faults);
+  EXPECT_EQ(back.checkpoint_path, c.checkpoint_path);
+  EXPECT_EQ(back.checkpoint_every, c.checkpoint_every);
+  EXPECT_EQ(back.batch.min_bids, c.batch.min_bids);
+  EXPECT_EQ(back.batch.max_delay, c.batch.max_delay);
+  EXPECT_EQ(back.batch.budget_target, c.batch.budget_target);
+  EXPECT_EQ(back.batch.per_task_arrival, c.batch.per_task_arrival);
+  EXPECT_EQ(back.manual_clock, c.manual_clock);
+  EXPECT_EQ(back.exit_after_runs, c.exit_after_runs);
+  EXPECT_EQ(back.shards, c.shards);
+  EXPECT_EQ(back.queue_capacity, c.queue_capacity);
+  EXPECT_EQ(back.to_flags(), written);  // a fixed point
 }
 
 TEST(ServiceConfigFlags, ValidateRejectsUnusableShardCounts) {

@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -27,19 +28,20 @@ namespace melody::svc {
 namespace {
 
 /// A minimal valid MLDYTRC header; each negative case mutates one field.
+/// Flag keys it leaves out keep their flag defaults.
 WireObject valid_header() {
   WireObject header;
   header.set("magic", WireValue::of("MLDYTRC"));
-  header.set("version", WireValue::of(std::int64_t{1}));
+  header.set("version", WireValue::of(std::int64_t{kTraceVersion}));
   header.set("proto", WireValue::of(std::int64_t{kProtoVersion}));
-  header.set("shards", WireValue::of(std::int64_t{2}));
-  header.set("workers", WireValue::of(std::int64_t{12}));
-  header.set("tasks", WireValue::of(std::int64_t{8}));
-  header.set("runs", WireValue::of(std::int64_t{4}));
-  header.set("budget", WireValue::of(40.0));
-  header.set("seed", WireValue::of(std::int64_t{2017}));
+  header.set("shards", WireValue::of("2"));
+  header.set("workers", WireValue::of("12"));
+  header.set("tasks", WireValue::of("8"));
+  header.set("runs", WireValue::of("4"));
+  header.set("budget", WireValue::of("40"));
+  header.set("seed", WireValue::of("2017"));
   header.set("estimator", WireValue::of("melody"));
-  header.set("manual_clock", WireValue::of(true));
+  header.set("manual-clock", WireValue::of("true"));
   return header;
 }
 
@@ -59,9 +61,10 @@ TEST(ConfigFromTrace, AcceptsTheValidHeader) {
 }
 
 TEST(ConfigFromTrace, MistypedFieldsThrowInsteadOfMisconfiguring) {
-  // Every numeric/boolean/text header field flipped to a hostile kind must
-  // surface as a WireError — silently adopting a fallback would replay the
-  // trace against the wrong deployment.
+  // Every numeric/boolean/text header field flipped to a hostile kind or
+  // spelling must throw — silently adopting a fallback would replay the
+  // trace against the wrong deployment. A non-string value is a WireError;
+  // a string its flag refuses is std::invalid_argument.
   const struct {
     const char* field;
     WireValue value;
@@ -73,17 +76,25 @@ TEST(ConfigFromTrace, MistypedFieldsThrowInsteadOfMisconfiguring) {
       {"budget", WireValue::of("big")},
       {"seed", WireValue::of("hunter2")},
       {"estimator", WireValue::of(std::int64_t{7})},
-      {"manual_clock", WireValue::of("yes")},
-      {"min_bids", WireValue::of("three")},
-      {"budget_target", WireValue::of(std::vector<double>{1.0, 2.0})},
-      {"queue_capacity", WireValue::of("deep")},
+      {"manual-clock", WireValue::of("maybe")},
+      {"batch-min-bids", WireValue::of("three")},
+      {"batch-budget", WireValue::of(std::vector<double>{1.0, 2.0})},
+      {"queue-capacity", WireValue::of("deep")},
       {"rolling", WireValue::of(std::int64_t{1})},
+      {"shards", WireValue::of(std::int64_t{2})},  // v1 spelling: a number
+      {"shards", WireValue::of("1e300")},
+      {"shards", WireValue::of("nan")},
+      {"manual_clock", WireValue::of("true")},  // unknown key (v1 name)
   };
   for (const auto& c : cases) {
     WireObject header = valid_header();
     header.set(c.field, c.value);
-    EXPECT_THROW(config_from_trace(trace_with(std::move(header))), WireError)
-        << "field " << c.field;
+    try {
+      config_from_trace(trace_with(std::move(header)));
+      ADD_FAILURE() << "field " << c.field << " was accepted";
+    } catch (const WireError&) {
+    } catch (const std::invalid_argument&) {
+    }
   }
 }
 
@@ -94,12 +105,13 @@ TEST(ConfigFromTrace, HostileValuesFailServiceValidation) {
     const char* field;
     WireValue value;
   } cases[] = {
-      {"shards", WireValue::of(std::int64_t{-3})},
-      {"shards", WireValue::of(std::int64_t{1000})},
-      {"workers", WireValue::of(std::int64_t{0})},
-      {"runs", WireValue::of(std::int64_t{-1})},
+      {"shards", WireValue::of("-3")},
+      {"shards", WireValue::of("1000")},
+      {"shards", WireValue::of("4294967298")},  // 2 if narrowed unchecked
+      {"workers", WireValue::of("0")},
+      {"runs", WireValue::of("-1")},
       {"estimator", WireValue::of("quantum")},
-      {"queue_capacity", WireValue::of(std::int64_t{-5})},
+      {"queue-capacity", WireValue::of("-5")},
   };
   for (const auto& c : cases) {
     WireObject header = valid_header();
@@ -287,6 +299,10 @@ TEST(BuildInfo, PinsEveryFormatVersion) {
   const util::json::Value parsed = util::json::parse(header);
   ASSERT_NE(parsed.find("version"), nullptr) << header;
   EXPECT_EQ(v.trace, static_cast<int>(parsed.find("version")->as_number()));
+  // MLDYTRC v2: the header carries ServiceConfig::to_flags() as strings.
+  EXPECT_EQ(v.trace, 2);
+  ASSERT_NE(parsed.find("workers"), nullptr) << header;
+  EXPECT_TRUE(parsed.find("workers")->is_string()) << header;
 
   const std::string line = util::build_info_line("melody_test");
   EXPECT_EQ(line.find("melody_test "), 0u);

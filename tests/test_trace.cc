@@ -13,6 +13,7 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -21,6 +22,7 @@
 #include "sim/fault.h"
 #include "svc/config.h"
 #include "svc/frame.h"
+#include "svc/loadgen.h"
 #include "svc/protocol.h"
 #include "svc/replay.h"
 #include "svc/router.h"
@@ -106,11 +108,12 @@ std::string session_stream(int rounds, Op tail_op) {
   return stream.str();
 }
 
-/// Record one stdio session of `input` against a fresh K-shard service.
-TraceFile record_session(const std::string& input, int shards) {
+/// Record one stdio session of `input` against a fresh service.
+TraceFile record_session(const std::string& input,
+                         const ServiceConfig& config) {
   std::ostringstream trace_bytes;
   {
-    ShardedService service(trace_config(shards));
+    ShardedService service(config);
     TraceRecorder recorder(trace_bytes);
     std::istringstream in(input);
     std::ostringstream out;
@@ -119,6 +122,10 @@ TraceFile record_session(const std::string& input, int shards) {
   }
   std::istringstream reread(trace_bytes.str());
   return parse_trace(reread);
+}
+
+TraceFile record_session(const std::string& input, int shards) {
+  return record_session(input, trace_config(shards));
 }
 
 Response stdio_response_for(const std::string& input, int shards, Op op) {
@@ -291,14 +298,16 @@ TEST(TraceRecorder, RoundTripsHeaderAndFramesThroughTheWireCodec) {
 
   std::istringstream reread(bytes.str());
   const TraceFile trace = parse_trace(reread);
-  EXPECT_EQ(trace.version(), 1);
-  EXPECT_EQ(trace.shards(), 2);
+  EXPECT_EQ(trace.header.number("version"), 2.0);
   EXPECT_EQ(trace.header.text("magic"), "MLDYTRC");
   EXPECT_EQ(trace.header.number("proto"), static_cast<double>(kProtoVersion));
-  EXPECT_EQ(trace.header.number("workers"), 42.0);
-  EXPECT_TRUE(trace.header.boolean_or("manual_clock", false));
+  // Every other header key is one ServiceConfig::to_flags() entry.
+  EXPECT_EQ(trace.header.text("shards"), "2");
+  EXPECT_EQ(trace.header.text("workers"), "42");
+  EXPECT_EQ(trace.header.text("manual-clock"), "true");
   EXPECT_EQ(sim::FaultPlan::parse(trace.header.text("faults")),
             config.faults);
+  EXPECT_EQ(trace.header.entries().size(), 3 + config.to_flags().size());
 
   ASSERT_EQ(trace.frames.size(), 3u);
   EXPECT_EQ(trace.frames[0].dir, TraceFrame::Dir::kIn);
@@ -348,6 +357,16 @@ TEST(TraceRecorder, ParseRejectsMissingOrWrongHeader) {
   std::istringstream future_version(
       R"({"magic":"MLDYTRC","version":99})" "\n");
   EXPECT_THROW(parse_trace(future_version), std::runtime_error);
+  // One version per format: a v1 header is refused with its version named.
+  std::istringstream v1(
+      R"({"magic":"MLDYTRC","version":1,"proto":5,"shards":2})" "\n");
+  try {
+    parse_trace(v1);
+    ADD_FAILURE() << "a v1 trace parsed";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("version 1"), std::string::npos)
+        << e.what();
+  }
 }
 
 // --------------------------------------------------------------- replay --
@@ -369,21 +388,59 @@ TEST(Replay, StdioSessionReplaysWithZeroDiffs) {
   EXPECT_EQ(result.unmatched_out, 0u);
 }
 
-TEST(Replay, RetiredIncrementalHeaderKeyReplaysWithZeroDiffs) {
-  // Older traces carry an "incremental" header key from when the bid book
-  // was a switch. Nothing reads it any more: such a trace builds the same
-  // deployment and replays clean.
-  TraceFile trace = record_session(session_stream(2, Op::kStats), 2);
-  trace.header.set("incremental", WireValue::of(true));
-  ShardedService service(config_from_trace(trace));
-  const ReplayResult result = replay_trace(trace, service);
-  for (const FrameDiff& diff : result.diffs) {
-    ADD_FAILURE() << format_diff(diff);
+/// `requests` requests of the loadgen mix against trace_config's 42
+/// workers, with a 0.2 s tick after every tenth, then stats.
+std::string loadgen_stream(int requests) {
+  loadgen::StreamConfig stream_config;
+  stream_config.workers = 42;
+  stream_config.task_budget = 120.0;
+  std::ostringstream stream;
+  std::int64_t next_id = 1'000'000;
+  for (int k = 0; k < requests; ++k) {
+    stream << format_request(loadgen::make_request(stream_config, 0, k))
+           << "\n";
+    if (k % 10 == 9) {
+      Request tick;
+      tick.op = Op::kTick;
+      tick.id = next_id++;
+      tick.seconds = 0.2;
+      stream << format_request(tick) << "\n";
+    }
   }
-  EXPECT_TRUE(result.clean());
-  // hello + 2 * 42 bids + stats, every one compared byte for byte.
-  EXPECT_EQ(result.applied, 86u);
-  EXPECT_EQ(result.compared, 86u);
+  Request stats;
+  stats.op = Op::kStats;
+  stats.id = next_id;
+  stream << format_request(stats) << "\n";
+  return stream.str();
+}
+
+TEST(Replay, EveryFlagSettableKnobReachesTheReplay) {
+  // Each knob changes the service's replies, so a header that dropped it
+  // would replay against a different deployment and diverge.
+  const std::string input = loadgen_stream(400);
+  std::vector<std::pair<std::string, ServiceConfig>> cases;
+  ServiceConfig config = trace_config(2);
+  config.payment_rule = auction::PaymentRule::kPaperNextInQueue;
+  cases.emplace_back("payment-rule", config);
+  config = trace_config(2);
+  config.exploration_beta = 0.5;
+  cases.emplace_back("exploration-beta", config);
+  config = trace_config(2);
+  config.scenario.reestimation_period = 3;
+  cases.emplace_back("reestimation-period", config);
+  config = trace_config(2);
+  config.batch.max_delay = 0.5;
+  config.batch.min_bids = 400;
+  cases.emplace_back("batch-max-delay", config);
+  for (const auto& [knob, recorded] : cases) {
+    const TraceFile trace = record_session(input, recorded);
+    ShardedService service(config_from_trace(trace));
+    const ReplayResult result = replay_trace(trace, service);
+    EXPECT_TRUE(result.clean())
+        << knob << ": " << result.diffs.size() << " diffs, first "
+        << format_diff(result.diffs.front());
+    EXPECT_GT(result.compared, 400u) << knob;
+  }
 }
 
 TEST(Replay, ConfigFromTraceReconstructsTheDeployment) {

@@ -247,7 +247,7 @@ TEST(TraceReplayE2E, KilledAndResumedTracedSessionReplaysCleanAt128Threads) {
   const TraceFile trace1 = parse_trace(trace1_in);
   std::istringstream trace2_in(trace2_bytes.str());
   const TraceFile trace2 = parse_trace(trace2_in);
-  ASSERT_EQ(trace1.shards(), 8);
+  ASSERT_EQ(config_from_trace(trace1).shards, 8);
   // 256 clients x 4 requests + 1 checkpoint, each an in/out pair.
   ASSERT_GE(trace1.frames.size(), 2u * (kClients * 4 + 1));
   ASSERT_GE(trace2.frames.size(), 2u * 64 * 3);

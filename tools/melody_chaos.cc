@@ -42,6 +42,8 @@ using namespace melody;
 
 struct Options {
   std::string ctl = "127.0.0.1:7200";
+  std::string ctl_host;  // --ctl, split by main
+  int ctl_port = 0;
   std::int64_t rounds = 3;
   std::int64_t batch = 16;
   std::int64_t seed = 2017;
@@ -95,13 +97,6 @@ class Harness {
   int run() {
     deadline_ = std::chrono::steady_clock::now() +
                 std::chrono::seconds(options_.timeout_s);
-    const auto colon = options_.ctl.rfind(':');
-    if (colon == std::string::npos) {
-      return fail("--ctl must be HOST:PORT");
-    }
-    ctl_host_ = options_.ctl.substr(0, colon);
-    ctl_port_ = std::stoi(options_.ctl.substr(colon + 1));
-
     client_ = std::make_unique<cluster::ClusterClient>(
         [this](const cluster::ClusterMember& member,
                const svc::Request& request, svc::Response* out) {
@@ -178,7 +173,10 @@ class Harness {
     // Redial once: the control server survives kills, but the connection
     // may have idled out across a slow recovery.
     for (int attempt = 0; attempt < 2; ++attempt) {
-      if (!ctl_.connected() && !ctl_.connect(ctl_host_, ctl_port_)) continue;
+      if (!ctl_.connected() &&
+          !ctl_.connect(options_.ctl_host, options_.ctl_port)) {
+        continue;
+      }
       if (!ctl_.exchange(svc::format_wire(command), &reply_line)) continue;
       try {
         *reply = svc::parse_wire(reply_line);
@@ -274,24 +272,12 @@ class Harness {
 
   bool respawn(const std::string& member) {
     std::vector<std::string> args = spawn_args_;
-    args.push_back("--cluster-member");
-    args.push_back(member);
-    args.push_back("--cluster-shards");
-    args.push_back("none");
-    const pid_t pid = ::fork();
+    args.push_back("--cluster-member=" + member);
+    args.push_back("--cluster-shards=none");
+    const pid_t pid = cluster::spawn_member(args);
     if (pid < 0) {
       fail("fork failed");
       return false;
-    }
-    if (pid == 0) {
-      std::vector<char*> argv;
-      argv.reserve(args.size() + 1);
-      for (const std::string& arg : args) {
-        argv.push_back(const_cast<char*>(arg.c_str()));
-      }
-      argv.push_back(nullptr);
-      ::execv(argv[0], argv.data());
-      ::_exit(127);
     }
     children_.push_back(pid);
     return true;
@@ -376,8 +362,6 @@ class Harness {
 
   Options options_;
   std::chrono::steady_clock::time_point deadline_;
-  std::string ctl_host_;
-  int ctl_port_ = 0;
   cluster::LineClient ctl_;
   cluster::MemberPool pool_;
   std::unique_ptr<cluster::ClusterClient> client_;
@@ -414,6 +398,10 @@ int main(int argc, char** argv) {
   }
   if (options.rounds < 1) return usage("--rounds must be >= 1");
   if (options.batch < 1) return usage("--batch must be >= 1");
+  if (!cluster::parse_endpoint(options.ctl, &options.ctl_host,
+                               &options.ctl_port)) {
+    return usage("--ctl must be HOST:PORT");
+  }
 
   std::signal(SIGPIPE, SIG_IGN);
   try {

@@ -11,9 +11,10 @@
 //
 // Scenario/seed flags mirror melody_serve (the shared
 // svc::ServiceConfig::from_flags set): the coordinator validates the
-// deployment shape once and re-serializes the canonical flags into the
-// spawn argv, so every member runs the identical global config and the
-// chaos harness can respawn a killed member from the spawn_args op alone.
+// deployment shape once and writes it back with ServiceConfig::to_flags
+// into the spawn argv (every flag-settable field, doubles at 17 significant
+// digits), so every member runs the identical global config and the chaos
+// harness can respawn a killed member from the spawn_args op alone.
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/wait.h>
@@ -27,6 +28,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cluster/coordinator.h"
@@ -93,68 +95,23 @@ int usage(const char* error) {
   return error != nullptr ? 1 : 0;
 }
 
-std::string format_double(double v) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof buffer, "%g", v);
-  return buffer;
-}
-
-/// The canonical argv (binary first) every member is spawned with; member
-/// identity (--cluster-member / --cluster-shards) is appended per spawn.
+/// The canonical argv (binary first) every member is spawned with: the
+/// coordinator's ServiceConfig::to_flags() minus what stays with the
+/// coordinator (checkpointing, the run-count exit), then the member-only
+/// flags. Member identity (--cluster-member / --cluster-shards) is
+/// appended per spawn.
 std::vector<std::string> member_spawn_args(const Options& o) {
-  const svc::ServiceConfig& c = o.service;
-  std::vector<std::string> args;
-  args.push_back(o.serve_bin);
-  const auto flag = [&args](const char* name, const std::string& value) {
-    args.push_back(name);
-    args.push_back(value);
-  };
-  flag("--workers", std::to_string(c.scenario.num_workers));
-  flag("--tasks", std::to_string(c.scenario.num_tasks));
-  flag("--runs", std::to_string(c.scenario.runs));
-  flag("--budget", format_double(c.scenario.budget));
-  flag("--reestimation-period",
-       std::to_string(c.scenario.reestimation_period));
-  flag("--estimator", c.estimator);
-  flag("--exploration-beta", format_double(c.exploration_beta));
-  flag("--payment-rule",
-       c.payment_rule == auction::PaymentRule::kPaperNextInQueue ? "paper"
-                                                                 : "critical");
-  flag("--seed", std::to_string(c.seed));
-  if (c.faults.active()) flag("--faults", c.faults.describe());
-  if (c.batch.min_bids > 0) {
-    flag("--batch-min-bids", std::to_string(c.batch.min_bids));
-  }
-  if (c.batch.max_delay > 0.0) {
-    flag("--batch-max-delay", format_double(c.batch.max_delay));
-  }
-  if (c.batch.budget_target > 0.0) {
-    flag("--batch-budget", format_double(c.batch.budget_target));
-  }
-  if (c.batch.per_task_arrival) args.push_back("--rolling");
-  if (c.manual_clock) args.push_back("--manual-clock");
-  flag("--shards", std::to_string(c.shards));
-  flag("--queue-capacity", std::to_string(c.queue_capacity));
-  flag("--port", "0");  // ephemeral; the member reports its port on join
-  flag("--heartbeat-ms", std::to_string(o.heartbeat_ms));
-  flag("--cluster-ctl", "127.0.0.1:" + std::to_string(o.ctl_port));
+  svc::ServiceConfig member = o.service;
+  member.checkpoint_path.clear();
+  member.checkpoint_every = 0;
+  member.exit_after_runs = 0;
+  std::vector<std::string> args{o.serve_bin};
+  for (std::string& flag : member.to_flags()) args.push_back(std::move(flag));
+  args.push_back("--port=0");  // ephemeral; the member reports it on join
+  args.push_back("--heartbeat-ms=" + std::to_string(o.heartbeat_ms));
+  args.push_back("--cluster-ctl=127.0.0.1:" + std::to_string(o.ctl_port));
   args.push_back("--quiet");
   return args;
-}
-
-pid_t spawn(const std::vector<std::string>& args) {
-  const pid_t pid = ::fork();
-  if (pid != 0) return pid;
-  std::vector<char*> argv;
-  argv.reserve(args.size() + 1);
-  for (const std::string& arg : args) {
-    argv.push_back(const_cast<char*>(arg.c_str()));
-  }
-  argv.push_back(nullptr);
-  ::execv(argv[0], argv.data());
-  std::fprintf(stderr, "melody_cluster: exec %s: %s\n", argv[0],
-               std::strerror(errno));
-  ::_exit(127);
 }
 
 /// Poll-driven control-protocol server: one line in, one reply line out,
@@ -323,11 +280,9 @@ int main(int argc, char** argv) {
         const int lo = i * (k / m) + std::min(i, k % m);
         const int hi = (i + 1) * (k / m) + std::min(i + 1, k % m);
         std::vector<std::string> args = coordinator_options.spawn_args;
-        args.push_back("--cluster-member");
-        args.push_back("m" + std::to_string(i));
-        args.push_back("--cluster-shards");
-        args.push_back(shard_csv(lo, hi));
-        const pid_t pid = spawn(args);
+        args.push_back("--cluster-member=m" + std::to_string(i));
+        args.push_back("--cluster-shards=" + shard_csv(lo, hi));
+        const pid_t pid = cluster::spawn_member(args);
         if (pid < 0) throw std::runtime_error("fork failed");
         children.push_back(pid);
       }

@@ -70,6 +70,8 @@ struct Options {
   std::string csv;
   std::string metrics_json;
   std::string cluster;
+  std::string ctl_host;  // --cluster, split by main
+  int ctl_port = 0;
   bool dry_run = false;
   bool quiet = false;
   bool version = false;
@@ -378,19 +380,6 @@ ClientResult run_open_client(const Options& options, int client) {
   return result;
 }
 
-/// Split --cluster's "HOST:PORT". False on a malformed endpoint.
-bool parse_endpoint(const std::string& spec, std::string* host, int* port) {
-  const std::size_t colon = spec.rfind(':');
-  if (colon == std::string::npos || colon == 0) return false;
-  *host = spec.substr(0, colon);
-  try {
-    *port = std::stoi(spec.substr(colon + 1));
-  } catch (const std::exception&) {
-    return false;
-  }
-  return *port >= 1 && *port <= 65535;
-}
-
 /// Closed-loop client routed through the cluster: fetch the routing table
 /// from the coordinator, then send each request to the member owning its
 /// shard (broadcasts fan out and re-merge). A not_owner rejection mid-run
@@ -398,9 +387,6 @@ bool parse_endpoint(const std::string& spec, std::string* host, int* port) {
 /// the stream sees the same responses a single-process deployment gives.
 ClientResult run_cluster_client(const Options& options, int client) {
   ClientResult result;
-  std::string ctl_host;
-  int ctl_port = 0;
-  parse_endpoint(options.cluster, &ctl_host, &ctl_port);  // validated in main
   auto control_conn = std::make_shared<cluster::LineClient>();
   auto pool = std::make_shared<cluster::MemberPool>();
   cluster::ClusterClient router(
@@ -408,10 +394,10 @@ ClientResult run_cluster_client(const Options& options, int client) {
              const svc::Request& request, svc::Response* out) {
         return pool->call(member, request, out);
       },
-      [control_conn, ctl_host, ctl_port](const svc::WireObject& command,
-                                         svc::WireObject* reply) {
+      [control_conn, host = options.ctl_host, port = options.ctl_port](
+          const svc::WireObject& command, svc::WireObject* reply) {
         if (!control_conn->connected() &&
-            !control_conn->connect(ctl_host, ctl_port)) {
+            !control_conn->connect(host, port)) {
           return false;
         }
         std::string line;
@@ -479,9 +465,8 @@ int main(int argc, char** argv) {
     return usage("--mode must be closed or open");
   }
   if (!options.cluster.empty()) {
-    std::string ctl_host;
-    int ctl_port = 0;
-    if (!parse_endpoint(options.cluster, &ctl_host, &ctl_port)) {
+    if (!cluster::parse_endpoint(options.cluster, &options.ctl_host,
+                                 &options.ctl_port)) {
       return usage("--cluster must be HOST:PORT");
     }
     if (options.mode != "closed") {

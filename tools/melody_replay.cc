@@ -2,10 +2,13 @@
 // --trace-out) against a rebuilt deployment and verify the responses match
 // byte for byte.
 //
-// The deployment is reconstructed from the trace header (shard count,
-// population, seed, estimator, batch triggers, fault plan, clock mode);
-// --resume restores a checkpoint first, so a trace recorded after a
-// kill/resume verifies against the same resumed state. In-frames are
+// The deployment is reconstructed from the trace header alone: it carries
+// ServiceConfig::to_flags() of the recorded deployment (every flag-settable
+// knob: population, seed, estimator, payment rule, re-estimation period,
+// exploration weight, batch triggers, fault plan, clock mode, shards), read
+// back through ServiceConfig::from_flags. --resume restores a checkpoint
+// first, so a trace recorded after a kill/resume verifies against the same
+// resumed state. In-frames are
 // applied in file order through the single-threaded poll loop — the same
 // per-shard order the live event loop produced — so with a manual clock
 // every response is a pure function of the trace and any divergence is a

@@ -200,6 +200,12 @@ int main(int argc, char** argv) {
   if (options.port < 0 || options.port > 65535) {
     return usage("--port must be in [0, 65535] (0: ephemeral)");
   }
+  std::string ctl_host;
+  int ctl_port = 0;
+  if (!options.cluster_ctl.empty() &&
+      !cluster::parse_endpoint(options.cluster_ctl, &ctl_host, &ctl_port)) {
+    return usage("--cluster-ctl must be HOST:PORT");
+  }
 
   util::set_shared_thread_count(static_cast<int>(options.threads));
 
@@ -281,13 +287,6 @@ int main(int argc, char** argv) {
       std::atomic<bool> agent_stop{false};
       std::thread agent;
       if (!options.cluster_member.empty() && !options.cluster_ctl.empty()) {
-        const auto colon = options.cluster_ctl.rfind(':');
-        if (colon == std::string::npos) {
-          throw std::runtime_error("--cluster-ctl must be HOST:PORT");
-        }
-        const std::string ctl_host = options.cluster_ctl.substr(0, colon);
-        const int ctl_port =
-            std::stoi(options.cluster_ctl.substr(colon + 1));
         svc::WireObject join;
         join.set("cmd", svc::WireValue::of("join"));
         join.set("member", svc::WireValue::of(options.cluster_member));
