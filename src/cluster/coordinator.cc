@@ -3,6 +3,8 @@
 #include <chrono>
 #include <utility>
 
+#include "svc/shard.h"
+
 namespace melody::cluster {
 
 namespace {
@@ -33,8 +35,8 @@ Coordinator::Coordinator(CoordinatorOptions options, DataRpc rpc)
   table_.shards = options_.shards;
   table_.workers = options_.workers;
   table_.owner.assign(static_cast<std::size_t>(options_.shards), -1);
-  table_.worker_offsets = worker_offsets_for(options_.workers,
-                                             options_.shards);
+  table_.worker_offsets =
+      svc::contiguous_split(options_.workers, options_.shards);
 }
 
 WireObject Coordinator::handle(const WireObject& command) {

@@ -1,25 +1,10 @@
 #include "cluster/routing.h"
 
-#include <algorithm>
 #include <stdexcept>
 
 #include "svc/router.h"
 
 namespace melody::cluster {
-
-std::vector<int> worker_offsets_for(const int workers, const int shards) {
-  if (workers < 1 || shards < 1) {
-    throw std::invalid_argument("cluster: workers and shards must be >= 1");
-  }
-  std::vector<int> offsets;
-  offsets.reserve(static_cast<std::size_t>(shards) + 1);
-  const int base = workers / shards;
-  const int extra = workers % shards;
-  for (int s = 0; s <= shards; ++s) {
-    offsets.push_back(s * base + std::min(s, extra));
-  }
-  return offsets;
-}
 
 bool RoutingTable::complete() const noexcept {
   if (shards < 1 || static_cast<int>(owner.size()) != shards) return false;

@@ -29,19 +29,14 @@ struct ClusterMember {
   bool operator==(const ClusterMember&) const = default;
 };
 
-/// The worker fence posts plan_shards (svc/shard.h) produces for a
-/// `workers`-worker, `shards`-shard deployment, in closed form: shard s
-/// starts at s*(w/K) + min(s, w%K) — the first w%K shards take one extra
-/// worker. Pinned against the planner by test_cluster.
-std::vector<int> worker_offsets_for(int workers, int shards);
-
 struct RoutingTable {
   std::int64_t epoch = 0;
   int shards = 0;
   int workers = 0;
   /// Per global shard: index into `members`, or -1 while unassigned.
   std::vector<int> owner;
-  /// shards + 1 fence posts (worker_offsets_for); shard_for routes on it.
+  /// shards + 1 fence posts (svc::contiguous_split of the workers, as
+  /// plan_shards splits them); shard_for routes on it.
   std::vector<int> worker_offsets;
   std::vector<ClusterMember> members;
 

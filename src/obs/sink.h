@@ -1,6 +1,6 @@
 // Structured event stream for per-run tracing: a pluggable Sink interface
-// with a no-op NullSink (the default — a null global sink pointer behaves
-// identically) and a JSON-lines sink for tools (`melody_sim --metrics-json`).
+// (no sink by default — a null global sink pointer drops every event) and a
+// JSON-lines sink for tools (`melody_sim --metrics-json`).
 //
 // Events are flat (name + typed key/value fields) and are emitted from the
 // orchestration layer only — Platform::step's per-run record, auction-level
@@ -57,13 +57,6 @@ class Sink {
  public:
   virtual ~Sink() = default;
   virtual void event(std::string_view name, std::span<const Field> fields) = 0;
-};
-
-/// Discards everything; behaviourally identical to a null sink pointer.
-/// Exists so APIs that require a non-null Sink& have a canonical no-op.
-class NullSink final : public Sink {
- public:
-  void event(std::string_view, std::span<const Field>) override {}
 };
 
 /// Writes one JSON object per event line:

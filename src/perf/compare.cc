@@ -5,7 +5,17 @@
 #include <ostream>
 #include <stdexcept>
 
+#include "util/stats.h"
+
 namespace melody::perf {
+
+namespace {
+
+double iqr(const std::vector<double>& wall_ms) {
+  return util::quantile(wall_ms, 0.75) - util::quantile(wall_ms, 0.25);
+}
+
+}  // namespace
 
 CompareReport compare(const PerfArtifact& baseline,
                       const PerfArtifact& candidate,
@@ -26,6 +36,8 @@ CompareReport compare(const PerfArtifact& baseline,
     row.name = b.name;
     row.baseline_ms = b.median_wall_ms;
     row.candidate_ms = c->median_wall_ms;
+    row.baseline_iqr_ms = iqr(b.wall_ms);
+    row.candidate_iqr_ms = iqr(c->wall_ms);
     row.ratio =
         b.median_wall_ms > 0.0 ? c->median_wall_ms / b.median_wall_ms : 0.0;
     row.regression = row.ratio > 1.0 + options.threshold;
@@ -60,16 +72,18 @@ namespace {
 void print_report(const CompareReport& report, const CompareOptions& options,
                   std::ostream& out) {
   char line[256];
-  std::snprintf(line, sizeof line, "%-28s %12s %12s %8s  %s\n", "benchmark",
-                "base ms", "cand ms", "ratio", "verdict");
+  std::snprintf(line, sizeof line, "%-28s %12s %10s %12s %10s %8s  %s\n",
+                "benchmark", "base ms", "base IQR", "cand ms", "cand IQR",
+                "ratio", "verdict");
   out << line;
   for (const BenchComparison& row : report.rows) {
     const char* verdict = row.regression          ? "REGRESSION"
                           : row.ratio < 1.0 - 1e-9 ? "improved"
                                                    : "ok";
-    std::snprintf(line, sizeof line, "%-28s %12.3f %12.3f %8.3f  %s\n",
-                  row.name.c_str(), row.baseline_ms, row.candidate_ms,
-                  row.ratio, verdict);
+    std::snprintf(line, sizeof line,
+                  "%-28s %12.3f %10.3f %12.3f %10.3f %8.3f  %s\n",
+                  row.name.c_str(), row.baseline_ms, row.baseline_iqr_ms,
+                  row.candidate_ms, row.candidate_iqr_ms, row.ratio, verdict);
     out << line;
   }
   for (const std::string& name : report.missing) {

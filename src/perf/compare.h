@@ -1,6 +1,7 @@
 // Regression gate between two perf-trajectory artifacts. Benchmarks are
 // matched by name across the intersection of the two files and compared by
-// median wall time; a ratio above (1 + threshold) is a regression. The CLI
+// median wall time; a ratio above (1 + threshold) is a regression. Each
+// side's interquartile range is reported beside its median. The CLI
 // wrapper (tools/perf_compare) turns the outcome into an exit code so CI
 // can gate on the committed baseline:
 //   0 — within threshold (including improvements),
@@ -23,6 +24,11 @@ struct BenchComparison {
   std::string name;
   double baseline_ms = 0.0;
   double candidate_ms = 0.0;
+  /// Interquartile range of each side's repeats (wall_ms, linearly
+  /// interpolated quartiles; 0 for a single repeat): the spread a ratio
+  /// should be read against.
+  double baseline_iqr_ms = 0.0;
+  double candidate_iqr_ms = 0.0;
   double ratio = 0.0;  // candidate / baseline (0 when baseline is 0)
   bool regression = false;
 };

@@ -4,38 +4,25 @@
 #include <time.h>
 
 #include <algorithm>
-#include <array>
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <ctime>
-#include <filesystem>
 #include <functional>
 #include <memory>
 #include <numeric>
 #include <ostream>
-#include <sstream>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 
 #include "auction/bid_book.h"
 #include "auction/melody_auction.h"
-#include "cluster/coordinator.h"
-#include "cluster/routing.h"
 #include "estimators/factory.h"
 #include "estimators/melody_estimator.h"
 #include "obs/metrics.h"
-#include "obs/sink.h"
 #include "perf/reference.h"
 #include "sim/platform.h"
 #include "sim/scenario.h"
 #include "sim/worker_model.h"
-#include "svc/frame.h"
-#include "svc/protocol.h"
-#include "svc/router.h"
-#include "svc/trace_log.h"
-#include "svc/service.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -438,400 +425,6 @@ BenchmarkResult bench_platform_step(bool quick, int repeats) {
       nullptr);
 }
 
-/// Deterministic request mix mirroring melody_loadgen's distribution:
-/// mostly bids (the batch trigger), some task postings, some reads. Shared
-/// by svc_serve and svc_serve_traced so both time identical sessions.
-std::string serve_request_mix(int num_requests) {
-  std::string trace;
-  util::Rng rng(0x5E7CE);
-  for (int k = 0; k < num_requests; ++k) {
-    svc::Request request;
-    request.id = k + 1;
-    const double pick = rng.uniform01();
-    if (pick < 0.80) {
-      request.op = svc::Op::kSubmitBid;
-      request.worker = "w" + std::to_string(rng.uniform_int(0, 99));
-    } else if (pick < 0.90) {
-      request.op = svc::Op::kSubmitTasks;
-      request.task_count = static_cast<int>(rng.uniform_int(50, 200));
-      request.budget = rng.uniform(40.0, 160.0);
-    } else if (pick < 0.96) {
-      request.op = svc::Op::kQueryWorker;
-      request.worker = "w" + std::to_string(rng.uniform_int(0, 99));
-    } else {
-      request.op = svc::Op::kStats;
-    }
-    trace += svc::format_request(request);
-    trace += '\n';
-  }
-  return trace;
-}
-
-svc::ServiceConfig serve_bench_config() {
-  svc::ServiceConfig config;
-  config.scenario.num_workers = 100;
-  config.scenario.num_tasks = 200;
-  config.scenario.runs = 2000;
-  config.manual_clock = true;
-  config.seed = 2017;
-  return config;
-}
-
-BenchmarkResult bench_svc_serve(bool quick, int repeats) {
-  const int num_requests = quick ? 1500 : 6000;
-  const svc::ServiceConfig config = serve_bench_config();
-  const std::string trace = serve_request_mix(num_requests);
-  return measure(
-      "svc_serve", repeats,
-      {{"requests", static_cast<double>(num_requests)},
-       {"workers", 100.0},
-       {"runs_horizon", static_cast<double>(config.scenario.runs)},
-       {"seed", static_cast<double>(config.seed)}},
-      [&] {
-        svc::ShardedService service(config);
-        std::istringstream in(trace);
-        std::ostringstream out;
-        const svc::FrameTally outcome =
-            svc::run_stdio_session(service, in, out);
-        g_sink = g_sink + static_cast<double>(outcome.requests) +
-                 static_cast<double>(out.str().size());
-      },
-      nullptr);
-}
-
-BenchmarkResult bench_svc_serve_traced(bool quick, int repeats) {
-  // The tracing cost contract, measured: the svc_serve session served with
-  // end-to-end tracing ON (span minting, per-frame root contexts, a live
-  // MLDYTRC recorder) paired against the identical session with tracing
-  // OFF. The headline median is the traced pass; counters record the
-  // untraced median and the traced/untraced wall ratio. The gate the CI
-  // perfsuite enforces is on svc_serve itself (tracing-disabled code must
-  // stay within the usual threshold of the committed baseline) — this
-  // entry pins what turning tracing on actually costs.
-  const int num_requests = quick ? 1500 : 6000;
-  const svc::ServiceConfig config = serve_bench_config();
-  const std::string trace = serve_request_mix(num_requests);
-
-  const auto session = [&](bool traced) {
-    svc::ShardedService service(config);
-    std::istringstream in(trace);
-    std::ostringstream out;
-    if (traced) {
-      std::ostringstream trace_bytes;
-      svc::TraceRecorder recorder(trace_bytes);
-      const svc::FrameTally outcome =
-          svc::run_stdio_session(service, in, out, &recorder);
-      recorder.finish();
-      g_sink = g_sink + static_cast<double>(outcome.requests) +
-               static_cast<double>(trace_bytes.str().size());
-    } else {
-      const svc::FrameTally outcome =
-          svc::run_stdio_session(service, in, out);
-      g_sink = g_sink + static_cast<double>(outcome.requests);
-    }
-    g_sink = g_sink + static_cast<double>(out.str().size());
-  };
-
-  BenchmarkResult result;
-  result.name = "svc_serve_traced";
-  result.repeats = repeats;
-  result.config = {{"requests", static_cast<double>(num_requests)},
-                   {"workers", 100.0},
-                   {"runs_horizon", static_cast<double>(config.scenario.runs)},
-                   {"seed", static_cast<double>(config.seed)}};
-  // Spans emit into a null sink: the bench times minting/propagation and
-  // the recorder, not some sink's disk.
-  obs::NullSink null_sink;
-  // Paired design (see measure()): alternate traced and untraced repeats
-  // after one warm-up of each so drift hits both sides equally.
-  std::vector<std::pair<double, double>> traced_samples;
-  std::vector<double> untraced_wall;
-  {
-    obs::ScopedSink scoped(&null_sink);
-    {
-      obs::ScopedEnable on(true);
-      session(true);
-    }
-    {
-      obs::ScopedEnable off(false);
-      session(false);
-    }
-    for (int k = 0; k < repeats; ++k) {
-      {
-        obs::ScopedEnable on(true);
-        const double wall0 = wall_now_ms();
-        const double cpu0 = cpu_now_ms();
-        session(true);
-        traced_samples.emplace_back(wall_now_ms() - wall0,
-                                    cpu_now_ms() - cpu0);
-      }
-      {
-        obs::ScopedEnable off(false);
-        const double wall0 = wall_now_ms();
-        session(false);
-        untraced_wall.push_back(wall_now_ms() - wall0);
-      }
-    }
-  }
-  std::sort(traced_samples.begin(), traced_samples.end());
-  for (const auto& [wall, cpu] : traced_samples) {
-    result.wall_ms.push_back(wall);
-    result.cpu_ms.push_back(cpu);
-  }
-  result.median_wall_ms = median(result.wall_ms);
-  result.median_cpu_ms = median(result.cpu_ms);
-  const double untraced_median = median(untraced_wall);
-  result.counters.emplace_back("untraced_median_wall_ms", untraced_median);
-  result.counters.emplace_back(
-      "tracing_overhead",
-      untraced_median > 0.0 ? result.median_wall_ms / untraced_median : 0.0);
-  obs::registry().reset();
-  result.peak_rss_kb = peak_rss_kb_now();
-  return result;
-}
-
-BenchmarkResult bench_svc_serve_sharded(bool quick, int repeats) {
-  // Ingest throughput of the sharded front of house: routing, bounded-queue
-  // handoff, per-shard consumer apply. The batch trigger sits above the bid
-  // volume so no auction fires inside the timed body — auction execution
-  // has its own entries — and the K million-worker platforms are built once
-  // as setup (registering the population is construction, not serving).
-  svc::ServiceConfig config;
-  config.scenario.num_workers = quick ? 100000 : 1000000;
-  config.scenario.num_tasks = 2000;
-  config.scenario.runs = 50;
-  config.shards = quick ? 4 : 8;
-  config.queue_capacity = 4096;
-  config.manual_clock = true;
-  config.batch.min_bids = config.scenario.num_workers * 2;  // never fires
-  config.seed = 2017;
-  svc::ShardedService service(config);
-  service.start();
-
-  const int num_requests = quick ? 60000 : 240000;
-  std::vector<svc::Request> requests(static_cast<std::size_t>(num_requests));
-  util::Rng rng(0x5A4D);
-  for (int k = 0; k < num_requests; ++k) {
-    auto& request = requests[static_cast<std::size_t>(k)];
-    request.id = k + 1;
-    request.op = svc::Op::kSubmitBid;
-    request.worker =
-        "w" + std::to_string(
-                  rng.uniform_int(0, config.scenario.num_workers - 1));
-  }
-
-  BenchmarkResult result = measure(
-      "svc_serve_sharded", repeats,
-      {{"workers", static_cast<double>(config.scenario.num_workers)},
-       {"shards", static_cast<double>(config.shards)},
-       {"requests", static_cast<double>(num_requests)},
-       {"queue_capacity", static_cast<double>(config.queue_capacity)},
-       {"seed", static_cast<double>(config.seed)}},
-      [&] {
-        std::atomic<int> delivered{0};
-        const auto done = [&delivered](const svc::Response&) {
-          delivered.fetch_add(1, std::memory_order_relaxed);
-        };
-        for (const svc::Request& request : requests) {
-          // A full queue is backpressure, not loss: retry until the owning
-          // shard accepts, like a client honoring retry_after_ms. Nothing
-          // closes the service mid-bench, so kClosed would be a bug.
-          svc::PushResult pushed;
-          while ((pushed = service.submit(request, done)) ==
-                 svc::PushResult::kFull) {
-            std::this_thread::yield();
-          }
-          if (pushed != svc::PushResult::kOk) {
-            throw std::runtime_error("svc_serve_sharded: service closed");
-          }
-        }
-        while (delivered.load(std::memory_order_acquire) < num_requests) {
-          std::this_thread::yield();
-        }
-        g_sink = g_sink + static_cast<double>(delivered.load());
-      },
-      nullptr);
-  result.counters.emplace_back(
-      "registered_workers", static_cast<double>(config.scenario.num_workers));
-  result.counters.emplace_back(
-      "submissions_per_sec",
-      result.median_wall_ms > 0.0
-          ? static_cast<double>(num_requests) / (result.median_wall_ms * 1e-3)
-          : 0.0);
-  return result;
-}
-
-BenchmarkResult bench_svc_serve_cluster(bool quick, int repeats) {
-  // Same deployment and request stream as svc_serve_sharded, but split
-  // across a two-member in-process cluster behind a Coordinator: each
-  // member is a full global-K ShardedService serving half the shard mask,
-  // and the timed body routes with the coordinator's RoutingTable (the
-  // same shard_for arithmetic melody_loadgen --cluster uses) before the
-  // queue handoff. The delta vs svc_serve_sharded is therefore the cluster
-  // routing layer. After the timed stream, a ping-pong of live migrations
-  // pins the per-shard unavailability window as migration_pause_ms.
-  svc::ServiceConfig config;
-  config.scenario.num_workers = quick ? 100000 : 1000000;
-  config.scenario.num_tasks = 2000;
-  config.scenario.runs = 50;
-  config.shards = quick ? 4 : 8;
-  config.queue_capacity = 4096;
-  config.manual_clock = true;
-  config.batch.min_bids = config.scenario.num_workers * 2;  // never fires
-  config.seed = 2017;
-  const int k = config.shards;
-
-  std::array<std::unique_ptr<svc::ShardedService>, 2> members;
-  for (int m = 0; m < 2; ++m) {
-    members[static_cast<std::size_t>(m)] =
-        std::make_unique<svc::ShardedService>(config);
-    std::uint64_t mask = 0;
-    for (int s = 0; s < k; ++s) {
-      if ((s < k / 2) == (m == 0)) mask |= std::uint64_t{1} << s;
-    }
-    members[static_cast<std::size_t>(m)]->configure_cluster(mask, 1);
-    members[static_cast<std::size_t>(m)]->start();
-  }
-
-  // The coordinator's data plane: submit into the named member and wait
-  // for the consumer thread's delivery, exactly what the TCP transport
-  // does for a one-command exchange.
-  const auto rpc = [&members](const cluster::ClusterMember& member,
-                              const svc::Request& request,
-                              svc::Response* out) {
-    svc::ShardedService& service =
-        *members[member.name == "a" ? 0 : 1];
-    std::atomic<bool> delivered{false};
-    const auto done = [&](const svc::Response& response) {
-      *out = response;
-      delivered.store(true, std::memory_order_release);
-    };
-    svc::PushResult pushed;
-    while ((pushed = service.submit(request, done)) ==
-           svc::PushResult::kFull) {
-      std::this_thread::yield();
-    }
-    if (pushed != svc::PushResult::kOk) return false;
-    while (!delivered.load(std::memory_order_acquire)) {
-      std::this_thread::yield();
-    }
-    return true;
-  };
-
-  const std::string publish_dir = "bench_cluster_tmp";
-  std::filesystem::create_directories(publish_dir);
-  cluster::CoordinatorOptions coordinator_options;
-  coordinator_options.shards = k;
-  coordinator_options.workers = config.scenario.num_workers;
-  coordinator_options.expected_members = 2;
-  coordinator_options.publish_dir = publish_dir;
-  cluster::Coordinator coordinator(coordinator_options, rpc);
-  for (int m = 0; m < 2; ++m) {
-    svc::WireObject join;
-    join.set("cmd", svc::WireValue::of("join"));
-    join.set("member", svc::WireValue::of(m == 0 ? "a" : "b"));
-    join.set("host", svc::WireValue::of("127.0.0.1"));
-    join.set("port", svc::WireValue::of(static_cast<std::int64_t>(m + 1)));
-    join.set("pid", svc::WireValue::of(static_cast<std::int64_t>(m + 1)));
-    std::vector<double> shards;
-    for (int s = 0; s < k; ++s) {
-      if ((s < k / 2) == (m == 0)) shards.push_back(s);
-    }
-    join.set("shards", svc::WireValue::of(std::move(shards)));
-    const svc::WireObject reply = coordinator.handle(join);
-    if (!reply.boolean_or("ok", false)) {
-      throw std::runtime_error("svc_serve_cluster: join failed: " +
-                               reply.text_or("error", "?"));
-    }
-  }
-  const cluster::RoutingTable table = coordinator.table();
-
-  const int num_requests = quick ? 60000 : 240000;
-  std::vector<svc::Request> requests(static_cast<std::size_t>(num_requests));
-  util::Rng rng(0x5A4D);
-  for (int j = 0; j < num_requests; ++j) {
-    auto& request = requests[static_cast<std::size_t>(j)];
-    request.id = j + 1;
-    request.op = svc::Op::kSubmitBid;
-    request.worker =
-        "w" + std::to_string(
-                  rng.uniform_int(0, config.scenario.num_workers - 1));
-  }
-
-  BenchmarkResult result = measure(
-      "svc_serve_cluster", repeats,
-      {{"workers", static_cast<double>(config.scenario.num_workers)},
-       {"shards", static_cast<double>(k)},
-       {"members", 2.0},
-       {"requests", static_cast<double>(num_requests)},
-       {"queue_capacity", static_cast<double>(config.queue_capacity)},
-       {"seed", static_cast<double>(config.seed)}},
-      [&] {
-        std::atomic<int> delivered{0};
-        std::atomic<int> rejected{0};
-        const auto done = [&](const svc::Response& response) {
-          if (!response.ok) rejected.fetch_add(1, std::memory_order_relaxed);
-          delivered.fetch_add(1, std::memory_order_relaxed);
-        };
-        for (const svc::Request& request : requests) {
-          const int shard = table.shard_for(request.worker);
-          svc::ShardedService& service =
-              *members[static_cast<std::size_t>(
-                  table.owner[static_cast<std::size_t>(shard)])];
-          svc::PushResult pushed;
-          while ((pushed = service.submit(request, done)) ==
-                 svc::PushResult::kFull) {
-            std::this_thread::yield();
-          }
-          if (pushed != svc::PushResult::kOk) {
-            throw std::runtime_error("svc_serve_cluster: service closed");
-          }
-        }
-        while (delivered.load(std::memory_order_acquire) < num_requests) {
-          std::this_thread::yield();
-        }
-        // Steady state has no migration in flight: a not_owner here means
-        // the routing layer disagreed with the shard masks.
-        if (rejected.load() != 0) {
-          throw std::runtime_error("svc_serve_cluster: rejected submissions");
-        }
-        g_sink = g_sink + static_cast<double>(delivered.load());
-      },
-      nullptr);
-
-  // Live-migration pause: ping-pong the last shard between the members and
-  // record the coordinator-reported unavailability window (export detach to
-  // import done) for each hop.
-  const int migrations = 6;
-  std::vector<double> pauses;
-  pauses.reserve(static_cast<std::size_t>(migrations));
-  for (int hop = 0; hop < migrations; ++hop) {
-    svc::WireObject migrate;
-    migrate.set("cmd", svc::WireValue::of("migrate"));
-    migrate.set("shard", svc::WireValue::of(static_cast<std::int64_t>(k - 1)));
-    migrate.set("to", svc::WireValue::of(hop % 2 == 0 ? "a" : "b"));
-    const svc::WireObject reply = coordinator.handle(migrate);
-    if (!reply.boolean_or("ok", false)) {
-      throw std::runtime_error("svc_serve_cluster: migrate failed: " +
-                               reply.text_or("error", "?"));
-    }
-    pauses.push_back(reply.number("pause_ms"));
-  }
-  std::sort(pauses.begin(), pauses.end());
-
-  result.counters.emplace_back(
-      "submissions_per_sec",
-      result.median_wall_ms > 0.0
-          ? static_cast<double>(num_requests) / (result.median_wall_ms * 1e-3)
-          : 0.0);
-  result.counters.emplace_back("migrations_timed",
-                               static_cast<double>(migrations));
-  result.counters.emplace_back("migration_pause_ms", median(pauses));
-  std::error_code ec;
-  std::filesystem::remove_all(publish_dir, ec);
-  return result;
-}
-
 }  // namespace
 
 std::string detect_git_sha() {
@@ -889,13 +482,6 @@ PerfArtifact run_suite(const SuiteOptions& options, std::ostream& log) {
          return bench_kalman_chain("kalman_em_chain", true, quick, repeats);
        }},
       {"platform_step", [&] { return bench_platform_step(quick, repeats); }},
-      {"svc_serve", [&] { return bench_svc_serve(quick, repeats); }},
-      {"svc_serve_traced",
-       [&] { return bench_svc_serve_traced(quick, repeats); }},
-      {"svc_serve_sharded",
-       [&] { return bench_svc_serve_sharded(quick, repeats); }},
-      {"svc_serve_cluster",
-       [&] { return bench_svc_serve_cluster(quick, repeats); }},
   };
   for (const std::string& name : options.only) {
     const auto named = [&name](const auto& bench) {

@@ -7,7 +7,10 @@
 //   greedy_scoring_100k  Algorithm 1 over 100k / 20k bids; also times the
 //                        frozen scalar reference (perf/reference.h) and
 //                        records counters.speedup_vs_scalar.
-//   auction_scale_1m     fig8-style scaling point: one auction over 10^6 /
+//   greedy_incremental_100k  8 re-auctions with 2% bid churn each over
+//                        100k / 20k bids, ranked from the persistent bid
+//                        book; speedup_vs_scalar against a full re-sort.
+//   auction_scale_1m    fig8-style scaling point: one auction over 10^6 /
 //                        10^5 bids.
 //   kalman_chain         MELODY posterior updates, EM off: 50k x 20 /
 //                        10k x 10 worker-runs with scattered (shuffled)
@@ -18,28 +21,10 @@
 //   kalman_em_chain      same chain with periodic EM + sliding window.
 //   platform_step        full simulation steps (auction -> scoring ->
 //                        estimator) on the Table-4 long-term scenario.
-//   svc_serve            end-to-end service pass: a deterministic request
-//                        trace driven through svc::run_stdio_session over
-//                        a K=1 ShardedService — what melody_serve --stdin
-//                        runs, on the line path the TCP server shares.
-//   svc_serve_traced     the same session with end-to-end tracing ON (span
-//                        minting + a live MLDYTRC recorder) paired against
-//                        tracing OFF; counters.tracing_overhead pins the
-//                        traced/untraced wall ratio. The tracing-disabled
-//                        cost gate rides on svc_serve vs the baseline.
-//   svc_serve_sharded    ingest throughput of the K-shard front of house
-//                        (router + bounded-queue handoff + per-shard
-//                        consumers) over 240k / 60k submissions into a
-//                        1M / 100k-worker population;
-//                        counters.submissions_per_sec.
-//   svc_serve_cluster    the same stream routed through the cluster layer:
-//                        two in-process members each serving half the
-//                        shard mask behind a Coordinator, routing by the
-//                        pushed RoutingTable; comparable
-//                        counters.submissions_per_sec, plus
-//                        counters.migration_pause_ms — the median per-shard
-//                        unavailability window across a ping-pong of live
-//                        migrations (export-detach to import-done).
+//
+// The serve path (wire, shards, tracing, migration) is measured from outside
+// by e2ebench/ (wire_serve, state_move), with spread; this matrix keeps the
+// micro-benches that time production code against frozen references.
 //
 // Timed repeats run with the obs layer OFF (the production default); one
 // extra instrumented pass per bench collects the obs phase timers into

@@ -138,7 +138,7 @@ int ShardedService::route(const std::string& worker) const {
 
 void ShardedService::configure_cluster(const std::uint64_t active_mask,
                                        const std::int64_t epoch) {
-  if (shard_count() > 64) {
+  if (shard_count() > kMaxClusterShards) {
     throw std::invalid_argument(
         "svc: cluster mode supports at most 64 shards (activity mask width)");
   }

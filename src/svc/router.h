@@ -118,9 +118,10 @@ class ShardedService {
   /// Enter cluster mode as one member of a multi-process deployment: bit s
   /// of `active_mask` marks shard s as owned by this process, `epoch` seeds
   /// the routing epoch. Must be called before any request is submitted.
-  /// Throws std::invalid_argument when the deployment has more than 64
-  /// shards (the mask width bounds cluster deployments).
+  /// Throws std::invalid_argument when the deployment has more than
+  /// kMaxClusterShards shards (the mask width bounds cluster deployments).
   void configure_cluster(std::uint64_t active_mask, std::int64_t epoch);
+  static constexpr int kMaxClusterShards = 64;
   bool cluster_mode() const noexcept { return cluster_mode_; }
   bool shard_active(int s) const noexcept {
     return (active_mask_.load(std::memory_order_acquire) >>

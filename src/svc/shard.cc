@@ -13,11 +13,10 @@ namespace melody::svc {
 
 namespace {
 
-// Contiguous proportional split of `total` across K shards: the first
-// total%K shards take one extra unit. Used for workers, tasks, and any
-// explicit min_bids trigger so every split telescopes exactly.
-int slice_size(int total, int shards, int index) {
-  return total / shards + (index < total % shards ? 1 : 0);
+// Size of slice `s` of a contiguous_split.
+int slice(const std::vector<int>& posts, int s) {
+  const auto i = static_cast<std::size_t>(s);
+  return posts[i + 1] - posts[i];
 }
 
 // Poll timeout while idle: short enough that shutdown and real-clock
@@ -33,20 +32,36 @@ void feed_clock(AuctionService& service,
 
 }  // namespace
 
+std::vector<int> contiguous_split(const int total, const int parts) {
+  if (total < 1 || parts < 1) {
+    throw std::invalid_argument("svc: a split needs total and parts >= 1");
+  }
+  std::vector<int> posts;
+  posts.reserve(static_cast<std::size_t>(parts) + 1);
+  const int base = total / parts;
+  const int extra = total % parts;
+  for (int s = 0; s <= parts; ++s) {
+    posts.push_back(s * base + std::min(s, extra));
+  }
+  return posts;
+}
+
 std::vector<ShardPlan> plan_shards(const ServiceConfig& config) {
   config.validate();
   const int k = config.shards;
+  const int total_workers = config.scenario.num_workers;
+  const std::vector<int> worker_posts = contiguous_split(total_workers, k);
+  const std::vector<int> task_posts =
+      contiguous_split(config.scenario.num_tasks, k);
   std::vector<ShardPlan> plans;
   plans.reserve(static_cast<std::size_t>(k));
-  const int total_workers = config.scenario.num_workers;
-  int worker_offset = 0;
   for (int s = 0; s < k; ++s) {
     ShardPlan plan;
     plan.index = s;
-    plan.worker_offset = worker_offset;
+    plan.worker_offset = worker_posts[static_cast<std::size_t>(s)];
     plan.config = config;
     plan.config.shards = 1;
-    plan.config.worker_name_offset = worker_offset;
+    plan.config.worker_name_offset = plan.worker_offset;
     // Checkpoint files and their cadence belong to the router alone.
     plan.config.checkpoint_path.clear();
     plan.config.checkpoint_every = 0;
@@ -54,29 +69,24 @@ std::vector<ShardPlan> plan_shards(const ServiceConfig& config) {
       // Shard-local metrics register under their own namespace so the
       // trace_status / stats merges can report per-shard views.
       plan.config.obs_prefix = "shard" + std::to_string(s) + "/";
-      const int shard_workers = slice_size(total_workers, k, s);
+      const int shard_workers = slice(worker_posts, s);
       const double share = static_cast<double>(shard_workers) /
                            static_cast<double>(total_workers);
       plan.config.scenario.num_workers = shard_workers;
-      plan.config.scenario.num_tasks =
-          slice_size(config.scenario.num_tasks, k, s);
+      plan.config.scenario.num_tasks = slice(task_posts, s);
       plan.config.scenario.budget = config.scenario.budget * share;
       plan.config.seed =
           util::derive_stream(config.seed, kShardSeedSalt,
                               static_cast<std::uint64_t>(s));
       if (config.batch.min_bids > 0) {
-        const int part = slice_size(config.batch.min_bids, k, s);
+        const int part = slice(contiguous_split(config.batch.min_bids, k), s);
         plan.config.batch.min_bids = part < 1 ? 1 : part;
       }
       if (config.batch.budget_target > 0.0) {
         plan.config.batch.budget_target = config.batch.budget_target * share;
       }
     }
-    worker_offset += plan.config.scenario.num_workers;
     plans.push_back(std::move(plan));
-  }
-  if (worker_offset != total_workers) {
-    throw std::logic_error("svc: shard plan does not cover the population");
   }
   return plans;
 }

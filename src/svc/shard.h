@@ -49,8 +49,16 @@ struct ShardPlan {
   ServiceConfig config;
 };
 
+/// Contiguous split of `total` units into `parts` slices, the first
+/// total%parts slices taking one extra: the parts + 1 fence posts, slice s
+/// being [posts[s], posts[s+1]). plan_shards splits workers, tasks and
+/// min_bids with it, the cluster routing table takes its worker fence posts
+/// from it and melody_cluster its member shard ranges. Throws
+/// std::invalid_argument unless total >= 1 and parts >= 1.
+std::vector<int> contiguous_split(int total, int parts);
+
 /// Split `config` into config.shards per-shard configs: contiguous worker
-/// ranges (the first N%K shards take one extra worker), tasks split the
+/// ranges (contiguous_split), tasks split the
 /// same way, budget and any explicit batch triggers scaled by worker
 /// share, per-shard seeds salted at K>1. Checkpoint ownership is lifted to
 /// the router, so per-shard checkpoint_path/checkpoint_every are cleared.

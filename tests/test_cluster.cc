@@ -104,6 +104,9 @@ TEST(Endpoint, ParsesHostPortAndRefusesMalformedEndpoints) {
   }
 }
 
+/// The one contiguous split: plan_shards' worker offsets and slice sizes
+/// (workers, tasks, min_bids), the routing table's fence posts and
+/// melody_cluster's member shard ranges all come from it.
 TEST(WorkerOffsets, MatchesPlanShardsSplit) {
   const struct {
     int workers;
@@ -111,22 +114,41 @@ TEST(WorkerOffsets, MatchesPlanShardsSplit) {
   } cases[] = {{42, 4}, {40, 8}, {7, 3}, {5, 5}, {9, 1}};
   for (const auto& c : cases) {
     ServiceConfig config = cluster_config(c.shards, c.workers);
-    config.scenario.num_tasks = std::max(c.shards, 4);
+    config.scenario.num_tasks = std::max(c.shards, 4) + 3;
+    config.batch.min_bids = 2 * c.shards + 1;
     const std::vector<svc::ShardPlan> plans = svc::plan_shards(config);
-    const std::vector<int> offsets = worker_offsets_for(c.workers, c.shards);
+    const std::vector<int> offsets =
+        svc::contiguous_split(c.workers, c.shards);
+    const std::vector<int> tasks =
+        svc::contiguous_split(config.scenario.num_tasks, c.shards);
+    const std::vector<int> min_bids =
+        svc::contiguous_split(config.batch.min_bids, c.shards);
     ASSERT_EQ(offsets.size(), static_cast<std::size_t>(c.shards) + 1);
-    for (int s = 0; s < c.shards; ++s) {
-      EXPECT_EQ(offsets[static_cast<std::size_t>(s)],
-                plans[static_cast<std::size_t>(s)].worker_offset)
-          << c.workers << " workers / " << c.shards << " shards, shard " << s;
-    }
+    EXPECT_EQ(offsets.front(), 0);
     EXPECT_EQ(offsets.back(), c.workers);
+    for (int s = 0; s < c.shards; ++s) {
+      const auto i = static_cast<std::size_t>(s);
+      const ServiceConfig& shard = plans[i].config;
+      EXPECT_EQ(offsets[i], plans[i].worker_offset)
+          << c.workers << " workers / " << c.shards << " shards, shard " << s;
+      // The first total%K slices take one extra unit, in closed form.
+      EXPECT_EQ(offsets[i], s * (c.workers / c.shards) +
+                                std::min(s, c.workers % c.shards));
+      EXPECT_EQ(offsets[i + 1] - offsets[i], shard.scenario.num_workers);
+      if (c.shards > 1) {
+        EXPECT_EQ(tasks[i + 1] - tasks[i], shard.scenario.num_tasks);
+        EXPECT_EQ(min_bids[i + 1] - min_bids[i], shard.batch.min_bids);
+      }
+    }
   }
+  // More parts than units (melody_cluster with more members than shards):
+  // the trailing slices are empty.
+  EXPECT_EQ(svc::contiguous_split(2, 4), (std::vector<int>{0, 1, 2, 2, 2}));
 }
 
 TEST(WorkerOffsets, RejectsNonPositiveCounts) {
-  EXPECT_THROW(worker_offsets_for(0, 4), std::invalid_argument);
-  EXPECT_THROW(worker_offsets_for(4, 0), std::invalid_argument);
+  EXPECT_THROW(svc::contiguous_split(0, 4), std::invalid_argument);
+  EXPECT_THROW(svc::contiguous_split(4, 0), std::invalid_argument);
 }
 
 TEST(RoutingTable, EncodeDecodeRoundTrip) {
@@ -135,7 +157,7 @@ TEST(RoutingTable, EncodeDecodeRoundTrip) {
   table.shards = 4;
   table.workers = 42;
   table.owner = {0, 0, 1, 0};
-  table.worker_offsets = worker_offsets_for(42, 4);
+  table.worker_offsets = svc::contiguous_split(42, 4);
   table.members.push_back(ClusterMember{"alpha", "127.0.0.1", 7301, 101});
   table.members.push_back(ClusterMember{"beta", "127.0.0.1", 7302, 102});
 
@@ -163,7 +185,7 @@ TEST(RoutingTable, DecodeRejectsInconsistentShape) {
   table.shards = 4;
   table.workers = 8;
   table.owner = {0, 0, 0};  // three owners for four shards
-  table.worker_offsets = worker_offsets_for(8, 4);
+  table.worker_offsets = svc::contiguous_split(8, 4);
   table.members.push_back(ClusterMember{"a", "127.0.0.1", 7301, 1});
   EXPECT_THROW(RoutingTable::decode(table.encode()), std::invalid_argument);
 }
@@ -176,7 +198,7 @@ TEST(RoutingTable, ShardForMatchesRouterDecision) {
   table.shards = 4;
   table.workers = 42;
   table.owner = {0, 0, 0, 0};
-  table.worker_offsets = worker_offsets_for(42, 4);
+  table.worker_offsets = svc::contiguous_split(42, 4);
   table.members.push_back(ClusterMember{"solo", "127.0.0.1", 7301, 1});
   for (int w = 0; w < 42; ++w) {
     const Request request = bid_for(w, w + 1);

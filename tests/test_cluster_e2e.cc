@@ -7,9 +7,14 @@
 // suite lives outside tier-1; CI bounds it via the chaos --timeout-s.
 #include <gtest/gtest.h>
 
+#include <netinet/in.h>
+#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <arpa/inet.h>
+
+#include <cerrno>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -173,6 +178,78 @@ TEST(ClusterE2E, ChaosKillsLoseNoAckedSubmission) {
   EXPECT_EQ(wait_exit(chaos, std::chrono::seconds(55)), 0)
       << "chaos harness reported a lost acked submission or no recovery";
   // The harness shuts the cluster down on success.
+  EXPECT_EQ(wait_exit(coordinator, std::chrono::seconds(20)), 0);
+}
+
+TEST(ClusterE2E, OverlongControlLineClosesOnlyThatConnection) {
+  // No members and no migration: the coordinator alone, serving its
+  // control port.
+  const int port = pick_port(2);
+  const pid_t coordinator =
+      spawn({tool("melody_cluster"), "--no-spawn", "--members", "1",
+             "--ctl-port", std::to_string(port), "--quiet"});
+  ASSERT_GT(coordinator, 0);
+  LineClient client;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (!control(client, "127.0.0.1", port, cmd("ping")).boolean_or("ok",
+                                                                    false)) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+        << "coordinator never answered ping";
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  }
+  client.close();
+
+  // 2 MiB with no newline: past the 1 MiB line cap, the coordinator must
+  // answer once and close this connection instead of buffering on.
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  const timeval timeout{10, 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof timeout);
+  ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &timeout, sizeof timeout);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<std::uint16_t>(port));
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr), 0);
+  const std::string flood(std::size_t{2} << 20, 'x');
+  std::size_t sent = 0;
+  while (sent < flood.size()) {
+    const ssize_t n = ::send(fd, flood.data() + sent, flood.size() - sent,
+                             MSG_NOSIGNAL);
+    if (n <= 0) break;  // the coordinator closed the connection mid-flood
+    sent += static_cast<std::size_t>(n);
+  }
+  std::string received;
+  bool closed = false;
+  for (;;) {
+    char buffer[4096];
+    const ssize_t n = ::recv(fd, buffer, sizeof buffer, 0);
+    if (n > 0) {
+      received.append(buffer, static_cast<std::size_t>(n));
+      continue;
+    }
+    closed = n == 0 || (errno != EAGAIN && errno != EWOULDBLOCK);
+    break;
+  }
+  ::close(fd);
+  EXPECT_TRUE(closed) << "connection still open after a 2 MiB line";
+  // The error reply can be lost to the reset the unread flood causes; when
+  // it arrives it is a structured failure.
+  if (!received.empty()) {
+    EXPECT_EQ(svc::parse_wire(received.substr(0, received.find('\n')))
+                  .boolean_or("ok", true),
+              false)
+        << received;
+  }
+
+  // The coordinator serves on: a fresh connection gets its ping.
+  EXPECT_TRUE(
+      control(client, "127.0.0.1", port, cmd("ping")).boolean_or("ok", false));
+  EXPECT_TRUE(
+      control(client, "127.0.0.1", port, cmd("shutdown")).boolean_or("ok",
+                                                                     false));
+  client.close();
   EXPECT_EQ(wait_exit(coordinator, std::chrono::seconds(20)), 0);
 }
 

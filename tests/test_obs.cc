@@ -329,12 +329,17 @@ TEST(ObsSink, GlobalEmitIsDroppedWithoutASink) {
 }
 
 TEST(ObsSink, ScopedSinkInstallsAndRestores) {
-  NullSink null_sink;
+  std::ostringstream out;
+  JsonLinesSink capture(out);
   {
-    ScopedSink scoped(&null_sink);
-    EXPECT_EQ(sink(), &null_sink);
+    ScopedSink scoped(&capture);
+    EXPECT_EQ(sink(), &capture);
+    emit("test/captured", {{"x", 1}});
   }
   EXPECT_EQ(sink(), nullptr);
+  emit("test/dropped", {{"x", 2}});
+  EXPECT_EQ(capture.lines_written(), 1u);
+  EXPECT_NE(out.str().find("test/captured"), std::string::npos);
 }
 
 /// AuctionContext carries an explicit sink that overrides the global one;

@@ -255,6 +255,41 @@ TEST(PerfCompare, InvalidThresholdIsError) {
   EXPECT_EQ(report.status, CompareStatus::kError);
 }
 
+TEST(PerfCompare, ReportsEachSidesInterquartileRange) {
+  // Quartiles interpolate linearly between sorted repeats: {1, 2, 4, 8}
+  // has Q1 = 1.75 and Q3 = 5, {10, 11, 14} has Q1 = 10.5 and Q3 = 12.5,
+  // and a single repeat has no spread.
+  PerfArtifact baseline = gate_artifact(10.0, 50.0);
+  PerfArtifact candidate = gate_artifact(10.0, 50.0);
+  BenchmarkResult& base = baseline.benchmarks[0];
+  base.repeats = 4;
+  base.wall_ms = base.cpu_ms = {1.0, 2.0, 4.0, 8.0};
+  base.median_wall_ms = base.median_cpu_ms = 3.0;
+  BenchmarkResult& cand = candidate.benchmarks[0];
+  cand.repeats = 3;
+  cand.wall_ms = cand.cpu_ms = {10.0, 11.0, 14.0};
+  cand.median_wall_ms = cand.median_cpu_ms = 11.0;
+  const CompareReport report = compare(baseline, candidate, {});
+  ASSERT_EQ(report.rows.size(), 2u);
+  EXPECT_DOUBLE_EQ(report.rows[0].baseline_iqr_ms, 3.25);
+  EXPECT_DOUBLE_EQ(report.rows[0].candidate_iqr_ms, 2.0);
+  EXPECT_DOUBLE_EQ(report.rows[1].baseline_iqr_ms, 0.0);
+  EXPECT_DOUBLE_EQ(report.rows[1].candidate_iqr_ms, 0.0);
+
+  // The printed table carries both spreads beside the medians.
+  const std::string base_path = temp_path("iqr_baseline.json");
+  const std::string cand_path = temp_path("iqr_candidate.json");
+  write_artifact(baseline, base_path);
+  write_artifact(candidate, cand_path);
+  std::ostringstream table;
+  compare_files(base_path, cand_path, {.threshold = 10.0}, table);
+  EXPECT_NE(table.str().find("base IQR"), std::string::npos) << table.str();
+  EXPECT_NE(table.str().find("3.250"), std::string::npos) << table.str();
+  EXPECT_NE(table.str().find("2.000"), std::string::npos) << table.str();
+  std::remove(base_path.c_str());
+  std::remove(cand_path.c_str());
+}
+
 TEST(PerfCompareFiles, ExitCodeContract) {
   // compare_files returns the CLI's exit codes: 0 ok, 1 regression,
   // 2 malformed input — the CI gate scripts against exactly these.

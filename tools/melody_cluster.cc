@@ -34,6 +34,8 @@
 #include "cluster/coordinator.h"
 #include "cluster/net.h"
 #include "svc/config.h"
+#include "svc/event_loop.h"
+#include "svc/shard.h"
 #include "svc/wire.h"
 #include "util/build_info.h"
 #include "util/flags.h"
@@ -180,26 +182,42 @@ class ControlServer {
     while ((newline = it->second.find('\n')) != std::string::npos) {
       const std::string line = it->second.substr(0, newline);
       it->second.erase(0, newline + 1);
-      std::string reply_line;
       try {
-        reply_line =
-            svc::format_wire(coordinator_.handle(svc::parse_wire(line)));
+        send_line(fd,
+                  svc::format_wire(coordinator_.handle(svc::parse_wire(line))));
       } catch (const std::exception& e) {
-        svc::WireObject reply;
-        reply.set("ok", svc::WireValue::of(false));
-        reply.set("error", svc::WireValue::of(std::string(e.what())));
-        reply_line = svc::format_wire(reply);
-      }
-      reply_line += "\n";
-      std::size_t sent = 0;
-      while (sent < reply_line.size()) {
-        const ssize_t w = ::send(fd, reply_line.data() + sent,
-                                 reply_line.size() - sent, MSG_NOSIGNAL);
-        if (w <= 0) break;
-        sent += static_cast<std::size_t>(w);
+        send_line(fd, failure_line(e.what()));
       }
     }
+    if (it->second.size() > kMaxLine) {
+      // A line this large is a framing bug, not a command: answer once and
+      // drop the connection (there is no way to resynchronize).
+      send_line(fd, failure_line("control: request line too long"));
+      ::close(fd);
+      clients_.erase(it);
+    }
   }
+
+  static std::string failure_line(const std::string& error) {
+    svc::WireObject reply;
+    reply.set("ok", svc::WireValue::of(false));
+    reply.set("error", svc::WireValue::of(error));
+    return svc::format_wire(reply);
+  }
+
+  static void send_line(int fd, std::string line) {
+    line += "\n";
+    std::size_t sent = 0;
+    while (sent < line.size()) {
+      const ssize_t w =
+          ::send(fd, line.data() + sent, line.size() - sent, MSG_NOSIGNAL);
+      if (w <= 0) break;
+      sent += static_cast<std::size_t>(w);
+    }
+  }
+
+  /// Cap on one buffered control line, the data plane's default.
+  static inline const std::size_t kMaxLine = svc::EventLoopOptions{}.max_line;
 
   cluster::Coordinator& coordinator_;
   int listen_fd_ = -1;
@@ -273,15 +291,15 @@ int main(int argc, char** argv) {
 
     std::vector<pid_t> children;
     if (!options.no_spawn) {
-      const int k = options.service.shards;
       const int m = static_cast<int>(options.members);
+      const std::vector<int> posts =
+          svc::contiguous_split(options.service.shards, m);
       for (int i = 0; i < m; ++i) {
-        // Contiguous shard slices, first K%M members take one extra.
-        const int lo = i * (k / m) + std::min(i, k % m);
-        const int hi = (i + 1) * (k / m) + std::min(i + 1, k % m);
+        const auto slot = static_cast<std::size_t>(i);
         std::vector<std::string> args = coordinator_options.spawn_args;
         args.push_back("--cluster-member=m" + std::to_string(i));
-        args.push_back("--cluster-shards=" + shard_csv(lo, hi));
+        args.push_back("--cluster-shards=" +
+                       shard_csv(posts[slot], posts[slot + 1]));
         const pid_t pid = cluster::spawn_member(args);
         if (pid < 0) throw std::runtime_error("fork failed");
         children.push_back(pid);

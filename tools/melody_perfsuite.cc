@@ -1,13 +1,17 @@
-// melody_perfsuite — run the pinned perf-trajectory benchmark matrix and
+// melody_perfsuite — run the pinned perf-trajectory micro-bench matrix and
 // emit a schema-v1 BENCH_<date>_<gitsha>.json artifact (see perf/suite.h
 // for the matrix and perf/artifact.h for the schema).
 //
 // The artifact is written to the repo root by convention (committed once
 // per PR); diff two artifacts with tools/perf_compare, which is also the
-// CI regression gate:
+// CI regression gate against the committed quick baseline:
 //
 //   melody_perfsuite --quick --out ci_candidate.json
-//   perf_compare BENCH_<date>_<sha>.json ci_candidate.json --threshold 0.75
+//   perf_compare BENCH_quick_baseline.json ci_candidate.json \
+//       --threshold 0.75 --require-all
+//
+// The serve path is not in this matrix: e2ebench/ measures it from outside
+// (wire_serve, state_move), and CI gates it with tools/e2e_gate.py.
 #include <cstdio>
 #include <exception>
 #include <iostream>

@@ -206,6 +206,12 @@ int main(int argc, char** argv) {
       !cluster::parse_endpoint(options.cluster_ctl, &ctl_host, &ctl_port)) {
     return usage("--cluster-ctl must be HOST:PORT");
   }
+  // Before parse_shard_spec builds the 64-bit activity mask.
+  if (!options.cluster_member.empty() &&
+      options.service.shards > svc::ShardedService::kMaxClusterShards) {
+    return usage("--cluster-member supports at most 64 shards (activity mask "
+                 "width)");
+  }
 
   util::set_shared_thread_count(static_cast<int>(options.threads));
 
