@@ -40,20 +40,6 @@ inline std::string artifact_path(const std::string& name) {
   return "out/" + name;
 }
 
-/// Where a *versioned* perf artifact lands: same resolution rule as
-/// artifact_path — a name carrying a directory is used as given — but bare
-/// names resolve against `root` (the repository root, default the working
-/// directory) instead of the ignored out/ tree. Perf-trajectory JSON
-/// (BENCH_<date>_<gitsha>.json) is committed per PR, so it must NOT land
-/// in out/ with the disposable CSVs; everything else keeps using
-/// artifact_path.
-inline std::string perf_artifact_path(const std::string& name,
-                                      const std::string& root = ".") {
-  if (name.find('/') != std::string::npos) return name;
-  if (root.empty() || root == ".") return name;
-  return root.back() == '/' ? root + name : root + "/" + name;
-}
-
 /// CSV mirror for one figure/table. Construction opens the file and writes
 /// the header; an unwritable working directory disables the mirror (a note
 /// goes to stderr, the bench keeps printing) but row-shape validation still

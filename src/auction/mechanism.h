@@ -54,13 +54,13 @@ struct AuctionContext {
   /// The bids that changed since the previous run (already applied to the
   /// book). Provenance for incremental mechanisms and event streams — must
   /// never influence the allocation beyond what the book already reflects.
-  std::span<const BidDelta> deltas;
+  std::span<const BidDelta> deltas{};
   /// The request trace context active when the platform entered this run
   /// (inactive for untraced runs and standalone auctions). Mechanism-phase
   /// ScopedSpans pick their parent up from the thread-local slot
   /// automatically; this copy is provenance for sinks and mechanisms that
   /// hand work to other threads. Must never influence the allocation.
-  obs::TraceContext trace;
+  obs::TraceContext trace{};
 
   /// Emit a structured event to this context's sink, falling back to the
   /// process-wide obs::sink() when none was attached.

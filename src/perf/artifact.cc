@@ -4,7 +4,6 @@
 #include <cmath>
 #include <fstream>
 #include <set>
-#include <sstream>
 #include <stdexcept>
 
 namespace melody::perf {
@@ -16,79 +15,6 @@ namespace {
 [[noreturn]] void schema_error(const std::string& path,
                                const std::string& what) {
   throw std::runtime_error("perf artifact: " + path + ": " + what);
-}
-
-double require_number(const Value& obj, const std::string& path,
-                      const std::string& key) {
-  const Value* v = obj.find(key);
-  if (v == nullptr) schema_error(path, "missing key '" + key + "'");
-  if (!v->is_number()) schema_error(path + "." + key, "expected a number");
-  return v->as_number();
-}
-
-std::string require_string(const Value& obj, const std::string& path,
-                           const std::string& key) {
-  const Value* v = obj.find(key);
-  if (v == nullptr) schema_error(path, "missing key '" + key + "'");
-  if (!v->is_string()) schema_error(path + "." + key, "expected a string");
-  return v->as_string();
-}
-
-bool require_bool(const Value& obj, const std::string& path,
-                  const std::string& key) {
-  const Value* v = obj.find(key);
-  if (v == nullptr) schema_error(path, "missing key '" + key + "'");
-  if (!v->is_bool()) schema_error(path + "." + key, "expected a bool");
-  return v->as_bool();
-}
-
-const Value& require_array(const Value& obj, const std::string& path,
-                           const std::string& key) {
-  const Value* v = obj.find(key);
-  if (v == nullptr) schema_error(path, "missing key '" + key + "'");
-  if (!v->is_array()) schema_error(path + "." + key, "expected an array");
-  return *v;
-}
-
-std::vector<double> number_array(const Value& obj, const std::string& path,
-                                 const std::string& key) {
-  const Value& arr = require_array(obj, path, key);
-  std::vector<double> out;
-  out.reserve(arr.items().size());
-  for (std::size_t i = 0; i < arr.items().size(); ++i) {
-    const Value& v = arr.items()[i];
-    if (!v.is_number()) {
-      schema_error(path + "." + key + "[" + std::to_string(i) + "]",
-                   "expected a number");
-    }
-    out.push_back(v.as_number());
-  }
-  return out;
-}
-
-std::vector<std::pair<std::string, double>> number_map(
-    const Value& obj, const std::string& path, const std::string& key) {
-  const Value* v = obj.find(key);
-  if (v == nullptr) schema_error(path, "missing key '" + key + "'");
-  if (!v->is_object()) schema_error(path + "." + key, "expected an object");
-  std::vector<std::pair<std::string, double>> out;
-  out.reserve(v->members().size());
-  for (const auto& [k, value] : v->members()) {
-    if (!value.is_number()) {
-      schema_error(path + "." + key + "." + k, "expected a number");
-    }
-    out.emplace_back(k, value.as_number());
-  }
-  return out;
-}
-
-int require_int(const Value& obj, const std::string& path,
-                const std::string& key) {
-  const double v = require_number(obj, path, key);
-  if (v != std::floor(v)) {
-    schema_error(path + "." + key, "expected an integer");
-  }
-  return static_cast<int>(v);
 }
 
 Value number(double v) {
@@ -112,13 +38,6 @@ double BenchmarkResult::counter_or(const std::string& key,
     if (k == key) return v;
   }
   return fallback;
-}
-
-const BenchmarkResult* PerfArtifact::find(const std::string& name) const {
-  for (const BenchmarkResult& b : benchmarks) {
-    if (b.name == name) return &b;
-  }
-  return nullptr;
 }
 
 double median(std::vector<double> values) {
@@ -172,63 +91,6 @@ Value to_json(const PerfArtifact& artifact) {
   }
   root.set("benchmarks", std::move(benches));
   return root;
-}
-
-PerfArtifact artifact_from_json(const Value& json) {
-  if (!json.is_object()) schema_error("$", "top level must be an object");
-  PerfArtifact artifact;
-  artifact.schema_version = require_int(json, "$", "schema_version");
-  artifact.date = require_string(json, "$", "date");
-  artifact.git_sha = require_string(json, "$", "git_sha");
-  artifact.quick = require_bool(json, "$", "quick");
-  artifact.threads = require_int(json, "$", "threads");
-  artifact.repeats = require_int(json, "$", "repeats");
-  const Value& benches = require_array(json, "$", "benchmarks");
-  for (std::size_t i = 0; i < benches.items().size(); ++i) {
-    const std::string path = "$.benchmarks[" + std::to_string(i) + "]";
-    const Value& obj = benches.items()[i];
-    if (!obj.is_object()) schema_error(path, "expected an object");
-    BenchmarkResult b;
-    b.name = require_string(obj, path, "name");
-    b.repeats = require_int(obj, path, "repeats");
-    b.wall_ms = number_array(obj, path, "wall_ms");
-    b.cpu_ms = number_array(obj, path, "cpu_ms");
-    b.median_wall_ms = require_number(obj, path, "median_wall_ms");
-    b.median_cpu_ms = require_number(obj, path, "median_cpu_ms");
-    b.peak_rss_kb =
-        static_cast<std::int64_t>(require_number(obj, path, "peak_rss_kb"));
-    b.config = number_map(obj, path, "config");
-    b.counters = number_map(obj, path, "counters");
-    const Value& phases = require_array(obj, path, "phases");
-    for (std::size_t j = 0; j < phases.items().size(); ++j) {
-      const std::string ppath = path + ".phases[" + std::to_string(j) + "]";
-      const Value& pj = phases.items()[j];
-      if (!pj.is_object()) schema_error(ppath, "expected an object");
-      PhaseStats p;
-      p.name = require_string(pj, ppath, "name");
-      p.count =
-          static_cast<std::int64_t>(require_number(pj, ppath, "count"));
-      p.sum_ms = require_number(pj, ppath, "sum_ms");
-      p.p50_ms = require_number(pj, ppath, "p50_ms");
-      p.p90_ms = require_number(pj, ppath, "p90_ms");
-      p.p99_ms = require_number(pj, ppath, "p99_ms");
-      b.phases.push_back(std::move(p));
-    }
-    artifact.benchmarks.push_back(std::move(b));
-  }
-  validate(artifact);
-  return artifact;
-}
-
-PerfArtifact parse_artifact(const std::string& text) {
-  Value json;
-  try {
-    json = util::json::parse(text);
-  } catch (const util::json::ParseError& e) {
-    throw std::runtime_error(std::string("perf artifact: JSON parse error: ") +
-                             e.what());
-  }
-  return artifact_from_json(json);
 }
 
 void validate(const PerfArtifact& artifact) {
@@ -307,21 +169,6 @@ void validate(const PerfArtifact& artifact) {
   }
 }
 
-PerfArtifact read_artifact(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    throw std::runtime_error("perf artifact: cannot open '" + path + "'");
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  try {
-    return parse_artifact(buffer.str());
-  } catch (const std::exception& e) {
-    throw std::runtime_error(std::string(e.what()) + " (file '" + path +
-                             "')");
-  }
-}
-
 void write_artifact(const PerfArtifact& artifact, const std::string& path) {
   validate(artifact);
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
@@ -334,10 +181,6 @@ void write_artifact(const PerfArtifact& artifact, const std::string& path) {
     throw std::runtime_error("perf artifact: write failed for '" + path +
                              "'");
   }
-}
-
-std::string artifact_file_name(const PerfArtifact& artifact) {
-  return "BENCH_" + artifact.date + "_" + artifact.git_sha + ".json";
 }
 
 }  // namespace melody::perf

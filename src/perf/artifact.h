@@ -1,13 +1,13 @@
-// The pinned perf-trajectory artifact: schema-versioned BENCH_*.json
-// committed at the repository root, one per PR, so "faster" is a
-// falsifiable claim with a diffable history (tools/perf_compare gates CI
-// against the previous point).
+// The perf-suite artifact: the schema-versioned JSON melody_perfsuite
+// writes. CI runs the suite on the parent commit and on the change in
+// alternating pairs and gates the pair ratios of median_wall_ms with
+// tools/perf_gate.py, which reads this schema.
 //
 // Schema v1 (all times in milliseconds):
 //   {
 //     "schema_version": 1,
 //     "date": "YYYY-MM-DD",
-//     "git_sha": "<short sha or 'unknown'>",
+//     "git_sha": "<util::build_git_sha(): short sha or 'unknown'>",
 //     "quick": false,            // true for the CI --quick run
 //     "threads": 8,              // shared-pool concurrency during the run
 //     "repeats": 5,              // requested median-of-K
@@ -33,11 +33,11 @@
 //     ]
 //   }
 //
-// Validation rules (enforced by validate(), unit-tested in
-// tests/test_perf_artifact.cc): required keys present and typed, repeats ==
-// len(wall_ms) == len(cpu_ms) > 0, wall_ms sorted ascending with
-// median_wall_ms the true median, all times finite and non-negative,
-// benchmark names unique and non-empty.
+// Validation rules (enforced by validate() before every write, unit-tested
+// in tests/test_perf_artifact.cc): schema_version 1, date and git_sha
+// non-empty, repeats == len(wall_ms) == len(cpu_ms) > 0, wall_ms sorted
+// ascending with median_wall_ms the true median, all times finite and
+// non-negative, benchmark names unique and non-empty.
 #pragma once
 
 #include <cstdint>
@@ -84,8 +84,6 @@ struct PerfArtifact {
   int threads = 1;
   int repeats = 0;
   std::vector<BenchmarkResult> benchmarks;
-
-  const BenchmarkResult* find(const std::string& name) const;
 };
 
 /// Median of an unsorted sample (even sizes average the middle pair);
@@ -96,21 +94,12 @@ double median(std::vector<double> values);
 /// harness bug, not something to publish as null.
 util::json::Value to_json(const PerfArtifact& artifact);
 
-/// Parse + validate. Throws std::runtime_error with a path-qualified
-/// message on malformed JSON or any schema violation.
-PerfArtifact artifact_from_json(const util::json::Value& json);
-PerfArtifact parse_artifact(const std::string& text);
-
 /// Schema checks beyond shape (see header comment). Throws
 /// std::runtime_error naming the violated rule.
 void validate(const PerfArtifact& artifact);
 
-/// File I/O; read_artifact throws std::runtime_error on missing or
-/// malformed files, write_artifact on I/O failure.
-PerfArtifact read_artifact(const std::string& path);
+/// Validate and write; throws std::runtime_error on a schema violation or
+/// an I/O failure.
 void write_artifact(const PerfArtifact& artifact, const std::string& path);
-
-/// The canonical committed file name: BENCH_<date>_<gitsha>.json.
-std::string artifact_file_name(const PerfArtifact& artifact);
 
 }  // namespace melody::perf

@@ -9,8 +9,7 @@
 //     that the production (SoA) paths match these bit for bit on randomized
 //     markets and score streams;
 //   * tools/melody_perfsuite times them as the before-layout baseline, so
-//     the committed BENCH_*.json artifacts carry a falsifiable
-//     "speedup_vs_scalar" for every trajectory point.
+//     every artifact carries a falsifiable "speedup_vs_scalar".
 //
 // Deliberately serial and obs-free: this is the algorithm at its plainest,
 // kept frozen while the production layout evolves. Do not "optimize" it.

@@ -23,6 +23,7 @@
 #include "sim/platform.h"
 #include "sim/scenario.h"
 #include "sim/worker_model.h"
+#include "util/build_info.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -427,19 +428,6 @@ BenchmarkResult bench_platform_step(bool quick, int repeats) {
 
 }  // namespace
 
-std::string detect_git_sha() {
-  FILE* pipe = ::popen("git rev-parse --short HEAD 2>/dev/null", "r");
-  if (pipe == nullptr) return "unknown";
-  char buffer[128];
-  std::string out;
-  while (std::fgets(buffer, sizeof buffer, pipe) != nullptr) out += buffer;
-  ::pclose(pipe);
-  while (!out.empty() && (out.back() == '\n' || out.back() == '\r')) {
-    out.pop_back();
-  }
-  return out.empty() ? "unknown" : out;
-}
-
 std::string current_date() {
   const std::time_t now = std::time(nullptr);
   std::tm tm{};
@@ -458,9 +446,8 @@ PerfArtifact run_suite(const SuiteOptions& options, std::ostream& log) {
   if (options.threads > 0) util::set_shared_thread_count(options.threads);
 
   PerfArtifact artifact;
-  artifact.date = options.date.empty() ? current_date() : options.date;
-  artifact.git_sha =
-      options.git_sha.empty() ? detect_git_sha() : options.git_sha;
+  artifact.date = current_date();
+  artifact.git_sha = util::build_git_sha();
   artifact.quick = options.quick;
   artifact.threads = util::shared_thread_count();
   artifact.repeats =

@@ -1,7 +1,7 @@
-// The pinned perf-trajectory benchmark matrix behind tools/melody_perfsuite.
+// The pinned micro-benchmark matrix behind tools/melody_perfsuite.
 // One fixed set of benches, run median-of-K, emitted as a schema-v1
-// PerfArtifact (see perf/artifact.h) that is committed at the repo root and
-// diffed across PRs by tools/perf_compare.
+// PerfArtifact (see perf/artifact.h); tools/perf_gate.py compares paired
+// runs of the parent commit and of a change.
 //
 // The matrix (sizes in the full / --quick variants):
 //   greedy_scoring_100k  Algorithm 1 over 100k / 20k bids; also times the
@@ -42,8 +42,7 @@ namespace melody::perf {
 
 struct SuiteOptions {
   /// Smaller sizes + fewer repeats for CI (artifact records quick=true, so
-  /// perf_compare never silently compares quick vs full numbers — the
-  /// baseline for a quick run must itself be quick).
+  /// perf_gate refuses to pair a quick run with a full one).
   bool quick = false;
   /// Median-of-K timed repeats per bench; 0 picks the default (5 full,
   /// 3 quick).
@@ -52,19 +51,13 @@ struct SuiteOptions {
   int threads = 0;
   /// Run only benches whose name is listed (empty: the full matrix).
   std::vector<std::string> only;
-  /// Artifact stamp overrides; empty picks the wall-clock date and
-  /// `git rev-parse --short HEAD` (or "unknown" outside a checkout).
-  std::string date;
-  std::string git_sha;
 };
 
-/// Run the (filtered) matrix, logging one line per bench to `log`.
-/// Throws std::invalid_argument for an unknown name in options.only.
+/// Run the (filtered) matrix, logging one line per bench to `log`. The
+/// artifact is stamped with today's date and util::build_git_sha(), the
+/// sha this binary was built from. Throws std::invalid_argument for an
+/// unknown name in options.only.
 PerfArtifact run_suite(const SuiteOptions& options, std::ostream& log);
-
-/// `git rev-parse --short HEAD` of the working directory, "unknown" when
-/// git or the repo is unavailable.
-std::string detect_git_sha();
 
 /// Local wall-clock date as YYYY-MM-DD.
 std::string current_date();

@@ -1,16 +1,14 @@
 // The one JSON codec (util/json): byte-pinned number and string output
 // through every writer that uses it (wire lines, obs event and registry
 // lines), bit-exact double round trips, the RFC 8259 number grammar as seen
-// through both readers (parse_wire and the perf-artifact reader), and a
-// deterministic mutation pass over the parser: every mutant of a real
-// document either parses into a format/parse fixed point or throws the
-// codec's one error type.
+// through util::json::parse and parse_wire, and a deterministic mutation
+// pass over the parser: every mutant of a real document either parses into
+// a format/parse fixed point or throws the codec's one error type.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
 #include <cstring>
-#include <fstream>
 #include <limits>
 #include <optional>
 #include <sstream>
@@ -195,47 +193,6 @@ TEST(JsonGrammar, WireParserAcceptsExactlyRfc8259Numbers) {
   }
 }
 
-TEST(JsonGrammar, ArtifactReaderAcceptsExactlyRfc8259Numbers) {
-  perf::PerfArtifact artifact;
-  artifact.date = "2026-08-07";
-  artifact.git_sha = "abc1234";
-  artifact.repeats = 1;
-  perf::BenchmarkResult bench;
-  bench.name = "probe";
-  bench.repeats = 1;
-  bench.wall_ms = {1.0};
-  bench.cpu_ms = {1.0};
-  bench.median_wall_ms = 1.0;
-  bench.median_cpu_ms = 1.0;
-  bench.counters = {{"probe", 2.0}};
-  artifact.benchmarks.push_back(bench);
-  const std::string text = util::json::write_pretty(perf::to_json(artifact));
-  const std::string slot = "\"probe\": 2";
-  const auto at = text.find(slot);
-  ASSERT_NE(at, std::string::npos) << text;
-
-  for (const GrammarCase& c : kGrammar) {
-    const std::string mutated = text.substr(0, at) + "\"probe\": " + c.token +
-                                text.substr(at + slot.size());
-    if (c.accepted) {
-      EXPECT_EQ(perf::parse_artifact(mutated)
-                    .benchmarks[0]
-                    .counter_or("probe", 1234.0),
-                c.value)
-          << c.token;
-      continue;
-    }
-    try {
-      perf::parse_artifact(mutated);
-      ADD_FAILURE() << c.token << " was accepted";
-    } catch (const std::runtime_error& e) {
-      EXPECT_NE(std::string(e.what()).find("JSON parse error"),
-                std::string::npos)
-          << c.token << ": " << e.what();
-    }
-  }
-}
-
 TEST(JsonGrammar, ArtifactWriterRefusesNonFiniteNumbers) {
   perf::PerfArtifact artifact;
   perf::BenchmarkResult bench;
@@ -278,6 +235,36 @@ TEST(JsonGrammar, WireRejectsWhatIsNotAFlatObject) {
 
 // ----------------------------------------------------------- hostile bytes
 
+/// A perf-suite artifact with every part the writer emits filled: several
+/// benches with config, counters and phases, and numbers of every class.
+perf::PerfArtifact fuzz_artifact() {
+  perf::PerfArtifact artifact;
+  artifact.date = "2026-10-19";
+  artifact.git_sha = "0123456789ab";
+  artifact.quick = true;
+  artifact.threads = 4;
+  artifact.repeats = 3;
+  for (const char* name : {"greedy_scoring_100k", "kalman_em_chain",
+                           "platform_step"}) {
+    perf::BenchmarkResult bench;
+    bench.name = name;
+    bench.repeats = 3;
+    bench.wall_ms = {0.1 * static_cast<double>(bench.name.size()), 2.5, 1e3};
+    bench.cpu_ms = {0.75, 3.0000000000000004, 1234.5678};
+    bench.median_wall_ms = 2.5;
+    bench.median_cpu_ms = 3.0000000000000004;
+    bench.peak_rss_kb = 183716;
+    bench.config = {{"workers", 20000.0}, {"seed", 779716.0},
+                    {"churn", 0.02}};
+    bench.counters = {{"speedup_vs_scalar", 2.7182818284590451},
+                      {"qualified", 1e-7}};
+    bench.phases.push_back({"auction/rank_sort", 9, 0.375, 0.04, 0.05, 0.06});
+    bench.phases.push_back({"estimator/em", 0, 0.0, 0.0, 0.0, 0.0});
+    artifact.benchmarks.push_back(std::move(bench));
+  }
+  return artifact;
+}
+
 std::vector<std::string> fuzz_corpus() {
   std::vector<std::string> corpus;
   for (const svc::Request& request : svc::every_op_request()) {
@@ -302,10 +289,7 @@ std::vector<std::string> fuzz_corpus() {
     recorder.begin_session(svc::ServiceConfig{});
   }
   corpus.push_back(trace.str().substr(0, trace.str().find('\n')));
-  std::ifstream baseline(MELODY_SOURCE_DIR "/BENCH_quick_baseline.json");
-  std::ostringstream text;
-  text << baseline.rdbuf();
-  corpus.push_back(text.str());
+  corpus.push_back(util::json::write_pretty(perf::to_json(fuzz_artifact())));
   return corpus;
 }
 

@@ -59,7 +59,9 @@ TEST(LoadgenStream, ProtoThreeMixCarvesOutTheContinuousAuctionOps) {
       EXPECT_GT(r.cost, 0.0);
       EXPECT_GE(r.frequency, 1);
     }
-    if (r.op == Op::kWithdrawBid) EXPECT_FALSE(r.worker.empty());
+    if (r.op == Op::kWithdrawBid) {
+      EXPECT_FALSE(r.worker.empty());
+    }
   }
   // 64% submit_bid (2% of which are newcomer registrations), 6%
   // update_bid, 2% withdraw_bid, 10% submit_tasks, 10% query_worker, 5%

@@ -551,10 +551,17 @@ int main(int argc, char** argv) {
                               r.latencies_ms.end());
   }
   if (total.sent == 0) {
-    std::fprintf(stderr,
-                 "melody_loadgen: no requests completed — is melody_serve "
-                 "running on %s:%d?\n",
-                 options.host.c_str(), static_cast<int>(options.port));
+    if (!options.cluster.empty()) {
+      std::fprintf(stderr,
+                   "melody_loadgen: no requests completed — is melody_cluster "
+                   "listening on %s?\n",
+                   options.cluster.c_str());
+    } else {
+      std::fprintf(stderr,
+                   "melody_loadgen: no requests completed — is melody_serve "
+                   "running on %s:%d?\n",
+                   options.host.c_str(), static_cast<int>(options.port));
+    }
     flush_metrics();
     return 1;
   }

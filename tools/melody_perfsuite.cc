@@ -1,17 +1,11 @@
-// melody_perfsuite — run the pinned perf-trajectory micro-bench matrix and
-// emit a schema-v1 BENCH_<date>_<gitsha>.json artifact (see perf/suite.h
-// for the matrix and perf/artifact.h for the schema).
+// melody_perfsuite — run the pinned micro-bench matrix and write a
+// schema-v1 artifact (see perf/suite.h for the matrix and perf/artifact.h
+// for the schema) to --out.
 //
-// The artifact is written to the repo root by convention (committed once
-// per PR); diff two artifacts with tools/perf_compare, which is also the
-// CI regression gate against the committed quick baseline:
-//
-//   melody_perfsuite --quick --out ci_candidate.json
-//   perf_compare BENCH_quick_baseline.json ci_candidate.json \
-//       --threshold 0.75 --require-all
-//
-// The serve path is not in this matrix: e2ebench/ measures it from outside
-// (wire_serve, state_move), and CI gates it with tools/e2e_gate.py.
+// CI runs it with --quick on the parent commit and on the change, in
+// alternating pairs, and gates the pairs with tools/perf_gate.py (see
+// tools/perf_pairs.sh). The serve path is not in this matrix: e2ebench/
+// measures it from outside (wire_serve, state_move), gated the same way.
 #include <cstdio>
 #include <exception>
 #include <iostream>
@@ -19,7 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "bench_common.h"
 #include "perf/artifact.h"
 #include "perf/suite.h"
 #include "util/flags.h"
@@ -31,7 +24,6 @@ using namespace melody;
 struct Options {
   perf::SuiteOptions suite;
   std::string out;
-  std::string root = ".";
 };
 
 std::vector<std::string> split_csv(const std::string& list) {
@@ -54,15 +46,8 @@ Options read_options(const util::Flags& flags) {
       "threads", 0, "N", "shared-pool concurrency (0: current setting)"));
   o.suite.only = split_csv(flags.get_string(
       "only", "", "A,B", "run only the named benches (comma-separated)"));
-  o.suite.date = flags.get_string("date", "", "YYYY-MM-DD",
-                                  "override the artifact date stamp");
-  o.suite.git_sha = flags.get_string(
-      "git-sha", "", "SHA", "override the artifact git sha stamp");
-  o.out = flags.get_string(
-      "out", "", "PATH",
-      "artifact destination (default: BENCH_<date>_<gitsha>.json in --root)");
-  o.root = flags.get_string("root", ".", "DIR",
-                            "directory bare artifact names resolve against");
+  o.out = flags.get_string("out", "", "PATH",
+                           "artifact destination (required)");
   return o;
 }
 
@@ -70,8 +55,8 @@ int usage(const char* error) {
   util::Flags dummy;
   read_options(dummy);
   std::fputs(dummy.help("melody_perfsuite",
-                        "Run the pinned perf benchmark matrix and emit a "
-                        "BENCH_*.json trajectory artifact.")
+                        "Run the pinned perf benchmark matrix and write "
+                        "its artifact to --out.")
                  .c_str(),
              stderr);
   if (error != nullptr) std::fprintf(stderr, "\nerror: %s\n", error);
@@ -93,6 +78,7 @@ int main(int argc, char** argv) {
     if (!flags.positional().empty()) {
       return usage("melody_perfsuite takes no positional arguments");
     }
+    if (options.out.empty()) return usage("--out is required");
   } catch (const std::exception& e) {
     return usage(e.what());
   }
@@ -100,13 +86,11 @@ int main(int argc, char** argv) {
   try {
     const perf::PerfArtifact artifact =
         perf::run_suite(options.suite, std::cout);
-    const std::string name =
-        options.out.empty() ? perf::artifact_file_name(artifact) : options.out;
-    const std::string path = bench::perf_artifact_path(name, options.root);
-    perf::write_artifact(artifact, path);
+    perf::write_artifact(artifact, options.out);
     std::printf("wrote %s (%zu benchmarks, %d repeats, %d threads%s)\n",
-                path.c_str(), artifact.benchmarks.size(), artifact.repeats,
-                artifact.threads, artifact.quick ? ", quick" : "");
+                options.out.c_str(), artifact.benchmarks.size(),
+                artifact.repeats, artifact.threads,
+                artifact.quick ? ", quick" : "");
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
