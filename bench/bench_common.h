@@ -16,13 +16,13 @@
 #include <filesystem>
 #include <initializer_list>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <string_view>
 #include <system_error>
 #include <vector>
 
-#include "obs/metrics.h"
 #include "obs/sink.h"
 #include "util/csv.h"
 
@@ -76,27 +76,16 @@ class Reporter {
                                    ? resolved.substr(0, resolved.size() - 4)
                                    : resolved;
       try {
-        sink_ = std::make_unique<obs::JsonLinesSink>(stem + ".metrics.json");
-        obs::set_sink(sink_.get());
-        obs::set_enabled(true);
+        sidecar_.emplace(stem + ".metrics.json");
       } catch (const std::exception& e) {
         std::fprintf(stderr, "note: metrics sidecar disabled (%s)\n",
                      e.what());
-        sink_ = nullptr;
       }
     }
   }
 
   Reporter(const Reporter&) = delete;
   Reporter& operator=(const Reporter&) = delete;
-
-  ~Reporter() {
-    if (sink_ != nullptr) {
-      sink_->append_registry(obs::registry());
-      obs::set_sink(nullptr);
-      obs::set_enabled(false);
-    }
-  }
 
   /// True when the CSV mirror is actually being written.
   bool active() const noexcept { return csv_ != nullptr; }
@@ -137,7 +126,7 @@ class Reporter {
 
   std::size_t columns_;
   std::unique_ptr<util::CsvWriter> csv_;
-  std::unique_ptr<obs::JsonLinesSink> sink_;
+  std::optional<obs::MetricsFile> sidecar_;
 };
 
 inline void banner(const char* title) {

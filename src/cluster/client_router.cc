@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "svc/router.h"
+#include "svc/trace_log.h"
 
 namespace melody::cluster {
 
@@ -67,19 +68,6 @@ bool ClusterClient::refresh_table() {
 
 bool ClusterClient::call(const Request& request, Response* out) {
   switch (request.op) {
-    case Op::kSubmitBid:
-    case Op::kUpdateBid:
-    case Op::kWithdrawBid:
-    case Op::kPostScores:
-    case Op::kQueryWorker:
-      return call_single(table_.shard_for(request.worker), request, out);
-    case Op::kQueryRun:
-      if (request.shard < 0 || request.shard >= table_.shards) {
-        // The in-process router answers this inline; mirror its bytes.
-        *out = Response::failure(request.id, "query_run: shard out of range");
-        return true;
-      }
-      return call_single(request.shard, request, out);
     case Op::kCheckpoint:
       // Members all hold the full deployment config, so fanning the op out
       // would have every member clobber the same checkpoint path with a
@@ -95,8 +83,17 @@ bool ClusterClient::call(const Request& request, Response* out) {
                           ": coordinator-driven (migrate/publish)");
       return true;
     default:
-      return call_broadcast(request, out);
+      break;
   }
+  const int shard =
+      svc::routing_decision(request, table_.worker_offsets, table_.workers);
+  if (shard == svc::kShardBroadcast) return call_broadcast(request, out);
+  if (shard == svc::kShardNone) {
+    // The in-process router answers this inline; mirror its bytes.
+    *out = Response::failure(request.id, svc::kShardOutOfRange);
+    return true;
+  }
+  return call_single(shard, request, out);
 }
 
 bool ClusterClient::call_single(int shard, const Request& request,
@@ -163,8 +160,7 @@ bool ClusterClient::call_broadcast(const Request& request, Response* out) {
   }
   std::vector<std::pair<int, Response>> parts;  // (global shard, part)
   parts.reserve(static_cast<std::size_t>(k));
-  std::string checkpoint;
-  bool have_checkpoint = false;
+  std::string checkpoint;  // from the first member reply that carries one
   for (const auto& [m, shards] : owned) {
     const ClusterMember& member = table_.members[static_cast<std::size_t>(m)];
     Response reply;
@@ -181,9 +177,8 @@ bool ClusterClient::call_broadcast(const Request& request, Response* out) {
     for (const int g : shards) {
       parts.emplace_back(g, rehomed_part(reply, request.id, g));
     }
-    if (!have_checkpoint && reply.fields.has("checkpoint")) {
+    if (checkpoint.empty() && reply.fields.has("checkpoint")) {
       checkpoint = reply.fields.text("checkpoint");
-      have_checkpoint = true;
     }
   }
   std::sort(parts.begin(), parts.end(),
@@ -203,12 +198,8 @@ bool ClusterClient::call_broadcast(const Request& request, Response* out) {
   // the reply's shape matches the single-process router byte for byte.
   Response merged = svc::merge_shard_parts(request.op, request.id, responses,
                                            indices, k, /*rehome_all=*/false);
-  if (request.op == Op::kHello) {
-    merged.fields.set("shards", WireValue::of(static_cast<std::int64_t>(k)));
-    merged.fields.set("epoch", WireValue::of(table_.epoch));
-  } else if (request.op == Op::kShutdown && have_checkpoint) {
-    merged.fields.set("checkpoint", WireValue::of(checkpoint));
-  }
+  svc::annotate_broadcast_reply(request.op, k, table_.epoch, checkpoint,
+                                merged);
   *out = merged;
   return true;
 }

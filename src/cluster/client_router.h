@@ -4,8 +4,8 @@
 // broadcast replies so the cluster answers with the exact bytes a
 // single-process K-shard deployment would have produced.
 //
-// Single-shard ops route by svc::route_worker (worker ops) or the explicit
-// shard field (query_run); a structured not_owner rejection refreshes the
+// Single-shard ops route by the router's own svc::routing_decision over the
+// table's worker split; a structured not_owner rejection refreshes the
 // table from the coordinator and retries against the new owner, so a
 // migration in flight is invisible to the caller.
 //

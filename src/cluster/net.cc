@@ -138,6 +138,23 @@ bool LineClient::exchange(const std::string& line, std::string* reply) {
   return send_line(line) && recv_line(reply);
 }
 
+bool ControlClient::call(const svc::WireObject& command,
+                         svc::WireObject* reply) {
+  const std::string line = svc::format_wire(command);
+  std::string reply_line;
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    if (!conn_.connected() && !conn_.connect(host_, port_)) continue;
+    if (!conn_.exchange(line, &reply_line)) continue;
+    try {
+      *reply = svc::parse_wire(reply_line);
+      return true;
+    } catch (const svc::WireError&) {
+      return false;
+    }
+  }
+  return false;
+}
+
 namespace {
 
 std::string endpoint_key(const ClusterMember& member) {

@@ -13,6 +13,7 @@
 
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "svc/protocol.h"
@@ -64,6 +65,25 @@ class LineClient {
   int fd_ = -1;
   std::string buffer_;
   std::string error_;
+};
+
+/// Control-plane RPC to one line-JSON endpoint (the coordinator's control
+/// port): format the command, exchange one line, parse the reply. Connects
+/// on demand; a failed dial or exchange is retried once on a fresh
+/// connection (the endpoint may have idled the old one out).
+class ControlClient {
+ public:
+  ControlClient(std::string host, int port)
+      : host_(std::move(host)), port_(port) {}
+
+  /// False on transport failure or an unparseable reply.
+  bool call(const svc::WireObject& command, svc::WireObject* reply);
+  void close() noexcept { conn_.close(); }
+
+ private:
+  LineClient conn_;
+  std::string host_;
+  int port_;
 };
 
 /// Data-plane RPC over cached per-member connections: format the request,

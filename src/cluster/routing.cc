@@ -2,8 +2,6 @@
 
 #include <stdexcept>
 
-#include "svc/router.h"
-
 namespace melody::cluster {
 
 bool RoutingTable::complete() const noexcept {
@@ -12,10 +10,6 @@ bool RoutingTable::complete() const noexcept {
     if (m < 0 || m >= static_cast<int>(members.size())) return false;
   }
   return true;
-}
-
-int RoutingTable::shard_for(const std::string& worker) const {
-  return svc::route_worker(worker, worker_offsets, workers);
 }
 
 svc::WireObject RoutingTable::encode() const {

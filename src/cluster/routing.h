@@ -36,17 +36,12 @@ struct RoutingTable {
   /// Per global shard: index into `members`, or -1 while unassigned.
   std::vector<int> owner;
   /// shards + 1 fence posts (svc::contiguous_split of the workers, as
-  /// plan_shards splits them); shard_for routes on it.
+  /// plan_shards splits them); svc::routing_decision routes on it.
   std::vector<int> worker_offsets;
   std::vector<ClusterMember> members;
 
   /// Every shard has an in-range owner (the cluster can serve).
   bool complete() const noexcept;
-
-  /// The global shard `worker` routes to — identical to the in-process
-  /// router's decision (svc::route_worker): contiguous-range ownership for
-  /// population names "w<g>", hash affinity for newcomers.
-  int shard_for(const std::string& worker) const;
 
   /// Flat wire encoding:
   ///   {"epoch":3,"shards":8,"workers":64,"owner":[0,0,1,...],

@@ -88,4 +88,20 @@ void emit(std::string_view name, std::span<const Field> fields) {
   s->event(name, fields);
 }
 
+MetricsFile::MetricsFile(const std::string& path)
+    : sink_(std::make_unique<JsonLinesSink>(path)) {
+  set_sink(sink_.get());
+  set_enabled(true);
+}
+
+MetricsFile::~MetricsFile() { finish(); }
+
+void MetricsFile::finish() {
+  if (finished_) return;
+  finished_ = true;
+  sink_->append_registry(registry());
+  set_sink(nullptr);
+  set_enabled(false);
+}
+
 }  // namespace melody::obs

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <fstream>
 #include <initializer_list>
+#include <memory>
 #include <mutex>
 #include <ostream>
 #include <span>
@@ -108,6 +109,25 @@ class ScopedSink {
 
  private:
   Sink* previous_;
+};
+
+/// A tool's metrics file (--metrics-json, bench metric sidecars): opens a
+/// JsonLinesSink on `path` (throwing as the sink does), installs it and
+/// enables obs. finish(), or else the destructor, appends the registry,
+/// uninstalls the sink and disables obs, once.
+class MetricsFile {
+ public:
+  explicit MetricsFile(const std::string& path);
+  ~MetricsFile();
+  MetricsFile(const MetricsFile&) = delete;
+  MetricsFile& operator=(const MetricsFile&) = delete;
+
+  void finish();
+  std::size_t lines_written() const { return sink_->lines_written(); }
+
+ private:
+  std::unique_ptr<JsonLinesSink> sink_;
+  bool finished_ = false;
 };
 
 }  // namespace melody::obs

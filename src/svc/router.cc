@@ -87,8 +87,9 @@ struct ShardedService::FanOut {
   std::int64_t id = 0;
   int global_shards = 1;
   bool rehome_all = false;  // cluster members re-home every broadcast op
+  std::optional<std::int64_t> epoch;  // cluster members: the routing epoch
+  std::string checkpoint;             // shutdown: the composed checkpoint
   std::function<void(const Response&)> done;
-  std::function<void(Response&)> post;  // final router-level adjustment
 };
 
 struct ShardedService::CheckpointJob {
@@ -184,7 +185,7 @@ PushResult ShardedService::submit(const Request& request,
   const int s = routing_decision(request);
   if (s == kShardBroadcast) return broadcast(request, std::move(done), trace);
   if (s == kShardNone) {  // only query_run reaches here unroutable
-    done(Response::failure(request.id, "query_run: shard out of range"));
+    done(Response::failure(request.id, kShardOutOfRange));
     return PushResult::kOk;
   }
   if (cluster_mode_ && !shard_active(s)) {
@@ -196,22 +197,45 @@ PushResult ShardedService::submit(const Request& request,
 }
 
 int ShardedService::routing_decision(const Request& request) const {
+  return svc::routing_decision(request, worker_offsets_,
+                               config_.scenario.num_workers);
+}
+
+int routing_decision(const Request& request,
+                     const std::vector<int>& worker_offsets,
+                     const int num_workers) {
   switch (request.op) {
     case Op::kSubmitBid:
     case Op::kUpdateBid:
     case Op::kWithdrawBid:
     case Op::kPostScores:
     case Op::kQueryWorker:
-      return route(request.worker);
+      return route_worker(request.worker, worker_offsets, num_workers);
     case Op::kQueryRun:
     case Op::kShardExport:
     case Op::kShardImport:
-      if (request.shard < 0 || request.shard >= shard_count()) {
-        return kShardNone;  // answered inline by submit()
+      if (request.shard < 0 ||
+          request.shard >= static_cast<int>(worker_offsets.size()) - 1) {
+        return kShardNone;
       }
       return request.shard;
     default:
-      return kShardBroadcast;  // fan-out ops, incl. checkpoint tasks
+      return kShardBroadcast;
+  }
+}
+
+void annotate_broadcast_reply(const Op op, const int shards,
+                              const std::optional<std::int64_t> epoch,
+                              const std::string& checkpoint,
+                              Response& merged) {
+  if (op == Op::kHello) {
+    merged.fields.set("shards",
+                      WireValue::of(static_cast<std::int64_t>(shards)));
+    // Cluster members advertise their routing epoch so clients can
+    // detect a stale table right from the handshake.
+    if (epoch) merged.fields.set("epoch", WireValue::of(*epoch));
+  } else if (op == Op::kShutdown && !checkpoint.empty()) {
+    merged.fields.set("checkpoint", WireValue::of(checkpoint));
   }
 }
 
@@ -250,23 +274,10 @@ PushResult ShardedService::broadcast(
   fan->global_shards = k;
   fan->rehome_all = cluster_mode_;
   fan->done = std::move(done);
-  if (request.op == Op::kHello) {
-    const bool cluster = cluster_mode_;
-    const std::int64_t epoch = routing_epoch();
-    fan->post = [k, cluster, epoch](Response& merged) {
-      merged.fields.set("shards", WireValue::of(static_cast<std::int64_t>(k)));
-      // Cluster members advertise their routing epoch so clients can
-      // detect a stale table right from the handshake.
-      if (cluster) merged.fields.set("epoch", WireValue::of(epoch));
-    };
-  } else if (request.op == Op::kShutdown &&
-             !config_.checkpoint_path.empty()) {
-    // The composed file is written by finalize() once the shards have
-    // drained; the reply advertises it.
-    fan->post = [path = config_.checkpoint_path](Response& merged) {
-      merged.fields.set("checkpoint", WireValue::of(path));
-    };
-  }
+  if (cluster_mode_) fan->epoch = routing_epoch();
+  // The composed file is written by finalize() once the shards have
+  // drained; the shutdown reply advertises it.
+  if (request.op == Op::kShutdown) fan->checkpoint = config_.checkpoint_path;
   for (std::size_t i = 0; i < targets.size(); ++i) {
     const int s = targets[i];
     Request part = request;
@@ -292,7 +303,8 @@ PushResult ShardedService::broadcast(
                                           fan->shard_indices,
                                           fan->global_shards,
                                           fan->rehome_all);
-      if (fan->post) fan->post(merged);
+      annotate_broadcast_reply(fan->op, fan->global_shards, fan->epoch,
+                               fan->checkpoint, merged);
       if (fan->done) fan->done(merged);
     };
     // Forced past capacity: the check above already admitted the part,

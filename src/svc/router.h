@@ -46,6 +46,7 @@
 #include <functional>
 #include <iosfwd>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -88,11 +89,9 @@ class ShardedService {
                     std::function<void(const Response&)> done,
                     const obs::TraceContext& trace = {});
 
-  /// Where submit() would send `request`: a shard index for single-worker
-  /// ops and an in-range query_run, kShardBroadcast (see svc/trace_log.h)
-  /// for fan-out ops (including checkpoint), kShardNone for a request the
-  /// router answers inline (query_run with the shard out of range). Pure —
-  /// submit() routes by it and the trace recorder records it.
+  /// Where submit() would send `request`: svc::routing_decision over this
+  /// deployment's worker split. submit() routes by it and the trace
+  /// recorder records it.
   int routing_decision(const Request& request) const;
 
   Response rejection(PushResult result, const Request& request) const;
@@ -209,6 +208,30 @@ class ShardedService {
 /// and `num_workers` is the scenario population size.
 int route_worker(const std::string& worker,
                  const std::vector<int>& worker_offsets, int num_workers);
+
+/// Where `request` goes in a deployment whose worker split is
+/// `worker_offsets` (K + 1 fence posts, as route_worker takes them): a
+/// shard index for single-worker ops (route_worker) and for query_run,
+/// shard_export and shard_import with an in-range shard; kShardNone (see
+/// svc/trace_log.h) for those three with the shard out of range, which
+/// the router answers inline (query_run with kShardOutOfRange);
+/// kShardBroadcast for the fan-out ops, checkpoint included. Shared by the
+/// router and the cluster client; allocates nothing.
+int routing_decision(const Request& request,
+                     const std::vector<int>& worker_offsets, int num_workers);
+
+/// The router's inline reply to a query_run whose shard is out of range.
+inline constexpr const char* kShardOutOfRange =
+    "query_run: shard out of range";
+
+/// The router's own fields on a merged broadcast reply: hello's "shards"
+/// (`shards`, the deployment's K) and, when `epoch` is set (a cluster
+/// deployment), its routing "epoch"; shutdown's "checkpoint" when
+/// `checkpoint` names the composed checkpoint file.
+void annotate_broadcast_reply(Op op, int shards,
+                              std::optional<std::int64_t> epoch,
+                              const std::string& checkpoint,
+                              Response& merged);
 
 /// Merge per-shard broadcast responses into one reply line.
 /// `shard_indices[i]` is the GLOBAL shard that produced parts[i];

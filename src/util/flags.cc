@@ -4,9 +4,14 @@
 #include <cstdio>
 #include <stdexcept>
 
+#include "util/build_info.h"
+
 namespace melody::util {
 
 namespace {
+
+constexpr const char* kVersionDoc =
+    "print the build sha and format versions, then exit";
 
 std::string render_double(double value) {
   char buffer[64];
@@ -181,6 +186,48 @@ std::vector<std::string> Flags::unused() const {
     if (!queried_.count(name)) names.push_back(name);
   }
   return names;
+}
+
+std::optional<int> CommandLineBase::parse(int argc,
+                                          const char* const* argv) {
+  try {
+    flags_ = Flags(argc, argv);
+  } catch (const std::exception& e) {
+    return usage(e.what());
+  }
+  if (flags_.has("help")) {
+    std::fputs(help().c_str(), stderr);
+    return 0;
+  }
+  try {
+    read(flags_);
+    if (flags_.has_switch("version", kVersionDoc)) {
+      std::printf("%s\n", build_info_line(program_).c_str());
+      return 0;
+    }
+  } catch (const std::exception& e) {
+    return usage(e.what());
+  }
+  if (const auto unknown = flags_.unused(); !unknown.empty()) {
+    return usage("unknown flag --" + unknown.front());
+  }
+  if (!flags_.positional().empty()) {
+    return usage(program_ + " takes no positional arguments");
+  }
+  return std::nullopt;
+}
+
+int CommandLineBase::usage(const std::string& error) const {
+  std::fputs(help().c_str(), stderr);
+  std::fprintf(stderr, "\nerror: %s\n", error.c_str());
+  return usage_code_;
+}
+
+std::string CommandLineBase::help() const {
+  const Flags empty;
+  document(empty);
+  empty.has_switch("version", kVersionDoc);
+  return empty.help(program_, summary_);
 }
 
 }  // namespace melody::util

@@ -10,11 +10,17 @@
 // read_options(Flags&) function can print help by running that function
 // over an empty Flags instance — the help text is generated from the same
 // calls that parse, so the two can never drift apart.
+//
+// CommandLine<Options> is the front door every tool shares: it parses argv,
+// answers --help and --version, refuses unknown flags and positional
+// arguments, and prints the one usage text for the tool's own checks.
 #pragma once
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace melody::util {
@@ -91,6 +97,74 @@ class Flags {
   mutable std::map<std::string, bool> queried_;
   mutable std::vector<Doc> docs_;  // registration order
   std::vector<std::string> positional_;
+};
+
+/// The command-line prologue of a tool, independent of its options type;
+/// use it through CommandLine<Options>.
+class CommandLineBase {
+ public:
+  /// Parse argv and answer what every tool answers alike, in this order:
+  /// a malformed or repeated flag prints usage and returns the usage code;
+  /// --help prints the help text and returns 0; an error thrown while
+  /// reading the options prints usage and returns the usage code;
+  /// --version prints util::build_info_line(program) and returns 0; an
+  /// unknown flag or a positional argument prints usage and returns the
+  /// usage code. nullopt: the command line is well formed and the tool
+  /// goes on.
+  std::optional<int> parse(int argc, const char* const* argv);
+
+  /// Print the help text and "error: <error>" to stderr; returns the usage
+  /// code (the exit status of a refused command line).
+  int usage(const std::string& error) const;
+
+  /// The parsed command line (after a parse() that returned nullopt).
+  const Flags& flags() const noexcept { return flags_; }
+
+ protected:
+  CommandLineBase(std::string program, std::string summary, int usage_code)
+      : program_(std::move(program)),
+        summary_(std::move(summary)),
+        usage_code_(usage_code) {}
+  ~CommandLineBase() = default;
+
+  /// Read the tool's options from `flags` and keep them.
+  virtual void read(const Flags& flags) = 0;
+  /// Run the tool's options reader over `flags` for its registrations only.
+  virtual void document(const Flags& flags) const = 0;
+
+ private:
+  /// Help text: document() over an empty Flags, then the shared --version
+  /// entry (and --help, which Flags::help appends).
+  std::string help() const;
+
+  std::string program_;
+  std::string summary_;
+  int usage_code_;
+  Flags flags_;
+};
+
+/// A tool's front door: `read_options` makes the tool's Options from a Flags
+/// through the documenting getters, so the help text comes from the calls
+/// that parse. `usage_code` is the exit status of a refused command line.
+template <class Options>
+class CommandLine final : public CommandLineBase {
+ public:
+  using Reader = Options (*)(const Flags&);
+
+  CommandLine(std::string program, std::string summary, int usage_code,
+              Reader read_options)
+      : CommandLineBase(std::move(program), std::move(summary), usage_code),
+        read_options_(read_options) {}
+
+  /// The options read by the last parse().
+  Options& options() noexcept { return options_; }
+
+ private:
+  void read(const Flags& flags) override { options_ = read_options_(flags); }
+  void document(const Flags& flags) const override { read_options_(flags); }
+
+  Reader read_options_;
+  Options options_{};
 };
 
 }  // namespace melody::util

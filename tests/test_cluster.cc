@@ -202,7 +202,8 @@ TEST(RoutingTable, ShardForMatchesRouterDecision) {
   table.members.push_back(ClusterMember{"solo", "127.0.0.1", 7301, 1});
   for (int w = 0; w < 42; ++w) {
     const Request request = bid_for(w, w + 1);
-    EXPECT_EQ(table.shard_for(request.worker),
+    EXPECT_EQ(svc::routing_decision(request, table.worker_offsets,
+                                    table.workers),
               service.routing_decision(request))
         << "worker w" << w;
   }
@@ -218,7 +219,8 @@ TEST(RoutingTable, ShardForMatchesRouterDecision) {
     r.has_bid = true;
     return r;
   }();
-  EXPECT_EQ(table.shard_for(newcomer.worker),
+  EXPECT_EQ(svc::routing_decision(newcomer, table.worker_offsets,
+                                  table.workers),
             service.routing_decision(newcomer));
 }
 
@@ -378,7 +380,9 @@ TEST(Coordinator, JoinStatusMigratePublishDrain) {
   // Feed some state so the envelopes carry real trajectories.
   std::int64_t id = 1;
   for (int w = 0; w < 42; ++w) {
-    const int shard = coordinator.table().shard_for("w" + std::to_string(w));
+    const int shard = svc::route_worker("w" + std::to_string(w),
+                                        coordinator.table().worker_offsets,
+                                        coordinator.table().workers);
     const int owner = coordinator.table().owner[static_cast<std::size_t>(shard)];
     Response ignored;
     ASSERT_TRUE(cluster.rpc()(coordinator.table().members[

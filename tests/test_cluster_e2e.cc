@@ -1,6 +1,6 @@
 // End-to-end cluster exercises over real processes and real TCP: a
 // coordinator (tools/melody_cluster) spawning two melody_serve members,
-// driven through the control port with cluster::LineClient — live
+// driven through the control port with cluster::ControlClient — live
 // migration plus publish — and the chaos harness (tools/melody_chaos)
 // kill/respawn rounds asserting no acknowledged submission is lost.
 // Real networking, fork/exec and multi-second recovery loops, so this
@@ -75,13 +75,12 @@ int wait_exit(pid_t pid, std::chrono::seconds timeout) {
   }
 }
 
-/// One control-plane exchange; empty reply object on transport failure.
-svc::WireObject control(LineClient& client, const std::string& host, int port,
+/// One control-plane exchange; empty reply object on failure.
+svc::WireObject control(ControlClient& client,
                         const svc::WireObject& command) {
-  if (!client.connected() && !client.connect(host, port)) return {};
-  std::string reply;
-  if (!client.exchange(svc::format_wire(command), &reply)) return {};
-  return svc::parse_wire(reply);
+  svc::WireObject reply;
+  client.call(command, &reply);
+  return reply;
 }
 
 svc::WireObject cmd(const char* name) {
@@ -90,12 +89,11 @@ svc::WireObject cmd(const char* name) {
   return command;
 }
 
-bool wait_ready(LineClient& client, int port,
+bool wait_ready(ControlClient& client,
                 std::chrono::seconds timeout = std::chrono::seconds(30)) {
   const auto deadline = std::chrono::steady_clock::now() + timeout;
   while (std::chrono::steady_clock::now() < deadline) {
-    const svc::WireObject status =
-        control(client, "127.0.0.1", port, cmd("status"));
+    const svc::WireObject status = control(client, cmd("status"));
     if (status.boolean_or("ready", false)) return true;
     std::this_thread::sleep_for(std::chrono::milliseconds(200));
   }
@@ -117,16 +115,15 @@ TEST(ClusterE2E, LiveMigrationAndPublishOverTcp) {
 
   const pid_t coordinator = spawn(cluster_args(port, dir));
   ASSERT_GT(coordinator, 0);
-  LineClient client;
-  ASSERT_TRUE(wait_ready(client, port)) << "cluster never became ready";
+  ControlClient client("127.0.0.1", port);
+  ASSERT_TRUE(wait_ready(client)) << "cluster never became ready";
 
   // Live migration: shard 2 (owned by m0 under the contiguous split) hops
   // to m1; the epoch advances and the envelope lands in the publish dir.
   svc::WireObject migrate = cmd("migrate");
   migrate.set("shard", svc::WireValue::of(std::int64_t{2}));
   migrate.set("to", svc::WireValue::of("m1"));
-  const svc::WireObject migrated =
-      control(client, "127.0.0.1", port, migrate);
+  const svc::WireObject migrated = control(client, migrate);
   ASSERT_TRUE(migrated.boolean_or("ok", false))
       << migrated.text_or("error", "<no reply>");
   EXPECT_EQ(static_cast<std::int64_t>(migrated.number("epoch")), 2);
@@ -134,8 +131,7 @@ TEST(ClusterE2E, LiveMigrationAndPublishOverTcp) {
   EXPECT_TRUE(std::filesystem::exists(dir + "/shard2_e2_migrate.mldymigr"));
 
   // Publish snapshots every shard without moving anything.
-  const svc::WireObject published =
-      control(client, "127.0.0.1", port, cmd("publish"));
+  const svc::WireObject published = control(client, cmd("publish"));
   ASSERT_TRUE(published.boolean_or("ok", false));
   for (int s = 0; s < 8; ++s) {
     EXPECT_TRUE(std::filesystem::exists(
@@ -143,8 +139,7 @@ TEST(ClusterE2E, LiveMigrationAndPublishOverTcp) {
         << "shard " << s;
   }
 
-  const svc::WireObject table =
-      control(client, "127.0.0.1", port, cmd("route_table"));
+  const svc::WireObject table = control(client, cmd("route_table"));
   ASSERT_TRUE(table.boolean_or("ok", false));
   const std::vector<double>& owner = table.number_list("owner");
   ASSERT_EQ(owner.size(), 8u);
@@ -155,9 +150,7 @@ TEST(ClusterE2E, LiveMigrationAndPublishOverTcp) {
             "m1")
       << "shard 2 must now live on m1";
 
-  EXPECT_TRUE(
-      control(client, "127.0.0.1", port, cmd("shutdown")).boolean_or("ok",
-                                                                     false));
+  EXPECT_TRUE(control(client, cmd("shutdown")).boolean_or("ok", false));
   client.close();
   EXPECT_EQ(wait_exit(coordinator, std::chrono::seconds(20)), 0);
 }
@@ -189,11 +182,10 @@ TEST(ClusterE2E, OverlongControlLineClosesOnlyThatConnection) {
       spawn({tool("melody_cluster"), "--no-spawn", "--members", "1",
              "--ctl-port", std::to_string(port), "--quiet"});
   ASSERT_GT(coordinator, 0);
-  LineClient client;
+  ControlClient client("127.0.0.1", port);
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(20);
-  while (!control(client, "127.0.0.1", port, cmd("ping")).boolean_or("ok",
-                                                                    false)) {
+  while (!control(client, cmd("ping")).boolean_or("ok", false)) {
     ASSERT_LT(std::chrono::steady_clock::now(), deadline)
         << "coordinator never answered ping";
     std::this_thread::sleep_for(std::chrono::milliseconds(100));
@@ -244,11 +236,8 @@ TEST(ClusterE2E, OverlongControlLineClosesOnlyThatConnection) {
   }
 
   // The coordinator serves on: a fresh connection gets its ping.
-  EXPECT_TRUE(
-      control(client, "127.0.0.1", port, cmd("ping")).boolean_or("ok", false));
-  EXPECT_TRUE(
-      control(client, "127.0.0.1", port, cmd("shutdown")).boolean_or("ok",
-                                                                     false));
+  EXPECT_TRUE(control(client, cmd("ping")).boolean_or("ok", false));
+  EXPECT_TRUE(control(client, cmd("shutdown")).boolean_or("ok", false));
   client.close();
   EXPECT_EQ(wait_exit(coordinator, std::chrono::seconds(20)), 0);
 }

@@ -5,6 +5,9 @@
 
 #include <cctype>
 #include <cmath>
+#include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <limits>
 #include <map>
 #include <sstream>
@@ -340,6 +343,66 @@ TEST(ObsSink, ScopedSinkInstallsAndRestores) {
   emit("test/dropped", {{"x", 2}});
   EXPECT_EQ(capture.lines_written(), 1u);
   EXPECT_NE(out.str().find("test/captured"), std::string::npos);
+}
+
+std::vector<std::string> read_lines(const std::string& path) {
+  std::ifstream in(path);
+  return split_lines(std::string(std::istreambuf_iterator<char>(in), {}));
+}
+
+TEST(ObsSink, MetricsFileAppendsTheRegistryOnceAndUninstalls) {
+  const std::string path = "test_obs_metrics_file.jsonl";
+  registry().counter("test_obs/metrics_file").reset();
+  registry().counter("test_obs/metrics_file").add(5);
+  std::size_t lines = 0;
+  {
+    MetricsFile file(path);
+    EXPECT_NE(sink(), nullptr);
+    EXPECT_TRUE(enabled());
+    emit("test/metrics_file", {{"x", 1}});
+    file.finish();
+    EXPECT_EQ(sink(), nullptr);
+    EXPECT_FALSE(enabled());
+    emit("test/dropped", {{"x", 2}});
+    lines = file.lines_written();
+  }  // destroying a finished file appends nothing more
+  const auto written = read_lines(path);
+  std::remove(path.c_str());
+  ASSERT_EQ(written.size(), lines);
+  ASSERT_GT(lines, 1u);
+  EXPECT_NE(written.front().find("test/metrics_file"), std::string::npos);
+  int counters = 0;
+  for (const auto& line : written) {
+    EXPECT_EQ(line.find("test/dropped"), std::string::npos);
+    const auto object = parse_flat_json(line);
+    if (object.at("type") == "counter" &&
+        object.at("name") == "test_obs/metrics_file") {
+      ++counters;
+      EXPECT_EQ(object.at("value"), "5");
+    }
+  }
+  EXPECT_EQ(counters, 1);
+}
+
+TEST(ObsSink, MetricsFileFinishesOnDestructionAndThrowsOnABadPath) {
+  const std::string path = "test_obs_metrics_file_dtor.jsonl";
+  registry().counter("test_obs/metrics_file_dtor").reset();
+  registry().counter("test_obs/metrics_file_dtor").add(2);
+  { MetricsFile file(path); }
+  EXPECT_EQ(sink(), nullptr);
+  EXPECT_FALSE(enabled());
+  const auto written = read_lines(path);
+  std::remove(path.c_str());
+  bool saw_counter = false;
+  for (const auto& line : written) {
+    saw_counter = saw_counter ||
+                  line.find("test_obs/metrics_file_dtor") != std::string::npos;
+  }
+  EXPECT_TRUE(saw_counter);
+
+  EXPECT_THROW(MetricsFile("no_such_dir_for_obs/m.jsonl"), std::runtime_error);
+  EXPECT_EQ(sink(), nullptr);
+  EXPECT_FALSE(enabled());
 }
 
 /// AuctionContext carries an explicit sink that overrides the global one;

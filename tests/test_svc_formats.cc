@@ -214,7 +214,7 @@ TEST(MigrationFormat, RoundTripsAndRejectsCorruption) {
   ASSERT_GT(bytes.size(), 16u);
 
   {
-    std::istringstream in(bytes);
+    util::binio::Reader in(bytes);
     AuctionService twin(small_config());
     twin.load_migration(in);
     // The envelope carries the session tail a checkpoint drops.
@@ -223,14 +223,14 @@ TEST(MigrationFormat, RoundTripsAndRejectsCorruption) {
   {
     std::string corrupt = bytes;
     corrupt[0] = 'X';
-    std::istringstream in(corrupt);
+    util::binio::Reader in(corrupt);
     AuctionService victim(small_config());
     EXPECT_THROW(victim.load_migration(in), std::runtime_error);
   }
   {
     std::string corrupt = bytes;
     corrupt[8] = 42;  // version
-    std::istringstream in(corrupt);
+    util::binio::Reader in(corrupt);
     AuctionService victim(small_config());
     EXPECT_THROW(victim.load_migration(in), std::runtime_error);
   }

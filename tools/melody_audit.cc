@@ -25,7 +25,6 @@
 #include "auction/melody_auction.h"
 #include "obs/metrics.h"
 #include "util/csv.h"
-#include "util/build_info.h"
 #include "util/flags.h"
 #include "util/table.h"
 
@@ -40,11 +39,10 @@ struct Options {
   auction::AuctionConfig config;
   std::int64_t dual_target = -1;
   bool with_metrics = false;
-  bool version = false;
 };
 
 // All getter calls live here so the --help text is generated from the same
-// calls that parse (run over an empty Flags instance by usage()).
+// calls that parse (util::CommandLine runs it over an empty Flags).
 Options read_options(const util::Flags& flags) {
   Options o;
   o.workers_path = flags.get_string(
@@ -71,21 +69,7 @@ Options read_options(const util::Flags& flags) {
       "metrics", false, "",
       "print observability summaries (phase timers in ms, counters) "
       "collected during the replay");
-  o.version = flags.has_switch(
-      "version", "print the build sha and format versions, then exit");
   return o;
-}
-
-int usage(const char* error) {
-  util::Flags dummy;
-  read_options(dummy);
-  std::fputs(dummy.help("melody_audit",
-                        "Replay one MELODY auction from CSV bids/tasks and "
-                        "audit the allocation.")
-                 .c_str(),
-             stderr);
-  if (error != nullptr) std::fprintf(stderr, "\nerror: %s\n", error);
-  return error != nullptr ? 1 : 0;
 }
 
 double parse_double(const std::string& cell, const char* what) {
@@ -204,18 +188,15 @@ void print_metrics_summary() {
 }  // namespace
 
 int main(int argc, char** argv) {
+  util::CommandLine<Options> cli("melody_audit",
+                                 "Replay one MELODY auction from CSV "
+                                 "bids/tasks and audit the allocation.",
+                                 1, read_options);
+  if (const auto exit_code = cli.parse(argc, argv)) return *exit_code;
+  const Options& options = cli.options();
   try {
-    util::Flags flags(argc, argv);
-    const Options options = read_options(flags);
-    if (flags.has("help")) return usage(nullptr);
-    if (options.version) {
-      std::printf("%s\n", util::build_info_line("melody_audit").c_str());
-      return 0;
-    }
-    const std::string& workers_path = options.workers_path;
-    const std::string& tasks_path = options.tasks_path;
-    if (workers_path.empty() || tasks_path.empty()) {
-      return usage("--workers and --tasks are required");
+    if (options.workers_path.empty() || options.tasks_path.empty()) {
+      return cli.usage("--workers and --tasks are required");
     }
 
     const auction::AuctionConfig& config = options.config;
@@ -225,35 +206,30 @@ int main(int argc, char** argv) {
     } else if (options.rule_name == "paper") {
       rule = auction::PaymentRule::kPaperNextInQueue;
     } else {
-      return usage("payment-rule must be critical or paper");
-    }
-    const std::int64_t dual_target = options.dual_target;
-    const bool with_metrics = options.with_metrics;
-    if (const auto unknown = flags.unused(); !unknown.empty()) {
-      return usage(("unknown flag --" + unknown.front()).c_str());
+      return cli.usage("payment-rule must be critical or paper");
     }
 
-    const auto workers = load_workers(workers_path);
-    const auto tasks = load_tasks(tasks_path);
-    if (with_metrics) obs::set_enabled(true);
+    const auto workers = load_workers(options.workers_path);
+    const auto tasks = load_tasks(options.tasks_path);
+    if (options.with_metrics) obs::set_enabled(true);
 
-    if (dual_target >= 0) {
+    if (options.dual_target >= 0) {
       const auto dual = auction::run_dual_sra(
-          workers, tasks, config, static_cast<std::size_t>(dual_target), rule);
+          workers, tasks, config, static_cast<std::size_t>(options.dual_target), rule);
       std::printf("dual SRA: target %lld %s; required budget %.4f\n",
-                  static_cast<long long>(dual_target),
+                  static_cast<long long>(options.dual_target),
                   dual.target_met ? "met" : "NOT met", dual.required_budget);
       print_allocation(dual.allocation, workers, tasks, config);
-      if (with_metrics) print_metrics_summary();
+      if (options.with_metrics) print_metrics_summary();
       return 0;
     }
 
     auction::MelodyAuction auction(rule);
     print_allocation(auction.run({workers, tasks, config}), workers, tasks,
                      config);
-    if (with_metrics) print_metrics_summary();
+    if (options.with_metrics) print_metrics_summary();
     return 0;
   } catch (const std::exception& e) {
-    return usage(e.what());
+    return cli.usage(e.what());
   }
 }

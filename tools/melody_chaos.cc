@@ -32,7 +32,6 @@
 #include "cluster/routing.h"
 #include "svc/protocol.h"
 #include "svc/wire.h"
-#include "util/build_info.h"
 #include "util/flags.h"
 #include "util/rng.h"
 
@@ -49,7 +48,6 @@ struct Options {
   std::int64_t seed = 2017;
   std::int64_t timeout_s = 50;
   bool quiet = false;
-  bool version = false;
 };
 
 Options read_options(const util::Flags& flags) {
@@ -64,23 +62,7 @@ Options read_options(const util::Flags& flags) {
   o.timeout_s = flags.get_int("timeout-s", 50, "SEC",
                               "overall wall-clock budget");
   o.quiet = flags.has_switch("quiet", "suppress the per-round lines");
-  o.version = flags.has_switch(
-      "version", "print the build sha and format versions, then exit");
   return o;
-}
-
-int usage(const char* error) {
-  util::Flags dummy;
-  read_options(dummy);
-  std::fputs(dummy.help("melody_chaos",
-                        "Chaos harness: kills and respawns cluster members "
-                        "mid-load on a deterministic schedule and asserts "
-                        "no acknowledged submission is lost past the last "
-                        "published snapshot.")
-                 .c_str(),
-             stderr);
-  if (error != nullptr) std::fprintf(stderr, "\nerror: %s\n", error);
-  return error != nullptr ? 1 : 0;
 }
 
 struct LedgerEntry {
@@ -92,7 +74,9 @@ struct LedgerEntry {
 
 class Harness {
  public:
-  explicit Harness(Options options) : options_(std::move(options)) {}
+  explicit Harness(Options options)
+      : options_(std::move(options)),
+        ctl_(options_.ctl_host, options_.ctl_port) {}
 
   int run() {
     deadline_ = std::chrono::steady_clock::now() +
@@ -103,7 +87,7 @@ class Harness {
           return pool_.call(member, request, out);
         },
         [this](const svc::WireObject& command, svc::WireObject* reply) {
-          return control(command, reply);
+          return ctl_.call(command, reply);
         });
 
     if (!wait_ready()) return 1;
@@ -168,32 +152,12 @@ class Harness {
     return 1;
   }
 
-  bool control(const svc::WireObject& command, svc::WireObject* reply) {
-    std::string reply_line;
-    // Redial once: the control server survives kills, but the connection
-    // may have idled out across a slow recovery.
-    for (int attempt = 0; attempt < 2; ++attempt) {
-      if (!ctl_.connected() &&
-          !ctl_.connect(options_.ctl_host, options_.ctl_port)) {
-        continue;
-      }
-      if (!ctl_.exchange(svc::format_wire(command), &reply_line)) continue;
-      try {
-        *reply = svc::parse_wire(reply_line);
-        return true;
-      } catch (const svc::WireError&) {
-        return false;
-      }
-    }
-    return false;
-  }
-
   bool wait_ready() {
     svc::WireObject status;
     status.set("cmd", svc::WireValue::of("status"));
     while (!expired()) {
       svc::WireObject reply;
-      if (control(status, &reply) && reply.boolean_or("ready", false)) {
+      if (ctl_.call(status, &reply) && reply.boolean_or("ready", false)) {
         return true;
       }
       std::this_thread::sleep_for(std::chrono::milliseconds(100));
@@ -206,7 +170,7 @@ class Harness {
     svc::WireObject command;
     command.set("cmd", svc::WireValue::of("spawn_args"));
     svc::WireObject reply;
-    if (!control(command, &reply) || !reply.boolean_or("ok", false)) {
+    if (!ctl_.call(command, &reply) || !reply.boolean_or("ok", false)) {
       fail("spawn_args fetch failed");
       return false;
     }
@@ -262,7 +226,7 @@ class Harness {
     svc::WireObject command;
     command.set("cmd", svc::WireValue::of("publish"));
     svc::WireObject reply;
-    if (!control(command, &reply) || !reply.boolean_or("ok", false)) {
+    if (!ctl_.call(command, &reply) || !reply.boolean_or("ok", false)) {
       fail("publish failed: " + reply.text_or("error", "no reply"));
       return false;
     }
@@ -353,7 +317,7 @@ class Harness {
     svc::WireObject command;
     command.set("cmd", svc::WireValue::of("shutdown"));
     svc::WireObject reply;
-    control(command, &reply);
+    ctl_.call(command, &reply);
     for (const pid_t pid : children_) {
       int status = 0;
       ::waitpid(pid, &status, 0);
@@ -362,7 +326,7 @@ class Harness {
 
   Options options_;
   std::chrono::steady_clock::time_point deadline_;
-  cluster::LineClient ctl_;
+  cluster::ControlClient ctl_;
   cluster::MemberPool pool_;
   std::unique_ptr<cluster::ClusterClient> client_;
   std::vector<std::string> spawn_args_;
@@ -376,31 +340,19 @@ class Harness {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::unique_ptr<util::Flags> flags;
-  try {
-    flags = std::make_unique<util::Flags>(argc, argv);
-  } catch (const std::exception& e) {
-    return usage(e.what());
-  }
-  Options options;
-  try {
-    options = read_options(*flags);
-  } catch (const std::exception& e) {
-    return usage(e.what());
-  }
-  if (flags->has("help")) return usage(nullptr);
-  if (options.version) {
-    std::puts(util::build_info_line("melody_chaos").c_str());
-    return 0;
-  }
-  if (const auto unknown = flags->unused(); !unknown.empty()) {
-    return usage(("unknown flag --" + unknown.front()).c_str());
-  }
-  if (options.rounds < 1) return usage("--rounds must be >= 1");
-  if (options.batch < 1) return usage("--batch must be >= 1");
+  util::CommandLine<Options> cli("melody_chaos",
+                                 "Chaos harness: kills and respawns cluster "
+                                 "members mid-load on a deterministic schedule "
+                                 "and asserts no acknowledged submission is "
+                                 "lost past the last published snapshot.",
+                                 1, read_options);
+  if (const auto exit_code = cli.parse(argc, argv)) return *exit_code;
+  Options& options = cli.options();
+  if (options.rounds < 1) return cli.usage("--rounds must be >= 1");
+  if (options.batch < 1) return cli.usage("--batch must be >= 1");
   if (!cluster::parse_endpoint(options.ctl, &options.ctl_host,
                                &options.ctl_port)) {
-    return usage("--ctl must be HOST:PORT");
+    return cli.usage("--ctl must be HOST:PORT");
   }
 
   std::signal(SIGPIPE, SIG_IGN);

@@ -26,7 +26,6 @@
 #include <cstdio>
 #include <cstring>
 #include <map>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -37,7 +36,6 @@
 #include "svc/event_loop.h"
 #include "svc/shard.h"
 #include "svc/wire.h"
-#include "util/build_info.h"
 #include "util/flags.h"
 
 namespace {
@@ -56,7 +54,6 @@ struct Options {
   std::int64_t heartbeat_ms = 1000;
   bool no_spawn = false;
   bool quiet = false;
-  bool version = false;
 };
 
 Options read_options(const util::Flags& flags) {
@@ -78,23 +75,7 @@ Options read_options(const util::Flags& flags) {
       "no-spawn", "adopt externally started members instead of spawning "
                   "(members join with their own --cluster-shards)");
   o.quiet = flags.has_switch("quiet", "suppress the startup/status lines");
-  o.version = flags.has_switch(
-      "version", "print the build sha and format versions, then exit");
   return o;
-}
-
-int usage(const char* error) {
-  util::Flags dummy;
-  read_options(dummy);
-  std::fputs(dummy.help("melody_cluster",
-                        "Cluster coordinator: spawns melody_serve members, "
-                        "serves the control protocol (join/status/"
-                        "route_table/migrate/drain/publish), and drives "
-                        "live shard migration.")
-                 .c_str(),
-             stderr);
-  if (error != nullptr) std::fprintf(stderr, "\nerror: %s\n", error);
-  return error != nullptr ? 1 : 0;
 }
 
 /// The canonical argv (binary first) every member is spawned with: the
@@ -236,27 +217,15 @@ std::string shard_csv(int lo, int hi) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::unique_ptr<util::Flags> flags;
-  try {
-    flags = std::make_unique<util::Flags>(argc, argv);
-  } catch (const std::exception& e) {
-    return usage(e.what());
-  }
-  Options options;
-  try {
-    options = read_options(*flags);
-  } catch (const std::exception& e) {
-    return usage(e.what());
-  }
-  if (flags->has("help")) return usage(nullptr);
-  if (options.version) {
-    std::puts(util::build_info_line("melody_cluster").c_str());
-    return 0;
-  }
-  if (const auto unknown = flags->unused(); !unknown.empty()) {
-    return usage(("unknown flag --" + unknown.front()).c_str());
-  }
-  if (options.members < 1) return usage("--members must be >= 1");
+  util::CommandLine<Options> cli("melody_cluster",
+                                 "Cluster coordinator: spawns melody_serve "
+                                 "members, serves the control protocol "
+                                 "(join/status/route_table/migrate/drain/"
+                                 "publish), and drives live shard migration.",
+                                 1, read_options);
+  if (const auto exit_code = cli.parse(argc, argv)) return *exit_code;
+  Options& options = cli.options();
+  if (options.members < 1) return cli.usage("--members must be >= 1");
   if (options.serve_bin.empty()) {
     const std::string self = argv[0];
     const std::size_t slash = self.rfind('/');

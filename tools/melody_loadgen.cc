@@ -46,7 +46,6 @@
 #include "obs/sink.h"
 #include "svc/loadgen.h"
 #include "svc/protocol.h"
-#include "util/build_info.h"
 #include "util/flags.h"
 #include "util/stats.h"
 
@@ -74,7 +73,6 @@ struct Options {
   int ctl_port = 0;
   bool dry_run = false;
   bool quiet = false;
-  bool version = false;
 };
 
 Options read_options(const util::Flags& flags) {
@@ -118,21 +116,7 @@ Options read_options(const util::Flags& flags) {
       "dry-run", "print request lines to stdout instead of connecting "
                  "(pipe into melody_serve --stdin)");
   o.quiet = flags.has_switch("quiet", "suppress the per-client progress");
-  o.version = flags.has_switch(
-      "version", "print the build sha and format versions, then exit");
   return o;
-}
-
-int usage(const char* error) {
-  util::Flags dummy;
-  read_options(dummy);
-  std::fputs(dummy.help("melody_loadgen",
-                        "Deterministic closed/open-loop client for "
-                        "melody_serve.")
-                 .c_str(),
-             stderr);
-  if (error != nullptr) std::fprintf(stderr, "\nerror: %s\n", error);
-  return error != nullptr ? 1 : 0;
 }
 
 svc::loadgen::StreamConfig stream_config(const Options& options) {
@@ -387,25 +371,17 @@ ClientResult run_open_client(const Options& options, int client) {
 /// the stream sees the same responses a single-process deployment gives.
 ClientResult run_cluster_client(const Options& options, int client) {
   ClientResult result;
-  auto control_conn = std::make_shared<cluster::LineClient>();
+  auto control =
+      std::make_shared<cluster::ControlClient>(options.ctl_host,
+                                               options.ctl_port);
   auto pool = std::make_shared<cluster::MemberPool>();
   cluster::ClusterClient router(
       [pool](const cluster::ClusterMember& member,
              const svc::Request& request, svc::Response* out) {
         return pool->call(member, request, out);
       },
-      [control_conn, host = options.ctl_host, port = options.ctl_port](
-          const svc::WireObject& command, svc::WireObject* reply) {
-        if (!control_conn->connected() &&
-            !control_conn->connect(host, port)) {
-          return false;
-        }
-        std::string line;
-        if (!control_conn->exchange(svc::format_wire(command), &line)) {
-          return false;
-        }
-        *reply = svc::parse_wire(line);
-        return true;
+      [control](const svc::WireObject& command, svc::WireObject* reply) {
+        return control->call(command, reply);
       });
   if (!router.refresh_table()) {
     result.errors = static_cast<std::size_t>(options.requests);
@@ -441,57 +417,41 @@ ClientResult run_cluster_client(const Options& options, int client) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::unique_ptr<util::Flags> flags;
-  try {
-    flags = std::make_unique<util::Flags>(argc, argv);
-  } catch (const std::exception& e) {
-    return usage(e.what());
-  }
-  Options options;
-  try {
-    options = read_options(*flags);
-  } catch (const std::exception& e) {
-    return usage(e.what());
-  }
-  if (flags->has("help")) return usage(nullptr);
-  if (options.version) {
-    std::printf("%s\n", util::build_info_line("melody_loadgen").c_str());
-    return 0;
-  }
-  if (const auto unknown = flags->unused(); !unknown.empty()) {
-    return usage(("unknown flag --" + unknown.front()).c_str());
-  }
+  util::CommandLine<Options> cli(
+      "melody_loadgen",
+      "Deterministic closed/open-loop client for melody_serve.", 1,
+      read_options);
+  if (const auto exit_code = cli.parse(argc, argv)) return *exit_code;
+  Options& options = cli.options();
   if (options.mode != "closed" && options.mode != "open") {
-    return usage("--mode must be closed or open");
+    return cli.usage("--mode must be closed or open");
   }
   if (!options.cluster.empty()) {
     if (!cluster::parse_endpoint(options.cluster, &options.ctl_host,
                                  &options.ctl_port)) {
-      return usage("--cluster must be HOST:PORT");
+      return cli.usage("--cluster must be HOST:PORT");
     }
     if (options.mode != "closed") {
-      return usage("--cluster requires --mode closed (open-loop in-order "
-                   "matching does not survive broadcast fan-out)");
+      return cli.usage("--cluster requires --mode closed (open-loop in-order "
+                       "matching does not survive broadcast fan-out)");
     }
     if (options.dry_run) {
-      return usage("--cluster and --dry-run are mutually exclusive");
+      return cli.usage("--cluster and --dry-run are mutually exclusive");
     }
   }
   if (options.clients < 1 || options.requests < 1 || options.workers < 1) {
-    return usage("--clients/--requests/--workers must be positive");
+    return cli.usage("--clients/--requests/--workers must be positive");
   }
   if (!options.ops.empty() && !options.dry_run) {
-    return usage("--ops only applies to --dry-run streams");
+    return cli.usage("--ops only applies to --dry-run streams");
   }
-  std::unique_ptr<obs::JsonLinesSink> metrics_sink;
+  std::optional<obs::MetricsFile> metrics;
   if (!options.metrics_json.empty() && !options.dry_run) {
     try {
-      metrics_sink = std::make_unique<obs::JsonLinesSink>(options.metrics_json);
+      metrics.emplace(options.metrics_json);
     } catch (const std::exception& e) {
-      return usage(e.what());
+      return cli.usage(e.what());
     }
-    obs::set_sink(metrics_sink.get());
-    obs::set_enabled(true);
   }
 
   std::vector<svc::Op> allowed;
@@ -499,7 +459,7 @@ int main(int argc, char** argv) {
     try {
       allowed = parse_ops_filter(options.ops);
     } catch (const std::exception& e) {
-      return usage(e.what());
+      return cli.usage(e.what());
     }
   }
 
@@ -533,13 +493,6 @@ int main(int argc, char** argv) {
   }
   for (std::thread& t : threads) t.join();
 
-  const auto flush_metrics = [&] {
-    if (metrics_sink == nullptr) return;
-    metrics_sink->append_registry(obs::registry());
-    obs::set_sink(nullptr);
-    obs::set_enabled(false);
-  };
-
   ClientResult total;
   for (const ClientResult& r : results) {
     total.sent += r.sent;
@@ -562,7 +515,6 @@ int main(int argc, char** argv) {
                    "running on %s:%d?\n",
                    options.host.c_str(), static_cast<int>(options.port));
     }
-    flush_metrics();
     return 1;
   }
   std::sort(total.latencies_ms.begin(), total.latencies_ms.end());
@@ -608,8 +560,8 @@ int main(int argc, char** argv) {
   if (reporter.active()) {
     std::printf("  summary CSV: %s\n", reporter.path().c_str());
   }
-  flush_metrics();
-  if (metrics_sink != nullptr) {
+  if (metrics) {
+    metrics->finish();
     std::printf("  metrics JSON: %s\n", options.metrics_json.c_str());
   }
   return 0;

@@ -51,37 +51,16 @@ Options read_options(const util::Flags& flags) {
   return o;
 }
 
-int usage(const char* error) {
-  util::Flags dummy;
-  read_options(dummy);
-  std::fputs(dummy.help("melody_perfsuite",
-                        "Run the pinned perf benchmark matrix and write "
-                        "its artifact to --out.")
-                 .c_str(),
-             stderr);
-  if (error != nullptr) std::fprintf(stderr, "\nerror: %s\n", error);
-  return error != nullptr ? 1 : 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  Options options;
-  try {
-    util::Flags flags(argc, argv);
-    if (flags.has("help")) return usage(nullptr);
-    options = read_options(flags);
-    const std::vector<std::string> unused = flags.unused();
-    if (!unused.empty()) {
-      return usage(("unknown flag --" + unused.front()).c_str());
-    }
-    if (!flags.positional().empty()) {
-      return usage("melody_perfsuite takes no positional arguments");
-    }
-    if (options.out.empty()) return usage("--out is required");
-  } catch (const std::exception& e) {
-    return usage(e.what());
-  }
+  util::CommandLine<Options> cli("melody_perfsuite",
+                                 "Run the pinned perf benchmark matrix and "
+                                 "write its artifact to --out.",
+                                 1, read_options);
+  if (const auto exit_code = cli.parse(argc, argv)) return *exit_code;
+  const Options& options = cli.options();
+  if (options.out.empty()) return cli.usage("--out is required");
 
   try {
     const perf::PerfArtifact artifact =

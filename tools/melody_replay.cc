@@ -23,13 +23,11 @@
 // checkpoint ops, rewriting those files (bit-identical content by the
 // determinism contract). Copy them first if the originals matter.
 #include <cstdio>
-#include <memory>
 #include <sstream>
 #include <string>
 
 #include "svc/replay.h"
 #include "svc/router.h"
-#include "util/build_info.h"
 #include "util/flags.h"
 #include "util/thread_pool.h"
 
@@ -44,7 +42,6 @@ struct Options {
   std::int64_t threads = 1;
   std::int64_t max_diffs = 16;
   bool quiet = false;
-  bool version = false;
 };
 
 Options read_options(const util::Flags& flags) {
@@ -66,47 +63,21 @@ Options read_options(const util::Flags& flags) {
   o.max_diffs =
       flags.get_int("max-diffs", 16, "N", "stop after N diffs (0: collect all)");
   o.quiet = flags.has_switch("quiet", "suppress the summary line");
-  o.version = flags.has_switch(
-      "version", "print the build sha and format versions, then exit");
   return o;
-}
-
-int usage(const char* error) {
-  util::Flags dummy;
-  read_options(dummy);
-  std::fputs(dummy.help("melody_replay",
-                        "Replay a recorded melody_serve wire trace against a "
-                        "rebuilt deployment and diff every response.")
-                 .c_str(),
-             stderr);
-  if (error != nullptr) std::fprintf(stderr, "\nerror: %s\n", error);
-  return error != nullptr ? 2 : 0;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::unique_ptr<util::Flags> flags;
-  try {
-    flags = std::make_unique<util::Flags>(argc, argv);
-  } catch (const std::exception& e) {
-    return usage(e.what());
-  }
-  Options options;
-  try {
-    options = read_options(*flags);
-  } catch (const std::exception& e) {
-    return usage(e.what());
-  }
-  if (flags->has("help")) return usage(nullptr);
-  if (options.version) {
-    std::printf("%s\n", util::build_info_line("melody_replay").c_str());
-    return 0;
-  }
-  if (const auto unknown = flags->unused(); !unknown.empty()) {
-    return usage(("unknown flag --" + unknown.front()).c_str());
-  }
-  if (options.trace_path.empty()) return usage("--trace is required");
+  // Usage errors exit 2: 1 means the replay found diffs.
+  util::CommandLine<Options> cli("melody_replay",
+                                 "Replay a recorded melody_serve wire trace "
+                                 "against a rebuilt deployment and diff every "
+                                 "response.",
+                                 2, read_options);
+  if (const auto exit_code = cli.parse(argc, argv)) return *exit_code;
+  const Options& options = cli.options();
+  if (options.trace_path.empty()) return cli.usage("--trace is required");
 
   util::set_shared_thread_count(static_cast<int>(options.threads));
 

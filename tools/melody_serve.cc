@@ -37,6 +37,7 @@
 #include <cstdio>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -49,7 +50,6 @@
 #include "svc/frame.h"
 #include "svc/router.h"
 #include "svc/trace_log.h"
-#include "util/build_info.h"
 #include "util/flags.h"
 #include "util/thread_pool.h"
 
@@ -75,7 +75,6 @@ struct Options {
   bool stdin_mode = false;
   bool trace = false;
   bool quiet = false;
-  bool version = false;
 };
 
 Options read_options(const util::Flags& flags) {
@@ -115,8 +114,6 @@ Options read_options(const util::Flags& flags) {
       "coordinator heartbeat cadence (0 disables)");
   o.epoch = flags.get_int("epoch", 1, "E", "initial routing epoch");
   o.quiet = flags.has_switch("quiet", "suppress the startup/summary lines");
-  o.version = flags.has_switch(
-      "version", "print the build sha and format versions, then exit");
   return o;
 }
 
@@ -153,19 +150,6 @@ std::uint64_t parse_shard_spec(const std::string& spec, const int shards,
   return mask;
 }
 
-int usage(const char* error) {
-  util::Flags dummy;
-  read_options(dummy);
-  std::fputs(dummy.help("melody_serve",
-                        "Online MELODY auction service: sharded platform, "
-                        "epoll front end, bounded queues, batched runs, "
-                        "checkpointed state.")
-                 .c_str(),
-             stderr);
-  if (error != nullptr) std::fprintf(stderr, "\nerror: %s\n", error);
-  return error != nullptr ? 1 : 0;
-}
-
 std::size_t total_session_runs(const svc::ShardedService& service) {
   std::size_t runs = 0;
   for (int s = 0; s < service.shard_count(); ++s) {
@@ -177,53 +161,38 @@ std::size_t total_session_runs(const svc::ShardedService& service) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::unique_ptr<util::Flags> flags;
-  try {
-    flags = std::make_unique<util::Flags>(argc, argv);
-  } catch (const std::exception& e) {
-    return usage(e.what());
-  }
-  Options options;
-  try {
-    options = read_options(*flags);
-  } catch (const std::exception& e) {
-    return usage(e.what());
-  }
-  if (flags->has("help")) return usage(nullptr);
-  if (options.version) {
-    std::puts(util::build_info_line("melody_serve").c_str());
-    return 0;
-  }
-  if (const auto unknown = flags->unused(); !unknown.empty()) {
-    return usage(("unknown flag --" + unknown.front()).c_str());
-  }
+  util::CommandLine<Options> cli("melody_serve",
+                                 "Online MELODY auction service: sharded "
+                                 "platform, epoll front end, bounded queues, "
+                                 "batched runs, checkpointed state.",
+                                 1, read_options);
+  if (const auto exit_code = cli.parse(argc, argv)) return *exit_code;
+  Options& options = cli.options();
   if (options.port < 0 || options.port > 65535) {
-    return usage("--port must be in [0, 65535] (0: ephemeral)");
+    return cli.usage("--port must be in [0, 65535] (0: ephemeral)");
   }
   std::string ctl_host;
   int ctl_port = 0;
   if (!options.cluster_ctl.empty() &&
       !cluster::parse_endpoint(options.cluster_ctl, &ctl_host, &ctl_port)) {
-    return usage("--cluster-ctl must be HOST:PORT");
+    return cli.usage("--cluster-ctl must be HOST:PORT");
   }
   // Before parse_shard_spec builds the 64-bit activity mask.
   if (!options.cluster_member.empty() &&
       options.service.shards > svc::ShardedService::kMaxClusterShards) {
-    return usage("--cluster-member supports at most 64 shards (activity mask "
-                 "width)");
+    return cli.usage("--cluster-member supports at most 64 shards (activity "
+                     "mask width)");
   }
 
   util::set_shared_thread_count(static_cast<int>(options.threads));
 
-  std::unique_ptr<obs::JsonLinesSink> metrics_sink;
+  std::optional<obs::MetricsFile> metrics;
   if (!options.metrics_path.empty()) {
     try {
-      metrics_sink = std::make_unique<obs::JsonLinesSink>(options.metrics_path);
+      metrics.emplace(options.metrics_path);
     } catch (const std::exception& e) {
-      return usage(e.what());
+      return cli.usage(e.what());
     }
-    obs::set_sink(metrics_sink.get());
-    obs::set_enabled(true);
   }
   if (options.trace) obs::set_enabled(true);
 
@@ -304,8 +273,7 @@ int main(int argc, char** argv) {
         join.set("shards",
                  svc::WireValue::of(std::vector<double>(
                      active_shards.begin(), active_shards.end())));
-        agent = std::thread([&agent_stop, ctl_host, ctl_port,
-                             join_line = svc::format_wire(join),
+        agent = std::thread([&agent_stop, ctl_host, ctl_port, join,
                              member = options.cluster_member,
                              beat_ms = options.heartbeat_ms] {
           const auto idle = [&agent_stop](std::int64_t ms) {
@@ -315,24 +283,13 @@ int main(int argc, char** argv) {
               std::this_thread::sleep_for(std::chrono::milliseconds(50));
             }
           };
-          cluster::LineClient ctl;
-          bool joined = false;
-          while (!joined && !agent_stop.load(std::memory_order_relaxed)) {
-            std::string reply_line;
-            if (ctl.connect(ctl_host, ctl_port) &&
-                ctl.exchange(join_line, &reply_line)) {
-              try {
-                const svc::WireObject reply = svc::parse_wire(reply_line);
-                if (reply.boolean_or("ok", false)) {
-                  joined = true;
-                  break;
-                }
-                std::fprintf(stderr, "melody_serve: cluster join: %s\n",
-                             reply.text_or("error", "rejected").c_str());
-              } catch (const std::exception& e) {
-                std::fprintf(stderr,
-                             "melody_serve: bad join reply: %s\n", e.what());
-              }
+          cluster::ControlClient ctl(ctl_host, ctl_port);
+          svc::WireObject reply;
+          while (!agent_stop.load(std::memory_order_relaxed)) {
+            if (ctl.call(join, &reply)) {
+              if (reply.boolean_or("ok", false)) break;
+              std::fprintf(stderr, "melody_serve: cluster join: %s\n",
+                           reply.text_or("error", "rejected").c_str());
             }
             idle(200);
           }
@@ -340,11 +297,8 @@ int main(int argc, char** argv) {
           svc::WireObject beat;
           beat.set("cmd", svc::WireValue::of("heartbeat"));
           beat.set("member", svc::WireValue::of(member));
-          const std::string beat_line = svc::format_wire(beat);
           while (!agent_stop.load(std::memory_order_relaxed)) {
-            std::string reply_line;
-            if (!ctl.connected()) ctl.connect(ctl_host, ctl_port);
-            if (ctl.connected()) ctl.exchange(beat_line, &reply_line);
+            ctl.call(beat, &reply);
             idle(beat_ms);
           }
         });
@@ -381,10 +335,6 @@ int main(int argc, char** argv) {
     exit_code = 1;
   }
 
-  if (metrics_sink != nullptr) {
-    metrics_sink->append_registry(obs::registry());
-    obs::set_sink(nullptr);
-    obs::set_enabled(false);
-  }
+  if (metrics) metrics->finish();
   return exit_code;
 }

@@ -26,6 +26,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "auction/melody_auction.h"
@@ -37,7 +38,6 @@
 #include "svc/config.h"
 #include "util/csv.h"
 #include "util/flags.h"
-#include "util/build_info.h"
 #include "util/table.h"
 #include "util/thread_pool.h"
 
@@ -55,11 +55,10 @@ struct Options {
   std::string resume_path;
   int threads = 1;
   bool quiet = false;
-  bool version = false;
 };
 
 // All getter calls live here so the --help text is generated from the same
-// calls that parse (run over an empty Flags instance by usage()).
+// calls that parse (util::CommandLine runs it over an empty Flags).
 Options read_options(const util::Flags& flags) {
   Options o;
   o.service = svc::ServiceConfig::from_flags(flags, /*serve_flags=*/false);
@@ -78,126 +77,85 @@ Options read_options(const util::Flags& flags) {
       "resume from a snapshot written with the same scenario flags; "
       "bit-identical to a run that never stopped");
   o.quiet = flags.get_bool("quiet", false, "", "suppress the run table");
-  o.version = flags.has_switch(
-      "version", "print the build sha and format versions, then exit");
   return o;
-}
-
-int usage(const char* error) {
-  util::Flags dummy;
-  read_options(dummy);
-  std::fputs(dummy.help("melody_sim",
-                        "Long-term crowdsourcing simulation (the Table-4 "
-                        "experiment with every knob exposed).")
-                 .c_str(),
-             stderr);
-  if (error != nullptr) std::fprintf(stderr, "\nerror: %s\n", error);
-  return error != nullptr ? 1 : 0;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::unique_ptr<util::Flags> flags;
-  try {
-    flags = std::make_unique<util::Flags>(argc, argv);
-  } catch (const std::exception& e) {
-    return usage(e.what());
-  }
-  Options options;
-  try {
-    options = read_options(*flags);
-  } catch (const std::exception& e) {
-    return usage(e.what());
-  }
-  if (flags->has("help")) return usage(nullptr);
-  if (options.version) {
-    std::printf("%s\n", util::build_info_line("melody_sim").c_str());
-    return 0;
-  }
+  util::CommandLine<Options> cli("melody_sim",
+                                 "Long-term crowdsourcing simulation (the "
+                                 "Table-4 experiment with every knob "
+                                 "exposed).",
+                                 1, read_options);
+  if (const auto exit_code = cli.parse(argc, argv)) return *exit_code;
+  const Options& options = cli.options();
 
   const svc::ServiceConfig& config = options.service;
   const sim::LongTermScenario& scenario = config.scenario;
-  const std::string& estimator_name = config.estimator;
-  const std::string& csv_path = options.csv_path;
-  const std::string& metrics_path = options.metrics_path;
-  const std::string& checkpoint_path = config.checkpoint_path;
-  const std::string& resume_path = options.resume_path;
-  const bool faults_given = flags->has("faults");
-  const std::int64_t checkpoint_every = config.checkpoint_every;
-  const std::uint64_t seed = config.seed;
-  const int threads = options.threads;
-  const bool quiet = options.quiet;
   try {
     config.validate();
   } catch (const std::exception& e) {
-    return usage(e.what());
-  }
-  if (const auto unknown = flags->unused(); !unknown.empty()) {
-    return usage(("unknown flag --" + unknown.front()).c_str());
+    return cli.usage(e.what());
   }
 
   // Shared estimator registry: the same construction melody_serve and the
   // perf suite use, so the four call sites cannot drift apart.
   auto estimator =
-      estimators::make(estimator_name, config.estimator_params());
+      estimators::make(config.estimator, config.estimator_params());
   if (estimator == nullptr) {
-    return usage(
-        ("estimator must be one of " + estimators::known_kinds()).c_str());
+    return cli.usage("estimator must be one of " + estimators::known_kinds());
   }
   const auction::PaymentRule rule = config.payment_rule;
   const std::string payment_rule_name =
       rule == auction::PaymentRule::kCriticalValue ? "critical" : "paper";
 
-  util::set_shared_thread_count(threads);
+  util::set_shared_thread_count(options.threads);
 
-  std::unique_ptr<obs::JsonLinesSink> metrics_sink;
-  if (!metrics_path.empty()) {
+  std::optional<obs::MetricsFile> metrics;
+  if (!options.metrics_path.empty()) {
     try {
-      metrics_sink = std::make_unique<obs::JsonLinesSink>(metrics_path);
+      metrics.emplace(options.metrics_path);
     } catch (const std::exception& e) {
-      return usage(e.what());
+      return cli.usage(e.what());
     }
-    obs::set_sink(metrics_sink.get());
-    obs::set_enabled(true);
   }
 
   auction::MelodyAuction mechanism(rule);
-  util::Rng population_rng(seed);
+  util::Rng population_rng(config.seed);
   sim::Platform platform(
       scenario, mechanism, *estimator,
       sim::sample_population(scenario.population_config(), population_rng),
-      seed + 1);
+      config.seed + 1);
   try {
-    if (!resume_path.empty()) sim::load_checkpoint(platform, resume_path);
-    if (faults_given) platform.set_fault_plan(config.faults);
+    if (!options.resume_path.empty()) {
+      sim::load_checkpoint(platform, options.resume_path);
+    }
+    if (cli.flags().has("faults")) platform.set_fault_plan(config.faults);
   } catch (const std::exception& e) {
-    return usage(e.what());
+    return cli.usage(e.what());
   }
 
   std::vector<sim::RunRecord> records;
   const int first_run = platform.current_run();
-  if (checkpoint_path.empty()) {
+  if (config.checkpoint_path.empty()) {
     records = platform.run_all();
   } else {
     records.reserve(static_cast<std::size_t>(scenario.runs));
     while (platform.current_run() <= scenario.runs) {
       records.push_back(platform.step());
-      if (checkpoint_every > 0 && records.back().run % checkpoint_every == 0) {
-        sim::save_checkpoint(platform, checkpoint_path);
+      if (config.checkpoint_every > 0 &&
+          records.back().run % config.checkpoint_every == 0) {
+        sim::save_checkpoint(platform, config.checkpoint_path);
       }
     }
-    sim::save_checkpoint(platform, checkpoint_path);
+    sim::save_checkpoint(platform, config.checkpoint_path);
   }
 
-  if (metrics_sink != nullptr) {
-    metrics_sink->append_registry(obs::registry());
-    obs::set_sink(nullptr);
-    obs::set_enabled(false);
-  }
+  if (metrics) metrics->finish();
 
-  if (!csv_path.empty()) {
-    util::CsvWriter csv(csv_path);
+  if (!options.csv_path.empty()) {
+    util::CsvWriter csv(options.csv_path);
     csv.write_row({"run", "estimated_utility", "true_utility",
                    "estimation_error", "total_payment", "assignments",
                    "no_shows", "churned_out", "scores_dropped",
@@ -215,7 +173,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (!quiet && !records.empty()) {
+  if (!options.quiet && !records.empty()) {
     util::TablePrinter table({"run", "true utility", "est. error", "payment"});
     const std::size_t step =
         std::max<std::size_t>(1, records.size() / 20);
@@ -226,17 +184,17 @@ int main(int argc, char** argv) {
                      record.estimation_error, record.total_payment},
                     2);
     }
-    table.print(estimator_name + " / " + payment_rule_name + " payments");
+    table.print(config.estimator + " / " + payment_rule_name + " payments");
   }
 
   const auto summary = sim::summarize(records);
   std::printf("\nsummary over %zu runs (%s estimator, %d thread%s):\n",
-              records.size(), estimator_name.c_str(),
+              records.size(), config.estimator.c_str(),
               util::shared_thread_count(),
               util::shared_thread_count() == 1 ? "" : "s");
   if (first_run > 1) {
     std::printf("  resumed at run %d from %s\n", first_run,
-                resume_path.c_str());
+                options.resume_path.c_str());
   }
   if (platform.fault_plan().active()) {
     std::printf("  fault plan: %s\n", platform.fault_plan().describe().c_str());
@@ -248,13 +206,15 @@ int main(int argc, char** argv) {
               summary.mean_estimation_error);
   std::printf("  mean total payment:     %.2f (budget %.2f)\n",
               summary.mean_total_payment, scenario.budget);
-  if (!csv_path.empty()) std::printf("  per-run CSV: %s\n", csv_path.c_str());
-  if (!checkpoint_path.empty()) {
-    std::printf("  checkpoint: %s\n", checkpoint_path.c_str());
+  if (!options.csv_path.empty()) {
+    std::printf("  per-run CSV: %s\n", options.csv_path.c_str());
   }
-  if (metrics_sink != nullptr) {
-    std::printf("  metrics JSON-lines: %s (%zu lines)\n", metrics_path.c_str(),
-                metrics_sink->lines_written());
+  if (!config.checkpoint_path.empty()) {
+    std::printf("  checkpoint: %s\n", config.checkpoint_path.c_str());
+  }
+  if (metrics) {
+    std::printf("  metrics JSON-lines: %s (%zu lines)\n",
+                options.metrics_path.c_str(), metrics->lines_written());
   }
   return 0;
 }
