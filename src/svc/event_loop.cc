@@ -51,6 +51,7 @@ struct EventLoop::Connection {
   bool want_write = false;  // EPOLLOUT currently registered
   bool read_eof = false;    // peer half-closed; flush remaining, then close
   bool closing = false;     // close once the write buffer drains
+  bool touched = false;     // listed in touched_ by the current drain
 };
 
 EventLoop::EventLoop(ShardedService& service, EventLoopOptions options)
@@ -222,29 +223,45 @@ void EventLoop::accept_ready() {
 }
 
 void EventLoop::post_completion(Completion completion) {
+  bool first = false;
   {
     std::lock_guard<std::mutex> lock(completions_mutex_);
+    first = completions_.empty();
     completions_.push_back(std::move(completion));
   }
+  // One wakeup per batch: a non-empty list already has one on the way, and
+  // the loop drains after every epoll wait.
+  if (!first) return;
   const std::uint64_t one = 1;
   [[maybe_unused]] const auto n = ::write(event_fd_, &one, sizeof one);
 }
 
 void EventLoop::drain_completions() {
-  std::vector<Completion> batch;
   {
     std::lock_guard<std::mutex> lock(completions_mutex_);
-    batch.swap(completions_);
+    drained_.swap(completions_);
   }
-  for (Completion& completion : batch) apply_completion(completion);
-}
-
-void EventLoop::apply_completion(Completion& completion) {
-  const auto it = connections_.find(completion.conn);
-  if (it == connections_.end()) return;  // connection died first
-  Connection* conn = it->second.get();
-  conn->pending.emplace(completion.seq, std::move(completion));
-  flush_ready(conn);
+  // File every completion first, then flush each touched connection once:
+  // one write(2) per connection per batch instead of one per reply.
+  for (Completion& completion : drained_) {
+    const auto it = connections_.find(completion.conn);
+    if (it == connections_.end()) continue;  // connection died first
+    Connection* conn = it->second.get();
+    if (!conn->touched) {
+      conn->touched = true;
+      touched_.push_back(conn->id);
+    }
+    conn->pending.emplace(completion.seq, std::move(completion));
+  }
+  drained_.clear();
+  // By id: a flush can destroy its own connection.
+  for (const std::uint64_t id : touched_) {
+    const auto it = connections_.find(id);
+    if (it == connections_.end()) continue;
+    it->second->touched = false;
+    flush_ready(it->second.get());
+  }
+  touched_.clear();
 }
 
 void EventLoop::handle_readable(Connection* conn) {
@@ -350,6 +367,7 @@ void EventLoop::handle_line(Connection* conn, std::string_view line) {
           annotated.fields.set("loop_parse_errors",
                                of(snapshot.frames.parse_errors));
           annotated.fields.set("loop_rejected", of(snapshot.frames.rejected));
+          annotated.fields.set("loop_flushes", of(snapshot.flushes));
           post_completion(
               {conn_id, seq, format_response(annotated), close_after});
         };
@@ -370,6 +388,7 @@ void EventLoop::answer_inline(Connection* conn, std::uint64_t seq,
 }
 
 void EventLoop::flush_ready(Connection* conn) {
+  const std::uint64_t first = conn->next_flush;
   for (;;) {
     const auto it = conn->pending.find(conn->next_flush);
     if (it == conn->pending.end()) break;
@@ -400,6 +419,7 @@ void EventLoop::flush_ready(Connection* conn) {
     conn->pending.erase(it);
     ++conn->next_flush;
   }
+  if (conn->next_flush != first) ++stats_.flushes;
   try_write(conn);
 }
 

@@ -8,9 +8,12 @@
 // Flow of one request line:
 //   read(2) → framing buffer → answer_frame (svc/frame.h: the parse /
 //     trace / record / submit path shared with stdio and replay)
-//     → shard consumer thread applies it → done callback posts a
-//       Completion (mutex + eventfd wakeup) → event loop reorders it into
-//       the connection's response sequence → write buffer → write(2)
+//     → shard consumer thread pops a batch of envelopes and applies them
+//       in order → each done callback posts a Completion under a mutex;
+//       only the one that finds the list empty writes the eventfd → the
+//       event loop swaps the whole list out, files every completion into
+//       its connection's reorder map, then flushes each touched
+//       connection once → write buffer → one write(2) per connection
 //
 // Ordering: responses go out in request order per connection even though
 // shards complete out of order — each accepted line consumes a sequence
@@ -61,6 +64,7 @@ struct EventLoopOptions {
 struct EventLoopStats {
   std::uint64_t accepted = 0;  // connections accepted
   FrameTally frames;           // lines answered, over every connection
+  std::uint64_t flushes = 0;   // flush_ready calls that appended a reply
 };
 
 class EventLoop {
@@ -97,7 +101,6 @@ class EventLoop {
   void accept_ready();
   void post_completion(Completion completion);
   void drain_completions();
-  void apply_completion(Completion& completion);
   void handle_readable(Connection* conn);
   void handle_writable(Connection* conn);
   void handle_line(Connection* conn, std::string_view line);
@@ -119,6 +122,11 @@ class EventLoop {
   std::map<std::uint64_t, std::unique_ptr<Connection>> connections_;
   std::mutex completions_mutex_;
   std::vector<Completion> completions_;
+  // Loop-thread scratch of drain_completions, kept for its capacity: the
+  // batch swapped out of completions_ and the ids of the connections it
+  // filed replies for, in first-touch order.
+  std::vector<Completion> drained_;
+  std::vector<std::uint64_t> touched_;
   EventLoopStats stats_;
 };
 

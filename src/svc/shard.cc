@@ -1,7 +1,7 @@
 #include "svc/shard.h"
 
 #include <algorithm>
-#include <optional>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -183,7 +183,7 @@ void PlatformShard::run() {
           timeout, std::chrono::duration_cast<std::chrono::nanoseconds>(
                        std::chrono::duration<double>(std::max(until, 0.0))));
     }
-    step(timeout, &epoch);
+    step(timeout, std::numeric_limits<std::size_t>::max(), &epoch);
     if (service_.shutdown_requested()) {
       queue_.close();
       if (queue_.size() == 0) break;
@@ -196,22 +196,38 @@ void PlatformShard::run() {
 }
 
 bool PlatformShard::step(std::chrono::nanoseconds timeout,
+                         const std::size_t max,
                          const std::chrono::steady_clock::time_point* epoch) {
-  std::optional<Envelope> envelope = queue_.pop_for(timeout);
-  if (epoch != nullptr) feed_clock(service_, *epoch);
-  if (!envelope.has_value()) {
+  const std::size_t popped = queue_.pop_batch_for(timeout, max, batch_);
+  if (popped == 0) {
+    if (epoch != nullptr) feed_clock(service_, *epoch);
     service_.poll_batches();
     return false;
   }
-  service_.note_queue_depth(queue_.size());
-  if (envelope->task) {
-    envelope->task(service_);
-    return true;
+  // The batch leaves the buffer and gives its queue slots back however the
+  // step ends: a task that throws must not leave envelopes to run again.
+  struct Release {
+    PlatformShard& shard;
+    std::size_t count;
+    ~Release() {
+      shard.batch_.clear();
+      shard.queue_.release(count);
+    }
+  } release{*this, popped};
+  const std::size_t queued = queue_.size();
+  for (std::size_t i = 0; i < popped; ++i) {
+    Envelope& envelope = batch_[i];
+    if (epoch != nullptr) feed_clock(service_, *epoch);
+    service_.note_queue_depth(queued + popped - 1 - i);
+    if (envelope.task) {
+      envelope.task(service_);
+      continue;
+    }
+    // Install the frame's root context for the apply; free when inactive.
+    obs::ScopedTraceContext install(envelope.trace);
+    const Response response = service_.apply(envelope.request);
+    if (envelope.done) envelope.done(response);
   }
-  // Install the frame's root context for the apply; free when inactive.
-  obs::ScopedTraceContext install(envelope->trace);
-  const Response response = service_.apply(envelope->request);
-  if (envelope->done) envelope->done(response);
   return true;
 }
 

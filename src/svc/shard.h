@@ -105,9 +105,9 @@ class PlatformShard {
   /// the shard is shutting down and the task will never run.
   PushResult submit_task(std::function<void(AuctionService&)> task);
 
-  /// True while the queue holds queue_capacity envelopes or more: a
-  /// try_submit now would be rejected as kFull.
-  bool full() const { return queue_.size() >= queue_.capacity(); }
+  /// True while queue_capacity envelopes or more are queued or in the
+  /// consumer's current batch: a try_submit now would be rejected as kFull.
+  bool full() const { return queue_.full(); }
 
   /// The client-facing response for a failed submission: "overloaded" with
   /// a retry_after_ms hint sized to the queue, or a terminal "shutting
@@ -133,10 +133,10 @@ class PlatformShard {
   /// is quiescent and may be touched directly (save_state, records).
   void join();
 
-  /// Single-threaded driving: one consumer step with no clock feed.
-  /// Returns true if an envelope was processed.
+  /// Single-threaded driving: one consumer step with no clock feed, over
+  /// at most one envelope. Returns true if an envelope was processed.
   bool poll_once(std::chrono::nanoseconds timeout) {
-    return step(timeout, nullptr);
+    return step(timeout, 1, nullptr);
   }
 
   int index() const noexcept { return index_; }
@@ -163,16 +163,20 @@ class PlatformShard {
   /// The consumer thread's body: clock feed, step, shutdown checks.
   void run();
 
-  /// The consumer step: pop one envelope, waiting up to `timeout`, then
-  /// apply it, or fire any due batches when none came. A non-null `epoch`
-  /// (the real-clock consumer) feeds the service clock after the wait.
-  bool step(std::chrono::nanoseconds timeout,
+  /// The consumer step: pop up to `max` envelopes in one wait of up to
+  /// `timeout`, then apply them in queue order, or fire any due batches
+  /// when none came. A non-null `epoch` (the real-clock consumer) feeds the
+  /// service clock before each envelope, or once after an empty wait.
+  bool step(std::chrono::nanoseconds timeout, std::size_t max,
             const std::chrono::steady_clock::time_point* epoch);
 
   int index_;
   int worker_offset_;
   AuctionService service_;
   BoundedQueue<Envelope> queue_;
+  // The batch step() works through; cleared after every step, but its
+  // storage lives on so a busy consumer does not allocate per batch.
+  std::vector<Envelope> batch_;
   std::thread thread_;
   bool started_ = false;
   // Lazily-resolved per-shard obs counters (null until first enabled use).

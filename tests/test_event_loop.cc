@@ -2,8 +2,10 @@
 // event-loop thread multiplexing hundreds of concurrent connections into a
 // sharded service, per-connection response ordering under pipelining,
 // protocol errors that keep (or, for framing violations, close) the
-// connection, the overload/retry_after_ms backpressure contract, and the
-// shutdown-op drain.
+// connection, the overload/retry_after_ms backpressure contract, the
+// shutdown-op drain, and the batched hand-offs: completions of several
+// connections coalesced into one drain, and a connection that dies while
+// its completions are still on the way.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -11,8 +13,10 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <csignal>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -21,6 +25,7 @@
 #include "svc/config.h"
 #include "svc/event_loop.h"
 #include "svc/frame.h"
+#include "svc/loadgen.h"
 #include "svc/protocol.h"
 #include "svc/router.h"
 #include "svc/trace_log.h"
@@ -166,6 +171,17 @@ TEST(EventLoopE2E, PipelinedRequestsAnswerInRequestOrder) {
     EXPECT_TRUE(response.ok) << response.error;
     EXPECT_EQ(response.id, k + 1) << "out-of-order response";
   }
+  // Every reply so far left in some flush, and a flush carries at least
+  // one reply: 1 <= loop_flushes <= kRequests.
+  Request stats;
+  stats.op = Op::kStats;
+  stats.id = kRequests + 1;
+  send_all(fd, format_request(stats) + "\n");
+  const Response reply = parse_response(read_line(fd));
+  ASSERT_TRUE(reply.ok) << reply.error;
+  EXPECT_EQ(reply.fields.number("loop_requests"), kRequests + 1.0);
+  EXPECT_GE(reply.fields.number("loop_flushes"), 1.0);
+  EXPECT_LE(reply.fields.number("loop_flushes"), kRequests + 0.0);
   ::close(fd);
 }
 
@@ -261,6 +277,125 @@ TEST(EventLoopE2E, ShutdownOpDrainsAndStopsTheLoop) {
   EXPECT_TRUE(server.service.shutdown_requested());
   EXPECT_TRUE(read_line(fd).empty());
   ::close(fd);
+}
+
+/// A client's pipelined loadgen stream over the 42-worker population,
+/// with stats left out (TCP appends loop tallies to its reply).
+std::string loadgen_script(int client, int requests) {
+  loadgen::StreamConfig stream;
+  stream.seed = 11;
+  stream.workers = 42;
+  std::string script;
+  for (int k = 0; k < requests; ++k) {
+    const Request request = loadgen::make_request(stream, client, k);
+    if (request.op == Op::kStats) continue;
+    script += format_request(request) + "\n";
+  }
+  return script;
+}
+
+std::size_t count_lines(const std::string& text) {
+  return static_cast<std::size_t>(
+      std::count(text.begin(), text.end(), '\n'));
+}
+
+// Two connections' pipelined bursts park in the queues of a K=2
+// deployment whose consumers start only once both are in: the shards then
+// drain in batches whose completions interleave both connections, so one
+// drain files replies for both and flushes each once. Every shard applies
+// connection A's requests, then B's, just as a stdio session of script
+// A + B does, so each connection gets exactly its part of that session's
+// replies, byte for byte and in request order.
+TEST(EventLoopE2E, TwoPipelinedConnectionsMatchTheStdioSession) {
+  ServiceConfig config = serve_config(2);
+  config.queue_capacity = 1024;  // both bursts fit: nothing is refused
+  const std::string script_a = loadgen_script(0, 240);
+  const std::string script_b = loadgen_script(1, 240);
+  const std::size_t replies_a = count_lines(script_a);
+  const std::size_t replies_b = count_lines(script_b);
+
+  std::vector<std::string> stdio_lines;
+  {
+    ShardedService service(config);
+    std::istringstream in(script_a + script_b);
+    std::ostringstream out;
+    run_stdio_session(service, in, out);
+    std::istringstream lines(out.str());
+    for (std::string line; std::getline(lines, line);) {
+      stdio_lines.push_back(line);
+    }
+  }
+  ASSERT_EQ(stdio_lines.size(), replies_a + replies_b);
+
+  Server server(config, 1 << 20, /*start_shards=*/false);
+  const int fd_a = connect_client(server.port());
+  const int fd_b = connect_client(server.port());
+  // Let the loop ingest all of A before any of B reaches it.
+  send_all(fd_a, script_a);
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  send_all(fd_b, script_b);
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  server.service.start();
+  for (std::size_t k = 0; k < replies_a; ++k) {
+    EXPECT_EQ(read_line(fd_a), stdio_lines[k]) << "connection A reply " << k;
+  }
+  for (std::size_t k = 0; k < replies_b; ++k) {
+    EXPECT_EQ(read_line(fd_b), stdio_lines[replies_a + k])
+        << "connection B reply " << k;
+  }
+  ::close(fd_a);
+  ::close(fd_b);
+  server.stop();
+  server.thread.join();
+  EXPECT_GE(server.stats.flushes, 1u);
+  EXPECT_LE(server.stats.flushes, replies_a + replies_b);
+}
+
+// Connection A resets while its whole burst still sits in the shard
+// queues; the completions then reach the loop in drain batches beside
+// connection B's, for a connection id that no longer exists. They are
+// dropped, B is answered in full and in order, and the loop keeps serving.
+TEST(EventLoopE2E, ConnectionThatDiesBeforeItsCompletionsIsSkipped) {
+  std::signal(SIGPIPE, SIG_IGN);  // a lost race must fail, not kill
+  ServiceConfig config = serve_config(2);
+  config.queue_capacity = 1024;
+  Server server(config, 1 << 20, /*start_shards=*/false);
+  const int fd_a = connect_client(server.port());
+  const int fd_b = connect_client(server.port());
+  constexpr int kRequests = 120;
+  std::string burst;
+  for (int k = 0; k < kRequests; ++k) {
+    burst += format_request(query_worker((k * 5) % 42, k + 1)) + "\n";
+  }
+  send_all(fd_a, burst);
+  send_all(fd_b, burst);
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  // Close with a reset, not a FIN: the loop destroys the connection at
+  // once instead of waiting to flush its replies.
+  const linger reset{1, 0};
+  ::setsockopt(fd_a, SOL_SOCKET, SO_LINGER, &reset, sizeof reset);
+  ::close(fd_a);
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  server.service.start();
+  for (int k = 0; k < kRequests; ++k) {
+    const std::string line = read_line(fd_b);
+    ASSERT_FALSE(line.empty()) << "response " << k;
+    const Response response = parse_response(line);
+    EXPECT_TRUE(response.ok) << response.error;
+    EXPECT_EQ(response.id, k + 1) << "out-of-order response";
+  }
+  // Still serving: a fresh connection is answered.
+  const int fd_c = connect_client(server.port());
+  send_all(fd_c, format_request(query_worker(7, 1000)) + "\n");
+  const Response fresh = parse_response(read_line(fd_c));
+  EXPECT_TRUE(fresh.ok) << fresh.error;
+  EXPECT_EQ(fresh.id, 1000);
+  ::close(fd_b);
+  ::close(fd_c);
+  server.stop();
+  server.thread.join();
+  // A's replies never left: only B's and C's were flushed.
+  EXPECT_LE(server.stats.flushes, static_cast<std::uint64_t>(kRequests + 1));
 }
 
 std::vector<TraceFrame> in_frames(const std::string& trace_bytes) {

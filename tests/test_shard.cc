@@ -1,5 +1,5 @@
-// Sharded platform (svc/shard.h + svc/router.h): plan splitting and seed
-// salting, affinity routing, broadcast merge semantics, and the headline
+// Sharded platform (svc/queue.h + svc/shard.h + svc/router.h): the shard
+// queue's backpressure and batch pop, plan splitting and seed salting, affinity routing, broadcast merge semantics, and the headline
 // contracts — a K=1 sharded deployment is byte-identical to the plain
 // single-platform service, every K>1 shard is bit-identical to the
 // standalone service built from its plan, and composed MLDYSVCK v2
@@ -15,6 +15,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "estimators/factory.h"
@@ -22,6 +23,7 @@
 #include "svc/config.h"
 #include "svc/frame.h"
 #include "svc/protocol.h"
+#include "svc/queue.h"
 #include "svc/router.h"
 #include "svc/service.h"
 #include "svc/shard.h"
@@ -33,6 +35,147 @@ namespace melody::svc {
 namespace {
 
 constexpr std::uint64_t kSeed = 2017;
+
+using namespace std::chrono_literals;
+
+// ---------------------------------------------------------------- queue --
+
+/// Pop at most `max` items without waiting, then release them at once.
+std::vector<int> pop_now(BoundedQueue<int>& queue, std::size_t max) {
+  std::vector<int> out;
+  queue.release(queue.pop_batch_for(0ns, max, out));
+  return out;
+}
+
+TEST(BoundedQueue, BackpressureAndDrain) {
+  BoundedQueue<int> queue(2);
+  EXPECT_EQ(queue.try_push(1), PushResult::kOk);
+  EXPECT_EQ(queue.try_push(2), PushResult::kOk);
+  EXPECT_EQ(queue.try_push(3), PushResult::kFull);  // full, never blocks
+  EXPECT_EQ(queue.size(), 2u);
+
+  queue.close();
+  EXPECT_EQ(queue.try_push(4), PushResult::kClosed);
+  // Queued items stay poppable after close (drain semantics).
+  EXPECT_EQ(pop_now(queue, 1), std::vector<int>{1});
+  std::vector<int> out;
+  EXPECT_EQ(queue.pop_batch_for(1ms, 1, out), 1u);
+  EXPECT_EQ(out, std::vector<int>{2});
+  queue.release(1);
+  EXPECT_EQ(queue.pop_batch_for(1ms, 1, out), 0u);
+  EXPECT_TRUE(queue.closed());
+}
+
+TEST(BoundedQueue, PopTimesOutOnEmpty) {
+  BoundedQueue<int> queue(1);
+  std::vector<int> out;
+  const auto before = std::chrono::steady_clock::now();
+  EXPECT_EQ(queue.pop_batch_for(5ms, 1, out), 0u);
+  EXPECT_GE(std::chrono::steady_clock::now() - before, 4ms);
+  EXPECT_TRUE(out.empty());
+}
+
+TEST(BoundedQueue, ZeroCapacityClampsToOne) {
+  BoundedQueue<int> queue(0);
+  EXPECT_EQ(queue.capacity(), 1u);
+  EXPECT_EQ(queue.try_push(7), PushResult::kOk);
+  EXPECT_EQ(queue.try_push(8), PushResult::kFull);
+}
+
+TEST(BoundedQueue, BatchPopKeepsFifoOrderAndRespectsMax) {
+  BoundedQueue<int> queue(16);
+  for (int k = 0; k < 10; ++k) ASSERT_EQ(queue.try_push(k), PushResult::kOk);
+  EXPECT_EQ(pop_now(queue, 4), (std::vector<int>{0, 1, 2, 3}));
+  EXPECT_EQ(queue.size(), 6u);
+  EXPECT_EQ(pop_now(queue, 1), std::vector<int>{4});
+  // A batch appends behind what the buffer already holds.
+  std::vector<int> out{-1};
+  EXPECT_EQ(queue.pop_batch_for(0ns, 100, out), 5u);
+  EXPECT_EQ(out, (std::vector<int>{-1, 5, 6, 7, 8, 9}));
+  queue.release(5);
+  EXPECT_EQ(queue.size(), 0u);
+  EXPECT_FALSE(queue.full());
+}
+
+TEST(BoundedQueue, PoppedItemsHoldTheirSlotsUntilReleased) {
+  BoundedQueue<int> queue(3);
+  for (int k = 0; k < 3; ++k) ASSERT_EQ(queue.try_push(k), PushResult::kOk);
+  std::vector<int> batch;
+  ASSERT_EQ(queue.pop_batch_for(0ns, 2, batch), 2u);
+  EXPECT_EQ(queue.size(), 1u);  // only the unpopped item is pending
+  // The two popped items still count against the capacity.
+  EXPECT_TRUE(queue.full());
+  EXPECT_EQ(queue.try_push(3), PushResult::kFull);
+  queue.release(1);
+  EXPECT_FALSE(queue.full());
+  EXPECT_EQ(queue.try_push(3), PushResult::kOk);
+  EXPECT_EQ(queue.try_push(4), PushResult::kFull);
+  queue.release(1);
+  EXPECT_EQ(queue.try_push(4), PushResult::kOk);
+  EXPECT_EQ(pop_now(queue, 8), (std::vector<int>{2, 3, 4}));
+  // Control-plane items still go past the bound.
+  for (int k = 0; k < 3; ++k) ASSERT_EQ(queue.try_push(k), PushResult::kOk);
+  EXPECT_EQ(queue.push_force(99), PushResult::kOk);
+  EXPECT_EQ(queue.size(), 4u);
+}
+
+TEST(BoundedQueue, CloseWithPoppedItemsStillDrains) {
+  BoundedQueue<int> queue(4);
+  for (int k = 0; k < 4; ++k) ASSERT_EQ(queue.try_push(k), PushResult::kOk);
+  std::vector<int> batch;
+  ASSERT_EQ(queue.pop_batch_for(0ns, 2, batch), 2u);
+  queue.close();
+  EXPECT_EQ(queue.try_push(9), PushResult::kClosed);
+  EXPECT_EQ(queue.push_force(9), PushResult::kClosed);
+  // The consumer finishes its batch, then drains what is still queued.
+  EXPECT_EQ(batch, (std::vector<int>{0, 1}));
+  queue.release(2);
+  EXPECT_EQ(pop_now(queue, 8), (std::vector<int>{2, 3}));
+  EXPECT_EQ(queue.size(), 0u);
+  // Closed and drained: a pop returns at once, without the timeout.
+  const auto before = std::chrono::steady_clock::now();
+  EXPECT_EQ(queue.pop_batch_for(10s, 8, batch), 0u);
+  EXPECT_LT(std::chrono::steady_clock::now() - before, 5s);
+}
+
+TEST(BoundedQueue, ProducersAndABatchingConsumerAgreeOnEveryItem) {
+  // Several producers race one batching consumer; every accepted item
+  // arrives exactly once and each producer's items keep their order.
+  constexpr int kProducers = 3;
+  constexpr int kPerProducer = 2000;
+  BoundedQueue<int> queue(8);
+  std::vector<std::thread> producers;
+  for (int p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&queue, p] {
+      for (int k = 0; k < kPerProducer;) {
+        if (queue.try_push(p * kPerProducer + k) == PushResult::kOk) {
+          ++k;
+        } else {
+          std::this_thread::yield();
+        }
+      }
+    });
+  }
+  std::vector<int> last(kProducers, -1);
+  std::vector<int> batch;
+  int received = 0;
+  while (received < kProducers * kPerProducer) {
+    const std::size_t n = queue.pop_batch_for(10ms, 5, batch);
+    ASSERT_LE(n, 5u);
+    for (const int item : batch) {
+      const int p = item / kPerProducer;
+      EXPECT_GT(item, last[static_cast<std::size_t>(p)]);
+      last[static_cast<std::size_t>(p)] = item;
+    }
+    received += static_cast<int>(n);
+    batch.clear();
+    queue.release(n);
+  }
+  for (std::thread& producer : producers) producer.join();
+  EXPECT_EQ(queue.size(), 0u);
+  EXPECT_FALSE(queue.full());
+}
+
 
 /// 42 workers / 30 tasks: neither divides by 4, so every split exercises
 /// the remainder distribution.

@@ -1,6 +1,5 @@
-// Service runtime (melody::svc): queue backpressure, batch triggers,
-// session registry persistence, wire/protocol codec round-trips, and the
-// headline contract — a stdin-mode service session driven by a request
+// Service runtime (melody::svc): batch triggers, session registry
+// persistence, wire/protocol codec round-trips, and the headline contract — a stdin-mode service session driven by a request
 // trace produces bit-identical run outcomes to the equivalent melody_sim
 // batch run, including across a mid-trace checkpoint/kill/resume.
 #include <gtest/gtest.h>
@@ -20,7 +19,6 @@
 #include "svc/batcher.h"
 #include "svc/frame.h"
 #include "svc/protocol.h"
-#include "svc/queue.h"
 #include "svc/service.h"
 #include "svc/session.h"
 #include "svc/shard.h"
@@ -33,38 +31,6 @@ namespace melody::svc {
 namespace {
 
 using namespace std::chrono_literals;
-
-// ---------------------------------------------------------------- queue --
-
-TEST(BoundedQueue, BackpressureAndDrain) {
-  BoundedQueue<int> queue(2);
-  EXPECT_EQ(queue.try_push(1), PushResult::kOk);
-  EXPECT_EQ(queue.try_push(2), PushResult::kOk);
-  EXPECT_EQ(queue.try_push(3), PushResult::kFull);  // full, never blocks
-  EXPECT_EQ(queue.size(), 2u);
-
-  queue.close();
-  EXPECT_EQ(queue.try_push(4), PushResult::kClosed);
-  // Queued items stay poppable after close (drain semantics).
-  EXPECT_EQ(queue.try_pop().value(), 1);
-  EXPECT_EQ(queue.pop_for(1ms).value(), 2);
-  EXPECT_FALSE(queue.pop_for(1ms).has_value());
-  EXPECT_TRUE(queue.closed());
-}
-
-TEST(BoundedQueue, PopTimesOutOnEmpty) {
-  BoundedQueue<int> queue(1);
-  const auto before = std::chrono::steady_clock::now();
-  EXPECT_FALSE(queue.pop_for(5ms).has_value());
-  EXPECT_GE(std::chrono::steady_clock::now() - before, 4ms);
-}
-
-TEST(BoundedQueue, ZeroCapacityClampsToOne) {
-  BoundedQueue<int> queue(0);
-  EXPECT_EQ(queue.capacity(), 1u);
-  EXPECT_EQ(queue.try_push(7), PushResult::kOk);
-  EXPECT_EQ(queue.try_push(8), PushResult::kFull);
-}
 
 // -------------------------------------------------------------- batcher --
 

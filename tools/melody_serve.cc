@@ -321,12 +321,13 @@ int main(int argc, char** argv) {
         // see parse errors and backpressure without scraping the stats op.
         std::fprintf(stderr,
                      "melody_serve: stopped after %llu connections, %llu "
-                     "requests, %llu parse errors, %llu rejected, %zu "
-                     "runs%s\n",
+                     "requests, %llu parse errors, %llu rejected, %llu "
+                     "flushes, %zu runs%s\n",
                      static_cast<unsigned long long>(stats.accepted),
                      static_cast<unsigned long long>(stats.frames.requests),
                      static_cast<unsigned long long>(stats.frames.parse_errors),
                      static_cast<unsigned long long>(stats.frames.rejected),
+                     static_cast<unsigned long long>(stats.flushes),
                      total_session_runs(service), note.c_str());
       }
     }
