@@ -9,6 +9,7 @@
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "svc/session.h"
 #include "svc/trace_log.h"
 #include "util/atomic_file.h"
 #include "util/binio.h"
@@ -55,23 +56,11 @@ int route_worker(const std::string& worker,
   // Scenario names "w<g>" with g inside the initial population map to the
   // contiguous range owner (matches the planner's split and the per-shard
   // worker_name_offset bindings).
-  if (worker.size() > 1 && worker.front() == 'w') {
-    bool digits = true;
-    long g = 0;
-    for (std::size_t i = 1; i < worker.size(); ++i) {
-      const char c = worker[i];
-      if (c < '0' || c > '9' || g > num_workers) {
-        digits = false;
-        break;
-      }
-      g = g * 10 + (c - '0');
-    }
-    if (digits && g < num_workers) {
-      const auto it = std::upper_bound(worker_offsets.begin(),
-                                       worker_offsets.end() - 1,
-                                       static_cast<int>(g));
-      return static_cast<int>(it - worker_offsets.begin()) - 1;
-    }
+  if (const auto g = parse_worker_number(worker, num_workers)) {
+    const auto it = std::upper_bound(worker_offsets.begin(),
+                                     worker_offsets.end() - 1,
+                                     static_cast<int>(*g));
+    return static_cast<int>(it - worker_offsets.begin()) - 1;
   }
   // Newcomers and foreign names: deterministic hash affinity — the same
   // name always lands on the same shard, so its session state sticks.

@@ -57,6 +57,7 @@ AuctionService::AuctionService(ServiceConfig config)
       mechanism_(config_.payment_rule),
       estimator_(
           estimators::make(config_.estimator, config_.estimator_params())),
+      registry_(config_.worker_name_offset),
       batcher_(config_.batch) {
   if (estimator_ == nullptr) {
     throw std::invalid_argument("svc: estimator must be one of " +
@@ -582,8 +583,12 @@ void AuctionService::load_state(binio::Reader& in) {
   const double oldest = in.read_f64("svc oldest bid time");
   const double accrued = in.read_f64("svc accrued budget");
   const int arrivals = in.read_i32("svc pending arrivals");
-  registry_.load(in);
+  // The registry commits only once the platform has loaded: a body cut
+  // short inside the platform leaves the whole service as it was.
+  SessionRegistry registry(config_.worker_name_offset);
+  registry.load(in);
   platform_->load(in);
+  registry_ = std::move(registry);
   now_ = now;
   batcher_.restore(pending, oldest, accrued, arrivals);
   first_session_run_ = platform_->current_run();

@@ -1,6 +1,5 @@
 #include "svc/session.h"
 
-#include <algorithm>
 #include <stdexcept>
 
 #include "util/binio.h"
@@ -13,97 +12,121 @@ constexpr std::uint32_t kVersion = 1;
 namespace binio = util::binio;
 }  // namespace
 
+std::optional<std::int64_t> parse_worker_number(
+    const std::string_view name, const std::int64_t bound) noexcept {
+  if (name.size() < 2 || name.front() != 'w') return std::nullopt;
+  std::int64_t g = 0;
+  for (const char c : name.substr(1)) {
+    if (c < '0' || c > '9' || g >= bound) return std::nullopt;
+    g = g * 10 + (c - '0');
+  }
+  return g < bound ? std::optional(g) : std::nullopt;
+}
+
+std::optional<auction::WorkerId> SessionRegistry::find_spelled(
+    const std::string_view name) const {
+  const auto g = parse_worker_number(
+      name, name_offset_ + static_cast<std::int64_t>(entries_.size()));
+  if (!g || *g < name_offset_ ||
+      entries_[static_cast<std::size_t>(*g - name_offset_)].name != name) {
+    return std::nullopt;
+  }
+  return static_cast<auction::WorkerId>(*g - name_offset_);
+}
+
+bool SessionRegistry::spells(const std::string_view name,
+                             const auction::WorkerId id) const noexcept {
+  const std::int64_t g = name_offset_ + static_cast<std::int64_t>(id);
+  return parse_worker_number(name, g + 1) == g;
+}
+
+auction::WorkerId SessionRegistry::append(std::string name,
+                                          const bool spelled,
+                                          const std::uint64_t bids) {
+  const auto id = static_cast<auction::WorkerId>(entries_.size());
+  if (!spelled) unspelled_.emplace(name, id);
+  entries_.push_back(Entry{std::move(name), bids});
+  return id;
+}
+
 void SessionRegistry::bind(const std::string& name, auction::WorkerId id) {
-  if (by_name_.count(name) != 0) {
+  if (find(name).has_value()) {
     throw std::invalid_argument("session: name already bound: " + name);
   }
-  if (by_id_.count(id) != 0) {
-    throw std::invalid_argument("session: id already bound: " +
+  if (id < 0 || static_cast<std::size_t>(id) != entries_.size()) {
+    throw std::invalid_argument("session: not the next id: " +
                                 std::to_string(id));
   }
-  by_name_[name] = order_.size();
-  by_id_[id] = order_.size();
-  order_.push_back(Entry{name, id, 0});
-  next_id_ = std::max(next_id_, id + 1);
+  append(name, spells(name, id));
 }
 
 auction::WorkerId SessionRegistry::intern(const std::string& name,
                                           bool* created) {
-  const auto it = by_name_.find(name);
-  if (it != by_name_.end()) {
-    if (created != nullptr) *created = false;
-    return order_[it->second].id;
-  }
-  const auction::WorkerId id = next_id_;
-  bind(name, id);
-  if (created != nullptr) *created = true;
-  return id;
+  const auto existing = find(name);
+  if (created != nullptr) *created = !existing.has_value();
+  if (existing.has_value()) return *existing;
+  return append(name, spells(name, static_cast<auction::WorkerId>(size())));
 }
 
 std::optional<auction::WorkerId> SessionRegistry::find(
     const std::string& name) const {
-  const auto it = by_name_.find(name);
-  if (it == by_name_.end()) return std::nullopt;
-  return order_[it->second].id;
+  if (const auto id = find_spelled(name)) return id;
+  const auto it = unspelled_.find(name);
+  if (it == unspelled_.end()) return std::nullopt;
+  return it->second;
 }
 
 const std::string* SessionRegistry::name_of(auction::WorkerId id) const {
-  const auto it = by_id_.find(id);
-  if (it == by_id_.end()) return nullptr;
-  return &order_[it->second].name;
+  return has(id) ? &entries_[static_cast<std::size_t>(id)].name : nullptr;
 }
 
 void SessionRegistry::count_bid(auction::WorkerId id) {
-  const auto it = by_id_.find(id);
-  if (it != by_id_.end()) ++order_[it->second].bids;
+  if (has(id)) ++entries_[static_cast<std::size_t>(id)].bids;
 }
 
 std::uint64_t SessionRegistry::bids_submitted(auction::WorkerId id) const {
-  const auto it = by_id_.find(id);
-  return it == by_id_.end() ? 0 : order_[it->second].bids;
+  return has(id) ? entries_[static_cast<std::size_t>(id)].bids : 0;
 }
 
 void SessionRegistry::save(binio::Writer& out) const {
   out.write_header(kMagic, kVersion);
-  out.write_u64(order_.size());
-  for (const Entry& entry : order_) {
-    out.write_bytes(entry.name);
-    out.write_i32(entry.id);
-    out.write_u64(entry.bids);
+  out.write_u64(entries_.size());
+  for (std::size_t k = 0; k < entries_.size(); ++k) {
+    out.write_bytes(entries_[k].name);
+    out.write_i32(static_cast<auction::WorkerId>(k));
+    out.write_u64(entries_[k].bids);
   }
-  out.write_i32(next_id_);
+  out.write_i32(static_cast<auction::WorkerId>(entries_.size()));
 }
 
 void SessionRegistry::load(binio::Reader& in) {
   in.read_header(kMagic, kVersion);
   const std::uint64_t count = in.read_u64("session count");
-  std::vector<Entry> order;
+  SessionRegistry loaded(name_offset_);
   // An entry is u64 name length | name | i32 id | u64 bids.
-  in.reserve(order, count, 8 + 4 + 8, "session count");
-  std::unordered_map<std::string, std::size_t> by_name;
-  std::unordered_map<auction::WorkerId, std::size_t> by_id;
+  in.reserve(loaded.entries_, count, 8 + 4 + 8, "session count");
   for (std::uint64_t k = 0; k < count; ++k) {
-    Entry entry;
-    entry.name = std::string(in.read_bytes("session name", 1 << 16));
-    entry.id = in.read_i32("session id");
-    entry.bids = in.read_u64("session bids");
-    if (!by_name.emplace(entry.name, order.size()).second ||
-        !by_id.emplace(entry.id, order.size()).second) {
+    std::string name(in.read_bytes("session name", 1 << 16));
+    const auction::WorkerId id = in.read_i32("session id");
+    const std::uint64_t bids = in.read_u64("session bids");
+    if (id < 0 || static_cast<std::uint64_t>(id) != k) {
+      throw std::runtime_error("session registry: id out of order");
+    }
+    // A name that spells its own id can repeat only a name in the map (an
+    // earlier newcomer that took it); any other name may also repeat one
+    // that an earlier entry spells.
+    const bool spelled = loaded.spells(name, id);
+    if (spelled ? loaded.unspelled_.count(name) != 0
+                : loaded.find(name).has_value()) {
       throw std::runtime_error("session registry: duplicate entry");
     }
-    order.push_back(std::move(entry));
+    loaded.append(std::move(name), spelled, bids);
   }
-  const auction::WorkerId next_id = in.read_i32("session next id");
-  for (const Entry& entry : order) {
-    if (entry.id >= next_id) {  // intern would hand out a bound id
-      throw std::runtime_error(
-          "session registry: next id not above every bound id");
-    }
+  if (in.read_i32("session next id") !=
+      static_cast<auction::WorkerId>(count)) {
+    throw std::runtime_error("session registry: next id is not the count");
   }
-  order_ = std::move(order);
-  by_name_ = std::move(by_name);
-  by_id_ = std::move(by_id);
-  next_id_ = next_id;
+  *this = std::move(loaded);
 }
 
 }  // namespace melody::svc

@@ -1,5 +1,7 @@
 #include "util/build_info.h"
 
+#include "git_sha.h"  // generated at build time: MELODY_GIT_SHA
+
 #include "sim/platform.h"
 #include "svc/protocol.h"
 #include "svc/router.h"
@@ -19,13 +21,7 @@ FormatVersions format_versions() noexcept {
   };
 }
 
-std::string build_git_sha() {
-#ifdef MELODY_GIT_SHA
-  return MELODY_GIT_SHA;
-#else
-  return "unknown";
-#endif
-}
+std::string build_git_sha() { return MELODY_GIT_SHA; }
 
 std::string build_info_line(const std::string& tool) {
   const FormatVersions v = format_versions();

@@ -19,6 +19,7 @@
 #include "svc/batcher.h"
 #include "svc/frame.h"
 #include "svc/protocol.h"
+#include "svc/router.h"
 #include "svc/service.h"
 #include "svc/session.h"
 #include "svc/shard.h"
@@ -152,7 +153,43 @@ TEST(SessionRegistry, DuplicateBindThrows) {
   SessionRegistry registry;
   registry.bind("w0", 0);
   EXPECT_THROW(registry.bind("w0", 1), std::invalid_argument);
+  // Ids are positions: 0 is taken and 2 is not the next one.
   EXPECT_THROW(registry.bind("other", 0), std::invalid_argument);
+  EXPECT_THROW(registry.bind("other", 2), std::invalid_argument);
+}
+
+TEST(SessionRegistry, LeadingZeroRoutesLikeItsNumberButIsAnotherName) {
+  // The router sends "w05" to the range owner of worker 5, as "w5" ...
+  const std::vector<int> offsets = {0, 4, 8};
+  EXPECT_EQ(route_worker("w5", offsets, 8), 1);
+  EXPECT_EQ(route_worker("w05", offsets, 8), 1);
+  EXPECT_EQ(route_worker("w3", offsets, 8), 0);
+  // ... while that shard's registry (ids 0..3 are "w4".."w7") keeps the
+  // two spellings apart.
+  SessionRegistry registry(4);
+  for (int id = 0; id < 4; ++id) {
+    registry.bind("w" + std::to_string(4 + id), id);
+  }
+  EXPECT_EQ(registry.find("w5").value(), 1);
+  EXPECT_FALSE(registry.find("w05").has_value());
+  EXPECT_FALSE(registry.find("w1").has_value());  // below the offset
+  EXPECT_FALSE(registry.find("w8").has_value());  // past the last id
+  EXPECT_EQ(registry.intern("w05"), 4);           // a newcomer of its own
+  EXPECT_EQ(registry.find("w05").value(), 4);
+  EXPECT_EQ(registry.find("w5").value(), 1);
+}
+
+TEST(SessionRegistry, NewcomerSpellingALaterIdKeepsItsOwnId) {
+  SessionRegistry registry;
+  registry.bind("w0", 0);
+  registry.bind("w1", 1);
+  EXPECT_EQ(registry.intern("w7"), 2);
+  EXPECT_EQ(registry.find("w7").value(), 2);
+  for (int k = 3; k < 7; ++k) registry.intern("x" + std::to_string(k));
+  // Id 7's scenario name is taken by id 2.
+  EXPECT_THROW(registry.bind("w7", 7), std::invalid_argument);
+  EXPECT_EQ(registry.intern("w7"), 2);
+  EXPECT_EQ(registry.size(), 7u);
 }
 
 TEST(SessionRegistry, SaveLoadRoundTripPreservesOrderAndBids) {
@@ -496,6 +533,33 @@ TEST(AuctionService, HelloAdvertisesProtocolAndRollingMode) {
   EXPECT_TRUE(r.fields.boolean_or("rolling", false));
   // Every platform ranks from its bid book: no mode to advertise.
   EXPECT_FALSE(r.fields.has("incremental"));
+}
+
+TEST(AuctionService, TruncatedBodyLeavesTheServiceUnchanged) {
+  // The source registered a newcomer, so its registry and platform both
+  // differ from the victim's. A body cut 2 bytes short ends inside the
+  // platform snapshot: the load is refused and commits nothing, the
+  // registry included.
+  AuctionService source(tiny_config());
+  Request alice = bid_for(0, 1);
+  alice.worker = "alice";
+  alice.cost = 1.25;
+  alice.frequency = 2;
+  alice.has_bid = true;
+  ASSERT_TRUE(source.apply(alice).ok);
+  util::binio::Writer body;
+  source.save_state(body);
+  const std::string cut = body.bytes().substr(0, body.bytes().size() - 2);
+
+  AuctionService victim(tiny_config());
+  util::binio::Writer before;
+  victim.save_state(before);
+  util::binio::Reader in(cut);
+  EXPECT_THROW(victim.load_state(in), std::runtime_error);
+  util::binio::Writer after;
+  victim.save_state(after);
+  EXPECT_EQ(after.bytes(), before.bytes());
+  EXPECT_FALSE(victim.registry().find("alice").has_value());
 }
 
 TEST(AuctionService, WithdrawalSurvivesSaveAndLoadWithoutRolling) {
