@@ -53,7 +53,8 @@ BidBook::Slot BidBook::allocate_slot() {
     return slot;
   }
   const Slot slot = static_cast<Slot>(id_.size());
-  id_.push_back(-1);
+  id_.push_back(0);
+  live_.push_back(0);
   quality_.push_back(0.0);
   cost_.push_back(0.0);
   frequency_.push_back(0);
@@ -82,6 +83,7 @@ bool BidBook::upsert(const WorkerProfile& profile) {
   const Slot slot = allocate_slot();
   const auto i = static_cast<std::size_t>(slot);
   id_[i] = profile.id;
+  live_[i] = 1;
   quality_[i] = profile.estimated_quality;
   cost_[i] = profile.bid.cost;
   frequency_[i] = profile.bid.frequency;
@@ -96,9 +98,9 @@ bool BidBook::erase(WorkerId id) {
   if (it == index_.end()) return false;
   const Slot slot = it->second;
   const auto i = static_cast<std::size_t>(slot);
-  mark_dirty(slot);  // before the id is cleared: the mark is by slot
+  mark_dirty(slot);  // before the slot is freed: the mark is by slot
   index_.erase(it);
-  id_[i] = -1;
+  live_[i] = 0;
   free_.push_back(slot);
   return true;
 }
@@ -124,7 +126,7 @@ void BidBook::materialize_full() const {
   live.reserve(size());
   for (Slot s = 0; s < static_cast<Slot>(id_.size()); ++s) {
     const auto i = static_cast<std::size_t>(s);
-    if (id_[i] != -1) live.push_back(ladder_entry(ratio_[i], id_[i], s));
+    if (live_[i]) live.push_back(ladder_entry(ratio_[i], id_[i], s));
   }
   internal::rank_sort(live);
   const std::size_t n = size();
@@ -155,7 +157,7 @@ void BidBook::materialize_merge() const {
   live.reserve(mat_dirty_.size());
   for (const Slot s : mat_dirty_) {
     const auto i = static_cast<std::size_t>(s);
-    if (id_[i] != -1) live.push_back(ladder_entry(ratio_[i], id_[i], s));
+    if (live_[i]) live.push_back(ladder_entry(ratio_[i], id_[i], s));
   }
   internal::rank_sort(live);
 
@@ -224,6 +226,7 @@ void BidBook::apply(std::span<const BidDelta> deltas) {
 
 void BidBook::clear() {
   id_.clear();
+  live_.clear();
   quality_.clear();
   cost_.clear();
   frequency_.clear();

@@ -128,7 +128,10 @@ class BidBook {
   void materialize_merge() const;
 
   // Slot arena: parallel arrays, stable per-worker slots, free-list reuse.
+  // live_ marks the slots that hold a bid: every WorkerId, -1 included, is
+  // a valid id, so no id value can mark a free slot.
   std::vector<WorkerId> id_;
+  std::vector<std::uint8_t> live_;
   std::vector<double> quality_;
   std::vector<double> cost_;
   std::vector<int> frequency_;

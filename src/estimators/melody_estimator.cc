@@ -19,8 +19,8 @@ namespace binio = util::binio;
 }  // namespace
 
 void MelodyEstimator::register_worker(auction::WorkerId id) {
-  const auto [it, inserted] = index_.try_emplace(id, ids_.size());
-  if (!inserted) return;  // re-registration keeps the existing chain
+  // Re-registration keeps the existing chain.
+  if (!index_.insert(ids_, id)) return;
   ids_.push_back(id);
   mean_.push_back(config_.initial_posterior.mean);  // newcomer: Alg. 3 line 2
   var_.push_back(config_.initial_posterior.var);
@@ -193,7 +193,7 @@ void MelodyEstimator::fit_group(std::span<const std::uint32_t> slots,
 
 void MelodyEstimator::observe(auction::WorkerId id,
                               const lds::ScoreSet& scores) {
-  const auto slot = static_cast<std::uint32_t>(index_.at(id));
+  const auto slot = static_cast<std::uint32_t>(index_.at(ids_, id));
   if (observe_slot(slot, scores)) fit_group({&slot, 1}, obs::enabled());
 }
 
@@ -220,7 +220,7 @@ void MelodyEstimator::observe_run(std::span<const auction::WorkerId> ids,
   if (!matches_slot_order(ids)) {
     run_slots_.resize(n);
     for (std::size_t i = 0; i < n; ++i) {
-      run_slots_[i] = static_cast<std::uint32_t>(index_.at(ids[i]));
+      run_slots_[i] = static_cast<std::uint32_t>(index_.at(ids_, ids[i]));
     }
     slot_of = run_slots_.data();
   }
@@ -246,7 +246,7 @@ void MelodyEstimator::observe_run(std::span<const auction::WorkerId> ids,
 }
 
 double MelodyEstimator::estimate(auction::WorkerId id) const {
-  const std::size_t slot = index_.at(id);
+  const std::size_t slot = index_.at(ids_, id);
   // Eq. (19): mu^{r+1} = a * mu-hat^r, clamped to the score range.
   double estimate = a_[slot] * mean_[slot];
   if (config_.exploration_beta > 0.0) {
@@ -258,30 +258,27 @@ double MelodyEstimator::estimate(auction::WorkerId id) const {
 }
 
 lds::Gaussian MelodyEstimator::posterior(auction::WorkerId id) const {
-  const std::size_t slot = index_.at(id);
+  const std::size_t slot = index_.at(ids_, id);
   return {mean_[slot], var_[slot]};
 }
 
 lds::LdsParams MelodyEstimator::params(auction::WorkerId id) const {
-  const std::size_t slot = index_.at(id);
+  const std::size_t slot = index_.at(ids_, id);
   return {a_[slot], gamma_[slot], eta_[slot]};
 }
 
 int MelodyEstimator::reestimation_count(auction::WorkerId id) const {
-  return em_count_[index_.at(id)];
+  return em_count_[index_.at(ids_, id)];
 }
 
 void MelodyEstimator::save_to(binio::Writer& out) const {
-  // Sort by id so snapshots are byte-identical across runs (and across
-  // state layouts: this is the same record order the AoS code emitted).
-  std::vector<auction::WorkerId> ids = ids_;
-  std::sort(ids.begin(), ids.end());
-
+  // Records go in id order so snapshots are byte-identical across runs
+  // (and across state layouts: this is the record order the AoS code
+  // emitted).
   out.write_header(kBlobMagic, kBlobVersion);
-  out.write_u64(ids.size());
-  for (auction::WorkerId id : ids) {
-    const std::size_t s = index_.at(id);
-    out.write_i32(id);
+  out.write_u64(ids_.size());
+  auction::for_each_slot_by_id(ids_, [&](std::size_t s) {
+    out.write_i32(ids_[s]);
     for (const double v : {mean_[s], var_[s], anchor_mean_[s], anchor_var_[s],
                            a_[s], gamma_[s], eta_[s]}) {
       out.write_f64(v);
@@ -296,7 +293,7 @@ void MelodyEstimator::save_to(binio::Writer& out) const {
       out.write_f64(set.sum);
       out.write_f64(set.sum_squares);
     }
-  }
+  });
 }
 
 void MelodyEstimator::load_from(binio::Reader& in) {
@@ -310,6 +307,17 @@ void MelodyEstimator::load_from(binio::Reader& in) {
   MelodyEstimator loaded(config_);
   in.reserve(loaded.ids_, worker_count, kRecordBytes,
              "MelodyEstimator worker count");
+  const auto count = static_cast<std::size_t>(worker_count);
+  for (auto* column : {&loaded.mean_, &loaded.var_, &loaded.anchor_mean_,
+                       &loaded.anchor_var_, &loaded.a_, &loaded.gamma_,
+                       &loaded.eta_}) {
+    column->reserve(count);
+  }
+  for (auto* column : {&loaded.runs_since_em_, &loaded.runs_seen_,
+                       &loaded.observed_runs_, &loaded.em_count_}) {
+    column->reserve(count);
+  }
+  loaded.history_.reserve(count);
   for (std::uint64_t w = 0; w < worker_count; ++w) {
     const auction::WorkerId id = in.read_i32("MelodyEstimator record");
     lds::Gaussian posterior;
@@ -342,10 +350,9 @@ void MelodyEstimator::load_from(binio::Reader& in) {
     if (posterior.var <= 0.0 || anchor.var <= 0.0) {
       throw std::runtime_error("MelodyEstimator::load: invalid posterior");
     }
-    if (loaded.index_.contains(id)) {
+    if (!loaded.index_.insert(loaded.ids_, id)) {
       throw std::runtime_error("MelodyEstimator::load: duplicate worker id");
     }
-    loaded.index_.emplace(id, loaded.ids_.size());
     loaded.ids_.push_back(id);
     loaded.mean_.push_back(posterior.mean);
     loaded.var_.push_back(posterior.var);

@@ -29,9 +29,9 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
+#include "auction/slot_index.h"
 #include "estimators/estimator.h"
 #include "lds/em.h"
 #include "lds/kalman.h"
@@ -140,7 +140,9 @@ class MelodyEstimator final : public QualityEstimator {
   /// Number of registered workers (inspection/tests).
   std::size_t worker_count() const noexcept { return ids_.size(); }
   /// True once `id` is registered.
-  bool contains(auction::WorkerId id) const { return index_.contains(id); }
+  bool contains(auction::WorkerId id) const {
+    return index_.contains(ids_, id);
+  }
 
  private:
   /// The Algorithm 3 filter update for the worker in dense slot `slot`:
@@ -168,11 +170,12 @@ class MelodyEstimator final : public QualityEstimator {
   MelodyEstimatorConfig config_;
 
   // Dense SoA state: slot s of every array belongs to worker ids_[s];
-  // index_ maps id -> slot. Hot per-run fields are contiguous doubles/ints;
-  // the score histories (touched only on ingestion and EM) are one
-  // contiguous vector per slot.
+  // index_ finds an id's slot, reading an id that equals its slot off ids_
+  // with no hash node (auction/slot_index.h). Hot per-run fields are
+  // contiguous doubles/ints; the score histories (touched only on
+  // ingestion and EM) are one contiguous vector per slot.
   std::vector<auction::WorkerId> ids_;  // registration order
-  std::unordered_map<auction::WorkerId, std::size_t> index_;
+  auction::SlotIndex index_;
   std::vector<double> mean_;         // posterior mean
   std::vector<double> var_;          // posterior variance
   std::vector<double> anchor_mean_;  // window-anchor posterior

@@ -215,9 +215,8 @@ RunRecord Platform::step() {
     estimator_.observe_run(ids, scores);
   }
   soa_.utilities(last_result_, utility_scratch_);
-  for (std::size_t i = 0; i < n; ++i) {
-    total_utility_[worker_ids[i]] += utility_scratch_[i];
-  }
+  total_utility_.resize(n, 0.0);
+  for (std::size_t i = 0; i < n; ++i) total_utility_[i] += utility_scratch_[i];
 
   // Fault tallies: reduced on the main thread (deterministic order) and
   // mirrored into the registry so long-running deployments can watch
@@ -273,8 +272,9 @@ std::vector<RunRecord> Platform::run_all() {
 }
 
 double Platform::worker_total_utility(auction::WorkerId id) const {
-  const auto it = total_utility_.find(id);
-  return it == total_utility_.end() ? 0.0 : it->second;
+  if (!soa_.contains(id)) return 0.0;
+  const std::size_t slot = soa_.slot_of(id);
+  return slot < total_utility_.size() ? total_utility_[slot] : 0.0;
 }
 
 }  // namespace melody::sim

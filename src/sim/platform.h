@@ -128,8 +128,8 @@ class Platform {
   /// never stepped — returns 0.0: a worker who never participated earned
   /// nothing. This deliberately does NOT throw (unlike
   /// QualityEstimator::estimate, where an unknown id is a caller bug): the
-  /// query is a read-only report over whatever history exists, and the
-  /// const map is never default-inserted into.
+  /// query is a read-only report over whatever history exists, and it
+  /// never grows the utility column.
   double worker_total_utility(auction::WorkerId id) const;
 
   /// The allocation produced by the most recent step() (empty before).
@@ -170,7 +170,11 @@ class Platform {
   /// snapshot writes it column by column in slot order.
   WorkerStateSoA soa_;
   std::unordered_map<auction::WorkerId, BidPolicy> policies_;
-  std::unordered_map<auction::WorkerId, double> total_utility_;
+  /// Cumulative true utility per store slot, for the leading slots a step
+  /// has credited: its size is that count. Slots are append-only and each
+  /// step credits every slot, so the credited workers are always a prefix
+  /// of slot order; a newcomer who joined after the last step lies past it.
+  std::vector<double> total_utility_;
   auction::AllocationResult last_result_;
   util::Rng rng_;
   std::uint64_t master_seed_ = 0;

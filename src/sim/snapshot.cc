@@ -21,7 +21,10 @@
 //             deterministic; sorting keeps snapshot bytes reproducible):
 //             i32 id | f64 cheat_p | u8 direction | u8 cheat_cost
 //             | u8 cheat_freq | f64 cost_mag | i32 freq_mag
-//   utilities: u64 count, sorted by id: i32 id | f64 total
+//   utilities: u64 count, sorted by id: i32 id | f64 total. The ids are
+//              exactly those of the first `count` worker slots (the slots
+//              a step has credited); load refuses any other set, a count
+//              above the worker count and ids that do not strictly ascend.
 //   estimator: length-prefixed blob produced by QualityEstimator::save_to
 //   withdrawn: u64 count, sorted by id: i32 id
 //
@@ -139,15 +142,13 @@ void Platform::save(binio::Writer& out) const {
     out.write_i32(p.frequency_magnitude);
   }
 
-  std::vector<std::pair<auction::WorkerId, double>> utilities(
-      total_utility_.begin(), total_utility_.end());
-  std::sort(utilities.begin(), utilities.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  out.write_u64(utilities.size());
-  for (const auto& [id, total] : utilities) {
-    out.write_i32(id);
-    out.write_f64(total);
-  }
+  const std::vector<auction::WorkerId>& ids = soa_.ids();
+  out.write_u64(total_utility_.size());
+  auction::for_each_slot_by_id(
+      {ids.data(), total_utility_.size()}, [&](std::size_t slot) {
+        out.write_i32(ids[slot]);
+        out.write_f64(total_utility_[slot]);
+      });
 
   out.write_blob([this](binio::Writer& blob) { estimator_.save_to(blob); });
 
@@ -216,11 +217,35 @@ void Platform::load(binio::Reader& in) try {
     policies[id] = p;
   }
 
+  // The utility column covers the leading slots a step has credited: the
+  // section must name exactly the first `count` workers, by ascending id.
   const std::uint64_t utility_count = in.read_u64("utility count");
-  std::unordered_map<auction::WorkerId, double> utilities;
+  if (utility_count > worker_count) {
+    throw std::runtime_error(
+        "platform snapshot: more utilities than workers");
+  }
+  std::vector<double> utilities(static_cast<std::size_t>(utility_count));
+  auction::WorkerId previous_id = 0;
   for (std::uint64_t k = 0; k < utility_count; ++k) {
     const auction::WorkerId id = in.read_i32("utility id");
-    utilities[id] = in.read_f64("utility total");
+    const double total = in.read_f64("utility total");
+    if (k > 0 && id <= previous_id) {
+      throw std::runtime_error(
+          "platform snapshot: utility ids not strictly ascending");
+    }
+    previous_id = id;
+    if (!workers.contains(id)) {
+      throw std::runtime_error(
+          "platform snapshot: utility for unknown worker id " +
+          std::to_string(id));
+    }
+    const std::size_t slot = workers.slot_of(id);
+    if (slot >= utilities.size()) {
+      throw std::runtime_error(
+          "platform snapshot: utility for worker id " + std::to_string(id) +
+          " past the stepped slots");
+    }
+    utilities[slot] = total;
   }
 
   const std::string_view blob = in.read_bytes("estimator blob");

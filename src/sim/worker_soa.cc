@@ -13,11 +13,10 @@ void WorkerStateSoA::reserve(std::size_t count) {
   frequency_.reserve(count);
   trajectory_.reserve(count);
   current_quality_.reserve(count);
-  index_.reserve(count);
 }
 
 void WorkerStateSoA::append(SimWorker&& worker) {
-  if (!index_.emplace(worker.id(), ids_.size()).second) {
+  if (!index_.insert(ids_, worker.id())) {
     throw std::invalid_argument("worker id " + std::to_string(worker.id()) +
                                 " already has a slot");
   }
@@ -43,9 +42,8 @@ void WorkerStateSoA::utilities(const auction::AllocationResult& result,
   out.assign(ids_.size(), 0.0);
   remaining_scratch_.assign(frequency_.begin(), frequency_.end());
   for (const auto& a : result.assignments) {
-    const auto it = index_.find(a.worker);
-    if (it == index_.end()) continue;
-    const std::size_t slot = it->second;
+    const std::size_t slot = index_.find(ids_, a.worker);
+    if (slot == auction::SlotIndex::npos) continue;
     if (remaining_scratch_[slot] == 0) continue;
     --remaining_scratch_[slot];
     out[slot] += a.payment - cost_[slot];

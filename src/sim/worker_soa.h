@@ -1,7 +1,9 @@
 // The platform's worker store: the one owner of every worker's ground
 // truth, laid out as a structure of arrays for the per-run hot loops. Slot
 // i holds a worker's id, true cost and frequency, trajectory stream and
-// latent quality at the current run; an id -> slot index finds a worker.
+// latent quality at the current run; an auction::SlotIndex finds a
+// worker's slot (an id equal to its slot is read off the id column with no
+// hash node, so a store of position ids holds no map).
 // Slot order is join order, and it is state: bid collection walks it
 // against the sequential RNG and the checkpoint writes workers in it. A
 // join appends one slot, a re-bid rewrites one, and the platform advances
@@ -9,9 +11,9 @@
 #pragma once
 
 #include <cstddef>
-#include <unordered_map>
 #include <vector>
 
+#include "auction/slot_index.h"
 #include "auction/types.h"
 #include "sim/worker_model.h"
 
@@ -19,7 +21,7 @@ namespace melody::sim {
 
 class WorkerStateSoA {
  public:
-  /// Capacity for `count` slots in every column and the index.
+  /// Capacity for `count` slots in every column.
   void reserve(std::size_t count);
 
   /// Take a worker into a new last slot, moving his stream in; O(1)
@@ -35,10 +37,15 @@ class WorkerStateSoA {
     return trajectory_;
   }
 
-  /// Dense slot of a worker id. Throws std::out_of_range for unknown ids.
-  std::size_t slot_of(auction::WorkerId id) const { return index_.at(id); }
+  /// Dense slot of a worker id. Throws std::out_of_range "unknown worker
+  /// id N" for an id with no slot.
+  std::size_t slot_of(auction::WorkerId id) const {
+    return index_.at(ids_, id);
+  }
 
-  bool contains(auction::WorkerId id) const { return index_.contains(id); }
+  bool contains(auction::WorkerId id) const {
+    return index_.contains(ids_, id);
+  }
 
   /// Re-bid: replace the true (cost, frequency) of the worker in `slot`.
   void set_bid(std::size_t slot, const auction::Bid& bid) noexcept {
@@ -71,7 +78,7 @@ class WorkerStateSoA {
   std::vector<int> frequency_;     // true frequency n_i
   std::vector<TrajectoryStream> trajectory_;
   std::vector<double> current_quality_;  // latent quality q^r per slot
-  std::unordered_map<auction::WorkerId, std::size_t> index_;
+  auction::SlotIndex index_;  // id -> slot over ids_
   mutable std::vector<int> remaining_scratch_;  // utilities() frequency caps
 };
 

@@ -166,7 +166,7 @@ class ShardedService {
   // the merged one when the last arrives (on that shard's thread).
   struct FanOut;
   // One in-flight coordinated checkpoint: per-shard sub-snapshot blobs
-  // plus the countdown; the last shard composes and writes the file.
+  // plus the countdown; the last shard writes the file from them.
   struct CheckpointJob;
 
   PushResult broadcast(const Request& request,

@@ -7,11 +7,14 @@
 
 namespace melody::util {
 
-void write_file_atomically(const std::string& path, std::string_view bytes) {
+void write_file_atomically(const std::string& path,
+                           std::span<const std::string_view> parts) {
   const std::string tmp = path + ".tmp";
   std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
   if (!out) throw std::runtime_error("cannot open " + tmp);
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  for (const std::string_view part : parts) {
+    out.write(part.data(), static_cast<std::streamsize>(part.size()));
+  }
   // close() flushes the last buffered bytes and sets failbit when that
   // flush or the close itself fails — a check before close would miss it.
   out.close();
@@ -23,6 +26,10 @@ void write_file_atomically(const std::string& path, std::string_view bytes) {
     std::remove(tmp.c_str());
     throw std::runtime_error("cannot rename " + tmp + " to " + path);
   }
+}
+
+void write_file_atomically(const std::string& path, std::string_view bytes) {
+  write_file_atomically(path, std::span<const std::string_view>(&bytes, 1));
 }
 
 std::string read_file(const std::string& path, std::string_view what) {

@@ -97,6 +97,22 @@ TEST(BidBook, EraseFreesSlotForReuse) {
   EXPECT_EQ(book.check_links(), "");
 }
 
+TEST(BidBook, WorkerIdMinusOneIsALiveBid) {
+  // -1 is a worker id like any other, not a free-slot mark: its bid is on
+  // the ladder, and erasing it frees the slot.
+  BidBook book;
+  book.upsert(profile(-1, 1.0, 1, 4.0));  // ratio 4
+  book.upsert(profile(3, 1.0, 1, 3.0));   // ratio 3
+  book.upsert(profile(-2, 1.0, 1, 4.0));  // ratio 4, tie -> before id -1
+  EXPECT_EQ(book.check_links(), "");
+  EXPECT_EQ(ladder_ids(book), (std::vector<WorkerId>{-2, -1, 3}));
+  EXPECT_TRUE(book.erase(-1));
+  EXPECT_EQ(ladder_ids(book), (std::vector<WorkerId>{-2, 3}));
+  book.upsert(profile(-1, 1.0, 1, 9.0));
+  EXPECT_EQ(ladder_ids(book), (std::vector<WorkerId>{-1, -2, 3}));
+  EXPECT_EQ(book.check_links(), "");
+}
+
 TEST(BidBook, UnqualifiableBidsSinkToTheTail) {
   BidBook book;
   book.upsert(profile(0, 1.0, 1, 4.0));

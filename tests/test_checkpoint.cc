@@ -16,7 +16,9 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "auction/melody_auction.h"
@@ -314,6 +316,32 @@ TEST(Checkpoint, FailedFinalFlushKeepsThePreviousFile) {
   std::remove(path.c_str());
 }
 
+TEST(Checkpoint, FailedFinalFlushOfAGatheredWriteKeepsThePreviousFile) {
+  const std::string path = ::testing::TempDir() + "melody_gather_fsz.bin";
+  const auto content = [&path] {
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+  };
+  std::ofstream(path, std::ios::binary) << "previous checkpoint";
+  const std::string header(16, 'h');
+  const std::string first(400, 'a');
+  const std::string second(584, 'b');
+  const std::vector<std::string_view> parts{header, first, second};
+
+  // 1000 bytes in three parts fit the stream buffer, so only the flush at
+  // close hits the 16-byte limit.
+  EXPECT_TRUE(throws_under_file_size_limit(16, [&] {
+    util::write_file_atomically(path, parts);
+  })) << "a failed final flush of a gathered write went unnoticed";
+  EXPECT_EQ(content(), "previous checkpoint");
+  EXPECT_FALSE(std::ifstream(path + ".tmp").good());
+
+  util::write_file_atomically(path, parts);
+  EXPECT_EQ(content(), header + first + second);
+  EXPECT_FALSE(std::ifstream(path + ".tmp").good());
+  std::remove(path.c_str());
+}
+
 TEST(Checkpoint, LoadFromMissingFileThrows) {
   Rig rig(small_scenario(), {});
   EXPECT_THROW(
@@ -398,6 +426,153 @@ TEST(Checkpoint, NewcomerAfterResumeIsRegisteredExactlyOnce) {
   platform.run_all();
   EXPECT_EQ(estimator.registrations(newcomer_id), 1);
   EXPECT_NO_THROW(estimator.estimate(newcomer_id));
+}
+
+/// Where a snapshot's utility section and the estimator blob behind it lie,
+/// and the utility entries. Walks the MLDYCKPT layout in snapshot.cc.
+struct UtilitySection {
+  std::size_t begin = 0;  // the u64 count
+  std::size_t end = 0;    // the estimator blob's u64 length
+  std::vector<std::pair<auction::WorkerId, double>> entries;
+};
+
+UtilitySection utility_section(const std::string& snapshot) {
+  constexpr std::size_t kWorkerBytes = 134;
+  constexpr std::size_t kPolicyBytes = 4 + 8 + 3 + 8 + 4;
+  util::binio::Reader in(snapshot);
+  // Magic, version, seed, run, the RNG and the fault plan.
+  in.read_raw(8 + 4 + 8 + 4 + (4 * 8 + 8 + 1) + (4 * 8 + 2 * 4 + 8), "skip");
+  in.read_raw(in.read_u64("workers") * kWorkerBytes, "workers");
+  in.read_raw(in.read_u64("policies") * kPolicyBytes, "policies");
+  UtilitySection section;
+  section.begin = in.position();
+  const std::uint64_t count = in.read_u64("utilities");
+  for (std::uint64_t k = 0; k < count; ++k) {
+    const auction::WorkerId id = in.read_i32("utility id");
+    section.entries.emplace_back(id, in.read_f64("utility total"));
+  }
+  section.end = in.position();
+  return section;
+}
+
+/// `snapshot` with its utility section replaced by `entries`, in order.
+std::string with_utilities(
+    const std::string& snapshot,
+    const std::vector<std::pair<auction::WorkerId, double>>& entries) {
+  const UtilitySection section = utility_section(snapshot);
+  util::binio::Writer out;
+  out.write_raw(std::string_view(snapshot).substr(0, section.begin));
+  out.write_u64(entries.size());
+  for (const auto& [id, total] : entries) {
+    out.write_i32(id);
+    out.write_f64(total);
+  }
+  out.write_raw(std::string_view(snapshot).substr(section.end));
+  return out.take();
+}
+
+std::string save_bytes(const Platform& platform) {
+  util::binio::Writer out;
+  platform.save(out);
+  return out.take();
+}
+
+TEST(Checkpoint, UtilitySectionsTheColumnCannotHoldAreRefused) {
+  // 40 workers stepped twice, then a newcomer who has not been stepped:
+  // the section holds exactly the 40 credited slots, by ascending id.
+  Rig rig(small_scenario(), population(small_scenario()));
+  rig.platform.step();
+  rig.platform.step();
+  TrajectoryConfig traj;
+  traj.kind = TrajectoryKind::kStable;
+  util::Rng rng(8);
+  const auction::WorkerId newcomer = 1000;
+  rig.platform.add_worker(
+      SimWorker(newcomer, {1.0, 5}, TrajectoryStream(traj, 16, rng)));
+  const std::string snapshot = save_bytes(rig.platform);
+  const auto entries = utility_section(snapshot).entries;
+  ASSERT_EQ(entries.size(), 40u);
+  ASSERT_EQ(with_utilities(snapshot, entries), snapshot);
+  for (const auto& [id, total] : entries) EXPECT_NE(id, newcomer);
+  EXPECT_EQ(rig.platform.worker_total_utility(newcomer), 0.0);
+
+  // Each mutant is well formed bytes an id -> total map would take.
+  auto more_than_workers = entries;
+  more_than_workers.emplace_back(newcomer, 0.0);
+  more_than_workers.emplace_back(5000, 1.0);
+  auto descending = entries;
+  std::swap(descending[3], descending[4]);
+  auto repeated = entries;
+  repeated[4].first = repeated[3].first;
+  auto unknown = entries;
+  unknown.back().first = 9999;
+  auto past_the_prefix = entries;
+  past_the_prefix.back().first = newcomer;
+  const std::vector<std::pair<std::string,
+                              std::vector<std::pair<auction::WorkerId,
+                                                    double>>>>
+      mutants{{"more utilities than workers", more_than_workers},
+              {"utility ids not strictly ascending", descending},
+              {"utility ids not strictly ascending", repeated},
+              {"utility for unknown worker id 9999", unknown},
+              {"utility for worker id 1000 past the stepped slots",
+               past_the_prefix}};
+
+  Rig victim(small_scenario(), population(small_scenario()));
+  victim.platform.step();
+  const std::string before = save_bytes(victim.platform);
+  for (const auto& [message, mutant] : mutants) {
+    const std::string bytes = with_utilities(snapshot, mutant);
+    util::binio::Reader in(bytes);
+    try {
+      victim.platform.load(in);
+      ADD_FAILURE() << "accepted: " << message;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(message), std::string::npos)
+          << e.what();
+    }
+    EXPECT_EQ(save_bytes(victim.platform), before) << message;
+  }
+
+  // The well-formed section loads, and the newcomer is still uncredited.
+  util::binio::Reader in(snapshot);
+  victim.platform.load(in);
+  EXPECT_EQ(save_bytes(victim.platform), snapshot);
+  EXPECT_EQ(victim.platform.worker_total_utility(newcomer), 0.0);
+}
+
+TEST(Checkpoint, EstimatorBlobMissingAWorkerIsRefusedNamingIt) {
+  // A one-worker MLDYTRKR blob spliced into a six-worker snapshot: the
+  // refusal names the first worker the estimator does not know.
+  auto scenario = small_scenario();
+  scenario.num_workers = 6;
+  Rig rig(scenario, population(scenario));
+  rig.platform.step();
+  const std::string snapshot = save_bytes(rig.platform);
+  const std::vector<auction::WorkerId>& ids =
+      rig.platform.worker_state().ids();
+  ASSERT_EQ(ids.size(), 6u);
+
+  estimators::MelodyEstimator lone(tracker_config(scenario));
+  lone.register_worker(ids[0]);
+  util::binio::Writer spliced;
+  const std::size_t blob_at = utility_section(snapshot).end;
+  util::binio::Reader rest(std::string_view(snapshot).substr(blob_at));
+  rest.read_bytes("estimator blob");
+  spliced.write_raw(std::string_view(snapshot).substr(0, blob_at));
+  spliced.write_blob([&lone](util::binio::Writer& blob) { lone.save_to(blob); });
+  spliced.write_raw(std::string_view(snapshot).substr(blob_at + rest.position()));
+  const std::string bytes = spliced.take();
+
+  Rig victim(scenario, population(scenario));
+  util::binio::Reader in(bytes);
+  try {
+    victim.platform.load(in);
+    FAIL() << "a snapshot whose estimator lacks workers must not load";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "platform snapshot: unknown worker id " + std::to_string(ids[1]));
+  }
 }
 
 }  // namespace

@@ -27,6 +27,7 @@
 #include "svc/router.h"
 #include "svc/service.h"
 #include "svc/shard.h"
+#include "util/atomic_file.h"
 #include "util/binio.h"
 #include "util/flags.h"
 #include "util/rng.h"
@@ -604,6 +605,81 @@ TEST(ShardedCheckpoint, TruncatedContainerLeavesEveryShardUntouched) {
   victim.load_state(whole);
   EXPECT_EQ(victim.shard(0).service().batcher().pending_bids(), 7);
   EXPECT_EQ(victim.shard(1).service().batcher().pending_bids(), 7);
+}
+
+/// Two full rounds (one run per shard each), two newcomers and a partial
+/// round of pending bids, so every section of every shard body has content.
+void append_history_with_newcomers(std::ostream& trace, int workers,
+                                   std::int64_t* next_id) {
+  for (int round = 0; round < 2; ++round) {
+    append_round(trace, workers, next_id);
+  }
+  for (const char* name : {"alice", "bob"}) {
+    Request join;
+    join.op = Op::kSubmitBid;
+    join.id = (*next_id)++;
+    join.worker = name;
+    join.cost = 2.5;
+    join.frequency = 3;
+    join.has_bid = true;
+    trace << format_request(join) << "\n";
+  }
+  for (int w = 0; w < workers; w += 5) {
+    trace << format_request(bid_for(w, (*next_id)++)) << "\n";
+  }
+}
+
+std::string composed_bytes(const ShardedService& service) {
+  util::binio::Writer out;
+  service.save_state(out);
+  return out.take();
+}
+
+TEST(ShardedCheckpoint, CheckpointOpFileEqualsSaveStateAtOneTwoThreeShards) {
+  // The op writes the header and the K bodies in one gathered write, with
+  // no composed copy; the file is still exactly the container save_state
+  // builds in memory.
+  for (const int k : {1, 2, 3}) {
+    const std::string path = ::testing::TempDir() + "/melody_gather_" +
+                             std::to_string(k) + ".ckpt";
+    ShardedService service(shard_config(k));
+    std::stringstream trace;
+    std::int64_t next_id = 1;
+    append_history_with_newcomers(trace, 42, &next_id);
+    Request checkpoint;
+    checkpoint.op = Op::kCheckpoint;
+    checkpoint.id = next_id++;
+    checkpoint.path = path;
+    trace << format_request(checkpoint) << "\n";
+    std::ostringstream out;
+    run_stdio_session(service, trace, out);
+    const std::vector<Response> responses = parse_lines(out.str());
+    ASSERT_FALSE(responses.empty());
+    ASSERT_TRUE(responses.back().ok) << responses.back().error;
+    EXPECT_EQ(util::read_file(path, "checkpoint"), composed_bytes(service))
+        << "K=" << k;
+    EXPECT_FALSE(std::ifstream(path + ".tmp").good());
+    std::remove(path.c_str());
+  }
+}
+
+TEST(ShardedCheckpoint, ShutdownFileEqualsSaveStateAtOneTwoThreeShards) {
+  for (const int k : {1, 2, 3}) {
+    ServiceConfig config = shard_config(k);
+    config.checkpoint_path = ::testing::TempDir() + "/melody_final_" +
+                             std::to_string(k) + ".ckpt";
+    ShardedService service(config);
+    std::stringstream trace;
+    std::int64_t next_id = 1;
+    append_history_with_newcomers(trace, 42, &next_id);
+    std::ostringstream out;
+    run_stdio_session(service, trace, out);
+    service.finalize();
+    EXPECT_EQ(util::read_file(config.checkpoint_path, "checkpoint"),
+              composed_bytes(service))
+        << "K=" << k;
+    std::remove(config.checkpoint_path.c_str());
+  }
 }
 
 // ------------------------------------------------------- broadcast merge --
