@@ -37,10 +37,6 @@ Response rehomed_part(const Response& reply, const std::int64_t id,
 ClusterClient::ClusterClient(DataRpc data, ControlRpc control)
     : data_(std::move(data)), control_(std::move(control)) {}
 
-void ClusterClient::set_table(RoutingTable table) {
-  table_ = std::move(table);
-}
-
 bool ClusterClient::refresh_table() {
   if (!control_) {
     error_ = "no control channel to refresh the routing table";

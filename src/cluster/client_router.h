@@ -40,13 +40,12 @@ class ClusterClient {
   using DataRpc = std::function<bool(const ClusterMember&,
                                      const svc::Request&, svc::Response*)>;
   /// Control-plane RPC to the coordinator (route_table refreshes). May be
-  /// null when the caller installs tables by hand (set_table).
+  /// null, in which case refresh_table() fails and no table is installed.
   using ControlRpc =
       std::function<bool(const svc::WireObject&, svc::WireObject*)>;
 
   explicit ClusterClient(DataRpc data, ControlRpc control = nullptr);
 
-  void set_table(RoutingTable table);
   const RoutingTable& table() const noexcept { return table_; }
 
   /// Fetch the routing table from the coordinator. False (with

@@ -293,8 +293,8 @@ void save_checkpoint(const Platform& platform, const std::string& path) {
 }
 
 void load_checkpoint(Platform& platform, const std::string& path) {
-  const std::string bytes = util::read_file(path, "checkpoint");
-  binio::Reader in(bytes);
+  const util::MappedFile file(path, "checkpoint");
+  binio::Reader in(file.bytes());
   platform.load(in);
 }
 

@@ -1,7 +1,7 @@
 #include "svc/replay.h"
 
 #include <chrono>
-#include <fstream>
+#include <filesystem>
 #include <map>
 #include <set>
 #include <string>
@@ -77,8 +77,12 @@ std::string resume_path_from_trace(const TraceFile& trace) {
 }
 
 void require_resume_checkpoint(const std::string& path) {
-  std::ifstream probe(path, std::ios::binary);
-  if (!probe) throw CheckpointMissingError(path);
+  // A presence check, not an open: opening a FIFO would block. What is
+  // there but is no regular file, restore() refuses by name.
+  std::error_code error;
+  if (!std::filesystem::exists(path, error)) {
+    throw CheckpointMissingError(path);
+  }
 }
 
 ServiceConfig config_from_trace(const TraceFile& trace) {

@@ -100,7 +100,9 @@ class CheckpointMissingError : public std::runtime_error {
 /// header's "resume" field ("" when the session started fresh).
 std::string resume_path_from_trace(const TraceFile& trace);
 
-/// Throw CheckpointMissingError unless `path` names a readable file.
+/// Throw CheckpointMissingError unless something exists at `path`. It does
+/// not open the path, so a FIFO there cannot block it; restore() refuses
+/// anything that is not a regular file.
 void require_resume_checkpoint(const std::string& path);
 
 /// The deployment config a trace header pins: every flag-settable

@@ -132,8 +132,8 @@ ShardedService::~ShardedService() {
 }
 
 void ShardedService::restore(const std::string& path) {
-  const std::string bytes = util::read_file(path, "svc checkpoint");
-  binio::Reader in(bytes);
+  const util::MappedFile file(path, "svc checkpoint");
+  binio::Reader in(file.bytes());
   load_state(in);
 }
 
@@ -365,6 +365,7 @@ PushResult ShardedService::submit_checkpoint(
               obs::ScopedTraceContext install(trace);
               service.note_control_request();
               binio::Writer blob;
+              service.reserve_next_body(blob);
               service.save_state(blob);
               job->blobs[i] = blob.take();
               job->runs[i] = service.platform().current_run() - 1;
@@ -444,6 +445,7 @@ PushResult ShardedService::submit_shard_export(
         Response response = Response::success(request.id);
         try {
           binio::Writer out;
+          service.reserve_next_body(out);
           service.save_migration(out);
           util::write_file_atomically(request.path, out.bytes());
           response.fields.set(
@@ -499,10 +501,11 @@ PushResult ShardedService::submit_shard_import(
         span.annotate("shard", request.shard);
         Response response = Response::success(request.id);
         try {
-          const std::string bytes =
-              util::read_file(request.path, "cluster envelope");
-          binio::Reader in(bytes);
-          service.load_migration(in);
+          {
+            const util::MappedFile file(request.path, "cluster envelope");
+            binio::Reader in(file.bytes());
+            service.load_migration(in);
+          }
           // Activate only after the state is fully loaded; a frame routed
           // here in between answers not_owner and the client retries.
           if (request.epoch != 0) {
@@ -648,6 +651,7 @@ void ShardedService::finalize() {
   bodies.reserve(shards_.size());
   for (const auto& shard : shards_) {
     binio::Writer body;
+    shard->service().reserve_next_body(body);
     shard->service().save_state(body);
     bodies.push_back(body.take());
   }

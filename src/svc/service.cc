@@ -565,6 +565,7 @@ void AuctionService::note_overload_reject() {
 void AuctionService::save_state(binio::Writer& out) const {
   obs::ScopedSpan span("svc/checkpoint_save");
   span.annotate("run", platform_->current_run() - 1);
+  const std::size_t start = out.bytes().size();
   out.write_header(kMagic, kServiceCheckpointVersion);
   out.write_f64(now_);
   out.write_i32(batcher_.pending_bids());
@@ -573,10 +574,12 @@ void AuctionService::save_state(binio::Writer& out) const {
   out.write_i32(batcher_.pending_arrivals());
   registry_.save(out);
   platform_->save(out);
+  last_body_size_.store(out.bytes().size() - start, std::memory_order_relaxed);
 }
 
 void AuctionService::load_state(binio::Reader& in) {
   obs::ScopedSpan span("svc/checkpoint_load");
+  const std::size_t start = in.position();
   in.read_header(kMagic, kServiceCheckpointVersion);
   const double now = in.read_f64("svc clock");
   const int pending = in.read_i32("svc pending bids");
@@ -593,6 +596,7 @@ void AuctionService::load_state(binio::Reader& in) {
   batcher_.restore(pending, oldest, accrued, arrivals);
   first_session_run_ = platform_->current_run();
   records_.clear();
+  last_body_size_.store(in.position() - start, std::memory_order_relaxed);
 }
 
 void AuctionService::save_migration(binio::Writer& out) const {
@@ -643,9 +647,16 @@ void AuctionService::load_migration(binio::Reader& in) {
   }
 }
 
+void AuctionService::reserve_next_body(binio::Writer& out) const {
+  const std::size_t last = last_body_size();
+  out.reserve(out.bytes().size() + last + last / 4);
+}
+
 void AuctionService::save_state(std::ostream& out) const {
-  binio::write_stream(out, "svc: checkpoint",
-                      [this](binio::Writer& w) { save_state(w); });
+  binio::write_stream(out, "svc: checkpoint", [this](binio::Writer& w) {
+    reserve_next_body(w);
+    save_state(w);
+  });
 }
 
 void AuctionService::load_state(std::istream& in) {
@@ -654,8 +665,10 @@ void AuctionService::load_state(std::istream& in) {
 }
 
 void AuctionService::save_migration(std::ostream& out) const {
-  binio::write_stream(out, "svc: migration",
-                      [this](binio::Writer& w) { save_migration(w); });
+  binio::write_stream(out, "svc: migration", [this](binio::Writer& w) {
+    reserve_next_body(w);
+    save_migration(w);
+  });
 }
 
 void AuctionService::load_migration(std::istream& in) {

@@ -22,6 +22,8 @@
 // them unavailable.
 #pragma once
 
+#include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
@@ -130,6 +132,19 @@ class AuctionService {
   void save_migration(std::ostream& out) const;
   void load_migration(std::istream& in);
 
+  /// Byte length of the last checkpoint body this service saved or loaded
+  /// (0 before either): bytes it really built or parsed, never a length
+  /// read from input.
+  std::size_t last_body_size() const noexcept {
+    return last_body_size_.load(std::memory_order_relaxed);
+  }
+
+  /// Reserves room in `out` for the next body (or migration envelope) this
+  /// service builds: last_body_size() plus a quarter for growth. A body of
+  /// about the same size then never regrows its buffer, and reserved pages
+  /// it never touches are never faulted in; a larger one grows as usual.
+  void reserve_next_body(util::binio::Writer& out) const;
+
  private:
   Response dispatch(const Request& request);
   void handle_submit_bid(const Request& request, Response& response);
@@ -167,6 +182,9 @@ class AuctionService {
   std::uint64_t overload_rejects_ = 0;
   std::size_t last_queue_depth_ = 0;
   bool shutdown_requested_ = false;
+  // Set by the const save_state, so atomic: a save may run on any thread
+  // that holds the service quiescent.
+  mutable std::atomic<std::size_t> last_body_size_{0};
   // Lazily-resolved obs handles under config_.obs_prefix (stable for the
   // registry's lifetime; null until the first enabled use). Per-instance
   // instead of static locals so each shard records under its own names.

@@ -1,7 +1,11 @@
 #include "util/atomic_file.h"
 
+#include <fcntl.h>
+#include <sys/mman.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <cstdio>
-#include <filesystem>
 #include <fstream>
 #include <stdexcept>
 
@@ -32,21 +36,38 @@ void write_file_atomically(const std::string& path, std::string_view bytes) {
   write_file_atomically(path, std::span<const std::string_view>(&bytes, 1));
 }
 
-std::string read_file(const std::string& path, std::string_view what) {
-  // file_size refuses a directory or special file, whose seek end is no
-  // byte count.
-  std::error_code error;
-  const std::uintmax_t size = std::filesystem::file_size(path, error);
-  std::ifstream in(path, std::ios::binary);
-  std::string bytes;
-  if (!error && in) {
-    bytes.resize(static_cast<std::size_t>(size));
-    in.read(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+MappedFile::MappedFile(const std::string& path, const std::string_view what) {
+  const auto refuse = [&] {
+    return std::runtime_error(std::string(what) + ": cannot open " + path);
+  };
+  // Refuse a directory or special file before open: opening a FIFO for
+  // reading blocks until a writer appears. O_NONBLOCK and the fstat below
+  // cover a path swapped for one in between.
+  struct stat status {};
+  if (::stat(path.c_str(), &status) != 0 || !S_ISREG(status.st_mode)) {
+    throw refuse();
   }
-  if (error || !in) {
-    throw std::runtime_error(std::string(what) + ": cannot open " + path);
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC | O_NONBLOCK);
+  if (fd < 0) throw refuse();
+  if (::fstat(fd, &status) != 0 || !S_ISREG(status.st_mode)) {
+    ::close(fd);
+    throw refuse();
   }
-  return bytes;
+  size_ = static_cast<std::size_t>(status.st_size);
+  if (size_ > 0) {  // mmap refuses a zero length; an empty file is no bytes
+    void* const map = ::mmap(nullptr, size_, PROT_READ,
+                             MAP_PRIVATE | MAP_POPULATE, fd, 0);
+    if (map == MAP_FAILED) {
+      ::close(fd);
+      throw refuse();
+    }
+    data_ = static_cast<const char*>(map);
+  }
+  ::close(fd);  // the mapping outlives its descriptor
+}
+
+MappedFile::~MappedFile() {
+  if (data_ != nullptr) ::munmap(const_cast<char*>(data_), size_);
 }
 
 }  // namespace melody::util

@@ -1,9 +1,18 @@
 // The one writer and reader of every state file (platform checkpoints,
 // composed service checkpoints, shard-export envelopes). Each file is
-// written and read whole: a reader of `path` sees either the previous file
-// or the complete new one, never a truncated mix.
+// written whole and read whole: a reader of `path` sees either the previous
+// file or the complete new one, never a truncated mix, because a writer
+// only ever renames a finished file into place.
+//
+// A reader maps the file read-only instead of copying it (MappedFile) and
+// parses the mapping in place, holding it only for the parse. A file
+// replaced by rename during that parse keeps its old bytes under the
+// mapping. The one hazard is a file truncated *in place* by another process
+// while it is mapped: touching a page past the new end raises SIGBUS. No
+// writer here does that.
 #pragma once
 
+#include <cstddef>
 #include <span>
 #include <string>
 #include <string_view>
@@ -23,8 +32,27 @@ void write_file_atomically(const std::string& path,
 /// The one-part case of the above.
 void write_file_atomically(const std::string& path, std::string_view bytes);
 
-/// The whole content of `path` in one read. Throws std::runtime_error
-/// "<what>: cannot open <path>" when it cannot be opened or read.
-std::string read_file(const std::string& path, std::string_view what);
+/// The whole content of a regular file, mapped read-only and private, its
+/// pages read in up front (MAP_POPULATE). Anything that is not a regular
+/// file (a directory, a FIFO, a device) is refused before it is opened, so
+/// a FIFO never blocks the reader. Unmapped on destruction.
+class MappedFile {
+ public:
+  /// Throws std::runtime_error "<what>: cannot open <path>" when `path` is
+  /// missing, not a regular file, or cannot be opened or mapped.
+  MappedFile(const std::string& path, std::string_view what);
+  ~MappedFile();
+
+  MappedFile(const MappedFile&) = delete;
+  MappedFile& operator=(const MappedFile&) = delete;
+
+  /// The file's bytes, valid while this object lives; empty for an empty
+  /// file.
+  std::string_view bytes() const noexcept { return {data_, size_}; }
+
+ private:
+  const char* data_ = nullptr;
+  std::size_t size_ = 0;
+};
 
 }  // namespace melody::util

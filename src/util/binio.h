@@ -3,11 +3,13 @@
 // MLDYMIGR service envelopes, the session registry, every estimator blob
 // and the MLDYFACD facade snapshot).
 //
-// Every state file is read and written whole, so a format body is built
-// and parsed in memory. A Writer appends fixed-width little-endian values
-// to one std::string; a Reader walks a std::string_view of bytes already
-// in memory, and a length-prefixed blob comes back as a sub-view of the
-// same buffer, never a copy. Every read checks its width against the bytes
+// Every state file is written whole and read whole, so a format body is
+// built and parsed in memory. A Writer appends fixed-width little-endian
+// values to one std::string, which a caller that knows the size to expect
+// reserves up front (Writer::reserve). A Reader walks a std::string_view of
+// bytes already in memory, in practice a read-only mapping of the whole
+// file (util::MappedFile), and a length-prefixed blob comes back as a
+// sub-view of the same bytes, never a copy. Every read checks its width against the bytes
 // left and throws std::runtime_error with the caller-supplied context on
 // truncation, so a corrupt checkpoint fails loudly instead of resuming
 // from garbage. No count or length read from the input sizes an
@@ -15,8 +17,9 @@
 // count × minimum record width against the bytes left.
 //
 // The std::istream / std::ostream signatures kept on the public API are
-// boundary adapters over these two types: read_stream makes one bulk copy
-// of a stream's remaining bytes, write_stream one bulk write.
+// boundary adapters over these two types: read_stream parses a string
+// stream's bytes in place and makes one bulk copy of any other stream's,
+// write_stream makes one bulk write.
 #pragma once
 
 #include <bit>
@@ -24,6 +27,7 @@
 #include <cstring>
 #include <istream>
 #include <ostream>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -206,15 +210,23 @@ void write_stream(std::ostream& out, const char* what, Save&& save) {
   if (!out) throw std::runtime_error(std::string(what) + ": write failure");
 }
 
-/// Stream boundary of a loader: one bulk copy of the bytes left in the
-/// (seekable) stream `in`, parsed by `load(reader)`; `in` is left just
-/// past the bytes parsed, as a value-by-value stream read would leave it.
+/// Stream boundary of a loader: the bytes left in the (seekable) stream
+/// `in`, parsed by `load(reader)`; `in` is left just past the bytes parsed,
+/// as a value-by-value stream read would leave it. A string stream already
+/// holds its bytes, so they are parsed in place, as a mapped file is; any
+/// other stream is copied once in bulk.
 template <typename Load>
 void read_stream(std::istream& in, const char* what, Load&& load) {
   const std::istream::pos_type start = in.tellg();
   const std::streamoff size = in.seekg(0, std::ios::end).tellg() - start;
   if (start == std::istream::pos_type(-1) || !in) {
     throw std::runtime_error(std::string(what) + ": unreadable stream");
+  }
+  if (const auto* held = dynamic_cast<const std::stringbuf*>(in.rdbuf())) {
+    Reader reader(held->view().substr(static_cast<std::size_t>(start)));
+    load(reader);
+    in.seekg(start + static_cast<std::streamoff>(reader.position()));
+    return;
   }
   std::string bytes(static_cast<std::size_t>(size), '\0');
   in.seekg(start).read(bytes.data(), size);

@@ -12,7 +12,9 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <limits>
 #include <new>
 #include <sstream>
@@ -326,13 +328,14 @@ TEST(BinIo, BlobWrittenInPlaceMatchesWriteBytes) {
   EXPECT_EQ(in.read_u8("after"), 2);
 }
 
-TEST(BinIo, StreamAdaptersStopAtTheParsedBytes) {
-  std::stringstream stream;
+/// Two adapter writes, then two adapter reads that must each stop at the
+/// bytes they parsed, and a third that finds none left.
+void expect_adapters_stop_at_the_parsed_bytes(std::iostream& stream) {
   write_stream(stream, "first", [](Writer& out) { out.write_u32(11); });
   write_stream(stream, "second", [](Writer& out) { out.write_u64(12); });
-  EXPECT_EQ(stream.str().size(), 12u);
   std::uint32_t first = 0;
   std::uint64_t second = 0;
+  stream.seekg(0);
   read_stream(stream, "first",
               [&](Reader& in) { first = in.read_u32("first"); });
   read_stream(stream, "second",
@@ -342,6 +345,20 @@ TEST(BinIo, StreamAdaptersStopAtTheParsedBytes) {
   EXPECT_THROW(read_stream(stream, "third",
                            [](Reader& in) { in.read_u8("third"); }),
                std::runtime_error);
+}
+
+TEST(BinIo, StreamAdaptersStopAtTheParsedBytes) {
+  // A string stream is parsed in place; a file stream is copied first.
+  std::stringstream in_memory;
+  expect_adapters_stop_at_the_parsed_bytes(in_memory);
+  EXPECT_EQ(in_memory.str().size(), 12u);
+  const std::string path = ::testing::TempDir() + "/melody_binio_stream";
+  {
+    std::fstream file(path, std::ios::in | std::ios::out | std::ios::binary |
+                                std::ios::trunc);
+    expect_adapters_stop_at_the_parsed_bytes(file);
+  }
+  std::remove(path.c_str());
 }
 
 // ------------------------------------------ hostile lengths in bodies --

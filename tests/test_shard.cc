@@ -635,10 +635,49 @@ std::string composed_bytes(const ShardedService& service) {
   return out.take();
 }
 
+/// The length of each shard body framed in a composed checkpoint.
+std::vector<std::size_t> framed_body_sizes(std::string_view composed) {
+  util::binio::Reader in(composed);
+  in.read_header("MLDYSVCK", kComposedCheckpointVersion);
+  std::vector<std::size_t> sizes(in.read_u32("shards"));
+  for (std::size_t& size : sizes) size = in.read_bytes("body").size();
+  return sizes;
+}
+
+/// The body length each shard of `service` remembers.
+std::vector<std::size_t> remembered_sizes(const ShardedService& service) {
+  std::vector<std::size_t> sizes;
+  for (int s = 0; s < service.shard_count(); ++s) {
+    sizes.push_back(service.shard(s).service().last_body_size());
+  }
+  return sizes;
+}
+
+Request checkpoint_to(const std::string& path, std::int64_t id) {
+  Request checkpoint;
+  checkpoint.op = Op::kCheckpoint;
+  checkpoint.id = id;
+  checkpoint.path = path;
+  return checkpoint;
+}
+
+/// Each shard of `file` remembers the exact body length it loaded from it.
+void expect_restore_remembers_body_sizes(const ServiceConfig& config,
+                                         const std::string& file) {
+  ShardedService restored(config);
+  EXPECT_EQ(remembered_sizes(restored),
+            std::vector<std::size_t>(static_cast<std::size_t>(config.shards),
+                                     0));
+  restored.restore(file);
+  EXPECT_EQ(remembered_sizes(restored),
+            framed_body_sizes(util::MappedFile(file, "checkpoint").bytes()));
+}
+
 TEST(ShardedCheckpoint, CheckpointOpFileEqualsSaveStateAtOneTwoThreeShards) {
   // The op writes the header and the K bodies in one gathered write, with
   // no composed copy; the file is still exactly the container save_state
-  // builds in memory.
+  // builds in memory. The second checkpoint builds each body into a buffer
+  // reserved from the length the first one left behind.
   for (const int k : {1, 2, 3}) {
     const std::string path = ::testing::TempDir() + "/melody_gather_" +
                              std::to_string(k) + ".ckpt";
@@ -646,24 +685,29 @@ TEST(ShardedCheckpoint, CheckpointOpFileEqualsSaveStateAtOneTwoThreeShards) {
     std::stringstream trace;
     std::int64_t next_id = 1;
     append_history_with_newcomers(trace, 42, &next_id);
-    Request checkpoint;
-    checkpoint.op = Op::kCheckpoint;
-    checkpoint.id = next_id++;
-    checkpoint.path = path;
-    trace << format_request(checkpoint) << "\n";
+    trace << format_request(checkpoint_to(path, next_id++)) << "\n";
+    append_round(trace, 42, &next_id);
+    trace << format_request(checkpoint_to(path, next_id++)) << "\n";
     std::ostringstream out;
     run_stdio_session(service, trace, out);
     const std::vector<Response> responses = parse_lines(out.str());
     ASSERT_FALSE(responses.empty());
     ASSERT_TRUE(responses.back().ok) << responses.back().error;
-    EXPECT_EQ(util::read_file(path, "checkpoint"), composed_bytes(service))
-        << "K=" << k;
+    {
+      const util::MappedFile file(path, "checkpoint");
+      EXPECT_EQ(remembered_sizes(service), framed_body_sizes(file.bytes()))
+          << "K=" << k;
+      EXPECT_EQ(file.bytes(), composed_bytes(service)) << "K=" << k;
+    }
     EXPECT_FALSE(std::ifstream(path + ".tmp").good());
+    expect_restore_remembers_body_sizes(shard_config(k), path);
     std::remove(path.c_str());
   }
 }
 
 TEST(ShardedCheckpoint, ShutdownFileEqualsSaveStateAtOneTwoThreeShards) {
+  // A checkpoint op mid-trace leaves each shard a remembered length, so the
+  // shutdown file is built into reserved buffers.
   for (const int k : {1, 2, 3}) {
     ServiceConfig config = shard_config(k);
     config.checkpoint_path = ::testing::TempDir() + "/melody_final_" +
@@ -672,14 +716,91 @@ TEST(ShardedCheckpoint, ShutdownFileEqualsSaveStateAtOneTwoThreeShards) {
     std::stringstream trace;
     std::int64_t next_id = 1;
     append_history_with_newcomers(trace, 42, &next_id);
+    trace << format_request(checkpoint_to(config.checkpoint_path, next_id++))
+          << "\n";
+    append_round(trace, 42, &next_id);
     std::ostringstream out;
     run_stdio_session(service, trace, out);
     service.finalize();
-    EXPECT_EQ(util::read_file(config.checkpoint_path, "checkpoint"),
-              composed_bytes(service))
-        << "K=" << k;
+    {
+      const util::MappedFile file(config.checkpoint_path, "checkpoint");
+      EXPECT_EQ(remembered_sizes(service), framed_body_sizes(file.bytes()))
+          << "K=" << k;
+      EXPECT_EQ(file.bytes(), composed_bytes(service)) << "K=" << k;
+    }
+    expect_restore_remembers_body_sizes(config, config.checkpoint_path);
     std::remove(config.checkpoint_path.c_str());
   }
+}
+
+TEST(ShardedCheckpoint, ExportEnvelopeEqualsSaveMigrationAtOneTwoThreeShards) {
+  // Each shard is exported twice: the second envelope is built into a
+  // buffer reserved from the length the first one left behind.
+  for (const int k : {1, 2, 3}) {
+    ShardedService service(shard_config(k));
+    service.configure_cluster((1ull << k) - 1, 1);
+    std::stringstream trace;
+    std::int64_t next_id = 1;
+    append_history_with_newcomers(trace, 42, &next_id);
+    const auto envelope = [k](int s) {
+      return ::testing::TempDir() + "/melody_export_" + std::to_string(k) +
+             "_" + std::to_string(s) + ".mldymigr";
+    };
+    for (int pass = 0; pass < 2; ++pass) {
+      for (int s = 0; s < k; ++s) {
+        Request export_req;
+        export_req.op = Op::kShardExport;
+        export_req.id = next_id++;
+        export_req.shard = s;
+        export_req.path = envelope(s);
+        trace << format_request(export_req) << "\n";
+      }
+    }
+    std::ostringstream out;
+    run_stdio_session(service, trace, out);
+    const std::vector<Response> responses = parse_lines(out.str());
+    ASSERT_FALSE(responses.empty());
+    ASSERT_TRUE(responses.back().ok) << responses.back().error;
+    for (int s = 0; s < k; ++s) {
+      const AuctionService& shard = service.shard(s).service();
+      {
+        const util::MappedFile file(envelope(s), "cluster envelope");
+        util::binio::Reader in(file.bytes());
+        in.read_header("MLDYMIGR", kMigrationVersion);
+        EXPECT_EQ(shard.last_body_size(), in.read_bytes("body").size())
+            << "K=" << k << " shard " << s;
+        util::binio::Writer saved;
+        shard.save_migration(saved);
+        EXPECT_EQ(file.bytes(), saved.bytes()) << "K=" << k << " shard " << s;
+      }
+      std::remove(envelope(s).c_str());
+    }
+  }
+}
+
+TEST(ServiceBody, RemembersTheLengthItSavedOrLoaded) {
+  AuctionService source(shard_config(1));
+  std::stringstream trace;
+  std::int64_t next_id = 1;
+  append_history_with_newcomers(trace, 42, &next_id);
+  serve_plain(source, trace);
+  EXPECT_EQ(source.last_body_size(), 0u);
+  util::binio::Writer out;
+  out.write_raw("prefix");  // a body saved behind other bytes
+  source.save_state(out);
+  const std::size_t body_size = out.bytes().size() - 6;
+  EXPECT_EQ(source.last_body_size(), body_size);
+
+  AuctionService loaded(shard_config(1));
+  util::binio::Reader in(std::string_view(out.bytes()).substr(6));
+  loaded.load_state(in);
+  EXPECT_EQ(loaded.last_body_size(), body_size);
+
+  // A refused load leaves the remembered length as it was.
+  util::binio::Reader cut(
+      std::string_view(out.bytes()).substr(6, body_size - 3));
+  EXPECT_THROW(loaded.load_state(cut), std::runtime_error);
+  EXPECT_EQ(loaded.last_body_size(), body_size);
 }
 
 // ------------------------------------------------------- broadcast merge --

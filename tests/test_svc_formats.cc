@@ -2,11 +2,19 @@
 // fuzz-style negative sweep over svc::config_from_trace (mistyped or
 // hostile header fields must throw, never misconfigure), malformed
 // MLDYSVCK / MLDYMIGR inputs (bad magic, alien version, truncation at
-// every prefix), the structured missing-resume-checkpoint error, and the
-// build-info report of every format version, read back out of real blobs.
+// every prefix), the structured missing-resume-checkpoint error (and a
+// resume probe that never blocks on a FIFO), and the build-info report of
+// every format version, read back out of real blobs.
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
+#include <cstdio>
+#include <future>
 #include <memory>
 #include <stdexcept>
 #include <sstream>
@@ -255,6 +263,32 @@ TEST(ResumeCheckpoint, MissingFileIsAStructuredError) {
     EXPECT_NE(std::string(e.what()).find("--resume"), std::string::npos)
         << "the message must carry the fix hint";
   }
+}
+
+TEST(ResumeCheckpoint, AFifoIsProbedWithoutBlockingThenRefusedByRestore) {
+  // The probe must not open the path: a FIFO with no writer would block
+  // it. If it ever blocks, open the write end here to release it.
+  const std::string fifo = ::testing::TempDir() + "/melody_resume_fifo";
+  std::remove(fifo.c_str());
+  ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0);
+  auto probed = std::async(std::launch::async,
+                           [&fifo] { require_resume_checkpoint(fifo); });
+  const bool blocked =
+      probed.wait_for(std::chrono::seconds(5)) == std::future_status::timeout;
+  if (blocked) {
+    const int writer = ::open(fifo.c_str(), O_WRONLY | O_NONBLOCK);
+    if (writer >= 0) ::close(writer);
+  }
+  probed.get();
+  EXPECT_FALSE(blocked) << "probing a FIFO blocked on open";
+  ShardedService service(config_from_trace(trace_with(valid_header())));
+  try {
+    service.restore(fifo);
+    FAIL() << "a FIFO must not restore";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()), "svc checkpoint: cannot open " + fifo);
+  }
+  std::remove(fifo.c_str());
 }
 
 TEST(ResumeCheckpoint, TraceHeaderPinsTheResumePath) {
